@@ -19,7 +19,7 @@
 
 use pgt_index::baseline_ddp::run_baseline_ddp;
 use pgt_index::gen_dist_index::run_generalized;
-use pgt_index::{DistConfig, DistRunResult};
+use pgt_index::{DistConfig, EngineReport};
 use st_data::datasets::{DatasetKind, DatasetSpec};
 use st_data::synthetic;
 use st_graph::diffusion_supports;
@@ -37,7 +37,7 @@ struct Row {
     speedup: f64,
 }
 
-fn hidden_secs(r: &DistRunResult) -> f64 {
+fn hidden_secs(r: &EngineReport) -> f64 {
     r.epochs.iter().map(|e| e.hidden_comm_secs).sum()
 }
 
@@ -67,7 +67,7 @@ fn main() {
     };
     let worlds: &[usize] = &[2, 4];
 
-    let run = |plane: &'static str, cfg: &DistConfig| -> DistRunResult {
+    let run = |plane: &'static str, cfg: &DistConfig| -> EngineReport {
         match plane {
             "baseline_ddp" => {
                 run_baseline_ddp(&sig, cfg, |_| Box::new(factory(1)) as Box<dyn Seq2Seq>)

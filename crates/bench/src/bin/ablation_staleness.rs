@@ -19,7 +19,7 @@
 
 use pgt_index::dist_index::run_distributed_index;
 use pgt_index::workflow::pgt_dcrnn_factory;
-use pgt_index::{DistConfig, DistRunResult};
+use pgt_index::{DistConfig, EngineReport};
 use st_data::datasets::{DatasetKind, DatasetSpec};
 use st_data::synthetic;
 use st_report::table::Table;
@@ -35,7 +35,7 @@ struct Row {
     fence_stalls: u64,
 }
 
-fn counters(r: &DistRunResult) -> (u64, u64) {
+fn counters(r: &EngineReport) -> (u64, u64) {
     r.epochs.iter().fold((0, 0), |(sa, fs), e| {
         (sa + e.stale_steps_applied, fs + e.fence_stalls)
     })

@@ -19,7 +19,7 @@
 //! epochs for CI.
 
 use pgt_index::dist_index::run_distributed_index;
-use pgt_index::{DistConfig, DistRunResult, IndexDataset};
+use pgt_index::{DistConfig, EngineReport, IndexDataset};
 use st_data::datasets::{DatasetKind, DatasetSpec};
 use st_data::splits::SplitRatios;
 use st_data::storage::{ChunkedSpec, StorageSpec};
@@ -53,7 +53,7 @@ fn run(
     horizon: usize,
     epochs: usize,
     storage: StorageSpec,
-) -> DistRunResult {
+) -> EngineReport {
     let mut cfg = DistConfig::new(2, epochs, horizon);
     cfg.batch_per_worker = 8;
     cfg.storage = storage;
@@ -67,7 +67,7 @@ fn run_ddp(
     horizon: usize,
     epochs: usize,
     wire: WireCodec,
-) -> DistRunResult {
+) -> EngineReport {
     let mut cfg = DistConfig::new(2, epochs, horizon);
     cfg.batch_per_worker = 8;
     cfg.wire_codec = wire;
@@ -76,7 +76,7 @@ fn run_ddp(
     })
 }
 
-fn loss_bits(r: &DistRunResult) -> Vec<(u32, u32)> {
+fn loss_bits(r: &EngineReport) -> Vec<(u32, u32)> {
     r.epochs
         .iter()
         .map(|e| (e.train_loss.to_bits(), e.val_mae.to_bits()))

@@ -18,7 +18,7 @@
 //! for CI.
 
 use pgt_index::dist_index::run_distributed_index;
-use pgt_index::{DistConfig, DistRunResult};
+use pgt_index::{DistConfig, EngineReport};
 use st_data::datasets::{DatasetKind, DatasetSpec};
 use st_data::synthetic;
 use st_graph::diffusion_supports;
@@ -146,7 +146,7 @@ fn time_fused_gate(rows: &mut Vec<Row>, reps: usize, elems: usize, width: usize)
 
 /// One end-to-end distributed run of the `ablation_overlap` workload under
 /// `backend`, returning (wall seconds, per-epoch loss bits).
-fn e2e_run(backend: BackendKind, epochs: usize, hidden: usize) -> (DistRunResult, Vec<u32>) {
+fn e2e_run(backend: BackendKind, epochs: usize, hidden: usize) -> (EngineReport, Vec<u32>) {
     let spec = DatasetSpec::get(DatasetKind::PemsBay).scaled(st_bench::DIST_SCALE);
     let sig = synthetic::generate(&spec, st_bench::SEED);
     let mut cfg = DistConfig::new(2, epochs, spec.horizon);

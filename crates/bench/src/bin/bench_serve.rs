@@ -1,8 +1,8 @@
 //! Million-user load harness for the production serving plane.
 //!
-//! Where `serve_bench` pins the partition-parallel *scaling* claim on a
-//! small bursty burst, this harness drives the full serving plane the way
-//! a deployment would see it:
+//! This harness drives the full serving plane the way a deployment would
+//! see it (the trained-snapshot round trip itself is pinned by
+//! `tests/serve_roundtrip.rs`):
 //!
 //! - **Open-loop arrivals**: a Poisson process (inverse-CDF exponential
 //!   interarrivals) whose rate follows a **diurnal** sinusoid, so the
@@ -240,7 +240,7 @@ fn main() {
     };
 
     // --- snapshot a seeded model over the synthetic traffic corridor ---
-    // (Training is serve_bench's concern; modeled load is weight-blind.)
+    // (Untrained: modeled load is weight-blind.)
     let net = st_graph::generators::highway_corridor(load.nodes, 2, st_bench::SEED);
     let sig = synthetic::traffic::generate(&net, load.entries, 288, st_bench::SEED);
     let ds = IndexDataset::from_signal(&sig, load.horizon, SplitRatios::default(), Some(288));

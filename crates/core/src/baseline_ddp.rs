@@ -12,7 +12,7 @@
 //! [`DistributedArray`] pair whose every fetch is quoted against the
 //! remote-traffic ledger.
 
-use crate::engine::{self, DistDataPlane, EngineOptions, Fetch};
+use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch};
 use crate::trainer::BatchSource;
 use st_data::preprocess::materialized_xy;
 use st_data::scaler::StandardScaler;
@@ -23,7 +23,7 @@ use st_dist::datasvc::DistributedArray;
 use st_models::Seq2Seq;
 use st_tensor::Tensor;
 
-use crate::dist_index::{DistConfig, DistRunResult};
+use crate::dist_index::DistConfig;
 use std::sync::Arc;
 
 /// The §5 data plane: a worker-side view of the Dask-distributed `(x, y)`
@@ -147,12 +147,12 @@ impl DistDataPlane for DataSvcPlane {
 ///
 /// Returns the same result type as distributed-index-batching so harnesses
 /// can print them side by side; additionally reports the data-plane bytes
-/// through [`DistRunResult::bytes_moved`] (gradient + sample traffic).
+/// through [`EngineReport::bytes_moved`] (gradient + sample traffic).
 pub fn run_baseline_ddp<F>(
     signal: &StaticGraphTemporalSignal,
     cfg: &DistConfig,
     model_factory: F,
-) -> DistRunResult
+) -> EngineReport
 where
     F: Fn(&DataSvcPlane) -> Box<dyn Seq2Seq> + Sync,
 {
@@ -206,7 +206,6 @@ where
         |plane: &DataSvcPlane| model_factory(plane),
     )
     .expect("engine run without resume cannot fail")
-    .into_dist_result()
 }
 
 #[cfg(test)]

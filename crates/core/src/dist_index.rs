@@ -7,7 +7,7 @@
 //! DDP gradient all-reduce (plus tiny metric reductions), which is exactly
 //! the property that separates the right panel of Fig. 7 from the left.
 
-use crate::engine::{self, DistDataPlane, EngineOptions, Fetch};
+use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch};
 use crate::index_batching::IndexDataset;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
@@ -55,9 +55,11 @@ pub struct DistConfig {
     /// `Some(cap)`: gradients all-reduce in deterministic byte-capped
     /// buckets ordered by gradient completion, each a quoted async
     /// collective hidden behind the remaining backward compute.
-    /// `None`: the legacy single flat synchronous all-reduce. Numerics
-    /// are **bit-identical** either way (an element-wise rank-order mean
-    /// does not care how the buffer is split); only modeled time moves.
+    /// `None`: one whole-model bucket — it can only fire when the backward
+    /// ends, so its wire time is fully exposed (the flat synchronous
+    /// all-reduce). Numerics are **bit-identical** either way (an
+    /// element-wise rank-order mean does not care how the buffer is
+    /// split); only modeled time moves.
     pub grad_bucket_bytes: Option<usize>,
     /// The graph partitioner every partition-consuming plane routes
     /// through: the §7 partitioned trainer splits the sensor graph with
@@ -68,15 +70,13 @@ pub struct DistConfig {
     /// [`st_graph::HaloCostModel`].
     pub partitioner: st_graph::PartitionerKind,
     /// Staleness bound `s` for gradient application (MSPipe direction).
-    /// `0` (the default) is today's synchronous path — every collective
-    /// settles in the step that issued it, **bit-identical** to the flat
-    /// reduce. `s ≥ 1` lets a rank apply an averaged gradient up to `s`
-    /// steps after it was issued: bucket collectives become deadline
-    /// streams on the overlap ledger, applied when their modeled arrival
-    /// instant passes the rank's clock, with a hard sync fence the moment
-    /// the bound would be exceeded. Requires the bucketed path (a flat
-    /// `grad_bucket_bytes: None` config with `s ≥ 1` gets one whole-model
-    /// bucket). See DESIGN.md §4.
+    /// `0` (the default) is the synchronous path — every collective
+    /// settles in the step that issued it. `s ≥ 1` lets a rank apply an
+    /// averaged gradient up to `s` steps after it was issued: bucket
+    /// collectives become deadline streams on the overlap ledger, applied
+    /// when their modeled arrival instant passes the rank's clock, with a
+    /// hard sync fence the moment the bound would be exceeded. See
+    /// DESIGN.md §4.
     pub staleness: usize,
     /// Deterministic straggler-injection knob: scales each rank's modeled
     /// compute seconds by [`st_device::CostModel::straggler_scale`] (rank 0
@@ -87,7 +87,10 @@ pub struct DistConfig {
     /// Compute backend every rank selects before its first step
     /// ([`st_tensor::backend::set_backend`]). Both backends are bitwise
     /// identical, so switching never moves the numerics — only wall time.
-    /// Defaults to [`st_tensor::backend::BackendKind::Tiled`].
+    /// Defaults to the process-wide choice
+    /// ([`st_tensor::backend::active_backend`]: `ST_BACKEND`, or an earlier
+    /// `set_backend`), so a run that does not set this field leaves the
+    /// process's backend alone.
     pub backend: st_tensor::backend::BackendKind,
     /// Storage backend for every plane's standardized signal copy.
     /// `InMemory` (the default) is the historical dense tensor. `Chunked`
@@ -126,7 +129,7 @@ impl DistConfig {
             partitioner: st_graph::PartitionerKind::Multilevel,
             staleness: 0,
             straggler_skew: 0.0,
-            backend: st_tensor::backend::BackendKind::Tiled,
+            backend: st_tensor::backend::active_backend(),
             storage: StorageSpec::InMemory,
             wire_codec: WireCodec::Lossless,
         }
@@ -177,37 +180,6 @@ pub struct DistEpochStats {
     /// measured time on the host, not modeled seconds — the knob for
     /// judging where the tiled backend's wins land.
     pub kernel_split: st_device::KernelSplit,
-}
-
-/// Result of a distributed run.
-#[derive(Debug, Clone)]
-pub struct DistRunResult {
-    /// Per-epoch stats.
-    pub epochs: Vec<DistEpochStats>,
-    /// Simulated compute seconds (rank 0).
-    pub sim_compute_secs: f64,
-    /// Simulated communication seconds (rank 0).
-    pub sim_comm_secs: f64,
-    /// Total simulated seconds (rank 0).
-    pub sim_total_secs: f64,
-    /// Total collective payload bytes moved.
-    pub bytes_moved: u64,
-    /// Sample-data bytes moved between workers (the data plane). Zero for
-    /// distributed-index-batching (every worker holds a full local copy);
-    /// the dominant term for baseline DDP — the crux of Fig. 7.
-    pub data_plane_bytes: u64,
-    /// Wall-clock seconds of the whole run.
-    pub wall_secs: f64,
-}
-
-impl DistRunResult {
-    /// Best validation MAE over epochs.
-    pub fn best_val_mae(&self) -> f32 {
-        self.epochs
-            .iter()
-            .map(|e| e.val_mae)
-            .fold(f32::INFINITY, f32::min)
-    }
 }
 
 /// The §4.2 data plane: every worker holds a **full local copy** of the
@@ -341,7 +313,7 @@ pub fn run_distributed_index<F>(
     signal: &StaticGraphTemporalSignal,
     cfg: &DistConfig,
     model_factory: F,
-) -> DistRunResult
+) -> EngineReport
 where
     F: Fn(&IndexDataset) -> Box<dyn Seq2Seq> + Sync,
 {
@@ -352,7 +324,6 @@ where
         |plane: &LocalCopyPlane| model_factory(plane.dataset()),
     )
     .expect("engine run without resume cannot fail")
-    .into_dist_result()
 }
 
 #[cfg(test)]
@@ -363,7 +334,7 @@ mod tests {
     use st_graph::diffusion_supports;
     use st_models::{ModelConfig, PgtDcrnn, Support};
 
-    fn run(world: usize, shuffle: ShuffleStrategy, epochs: usize) -> DistRunResult {
+    fn run(world: usize, shuffle: ShuffleStrategy, epochs: usize) -> EngineReport {
         let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.35);
         let sig = synthetic::generate(&spec, 21);
         let mut cfg = DistConfig::new(world, epochs, spec.horizon);

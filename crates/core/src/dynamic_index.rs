@@ -386,17 +386,6 @@ impl Default for DynamicTrainConfig {
     }
 }
 
-/// Per-epoch record of a dynamic-graph run.
-#[derive(Debug, Clone, Copy)]
-pub struct DynamicEpochStats {
-    /// Epoch index.
-    pub epoch: usize,
-    /// Mean training MAE (standardized).
-    pub train_loss: f32,
-    /// Validation MAE (original units).
-    pub val_mae: f32,
-}
-
 /// The §7 dynamic-graph data plane: zero-copy feature windows plus
 /// per-entry diffusion supports, visited one window at a time (each window
 /// carries its own support sequence, so samples with different topology
@@ -526,7 +515,7 @@ pub fn train_dynamic(
     signal: &DynamicGraphTemporalSignal,
     horizon: usize,
     cfg: &DynamicTrainConfig,
-) -> (PgtDcrnn, Vec<DynamicEpochStats>) {
+) -> (PgtDcrnn, Vec<crate::trainer::EpochStats>) {
     let ds = DynamicIndexDataset::from_signal_spec(
         signal,
         horizon,
@@ -551,46 +540,38 @@ pub fn train_dynamic(
         Vec::new()
     };
 
-    let (report, model) = crate::engine::run_single(
+    let model = PgtDcrnn::new(
+        ModelConfig {
+            input_dim: ds.num_features(),
+            output_dim: 1,
+            hidden: cfg.hidden,
+            num_nodes: ds.num_nodes(),
+            horizon,
+            diffusion_steps: cfg.diffusion_steps,
+            layers: 1,
+        },
+        // Initial supports only fix the weight layout (support count); the
+        // per-step operators come from the dataset at runtime through the
+        // plane's forward hook.
+        &ds.supports[0],
+        cfg.seed,
+    );
+    let plane = DynamicPlane::with_partition_timeline(
+        ds,
+        cfg.seed,
+        timeline,
+        &st_device::CostModel::default(),
+    );
+    let report = crate::engine::run_single(
         &dist_cfg,
         &crate::engine::EngineOptions::default(),
-        move |cm| {
-            let model = PgtDcrnn::new(
-                ModelConfig {
-                    input_dim: ds.num_features(),
-                    output_dim: 1,
-                    hidden: cfg.hidden,
-                    num_nodes: ds.num_nodes(),
-                    horizon,
-                    diffusion_steps: cfg.diffusion_steps,
-                    layers: 1,
-                },
-                // Initial supports only fix the weight layout (support
-                // count); the per-step operators come from the dataset at
-                // runtime through the plane's forward hook.
-                &ds.supports[0],
-                cfg.seed,
-            );
-            (
-                DynamicPlane::with_partition_timeline(ds, cfg.seed, timeline, cm),
-                model,
-            )
-        },
+        &plane,
+        &model,
     )
     .expect("engine run without resume cannot fail");
-    // Rebuild original-unit validation MAE from the engine's raw f64 sums
-    // (the rank-uniform f32 gather path rounds differently than the
-    // historical single-worker formula).
-    let stats = report
-        .epochs
-        .iter()
-        .zip(report.rank_val[0].iter())
-        .map(|(e, &(abs_sum, n))| DynamicEpochStats {
-            epoch: e.epoch,
-            train_loss: e.train_loss,
-            val_mae: (abs_sum / n.max(1) as f64) as f32 * std,
-        })
-        .collect();
+    // The single-worker view: rank 0's own f64 validation sums, not the
+    // rank-uniform f32 gather.
+    let stats = crate::trainer::epoch_stats(&report, std);
     (model, stats)
 }
 

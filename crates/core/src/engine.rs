@@ -14,31 +14,39 @@
 //!   with bytes on the plane's ledger), and a traffic ledger.
 //! - [`StepLoop`] — the shared step and validation primitives
 //!   (forward/backward/clip/step, original-unit MAE sums via the fused
-//!   [`st_tensor::ops::sum_abs`]), used by the single-worker
-//!   [`Trainer`](crate::trainer::Trainer) and by [`run`] alike.
-//! - [`run`] / [`run_single`] — the epoch loop: one rank per worker,
-//!   bit-deterministic rank-order metric reductions, simulated-clock
-//!   charging, optional checkpoint capture/resume, and a **pipelined step
-//!   path**: every concurrent comm stream — the one-time setup read, the
-//!   double-buffered next-batch fetch ([`DistConfig::prefetch`]), and the
-//!   backward-overlapped gradient buckets
-//!   ([`DistConfig::grad_bucket_bytes`]) — is quoted onto one
+//!   [`st_tensor::ops::sum_abs`]).
+//! - [`run`] / [`run_single`] — the **only** epoch loop: one rank per
+//!   worker ([`run`]) or a world of one on the calling thread against the
+//!   caller's model ([`run_single`] — what the single-worker
+//!   [`Trainer`](crate::trainer::Trainer) and the dynamic-graph runner
+//!   are facades over), bit-deterministic rank-order metric reductions,
+//!   simulated-clock charging, optional checkpoint capture/resume, and a
+//!   **pipelined step path**: every concurrent comm stream — the one-time
+//!   setup read, the double-buffered next-batch fetch
+//!   ([`DistConfig::prefetch`]), and the backward-overlapped gradient
+//!   buckets ([`DistConfig::grad_bucket_bytes`]) — is quoted onto one
 //!   [`st_device::OverlapLedger`] and hidden behind modeled compute
 //!   uniformly, with the per-epoch hidden/exposed split reported in
-//!   [`DistEpochStats`].
+//!   [`DistEpochStats`]. Gradient sync has one mechanism,
+//!   [`st_dist::GradBuckets`]: `grad_bucket_bytes = None` is one
+//!   whole-model bucket (nothing to overlap — the flat synchronous
+//!   reduce's timing), and [`DistConfig::staleness`] is a schedule over
+//!   the same buckets.
+//! - [`EngineReport`] — what every runner returns.
 //!
 //! Determinism invariant (DESIGN.md §2): the engine charges *time* for
 //! fetches and collectives but never lets it influence numerics — plans
 //! are derived from `(seed, epoch[, rank])` alone, all cross-rank
-//! combination happens in rank order, and the bucketed gradient mean is
-//! bit-identical to the flat one (pinned by `tests/engine_goldens.rs`).
+//! combination happens in rank order, and an element-wise rank-order mean
+//! cannot observe how the gradient buffer is cut into buckets (pinned by
+//! `tests/engine_goldens.rs`).
 //! The one documented relaxation is [`DistConfig::staleness`] `≥ 1`
 //! (DESIGN.md §4): gradient application then consults *modeled* arrival
 //! instants — themselves pure functions of the run configuration — so
 //! runs stay reproducible bit-for-bit while replicas may deliberately
 //! diverge from the synchronous trajectory.
 
-use crate::dist_index::{DistConfig, DistEpochStats, DistRunResult};
+use crate::dist_index::{DistConfig, DistEpochStats};
 use st_autograd::checkpoint::CheckpointError;
 use st_autograd::loss;
 use st_autograd::module::Param;
@@ -46,8 +54,8 @@ use st_autograd::optim::{clip_grad_norm, Adam, Optimizer};
 use st_autograd::schedule::{ConstantLr, LrSchedule};
 use st_autograd::{Checkpoint, Tape, Var};
 use st_device::{CostModel, OverlapLedger, StreamId};
-use st_dist::ddp::{self, DdpContext, GradBuckets};
-use st_dist::launch::{self, run_workers, WorkerCtx};
+use st_dist::ddp::{self, GradBuckets};
+use st_dist::launch::{self, run_workers, ReduceOp, Timing, WorkerCtx};
 use st_dist::shuffle;
 use st_dist::staleness::StalenessWindow;
 use st_models::Seq2Seq;
@@ -207,8 +215,9 @@ pub fn striped_rounds(train_len: usize, world: usize, batch: usize) -> usize {
 
 /// The shared training-step primitives: target extraction, one
 /// forward/backward, clip + optimizer step, and the validation reduction.
-/// Both the single-worker [`Trainer`](crate::trainer::Trainer) and the
-/// distributed [`run`] are thin drivers around these.
+/// The epoch loop ([`run`] / [`run_single`]) and
+/// [`Trainer::evaluate`](crate::trainer::Trainer::evaluate) are thin
+/// drivers around these.
 pub struct StepLoop {
     /// Optional global-norm gradient clip applied before each step.
     pub grad_clip: Option<f32>,
@@ -335,7 +344,10 @@ impl From<CheckpointError> for EngineError {
     }
 }
 
-/// What one engine run reports.
+/// What one engine run reports — the one result type of every runner
+/// (`run_distributed_index`, `run_baseline_ddp`, `run_generalized`
+/// return it as is; the partitioned, dynamic and single-worker runners
+/// derive their summaries from it).
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     /// Per-epoch stats (rank-0 view; all ranks agree).
@@ -348,7 +360,9 @@ pub struct EngineReport {
     pub sim_total_secs: f64,
     /// Collective payload bytes plus data-plane bytes.
     pub bytes_moved: u64,
-    /// Sample-data bytes moved between ranks (the plane's ledger).
+    /// Sample-data bytes moved between ranks (the plane's ledger). Zero
+    /// for distributed-index-batching (every worker holds a full local
+    /// copy); the dominant term for baseline DDP — the crux of Fig. 7.
     pub data_plane_bytes: u64,
     /// Wall-clock seconds of the whole run.
     pub wall_secs: f64,
@@ -363,17 +377,33 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    /// Collapse into the public per-runner result type.
-    pub fn into_dist_result(self) -> DistRunResult {
-        DistRunResult {
-            epochs: self.epochs,
-            sim_compute_secs: self.sim_compute_secs,
-            sim_comm_secs: self.sim_comm_secs,
-            sim_total_secs: self.sim_total_secs,
-            bytes_moved: self.bytes_moved,
-            data_plane_bytes: self.data_plane_bytes,
-            wall_secs: self.wall_secs,
-        }
+    /// Best (minimum) rank-uniform validation MAE over epochs.
+    pub fn best_val_mae(&self) -> f32 {
+        self.epochs
+            .iter()
+            .map(|e| e.val_mae)
+            .fold(f32::INFINITY, f32::min)
+    }
+
+    /// Rank `rank`'s **own** validation MAE per epoch, in original units
+    /// under that rank's scaler σ: `(Σ|err| / n) as f32 · σ` from the f64
+    /// sums in [`EngineReport::rank_val`]. An epoch that validated nothing
+    /// (validation skipped, or an empty split) is `NaN`, never a perfect
+    /// `0.0`. This is the single-worker formula — independent-model
+    /// planes (one model per partition, a world of one) read this rather
+    /// than the rank-uniform `epochs[].val_mae`, whose cross-rank f32
+    /// gather rounds differently.
+    pub fn rank_val_mae(&self, rank: usize, scaler_std: f32) -> Vec<f32> {
+        self.rank_val[rank]
+            .iter()
+            .map(|&(abs_sum, n)| {
+                if n == 0 {
+                    f32::NAN
+                } else {
+                    (abs_sum / n as f64) as f32 * scaler_std
+                }
+            })
+            .collect()
     }
 }
 
@@ -415,10 +445,12 @@ where
     Ok(assemble(outcomes, start))
 }
 
-/// Run the engine inline as a one-rank world, returning the trained model
-/// alongside the report (models are not `Send`, so the threaded [`run`]
-/// cannot hand them back). Used by the dynamic-graph runner, which
-/// returns its model to the caller.
+/// Run the engine inline as a one-rank world **on the calling thread**,
+/// training the caller's `model` in place (models are not `Send`, so the
+/// threaded [`run`] must build its replicas inside the workers and cannot
+/// hand them back). Collectives are free no-ops. This is the entry the
+/// single-worker [`Trainer`](crate::trainer::Trainer) and the
+/// dynamic-graph runner use.
 ///
 /// ```
 /// use pgt_index::dist_index::DistConfig;
@@ -432,40 +464,33 @@ where
 /// // epochs as a world of one.
 /// let sig = synthetic_dynamic_traffic(6, 60, 5);
 /// let ds = DynamicIndexDataset::from_signal(&sig, 4, SplitRatios::default(), 2);
+/// let mc = ModelConfig {
+///     input_dim: ds.num_features(), output_dim: 1, hidden: 4,
+///     num_nodes: ds.num_nodes(), horizon: 4, diffusion_steps: 2, layers: 1,
+/// };
+/// // Initial supports fix the weight layout; per-step operators come
+/// // from the dataset at runtime through the plane's forward hook.
+/// let model = PgtDcrnn::new(mc, ds.supports_for(0)[0], 42);
+/// let plane = DynamicPlane::new(ds, 42);
 /// let cfg = DistConfig::new(1, 2, 4);
-/// let (report, _model) = run_single(&cfg, &EngineOptions::default(), move |_cm| {
-///     let mc = ModelConfig {
-///         input_dim: ds.num_features(), output_dim: 1, hidden: 4,
-///         num_nodes: ds.num_nodes(), horizon: 4, diffusion_steps: 2, layers: 1,
-///     };
-///     // Initial supports fix the weight layout; per-step operators come
-///     // from the dataset at runtime through the plane's forward hook.
-///     let model = PgtDcrnn::new(mc, ds.supports_for(0)[0], 42);
-///     (DynamicPlane::new(ds, 42), model)
-/// })
-/// .expect("no resume bytes to reject");
+/// let report = run_single(&cfg, &EngineOptions::default(), &plane, &model)
+///     .expect("no resume bytes to reject");
 /// assert_eq!(report.epochs.len(), 2);
 /// assert!(report.epochs[1].train_loss.is_finite());
 /// ```
-pub fn run_single<P, M, B>(
+pub fn run_single<P: DistDataPlane>(
     cfg: &DistConfig,
     opts: &EngineOptions,
-    build: B,
-) -> Result<(EngineReport, M), EngineError>
-where
-    P: DistDataPlane,
-    M: Seq2Seq,
-    B: FnOnce(&CostModel) -> (P, M),
-{
+    plane: &P,
+    model: &dyn Seq2Seq,
+) -> Result<EngineReport, EngineError> {
     assert_eq!(cfg.world, 1, "run_single is the world-of-one entry point");
     let start = std::time::Instant::now();
-    let (outcome, model) = launch::run_single(cfg.topology, |mut ctx| {
+    let outcome = launch::run_single(cfg.topology, |mut ctx| {
         let cm = ctx.comm.hub().cost_model().clone();
-        let (plane, model) = build(&cm);
-        let outcome = run_rank(cfg, opts, &plane, &model, &mut ctx, &cm);
-        (outcome, model)
-    });
-    Ok((assemble(vec![outcome?], start), model))
+        run_rank(cfg, opts, plane, model, &mut ctx, &cm)
+    })?;
+    Ok(assemble(vec![outcome], start))
 }
 
 /// The per-rank epoch loop — the six former hand-copied loops, once.
@@ -493,29 +518,18 @@ fn run_rank<P: DistDataPlane>(
     if sync {
         ddp::broadcast_parameters(&model.params(), &mut ctx.comm);
     }
-    // The pipelined sync path: deterministic byte-capped buckets in
-    // reversed module order (every rank derives the identical partition
-    // before any backward has run — PyTorch DDP's approximation of
-    // completion order), refined per step by the tape's actual
-    // completion sequence for the fire points. The legacy flat
-    // `DdpContext` is built only when bucketing is off, so each rank
-    // holds one set of persistent sync buffers, not two. Bounded
-    // staleness rides the bucketed machinery, so a flat config with
-    // `staleness ≥ 1` gets one whole-model bucket.
-    let mut buckets = match (cfg.grad_bucket_bytes, cfg.staleness) {
-        (Some(cap), _) if sync => {
-            let mut params = model.params();
-            params.reverse();
-            Some(GradBuckets::new(params, cap))
-        }
-        (None, s) if sync && s > 0 => {
-            let mut params = model.params();
-            params.reverse();
-            Some(GradBuckets::new(params, usize::MAX))
-        }
-        _ => None,
-    };
-    let mut ddp = (sync && buckets.is_none()).then(|| DdpContext::new(model.params()));
+    // The one sync path: deterministic byte-capped buckets in reversed
+    // module order (every rank derives the identical partition before any
+    // backward has run — PyTorch DDP's approximation of completion
+    // order), refined per step by the tape's actual completion sequence
+    // for the fire points. `grad_bucket_bytes: None` is one whole-model
+    // bucket: it fires when the backward ends, so nothing hides it — the
+    // flat synchronous reduce.
+    let mut buckets = sync.then(|| {
+        let mut params = model.params();
+        params.reverse();
+        GradBuckets::new(params, cfg.grad_bucket_bytes.unwrap_or(usize::MAX))
+    });
     let mut window = (sync && cfg.staleness > 0).then(|| StalenessWindow::new(cfg.staleness));
     let mut fire: Option<Vec<f64>> = None;
     let mut opt = Adam::new(model.params(), cfg.effective_lr());
@@ -681,10 +695,8 @@ fn run_rank<P: DistDataPlane>(
                     step.clip_and_step(&model.params(), &mut opt);
                 }
                 (None, _) => {
+                    // Independent models: nothing to synchronize.
                     overlap.credit(bwd_secs);
-                    if let Some(d) = ddp.as_mut() {
-                        d.average_gradients(&mut ctx.comm);
-                    }
                     step.clip_and_step(&model.params(), &mut opt);
                 }
             }
@@ -707,7 +719,8 @@ fn run_rank<P: DistDataPlane>(
             (loss_sum / batches.max(1) as f64) as f32,
             (batches > 0) as u8 as f32,
         ];
-        ctx.comm.all_reduce_sum(&mut sums);
+        ctx.comm
+            .all_reduce(&mut sums, ReduceOp::Sum, Timing::Charge);
         let train_loss = sums[0] / sums[1].max(1.0);
 
         // Validation: each rank evaluates its own slice synchronously.

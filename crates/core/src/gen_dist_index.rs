@@ -15,8 +15,8 @@
 //! under [`DistConfig::prefetch`] the engine overlaps that read with early
 //! compute instead of paying it up front.
 
-use crate::dist_index::{DistConfig, DistRunResult};
-use crate::engine::{self, DistDataPlane, EngineOptions, Fetch};
+use crate::dist_index::DistConfig;
+use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch};
 use crate::index_batching::IndexDataset;
 use st_data::scaler::StandardScaler;
 use st_data::signal::StaticGraphTemporalSignal;
@@ -250,7 +250,7 @@ pub fn run_generalized<F>(
     signal: &StaticGraphTemporalSignal,
     cfg: &DistConfig,
     model_factory: F,
-) -> DistRunResult
+) -> EngineReport
 where
     F: Fn(&IndexDataset) -> Box<dyn Seq2Seq> + Sync,
 {
@@ -307,7 +307,6 @@ where
         |plane: &HaloEntryPlane| model_factory(plane.dataset()),
     )
     .expect("engine run without resume cannot fail")
-    .into_dist_result()
 }
 
 #[cfg(test)]

@@ -13,11 +13,12 @@
 //! - [`engine`] — the **single** distributed epoch loop behind every
 //!   training mode: a [`engine::DistDataPlane`] supplies the epoch plan,
 //!   quoted batch fetches, and traffic ledger, while the engine owns
-//!   forward/backward, DDP averaging, prefetch overlap, rank-order metric
-//!   reductions, and checkpoint capture/resume.
-//! - [`trainer`] — the single-worker training loop with epoch metrics,
-//!   wall/simulated timing and memory-timeline capture; its steps are the
-//!   same [`engine::StepLoop`] primitives the engine uses.
+//!   forward/backward, bucketed gradient sync, prefetch overlap,
+//!   rank-order metric reductions, and checkpoint capture/resume, and
+//!   reports every run as one [`engine::EngineReport`].
+//! - [`trainer`] — the single-worker front end: [`trainer::BatchSource`]
+//!   and a [`trainer::Trainer`] that runs the engine as a world of one
+//!   over any source and reports per-epoch metrics.
 //! - [`dist_index`] — distributed-index-batching: full per-worker copies,
 //!   communication-free global shuffling, DDP gradient averaging (§4.2)
 //!   — the engine's [`dist_index::LocalCopyPlane`].
@@ -49,7 +50,7 @@ pub mod projection;
 pub mod trainer;
 pub mod workflow;
 
-pub use dist_index::{DistConfig, DistRunResult};
+pub use dist_index::DistConfig;
 pub use engine::{DistDataPlane, EngineError, EngineOptions, EngineReport, StepLoop};
 pub use index_batching::IndexDataset;
 pub use memory_model::{index_batching_bytes, standard_preprocess_bytes};

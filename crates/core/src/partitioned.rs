@@ -415,16 +415,15 @@ pub fn run_partitioned(
             continue;
         };
         let ds = &locals[rank].1;
-        // Final-epoch local validation sums, in this partition's scaler
-        // units (each partition fits its own scaler). An empty val split
-        // — or a zero-epoch run, which never validates — is NaN, never a
-        // perfect 0.0.
-        let (abs_sum, count) = report.rank_val[rank].last().copied().unwrap_or((0.0, 0));
-        let val_mae = if count == 0 {
-            f32::NAN
-        } else {
-            (abs_sum / count as f64) as f32 * ds.scaler().std
-        };
+        // Final-epoch local validation MAE under this partition's own
+        // scaler (each partition fits one). An empty val split — or a
+        // zero-epoch run, which never validates — is NaN, never a perfect
+        // 0.0.
+        let val_mae = report
+            .rank_val_mae(rank, ds.scaler().std)
+            .last()
+            .copied()
+            .unwrap_or(f32::NAN);
         let flops = part_flops[rank];
         let resident = ds.resident_bytes(4);
         max_flops = max_flops.max(flops);

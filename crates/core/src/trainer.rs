@@ -1,19 +1,27 @@
-//! The single-worker training loop (PGT workflow, §5.1).
+//! The single-worker training front end (PGT workflow, §5.1).
 //!
 //! [`Trainer`] is batching-agnostic: it consumes any [`BatchSource`], so the
-//! same loop runs with standard (materialized) batching and index-batching —
+//! same run works with standard (materialized) batching and index-batching —
 //! the apples-to-apples setup behind Table 3 and Fig. 5. Validation MAE is
 //! reported in original (un-standardized) units, like the paper.
+//!
+//! There is no epoch loop here: [`Trainer::train`] wraps the source in a
+//! private world-of-one [`DistDataPlane`] (`Batcher`-order epoch plans,
+//! batch-chunked validation, no gradient sync) and hands it to
+//! [`engine::run_single`] against the caller's model — bit-identical to
+//! the stand-alone loop it replaced (`tests/trainer_goldens.rs`).
 
-use crate::engine::StepLoop;
+use crate::dist_index::DistConfig;
+use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch, StepLoop};
 use crate::index_batching::IndexDataset;
-use st_autograd::optim::{Adam, Optimizer};
+use st_autograd::schedule::LrSchedule;
 use st_data::loader::Batcher;
 use st_data::preprocess::PreprocessOutput;
 use st_data::scaler::StandardScaler;
 use st_data::splits::SplitIndices;
 use st_models::Seq2Seq;
 use st_tensor::Tensor;
+use std::sync::Arc;
 
 /// Anything that can produce `(x, y)` minibatches from snapshot ids.
 pub trait BatchSource {
@@ -115,10 +123,25 @@ pub struct EpochStats {
     pub epoch: usize,
     /// Mean training loss (standardized MAE).
     pub train_loss: f32,
-    /// Validation MAE in original units (NaN when validation is off).
+    /// Validation MAE in original units (NaN when validation is off or
+    /// the validation split is empty).
     pub val_mae: f32,
-    /// Wall-clock seconds for the epoch.
-    pub wall_secs: f64,
+}
+
+/// The single-worker per-epoch view of an engine run: rank 0's train loss
+/// with its own original-unit validation MAE
+/// ([`EngineReport::rank_val_mae`]) under scaler σ `scaler_std`.
+pub(crate) fn epoch_stats(report: &EngineReport, scaler_std: f32) -> Vec<EpochStats> {
+    report
+        .epochs
+        .iter()
+        .zip(report.rank_val_mae(0, scaler_std))
+        .map(|(e, val_mae)| EpochStats {
+            epoch: e.epoch,
+            train_loss: e.train_loss,
+            val_mae,
+        })
+        .collect()
 }
 
 /// Full training record.
@@ -145,7 +168,57 @@ impl TrainingHistory {
     }
 }
 
-/// The single-worker trainer.
+/// A [`BatchSource`] as a world-of-one engine plane: the epoch plan is
+/// `Batcher::shuffled` over the train split, validation is the val split
+/// in `batch_size` chunks, and there is no peer to synchronize with.
+struct SourcePlane<'a> {
+    source: &'a dyn BatchSource,
+    cfg: &'a TrainerConfig,
+}
+
+impl DistDataPlane for SourcePlane<'_> {
+    fn rounds_per_epoch(&self) -> usize {
+        self.source
+            .splits()
+            .train
+            .len()
+            .div_ceil(self.cfg.batch_size.max(1))
+    }
+
+    fn plan_epoch(&self, epoch: u64) -> Vec<Vec<usize>> {
+        let train_ids: Vec<usize> = self.source.splits().train.clone().collect();
+        Batcher::shuffled(train_ids, self.cfg.batch_size, self.cfg.seed, epoch)
+            .batches()
+            .map(<[usize]>::to_vec)
+            .collect()
+    }
+
+    fn plan_val(&self) -> Vec<Vec<usize>> {
+        engine::chunk_ids(
+            self.source.splits().val.clone().collect(),
+            self.cfg.batch_size,
+        )
+    }
+
+    fn fetch_batch(&self, ids: &[usize]) -> Fetch {
+        let (x, y) = self.source.get_batch(ids);
+        Fetch { x, y, secs: 0.0 }
+    }
+
+    fn sync_gradients(&self) -> bool {
+        false
+    }
+
+    fn validate_epoch(&self, _epoch: u64, _epochs: u64) -> bool {
+        self.cfg.validate
+    }
+
+    fn scaler_std(&self) -> f32 {
+        self.source.scaler().std
+    }
+}
+
+/// The single-worker trainer: a facade over [`engine::run_single`].
 pub struct Trainer {
     cfg: TrainerConfig,
 }
@@ -161,112 +234,56 @@ impl Trainer {
         &self.cfg
     }
 
-    /// Train `model` on `source`, returning the history.
-    pub fn train<M: Seq2Seq + ?Sized>(
-        &self,
-        model: &M,
-        source: &dyn BatchSource,
-    ) -> TrainingHistory {
-        let mut opt = Adam::new(model.params(), self.cfg.lr);
-        self.train_with_optimizer(model, source, &mut opt)
+    /// Train `model` in place on `source` with Adam at a constant
+    /// `cfg.lr`, returning the history.
+    pub fn train(&self, model: &dyn Seq2Seq, source: &dyn BatchSource) -> TrainingHistory {
+        self.run(model, source, EngineOptions::default())
     }
 
     /// Train under a learning-rate schedule (DCRNN's multi-step decay, the
-    /// §5.3.3 warmup recipe, …): the schedule sets the rate at each epoch
-    /// boundary, then the epoch proceeds as usual.
-    pub fn train_with_schedule<M: Seq2Seq + ?Sized>(
+    /// §5.3.3 warmup recipe, …): the schedule sets Adam's rate at each
+    /// epoch boundary, then the epoch proceeds as usual.
+    pub fn train_with_schedule(
         &self,
-        model: &M,
+        model: &dyn Seq2Seq,
         source: &dyn BatchSource,
-        opt: &mut dyn Optimizer,
-        schedule: &dyn st_autograd::schedule::LrSchedule,
+        schedule: Arc<dyn LrSchedule + Send + Sync>,
     ) -> TrainingHistory {
-        let mut history = TrainingHistory::default();
-        let start = std::time::Instant::now();
-        for epoch in 0..self.cfg.epochs {
-            schedule.apply(opt, epoch);
-            history
-                .epochs
-                .push(self.train_epoch(model, source, opt, epoch));
-        }
-        history.wall_secs = start.elapsed().as_secs_f64();
-        history
-    }
-
-    /// One full epoch (train + optional validation) with `opt` as-is.
-    fn train_epoch<M: Seq2Seq + ?Sized>(
-        &self,
-        model: &M,
-        source: &dyn BatchSource,
-        opt: &mut dyn Optimizer,
-        epoch: usize,
-    ) -> EpochStats {
-        let e0 = std::time::Instant::now();
-        let train_ids: Vec<usize> = source.splits().train.clone().collect();
-        let batcher =
-            Batcher::shuffled(train_ids, self.cfg.batch_size, self.cfg.seed, epoch as u64);
-        let mut loss_sum = 0.0f64;
-        let mut batches = 0usize;
-        for batch_ids in batcher.batches() {
-            loss_sum += self.train_step(model, source, batch_ids, opt) as f64;
-            batches += 1;
-        }
-        let val_mae = if self.cfg.validate {
-            self.evaluate(model, source, source.splits().val.clone())
-        } else {
-            f32::NAN
+        let opts = EngineOptions {
+            schedule: Some(schedule),
+            ..Default::default()
         };
-        EpochStats {
-            epoch,
-            train_loss: (loss_sum / batches.max(1) as f64) as f32,
-            val_mae,
-            wall_secs: e0.elapsed().as_secs_f64(),
-        }
+        self.run(model, source, opts)
     }
 
-    /// Train with an externally-configured optimizer (used by the LR-scaled
-    /// large-batch runs of §5.3.3).
-    pub fn train_with_optimizer<M: Seq2Seq + ?Sized>(
+    fn run(
         &self,
-        model: &M,
+        model: &dyn Seq2Seq,
         source: &dyn BatchSource,
-        opt: &mut dyn Optimizer,
+        opts: EngineOptions,
     ) -> TrainingHistory {
-        let start = std::time::Instant::now();
-        let mut history = TrainingHistory::default();
-        for epoch in 0..self.cfg.epochs {
-            history
-                .epochs
-                .push(self.train_epoch(model, source, opt, epoch));
-        }
-        history.wall_secs = start.elapsed().as_secs_f64();
-        history
-    }
-
-    /// One optimizer step on one batch; returns the (standardized) loss.
-    /// Drives the shared [`StepLoop`] — the same forward/backward/clip/
-    /// step primitives the distributed engine uses.
-    pub fn train_step<M: Seq2Seq + ?Sized>(
-        &self,
-        model: &M,
-        source: &dyn BatchSource,
-        batch_ids: &[usize],
-        opt: &mut dyn Optimizer,
-    ) -> f32 {
-        let step = StepLoop {
-            grad_clip: self.cfg.grad_clip,
+        // The engine reads only its own knobs from `DistConfig`; horizon,
+        // seed and batch size are plane-construction inputs, and this
+        // plane takes them from the source and the trainer config.
+        let mut cfg = DistConfig::new(1, self.cfg.epochs, 0);
+        cfg.lr = self.cfg.lr;
+        cfg.grad_clip = self.cfg.grad_clip;
+        let plane = SourcePlane {
+            source,
+            cfg: &self.cfg,
         };
-        let (x, y) = source.get_batch(batch_ids);
-        opt.zero_grad();
-        let value = step.forward_backward(|tape| model.forward(tape, &x), &y);
-        step.clip_and_step(&model.params(), opt);
-        value
+        let report = engine::run_single(&cfg, &opts, &plane, model)
+            .expect("engine run without resume cannot fail");
+        TrainingHistory {
+            epochs: epoch_stats(&report, source.scaler().std),
+            wall_secs: report.wall_secs,
+        }
     }
 
     /// MAE over a snapshot range, in original units.
-    pub fn evaluate<M: Seq2Seq + ?Sized>(
+    pub fn evaluate(
         &self,
-        model: &M,
+        model: &dyn Seq2Seq,
         source: &dyn BatchSource,
         range: std::ops::Range<usize>,
     ) -> f32 {
@@ -293,7 +310,6 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_autograd::Module;
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::splits::SplitRatios;
     use st_data::synthetic;
@@ -315,86 +331,6 @@ mod tests {
             layers: 1,
         };
         (PgtDcrnn::new(cfg, &supports, 3), ds)
-    }
-
-    #[test]
-    fn scheduled_training_applies_decay() {
-        let (model, ds) = setup();
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: 4,
-            batch_size: 8,
-            lr: 0.01,
-            validate: false,
-            ..Default::default()
-        });
-        let mut opt = st_autograd::optim::Adam::new(model.params(), 0.01);
-        let schedule = st_autograd::schedule::StepLr {
-            base_lr: 0.01,
-            step_size: 2,
-            gamma: 0.1,
-        };
-        let h = trainer.train_with_schedule(&model, &ds, &mut opt, &schedule);
-        assert_eq!(h.epochs.len(), 4);
-        // After epoch 2 the schedule decays the rate to 0.001.
-        assert!((st_autograd::optim::Optimizer::lr(&opt) - 0.001).abs() < 1e-9);
-        assert!(h.final_train_loss().is_finite());
-    }
-
-    #[test]
-    fn checkpoint_resume_reproduces_uninterrupted_run() {
-        // Train 4 epochs straight vs 2 epochs + checkpoint + 2 resumed
-        // epochs: identical model state requires restoring Adam moments and
-        // continuing the shuffle sequence at the right epoch — exactly what
-        // Checkpoint + the epoch-indexed Batcher provide.
-        use st_autograd::optim::Adam;
-        use st_autograd::Checkpoint;
-        let straight = {
-            let (model, ds) = setup();
-            let trainer = Trainer::new(TrainerConfig {
-                epochs: 4,
-                batch_size: 8,
-                validate: false,
-                ..Default::default()
-            });
-            let mut opt = Adam::new(model.params(), 0.01);
-            trainer.train_with_optimizer(&model, &ds, &mut opt);
-            StateDictProbe::of(&model)
-        };
-        let resumed = {
-            let (model, ds) = setup();
-            let one = |epochs: std::ops::Range<usize>, opt: &mut Adam, model: &PgtDcrnn| {
-                let trainer = Trainer::new(TrainerConfig {
-                    epochs: 1,
-                    batch_size: 8,
-                    validate: false,
-                    ..Default::default()
-                });
-                for e in epochs {
-                    trainer.train_epoch(model, &ds, opt, e);
-                }
-            };
-            let mut opt = Adam::new(model.params(), 0.01);
-            one(0..2, &mut opt, &model);
-            let bytes = Checkpoint::capture(&model.params(), &opt, 2).to_bytes();
-            // "Restart": fresh model + optimizer, restore, finish.
-            let (model2, _) = setup();
-            let mut opt2 = Adam::new(model2.params(), 0.01);
-            let ck = Checkpoint::from_bytes(&bytes).unwrap();
-            let next = ck.restore(&model2.params(), &mut opt2).unwrap();
-            one(next as usize..4, &mut opt2, &model2);
-            StateDictProbe::of(&model2)
-        };
-        assert_eq!(straight, resumed, "resumed run must be bit-exact");
-    }
-
-    /// Flattened parameter snapshot for exact-equality assertions.
-    #[derive(PartialEq, Debug)]
-    struct StateDictProbe(Vec<Vec<f32>>);
-
-    impl StateDictProbe {
-        fn of(model: &PgtDcrnn) -> Self {
-            StateDictProbe(model.params().iter().map(|p| p.value().to_vec()).collect())
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! Chunk reads return the *stored* bytes pulled from disk so callers can
 //! price the IO with [`st_device::CostModel::pfs_read`] and let the engine's
-//! `Prefetcher` hide it behind compute.
+//! prefetch overlap hide it behind compute.
 
 use st_tensor::half::{f16_bits_to_f32, f16_round_trip, f32_to_f16_bits};
 use st_tensor::Tensor;

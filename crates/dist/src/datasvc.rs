@@ -13,8 +13,8 @@
 //! clones, zero-copy range views), while the chunked backend streams rows
 //! from an on-disk columnar file through its bounded LRU cache — the store
 //! quotes the disk bytes it had to touch and fetches convert them to
-//! modeled PFS seconds, so the engine's `Prefetcher` can hide chunk IO the
-//! same way it hides network time. Remote payloads can additionally be
+//! modeled PFS seconds, so the engine's prefetch overlap can hide chunk IO
+//! the same way it hides network time. Remote payloads can additionally be
 //! wire-compressed with a [`WireCodec`] (honestly transcoded and
 //! ledger-accounted at encoded size; lossless by default).
 

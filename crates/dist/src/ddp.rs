@@ -1,21 +1,20 @@
 //! DDP-style parameter broadcast and gradient synchronization.
 //!
 //! Mirrors PyTorch DistributedDataParallel at the granularity this repo
-//! needs, in two flavors:
+//! needs, with one sync mechanism: [`GradBuckets`] — deterministic
+//! byte-capped buckets in **gradient-completion order** (the order
+//! `Tape::backward` finalizes grads, approximated up front by reversed
+//! module order exactly as PyTorch does), each all-reduced as one
+//! rank-order mean ([`Comm::all_reduce`]). Quoted
+//! ([`GradBuckets::reduce_bucket_quoted`]), a bucket's wire time can hide
+//! behind the backward compute still running for earlier parameters;
+//! non-blocking ([`GradBuckets::reduce_bucket_async`]), it rides a
+//! bounded-staleness window. A cap of `usize::MAX` packs every parameter
+//! into a single bucket — the flat synchronous reduce, which is what
+//! `DistConfig::grad_bucket_bytes = None` builds.
 //!
-//! - [`DdpContext`] — the degenerate single-bucket form: every parameter
-//!   flattens into one persistent f32 scratch buffer and a training step
-//!   costs one synchronous all-reduce.
-//! - [`GradBuckets`] — real DDP bucketing for the pipelined step engine:
-//!   deterministic byte-capped buckets in **gradient-completion order**
-//!   (the order `Tape::backward` finalizes grads, approximated up front by
-//!   reversed module order exactly as PyTorch does), each all-reduced as a
-//!   *quoted* collective (`Comm::all_reduce_mean_quoted`) so its wire time
-//!   can hide behind the backward compute still running for earlier
-//!   parameters.
-//!
-//! Both paths are **bit-identical**: an element-wise rank-order mean does
-//! not care how the flat buffer is split (pinned by
+//! The split is **bit-invisible**: an element-wise rank-order mean does
+//! not care how the flat buffer is cut (pinned against plain arithmetic by
 //! `tests/proptests_ext.rs::bucketed_all_reduce_equals_flat`). Ranks whose
 //! epoch ran out of batches contribute zero gradients but still enter
 //! every collective — see [`crate::shuffle::common_rounds`].
@@ -25,7 +24,7 @@
 //! performs no per-step allocation beyond the collective's own payload
 //! exchange.
 
-use crate::launch::Comm;
+use crate::launch::{Comm, ReduceOp, Timing};
 use st_autograd::module::Param;
 use st_tensor::Tensor;
 
@@ -116,56 +115,9 @@ impl FlatChunk {
     }
 }
 
-/// Per-replica DDP state: the parameter list this worker synchronizes as
-/// one flat bucket.
-pub struct DdpContext {
-    chunk: FlatChunk,
-}
-
-impl DdpContext {
-    /// Wrap a replica's parameters (order must match across ranks).
-    pub fn new(params: Vec<Param>) -> Self {
-        DdpContext {
-            chunk: FlatChunk::new(params),
-        }
-    }
-
-    /// Number of synchronized parameters.
-    pub fn num_params(&self) -> usize {
-        self.chunk.params.len()
-    }
-
-    /// Total scalars synchronized per all-reduce.
-    pub fn numel(&self) -> usize {
-        self.chunk.numel
-    }
-
-    /// Bytes of one gradient bucket (f32).
-    pub fn grad_bytes(&self) -> u64 {
-        (self.numel() * 4) as u64
-    }
-
-    /// Overwrite every rank's parameter values with rank 0's, so replicas
-    /// start identical even if a model factory ignored the shared seed.
-    pub fn broadcast_parameters(&mut self, comm: &mut Comm) {
-        broadcast_parameters(&self.chunk.params, comm);
-    }
-
-    /// Average gradients across ranks in one flat all-reduce. Parameters
-    /// with no local gradient contribute zeros; afterwards every parameter
-    /// on every rank holds the identical averaged gradient.
-    pub fn average_gradients(&mut self, comm: &mut Comm) {
-        self.chunk.gather_grads();
-        comm.all_reduce_mean(&mut self.chunk.scratch);
-        self.chunk.scatter_grads();
-    }
-}
-
 /// Overwrite every rank's parameter values with rank 0's (one flat
 /// broadcast), so replicas start identical even if a model factory
-/// ignored the shared seed. A one-time operation — the engine's bucketed
-/// sync path uses this directly so it need not build a whole
-/// [`DdpContext`] just for the startup broadcast.
+/// ignored the shared seed. A one-time operation at engine start.
 pub fn broadcast_parameters(params: &[Param], comm: &mut Comm) {
     let mut bucket: Vec<f32> = Vec::with_capacity(params.iter().map(Param::numel).sum());
     for p in params {
@@ -239,14 +191,14 @@ impl GradBuckets {
     }
 
     /// All-reduce-mean bucket `i`'s gradients as a quoted collective: the
-    /// averaged gradients are in place on return (bit-identical to the
-    /// flat reduce) and the bytes are ledgered, but the modeled seconds
-    /// come back for the caller's overlap scheduler instead of hitting the
-    /// clock.
+    /// averaged gradients are in place on return (parameters with no local
+    /// gradient contribute zeros; every rank ends up with the identical
+    /// mean) and the bytes are ledgered, but the modeled seconds come back
+    /// for the caller's overlap scheduler instead of hitting the clock.
     pub fn reduce_bucket_quoted(&mut self, i: usize, comm: &mut Comm) -> f64 {
         let chunk = &mut self.buckets[i];
         chunk.gather_grads();
-        let secs = comm.all_reduce_mean_quoted(&mut chunk.scratch);
+        let secs = comm.all_reduce(&mut chunk.scratch, ReduceOp::Mean, Timing::Quote);
         chunk.scatter_grads();
         secs
     }
@@ -258,12 +210,12 @@ impl GradBuckets {
     /// readable via [`GradBuckets::bucket_payload`] — *without* scattering
     /// into the parameters and without touching this rank's clock. Returns
     /// the absolute modeled instant the result is available
-    /// ([`Comm::all_reduce_mean_async`]); application is deferred to
+    /// ([`Timing::Async`]); application is deferred to
     /// [`GradBuckets::apply_stale`] whenever the staleness window settles.
     pub fn reduce_bucket_async(&mut self, i: usize, comm: &mut Comm) -> f64 {
         let chunk = &mut self.buckets[i];
         chunk.gather_grads();
-        comm.all_reduce_mean_async(&mut chunk.scratch)
+        comm.all_reduce(&mut chunk.scratch, ReduceOp::Mean, Timing::Async)
     }
 
     /// Bucket `i`'s most recently reduced payload (the averaged gradient
@@ -332,8 +284,7 @@ mod tests {
     fn broadcast_copies_rank0_values_everywhere() {
         let out = run_workers(3, ClusterTopology::polaris(), |mut ctx| {
             let p = param("w", vec![ctx.rank() as f32; 4]);
-            let mut ddp = DdpContext::new(vec![p.clone()]);
-            ddp.broadcast_parameters(&mut ctx.comm);
+            broadcast_parameters(std::slice::from_ref(&p), &mut ctx.comm);
             p.value().to_vec()
         });
         for vals in out {
@@ -348,8 +299,8 @@ mod tests {
             if ctx.rank() == 0 {
                 p.set_grad(Some(Tensor::from_vec(vec![4.0, 8.0], [2]).unwrap()));
             } // rank 1: no grad — an exhausted rank meeting the collective
-            let mut ddp = DdpContext::new(vec![p.clone()]);
-            ddp.average_gradients(&mut ctx.comm);
+            let mut whole = GradBuckets::new(vec![p.clone()], usize::MAX);
+            whole.reduce_bucket_quoted(0, &mut ctx.comm);
             p.grad().unwrap().to_vec()
         });
         for vals in out {
@@ -364,17 +315,18 @@ mod tests {
         let out = run_workers(2, ClusterTopology::polaris(), |mut ctx| {
             let p = param("w", vec![0.0; 2]);
             let q = param("v", vec![0.0; 3]);
-            let mut ddp = DdpContext::new(vec![p.clone(), q.clone()]);
+            let mut whole = GradBuckets::new(vec![p.clone(), q.clone()], usize::MAX);
+            assert_eq!(whole.num_buckets(), 1, "usize::MAX never splits");
             p.set_grad(Some(Tensor::from_vec(vec![2.0, 2.0], [2]).unwrap()));
             q.set_grad(Some(Tensor::from_vec(vec![6.0, 6.0, 6.0], [3]).unwrap()));
-            ddp.average_gradients(&mut ctx.comm);
+            whole.reduce_bucket_quoted(0, &mut ctx.comm);
             let first = (p.grad().unwrap().to_vec(), q.grad().unwrap().to_vec());
             p.zero_grad();
             q.zero_grad();
             if ctx.rank() == 0 {
                 p.set_grad(Some(Tensor::from_vec(vec![4.0, 4.0], [2]).unwrap()));
             }
-            ddp.average_gradients(&mut ctx.comm);
+            whole.reduce_bucket_quoted(0, &mut ctx.comm);
             (
                 first,
                 p.grad().unwrap().to_vec(),
@@ -406,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_reduce_matches_flat_reduce_bitwise() {
+    fn tiny_buckets_match_one_whole_model_bucket_bitwise() {
         let out = run_workers(3, ClusterTopology::polaris(), |mut ctx| {
             let rank = ctx.rank();
             let make = |tag: &str| {
@@ -428,8 +380,8 @@ mod tests {
                 ps
             };
             let flat_ps = make("flat");
-            let mut flat = DdpContext::new(flat_ps.clone());
-            flat.average_gradients(&mut ctx.comm);
+            let mut flat = GradBuckets::new(flat_ps.clone(), usize::MAX);
+            flat.reduce_bucket_quoted(0, &mut ctx.comm);
 
             let bucket_ps = make("bucket");
             let mut rev = bucket_ps.clone();

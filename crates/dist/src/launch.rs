@@ -8,18 +8,53 @@
 //! the simulated clock model stragglers without perturbing numerics
 //! (`tests/distributed.rs::straggler_noise_never_leaks_into_numerics`).
 //!
-//! Every collective also synchronizes simulated clocks to the latest rank
+//! There is one all-reduce, [`Comm::all_reduce`]`(buf, op, timing)`: one
+//! gather-and-sum-in-rank-order loop whose [`Timing`] argument picks the
+//! clock policy. `Charge` synchronizes simulated clocks to the latest rank
 //! (barrier semantics: nobody leaves an all-reduce before the slowest
-//! arrives) and then charges the modeled collective time from
-//! [`CostModel::allreduce`].
+//! arrives) and charges the modeled ring time from
+//! [`CostModel::allreduce`]; `Quote` hands those seconds to the caller's
+//! overlap scheduler; `Async` skips the rendezvous too and returns the
+//! instant the result is available. [`Comm::broadcast`],
+//! [`Comm::barrier`] and [`Comm::all_gather_scalar`] always rendezvous
+//! and charge.
 
 use crate::topology::ClusterTopology;
 use st_device::{CostModel, SimClock};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
-/// One rank's posted payload: `(simulated now, payload)`.
-type Slot = Option<(f64, Vec<f32>)>;
+/// One rank's posted payload: `(simulated now, payload)`. Payloads are
+/// shared, so a reader takes pointers under the hub lock and reads the
+/// slices outside it — nothing is copied per reader.
+type Slot = Option<(f64, Arc<[f32]>)>;
+
+/// How [`Comm::all_reduce`] combines the ranks' buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReduceOp {
+    /// Element-wise sum, accumulated in rank order.
+    Sum,
+    /// The rank-order sum divided by the world size.
+    Mean,
+}
+
+/// What [`Comm::all_reduce`] does with the collective's modeled time. The
+/// numerics and the ledger bytes are the same under every policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Timing {
+    /// Rendezvous with the slowest rank and charge the ring's wire
+    /// seconds to this rank's clock. Returns the seconds charged.
+    Charge,
+    /// Rendezvous, but return the wire seconds instead of charging them —
+    /// mirroring the data planes' quoted fetches, so an overlap scheduler
+    /// decides whether the time hides behind compute or is paid exposed.
+    Quote,
+    /// Neither rendezvous nor charge (the bounded-staleness engine's
+    /// non-blocking form): return the absolute modeled instant at which
+    /// the result is *available* — `t_slowest + wire` — for an
+    /// [`st_device::OverlapLedger::begin_at`] deadline stream.
+    Async,
+}
 
 /// Shared state for one `run_workers` world: payload slots, a reusable
 /// barrier, the cost model, and the cross-rank traffic ledger.
@@ -67,6 +102,12 @@ impl CommHub {
     pub fn bytes_moved(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
+
+    fn lock_slots(&self) -> MutexGuard<'_, Vec<Slot>> {
+        self.slots
+            .lock()
+            .expect("a rank panicked while holding the hub")
+    }
 }
 
 /// One rank's handle on the collective hub.
@@ -90,7 +131,7 @@ impl Comm {
     /// Exchange `payload` with every rank; returns all payloads in rank
     /// order. The building block for every collective below. Synchronizes
     /// simulated clocks to the slowest rank.
-    fn exchange(&mut self, payload: Vec<f32>) -> Vec<Vec<f32>> {
+    fn exchange(&mut self, payload: Arc<[f32]>) -> Vec<Arc<[f32]>> {
         let (t_max, all) = self.exchange_unsynced(payload);
         self.clock.sync_to(t_max);
         all
@@ -101,27 +142,27 @@ impl Comm {
     /// rank's simulated time. The bounded-staleness path builds on this —
     /// the payloads are combined eagerly (numerics never wait), while the
     /// caller decides when, if ever, its clock observes `t_max`.
-    fn exchange_unsynced(&mut self, payload: Vec<f32>) -> (f64, Vec<Vec<f32>>) {
+    fn exchange_unsynced(&mut self, payload: Arc<[f32]>) -> (f64, Vec<Arc<[f32]>>) {
         if self.hub.world == 1 {
             return (self.clock.now(), vec![payload]);
         }
         {
-            let mut slots = self.hub.slots.lock().unwrap();
+            let mut slots = self.hub.lock_slots();
             slots[self.rank] = Some((self.clock.now(), payload));
         }
         // Everyone has written.
         self.hub.barrier.wait();
-        let (t_max, all) = {
-            let slots = self.hub.slots.lock().unwrap();
-            let t_max = slots
+        let mut t_max = 0.0_f64;
+        let all: Vec<Arc<[f32]>> = {
+            let slots = self.hub.lock_slots();
+            slots
                 .iter()
-                .map(|s| s.as_ref().expect("slot filled").0)
-                .fold(0.0_f64, f64::max);
-            let all: Vec<Vec<f32>> = slots
-                .iter()
-                .map(|s| s.as_ref().expect("slot filled").1.clone())
-                .collect();
-            (t_max, all)
+                .map(|s| {
+                    let (t, payload) = s.as_ref().expect("slot filled");
+                    t_max = t_max.max(*t);
+                    Arc::clone(payload)
+                })
+                .collect()
         };
         // Everyone has read; only now may a rank start the next collective
         // (its slot write would otherwise race a slow reader).
@@ -152,10 +193,8 @@ impl Comm {
             .allreduce(bytes, world, self.hub.topology.gpus_per_node)
     }
 
-    /// Charge modeled time for a ring all-reduce of `payload_elems` f32 per
-    /// rank.
-    fn charge_allreduce(&self, payload_elems: usize) {
-        let secs = self.quote_allreduce(payload_elems);
+    /// Charge `secs` of modeled collective time to this rank's clock.
+    fn charge(&self, secs: f64) {
         if secs > 0.0 {
             self.clock.advance_comm(secs);
         }
@@ -170,96 +209,48 @@ impl Comm {
         2 * (world - 1) * (payload_elems * 4) as u64
     }
 
-    /// Element-wise mean across ranks, in place. Deterministic: the sum is
-    /// accumulated in rank order on every rank.
-    pub fn all_reduce_mean(&mut self, buf: &mut [f32]) {
-        let secs = self.all_reduce_mean_quoted(buf);
-        if secs > 0.0 {
-            self.clock.advance_comm(secs);
-        }
-    }
-
-    /// Element-wise sum across ranks, in place.
-    pub fn all_reduce_sum(&mut self, buf: &mut [f32]) {
-        let secs = self.all_reduce_sum_quoted(buf);
-        if secs > 0.0 {
-            self.clock.advance_comm(secs);
-        }
-    }
-
-    /// [`Comm::all_reduce_mean`] as an **async-style quote**: the result is
-    /// in `buf` on return (numerics identical to the charging variant) and
-    /// the collective's bytes are already on the ledger, but its modeled
-    /// seconds come back to the caller instead of hitting the clock —
-    /// mirroring the data planes' quoted fetches, so an overlap scheduler
-    /// decides whether the time hides behind compute or is paid exposed.
-    pub fn all_reduce_mean_quoted(&mut self, buf: &mut [f32]) -> f64 {
-        let world = self.hub.world as f32;
-        let secs = self.all_reduce_sum_quoted(buf);
-        for v in buf.iter_mut() {
-            *v /= world;
-        }
-        secs
-    }
-
-    /// [`Comm::all_reduce_sum`] as an async-style quote (see
-    /// [`Comm::all_reduce_mean_quoted`]). Clock rendezvous still happens —
-    /// no rank owns the result before the slowest has contributed — but
-    /// the ring's wire time is returned, not charged.
-    pub fn all_reduce_sum_quoted(&mut self, buf: &mut [f32]) -> f64 {
+    /// The one all-reduce: combine `buf` across ranks in place (`op`),
+    /// deterministically — the sum is accumulated in rank order on every
+    /// rank — with the ring's bytes on the ledger before the exchange.
+    /// `timing` decides what happens to the modeled seconds and what the
+    /// returned number means; see [`Timing`].
+    pub fn all_reduce(&mut self, buf: &mut [f32], op: ReduceOp, timing: Timing) -> f64 {
         let n = buf.len();
         self.ledger_collective(self.allreduce_ledger_bytes(n));
-        let all = self.exchange(buf.to_vec());
+        let (t_max, all) = self.exchange_unsynced(Arc::from(&*buf));
+        if timing != Timing::Async {
+            self.clock.sync_to(t_max);
+        }
         buf.fill(0.0);
         for contribution in &all {
             assert_eq!(contribution.len(), n, "all-reduce length mismatch");
-            for (acc, v) in buf.iter_mut().zip(contribution) {
+            for (acc, v) in buf.iter_mut().zip(contribution.iter()) {
                 *acc += v;
             }
         }
-        self.quote_allreduce(n)
-    }
-
-    /// [`Comm::all_reduce_mean`] as a **non-blocking** collective for the
-    /// bounded-staleness engine: the rank-order mean is in `buf` on return
-    /// (numerics identical to every other variant) and the bytes are
-    /// ledgered, but this rank's clock neither rendezvouses with the
-    /// slowest rank nor pays the ring's wire time. Instead the absolute
-    /// modeled instant at which the result is *available* —
-    /// `t_slowest + wire` — comes back, for an
-    /// [`st_device::OverlapLedger::begin_at`] deadline stream.
-    pub fn all_reduce_mean_async(&mut self, buf: &mut [f32]) -> f64 {
-        let world = self.hub.world as f32;
-        let ready_at = self.all_reduce_sum_async(buf);
-        for v in buf.iter_mut() {
-            *v /= world;
-        }
-        ready_at
-    }
-
-    /// [`Comm::all_reduce_sum`] as a non-blocking collective (see
-    /// [`Comm::all_reduce_mean_async`]). Returns the absolute modeled
-    /// completion instant; never touches this rank's clock.
-    pub fn all_reduce_sum_async(&mut self, buf: &mut [f32]) -> f64 {
-        let n = buf.len();
-        self.ledger_collective(self.allreduce_ledger_bytes(n));
-        let (t_max, all) = self.exchange_unsynced(buf.to_vec());
-        buf.fill(0.0);
-        for contribution in &all {
-            assert_eq!(contribution.len(), n, "all-reduce length mismatch");
-            for (acc, v) in buf.iter_mut().zip(contribution) {
-                *acc += v;
+        if op == ReduceOp::Mean {
+            let world = self.hub.world as f32;
+            for v in buf.iter_mut() {
+                *v /= world;
             }
         }
-        t_max + self.quote_allreduce(n)
+        let secs = self.quote_allreduce(n);
+        match timing {
+            Timing::Charge => {
+                self.charge(secs);
+                secs
+            }
+            Timing::Quote => secs,
+            Timing::Async => t_max + secs,
+        }
     }
 
     /// Gather one scalar from every rank, in rank order.
     pub fn all_gather_scalar(&mut self, v: f32) -> Vec<f32> {
         self.ledger_collective(self.allreduce_ledger_bytes(1));
-        let all = self.exchange(vec![v]);
-        self.charge_allreduce(1);
-        all.into_iter().map(|p| p[0]).collect()
+        let all = self.exchange(Arc::from([v]));
+        self.charge(self.quote_allreduce(1));
+        all.iter().map(|p| p[0]).collect()
     }
 
     /// Overwrite `buf` with rank 0's copy on every rank.
@@ -272,7 +263,7 @@ impl Comm {
         let bytes = (n * 4) as u64;
         // Tree broadcast: everyone receives one copy from upstream.
         self.ledger_collective((world as u64 - 1) * bytes);
-        let all = self.exchange(buf.to_vec());
+        let all = self.exchange(Arc::from(&*buf));
         assert_eq!(all[0].len(), n, "broadcast length mismatch");
         buf.copy_from_slice(&all[0]);
         let hops = (world as f64).log2().ceil();
@@ -282,7 +273,7 @@ impl Comm {
 
     /// Barrier: rendezvous and synchronize simulated clocks.
     pub fn barrier(&mut self) {
-        let _ = self.exchange(Vec::new());
+        let _ = self.exchange(Arc::from([]));
     }
 }
 
@@ -377,10 +368,10 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_sum_is_exact_and_symmetric() {
+    fn sum_all_reduce_is_exact_and_symmetric() {
         let out = run_workers(3, ClusterTopology::polaris(), |mut ctx| {
             let mut buf = vec![ctx.rank() as f32, 1.0];
-            ctx.comm.all_reduce_sum(&mut buf);
+            ctx.comm.all_reduce(&mut buf, ReduceOp::Sum, Timing::Charge);
             buf
         });
         for r in out {
@@ -414,7 +405,8 @@ mod tests {
     fn collectives_charge_time_and_bytes() {
         let out = run_workers(2, ClusterTopology::polaris(), |mut ctx| {
             let mut buf = vec![1.0f32; 1024];
-            ctx.comm.all_reduce_mean(&mut buf);
+            ctx.comm
+                .all_reduce(&mut buf, ReduceOp::Mean, Timing::Charge);
             (ctx.clock.comm_secs(), ctx.comm.hub().bytes_moved())
         });
         for (comm_secs, bytes) in out {
@@ -429,9 +421,12 @@ mod tests {
         let out = run_workers(2, ClusterTopology::polaris(), |mut ctx| {
             let mut charged = vec![ctx.rank() as f32 + 1.0; 16];
             let mut quoted = charged.clone();
-            ctx.comm.all_reduce_mean(&mut charged);
+            ctx.comm
+                .all_reduce(&mut charged, ReduceOp::Mean, Timing::Charge);
             let charged_secs = ctx.clock.comm_secs();
-            let quote = ctx.comm.all_reduce_mean_quoted(&mut quoted);
+            let quote = ctx
+                .comm
+                .all_reduce(&mut quoted, ReduceOp::Mean, Timing::Quote);
             (charged, quoted, charged_secs, quote, ctx.clock.comm_secs())
         });
         for (charged, quoted, charged_secs, quote, after) in out {
@@ -450,9 +445,12 @@ mod tests {
             let mut sync_buf = vec![ctx.rank() as f32 + 1.0; 16];
             let mut async_buf = sync_buf.clone();
             let before = ctx.clock.now();
-            let ready_at = ctx.comm.all_reduce_mean_async(&mut async_buf);
+            let ready_at = ctx
+                .comm
+                .all_reduce(&mut async_buf, ReduceOp::Mean, Timing::Async);
             let after = ctx.clock.now();
-            ctx.comm.all_reduce_mean(&mut sync_buf);
+            ctx.comm
+                .all_reduce(&mut sync_buf, ReduceOp::Mean, Timing::Charge);
             (sync_buf, async_buf, before, after, ready_at)
         });
         for (sync_buf, async_buf, before, after, ready_at) in out {
@@ -469,7 +467,7 @@ mod tests {
         let out = run_workers(1, ClusterTopology::polaris(), |mut ctx| {
             ctx.clock.advance_compute(1.5);
             let mut buf = vec![4.0f32; 4];
-            let ready_at = ctx.comm.all_reduce_mean_async(&mut buf);
+            let ready_at = ctx.comm.all_reduce(&mut buf, ReduceOp::Mean, Timing::Async);
             (buf, ready_at, ctx.clock.now())
         });
         let (buf, ready_at, now) = &out[0];
@@ -481,7 +479,8 @@ mod tests {
     fn single_rank_collectives_are_free() {
         let out = run_workers(1, ClusterTopology::polaris(), |mut ctx| {
             let mut buf = vec![2.0f32; 8];
-            ctx.comm.all_reduce_mean(&mut buf);
+            ctx.comm
+                .all_reduce(&mut buf, ReduceOp::Mean, Timing::Charge);
             (buf, ctx.clock.comm_secs(), ctx.comm.hub().bytes_moved())
         });
         let (buf, secs, bytes) = &out[0];
@@ -496,7 +495,8 @@ mod tests {
         // non-Send state (e.g. Rc-parameterized models).
         let out = run_single(ClusterTopology::polaris(), |mut ctx| {
             let mut buf = vec![3.0f32; 2];
-            ctx.comm.all_reduce_mean(&mut buf);
+            ctx.comm
+                .all_reduce(&mut buf, ReduceOp::Mean, Timing::Charge);
             std::rc::Rc::new((buf, ctx.rank()))
         });
         assert_eq!(*out, (vec![3.0, 3.0], 0));

@@ -11,11 +11,14 @@
 //! - [`topology`] — cluster shape (ranks per node) deciding whether traffic
 //!   rides NVLink or the inter-node network.
 //! - [`launch`] — [`launch::run_workers`]: spawn one thread per rank, hand
-//!   each a [`launch::WorkerCtx`] (communicator + clock), join in rank order.
-//! - [`ddp`] — [`ddp::DdpContext`]: parameter broadcast and single-bucket
-//!   gradient averaging; [`ddp::GradBuckets`]: byte-capped buckets in
+//!   each a [`launch::WorkerCtx`] (communicator + clock), join in rank
+//!   order; [`launch::Comm::all_reduce`] is the one all-reduce (sum or
+//!   mean; charged, quoted or non-blocking).
+//! - [`ddp`] — [`ddp::broadcast_parameters`] and [`ddp::GradBuckets`], the
+//!   one gradient-sync mechanism: byte-capped buckets in
 //!   gradient-completion order, all-reduced as quoted collectives so the
-//!   pipelined engine can hide them behind backward compute.
+//!   pipelined engine can hide them behind backward compute (a
+//!   `usize::MAX` cap is the flat single-bucket reduce).
 //! - [`shuffle`] — the paper's communication-free epoch shuffling: shared-
 //!   seed global stripes, local and batch-order variants, and the partition
 //!   arithmetic (`contiguous_partition`, `common_rounds`, `range_overlap`)
@@ -23,8 +26,6 @@
 //! - [`datasvc`] — [`datasvc::DistributedArray`]: the Dask-style baseline
 //!   data service (partitioned rows, on-demand batched fetches, remote-byte
 //!   ledger).
-//! - [`prefetch`] — [`prefetch::Prefetcher`]: double-buffered fetches that
-//!   overlap the data plane with compute (§7).
 //! - [`staleness`] — [`staleness::StalenessWindow`]: the bounded-staleness
 //!   window over in-flight gradient collectives (apply-at-arrival with a
 //!   hard fence at age `s`; `s = 0` is the synchronous path).
@@ -35,16 +36,14 @@
 pub mod datasvc;
 pub mod ddp;
 pub mod launch;
-pub mod prefetch;
 pub mod shuffle;
 pub mod staleness;
 pub mod topology;
 pub mod wire;
 
 pub use datasvc::{DistributedArray, PartitionPolicy};
-pub use ddp::{DdpContext, GradBuckets, DEFAULT_GRAD_BUCKET_BYTES};
-pub use launch::{run_workers, Comm, CommHub, WorkerCtx};
-pub use prefetch::Prefetcher;
+pub use ddp::{GradBuckets, DEFAULT_GRAD_BUCKET_BYTES};
+pub use launch::{run_workers, Comm, CommHub, ReduceOp, Timing, WorkerCtx};
 pub use shuffle::ShuffleStrategy;
 pub use staleness::StalenessWindow;
 pub use topology::ClusterTopology;

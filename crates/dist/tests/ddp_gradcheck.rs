@@ -7,7 +7,8 @@
 
 use st_autograd::module::Param;
 use st_autograd::{loss, ops, Tape};
-use st_dist::{run_workers, ClusterTopology, DdpContext};
+use st_dist::ddp::broadcast_parameters;
+use st_dist::{run_workers, ClusterTopology, GradBuckets};
 use st_tensor::Tensor;
 
 const DIM: usize = 5;
@@ -47,8 +48,8 @@ fn averaged_gradients_match_concatenated_batch() {
         let results = run_workers(world, ClusterTopology::polaris(), |mut ctx| {
             let r = ctx.rank();
             let p = Param::new("w", Tensor::from_vec(w0.clone(), [DIM, 1]).unwrap());
-            let mut ddp = DdpContext::new(vec![p.clone()]);
-            ddp.broadcast_parameters(&mut ctx.comm);
+            let mut sync = GradBuckets::new(vec![p.clone()], usize::MAX);
+            broadcast_parameters(std::slice::from_ref(&p), &mut ctx.comm);
 
             let tape = Tape::new();
             let x = tape.constant(
@@ -70,7 +71,7 @@ fn averaged_gradients_match_concatenated_batch() {
             let l = loss::mse(&pred, &target);
             let grads = tape.backward(&l);
             tape.accumulate_param_grads(&grads);
-            ddp.average_gradients(&mut ctx.comm);
+            sync.reduce_bucket_quoted(0, &mut ctx.comm);
             p.grad().expect("averaged gradient").to_vec()
         });
 
@@ -93,7 +94,7 @@ fn all_ranks_hold_identical_gradients_after_averaging() {
     let results = run_workers(world, ClusterTopology::polaris(), |mut ctx| {
         let r = ctx.rank();
         let p = Param::new("w", Tensor::from_vec(w0.clone(), [DIM, 1]).unwrap());
-        let mut ddp = DdpContext::new(vec![p.clone()]);
+        let mut sync = GradBuckets::new(vec![p.clone()], usize::MAX);
         let tape = Tape::new();
         let x = tape.constant(
             Tensor::from_vec(
@@ -113,7 +114,7 @@ fn all_ranks_hold_identical_gradients_after_averaging() {
         let l = loss::mse(&ops::matmul(&x, &w), &target);
         let grads = tape.backward(&l);
         tape.accumulate_param_grads(&grads);
-        ddp.average_gradients(&mut ctx.comm);
+        sync.reduce_bucket_quoted(0, &mut ctx.comm);
         p.grad().unwrap().to_vec()
     });
     // Bit-identical across ranks: the collective combines in rank order.

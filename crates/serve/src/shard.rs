@@ -62,8 +62,10 @@ pub struct ServeConfig {
     /// Compute backend each shard selects before its first forward
     /// ([`st_tensor::backend::set_backend`]). Backends are bitwise
     /// identical — served forecasts stay bit-equal to the trainer's
-    /// forward either way; only inference wall time moves. Defaults to
-    /// [`st_tensor::backend::BackendKind::Tiled`].
+    /// forward either way; only inference wall time moves. Defaults to the
+    /// process-wide choice ([`st_tensor::backend::active_backend`]:
+    /// `ST_BACKEND`, or an earlier `set_backend`), so a deployment that
+    /// does not set this field leaves the process's backend alone.
     pub backend: st_tensor::backend::BackendKind,
     /// Per-tenant SLO the default [`BatchedServer::serve`] path enforces.
     /// Defaults to [`SloConfig::unbounded`] — never sheds, bit-identical
@@ -93,7 +95,7 @@ impl ServeConfig {
             capacity,
             topology: ClusterTopology::polaris(),
             partitioner: PartitionerKind::Multilevel,
-            backend: st_tensor::backend::BackendKind::Tiled,
+            backend: st_tensor::backend::active_backend(),
             slo: SloConfig::unbounded(),
             forecast_cache: false,
             max_skew: capacity.max(1),

@@ -145,7 +145,7 @@ fn straggler_noise_never_leaks_into_numerics() {
     // Injecting per-rank straggler compute noise around every collective
     // must leave training numerics bit-identical — the separation that
     // makes the dual-scale (measured + projected) methodology sound.
-    use pgt_i::dist::launch::run_workers;
+    use pgt_i::dist::launch::{run_workers, ReduceOp, Timing};
     use pgt_i::dist::topology::ClusterTopology;
 
     let run = |straggle: bool| {
@@ -157,7 +157,8 @@ fn straggler_noise_never_leaks_into_numerics() {
                     ctx.clock
                         .advance_compute((ctx.rank() * round) as f64 * 0.37);
                 }
-                ctx.comm.all_reduce_mean(&mut acc);
+                ctx.comm
+                    .all_reduce(&mut acc, ReduceOp::Mean, Timing::Charge);
                 for v in acc.iter_mut() {
                     *v = *v * 1.25 + round as f32;
                 }

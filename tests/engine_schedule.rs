@@ -2,75 +2,46 @@
 //!
 //! Historically the engine built `Adam::new(params, effective_lr())` once
 //! and never consulted any schedule — the DCRNN multi-step decay only
-//! existed on the legacy single-worker `Trainer` path. These tests pin the
-//! fix three ways: a scheduled engine run is bit-identical to the legacy
-//! `Trainer::train_with_schedule` trajectory, a resumed run re-enters the
+//! existed on the legacy stand-alone `Trainer` loop. These tests pin the
+//! fix three ways: a scheduled engine run (through the `Trainer` facade,
+//! whose plane replays the legacy batch order) is bit-identical to the
+//! trajectory recorded from that legacy loop, a resumed run re-enters the
 //! schedule at the checkpoint's epoch (not the base rate), and degenerate
 //! resumes (at/past the horizon, corrupt bytes) surface explicitly instead
 //! of panicking or returning silently empty series.
 
-use pgt_i::autograd::optim::Adam;
+mod common;
+
+use common::param_digest;
 use pgt_i::autograd::schedule::{LrSchedule, MultiStepLr};
-use pgt_i::autograd::Module;
-use pgt_i::core::dist_index::DistConfig;
-use pgt_i::core::engine::{self, DistDataPlane, EngineError, EngineOptions, Fetch};
+use pgt_i::core::dist_index::{DistConfig, LocalCopyPlane};
+use pgt_i::core::engine::{self, EngineError, EngineOptions};
 use pgt_i::core::index_batching::IndexDataset;
-use pgt_i::core::trainer::{Trainer, TrainerConfig};
+use pgt_i::core::trainer::{Trainer, TrainerConfig, TrainingHistory};
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
-use pgt_i::data::loader::Batcher;
+use pgt_i::data::signal::StaticGraphTemporalSignal;
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
+use pgt_i::device::CostModel;
 use pgt_i::graph::diffusion_supports;
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 use std::sync::Arc;
-
-/// A world-of-one plane that replays the legacy `Trainer`'s exact batch
-/// order (`Batcher::shuffled` is a different RNG than the engine's global
-/// stripe, so parity needs the Trainer's own plan).
-struct TrainerOrderPlane {
-    ds: IndexDataset,
-    batch: usize,
-    seed: u64,
-}
-
-impl DistDataPlane for TrainerOrderPlane {
-    fn rounds_per_epoch(&self) -> usize {
-        self.ds.splits().train.len().div_ceil(self.batch)
-    }
-
-    fn plan_epoch(&self, epoch: u64) -> Vec<Vec<usize>> {
-        let train_ids: Vec<usize> = self.ds.splits().train.clone().collect();
-        let batcher = Batcher::shuffled(train_ids, self.batch, self.seed, epoch);
-        batcher.batches().map(|b| b.to_vec()).collect()
-    }
-
-    fn plan_val(&self) -> Vec<Vec<usize>> {
-        Vec::new() // parity is judged on train loss + parameters
-    }
-
-    fn fetch_batch(&self, ids: &[usize]) -> Fetch {
-        let (x, y) = self.ds.batch(ids);
-        Fetch { x, y, secs: 0.0 }
-    }
-
-    fn scaler_std(&self) -> f32 {
-        self.ds.scaler().std
-    }
-}
 
 const SEED: u64 = 42;
 const LR: f32 = 0.01;
 const BATCH: usize = 8;
 
-fn dataset() -> IndexDataset {
+fn signal() -> StaticGraphTemporalSignal {
     let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.2);
-    let sig = synthetic::generate(&spec, 11);
-    IndexDataset::from_signal(&sig, spec.horizon, SplitRatios::default(), None)
+    synthetic::generate(&spec, 11)
+}
+
+fn dataset() -> IndexDataset {
+    IndexDataset::from_signal(&signal(), 4, SplitRatios::default(), None)
 }
 
 fn model_for(ds: &IndexDataset) -> PgtDcrnn {
-    let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.2);
-    let sig = synthetic::generate(&spec, 11);
+    let sig = signal();
     let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
     let mc = ModelConfig {
         input_dim: ds.num_features(),
@@ -99,94 +70,82 @@ fn engine_cfg(epochs: usize) -> DistConfig {
     cfg.batch_per_worker = BATCH;
     cfg.lr = LR;
     cfg.seed = SEED;
-    // The flat sync path — the Trainer has no bucket machinery to mirror.
     cfg.grad_bucket_bytes = None;
     cfg
 }
 
-fn scheduled_opts(epochs: usize) -> EngineOptions {
-    let _ = epochs;
+fn scheduled_opts() -> EngineOptions {
     EngineOptions {
         schedule: Some(Arc::new(decay())),
         ..Default::default()
     }
 }
 
-fn run_engine(epochs: usize, opts: &EngineOptions) -> (engine::EngineReport, PgtDcrnn) {
+/// An engine run as a world of one over the §4.2 local-copy plane.
+fn run_engine(epochs: usize, opts: &EngineOptions) -> Result<engine::EngineReport, EngineError> {
     let cfg = engine_cfg(epochs);
-    engine::run_single(&cfg, opts, |_cm| {
-        let ds = dataset();
-        let model = model_for(&ds);
-        (
-            TrainerOrderPlane {
-                ds,
-                batch: BATCH,
-                seed: SEED,
-            },
-            model,
-        )
-    })
-    .expect("resume bytes, when present, are valid in these tests")
+    let plane = LocalCopyPlane::new(&signal(), &cfg, 0, &CostModel::default());
+    let model = model_for(plane.dataset());
+    engine::run_single(&cfg, opts, &plane, &model)
 }
 
-fn param_bits(model: &PgtDcrnn) -> Vec<Vec<u32>> {
-    model
-        .params()
-        .iter()
-        .map(|p| p.value().to_vec().iter().map(|v| v.to_bits()).collect())
-        .collect()
+fn run_ok(epochs: usize, opts: &EngineOptions) -> engine::EngineReport {
+    run_engine(epochs, opts).expect("resume bytes, when present, are valid")
 }
 
-#[test]
-fn scheduled_engine_run_matches_the_legacy_trainer_bitwise() {
-    // The legacy path: Trainer + explicit optimizer + multi-step decay.
-    let ds = dataset();
-    let model = model_for(&ds);
-    let mut opt = Adam::new(model.params(), LR);
-    let trainer = Trainer::new(TrainerConfig {
+fn trainer() -> Trainer {
+    Trainer::new(TrainerConfig {
         epochs: 6,
         batch_size: BATCH,
         lr: LR,
         seed: SEED,
         validate: false,
         grad_clip: Some(5.0),
-    });
-    let legacy = trainer.train_with_schedule(&model, &ds, &mut opt, &decay());
+    })
+}
 
-    // The engine, driving the same batches under the same schedule.
-    let (report, engine_model) = run_engine(6, &scheduled_opts(6));
+fn loss_bits(h: &TrainingHistory) -> Vec<u32> {
+    h.epochs.iter().map(|e| e.train_loss.to_bits()).collect()
+}
 
-    assert_eq!(report.epochs.len(), legacy.epochs.len());
-    for (e, l) in report.epochs.iter().zip(&legacy.epochs) {
-        assert_eq!(
-            e.train_loss.to_bits(),
-            l.train_loss.to_bits(),
-            "epoch {}: engine {} vs trainer {}",
-            e.epoch,
-            e.train_loss,
-            l.train_loss
-        );
-    }
+/// Per-epoch train-loss bits and the final-parameter digest recorded from
+/// the legacy path at commit `cf7dfb3`: the stand-alone `Trainer` epoch
+/// loop driving a caller-owned Adam under `decay()`, 6 epochs.
+const LEGACY_LOSSES: [u32; 6] = [
+    0x3f4d_067a,
+    0x3f2a_015b,
+    0x3f1f_ac82,
+    0x3f22_a0d9,
+    0x3f21_6f80,
+    0x3f22_146b,
+];
+const LEGACY_PARAM_DIGEST: u64 = 0xb672_9f54_c550_8704;
+
+#[test]
+fn scheduled_engine_run_matches_the_legacy_trainer_bitwise() {
+    // The engine, driving the legacy batches under the same schedule.
+    let ds = dataset();
+    let model = model_for(&ds);
+    let scheduled = trainer().train_with_schedule(&model, &ds, Arc::new(decay()));
+    assert_eq!(loss_bits(&scheduled), LEGACY_LOSSES);
     assert_eq!(
-        param_bits(&engine_model),
-        param_bits(&model),
+        param_digest(&model),
+        LEGACY_PARAM_DIGEST,
         "final parameters must be bit-identical"
     );
 
     // And the schedule demonstrably took effect: dropping it (the old,
     // buggy behavior — constant effective_lr forever) lands on a
     // different trajectory after the first milestone.
-    let (constant, _) = run_engine(6, &EngineOptions::default());
+    let constant = trainer().train(&model_for(&ds), &ds);
     assert_ne!(
-        constant.epochs.last().unwrap().train_loss.to_bits(),
-        report.epochs.last().unwrap().train_loss.to_bits(),
+        loss_bits(&constant)[5],
+        LEGACY_LOSSES[5],
         "a decayed rate must diverge from the constant-rate run"
     );
     // Before the first milestone the two runs coincide exactly — the
     // default constant schedule reproduces the legacy numerics.
-    for (c, s) in constant.epochs.iter().zip(&report.epochs).take(2) {
-        assert_eq!(c.train_loss.to_bits(), s.train_loss.to_bits());
-    }
+    assert_eq!(loss_bits(&constant)[..2], LEGACY_LOSSES[..2]);
 }
 
 #[test]
@@ -194,31 +153,28 @@ fn resume_reenters_the_schedule_at_the_checkpoint_epoch() {
     // Interrupt at epoch 3 (past the first milestone, before the second):
     // the resumed run must re-apply lr_at(3) = 0.001, not restart at the
     // 0.01 base rate. Byte-identical final checkpoints prove it.
-    let straight = run_engine(
+    let straight = run_ok(
         6,
         &EngineOptions {
             capture_checkpoint: true,
-            ..scheduled_opts(6)
+            ..scheduled_opts()
         },
-    )
-    .0;
-    let head = run_engine(
+    );
+    let head = run_ok(
         3,
         &EngineOptions {
             capture_checkpoint: true,
-            ..scheduled_opts(3)
+            ..scheduled_opts()
         },
-    )
-    .0;
-    let resumed = run_engine(
+    );
+    let resumed = run_ok(
         6,
         &EngineOptions {
             resume: Some(head.checkpoint.clone().expect("captured")),
             capture_checkpoint: true,
-            ..scheduled_opts(6)
+            ..scheduled_opts()
         },
-    )
-    .0;
+    );
     assert_eq!(
         straight.checkpoint, resumed.checkpoint,
         "resume must continue the schedule, not restart it"
@@ -235,24 +191,22 @@ fn zero_epoch_resume_reports_an_explicit_marker() {
     // Resuming a finished run used to return silently empty series. Now:
     // one explicit NaN marker epoch, and the re-captured checkpoint
     // round-trips byte-identically (nothing trained, nothing rewound).
-    let done = run_engine(
+    let done = run_ok(
         2,
         &EngineOptions {
             capture_checkpoint: true,
             ..Default::default()
         },
-    )
-    .0;
+    );
     let bytes = done.checkpoint.clone().expect("captured");
-    let replay = run_engine(
+    let replay = run_ok(
         2,
         &EngineOptions {
             resume: Some(bytes.clone()),
             capture_checkpoint: true,
             ..Default::default()
         },
-    )
-    .0;
+    );
     assert_eq!(replay.epochs.len(), 1, "exactly one marker entry");
     let m = &replay.epochs[0];
     assert_eq!(m.epoch, 2, "marker carries the resume epoch");
@@ -271,34 +225,20 @@ fn zero_epoch_resume_reports_an_explicit_marker() {
 fn corrupt_resume_bytes_surface_a_typed_error() {
     // Truncated checkpoint bytes must come back as Err, not a panic
     // inside a worker thread.
-    let done = run_engine(
+    let done = run_ok(
         1,
         &EngineOptions {
             capture_checkpoint: true,
             ..Default::default()
         },
-    )
-    .0;
+    );
     let mut bytes = done.checkpoint.expect("captured");
     bytes.truncate(bytes.len() / 2);
-    let cfg = engine_cfg(2);
-    let result = engine::run_single(
-        &cfg,
+    let result = run_engine(
+        2,
         &EngineOptions {
             resume: Some(bytes),
             ..Default::default()
-        },
-        |_cm| {
-            let ds = dataset();
-            let model = model_for(&ds);
-            (
-                TrainerOrderPlane {
-                    ds,
-                    batch: BATCH,
-                    seed: SEED,
-                },
-                model,
-            )
         },
     );
     match result {

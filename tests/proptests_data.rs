@@ -8,11 +8,12 @@
 //!   under `StorageSpec::Chunked` lossless vs `StorageSpec::InMemory`.
 
 use pgt_i::core::baseline_ddp::run_baseline_ddp;
-use pgt_i::core::dist_index::{run_distributed_index, DistConfig, DistRunResult};
+use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
 use pgt_i::core::dynamic_index::{train_dynamic, DynamicTrainConfig};
 use pgt_i::core::gen_dist_index::run_generalized;
 use pgt_i::core::partitioned::{run_partitioned, PartitionedConfig};
 use pgt_i::core::workflow::pgt_dcrnn_factory;
+use pgt_i::core::EngineReport;
 use pgt_i::core::IndexDataset;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::dynamic::synthetic_dynamic_traffic;
@@ -154,7 +155,7 @@ fn tiny_chunked() -> StorageSpec {
     StorageSpec::Chunked(ChunkedSpec::new(8).with_cache_bytes(16 * 1024))
 }
 
-fn assert_runs_bit_identical(a: &DistRunResult, b: &DistRunResult, what: &str) {
+fn assert_runs_bit_identical(a: &EngineReport, b: &EngineReport, what: &str) {
     assert_eq!(a.epochs.len(), b.epochs.len(), "{what}: epoch count");
     for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
         assert_eq!(

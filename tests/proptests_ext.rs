@@ -234,9 +234,10 @@ proptest! {
 
     /// The pipelined engine's determinism invariant: bucketed gradient
     /// all-reduce (any byte cap, any firing order, any missing-grad
-    /// pattern, any world size) equals the single flat all-reduce
+    /// pattern, any world size) equals the flat rank-order mean
     /// **bit-for-bit** — an element-wise rank-order mean cannot observe
-    /// how the flat buffer was split.
+    /// how the flat buffer was split. The flat side is plain arithmetic
+    /// over the gradients each rank held, not a second production path.
     #[test]
     fn bucketed_all_reduce_equals_flat(
         shapes in proptest::collection::vec(1usize..24, 1..6),
@@ -247,57 +248,63 @@ proptest! {
     ) {
         use pgt_i::dist::launch::run_workers;
         use pgt_i::dist::topology::ClusterTopology;
-        use pgt_i::dist::{DdpContext, GradBuckets};
+        use pgt_i::dist::GradBuckets;
 
         let shapes = shapes.clone();
         let out = run_workers(world, ClusterTopology::polaris(), move |mut ctx| {
             let rank = ctx.rank();
-            let make = |tag: &str| -> Vec<Param> {
-                shapes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &n)| {
-                        let p = Param::new(format!("{tag}.{i}"), Tensor::zeros([n]));
-                        // Deterministic rank-dependent grads; one bit of
-                        // `missing` decides whether this rank skips this
-                        // param (an exhausted rank meeting the collective).
-                        if missing >> ((rank * shapes.len() + i) % 64) & 1 == 0 {
-                            let vals: Vec<f32> = (0..n)
-                                .map(|j| {
-                                    let h = (seed as u64)
-                                        .wrapping_mul(6364136223846793005)
-                                        .wrapping_add((rank * 7919 + i * 131 + j) as u64);
-                                    ((h >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-                                })
-                                .collect();
-                            p.set_grad(Some(Tensor::from_vec(vals, [n]).unwrap()));
-                        }
-                        p
-                    })
-                    .collect()
-            };
-            let flat_ps = make("flat");
-            let mut flat = DdpContext::new(flat_ps.clone());
-            flat.average_gradients(&mut ctx.comm);
+            let ps: Vec<Param> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| {
+                    let p = Param::new(format!("p.{i}"), Tensor::zeros([n]));
+                    // Deterministic rank-dependent grads; one bit of
+                    // `missing` decides whether this rank skips this
+                    // param (an exhausted rank meeting the collective).
+                    if missing >> ((rank * shapes.len() + i) % 64) & 1 == 0 {
+                        let vals: Vec<f32> = (0..n)
+                            .map(|j| {
+                                let h = (seed as u64)
+                                    .wrapping_mul(6364136223846793005)
+                                    .wrapping_add((rank * 7919 + i * 131 + j) as u64);
+                                ((h >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+                            })
+                            .collect();
+                        p.set_grad(Some(Tensor::from_vec(vals, [n]).unwrap()));
+                    }
+                    p
+                })
+                .collect();
+            // This rank's contribution, flattened; a missing grad is zeros.
+            let local: Vec<f32> = ps
+                .iter()
+                .flat_map(|p| p.grad().map_or(vec![0.0; p.numel()], |g| g.to_vec()))
+                .collect();
 
-            let bucket_ps = make("bucket");
-            let mut rev = bucket_ps.clone();
+            let mut rev = ps.clone();
             rev.reverse();
             let mut buckets = GradBuckets::new(rev, cap_words * 4);
             for i in 0..buckets.num_buckets() {
                 buckets.reduce_bucket_quoted(i, &mut ctx.comm);
             }
-            let bits = |ps: &[Param]| -> Vec<u32> {
-                ps.iter()
-                    .flat_map(|p| p.grad().expect("all params synced").to_vec())
-                    .map(f32::to_bits)
-                    .collect()
-            };
-            (bits(&flat_ps), bits(&bucket_ps))
+            let reduced: Vec<u32> = ps
+                .iter()
+                .flat_map(|p| p.grad().expect("all params synced").to_vec())
+                .map(f32::to_bits)
+                .collect();
+            (local, reduced)
         });
-        for (rank, (flat, bucketed)) in out.into_iter().enumerate() {
+        // The flat reference: sum the ranks' contributions in rank order
+        // from zero, then divide by the world size.
+        let flat: Vec<u32> = (0..out[0].0.len())
+            .map(|j| {
+                let sum = out.iter().fold(0.0f32, |acc, (local, _)| acc + local[j]);
+                (sum / world as f32).to_bits()
+            })
+            .collect();
+        for (rank, (_, bucketed)) in out.into_iter().enumerate() {
             prop_assert_eq!(
-                flat, bucketed,
+                &flat, &bucketed,
                 "rank {} diverged (cap {} B, world {})", rank, cap_words * 4, world
             );
         }

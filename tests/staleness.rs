@@ -1,8 +1,9 @@
 //! Bounded-staleness gradient sync: determinism, the `s = 0` equivalence,
 //! the age bound, and the modeled-time win under injected stragglers.
 
-use pgt_i::core::dist_index::{run_distributed_index, DistConfig, DistRunResult};
+use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
 use pgt_i::core::workflow::pgt_dcrnn_factory;
+use pgt_i::core::EngineReport;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::signal::StaticGraphTemporalSignal;
 use pgt_i::data::synthetic;
@@ -19,7 +20,7 @@ fn setup() -> (DatasetSpec, StaticGraphTemporalSignal) {
     (spec.clone(), synthetic::generate(&spec, 13))
 }
 
-fn run(world: usize, staleness: usize, skew: f64, epochs: usize) -> DistRunResult {
+fn run(world: usize, staleness: usize, skew: f64, epochs: usize) -> EngineReport {
     let (spec, sig) = setup();
     let mut cfg = DistConfig::new(world, epochs, spec.horizon);
     cfg.batch_per_worker = 2;
