@@ -24,7 +24,10 @@ fn default_configs_follow_and_preserve_the_process_wide_backend() {
 
     let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.2);
     let sig = synthetic::generate(&spec, 5);
-    let factory = pgt_dcrnn_factory(&sig, spec.horizon, 4, 42);
+    // Hidden 32 puts every gate GEMM above the tiled backend's
+    // small-product fallback, so the two runs below really take different
+    // kernels.
+    let factory = pgt_dcrnn_factory(&sig, spec.horizon, 32, 42);
     let cfg = DistConfig::new(2, 1, spec.horizon);
     assert_eq!(cfg.backend, BackendKind::Reference);
     assert_eq!(ServeConfig::new(2, 16).backend, BackendKind::Reference);
@@ -50,6 +53,13 @@ fn default_configs_follow_and_preserve_the_process_wide_backend() {
     // An explicit per-run choice still applies.
     let mut tiled = cfg.clone();
     tiled.backend = BackendKind::Tiled;
-    run_distributed_index(&sig, &tiled, &factory);
+    let t = run_distributed_index(&sig, &tiled, &factory);
     assert_eq!(active_backend(), BackendKind::Tiled);
+
+    // The backends differ in speed only: same learning, bit for bit.
+    assert_eq!(r.epochs.len(), t.epochs.len());
+    for (a, b) in r.epochs.iter().zip(&t.epochs) {
+        assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits());
+        assert_eq!(a.val_mae.to_bits(), b.val_mae.to_bits());
+    }
 }
