@@ -1,26 +1,21 @@
-//! Million-user load harness for the production serving plane.
+//! Million-user load scenario for the production serving plane, in
+//! **modeled time** (DESIGN.md §11; `BENCHMARKS.md` pins the full-mode
+//! tables this prints; `bench/`'s `serve_*` workloads time the same plane on
+//! the wall clock):
 //!
-//! This harness drives the full serving plane the way a deployment would
-//! see it (the trained-snapshot round trip itself is pinned by
-//! `tests/serve_roundtrip.rs`):
-//!
-//! - **Open-loop arrivals**: a Poisson process (inverse-CDF exponential
-//!   interarrivals) whose rate follows a **diurnal** sinusoid, so the
-//!   stream has a genuine rush hour that overruns capacity and a trough
-//!   that idles it. Arrivals never react to completions — the generator
-//!   does not slow down when the server queues, which is exactly what
-//!   makes tail latency honest.
-//! - **A synthetic user population**: each request is issued by one of
-//!   `population` users (10⁶ in full mode); the harness tracks distinct
-//!   active users in a bitset and asserts ≥ 10⁵ of them showed up.
-//! - **A shard sweep** (1/2/4/8) at fixed arrival rate, reporting modeled
-//!   p50/p99/p999 latency, shed rate, and per-shard utilization.
-//! - **An overload A/B** at equal shard count: shed-nothing (unbounded
-//!   SLO) versus deadline + depth admission control, asserting the
-//!   admission-controlled plane's modeled p99 is **strictly** better.
-//! - **A forecast-cache observation** at equal shard count, showing the
-//!   per-serve-call window cache absorbing repeat queries (its bitwise
-//!   transparency is pinned by the `st_serve` unit tests).
+//! - **Open-loop arrivals**: a Poisson process whose rate follows a
+//!   **diurnal** sinusoid, so the stream has a rush hour that overruns
+//!   capacity and a trough that idles it. Arrivals never react to
+//!   completions, which is what makes tail latency honest.
+//! - **A synthetic user population** (10⁶ in full mode, of whom ≥ 10⁵ must
+//!   show up).
+//! - **A shard sweep** at fixed arrival rate. Judged: the largest
+//!   deployment's modeled p99 is below one shard's.
+//! - **An overload A/B** at equal shard count: shed-nothing versus deadline
+//!   and depth admission control. Judged: admission control's modeled p99
+//!   is **strictly** better.
+//! - **A forecast-cache run** at equal shard count. Judged: the hot set hits
+//!   the per-serve-call window cache.
 //!
 //! The arrival rate is self-calibrating: a bursty pilot run measures the
 //! modeled steady-state service time per request (micro-batching included),
@@ -28,22 +23,20 @@
 //! overload is guaranteed by construction, not by magic constants. The SLO
 //! deadline is likewise searched to a non-degenerate operating point
 //! (some shedding, not total shedding) before the A/B is scored.
-//!
-//! Serving goes through [`SnapshotRegistry`] — the production lookup path.
-//! Results land in `target/BENCH_serve.json`. `--smoke` (or `PGT_SMOKE=1`)
-//! shrinks everything for CI; the p99-win assertion holds in both modes.
 
 use pgt_index::index_batching::IndexDataset;
 use st_data::splits::SplitRatios;
 use st_data::synthetic;
 use st_graph::diffusion_supports;
 use st_models::{ModelConfig, PgtDcrnn, Support};
-use st_report::record::RecordSet;
+use st_report::record::{modeled, RecordSet};
 use st_report::table::Table;
 use st_serve::{
     BatchedServer, ModelSnapshot, Query, QueueConfig, ServeConfig, ServeReport, SloConfig,
     SnapshotRegistry,
 };
+
+use crate::{Ctx, SEED};
 
 struct Load {
     nodes: usize,
@@ -79,138 +72,75 @@ impl XorShift {
     }
 }
 
-/// One synthetic request: who asked, where, and when.
-struct Arrival {
-    user: usize,
-    node: usize,
-    window_end: usize,
-    arrival_secs: f64,
-}
-
-/// Open-loop Poisson stream with diurnal rate modulation.
+/// Open-loop Poisson stream with diurnal rate modulation, and how many
+/// distinct users issued it (counted in a population-sized bitset).
 ///
 /// `rate(t) = base_hz * (1 + amplitude * sin(2π t / period))`, sampled by
 /// inverse-CDF exponential interarrivals against the instantaneous rate.
-/// One `period` spans the whole stream, so the bench sees a full
-/// trough → rush hour → trough day.
-fn diurnal_poisson_stream(load: &Load, base_hz: f64, amplitude: f64, period: f64) -> Vec<Arrival> {
-    let mut rng = XorShift(st_bench::SEED | 1);
+/// One `period` spans the whole stream, so the day runs a full
+/// trough → rush hour → trough.
+fn diurnal_poisson_stream(
+    load: &Load,
+    base_hz: f64,
+    amplitude: f64,
+    period: f64,
+) -> (Vec<Query>, usize) {
+    let mut rng = XorShift(SEED | 1);
     let mut t = 0.0f64;
-    (0..load.requests)
-        .map(|_| {
+    let mut seen = vec![0u64; load.population.div_ceil(64)];
+    let mut distinct = 0usize;
+    let queries = (0..load.requests)
+        .map(|id| {
             let rate = base_hz * (1.0 + amplitude * (std::f64::consts::TAU * t / period).sin());
             t += -(1.0 - rng.next_unit()).ln() / rate;
             let user = (rng.next_u64() % load.population as u64) as usize;
-            Arrival {
-                user,
+            let (word, bit) = (user / 64, 1u64 << (user % 64));
+            distinct += usize::from(seen[word] & bit == 0);
+            seen[word] |= bit;
+            Query {
+                id,
                 node: user % load.nodes,
                 window_end: load.entries - (rng.next_u64() as usize % load.window_universe),
                 arrival_secs: t,
             }
         })
-        .collect()
+        .collect();
+    (queries, distinct)
 }
 
-fn queries_of(stream: &[Arrival]) -> Vec<Query> {
-    stream
-        .iter()
-        .enumerate()
-        .map(|(id, a)| Query {
-            id,
-            node: a.node,
-            window_end: a.window_end,
-            arrival_secs: a.arrival_secs,
-        })
-        .collect()
+fn cache_hits(report: &ServeReport) -> usize {
+    report.shards.iter().map(|s| s.cache_hits).sum()
 }
 
-/// Count distinct users in the stream via a population-sized bitset.
-fn distinct_users(stream: &[Arrival], population: usize) -> usize {
-    let mut bits = vec![0u64; population.div_ceil(64)];
-    let mut distinct = 0usize;
-    for a in stream {
-        let (word, bit) = (a.user / 64, 1u64 << (a.user % 64));
-        if bits[word] & bit == 0 {
-            bits[word] |= bit;
-            distinct += 1;
-        }
-    }
-    distinct
-}
-
-struct RunSummary {
-    shards: usize,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-    shed_rate: f64,
-    util_mean: f64,
-    util_max: f64,
-    batches: usize,
-    cache_hits: usize,
-    halo_bytes: u64,
-}
-
-fn summarize(shards: usize, report: &ServeReport) -> RunSummary {
+fn table_row(table: &mut Table, tag: &str, shards: usize, report: &ServeReport) {
     let utils: Vec<f64> = report
         .shards
         .iter()
         .map(|s| s.utilization(report.makespan_secs))
         .collect();
-    RunSummary {
-        shards,
-        p50_us: report.p50_latency_secs * 1e6,
-        p99_us: report.p99_latency_secs * 1e6,
-        p999_us: report.p999_latency_secs * 1e6,
-        shed_rate: report.shed_rate,
-        util_mean: utils.iter().sum::<f64>() / utils.len() as f64,
-        util_max: utils.iter().cloned().fold(0.0f64, f64::max),
-        batches: report.shards.iter().map(|s| s.batches).sum(),
-        cache_hits: report.shards.iter().map(|s| s.cache_hits).sum(),
-        halo_bytes: report.halo_bytes,
-    }
+    table.row(&[
+        tag.to_string(),
+        shards.to_string(),
+        format!("{:.3}", report.p50_latency_secs * 1e6),
+        format!("{:.3}", report.p99_latency_secs * 1e6),
+        format!("{:.3}", report.p999_latency_secs * 1e6),
+        format!("{:.2}", report.shed_rate * 1e2),
+        format!("{:.2}", utils.iter().sum::<f64>() / utils.len() as f64),
+        format!("{:.2}", utils.iter().cloned().fold(0.0f64, f64::max)),
+        report
+            .shards
+            .iter()
+            .map(|s| s.batches)
+            .sum::<usize>()
+            .to_string(),
+        cache_hits(report).to_string(),
+        format!("{:.1}", report.halo_bytes as f64 / (1u64 << 20) as f64),
+    ]);
 }
 
-impl RunSummary {
-    fn json(&self, tag: &str) -> String {
-        format!(
-            "    {{\"run\": \"{}\", \"shards\": {}, \"p50_us\": {:.4}, \
-             \"p99_us\": {:.4}, \"p999_us\": {:.4}, \"shed_rate\": {:.6}, \
-             \"util_mean\": {:.4}, \"util_max\": {:.4}, \"batches\": {}, \
-             \"cache_hits\": {}, \"halo_bytes\": {}}}",
-            tag,
-            self.shards,
-            self.p50_us,
-            self.p99_us,
-            self.p999_us,
-            self.shed_rate,
-            self.util_mean,
-            self.util_max,
-            self.batches,
-            self.cache_hits,
-            self.halo_bytes
-        )
-    }
-
-    fn table_row(&self, table: &mut Table, tag: &str) {
-        table.row(&[
-            tag.to_string(),
-            self.shards.to_string(),
-            format!("{:.3}", self.p50_us),
-            format!("{:.3}", self.p99_us),
-            format!("{:.3}", self.p999_us),
-            format!("{:.2}", self.shed_rate * 1e2),
-            format!("{:.2}", self.util_mean),
-            format!("{:.2}", self.util_max),
-            self.batches.to_string(),
-            self.cache_hits.to_string(),
-        ]);
-    }
-}
-
-fn main() {
-    let smoke = st_bench::smoke() || std::env::args().any(|a| a == "--smoke");
-    let load = if smoke {
+/// The serving day: pilot, diurnal stream, shard sweep, overload A/B, cache.
+pub fn serve_day(ctx: &Ctx) -> RecordSet {
+    let load = if ctx.smoke {
         Load {
             nodes: 12,
             entries: 120,
@@ -241,8 +171,8 @@ fn main() {
 
     // --- snapshot a seeded model over the synthetic traffic corridor ---
     // (Untrained: modeled load is weight-blind.)
-    let net = st_graph::generators::highway_corridor(load.nodes, 2, st_bench::SEED);
-    let sig = synthetic::traffic::generate(&net, load.entries, 288, st_bench::SEED);
+    let net = st_graph::generators::highway_corridor(load.nodes, 2, SEED);
+    let sig = synthetic::traffic::generate(&net, load.entries, 288, SEED);
     let ds = IndexDataset::from_signal(&sig, load.horizon, SplitRatios::default(), Some(288));
     let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
     let mc = ModelConfig {
@@ -254,7 +184,7 @@ fn main() {
         diffusion_steps: 2,
         layers: 1,
     };
-    let model = PgtDcrnn::new(mc.clone(), &supports, st_bench::SEED);
+    let model = PgtDcrnn::new(mc.clone(), &supports, SEED);
     let snapshot = ModelSnapshot::capture(
         mc,
         ds.scaler().clone(),
@@ -288,7 +218,7 @@ fn main() {
     // requests / busy is the sustainable per-shard throughput with
     // micro-batching amortized in (timer effects excluded by design).
     let pilot_n = load.requests.min(10_000);
-    let mut rng = XorShift(st_bench::SEED | 9);
+    let mut rng = XorShift(SEED | 9);
     let pilot: Vec<Query> = (0..pilot_n)
         .map(|id| Query {
             id,
@@ -316,27 +246,19 @@ fn main() {
     let base_hz = 0.6 * load.ab_shards as f64 * capacity_hz;
     let max_delay = 1.5 * 32.0 / base_hz;
     let period = load.requests as f64 / base_hz;
-    let stream = diurnal_poisson_stream(&load, base_hz, 0.8, period);
-    let queries = queries_of(&stream);
-    let distinct = distinct_users(&stream, load.population);
+    let (queries, distinct) = diurnal_poisson_stream(&load, base_hz, 0.8, period);
     println!(
         "stream: {} requests from {} distinct users (population {}), {:.1} modeled ms of day",
         load.requests,
         distinct,
         load.population,
-        stream.last().map_or(0.0, |a| a.arrival_secs) * 1e3
+        queries.last().map_or(0.0, |q| q.arrival_secs) * 1e3
     );
-    if !smoke {
-        assert!(
-            distinct >= 100_000,
-            "full mode must exercise ≥ 1e5 distinct users, got {distinct}"
-        );
-    }
 
     // --- shard sweep: one tenant per deployment in a shared registry ---
     let registry = SnapshotRegistry::new();
     let mut table = Table::new(
-        "bench_serve: open-loop diurnal load (modeled time)",
+        "serve_day: open-loop diurnal load (modeled time)",
         &[
             "run",
             "shards",
@@ -348,9 +270,9 @@ fn main() {
             "util max",
             "batches",
             "cache hits",
+            "halo MB",
         ],
     );
-    let mut runs_json = Vec::new();
     let mut sweep = Vec::new();
     for &shards in load.sweep {
         let tenant = format!("sweep-{shards}");
@@ -366,21 +288,9 @@ fn main() {
             load.requests,
             "no request may vanish"
         );
-        let summary = summarize(shards, &report);
-        summary.table_row(&mut table, "sweep");
-        runs_json.push(summary.json("sweep"));
-        sweep.push((summary, report));
+        table_row(&mut table, "sweep", shards, &report);
+        sweep.push((shards, report));
     }
-    let (first, last) = (&sweep[0].0, &sweep[sweep.len() - 1].0);
-    assert!(
-        last.p99_us < first.p99_us,
-        "adding shards must cut modeled p99 under the same stream: \
-         {} shards {:.3} µs !< {} shards {:.3} µs",
-        last.shards,
-        last.p99_us,
-        first.shards,
-        first.p99_us
-    );
 
     // --- overload A/B at equal shard count: shed-nothing vs SLO ---
     // The deadline is searched upward from one batch's worth of modeled
@@ -388,7 +298,7 @@ fn main() {
     // keeps something); the depth bound backstops the queue.
     let unbounded = &sweep
         .iter()
-        .find(|(s, _)| s.shards == load.ab_shards)
+        .find(|(shards, _)| *shards == load.ab_shards)
         .expect("ab_shards is in the sweep")
         .1;
     let mut slo = SloConfig {
@@ -433,9 +343,7 @@ fn main() {
         load.requests,
         "every request is answered or shed with a typed reason"
     );
-    let governed_summary = summarize(load.ab_shards, &governed);
-    governed_summary.table_row(&mut table, "slo");
-    runs_json.push(governed_summary.json("slo"));
+    table_row(&mut table, "slo", load.ab_shards, &governed);
 
     // --- forecast-cache observation at the same shard count ---
     registry
@@ -445,15 +353,7 @@ fn main() {
         )
         .expect("fresh tenant");
     let cached = registry.serve("cache", &queries).expect("registered");
-    let cached_summary = summarize(load.ab_shards, &cached);
-    cached_summary.table_row(&mut table, "cache");
-    runs_json.push(cached_summary.json("cache"));
-    assert!(
-        cached_summary.cache_hits > 0,
-        "a {}-window hot set under {} requests must hit the window cache",
-        load.window_universe,
-        load.requests
-    );
+    table_row(&mut table, "cache", load.ab_shards, &cached);
     println!("{}", table.to_text());
 
     println!(
@@ -470,60 +370,53 @@ fn main() {
         governed.shed_rate > 0.0,
         "the diurnal rush hour is provisioned above capacity; admission control must shed"
     );
-    assert!(
-        governed.p99_latency_secs < unbounded.p99_latency_secs,
-        "admission control must strictly improve modeled p99 under overload: \
-         {} !< {}",
-        governed.p99_latency_secs,
-        unbounded.p99_latency_secs
-    );
 
-    // --- artifacts ---
-    let json = format!(
-        "{{\n  \"bench\": \"bench_serve\",\n  \"smoke\": {},\n  \
-         \"population\": {},\n  \"distinct_users\": {},\n  \"requests\": {},\n  \
-         \"service_ns\": {:.3},\n  \"base_hz\": {:.1},\n  \
-         \"deadline_secs\": {:e},\n  \"max_queue_depth\": {},\n  \
-         \"runs\": [\n{}\n  ]\n}}\n",
-        smoke,
-        load.population,
-        distinct,
-        load.requests,
-        1e9 / capacity_hz,
-        base_hz,
-        slo.deadline_secs,
-        slo.max_queue_depth,
-        runs_json.join(",\n")
-    );
-    let _ = std::fs::create_dir_all("target");
-    let path = std::path::Path::new("target").join("BENCH_serve.json");
-    std::fs::write(&path, &json).expect("write BENCH_serve.json");
-    println!("wrote {}", path.display());
-
+    let ((few, first), (many, last)) = (&sweep[0], &sweep[sweep.len() - 1]);
     let p99_win = unbounded.p99_latency_secs / governed.p99_latency_secs;
-    let mut records = RecordSet::new();
+    let mut records = RecordSet::new("Serving plane");
     records.push(
-        "Serving plane",
+        "shard sweep p99 under the same stream",
+        "adding shards cuts the tail",
+        format!(
+            "{:.3} µs @{few} → {:.3} µs @{many} shards",
+            first.p99_latency_secs * 1e6,
+            last.p99_latency_secs * 1e6
+        ),
+        modeled(last.p99_latency_secs < first.p99_latency_secs),
+        "shed-nothing deployments, one tenant each",
+    );
+    records.push(
         "overload p99: SLO admission vs shed-nothing, equal shards",
         "strictly better under a diurnal rush hour",
         format!(
             "{p99_win:.2}× better, shed {:.2}%",
             governed.shed_rate * 1e2
         ),
-        p99_win > 1.0,
+        modeled(p99_win > 1.0),
         "open-loop Poisson + diurnal arrivals; deadline + depth admission",
     );
     records.push(
-        "Serving plane",
+        "forecast cache under a hot set",
+        "repeat windows are served from the per-call cache",
+        format!(
+            "{} hits over {} requests, {}-window hot set",
+            cache_hits(&cached),
+            load.requests,
+            load.window_universe
+        ),
+        modeled(cache_hits(&cached) > 0),
+        "bitwise transparency is pinned by the st_serve unit tests",
+    );
+    records.push(
         "load scale",
         "≥ 1e5 distinct users against a 1e6-user population (full mode)",
         format!(
             "{distinct} distinct over {} requests{}",
             load.requests,
-            if smoke { " (smoke)" } else { "" }
+            if ctx.smoke { " (smoke)" } else { "" }
         ),
-        smoke || distinct >= 100_000,
+        modeled(ctx.smoke || distinct >= 100_000),
         "bitset-tracked user ids, xorshift64* stream",
     );
-    st_bench::emit_records("bench_serve", &records);
+    records
 }

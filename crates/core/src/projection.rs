@@ -33,12 +33,11 @@
 //!   all-reduces and (at the worker count grows) collective latency — the
 //!   fixed costs §5.3.1 blames for sublinear scaling at 64/128 GPUs.
 
-use serde::{Deserialize, Serialize};
 use st_data::datasets::DatasetSpec;
 use st_device::CostModel;
 
 /// Calibrated projection constants (see module docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProjectionParams {
     /// Effective GPU FLOP/s for the PGT-DCRNN workload (*calibrated* to
     /// Table 4's GPU-index anchor jointly with `step_launch_secs`).

@@ -9,10 +9,8 @@
 //! the values under which eq. (1) reproduces Table 1's post-preprocessing
 //! sizes.
 
-use serde::{Deserialize, Serialize};
-
 /// Which benchmark dataset a spec describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Chickenpox-Hungary: weekly county-level case counts.
     ChickenpoxHungary,
@@ -29,7 +27,7 @@ pub enum DatasetKind {
 }
 
 /// Application domain (drives which synthetic generator is used).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Domain {
     /// Disease-spread case counts.
     Epidemiological,
@@ -40,7 +38,7 @@ pub enum Domain {
 }
 
 /// Full description of a dataset's shape and preprocessing settings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetSpec {
     /// Which benchmark this mirrors.
     pub kind: DatasetKind,

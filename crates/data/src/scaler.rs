@@ -10,11 +10,10 @@
 //! statistics — the ones every original-unit metric conversion needs, since
 //! forecast targets are feature 0 of the label window.
 
-use serde::{Deserialize, Serialize};
 use st_tensor::{ops as t, Tensor};
 
 /// Mean/std standardizer with per-feature statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandardScaler {
     /// Fitted mean of the target channel (feature 0).
     pub mean: f32,

@@ -4,10 +4,8 @@
 //! 10 % validation, 20 % test, taken *chronologically* (shuffling across
 //! the split boundary would leak future data into training).
 
-use serde::{Deserialize, Serialize};
-
 /// Fractions of the snapshot sequence assigned to each split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitRatios {
     /// Training fraction.
     pub train: f64,

@@ -8,10 +8,8 @@
 //! network terms are what shape Figs 7 and 9, and those come from the
 //! relative magnitudes of these constants.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost-model constants (all rates are "effective", not peak).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// GPU FP32 throughput for GEMM-like kernels, FLOP/s.
     pub gpu_flops: f64,

@@ -3,10 +3,8 @@
 //! The specs mirror a Polaris compute node (§3.1 of the paper): a 32-core
 //! AMD EPYC Milan host with 512 GB DDR4 and four NVIDIA A100-40GB GPUs.
 
-use serde::{Deserialize, Serialize};
-
 /// Which device a buffer or computation lives on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Host CPU + system memory.
     Host,
@@ -24,7 +22,7 @@ impl std::fmt::Display for DeviceKind {
 }
 
 /// Hardware description used by the cost model and memory pools.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceSpec {
     /// Human-readable name.
     pub name: String,

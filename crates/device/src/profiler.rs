@@ -22,7 +22,7 @@ use crate::memory::MemPool;
 /// over an interval — the same mark/delta idiom the engine uses for comm
 /// time. Counters are thread-local, so take both marks on the thread that
 /// ran the compute (each engine rank runs on its own thread).
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KernelSplit {
     /// Seconds inside dense matmul/bmm kernels.
     pub gemm_secs: f64,

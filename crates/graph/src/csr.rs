@@ -8,7 +8,7 @@
 use st_tensor::{Result, Tensor, TensorError};
 
 /// A CSR sparse matrix of shape `[rows, cols]`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Csr {
     rows: usize,
     cols: usize,

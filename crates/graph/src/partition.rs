@@ -525,7 +525,7 @@ impl Subgraph {
 /// boundary — of `row_bytes` each.
 ///
 /// This is the objective [`Partitioning::multilevel`] refines toward and
-/// the score the `ablation_partition` bench sweeps, because edge-cut
+/// the score `repro partition` sweeps, because edge-cut
 /// *weight* is the wrong proxy: a part that cuts ten light edges into one
 /// neighbor replicates one row, while one that cuts one edge each into ten
 /// neighbors replicates ten.

@@ -381,8 +381,8 @@ impl IncrementalPartitioner {
     /// Full from-scratch solve on the sparse graph: farthest-first seeded
     /// region growing under the balance cap, then halo-priced boundary
     /// refinement — the rebuild path the drift fallback takes, and the
-    /// "from-scratch" baseline the `ablation_dynamic` bench compares
-    /// repair quality against. Deterministic (no RNG).
+    /// "from-scratch" baseline `bench/`'s `graph_repartition` workload
+    /// compares repair quality against. Deterministic (no RNG).
     pub fn partition_fresh(graph: SparseGraph, k: usize, cfg: IncrementalConfig) -> Self {
         let n = graph.num_nodes();
         assert!(k > 0, "need at least one part");

@@ -1,14 +1,14 @@
 //! # st-report
 //!
 //! Small reporting toolkit for the reproduction harness: aligned text /
-//! markdown tables (the `repro_*` binaries print the same rows the paper's
+//! markdown tables (the `repro` experiments print the same rows the paper's
 //! tables report), line-series rendering for figures, and experiment records
-//! collecting paper-vs-measured values for `EXPERIMENTS.md`.
+//! collecting paper-vs-ours values, each with its [`Basis`], for `REPRO.json`.
 
 pub mod record;
 pub mod series;
 pub mod table;
 
-pub use record::{ExperimentRecord, RecordSet};
+pub use record::{Basis, ExperimentRecord, RecordSet};
 pub use series::Series;
 pub use table::Table;

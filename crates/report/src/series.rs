@@ -1,4 +1,4 @@
-//! Line-series rendering for the paper's figures: each `repro_fig*` binary
+//! Line-series rendering for the paper's figures: each figure experiment
 //! prints its figure as labeled numeric series plus a coarse ASCII plot so
 //! the curve shape is visible in a terminal.
 

@@ -7,7 +7,7 @@
 use crate::{Result, TensorError};
 
 /// The dimensions of a tensor, in row-major order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(pub Vec<usize>);
 
 impl Shape {

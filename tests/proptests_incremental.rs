@@ -137,7 +137,7 @@ proptest! {
     /// Zero drift forces a rebuild on *any* degradation past the last full
     /// solve, so repaired halo bytes track a from-scratch solve of the
     /// current graph within the default 10% drift allowance — the
-    /// acceptance bound the `ablation_dynamic` bench asserts at city
+    /// acceptance bound `bench/`'s `graph_repartition` checks at city
     /// scale, plus a one-cut-neighbor allowance — at 6–28 nodes a single
     /// boundary node can exceed 10% of total halo on its own. (Exact
     /// equality is not guaranteed: the baseline is the last full solve,

@@ -77,8 +77,8 @@ fn bounded_staleness_is_deterministic_and_applies_stale_gradients() {
 
 #[test]
 fn bounded_staleness_outruns_the_synchronous_path_under_stragglers() {
-    // The tentpole claim, in miniature (the full sweep lives in
-    // `ablation_staleness`): at world 4 under a straggler ramp, riding out
+    // The tentpole claim, in miniature (the full sweep is `repro
+    // staleness`): at world 4 under a straggler ramp, riding out
     // the skew inside the staleness window beats the per-step rendezvous,
     // and small-s convergence stays in the same neighborhood.
     let sync = run(4, 0, 0.5, 2);
