@@ -62,8 +62,8 @@ impl DynamicIndexDataset {
 
     /// [`DynamicIndexDataset::from_signal`] with an explicit storage
     /// backend for the standardized feature copy. The dynamic signal's
-    /// source tensor stays dense (its per-entry adjacencies dominate it
-    /// anyway); `spec` bounds what the *dataset* keeps resident.
+    /// source tensor stays in memory; `spec` bounds what the *dataset*
+    /// keeps resident.
     pub fn from_signal_spec(
         signal: &DynamicGraphTemporalSignal,
         horizon: usize,

@@ -32,43 +32,9 @@ use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
 use st_data::storage::SignalStorage;
 use st_dist::topology::ClusterTopology;
-use st_graph::diffusion_supports;
+use st_graph::{diffusion_supports, PartitionerKind};
 use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
 use st_tensor::Tensor;
-
-/// How to split the graph across partition workers. Each variant maps to
-/// an [`st_graph::PartitionerKind`] threaded through
-/// [`crate::dist_index::DistConfig::partitioner`] — the single knob every
-/// partition-consuming plane reads.
-#[derive(Debug, Clone)]
-pub enum PartitionStrategy {
-    /// Contiguous node-index blocks (the naive baseline).
-    Contiguous,
-    /// Recursive coordinate bisection over sensor coordinates.
-    CoordinateBisection(Vec<(f32, f32)>),
-    /// Seeded BFS region growing over the weighted edges.
-    GreedyBfs,
-    /// Multilevel heavy-edge-matching partitioning with halo-cost-scored
-    /// boundary refinement ([`st_graph::Partitioning::multilevel`]) — the
-    /// default, and the quality choice under the
-    /// [`st_graph::HaloCostModel`].
-    Multilevel,
-}
-
-impl PartitionStrategy {
-    /// The [`st_graph::PartitionerKind`] this strategy routes through,
-    /// plus the coordinates the geometric variant carries.
-    pub fn kind(&self) -> (st_graph::PartitionerKind, Option<&[(f32, f32)]>) {
-        match self {
-            PartitionStrategy::Contiguous => (st_graph::PartitionerKind::Contiguous, None),
-            PartitionStrategy::CoordinateBisection(coords) => {
-                (st_graph::PartitionerKind::CoordinateBisection, Some(coords))
-            }
-            PartitionStrategy::GreedyBfs => (st_graph::PartitionerKind::GreedyBfs, None),
-            PartitionStrategy::Multilevel => (st_graph::PartitionerKind::Multilevel, None),
-        }
-    }
-}
 
 /// Configuration of a partitioned training run.
 #[derive(Debug, Clone)]
@@ -78,8 +44,11 @@ pub struct PartitionedConfig {
     /// Halo depth in hops; should be ≥ the model's diffusion steps K so
     /// boundary convolutions see their full receptive field.
     pub halo_depth: usize,
-    /// Partitioner.
-    pub strategy: PartitionStrategy,
+    /// The partitioner that splits the graph across partition workers
+    /// (multilevel by default, the quality choice under the
+    /// [`st_graph::HaloCostModel`]) — the same knob
+    /// [`crate::dist_index::DistConfig::partitioner`] is.
+    pub partitioner: PartitionerKind,
     /// Training epochs per partition model.
     pub epochs: usize,
     /// Batch size.
@@ -106,7 +75,7 @@ impl PartitionedConfig {
         PartitionedConfig {
             parts,
             halo_depth: 2,
-            strategy: PartitionStrategy::Multilevel,
+            partitioner: PartitionerKind::Multilevel,
             epochs: 3,
             batch_size: 8,
             lr: 1e-2,
@@ -307,8 +276,11 @@ impl DistDataPlane for PartitionedPlane {
 /// Run partitioned index-batching training: one PGT-DCRNN per partition,
 /// all partitions trained **concurrently** as engine ranks, each on its
 /// halo-augmented node-subset signal, validated on its owned nodes only.
+/// `coords` (one per node) are what [`PartitionerKind::CoordinateBisection`]
+/// splits on; without them it falls back to region growing.
 pub fn run_partitioned(
     signal: &StaticGraphTemporalSignal,
+    coords: Option<&[(f32, f32)]>,
     cfg: &PartitionedConfig,
 ) -> PartitionedResult {
     let rechunked;
@@ -328,8 +300,7 @@ pub fn run_partitioned(
     dist_cfg.grad_clip = Some(5.0);
     dist_cfg.time_period = cfg.time_period;
     dist_cfg.topology = ClusterTopology::polaris();
-    let (kind, coords) = cfg.strategy.kind();
-    dist_cfg.partitioner = kind;
+    dist_cfg.partitioner = cfg.partitioner;
     if let Some(c) = coords {
         assert_eq!(c.len(), signal.num_nodes(), "one coordinate per node");
     }
@@ -552,7 +523,7 @@ mod tests {
         let mut cfg = PartitionedConfig::new(2, 4);
         cfg.epochs = 2;
         cfg.batch_size = 4;
-        let r = run_partitioned(&sig, &cfg);
+        let r = run_partitioned(&sig, None, &cfg);
         assert_eq!(r.parts.len(), 2);
         assert!(r.combined_val_mae.is_finite());
         // The documented trade-off triangle:
@@ -574,7 +545,7 @@ mod tests {
         let mut cfg = PartitionedConfig::new(1, spec.horizon);
         cfg.epochs = 2;
         cfg.batch_size = 4;
-        let part = run_partitioned(&sig, &cfg);
+        let part = run_partitioned(&sig, None, &cfg);
         assert_eq!(part.parts[0].halo, 0);
         assert!((part.replication_factor - 1.0).abs() < 1e-9);
         assert!((part.parallel_flops_fraction - 1.0).abs() < 1e-9);
@@ -612,7 +583,7 @@ mod tests {
         cfg.epochs = 1;
         cfg.batch_size = 4;
         cfg.halo_depth = 1;
-        let r = run_partitioned(&sig, &cfg);
+        let r = run_partitioned(&sig, None, &cfg);
         assert_eq!(r.parts.len(), 7);
         let empty: Vec<&PartResult> = r.parts.iter().filter(|p| p.owned == 0).collect();
         assert_eq!(empty.len(), 2, "7 parts over 5 nodes leaves 2 empty");
@@ -630,17 +601,17 @@ mod tests {
     fn strategies_all_run() {
         let (spec, sig) = signal();
         let coords = st_graph::generators::random_geometric(sig.num_nodes(), 10.0, 5).coords;
-        for strategy in [
-            PartitionStrategy::Contiguous,
-            PartitionStrategy::CoordinateBisection(coords),
-            PartitionStrategy::GreedyBfs,
-            PartitionStrategy::Multilevel,
+        for partitioner in [
+            PartitionerKind::Contiguous,
+            PartitionerKind::CoordinateBisection,
+            PartitionerKind::GreedyBfs,
+            PartitionerKind::Multilevel,
         ] {
             let mut cfg = PartitionedConfig::new(2, spec.horizon);
             cfg.epochs = 1;
             cfg.batch_size = 4;
-            cfg.strategy = strategy;
-            let r = run_partitioned(&sig, &cfg);
+            cfg.partitioner = partitioner;
+            let r = run_partitioned(&sig, Some(&coords), &cfg);
             assert!(r.combined_val_mae.is_finite());
         }
     }
@@ -654,7 +625,7 @@ mod tests {
         let mut cfg = PartitionedConfig::new(2, 4);
         cfg.epochs = 1;
         cfg.halo_depth = 1;
-        let r = run_partitioned(&sig, &cfg);
+        let r = run_partitioned(&sig, None, &cfg);
         for p in &r.parts {
             let local = p.owned + p.halo;
             let expected = r.whole_resident_bytes as f64 * local as f64 / sig.num_nodes() as f64;

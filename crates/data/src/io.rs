@@ -33,7 +33,7 @@ pub fn to_bytes(signal: &StaticGraphTemporalSignal) -> Bytes {
         }
         t0 = t1;
     }
-    for &w in signal.adjacency.weights() {
+    for w in signal.adjacency.to_dense() {
         buf.put_f32_le(w);
     }
     buf.freeze()
@@ -102,7 +102,7 @@ mod tests {
         assert_eq!(back.num_nodes(), 2);
         assert_eq!(back.num_features(), 3);
         assert_eq!(back.data().to_vec(), sig.data().to_vec());
-        assert_eq!(back.adjacency.weights(), sig.adjacency.weights());
+        assert!(back.adjacency.same_topology(&sig.adjacency));
     }
 
     #[test]

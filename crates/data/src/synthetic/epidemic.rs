@@ -38,10 +38,9 @@ pub fn generate(network: &SensorNetwork, entries: usize, seed: u64) -> StaticGra
         for i in 0..n {
             // Infection pressure: local + neighbor spillover.
             let mut pressure = infected[i];
-            for (j, &infected_j) in infected.iter().enumerate().take(n) {
-                let w = adj.weight(i, j);
+            for (j, w) in adj.row(i) {
                 if w > 0.0 && j != i {
-                    pressure += 0.3 * w * infected_j;
+                    pressure += 0.3 * w * infected[j];
                 }
             }
             let frac_s = susceptible[i] / population[i];

@@ -8,7 +8,7 @@
 use st_tensor::{Result, Tensor, TensorError};
 
 /// A CSR sparse matrix of shape `[rows, cols]`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     rows: usize,
     cols: usize,
@@ -44,47 +44,34 @@ impl Csr {
         }
     }
 
-    /// Build from COO triplets (row, col, value). Duplicates are summed.
+    /// Build from COO triplets (row, col, value). Duplicates are summed in
+    /// input order; like [`Csr::from_dense`], exact-zero results are dropped.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, f32)]) -> Self {
         let mut sorted: Vec<(usize, usize, f32)> = triplets.to_vec();
         sorted.sort_by_key(|&(r, c, _)| (r, c));
-        let mut row_ptr = vec![0usize; rows + 1];
+        let mut row_ptr = Vec::with_capacity(rows + 1);
         let mut col_idx = Vec::with_capacity(sorted.len());
         let mut values: Vec<f32> = Vec::with_capacity(sorted.len());
-        for &(r, c, v) in &sorted {
+        row_ptr.push(0);
+        let mut run = sorted.iter().peekable();
+        while let Some(&(r, c, mut v)) = run.next() {
             assert!(r < rows && c < cols, "triplet out of bounds");
-            if let (Some(&lc), Some(lv)) = (col_idx.last(), values.last_mut()) {
-                if row_of(&row_ptr, col_idx.len() - 1) == r && lc == c {
-                    *lv += v;
-                    continue;
-                }
+            while let Some(&(_, _, dup)) = run.next_if(|&&(r2, c2, _)| (r2, c2) == (r, c)) {
+                v += dup;
             }
-            col_idx.push(c);
-            values.push(v);
-            row_ptr[r + 1] = col_idx.len();
-        }
-        // Make row_ptr cumulative over empty rows.
-        for r in 1..=rows {
-            if row_ptr[r] < row_ptr[r - 1] {
-                row_ptr[r] = row_ptr[r - 1];
+            if v != 0.0 {
+                row_ptr.resize(r + 1, col_idx.len());
+                col_idx.push(c);
+                values.push(v);
             }
         }
-        return Csr {
+        row_ptr.resize(rows + 1, col_idx.len());
+        Csr {
             rows,
             cols,
             row_ptr,
             col_idx,
             values,
-        };
-
-        fn row_of(row_ptr: &[usize], nz: usize) -> usize {
-            // Find the row that currently ends past `nz` — only used while
-            // building, where the last pushed entry belongs to the last row
-            // with a nonzero row_ptr update.
-            match row_ptr.iter().rposition(|&p| p == nz + 1) {
-                Some(r) => r - 1,
-                None => usize::MAX,
-            }
         }
     }
 
@@ -109,14 +96,16 @@ impl Csr {
         self.values.len()
     }
 
+    /// The stored columns and values of row `r`, in storage order.
+    pub(crate) fn row_slices(&self, r: usize) -> (&[usize], &[f32]) {
+        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+        (&self.col_idx[lo..hi], &self.values[lo..hi])
+    }
+
     /// Iterate the non-zeros of row `r` as `(col, value)` pairs.
     pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
-        let lo = self.row_ptr[r];
-        let hi = self.row_ptr[r + 1];
-        self.col_idx[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.values[lo..hi].iter().copied())
+        let (cols, values) = self.row_slices(r);
+        cols.iter().copied().zip(values.iter().copied())
     }
 
     /// Dense `[rows, cols]` tensor.
@@ -315,6 +304,15 @@ mod tests {
         let m = Csr::from_triplets(2, 2, &[(0, 1, 1.0), (0, 1, 2.0), (1, 0, 5.0)]);
         let d = m.to_dense().to_vec();
         assert_eq!(d, vec![0.0, 3.0, 5.0, 0.0]);
+        // Unsorted input, an empty middle row, and a pair that cancels.
+        let m = Csr::from_triplets(
+            3,
+            2,
+            &[(2, 1, 4.0), (0, 0, 1.5), (2, 0, -1.5), (0, 0, -1.5)],
+        );
+        assert_eq!(m.nnz(), 2, "the cancelled entry is not stored");
+        assert_eq!(m.to_dense().to_vec(), vec![0.0, 0.0, 0.0, 0.0, -1.5, 4.0]);
+        assert_eq!(m, Csr::from_dense(3, 2, &m.to_dense().to_vec()));
     }
 
     #[test]

@@ -72,6 +72,13 @@ pub fn random_geometric(n: usize, extent: f32, seed: u64) -> SensorNetwork {
 /// boundaries cost the most because every interior node has four strong
 /// neighbors.
 pub fn city_grid(rows: usize, cols: usize, seed: u64) -> SensorNetwork {
+    let coords = grid_coords(rows, cols, seed);
+    let adjacency = Adjacency::from_coordinates(&coords, Some(1.0), 0.2);
+    SensorNetwork { coords, adjacency }
+}
+
+/// Row-major lattice positions, each jittered by up to ±0.15 per axis.
+fn grid_coords(rows: usize, cols: usize, seed: u64) -> Vec<(f32, f32)> {
     assert!(rows > 0 && cols > 0);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut coords = Vec::with_capacity(rows * cols);
@@ -83,8 +90,7 @@ pub fn city_grid(rows: usize, cols: usize, seed: u64) -> SensorNetwork {
             ));
         }
     }
-    let adjacency = Adjacency::from_coordinates(&coords, Some(1.0), 0.2);
-    SensorNetwork { coords, adjacency }
+    coords
 }
 
 /// A scale-free (Barabási–Albert preferential-attachment) network: each
@@ -94,46 +100,15 @@ pub fn city_grid(rows: usize, cols: usize, seed: u64) -> SensorNetwork {
 /// adversarial case for the halo cost model. Coordinates are random (the
 /// topology, unlike the geometric generators, is not planar).
 pub fn scale_free(n: usize, m: usize, seed: u64) -> SensorNetwork {
-    assert!(n > m && m > 0, "need n > m >= 1");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut weights = vec![0.0f32; n * n];
-    // Degree-weighted target list: node i appears once per incident edge.
-    let mut targets: Vec<usize> = (0..=m).collect();
-    for u in (m + 1)..n {
-        let mut chosen = Vec::with_capacity(m);
-        while chosen.len() < m {
-            let v = targets[rng.gen_range(0..targets.len())];
-            if v != u && !chosen.contains(&v) {
-                chosen.push(v);
-            }
-        }
-        for &v in &chosen {
-            weights[u * n + v] = 1.0;
-            weights[v * n + u] = 1.0;
-            targets.push(u);
-            targets.push(v);
-        }
-    }
-    // Seed clique over the first m+1 nodes so early attachments connect.
-    for i in 0..=m {
-        for j in 0..=m {
-            if i != j {
-                weights[i * n + j] = 1.0;
-            }
-        }
-    }
-    let coords: Vec<(f32, f32)> = (0..n)
-        .map(|_| (rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-        .collect();
+    let net = scale_free_sparse(n, m, seed);
     SensorNetwork {
-        coords,
-        adjacency: Adjacency::from_dense(n, weights),
+        adjacency: net.graph.to_adjacency(),
+        coords: net.coords,
     }
 }
 
-/// A generated sensor network in adjacency-list form — the representation
-/// the city-scale (10⁵–10⁶ node) dynamic workloads use, where a dense
-/// `N×N` matrix would not fit in memory.
+/// A generated sensor network in adjacency-list form — the mutable
+/// representation the dynamic (10⁵–10⁶ node) workloads stream deltas into.
 #[derive(Debug, Clone)]
 pub struct SparseNetwork {
     /// Sensor coordinates in an abstract 2-D plane.
@@ -149,23 +124,14 @@ impl SparseNetwork {
     }
 }
 
-/// Sparse [`city_grid`]: the same jittered `rows × cols` lattice with
-/// Gaussian-kernel weights (`σ = 1`, threshold 0.2), but storing only the
-/// 4-neighbor lattice edges instead of an `N×N` matrix — city-block
+/// [`city_grid`] in `O(N)` time: the same jittered `rows × cols` lattice
+/// with Gaussian-kernel weights (`σ = 1`, threshold 0.2), but only the
+/// 4-neighbor lattice pairs are candidate edges (and there are no
+/// self-loops), where [`city_grid`] weighs all `N²` pairs — city-block
 /// topology at city scale.
 pub fn city_grid_sparse(rows: usize, cols: usize, seed: u64) -> SparseNetwork {
-    assert!(rows > 0 && cols > 0);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let coords = grid_coords(rows, cols, seed);
     let n = rows * cols;
-    let mut coords = Vec::with_capacity(n);
-    for r in 0..rows {
-        for c in 0..cols {
-            coords.push((
-                c as f32 + rng.gen_range(-0.15..0.15),
-                r as f32 + rng.gen_range(-0.15..0.15),
-            ));
-        }
-    }
     let mut edges = Vec::with_capacity(2 * n);
     let push = |edges: &mut Vec<(usize, usize, f32)>, u: usize, v: usize| {
         let (dx, dy) = (coords[u].0 - coords[v].0, coords[u].1 - coords[v].1);
@@ -189,8 +155,8 @@ pub fn city_grid_sparse(rows: usize, cols: usize, seed: u64) -> SparseNetwork {
     SparseNetwork { coords, graph }
 }
 
-/// Sparse [`scale_free`]: the same Barabási–Albert preferential-attachment
-/// process in adjacency-list form, viable at 10⁵–10⁶ nodes.
+/// The Barabási–Albert preferential-attachment process behind
+/// [`scale_free`], in adjacency-list form.
 pub fn scale_free_sparse(n: usize, m: usize, seed: u64) -> SparseNetwork {
     assert!(n > m && m > 0, "need n > m >= 1");
     let mut rng = StdRng::seed_from_u64(seed);

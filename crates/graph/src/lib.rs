@@ -7,6 +7,13 @@
 //! graph-partitioning layer (paper §7) every distributed consumer routes
 //! through.
 //!
+//! A graph is stored once and sparsely, in one of two forms. [`Adjacency`]
+//! is the directed weighted matrix models consume — immutable, shared
+//! behind an `Arc`, fingerprinted, a [`Csr`] of its non-zeros.
+//! [`SparseGraph`] is the undirected topology partitioning runs on —
+//! adjacency lists, mutable in place. Each converts to the other in
+//! `O(E)`; only [`Adjacency::to_dense`] is `O(N²)`.
+//!
 //! ## Partitioning in one example
 //!
 //! ```

@@ -8,6 +8,15 @@
 //! induced subgraphs. The training-side integration lives in
 //! `pgt-index::partitioned`.
 //!
+//! Every routine that walks the topology — region growing, coarsening,
+//! halo expansion, cut counting — runs on one type, the undirected
+//! [`SparseGraph`], in `O(E)`. Entry points take
+//! `impl Into<Cow<SparseGraph>>`: a `&SparseGraph` is used as it is, and a
+//! directed `&Adjacency` is viewed through [`SparseGraph::from_adjacency`]
+//! once per call. Only the metrics that sum *directed* weights
+//! ([`Partitioning::edge_cut_weight`], induced subgraphs) read the
+//! [`Adjacency`] itself.
+//!
 //! Four partitioners cover the design space:
 //! - [`Partitioning::contiguous`] — index blocks; the trivial baseline.
 //! - [`Partitioning::coordinate_bisection`] — recursive coordinate
@@ -29,6 +38,7 @@
 //! multilevel refinement minimizes, rather than raw edge cut.
 
 use crate::adjacency::Adjacency;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -76,7 +86,8 @@ impl Partitioning {
         Partitioning { assignment, k }
     }
 
-    /// Seeded BFS region growing over the weighted edges: `k` seeds are
+    /// Seeded BFS region growing over the undirected edges of `graph` (a
+    /// `&SparseGraph`, or a `&Adjacency` viewed as one): `k` seeds are
     /// spread greedily (farthest-first over hop distance), then regions
     /// claim unassigned neighbors round-robin, capped at `⌈n/k⌉` nodes.
     /// Stranded nodes (disconnected from every capped region) fall back to
@@ -100,8 +111,9 @@ impl Partitioning {
     /// // Region growing respects the ⌈n/k⌉ cap up to stranded fallbacks.
     /// assert!(p.part_sizes().iter().all(|&s| s > 0));
     /// ```
-    pub fn greedy_bfs(adj: &Adjacency, k: usize) -> Self {
-        let n = adj.num_nodes();
+    pub fn greedy_bfs<'a>(graph: impl Into<Cow<'a, SparseGraph>>, k: usize) -> Self {
+        let graph = graph.into();
+        let n = graph.num_nodes();
         assert!(k > 0, "need at least one part");
         if k > n {
             // One node per part; parts n..k stay empty (documented above).
@@ -110,55 +122,7 @@ impl Partitioning {
                 k,
             };
         }
-        let neighbors = undirected_neighbors(adj);
-        let seeds = farthest_first_seeds(&neighbors, k);
-        let cap = n.div_ceil(k);
-        let mut assignment = vec![usize::MAX; n];
-        let mut sizes = vec![0usize; k];
-        let mut frontiers: Vec<VecDeque<usize>> =
-            seeds.iter().map(|&s| VecDeque::from([s])).collect();
-        for (p, &s) in seeds.iter().enumerate() {
-            assignment[s] = p;
-            sizes[p] = 1;
-        }
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for p in 0..k {
-                if sizes[p] >= cap {
-                    continue;
-                }
-                while let Some(u) = frontiers[p].pop_front() {
-                    let mut claimed = false;
-                    for &v in &neighbors[u] {
-                        if assignment[v] == usize::MAX {
-                            assignment[v] = p;
-                            sizes[p] += 1;
-                            frontiers[p].push_back(v);
-                            claimed = true;
-                            progress = true;
-                            if sizes[p] >= cap {
-                                break;
-                            }
-                        }
-                    }
-                    if claimed {
-                        // Revisit u later: it may still have unassigned
-                        // neighbors once other regions hit their caps.
-                        frontiers[p].push_back(u);
-                        break;
-                    }
-                }
-            }
-        }
-        // Stranded nodes: put each in the currently smallest part.
-        for a in assignment.iter_mut() {
-            if *a == usize::MAX {
-                let p = (0..k).min_by_key(|&p| sizes[p]).unwrap();
-                *a = p;
-                sizes[p] += 1;
-            }
-        }
+        let assignment = grow_regions(&graph, &vec![1; n], k, n.div_ceil(k), 0);
         Partitioning { assignment, k }
     }
 
@@ -185,8 +149,8 @@ impl Partitioning {
     /// assert!(cost.halo_bytes(&net.adjacency, &ml)
     ///     <= cost.halo_bytes(&net.adjacency, &greedy));
     /// ```
-    pub fn multilevel(adj: &Adjacency, k: usize) -> Self {
-        Self::multilevel_with(adj, k, &MultilevelConfig::default())
+    pub fn multilevel<'a>(graph: impl Into<Cow<'a, SparseGraph>>, k: usize) -> Self {
+        Self::multilevel_with(graph, k, &MultilevelConfig::default())
     }
 
     /// [`Partitioning::multilevel`] with explicit knobs.
@@ -213,8 +177,13 @@ impl Partitioning {
     /// Like [`Partitioning::greedy_bfs`], `k > n` yields one node per part
     /// with the remaining parts empty, and disconnected graphs are
     /// handled by seeding every component.
-    pub fn multilevel_with(adj: &Adjacency, k: usize, cfg: &MultilevelConfig) -> Self {
-        let n = adj.num_nodes();
+    pub fn multilevel_with<'a>(
+        graph: impl Into<Cow<'a, SparseGraph>>,
+        k: usize,
+        cfg: &MultilevelConfig,
+    ) -> Self {
+        let graph = graph.into();
+        let n = graph.num_nodes();
         assert!(k > 0, "need at least one part");
         if k >= n {
             return Partitioning {
@@ -230,7 +199,11 @@ impl Partitioning {
         }
 
         // --- 1. Coarsen by heavy-edge matching. -------------------------
-        let mut levels = vec![CoarseGraph::from_adjacency(adj)];
+        let mut levels = vec![CoarseGraph {
+            graph: graph.into_owned(),
+            node_weight: vec![1; n],
+            fine_to_coarse: Vec::new(),
+        }];
         let stop_at = cfg.coarsest.max(4 * k);
         loop {
             let cur = levels.last().unwrap();
@@ -255,7 +228,11 @@ impl Partitioning {
         let cap = balance_cap(n, k, cfg.balance);
         let mut best: Option<(f64, Vec<usize>)> = None;
         for seed in 0..cfg.initial_seeds.max(1) {
-            let cand = coarsest.grow_regions(k, cap, seed as u64);
+            // Prime stride: distinct starts for every candidate seed unless
+            // the level size is a multiple of 7919 (far beyond the
+            // coarsest-graph sizes).
+            let start = (seed * 7919) % coarsest.len();
+            let cand = grow_regions(&coarsest.graph, &coarsest.node_weight, k, cap, start);
             let cut = coarsest.cut_weight(&cand);
             if best.as_ref().is_none_or(|(b, _)| cut < *b) {
                 best = Some((cut, cand));
@@ -292,7 +269,7 @@ impl Partitioning {
         rebalance(finest, &mut unrefined, k, cap);
         let score = |a: &[usize]| {
             cfg.cost.halo_bytes(
-                adj,
+                &finest.graph,
                 &Partitioning {
                     assignment: a.to_vec(),
                     k,
@@ -378,11 +355,9 @@ impl Partitioning {
 
     /// Total weight of edges whose endpoints live in different parts.
     pub fn edge_cut_weight(&self, adj: &Adjacency) -> f64 {
-        let n = adj.num_nodes();
         let mut cut = 0.0f64;
-        for i in 0..n {
-            for j in 0..n {
-                let w = adj.weight(i, j);
+        for i in 0..adj.num_nodes() {
+            for (j, w) in adj.row(i) {
                 if w > 0.0 && self.assignment[i] != self.assignment[j] {
                     cut += w as f64;
                 }
@@ -398,34 +373,14 @@ impl Partitioning {
     /// why the multilevel refinement minimizes it instead of raw edge cut:
     /// many light cut edges into the *same* neighbor cost one replica,
     /// while one cut edge per distinct neighbor costs a replica each.
-    pub fn cut_neighbors(&self, adj: &Adjacency) -> usize {
-        let neighbors = undirected_neighbors(adj);
-        let mut count = 0usize;
-        let mut seen = vec![usize::MAX; self.k];
-        for (v, nbrs) in neighbors.iter().enumerate() {
-            // v is replicated once into every foreign part it touches.
-            seen.iter_mut().for_each(|s| *s = usize::MAX);
-            for &u in nbrs {
-                let p = self.assignment[u];
-                if p != self.assignment[v] && seen[p] != v {
-                    seen[p] = v;
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
-    /// [`Partitioning::cut_neighbors`] over a [`SparseGraph`] — O(E)
-    /// instead of the dense O(n²) rescan, for city-scale graphs where the
-    /// dense adjacency is never materialized. Equivalence-tested against
-    /// the dense count on graphs that exist in both representations.
-    pub fn cut_neighbors_sparse(&self, g: &SparseGraph) -> usize {
+    pub fn cut_neighbors<'a>(&self, graph: impl Into<Cow<'a, SparseGraph>>) -> usize {
+        let g = graph.into();
         assert_eq!(g.num_nodes(), self.num_nodes(), "graph/partition mismatch");
         let mut count = 0usize;
         let mut seen = vec![usize::MAX; self.k];
         for v in 0..g.num_nodes() {
-            seen.iter_mut().for_each(|s| *s = usize::MAX);
+            // v is replicated once into every foreign part it touches;
+            // `seen[p] == v` marks the parts already counted for v.
             for &(u, _) in g.neighbors(v) {
                 let p = self.assignment[u];
                 if p != self.assignment[v] && seen[p] != v {
@@ -439,11 +394,9 @@ impl Partitioning {
 
     /// Fraction of (weighted) edges cut by the partitioning.
     pub fn cut_fraction(&self, adj: &Adjacency) -> f64 {
-        let n = adj.num_nodes();
         let mut total = 0.0f64;
-        for i in 0..n {
-            for j in 0..n {
-                let w = adj.weight(i, j);
+        for i in 0..adj.num_nodes() {
+            for (j, w) in adj.row(i) {
                 if w > 0.0 && i != j {
                     total += w as f64;
                 }
@@ -456,32 +409,42 @@ impl Partitioning {
         }
     }
 
-    /// The halo-augmented induced subgraph of part `p`: owned nodes first,
-    /// then halo nodes within `halo_depth` hops (the neighbors partition-
-    /// boundary diffusion convolutions need — depth should be ≥ the model's
-    /// diffusion steps K).
-    pub fn subgraph(&self, adj: &Adjacency, p: usize, halo_depth: usize) -> Subgraph {
-        subgraph_from_owned(adj, p, self.part_nodes(p), halo_depth)
-    }
-
-    /// All `k` halo-augmented subgraphs. Owned-node lists come from one
-    /// [`Partitioning::nodes_by_part`] pass instead of `k` full
-    /// assignment rescans.
+    /// The halo-augmented induced subgraph of every part: owned nodes
+    /// first, then halo nodes within `halo_depth` hops (the neighbors
+    /// partition-boundary diffusion convolutions need — depth should be ≥
+    /// the model's diffusion steps K). Owned-node lists come from one
+    /// [`Partitioning::nodes_by_part`] pass and every halo from one
+    /// undirected view of `adj`: `O(k·N + E)` overall.
     pub fn subgraphs(&self, adj: &Adjacency, halo_depth: usize) -> Vec<Subgraph> {
+        let topology = SparseGraph::from_adjacency(adj);
         self.nodes_by_part()
             .into_iter()
             .enumerate()
-            .map(|(p, owned)| subgraph_from_owned(adj, p, owned, halo_depth))
+            .map(|(part, mut nodes)| {
+                let owned_count = nodes.len();
+                nodes.extend(halo_nodes(&topology, &nodes, halo_depth));
+                Subgraph {
+                    part,
+                    owned_count,
+                    adjacency: induced_subgraph(adj, &nodes),
+                    global_ids: nodes,
+                }
+            })
             .collect()
     }
 
     /// Replication factor: `Σ_p |owned_p ∪ halo_p| / n` — how much node
     /// (and therefore feature) duplication the partitioned layout pays.
-    pub fn replication_factor(&self, adj: &Adjacency, halo_depth: usize) -> f64 {
+    pub fn replication_factor<'a>(
+        &self,
+        graph: impl Into<Cow<'a, SparseGraph>>,
+        halo_depth: usize,
+    ) -> f64 {
+        let g = graph.into();
         let total: usize = self
-            .subgraphs(adj, halo_depth)
+            .nodes_by_part()
             .iter()
-            .map(|s| s.global_ids.len())
+            .map(|owned| owned.len() + halo_nodes(&*g, owned, halo_depth).len())
             .sum();
         total as f64 / self.num_nodes() as f64
     }
@@ -554,16 +517,10 @@ impl HaloCostModel {
         (2 * self.horizon).saturating_sub(1) as u64
     }
 
-    /// Modeled halo bytes of `p` over `adj`:
+    /// Modeled halo bytes of `p` over `graph`:
     /// `cut_neighbors × (2·horizon − 1) × row_bytes`.
-    pub fn halo_bytes(&self, adj: &Adjacency, p: &Partitioning) -> u64 {
-        p.cut_neighbors(adj) as u64 * self.reads_per_cut_neighbor() * self.row_bytes
-    }
-
-    /// [`HaloCostModel::halo_bytes`] over a [`SparseGraph`] — O(E), for
-    /// graphs too large to densify.
-    pub fn halo_bytes_sparse(&self, g: &SparseGraph, p: &Partitioning) -> u64 {
-        p.cut_neighbors_sparse(g) as u64 * self.reads_per_cut_neighbor() * self.row_bytes
+    pub fn halo_bytes<'a>(&self, graph: impl Into<Cow<'a, SparseGraph>>, p: &Partitioning) -> u64 {
+        p.cut_neighbors(graph) as u64 * self.reads_per_cut_neighbor() * self.row_bytes
     }
 }
 
@@ -676,40 +633,19 @@ impl PartitionerKind {
     }
 }
 
-/// One coarsening level: undirected weighted neighbor lists plus node
-/// weights (the number of finest-level nodes each coarse node stands for).
+/// One coarsening level: the level's undirected graph plus node weights
+/// (the number of finest-level nodes each coarse node stands for).
 struct CoarseGraph {
+    /// Undirected neighbor lists with summed weights.
+    graph: SparseGraph,
     /// Per-node accumulated fine-node count.
     node_weight: Vec<usize>,
-    /// Undirected neighbor lists `(neighbor, summed weight)`.
-    adj: Vec<Vec<(usize, f32)>>,
     /// For levels produced by contraction: finer-level node → this level's
     /// node. Empty at the finest level.
     fine_to_coarse: Vec<usize>,
 }
 
 impl CoarseGraph {
-    fn from_adjacency(adj: &Adjacency) -> Self {
-        let n = adj.num_nodes();
-        let mut lists = vec![Vec::new(); n];
-        for (i, list) in lists.iter_mut().enumerate() {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let w = adj.weight(i, j) + adj.weight(j, i);
-                if w > 0.0 {
-                    list.push((j, w));
-                }
-            }
-        }
-        CoarseGraph {
-            node_weight: vec![1; n],
-            adj: lists,
-            fine_to_coarse: Vec::new(),
-        }
-    }
-
     fn len(&self) -> usize {
         self.node_weight.len()
     }
@@ -724,7 +660,9 @@ impl CoarseGraph {
             if mate[u] != usize::MAX {
                 continue;
             }
-            let heaviest = self.adj[u]
+            let heaviest = self
+                .graph
+                .neighbors(u)
                 .iter()
                 .filter(|&&(v, _)| mate[v] == usize::MAX && v != u)
                 .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
@@ -754,7 +692,7 @@ impl CoarseGraph {
         for u in 0..n {
             let cu = coarse_of[u];
             node_weight[cu] += self.node_weight[u];
-            for &(v, w) in &self.adj[u] {
+            for &(v, w) in self.graph.neighbors(u) {
                 let cv = coarse_of[v];
                 if cu != cv {
                     // Each undirected fine edge is visited from both ends;
@@ -763,109 +701,25 @@ impl CoarseGraph {
                 }
             }
         }
-        let adj = maps
+        let lists = maps
             .into_iter()
             .map(|m| m.into_iter().map(|(v, w)| (v, w as f32)).collect())
             .collect();
         (
             CoarseGraph {
+                graph: SparseGraph::from_lists(lists),
                 node_weight,
-                adj,
                 fine_to_coarse: Vec::new(),
             },
             coarse_of,
         )
     }
 
-    /// Seeded weighted region growing (the coarse analogue of
-    /// [`Partitioning::greedy_bfs`]): farthest-first seeds rotated by
-    /// `seed`, regions claim neighbors round-robin under the weight cap,
-    /// stranded nodes fall back to the lightest part.
-    fn grow_regions(&self, k: usize, cap: usize, seed: u64) -> Vec<usize> {
-        let n = self.len();
-        // Prime stride: distinct starts for every candidate seed unless n
-        // is a multiple of 7919 (far beyond the coarsest-graph sizes).
-        let start = (seed as usize * 7919) % n;
-        let mut seeds = vec![start];
-        let mut dist = self.hop_distances(start);
-        while seeds.len() < k.min(n) {
-            let next = (0..n)
-                .filter(|i| !seeds.contains(i))
-                .max_by_key(|&i| dist[i])
-                .expect("k <= n leaves a candidate");
-            seeds.push(next);
-            let d2 = self.hop_distances(next);
-            for i in 0..n {
-                dist[i] = dist[i].min(d2[i]);
-            }
-        }
-        let mut assignment = vec![usize::MAX; n];
-        let mut weight = vec![0usize; k];
-        let mut frontiers: Vec<VecDeque<usize>> =
-            seeds.iter().map(|&s| VecDeque::from([s])).collect();
-        frontiers.resize(k, VecDeque::new());
-        for (p, &s) in seeds.iter().enumerate() {
-            assignment[s] = p;
-            weight[p] = self.node_weight[s];
-        }
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for p in 0..k {
-                if weight[p] >= cap {
-                    continue;
-                }
-                while let Some(u) = frontiers[p].pop_front() {
-                    let mut claimed = false;
-                    for &(v, _) in &self.adj[u] {
-                        if assignment[v] == usize::MAX && weight[p] + self.node_weight[v] <= cap {
-                            assignment[v] = p;
-                            weight[p] += self.node_weight[v];
-                            frontiers[p].push_back(v);
-                            claimed = true;
-                            progress = true;
-                            if weight[p] >= cap {
-                                break;
-                            }
-                        }
-                    }
-                    if claimed {
-                        frontiers[p].push_back(u);
-                        break;
-                    }
-                }
-            }
-        }
-        for (u, a) in assignment.iter_mut().enumerate() {
-            if *a == usize::MAX {
-                let p = (0..k).min_by_key(|&p| weight[p]).unwrap();
-                *a = p;
-                weight[p] += self.node_weight[u];
-            }
-        }
-        assignment
-    }
-
-    fn hop_distances(&self, src: usize) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.len()];
-        dist[src] = 0;
-        let mut q = VecDeque::from([src]);
-        while let Some(u) = q.pop_front() {
-            for &(v, _) in &self.adj[u] {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    q.push_back(v);
-                }
-            }
-        }
-        dist
-    }
-
     /// Total weight of cut edges under `assignment`.
     fn cut_weight(&self, assignment: &[usize]) -> f64 {
         let mut cut = 0.0f64;
-        for (u, list) in self.adj.iter().enumerate() {
-            for &(v, w) in list {
+        for u in 0..self.len() {
+            for &(v, w) in self.graph.neighbors(u) {
                 if u < v && assignment[u] != assignment[v] {
                     cut += w as f64;
                 }
@@ -899,7 +753,7 @@ impl CoarseGraph {
                 }
                 // Connectivity of u to each part.
                 let mut conn = vec![0.0f32; k];
-                for &(v, w) in &self.adj[u] {
+                for &(v, w) in self.graph.neighbors(u) {
                     conn[assignment[v]] += w;
                 }
                 for to in 0..k {
@@ -949,7 +803,8 @@ fn balance_cap(n: usize, k: usize, balance: f64) -> usize {
 /// one to give away during rebalancing.
 fn cheapest_node(g: &CoarseGraph, assignment: &[usize], part: usize) -> usize {
     let internal = |x: usize| -> f32 {
-        g.adj[x]
+        g.graph
+            .neighbors(x)
             .iter()
             .filter(|&&(v, _)| assignment[v] == part)
             .map(|&(_, w)| w)
@@ -1003,47 +858,91 @@ fn rebalance(g: &CoarseGraph, assignment: &mut [usize], k: usize, cap: usize) {
     }
 }
 
-/// Undirected neighbor lists over non-zero weights (either direction).
-fn undirected_neighbors(adj: &Adjacency) -> Vec<Vec<usize>> {
-    let n = adj.num_nodes();
-    let mut out = vec![Vec::new(); n];
-    for (i, neighbors) in out.iter_mut().enumerate() {
-        for j in 0..n {
-            if i != j && (adj.weight(i, j) > 0.0 || adj.weight(j, i) > 0.0) {
-                neighbors.push(j);
-            }
-        }
-    }
-    out
-}
-
-/// Greedy farthest-first seed spreading over hop distance.
-fn farthest_first_seeds(neighbors: &[Vec<usize>], k: usize) -> Vec<usize> {
-    let n = neighbors.len();
-    let mut seeds = vec![0usize];
-    let mut dist = bfs_distances(neighbors, 0);
-    while seeds.len() < k {
-        // Unreachable nodes (usize::MAX) are the farthest of all — picking
-        // them first gives every component a seed.
+/// Seeded region growing — the one grower behind
+/// [`Partitioning::greedy_bfs`], the multilevel initial partitions (over a
+/// coarse level's accumulated node weights) and
+/// [`IncrementalPartitioner::partition_fresh`]: `k` seeds are spread
+/// farthest-first over hop distance from `start`, regions claim unassigned
+/// neighbors round-robin in list order while their weight stays within
+/// `cap`, and stranded nodes (cut off from every region with room) fall
+/// back to the lightest part. Unreachable nodes rank farthest of all, so
+/// every component gets a seed before any gets two. Deterministic.
+fn grow_regions(
+    g: &SparseGraph,
+    node_weight: &[usize],
+    k: usize,
+    cap: usize,
+    start: usize,
+) -> Vec<usize> {
+    let n = g.num_nodes();
+    let mut seeds = vec![start];
+    let mut dist = hop_distances(g, start);
+    while seeds.len() < k.min(n) {
         let next = (0..n)
             .filter(|i| !seeds.contains(i))
             .max_by_key(|&i| dist[i])
             .expect("k <= n leaves a candidate");
         seeds.push(next);
-        let d2 = bfs_distances(neighbors, next);
+        let d2 = hop_distances(g, next);
         for i in 0..n {
             dist[i] = dist[i].min(d2[i]);
         }
     }
-    seeds
+    let mut assignment = vec![usize::MAX; n];
+    let mut weight = vec![0usize; k];
+    let mut frontiers: Vec<VecDeque<usize>> = seeds.iter().map(|&s| VecDeque::from([s])).collect();
+    frontiers.resize(k, VecDeque::new());
+    for (p, &s) in seeds.iter().enumerate() {
+        assignment[s] = p;
+        weight[p] = node_weight[s];
+    }
+    let mut progress = true;
+    while progress {
+        progress = false;
+        for p in 0..k {
+            if weight[p] >= cap {
+                continue;
+            }
+            while let Some(u) = frontiers[p].pop_front() {
+                let mut claimed = false;
+                for &(v, _) in g.neighbors(u) {
+                    if assignment[v] == usize::MAX && weight[p] + node_weight[v] <= cap {
+                        assignment[v] = p;
+                        weight[p] += node_weight[v];
+                        frontiers[p].push_back(v);
+                        claimed = true;
+                        progress = true;
+                        if weight[p] >= cap {
+                            break;
+                        }
+                    }
+                }
+                if claimed {
+                    // Revisit u later: it may still have unassigned
+                    // neighbors once other regions hit their caps.
+                    frontiers[p].push_back(u);
+                    break;
+                }
+            }
+        }
+    }
+    for (u, a) in assignment.iter_mut().enumerate() {
+        if *a == usize::MAX {
+            let p = (0..k).min_by_key(|&p| weight[p]).unwrap();
+            *a = p;
+            weight[p] += node_weight[u];
+        }
+    }
+    assignment
 }
 
-fn bfs_distances(neighbors: &[Vec<usize>], src: usize) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; neighbors.len()];
+/// Hop distance from `src` to every node (`usize::MAX` when unreachable).
+fn hop_distances(g: &SparseGraph, src: usize) -> Vec<usize> {
+    let mut dist = vec![usize::MAX; g.num_nodes()];
     dist[src] = 0;
     let mut q = VecDeque::from([src]);
     while let Some(u) = q.pop_front() {
-        for &v in &neighbors[u] {
+        for &(v, _) in g.neighbors(u) {
             if dist[v] == usize::MAX {
                 dist[v] = dist[u] + 1;
                 q.push_back(v);
@@ -1054,11 +953,20 @@ fn bfs_distances(neighbors: &[Vec<usize>], src: usize) -> Vec<usize> {
 }
 
 /// Nodes within `depth` hops of `owned` that are not themselves owned,
-/// ascending. Depth 0 returns an empty halo.
-pub fn halo_nodes(adj: &Adjacency, owned: &[usize], depth: usize) -> Vec<usize> {
-    let n = adj.num_nodes();
-    let neighbors = undirected_neighbors(adj);
-    let mut level = vec![usize::MAX; n];
+/// ascending. Depth 0 returns an empty halo; depths saturate at 254 hops.
+pub fn halo_nodes<'a>(
+    graph: impl Into<Cow<'a, SparseGraph>>,
+    owned: &[usize],
+    depth: usize,
+) -> Vec<usize> {
+    if owned.is_empty() || depth == 0 {
+        return Vec::new();
+    }
+    let g = graph.into();
+    // One byte per node (`u8::MAX` = unseen): a repair expands a few
+    // thousand dirty nodes of a 10⁵-node graph, so this array is the cost.
+    let depth = depth.min(usize::from(u8::MAX) - 1) as u8;
+    let mut level = vec![u8::MAX; g.num_nodes()];
     let mut q: VecDeque<usize> = VecDeque::new();
     for &o in owned {
         level[o] = 0;
@@ -1069,8 +977,8 @@ pub fn halo_nodes(adj: &Adjacency, owned: &[usize], depth: usize) -> Vec<usize> 
         if level[u] >= depth {
             continue;
         }
-        for &v in &neighbors[u] {
-            if level[v] == usize::MAX {
+        for &(v, _) in g.neighbors(u) {
+            if level[v] == u8::MAX {
                 level[v] = level[u] + 1;
                 halo.push(v);
                 q.push_back(v);
@@ -1081,39 +989,23 @@ pub fn halo_nodes(adj: &Adjacency, owned: &[usize], depth: usize) -> Vec<usize> 
     halo
 }
 
-/// Assemble one part's halo-augmented subgraph from its owned-node list
-/// (shared by [`Partitioning::subgraph`] and the one-pass
-/// [`Partitioning::subgraphs`]).
-fn subgraph_from_owned(
-    adj: &Adjacency,
-    p: usize,
-    owned: Vec<usize>,
-    halo_depth: usize,
-) -> Subgraph {
-    let halo = halo_nodes(adj, &owned, halo_depth);
-    let owned_count = owned.len();
-    let mut nodes = owned;
-    nodes.extend_from_slice(&halo);
-    let local_adj = induced_subgraph(adj, &nodes);
-    Subgraph {
-        part: p,
-        owned_count,
-        global_ids: nodes,
-        adjacency: local_adj,
-    }
-}
-
-/// The induced weighted adjacency over `nodes` (local indexing follows the
-/// order of `nodes`).
+/// The induced weighted adjacency over the distinct `nodes` (local
+/// indexing follows the order of `nodes`), in `O(N + E_induced)`.
 pub fn induced_subgraph(adj: &Adjacency, nodes: &[usize]) -> Adjacency {
-    let m = nodes.len();
-    let mut weights = vec![0.0f32; m * m];
+    let mut local = vec![usize::MAX; adj.num_nodes()];
     for (li, &gi) in nodes.iter().enumerate() {
-        for (lj, &gj) in nodes.iter().enumerate() {
-            weights[li * m + lj] = adj.weight(gi, gj);
-        }
+        assert_eq!(local[gi], usize::MAX, "node {gi} listed twice");
+        local[gi] = li;
     }
-    Adjacency::from_dense(m, weights)
+    let mut edges = Vec::new();
+    for (li, &gi) in nodes.iter().enumerate() {
+        edges.extend(
+            adj.row(gi)
+                .filter(|&(gj, _)| local[gj] != usize::MAX)
+                .map(|(gj, w)| (li, local[gj], w)),
+        );
+    }
+    Adjacency::from_edges(nodes.len(), &edges)
 }
 
 /// Recursive coordinate bisection helper: assign `ids` to `k` parts
@@ -1185,17 +1077,52 @@ mod tests {
     }
 
     #[test]
-    fn cut_neighbors_sparse_matches_dense_scan() {
-        let n = net();
-        let g = SparseGraph::from_adjacency(&n.adjacency);
-        for k in [2, 3, 5] {
-            let p = Partitioning::multilevel(&n.adjacency, k);
+    fn every_partitioner_applies_the_one_edge_rule() {
+        // Regression: `w(i,j) + w(j,i)` must be finite and positive to
+        // link i and j. A cancelling pair (1-2) used to be an edge for
+        // greedy_bfs but not for multilevel, and an infinite sum (3-4)
+        // reached an assert inside `SparseGraph`.
+        let n = 12;
+        let mut w = vec![0.0f32; n * n];
+        for i in 0..n - 1 {
+            w[i * n + i + 1] = 1.0;
+            w[(i + 1) * n + i] = 1.0;
+        }
+        let clean = {
+            let mut c = w.clone();
+            for (i, j) in [(1, 2), (2, 1), (3, 4), (4, 3), (6, 7), (7, 6)] {
+                c[i * n + j] = 0.0;
+            }
+            Adjacency::from_dense(n, c)
+        };
+        w[2 * n + 1] = -1.0;
+        w[3 * n + 4] = f32::INFINITY;
+        w[6 * n + 7] = f32::NAN;
+        let odd = Adjacency::from_dense(n, w);
+
+        let topology = SparseGraph::from_adjacency(&odd);
+        assert_eq!(topology.num_edges(), 8, "three of eleven links are no edge");
+        let coords: Vec<(f32, f32)> = (0..n).map(|i| (i as f32, 0.0)).collect();
+        for k in [2usize, 3, 4] {
+            for kind in [
+                PartitionerKind::Contiguous,
+                PartitionerKind::CoordinateBisection,
+                PartitionerKind::GreedyBfs,
+                PartitionerKind::Multilevel,
+            ] {
+                let got = kind.partition(&odd, Some(&coords), k, 3);
+                let want = kind.partition(&clean, Some(&coords), k, 3);
+                assert_eq!(got.assignment(), want.assignment(), "{kind:?} k={k}");
+                assert_eq!(got.cut_neighbors(&odd), want.cut_neighbors(&clean));
+            }
+            let fresh = |g| IncrementalPartitioner::partition_fresh(g, k, Default::default());
             assert_eq!(
-                p.cut_neighbors_sparse(&g),
-                p.cut_neighbors(&n.adjacency),
-                "k = {k}"
+                fresh(topology.clone()).assignment(),
+                fresh(SparseGraph::from_adjacency(&clean)).assignment(),
+                "partition_fresh k={k}"
             );
         }
+        assert!(GraphDelta::between(&odd, &clean).is_empty());
     }
 
     #[test]
@@ -1266,7 +1193,7 @@ mod tests {
     fn subgraph_orders_owned_first_and_keeps_weights() {
         let n = net();
         let p = Partitioning::coordinate_bisection(&n.coords, 2);
-        let sub = p.subgraph(&n.adjacency, 1, 1);
+        let sub = p.subgraphs(&n.adjacency, 1).swap_remove(1);
         assert_eq!(&sub.global_ids[..sub.owned_count], &p.part_nodes(1)[..]);
         // Induced weights match the global adjacency.
         for (li, &gi) in sub.global_ids.iter().enumerate() {
@@ -1329,7 +1256,7 @@ mod tests {
         assert_eq!(sizes.iter().sum::<usize>(), 8);
         assert_eq!(sizes.iter().filter(|&&s| s == 0).count(), 3);
         // Empty parts produce empty (but valid) subgraphs.
-        let sub = p.subgraph(&adj, 10, 1);
+        let sub = p.subgraphs(&adj, 1).swap_remove(10);
         assert_eq!(sub.num_nodes(), 0);
         assert_eq!(sub.halo_count(), 0);
     }

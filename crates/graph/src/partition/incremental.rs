@@ -1,4 +1,5 @@
-//! Incremental dirty-boundary re-partitioning for dynamic graphs.
+//! The undirected topology every partitioner runs on, and incremental
+//! dirty-boundary re-partitioning for dynamic graphs.
 //!
 //! The dynamic plane's `partition_timeline` historically re-ran the full
 //! multilevel partitioner on **every** graph mutation — fine at 325
@@ -7,8 +8,10 @@
 //! *repaired* locally around the mutated region, not rebuilt), this module
 //! maintains a partitioning **incrementally**:
 //!
-//! - [`SparseGraph`] — an undirected weighted adjacency-list graph that
-//!   scales to millions of nodes (the dense [`Adjacency`] is O(n²));
+//! - [`SparseGraph`] — undirected weighted adjacency lists: the one
+//!   topology type of the partitioning layer (region growing, multilevel
+//!   coarsening, halo expansion and every cut metric read it), built from
+//!   a directed [`Adjacency`] in `O(E)` or mutated in place;
 //! - [`GraphDelta`] — one mutation batch: edge weight changes (including
 //!   removals) plus node arrivals;
 //! - [`IncrementalPartitioner`] — holds the current assignment plus
@@ -27,17 +30,20 @@
 //! same count `Partitioning::cut_neighbors` recomputes in O(E) — a
 //! property-tested invariant.
 
-use super::{balance_cap, HaloCostModel, Partitioning};
-use crate::adjacency::Adjacency;
-use std::collections::VecDeque;
+use super::{balance_cap, grow_regions, halo_nodes, HaloCostModel, Partitioning};
+use crate::adjacency::{merge_ascending, Adjacency};
+use std::borrow::Cow;
 
-/// An undirected weighted graph stored as adjacency lists — the sparse
-/// substrate the incremental partitioner (and the city-scale benches)
-/// operate on, where the dense [`Adjacency`] would cost O(n²) memory.
+/// An undirected weighted graph stored as adjacency lists — the topology
+/// every partitioning routine runs on, at any scale (`O(N + E)` memory).
 ///
 /// Each undirected edge `{u, v}` appears in both endpoints' lists with the
 /// same weight; self-loops are rejected. Weights are non-negative, and a
-/// weight of exactly `0.0` means "no edge".
+/// weight of exactly `0.0` means "no edge". Region growing, BFS and
+/// refinement break ties in list order, so the order is part of the
+/// contract: [`SparseGraph::from_adjacency`] yields ascending lists,
+/// [`SparseGraph::from_edges`] insertion order, and a removal swaps the
+/// last neighbor into the vacated slot.
 #[derive(Debug, Clone, Default)]
 pub struct SparseGraph {
     adj: Vec<Vec<(usize, f32)>>,
@@ -47,27 +53,29 @@ pub struct SparseGraph {
 impl SparseGraph {
     /// An edgeless graph over `n` nodes.
     pub fn new(n: usize) -> Self {
-        SparseGraph {
-            adj: vec![Vec::new(); n],
-            edges: 0,
-        }
+        SparseGraph::from_lists(vec![Vec::new(); n])
     }
 
-    /// Sparsify a dense adjacency: the undirected weight of `{i, j}` is
-    /// `w(i,j) + w(j,i)` (both directions collapse, exactly as the
-    /// multilevel coarsener's `CoarseGraph` does); self-loops are dropped.
+    /// Adopt symmetric neighbor lists as they are.
+    pub(super) fn from_lists(adj: Vec<Vec<(usize, f32)>>) -> Self {
+        let edges = adj.iter().map(Vec::len).sum::<usize>() / 2;
+        SparseGraph { adj, edges }
+    }
+
+    /// The undirected view of a directed adjacency, in `O(E)`: nodes `i`
+    /// and `j` are linked with weight `w(i,j) + w(j,i)` when that sum is
+    /// finite and positive — the one edge rule of the partitioning layer
+    /// (a negative, cancelling, `NaN` or infinite sum is "no edge").
+    /// Self-loops are dropped; every neighbor list is ascending.
     pub fn from_adjacency(a: &Adjacency) -> Self {
-        let n = a.num_nodes();
-        let mut g = SparseGraph::new(n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let w = a.weight(i, j) + a.weight(j, i);
-                if w > 0.0 {
-                    g.set_edge(i, j, w);
-                }
+        let mut adj = vec![Vec::new(); a.num_nodes()];
+        a.zip_transpose(|i, j, w, back| {
+            let sum = w + back;
+            if i != j && sum.is_finite() && sum > 0.0 {
+                adj[i].push((j, sum));
             }
-        }
-        g
+        });
+        SparseGraph::from_lists(adj)
     }
 
     /// Build from an undirected edge list; duplicate `{u, v}` entries sum.
@@ -132,17 +140,16 @@ impl SparseGraph {
         self.adj.resize_with(self.adj.len() + count, Vec::new);
     }
 
-    /// Densify into an [`Adjacency`] carrying the undirected weight in
-    /// both directions — O(n²); intended for tests and small graphs only.
+    /// The directed [`Adjacency`] carrying every undirected weight in both
+    /// directions, in `O(E log E)`.
     pub fn to_adjacency(&self) -> Adjacency {
-        let n = self.num_nodes();
-        let mut w = vec![0.0f32; n * n];
-        for (u, list) in self.adj.iter().enumerate() {
-            for &(v, weight) in list {
-                w[u * n + v] = weight;
-            }
-        }
-        Adjacency::from_dense(n, w)
+        let edges: Vec<(usize, usize, f32)> = self
+            .adj
+            .iter()
+            .enumerate()
+            .flat_map(|(u, list)| list.iter().map(move |&(v, w)| (u, v, w)))
+            .collect();
+        Adjacency::from_edges(self.num_nodes(), &edges)
     }
 
     /// Update one endpoint's list; returns the previous weight.
@@ -168,6 +175,21 @@ impl SparseGraph {
     }
 }
 
+/// A graph already in list form is used as it is.
+impl<'a> From<&'a SparseGraph> for Cow<'a, SparseGraph> {
+    fn from(g: &'a SparseGraph) -> Self {
+        Cow::Borrowed(g)
+    }
+}
+
+/// A directed adjacency is viewed through [`SparseGraph::from_adjacency`],
+/// once per call of whatever takes it.
+impl<'a> From<&'a Adjacency> for Cow<'a, SparseGraph> {
+    fn from(a: &'a Adjacency) -> Self {
+        Cow::Owned(SparseGraph::from_adjacency(a))
+    }
+}
+
 /// One batch of graph mutations: node arrivals plus undirected edge
 /// weight updates. New nodes take ids `num_nodes()..num_nodes() +
 /// added_nodes` and may be referenced by this delta's own edges; a weight
@@ -187,22 +209,28 @@ impl GraphDelta {
         self.added_nodes == 0 && self.edges.is_empty()
     }
 
-    /// The edge delta between two same-sized dense adjacencies, in the
-    /// undirected `w(i,j) + w(j,i)` convention of
-    /// [`SparseGraph::from_adjacency`] — how `partition_timeline` turns a
-    /// pair of consecutive snapshots into a repairable mutation.
+    /// The edge delta between two same-sized adjacencies, in the undirected
+    /// convention of [`SparseGraph::from_adjacency`], ordered by `(i, j)`
+    /// with `i < j` — how `partition_timeline` turns a pair of consecutive
+    /// snapshots into a repairable mutation. `O(E)`.
     pub fn between(prev: &Adjacency, cur: &Adjacency) -> GraphDelta {
         let n = prev.num_nodes();
         assert_eq!(n, cur.num_nodes(), "adjacencies must match in size");
+        let (prev, cur) = (
+            SparseGraph::from_adjacency(prev),
+            SparseGraph::from_adjacency(cur),
+        );
+        // Fresh views have ascending lists: merge them row by row.
+        fn upper(g: &SparseGraph, i: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+            g.adj[i].iter().copied().filter(move |&(j, _)| j > i)
+        }
         let mut edges = Vec::new();
         for i in 0..n {
-            for j in (i + 1)..n {
-                let wp = prev.weight(i, j) + prev.weight(j, i);
-                let wc = cur.weight(i, j) + cur.weight(j, i);
-                if wp != wc {
-                    edges.push((i, j, wc));
+            merge_ascending(upper(&prev, i), upper(&cur, i), |j, was, now| {
+                if was != now {
+                    edges.push((i, j, now));
                 }
-            }
+            });
         }
         GraphDelta {
             added_nodes: 0,
@@ -340,7 +368,7 @@ pub struct RepairStats {
 /// let before = inc.halo_bytes();
 /// let stats = inc.apply_delta(&GraphDelta { added_nodes: 0, edges: vec![(0, 5, 2.0)] });
 /// assert!(!stats.rebuilt && stats.halo_bytes >= before);
-/// assert_eq!(inc.cut_neighbors(), inc.partitioning().cut_neighbors(&inc.graph().to_adjacency()));
+/// assert_eq!(inc.cut_neighbors(), inc.partitioning().cut_neighbors(inc.graph()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalPartitioner {
@@ -395,7 +423,7 @@ impl IncrementalPartitioner {
             return s;
         }
         let cap = balance_cap(n, k, cfg.balance);
-        let assignment = grow_regions_sparse(&graph, k, cap);
+        let assignment = grow_regions(&graph, &vec![1; n], k, cap, 0);
         let mut s = Self::from_assignment(graph, assignment, k, cfg);
         let all: Vec<usize> = (0..n).collect();
         s.refine(&all, cap);
@@ -430,7 +458,10 @@ impl IncrementalPartitioner {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        let active = self.expand_halo(&dirty);
+        // The active set: mutated endpoints plus their halo, ascending.
+        let mut active = halo_nodes(&self.graph, &dirty, self.cfg.halo_depth);
+        active.extend_from_slice(&dirty);
+        active.sort_unstable();
         let cap = balance_cap(self.graph.num_nodes(), self.k, self.cfg.balance);
         let moves = self.refine(&active, cap);
         let mut rebuilt = false;
@@ -627,36 +658,6 @@ impl IncrementalPartitioner {
         }
     }
 
-    /// Mutated endpoints plus their `halo_depth`-hop halo, ascending.
-    fn expand_halo(&self, dirty: &[usize]) -> Vec<usize> {
-        if dirty.is_empty() || self.cfg.halo_depth == 0 {
-            return dirty.to_vec();
-        }
-        let n = self.graph.num_nodes();
-        let mut level = vec![u8::MAX; n];
-        let mut q: VecDeque<usize> = VecDeque::new();
-        for &d in dirty {
-            level[d] = 0;
-            q.push_back(d);
-        }
-        let depth = self.cfg.halo_depth.min(u8::MAX as usize - 1) as u8;
-        let mut out = dirty.to_vec();
-        while let Some(u) = q.pop_front() {
-            if level[u] >= depth {
-                continue;
-            }
-            for &(v, _) in self.graph.neighbors(u) {
-                if level[v] == u8::MAX {
-                    level[v] = level[u] + 1;
-                    out.push(v);
-                    q.push_back(v);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Greedy KL/FM passes restricted to `active`: each node may move to a
     /// contacted part of strictly positive halo gain, subject to the
     /// balance cap and the no-empty-part rule. The integer cut-neighbor
@@ -723,92 +724,6 @@ fn bump(contacts: &mut Vec<(usize, u32)>, p: usize, delta: i32) -> u32 {
     }
 }
 
-/// Farthest-first seeded region growing over the sparse graph under a
-/// balance cap — the sparse analogue of `Partitioning::greedy_bfs`, with
-/// stranded nodes falling back to the smallest part. Deterministic.
-fn grow_regions_sparse(g: &SparseGraph, k: usize, cap: usize) -> Vec<usize> {
-    let n = g.num_nodes();
-    let seeds = farthest_first_sparse(g, k);
-    let mut assignment = vec![usize::MAX; n];
-    let mut sizes = vec![0usize; k];
-    let mut frontiers: Vec<VecDeque<usize>> = seeds.iter().map(|&s| VecDeque::from([s])).collect();
-    for (p, &s) in seeds.iter().enumerate() {
-        assignment[s] = p;
-        sizes[p] = 1;
-    }
-    let mut progress = true;
-    while progress {
-        progress = false;
-        for p in 0..k {
-            if sizes[p] >= cap {
-                continue;
-            }
-            while let Some(u) = frontiers[p].pop_front() {
-                let mut claimed = false;
-                for &(v, _) in g.neighbors(u) {
-                    if assignment[v] == usize::MAX {
-                        assignment[v] = p;
-                        sizes[p] += 1;
-                        frontiers[p].push_back(v);
-                        claimed = true;
-                        progress = true;
-                        if sizes[p] >= cap {
-                            break;
-                        }
-                    }
-                }
-                if claimed {
-                    frontiers[p].push_back(u);
-                    break;
-                }
-            }
-        }
-    }
-    for a in assignment.iter_mut() {
-        if *a == usize::MAX {
-            let p = (0..k).min_by_key(|&p| sizes[p]).unwrap();
-            *a = p;
-            sizes[p] += 1;
-        }
-    }
-    assignment
-}
-
-/// Greedy farthest-first seed spreading over hop distance (sparse BFS);
-/// unreachable nodes rank farthest so every component gets a seed first.
-fn farthest_first_sparse(g: &SparseGraph, k: usize) -> Vec<usize> {
-    let n = g.num_nodes();
-    let mut seeds = vec![0usize];
-    let mut dist = bfs_sparse(g, 0);
-    while seeds.len() < k.min(n) {
-        let next = (0..n)
-            .filter(|i| !seeds.contains(i))
-            .max_by_key(|&i| dist[i])
-            .expect("k <= n leaves a candidate");
-        seeds.push(next);
-        let d2 = bfs_sparse(g, next);
-        for i in 0..n {
-            dist[i] = dist[i].min(d2[i]);
-        }
-    }
-    seeds
-}
-
-fn bfs_sparse(g: &SparseGraph, src: usize) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; g.num_nodes()];
-    dist[src] = 0;
-    let mut q = VecDeque::from([src]);
-    while let Some(u) = q.pop_front() {
-        for &(v, _) in g.neighbors(u) {
-            if dist[v] == usize::MAX {
-                dist[v] = dist[u] + 1;
-                q.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,19 +749,27 @@ mod tests {
     }
 
     #[test]
-    fn from_adjacency_matches_dense_neighbors() {
+    fn from_adjacency_lists_ascend_and_sum_both_directions() {
+        // Refinement, BFS and region growing break ties in list order.
         let net = random_geometric(24, 8.0, 3);
         let g = SparseGraph::from_adjacency(&net.adjacency);
         for u in 0..24 {
-            let dense: Vec<usize> = (0..24)
-                .filter(|&v| {
-                    v != u && (net.adjacency.weight(u, v) > 0.0 || net.adjacency.weight(v, u) > 0.0)
-                })
-                .collect();
-            let mut sparse: Vec<usize> = g.neighbors(u).iter().map(|&(v, _)| v).collect();
-            sparse.sort_unstable();
-            assert_eq!(sparse, dense, "node {u}");
+            assert!(g.neighbors(u).windows(2).all(|w| w[0].0 < w[1].0), "{u}");
+            for v in 0..24 {
+                let sum = net.adjacency.weight(u, v) + net.adjacency.weight(v, u);
+                let want = if v != u && sum > 0.0 { sum } else { 0.0 };
+                assert_eq!(g.edge_weight(u, v).to_bits(), want.to_bits(), "{u}-{v}");
+            }
         }
+        let links: usize = (0..24).map(|u| g.degree(u)).sum();
+        assert_eq!(g.num_edges() * 2, links);
+        // A one-directional edge links both ends; its round trip is symmetric.
+        let one_way = Adjacency::from_edges(3, &[(2, 0, 0.5), (1, 1, 9.0)]);
+        let g = SparseGraph::from_adjacency(&one_way);
+        assert_eq!(g.neighbors(0), &[(2, 0.5)]);
+        assert_eq!(g.degree(1), 0, "self-loops are dropped");
+        let back = g.to_adjacency();
+        assert_eq!((back.weight(0, 2), back.weight(2, 0)), (0.5, 0.5));
     }
 
     #[test]
@@ -984,7 +907,7 @@ mod tests {
     #[test]
     fn delta_between_adjacencies_roundtrips() {
         let a = random_geometric(16, 6.0, 2).adjacency;
-        let mut w = a.weights().to_vec();
+        let mut w = a.to_dense();
         w[3 * 16 + 5] = 9.0; // mutate one directed edge
         w[7 * 16 + 1] = 0.0;
         w[16 + 7] = 0.0;

@@ -11,13 +11,12 @@ use crate::csr::Csr;
 
 /// Forward random-walk transition matrix `D_o⁻¹ A` as CSR.
 pub fn random_walk(adj: &Adjacency) -> Csr {
-    let n = adj.num_nodes();
     let deg = adj.out_degrees();
     let inv: Vec<f32> = deg
         .iter()
         .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
         .collect();
-    Csr::from_dense(n, n, adj.weights()).scale_rows(&inv)
+    adj.csr().scale_rows(&inv)
 }
 
 /// Reverse random-walk transition matrix `D_i⁻¹ Aᵀ` as CSR.
@@ -56,36 +55,35 @@ pub fn diffusion_supports(adj: &Adjacency, max_step: usize) -> Vec<Csr> {
 /// `D̃^{-1/2} (A + I) D̃^{-1/2}`, used by GCN-style layers (A3T-GCN/TGCN).
 pub fn sym_norm_adjacency(adj: &Adjacency) -> Csr {
     let n = adj.num_nodes();
-    let mut w = adj.symmetrized().weights().to_vec();
+    let mut edges: Vec<(usize, usize, f32)> = Vec::with_capacity(adj.num_edges() + n);
+    let sym = adj.symmetrized();
     for i in 0..n {
-        w[i * n + i] += 1.0;
+        edges.extend(sym.row(i).map(|(j, w)| (i, j, w)));
+        edges.push((i, i, 1.0));
     }
-    let mut deg = vec![0.0f32; n];
-    for i in 0..n {
-        deg[i] = w[i * n..(i + 1) * n].iter().sum();
-    }
-    let inv_sqrt: Vec<f32> = deg
+    let with_loops = Adjacency::from_edges(n, &edges);
+    let inv_sqrt: Vec<f32> = with_loops
+        .out_degrees()
         .iter()
         .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
         .collect();
+    edges.clear();
     for i in 0..n {
-        for j in 0..n {
-            w[i * n + j] *= inv_sqrt[i] * inv_sqrt[j];
-        }
+        edges.extend(
+            with_loops
+                .row(i)
+                .map(|(j, w)| (i, j, w * (inv_sqrt[i] * inv_sqrt[j]))),
+        );
     }
-    Csr::from_dense(n, n, &w)
+    Csr::from_triplets(n, n, &edges)
 }
 
 /// Scaled graph Laplacian `2L/λ_max − I` with `L = I − D^{-1/2} A D^{-1/2}`,
 /// using the common `λ_max ≈ 2` approximation (Chebyshev-style layers).
 pub fn scaled_laplacian(adj: &Adjacency) -> Csr {
-    let n = adj.num_nodes();
-    let sym = sym_norm_adjacency(adj);
     // L_scaled ≈ (I - Asym) - I = -Asym  (with lambda_max = 2):
     // 2/2 * (I - Asym) - I = -Asym.
-    let dense = sym.to_dense().to_vec();
-    let neg: Vec<f32> = dense.iter().map(|v| -v).collect();
-    Csr::from_dense(n, n, &neg)
+    sym_norm_adjacency(adj).scale_rows(&vec![-1.0; adj.num_nodes()])
 }
 
 #[cfg(test)]

@@ -14,11 +14,11 @@ use pgt_i::core::baseline_ddp::run_baseline_ddp;
 use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
 use pgt_i::core::dynamic_index::{train_dynamic, DynamicTrainConfig};
 use pgt_i::core::gen_dist_index::run_generalized;
-use pgt_i::core::partitioned::{run_partitioned, PartitionStrategy, PartitionedConfig};
+use pgt_i::core::partitioned::{run_partitioned, PartitionedConfig};
 use pgt_i::core::workflow::pgt_dcrnn_factory;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::synthetic;
-use pgt_i::graph::diffusion_supports;
+use pgt_i::graph::{diffusion_supports, PartitionerKind};
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 
 /// The pipelined-engine sweep every golden must survive unchanged: the
@@ -170,8 +170,8 @@ fn partitioned_plane_reproduces_the_sequential_trainer_loop() {
     cfg.batch_size = 4;
     // Pin the strategy the golden was captured under (the config default
     // moved to the multilevel partitioner afterwards).
-    cfg.strategy = PartitionStrategy::GreedyBfs;
-    let r = run_partitioned(&sig, &cfg);
+    cfg.partitioner = PartitionerKind::GreedyBfs;
+    let r = run_partitioned(&sig, None, &cfg);
     assert_eq!(r.combined_val_mae.to_bits(), 2.156524f32.to_bits());
     let vals: Vec<u32> = r.parts.iter().map(|p| p.val_mae.to_bits()).collect();
     assert_eq!(vals, vec![2.8321512f32.to_bits(), 1.4808966f32.to_bits()]);

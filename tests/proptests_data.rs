@@ -216,9 +216,9 @@ fn partitioned_plane_is_bitwise_storage_invariant() {
     let (spec, sig) = setup();
     let mut cfg = PartitionedConfig::new(2, spec.horizon);
     cfg.epochs = 2;
-    let mem = run_partitioned(&sig, &cfg);
+    let mem = run_partitioned(&sig, None, &cfg);
     cfg.storage = tiny_chunked();
-    let chunked = run_partitioned(&sig, &cfg);
+    let chunked = run_partitioned(&sig, None, &cfg);
     assert_eq!(
         mem.combined_val_mae.to_bits(),
         chunked.combined_val_mae.to_bits(),
