@@ -178,7 +178,11 @@ pub struct DistEpochStats {
     /// Rank 0's wall seconds inside compute kernels this epoch, split by
     /// class ([`st_device::KernelSplit`]: gemm / spmm / elementwise). Real
     /// measured time on the host, not modeled seconds — the knob for
-    /// judging where the tiled backend's wins land.
+    /// judging where the tiled backend's wins land. Its `pooled_calls` /
+    /// `inline_calls` say whether the rank's kernels used intra-op threads
+    /// this epoch and how often (every rank runs at the same width, so
+    /// rank 0 speaks for all): all inline means the ranks covered the
+    /// cores or no kernel reached `par_threshold`.
     pub kernel_split: st_device::KernelSplit,
 }
 
@@ -373,6 +377,11 @@ mod tests {
             assert!(ks.gemm_secs > 0.0, "epoch {} saw no gemm time", e.epoch);
             assert!(ks.total_secs() >= ks.gemm_secs);
             assert!(ks.spmm_secs >= 0.0 && ks.elementwise_secs >= 0.0);
+            assert!(
+                ks.pooled_calls + ks.inline_calls > 0,
+                "epoch {} counted no kernel dispatch",
+                e.epoch
+            );
         }
     }
 

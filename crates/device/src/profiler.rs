@@ -15,7 +15,8 @@
 use crate::memory::MemPool;
 
 /// Cumulative kernel seconds by class, as reported by the calling thread's
-/// `st_tensor` backend counters.
+/// `st_tensor` backend counters, and how often its kernels used the
+/// intra-op thread pool.
 ///
 /// Snapshots are *cumulative marks*; subtract two of them
 /// ([`KernelSplit::since`]) to get the time spent inside each kernel class
@@ -30,16 +31,25 @@ pub struct KernelSplit {
     pub spmm_secs: f64,
     /// Seconds inside elementwise map/zip and fused gate kernels.
     pub elementwise_secs: f64,
+    /// Data-parallel kernel calls this thread split over the intra-op pool
+    /// ([`st_tensor::par::dispatch_calls`]): zero means its width was 1 or
+    /// no call reached the threshold.
+    pub pooled_calls: u64,
+    /// Data-parallel kernel calls this thread ran inline.
+    pub inline_calls: u64,
 }
 
 impl KernelSplit {
     /// Snapshot the calling thread's cumulative kernel-time counters.
     pub fn snapshot() -> Self {
         let [gemm, spmm, elementwise] = st_tensor::backend::kernel_secs();
+        let [pooled, inline] = st_tensor::par::dispatch_calls();
         KernelSplit {
             gemm_secs: gemm,
             spmm_secs: spmm,
             elementwise_secs: elementwise,
+            pooled_calls: pooled,
+            inline_calls: inline,
         }
     }
 
@@ -49,6 +59,8 @@ impl KernelSplit {
             gemm_secs: self.gemm_secs - mark.gemm_secs,
             spmm_secs: self.spmm_secs - mark.spmm_secs,
             elementwise_secs: self.elementwise_secs - mark.elementwise_secs,
+            pooled_calls: self.pooled_calls - mark.pooled_calls,
+            inline_calls: self.inline_calls - mark.inline_calls,
         }
     }
 
@@ -153,6 +165,10 @@ mod tests {
         let _ = st_tensor::ops::matmul(&a, &a).unwrap();
         let after = KernelSplit::snapshot();
         let delta = after.since(&before);
+        assert!(
+            delta.pooled_calls + delta.inline_calls >= 1,
+            "a matmul makes a dispatch decision"
+        );
         assert!(delta.gemm_secs >= 0.0);
         assert!(after.gemm_secs >= before.gemm_secs);
         assert!(

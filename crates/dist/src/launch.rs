@@ -21,6 +21,7 @@
 
 use crate::topology::ClusterTopology;
 use st_device::{CostModel, SimClock};
+use st_tensor::par;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
@@ -277,7 +278,9 @@ impl Comm {
     }
 }
 
-/// Per-worker context handed to the `run_workers` closure.
+/// Per-worker context handed to the `run_workers` closure. The thread it is
+/// handed to already runs at the rank's intra-op width (see
+/// [`run_workers`]).
 pub struct WorkerCtx {
     /// Collective communicator bound to this rank.
     pub comm: Comm,
@@ -303,6 +306,15 @@ impl WorkerCtx {
 ///
 /// The closure is shared (`Fn + Sync`) and may borrow from the caller;
 /// results only need `Send`.
+///
+/// **Width contract.** The ranks share their caller's intra-op thread
+/// budget instead of each taking the whole machine: every rank thread runs
+/// `f` at [`st_tensor::par::width`] = `max(1, caller's width / world)` —
+/// from an unbudgeted thread that is `max(1, num_threads() / world)`, the
+/// paper's one worker per device with a fixed share of the host. The width
+/// is derived, never configured; it changes how kernels are chunked and
+/// never a result bit. `world == 1` runs on the calling thread and keeps
+/// its width, and the caller's own width is unchanged on return.
 pub fn run_workers<F, R>(world: usize, topology: ClusterTopology, f: F) -> Vec<R>
 where
     F: Fn(WorkerCtx) -> R + Sync,
@@ -314,6 +326,7 @@ where
         return vec![run_single(topology, f)];
     }
     let hub = Arc::new(CommHub::new(world, topology));
+    let width = par::width() / world;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..world)
             .map(|rank| {
@@ -326,7 +339,7 @@ where
                         hub,
                         clock: clock.clone(),
                     };
-                    f(WorkerCtx { comm, clock })
+                    par::with_width(width, || f(WorkerCtx { comm, clock }))
                 })
             })
             .collect();

@@ -142,16 +142,18 @@ pub struct QueryResult {
 
 /// One rejected query: the typed refusal the serving plane hands back in
 /// place of a result — either admission control shed it
-/// ([`ShedReason::QueueFull`] / [`ShedReason::DeadlineUnmeetable`]) or
-/// its window is not servable against the live ring
-/// ([`ShedReason::WindowEvicted`] / [`ShedReason::NotYetServable`]).
+/// ([`ShedReason::QueueFull`] / [`ShedReason::DeadlineUnmeetable`]), its
+/// window is not servable against the live ring
+/// ([`ShedReason::WindowEvicted`] / [`ShedReason::NotYetServable`]), or it
+/// names a node the snapshot does not have ([`ShedReason::UnknownNode`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rejection {
     /// The caller-side id from the [`Query`].
     pub id: usize,
     /// The queried node.
     pub node: usize,
-    /// The shard that owns (and refused) the query.
+    /// The shard that owns (and refused) the query; 0 for an
+    /// [`ShedReason::UnknownNode`], which no shard owns.
     pub shard: usize,
     /// The requested window end.
     pub window_end: usize,
@@ -482,67 +484,72 @@ impl BatchedServer {
     /// SLO: route each to its owning shard, run SLO admission control
     /// over each shard's micro-batch queue, and replay the admitted
     /// schedule as batched tape-free forwards concurrently across
-    /// shards. Unservable windows (evicted / not yet ingested) are
-    /// rejected before routing; every query lands in exactly one of
-    /// [`ServeReport::results`] / [`ServeReport::rejections`].
+    /// shards. Unknown nodes and unservable windows (evicted / not yet
+    /// ingested) are rejected before routing; every query lands in exactly
+    /// one of [`ServeReport::results`] / [`ServeReport::rejections`].
     pub fn serve_slo(&self, queries: &[Query], slo: &SloConfig) -> ServeReport {
         let horizon = self.snapshot.config.horizon;
         let nodes = self.snapshot.config.num_nodes;
         let features = self.snapshot.config.input_dim;
-        for q in queries {
-            assert!(
-                q.node < nodes,
-                "query {} names node {} of {nodes}",
-                q.id,
-                q.node
-            );
-        }
 
-        // Pre-routing servability: a window the ring cannot produce is a
-        // typed rejection, not a panic in a worker thread.
+        // Pre-routing servability: a node the snapshot does not have or a
+        // window the ring cannot produce is a typed rejection, not a panic
+        // in the caller or in a worker thread.
         let mut pre_rejected: Vec<(usize, Rejection)> = Vec::new();
         // Static routing: shard r sees only its owned nodes' servable
         // requests, in arrival order (`PendingRequest::id` is the index
         // into `queries`).
         let mut routed = vec![Vec::new(); self.cfg.shards];
         for (idx, q) in queries.iter().enumerate() {
-            let shard = self.owner_of(q.node);
-            match self.window.window_status(q.window_end, horizon) {
-                Ok(()) => routed[shard].push(PendingRequest {
+            // The owning shard (0 by convention for a node no shard owns)
+            // and, if the query cannot be served, why.
+            let (shard, refusal) = if q.node >= nodes {
+                let reason = ShedReason::UnknownNode {
+                    node: q.node,
+                    nodes,
+                };
+                (0, Some(reason))
+            } else {
+                let refusal = match self.window.window_status(q.window_end, horizon) {
+                    Ok(()) => None,
+                    Err(ServeError::WindowEvicted {
+                        window_end,
+                        oldest_retained,
+                        ..
+                    }) => Some(ShedReason::WindowEvicted {
+                        window_end,
+                        oldest_retained,
+                    }),
+                    Err(ServeError::NotYetServable {
+                        window_end,
+                        admitted,
+                    }) => Some(ShedReason::NotYetServable {
+                        window_end,
+                        admitted,
+                    }),
+                    // `window_status` can also say `BadHorizon`, but the
+                    // horizon passed above is the snapshot's own, not the
+                    // query's: unreachable from caller input.
+                    Err(other) => panic!("unservable query {}: {other}", q.id),
+                };
+                (self.owner_of(q.node), refusal)
+            };
+            match refusal {
+                None => routed[shard].push(PendingRequest {
                     id: idx,
                     arrival_secs: q.arrival_secs,
                     window_end: q.window_end,
                 }),
-                Err(e) => {
-                    let reason = match e {
-                        ServeError::WindowEvicted {
-                            window_end,
-                            oldest_retained,
-                            ..
-                        } => ShedReason::WindowEvicted {
-                            window_end,
-                            oldest_retained,
-                        },
-                        ServeError::NotYetServable {
-                            window_end,
-                            admitted,
-                        } => ShedReason::NotYetServable {
-                            window_end,
-                            admitted,
-                        },
-                        other => panic!("unservable query {}: {other}", q.id),
-                    };
-                    pre_rejected.push((
-                        idx,
-                        Rejection {
-                            id: q.id,
-                            node: q.node,
-                            shard,
-                            window_end: q.window_end,
-                            reason,
-                        },
-                    ));
-                }
+                Some(reason) => pre_rejected.push((
+                    idx,
+                    Rejection {
+                        id: q.id,
+                        node: q.node,
+                        shard,
+                        window_end: q.window_end,
+                        reason,
+                    },
+                )),
             }
         }
 

@@ -99,6 +99,14 @@ pub enum ShedReason {
         /// Rows admitted so far.
         admitted: usize,
     },
+    /// The query names a node the snapshot does not have (server-side
+    /// pre-routing check: no shard owns it).
+    UnknownNode {
+        /// The queried node.
+        node: usize,
+        /// Nodes in the served snapshot.
+        nodes: usize,
+    },
 }
 
 /// One shed request: the typed rejection admission control hands back in

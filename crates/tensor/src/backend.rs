@@ -415,7 +415,7 @@ impl Kernels for Tiled {
             return Reference.matmul(a, b, out, m, k, n);
         }
         let packed = pack_b(b, k, n);
-        tiled_rows_parallel(a, &packed, out, m, k, n, m * n * k);
+        tiled_rows_parallel(a, &packed, out, k, n, m * n * k);
     }
 
     fn bmm(
@@ -535,27 +535,15 @@ fn tiled_rows_parallel(
     a: &[f32],
     packed: &[f32],
     out: &mut [f32],
-    m: usize,
     k: usize,
     n: usize,
     work: usize,
 ) {
-    let threads = par::num_threads();
-    let groups = m.div_ceil(MR);
-    if threads <= 1 || work < par::par_threshold() || groups < 2 {
-        return tiled_rows(a, packed, out, m, k, n);
-    }
-    let per = groups.div_ceil(threads.min(groups));
-    crossbeam::scope(|scope| {
-        for (t, slab) in out.chunks_mut(per * MR * n).enumerate() {
-            scope.spawn(move |_| {
-                let i0 = t * per * MR;
-                let rows = slab.len() / n;
-                tiled_rows(&a[i0 * k..(i0 + rows) * k], packed, slab, rows, k, n);
-            });
-        }
-    })
-    .expect("tiled matmul worker panicked");
+    par::parallel_slabs(out, MR * n, work, |group, slab| {
+        let i0 = group * MR;
+        let rows = slab.len() / n;
+        tiled_rows(&a[i0 * k..(i0 + rows) * k], packed, slab, rows, k, n);
+    });
 }
 
 /// Sequential tiled GEMM body: `out[m,n] = a[m,k] @ B` where `B` was packed

@@ -13,9 +13,10 @@
 //! - Storage is `Arc<Vec<f32>>`; clones and views are O(1). Mutating methods
 //!   (`fill_`, `add_scaled_`, ...) use copy-on-write semantics via
 //!   [`Tensor::make_mut_contiguous`].
-//! - Large elementwise ops and matmuls are parallelized across a scoped
-//!   thread pool (`par` module, crossbeam), following the data-parallel
-//!   patterns recommended for HPC Rust.
+//! - GEMM, batched GEMM, spmm and the `sum_abs` reduction split large calls
+//!   into row chunks over one resident `std::thread` pool ([`par`]); how
+//!   many chunks is a per-thread budget handed down by the distributed
+//!   runtime, and never changes a result bit.
 
 pub mod backend;
 pub mod half;

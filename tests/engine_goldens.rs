@@ -11,15 +11,18 @@
 //! the configs below.
 
 use pgt_i::core::baseline_ddp::run_baseline_ddp;
-use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
+use pgt_i::core::dist_index::{run_distributed_index, DistConfig, LocalCopyPlane};
 use pgt_i::core::dynamic_index::{train_dynamic, DynamicTrainConfig};
+use pgt_i::core::engine::{self, EngineOptions};
 use pgt_i::core::gen_dist_index::run_generalized;
 use pgt_i::core::partitioned::{run_partitioned, PartitionedConfig};
 use pgt_i::core::workflow::pgt_dcrnn_factory;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::synthetic;
+use pgt_i::device::CostModel;
 use pgt_i::graph::{diffusion_supports, PartitionerKind};
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
+use pgt_i::tensor::par;
 
 /// The pipelined-engine sweep every golden must survive unchanged: the
 /// legacy flat synchronous reduce, tiny buckets (many per step — maximal
@@ -175,4 +178,39 @@ fn partitioned_plane_reproduces_the_sequential_trainer_loop() {
     assert_eq!(r.combined_val_mae.to_bits(), 2.156524f32.to_bits());
     let vals: Vec<u32> = r.parts.iter().map(|p| p.val_mae.to_bits()).collect();
     assert_eq!(vals, vec![2.8321512f32.to_bits(), 1.4808966f32.to_bits()]);
+}
+
+#[test]
+fn the_intra_op_width_never_reaches_a_loss_bit() {
+    // The same two-epoch world-of-one run, sequential and split three ways
+    // (a width that divides none of its shapes): chunk boundaries move,
+    // `train_loss` / `val_mae` bits do not.
+    let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.2);
+    let sig = synthetic::generate(&spec, 5);
+    // Hidden 32 puts the gate GEMMs above `par_threshold`, so width 3
+    // really dispatches to the pool.
+    let factory = pgt_dcrnn_factory(&sig, spec.horizon, 32, 42);
+    let cfg = DistConfig::new(1, 2, spec.horizon);
+    let run_at = |width| {
+        par::with_width(width, || {
+            let plane = LocalCopyPlane::new(&sig, &cfg, 0, &CostModel::default());
+            let model = factory(plane.dataset());
+            engine::run_single(&cfg, &EngineOptions::default(), &plane, model.as_ref())
+                .expect("no resume bytes to reject")
+        })
+    };
+    let (sequential, split) = (run_at(1), run_at(3));
+    assert_eq!(sequential.epochs.len(), 2);
+    for (a, b) in sequential.epochs.iter().zip(&split.epochs) {
+        assert!(a.train_loss.is_finite() && a.val_mae.is_finite());
+        assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits(), "train");
+        assert_eq!(a.val_mae.to_bits(), b.val_mae.to_bits(), "val");
+        // The per-epoch ledger says which path each run took.
+        assert_eq!(a.kernel_split.pooled_calls, 0, "width 1 is inline");
+        assert!(
+            b.kernel_split.pooled_calls > 0 || par::par_threshold() > par::PAR_THRESHOLD,
+            "width 3 never reached the pool: {:?}",
+            b.kernel_split
+        );
+    }
 }

@@ -8,8 +8,13 @@
 //! The backends are exercised as structs (not through the process-wide
 //! dispatch), so these tests are independent of `ST_BACKEND` and of any
 //! other test mutating the global selection.
+//!
+//! The last property pins the other half of the contract: the intra-op
+//! width (`st_tensor::par`) moves chunk boundaries and never a bit.
 
 use pgt_i::tensor::backend::{kernels_for, Activation, BackendKind, Kernels};
+use pgt_i::tensor::ops::reduce::sum_abs;
+use pgt_i::tensor::{par, Tensor};
 use proptest::prelude::*;
 
 fn reference() -> &'static dyn Kernels {
@@ -145,6 +150,104 @@ proptest! {
         let col = idx % n;
         for i in 0..m {
             prop_assert!(!r[i * n + col].is_finite(), "row {} col {}", i, col);
+        }
+    }
+}
+
+/// Every data-parallel kernel's output bits at one intra-op width, and how
+/// many of the five calls were split over the pool, on shapes big enough to
+/// be split (at the default `par_threshold`) and ragged against every width
+/// tried.
+fn kernel_bits_at_width(
+    width: usize,
+    kernels: &dyn Kernels,
+    (bs, m, k, n): (usize, usize, usize, usize),
+    (a, b): (&[f32], &[f32]),
+    (row_ptr, col_idx, values, x): (&[usize], &[usize], &[f32], &[f32]),
+    long: &Tensor,
+) -> (Vec<Vec<u32>>, u64) {
+    par::with_width(width, || {
+        let pooled_before = par::dispatch_calls()[0];
+        let mut matmul = vec![0.0f32; m * n];
+        kernels.matmul(&a[..m * k], &b[..k * n], &mut matmul, m, k, n);
+        let mut shared = vec![0.0f32; bs * m * n];
+        kernels.bmm(a, &b[..k * n], &mut shared, bs, m, k, n, true);
+        let mut per_batch = vec![0.0f32; bs * m * n];
+        kernels.bmm(a, b, &mut per_batch, bs, m, k, n, false);
+        let rows = row_ptr.len() - 1;
+        let mut spmm = vec![0.0f32; rows * n];
+        kernels.spmm(row_ptr, col_idx, values, x, &mut spmm, rows, n);
+        let total = sum_abs(long).to_bits();
+        let out = vec![
+            bits(&matmul),
+            bits(&shared),
+            bits(&per_batch),
+            bits(&spmm),
+            vec![(total >> 32) as u32, total as u32],
+        ];
+        (out, par::dispatch_calls()[0] - pooled_before)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Width 1 (sequential), 2, 3 and 7 (wider than most runners, dividing
+    /// none of the shapes) give the same bits for matmul, bmm with a
+    /// shared and a per-batch rhs, spmm and `sum_abs`, on both backends —
+    /// "bits never depend on the thread count" as a test, not a comment.
+    #[test]
+    fn results_do_not_depend_on_the_intra_op_width(
+        bs in 2usize..5,
+        m in 41usize..90,
+        k in 32usize..60,
+        n in 32usize..60,
+        degree in 7usize..12,
+        tail in 1usize..70_000,
+        seed in any::<u32>(),
+    ) {
+        let a = fill(bs * m * k, seed);
+        let b = fill(bs * k * n, seed.wrapping_add(7));
+        // A square CSR over `4m` rows, `degree` pseudo-random columns each.
+        let rows = 4 * m;
+        let row_ptr: Vec<usize> = (0..=rows).map(|r| r * degree).collect();
+        let col_idx: Vec<usize> = fill(rows * degree, seed.wrapping_add(8))
+            .iter()
+            .map(|v| ((v + 1.0) * 500.0) as usize % rows)
+            .collect();
+        let values = fill(rows * degree, seed.wrapping_add(9));
+        let x = fill(rows * n, seed.wrapping_add(10));
+        // Two full `sum_abs` chunks and a ragged third.
+        let long_len = 2 * (1 << 16) + tail;
+        let long = Tensor::from_vec(fill(long_len, seed.wrapping_add(11)), [long_len])
+            .expect("1-d tensor");
+        for kernels in [reference(), tiled()] {
+            let at = |width| {
+                kernel_bits_at_width(
+                    width,
+                    kernels,
+                    (bs, m, k, n),
+                    (&a, &b),
+                    (&row_ptr, &col_idx, &values, &x),
+                    &long,
+                )
+            };
+            let (sequential, pooled) = at(1);
+            prop_assert_eq!(pooled, 0, "width 1 never reaches the pool");
+            for width in [2, 3, 7] {
+                let (bits, pooled) = at(width);
+                prop_assert!(
+                    bits == sequential,
+                    "{} at width {}: ({}, {}, {}, {})",
+                    kernels.name(), width, bs, m, k, n
+                );
+                // Not vacuous: unless the environment raised the threshold,
+                // all five calls really were split.
+                prop_assert!(
+                    pooled == 5 || par::par_threshold() > par::PAR_THRESHOLD,
+                    "{} at width {}: {} of 5 calls pooled", kernels.name(), width, pooled
+                );
+            }
         }
     }
 }

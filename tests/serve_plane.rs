@@ -361,3 +361,52 @@ fn tenants_are_isolated_and_each_serves_its_own_model() {
     assert_eq!(registry.get("alpha").unwrap().ingest().watermark(0), 21);
     assert_eq!(registry.get("beta").unwrap().ingest().watermark(0), 20);
 }
+
+#[test]
+fn a_query_naming_an_unknown_node_is_rejected_typed_not_panicked() {
+    // `serve_slo` used to `assert!(q.node < nodes)`: one bad query in a
+    // stream took the caller down. It is a pre-routing rejection now, and
+    // its neighbours are served exactly once.
+    let adj = corridor();
+    let cfg = ServeConfig::new(2, 12);
+    let server =
+        BatchedServer::with_history(snapshot(&adj, 7), adj.clone(), &history(20), cfg.clone());
+    let mut queries = workload(6, 18, 20);
+    queries[2].node = NODES; // first index past the snapshot
+    queries[4].node = usize::MAX;
+    let check = |report: &pgt_i::serve::ServeReport| {
+        assert_eq!(report.results.len(), 4);
+        assert_eq!(report.rejections.len(), 2);
+        let mut seen: Vec<usize> = report.results.iter().map(|r| r.id).collect();
+        seen.extend(report.rejections.iter().map(|r| r.id));
+        seen.sort_unstable();
+        assert_eq!(seen, (0..6).collect::<Vec<_>>(), "exactly-once placement");
+        assert_eq!(report.rejections[0].id, 2);
+        assert_eq!(
+            report.rejections[0].reason,
+            ShedReason::UnknownNode {
+                node: NODES,
+                nodes: NODES
+            }
+        );
+        assert_eq!(
+            report.rejections[1].reason,
+            ShedReason::UnknownNode {
+                node: usize::MAX,
+                nodes: NODES
+            }
+        );
+        assert!((report.shed_rate - 2.0 / 6.0).abs() < 1e-12);
+    };
+    let direct = server.serve(&queries);
+    check(&direct);
+
+    let registry = SnapshotRegistry::new();
+    registry.register("alpha", server).unwrap();
+    let via_registry = registry.serve("alpha", &queries).unwrap();
+    check(&via_registry);
+    // The bad queries changed nothing for the good ones.
+    assert_bitwise_equal(&direct, &via_registry);
+    let clean: Vec<Query> = queries.iter().filter(|q| q.node < NODES).copied().collect();
+    assert_bitwise_equal(&direct, &registry.serve("alpha", &clean).unwrap());
+}
