@@ -223,11 +223,6 @@ pub fn lr_for_global_batch(base_lr: f32, base_batch: usize, global_batch: usize)
     base_lr * (global_batch as f32 / base_batch as f32)
 }
 
-/// Square-root scaling variant (more conservative; used as ablation).
-pub fn lr_sqrt_scaling(base_lr: f32, base_batch: usize, global_batch: usize) -> f32 {
-    base_lr * (global_batch as f32 / base_batch as f32).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,8 +283,6 @@ mod tests {
     #[test]
     fn lr_scaling_rules() {
         assert_eq!(lr_for_global_batch(0.01, 64, 512), 0.08);
-        let sqrt = lr_sqrt_scaling(0.01, 64, 256);
-        assert!((sqrt - 0.02).abs() < 1e-6);
     }
 
     #[test]

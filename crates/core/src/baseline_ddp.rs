@@ -40,9 +40,6 @@ pub struct DataSvcPlane {
     cost: st_device::CostModel,
 }
 
-/// The pre-engine name for [`DataSvcPlane`], kept for downstream callers.
-pub type DistributedXy = DataSvcPlane;
-
 impl DataSvcPlane {
     /// Rank `rank`'s view over the shared arrays.
     pub fn new(

@@ -17,6 +17,7 @@ use st_dist::shuffle::{self, ShuffleStrategy};
 use st_dist::topology::ClusterTopology;
 use st_dist::wire::WireCodec;
 use st_models::Seq2Seq;
+use std::borrow::Cow;
 
 /// Configuration of a distributed training run.
 #[derive(Debug, Clone)]
@@ -93,12 +94,11 @@ pub struct DistConfig {
     /// process's backend alone.
     pub backend: st_tensor::backend::BackendKind,
     /// Storage backend for every plane's standardized signal copy.
-    /// `InMemory` (the default) is the historical dense tensor. `Chunked`
-    /// streams windows from an on-disk columnar file through a bounded LRU
-    /// chunk cache — resident bytes drop to `O(chunks_cached)` and the
-    /// modeled chunk-IO seconds ride the same prefetch/overlap machinery
-    /// as network time. The lossless chunk codec (the default inside
-    /// [`st_data::storage::ChunkedSpec`]) keeps every loss curve
+    /// `InMemory` (the default) is one dense tensor. `Chunked` streams
+    /// windows from a spill file through a bounded LRU chunk cache —
+    /// resident bytes drop to `O(chunks_cached)` and the modeled chunk-IO
+    /// seconds ride the same prefetch/overlap machinery as network time.
+    /// Every stored bit comes back unchanged, so every loss curve is
     /// **bit-identical** to the in-memory run.
     pub storage: StorageSpec,
     /// Wire codec for remote data-plane payloads (baseline DDP row fetches
@@ -151,15 +151,33 @@ impl DistConfig {
     }
 }
 
-/// Per-epoch statistics of a distributed run (rank-0 view; all ranks agree
-/// on the metrics, while the comm split below is rank 0's own accounting).
+/// A run's `storage` knob applied to its input signal: an in-memory signal
+/// moves under a chunked spec; anything else trains as it came (a signal
+/// that is already chunked keeps its own chunk geometry).
+pub(crate) fn stored_as(
+    signal: &StaticGraphTemporalSignal,
+    spec: StorageSpec,
+) -> Cow<'_, StaticGraphTemporalSignal> {
+    if spec.is_chunked() && !signal.is_chunked() {
+        Cow::Owned(signal.rechunk(spec))
+    } else {
+        Cow::Borrowed(signal)
+    }
+}
+
+/// Per-epoch statistics of an engine run (rank-0 view; all ranks agree on
+/// the metrics, while the comm split below is rank 0's own accounting).
+/// The single-worker front ends ([`crate::trainer::Trainer`],
+/// [`crate::dynamic_index::train_dynamic`]) report the same struct, with
+/// `val_mae` taken from rank 0's own f64 sums.
 #[derive(Debug, Clone, Copy)]
 pub struct DistEpochStats {
     /// Epoch index.
     pub epoch: usize,
     /// Mean training MAE (standardized) across all contributing workers.
     pub train_loss: f32,
-    /// Validation MAE in original units, computed over all workers.
+    /// Validation MAE in original units, computed over all workers (NaN
+    /// when the epoch did not validate).
     pub val_mae: f32,
     /// Modeled communication seconds this epoch that the overlap
     /// scheduler hid behind compute (rank 0's ledger: setup reads,
@@ -202,7 +220,7 @@ pub struct LocalCopyPlane {
 impl LocalCopyPlane {
     /// Build rank `rank`'s plane: its own full local copy (§4.2 — cheap
     /// only because of eq. (2)). Under [`StorageSpec::Chunked`] the "local
-    /// copy" lives in an on-disk columnar file instead of RAM: batches
+    /// copy" lives in a spill file instead of RAM: batches
     /// stream through the bounded chunk cache and `cm` prices the chunk IO
     /// ([`CostModel::pfs_read`]) so the engine can prefetch it away.
     pub fn new(
@@ -211,15 +229,12 @@ impl LocalCopyPlane {
         rank: usize,
         cm: &CostModel,
     ) -> Self {
-        let sig;
-        let signal = if cfg.storage.is_chunked() && !signal.is_chunked() {
-            sig = signal.rechunk(cfg.storage);
-            &sig
-        } else {
-            signal
-        };
-        let ds =
-            IndexDataset::from_signal(signal, cfg.horizon, SplitRatios::default(), cfg.time_period);
+        let ds = IndexDataset::from_signal(
+            &stored_as(signal, cfg.storage),
+            cfg.horizon,
+            SplitRatios::default(),
+            cfg.time_period,
+        );
         LocalCopyPlane {
             ds,
             world: cfg.world,
@@ -288,12 +303,7 @@ impl DistDataPlane for LocalCopyPlane {
 
     fn fetch_batch(&self, ids: &[usize]) -> Fetch {
         let (x, y, io_bytes) = self.ds.batch_quoted(ids);
-        let secs = if io_bytes > 0 {
-            self.cost.pfs_read(io_bytes, 1.0)
-        } else {
-            0.0
-        };
-        Fetch { x, y, secs }
+        Fetch::from_store(x, y, io_bytes, &self.cost)
     }
 
     fn remote(&self) -> bool {

@@ -149,38 +149,15 @@ impl DynamicIndexDataset {
     /// warm cache).
     pub fn snapshot_quoted(&self, i: usize) -> (Tensor, Tensor, u64) {
         let h = self.horizon;
-        match &self.store {
-            SignalStorage::InMemory(data) => {
-                let x = data
-                    .narrow(0, i, h)
-                    .expect("window in range")
-                    .unsqueeze(0)
-                    .expect("add batch dim");
-                let y = data
-                    .narrow(0, i + h, h)
-                    .expect("label window in range")
-                    .unsqueeze(0)
-                    .expect("add batch dim");
-                (x, y, 0)
-            }
-            store => {
-                // One contiguous read covers both windows (they abut).
-                let (rows, io) = store.read_rows_quoted(i..i + 2 * h);
-                let x = rows
-                    .narrow(0, 0, h)
-                    .expect("x window")
-                    .unsqueeze(0)
-                    .expect("add batch dim")
-                    .contiguous();
-                let y = rows
-                    .narrow(0, h, h)
-                    .expect("y window")
-                    .unsqueeze(0)
-                    .expect("add batch dim")
-                    .contiguous();
-                (x, y, io)
-            }
-        }
+        // One contiguous read covers both windows (they abut).
+        let (rows, io) = self.store.read_rows_quoted(i..i + 2 * h);
+        let half = |start: usize| {
+            rows.narrow(0, start, h)
+                .expect("window in range")
+                .unsqueeze(0)
+                .expect("add batch dim")
+        };
+        (half(0), half(h), io)
     }
 
     /// The borrowed per-step support sets of window `i` alone (no feature
@@ -476,12 +453,7 @@ impl crate::engine::DistDataPlane for DynamicPlane {
     fn fetch_batch(&self, ids: &[usize]) -> crate::engine::Fetch {
         assert_eq!(ids.len(), 1, "dynamic windows cannot share a fused batch");
         let (x, y, io_bytes) = self.ds.snapshot_quoted(ids[0]);
-        let secs = if io_bytes > 0 {
-            self.cost.pfs_read(io_bytes, 1.0)
-        } else {
-            0.0
-        };
-        crate::engine::Fetch { x, y, secs }
+        crate::engine::Fetch::from_store(x, y, io_bytes, &self.cost)
     }
 
     fn remote(&self) -> bool {
@@ -515,7 +487,7 @@ pub fn train_dynamic(
     signal: &DynamicGraphTemporalSignal,
     horizon: usize,
     cfg: &DynamicTrainConfig,
-) -> (PgtDcrnn, Vec<crate::trainer::EpochStats>) {
+) -> (PgtDcrnn, Vec<crate::dist_index::DistEpochStats>) {
     let ds = DynamicIndexDataset::from_signal_spec(
         signal,
         horizon,
@@ -606,6 +578,28 @@ mod tests {
         let d = ds();
         let (x, _, _) = d.snapshot(0);
         assert!(x.shares_storage(d.data()), "x must be a view");
+    }
+
+    #[test]
+    fn chunked_snapshots_match_in_memory_bitwise() {
+        use st_data::storage::ChunkedSpec;
+        let sig = synthetic_dynamic_traffic(6, 60, 5);
+        let dense = ds();
+        for chunk in [1usize, 3, 7, 16, 64] {
+            let spec = StorageSpec::Chunked(ChunkedSpec::new(chunk));
+            let d = DynamicIndexDataset::from_signal_spec(&sig, 4, SplitRatios::default(), 2, spec);
+            assert!(d.is_chunked());
+            for i in [0usize, 5, 17, d.num_snapshots() - 1] {
+                let (dx, dy, _) = dense.snapshot(i);
+                let (cx, cy, _) = d.snapshot(i);
+                for (a, b) in [(dx, cx), (dy, cy)] {
+                    assert_eq!(a.dims(), b.dims());
+                    for (x, y) in a.to_vec().iter().zip(b.to_vec()) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "chunk={chunk} window={i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -75,6 +75,20 @@ pub struct Fetch {
     pub secs: f64,
 }
 
+impl Fetch {
+    /// A batch assembled from the rank's own store: the `io_bytes` the
+    /// store pulled from disk are priced as a parallel-filesystem read
+    /// (an in-memory store, or a warm chunk cache, quotes zero).
+    pub(crate) fn from_store(x: Tensor, y: Tensor, io_bytes: u64, cost: &CostModel) -> Fetch {
+        let secs = if io_bytes > 0 {
+            cost.pfs_read(io_bytes, 1.0)
+        } else {
+            0.0
+        };
+        Fetch { x, y, secs }
+    }
+}
+
 /// A data plane: everything that distinguishes one distributed
 /// index-batching variant from another.
 ///

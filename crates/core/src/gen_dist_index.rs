@@ -265,14 +265,8 @@ where
         }
         None => signal,
     };
-    let rechunked;
-    let sig = if cfg.storage.is_chunked() && !sig.is_chunked() {
-        rechunked = sig.rechunk(cfg.storage);
-        &rechunked
-    } else {
-        sig
-    };
-    let full = IndexDataset::from_signal(sig, cfg.horizon, SplitRatios::default(), None);
+    let sig = crate::dist_index::stored_as(sig, cfg.storage);
+    let full = IndexDataset::from_signal(&sig, cfg.horizon, SplitRatios::default(), None);
     let (nodes, features) = (full.num_nodes(), full.num_features());
     let scaler = full.scaler().clone();
     let split = full.splits().clone();

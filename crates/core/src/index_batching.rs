@@ -14,18 +14,18 @@
 //! samples fed to the model are **identical** to standard batching — which
 //! is why accuracy is unchanged (Fig. 5); a test below asserts exactly that.
 //!
-//! Since PR 8 the single copy itself sits behind [`SignalStorage`]: the
-//! in-memory backend is the historical dense tensor (snapshots stay
-//! zero-copy views, batches stay straight memcpys — bit-identical), while
-//! the chunked backend streams windows from an on-disk columnar file
-//! through a bounded LRU cache, dropping resident bytes from `E·N·F` to
-//! `O(chunks_cached)` — the axis eq. (2) cannot shrink.
+//! The single copy sits behind [`SignalStorage`], and a window is one
+//! `start .. start + 2·horizon` row read split at `horizon` (x and y abut).
+//! In memory that read is a zero-copy view and a batch a straight memcpy
+//! per sample; on the chunked backend it is a cached chunk read, dropping
+//! resident bytes from `E·N·F` to `O(chunks_cached)` — the axis eq. (2)
+//! cannot shrink.
 
 use st_data::preprocess::num_snapshots;
 use st_data::scaler::StandardScaler;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::{SplitIndices, SplitRatios};
-use st_data::storage::{RowStore, SignalStorage, StorageSpec};
+use st_data::storage::{RowStore, SignalStorage};
 use st_tensor::Tensor;
 
 /// The index-batching dataset: one data copy + window indices.
@@ -71,7 +71,9 @@ impl IndexDataset {
         let (train_view, _) = sig.storage.read_rows_quoted(0..train_entries);
         let scaler = StandardScaler::fit(&train_view);
         drop(train_view);
-        let store = sig.storage.map_rows(|rows| scaler.transform(rows));
+        let store = sig
+            .storage
+            .rewrite_rows(sig.storage.spec(), |_, rows| scaler.transform(rows));
         IndexDataset {
             store,
             horizon,
@@ -88,31 +90,11 @@ impl IndexDataset {
         scaler: StandardScaler,
         splits: SplitIndices,
     ) -> Self {
-        Self::from_standardized_storage(SignalStorage::InMemory(data), horizon, scaler, splits)
-    }
-
-    /// Wrap an already-standardized storage backend directly.
-    pub fn from_standardized_storage(
-        store: SignalStorage,
-        horizon: usize,
-        scaler: StandardScaler,
-        splits: SplitIndices,
-    ) -> Self {
         IndexDataset {
-            store,
+            store: SignalStorage::InMemory(data),
             horizon,
             scaler,
             splits,
-        }
-    }
-
-    /// Re-house the standardized copy under another storage backend.
-    pub fn rechunk(&self, spec: StorageSpec) -> IndexDataset {
-        IndexDataset {
-            store: self.store.rechunk(spec),
-            horizon: self.horizon,
-            scaler: self.scaler.clone(),
-            splits: self.splits.clone(),
         }
     }
 
@@ -165,25 +147,15 @@ impl IndexDataset {
 
     /// Reconstruct snapshot `i` as `(x, y)` of shape `[horizon, N, F]` each
     /// — the runtime request of Fig. 4. **Zero-copy views** on the
-    /// in-memory backend; cached chunk reads on the chunked one.
+    /// in-memory backend; the two halves of one cached read on the chunked
+    /// one.
     pub fn snapshot(&self, i: usize) -> (Tensor, Tensor) {
         let h = self.horizon;
-        match &self.store {
-            SignalStorage::InMemory(data) => {
-                let x = data.narrow(0, i, h).expect("snapshot start in range");
-                let y = data.narrow(0, i + h, h).expect("label window in range");
-                (x, y)
-            }
-            SignalStorage::Chunked(_) => {
-                assert!(
-                    i + 2 * h <= self.store.rows(),
-                    "snapshot start in range: {i}"
-                );
-                let (x, _) = self.store.read_rows_quoted(i..i + h);
-                let (y, _) = self.store.read_rows_quoted(i + h..i + 2 * h);
-                (x, y)
-            }
-        }
+        let (win, _) = self.store.read_rows_quoted(i..i + 2 * h);
+        (
+            win.narrow(0, 0, h).expect("x half"),
+            win.narrow(0, h, h).expect("y half"),
+        )
     }
 
     /// Assemble a minibatch `[B, h, N, F]` for x and y from snapshot ids.
@@ -194,16 +166,15 @@ impl IndexDataset {
         (x, y)
     }
 
-    /// Like [`IndexDataset::batch`], additionally quoting the **stored
-    /// bytes read from disk** to assemble the batch (0 on the in-memory
-    /// backend and on chunk-cache hits) so callers can price the IO and
-    /// overlap it with compute.
+    /// Like [`IndexDataset::batch`], additionally quoting the **bytes read
+    /// from disk** to assemble the batch (0 on the in-memory backend and on
+    /// chunk-cache hits) so callers can price the IO and overlap it with
+    /// compute.
     pub fn batch_quoted(&self, indices: &[usize]) -> (Tensor, Tensor, u64) {
         let h = self.horizon;
         let n = self.num_nodes();
         let f = self.num_features();
-        let row = n * f;
-        let dims = [indices.len(), h, n, f];
+        let half = h * n * f;
         for &i in indices {
             assert!(
                 i < self.num_snapshots(),
@@ -211,40 +182,22 @@ impl IndexDataset {
                 self.num_snapshots()
             );
         }
-        match &self.store {
-            SignalStorage::InMemory(data) => {
-                let src = data.as_slice().expect("standardized copy is contiguous");
-                let mut x = Vec::with_capacity(indices.len() * h * row);
-                let mut y = Vec::with_capacity(indices.len() * h * row);
-                for &i in indices {
-                    x.extend_from_slice(&src[i * row..(i + h) * row]);
-                    y.extend_from_slice(&src[(i + h) * row..(i + 2 * h) * row]);
-                }
-                (
-                    Tensor::from_vec(x, dims).expect("batch numel"),
-                    Tensor::from_vec(y, dims).expect("batch numel"),
-                    0,
-                )
-            }
-            SignalStorage::Chunked(_) => {
-                let mut x = Vec::with_capacity(indices.len() * h * row);
-                let mut y = Vec::with_capacity(indices.len() * h * row);
-                let mut io = 0u64;
-                for &i in indices {
-                    // One contiguous read covers x_i and y_i (they abut).
-                    let (win, bytes) = self.store.read_rows_quoted(i..i + 2 * h);
-                    io += bytes;
-                    let src = win.as_slice().expect("assembled window is contiguous");
-                    x.extend_from_slice(&src[..h * row]);
-                    y.extend_from_slice(&src[h * row..]);
-                }
-                (
-                    Tensor::from_vec(x, dims).expect("batch numel"),
-                    Tensor::from_vec(y, dims).expect("batch numel"),
-                    io,
-                )
-            }
+        let mut x = Vec::with_capacity(indices.len() * half);
+        let mut y = Vec::with_capacity(indices.len() * half);
+        let mut io = 0u64;
+        for &i in indices {
+            let (win, bytes) = self.store.read_rows_quoted(i..i + 2 * h);
+            io += bytes;
+            let src = win.as_slice().expect("a row range is contiguous");
+            x.extend_from_slice(&src[..half]);
+            y.extend_from_slice(&src[half..]);
         }
+        let dims = [indices.len(), h, n, f];
+        (
+            Tensor::from_vec(x, dims).expect("batch numel"),
+            Tensor::from_vec(y, dims).expect("batch numel"),
+            io,
+        )
     }
 
     /// Resident bytes of this dataset per the paper's eq. (2):
@@ -265,7 +218,7 @@ mod tests {
     use super::*;
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::preprocess::materialized_xy;
-    use st_data::storage::ChunkedSpec;
+    use st_data::storage::{ChunkedSpec, StorageSpec};
     use st_data::synthetic;
     use st_graph::Adjacency;
 
@@ -350,14 +303,36 @@ mod tests {
             let ids = [0usize, 5, 17, cds.num_snapshots() - 1];
             let (dx, dy) = dense.batch(&ids);
             let (cx, cy, _) = cds.batch_quoted(&ids);
-            for (a, b) in [(dx, cx), (dy, cy)] {
-                let (av, bv) = (a.to_vec(), b.to_vec());
-                assert_eq!(av.len(), bv.len());
-                for (x, y) in av.iter().zip(&bv) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "chunk={chunk}");
-                }
+            assert_same_bits(&[dx, dy], &[cx, cy], chunk);
+            // And out of `snapshot`, the same one read per window.
+            for i in ids {
+                let (dx, dy) = dense.snapshot(i);
+                let (cx, cy) = cds.snapshot(i);
+                assert_same_bits(&[dx, dy], &[cx, cy], chunk);
             }
         }
+    }
+
+    fn assert_same_bits(want: &[Tensor], got: &[Tensor], chunk: usize) {
+        for (a, b) in want.iter().zip(got) {
+            assert_eq!(a.dims(), b.dims());
+            for (x, y) in a.to_vec().iter().zip(b.to_vec()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "chunk={chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cold_snapshot_inside_one_chunk_is_one_read() {
+        // x and y abut, so `snapshot` issues one `i..i+2h` read: a window
+        // that fits a chunk costs one chunk read and no cache lookup more.
+        let sig = toy_signal(40, 3);
+        let csig = sig.rechunk(StorageSpec::Chunked(ChunkedSpec::new(16)));
+        let ds = IndexDataset::from_signal(&csig, 4, SplitRatios::default(), None);
+        let store = ds.storage().chunked().expect("stays chunked");
+        assert_eq!((store.io_chunks(), store.cache_hits()), (0, 0), "cold");
+        let _ = ds.snapshot(17); // rows 17..25 of chunk 16..32
+        assert_eq!((store.io_chunks(), store.cache_hits()), (1, 0));
     }
 
     #[test]

@@ -55,4 +55,4 @@ pub use engine::{DistDataPlane, EngineError, EngineOptions, EngineReport, StepLo
 pub use index_batching::IndexDataset;
 pub use memory_model::{index_batching_bytes, standard_preprocess_bytes};
 pub use projection::{ProjectionParams, ScalingPoint};
-pub use trainer::{EpochStats, Trainer, TrainerConfig, TrainingHistory};
+pub use trainer::{Trainer, TrainerConfig, TrainingHistory};

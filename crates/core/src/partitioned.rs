@@ -30,7 +30,6 @@ use crate::index_batching::IndexDataset;
 use st_data::loader::Batcher;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
-use st_data::storage::SignalStorage;
 use st_dist::topology::ClusterTopology;
 use st_graph::{diffusion_supports, PartitionerKind};
 use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
@@ -64,8 +63,8 @@ pub struct PartitionedConfig {
     /// Shared seed.
     pub seed: u64,
     /// Signal storage backend. Under [`st_data::StorageSpec::Chunked`] every
-    /// per-partition node-subset copy streams from its own on-disk columnar
-    /// file through a bounded chunk cache instead of living in RAM.
+    /// per-partition node-subset copy streams from its own spill file
+    /// through a bounded chunk cache instead of living in RAM.
     pub storage: st_data::StorageSpec,
 }
 
@@ -150,21 +149,12 @@ pub fn node_subset_signal(
             .expect("back to [E, n, F]")
             .contiguous()
     };
-    match &signal.storage {
-        SignalStorage::InMemory(data) => StaticGraphTemporalSignal::new(select(data), adjacency),
-        SignalStorage::Chunked(store) => {
-            // Stream the subset chunk-by-chunk so the per-partition copy
-            // never materializes the full signal.
-            let dims = [signal.entries(), nodes.len(), signal.num_features()];
-            let mut w = st_data::storage::ChunkedWriter::create(&dims, store.spec());
-            store.for_each_chunk(|_, rows| {
-                let sub = select(rows);
-                w.push_rows(sub.as_slice().expect("contiguous"));
-            });
-            let storage = SignalStorage::Chunked(std::sync::Arc::new(w.finish()));
-            StaticGraphTemporalSignal::with_storage(storage, adjacency)
-        }
-    }
+    // A chunked signal streams chunk by chunk, so the per-partition copy
+    // never materializes the full signal.
+    let storage = signal
+        .storage
+        .rewrite_rows(signal.storage.spec(), |_, block| select(block));
+    StaticGraphTemporalSignal::with_storage(storage, adjacency)
 }
 
 /// The §7 partitioned data plane: one rank per graph partition, each with
@@ -231,12 +221,7 @@ impl DistDataPlane for PartitionedPlane {
 
     fn fetch_batch(&self, ids: &[usize]) -> Fetch {
         let (x, y, io_bytes) = self.ds.batch_quoted(ids);
-        let secs = if io_bytes > 0 {
-            self.cost.pfs_read(io_bytes, 1.0)
-        } else {
-            0.0
-        };
-        Fetch { x, y, secs }
+        Fetch::from_store(x, y, io_bytes, &self.cost)
     }
 
     fn remote(&self) -> bool {
@@ -283,13 +268,7 @@ pub fn run_partitioned(
     coords: Option<&[(f32, f32)]>,
     cfg: &PartitionedConfig,
 ) -> PartitionedResult {
-    let rechunked;
-    let signal = if cfg.storage.is_chunked() && !signal.is_chunked() {
-        rechunked = signal.rechunk(cfg.storage);
-        &rechunked
-    } else {
-        signal
-    };
+    let signal = &*crate::dist_index::stored_as(signal, cfg.storage);
     // The partitioner flows through DistConfig — the knob every
     // partition-consuming plane shares — rather than being hard-wired
     // per runner.

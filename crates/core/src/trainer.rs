@@ -11,7 +11,7 @@
 //! [`engine::run_single`] against the caller's model — bit-identical to
 //! the stand-alone loop it replaced (`tests/trainer_goldens.rs`).
 
-use crate::dist_index::DistConfig;
+use crate::dist_index::{DistConfig, DistEpochStats};
 use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch, StepLoop};
 use crate::index_batching::IndexDataset;
 use st_autograd::schedule::LrSchedule;
@@ -116,31 +116,16 @@ impl Default for TrainerConfig {
     }
 }
 
-/// Per-epoch statistics.
-#[derive(Debug, Clone, Copy)]
-pub struct EpochStats {
-    /// Epoch index (0-based).
-    pub epoch: usize,
-    /// Mean training loss (standardized MAE).
-    pub train_loss: f32,
-    /// Validation MAE in original units (NaN when validation is off or
-    /// the validation split is empty).
-    pub val_mae: f32,
-}
-
-/// The single-worker per-epoch view of an engine run: rank 0's train loss
-/// with its own original-unit validation MAE
-/// ([`EngineReport::rank_val_mae`]) under scaler σ `scaler_std`.
-pub(crate) fn epoch_stats(report: &EngineReport, scaler_std: f32) -> Vec<EpochStats> {
+/// The single-worker per-epoch view of an engine run: the engine's own
+/// per-epoch records with `val_mae` replaced by rank 0's original-unit
+/// validation MAE from its f64 sums ([`EngineReport::rank_val_mae`]) under
+/// scaler σ `scaler_std` — NaN when validation is off or the split is empty.
+pub(crate) fn epoch_stats(report: &EngineReport, scaler_std: f32) -> Vec<DistEpochStats> {
     report
         .epochs
         .iter()
         .zip(report.rank_val_mae(0, scaler_std))
-        .map(|(e, val_mae)| EpochStats {
-            epoch: e.epoch,
-            train_loss: e.train_loss,
-            val_mae,
-        })
+        .map(|(e, val_mae)| DistEpochStats { val_mae, ..*e })
         .collect()
 }
 
@@ -148,7 +133,7 @@ pub(crate) fn epoch_stats(report: &EngineReport, scaler_std: f32) -> Vec<EpochSt
 #[derive(Debug, Clone, Default)]
 pub struct TrainingHistory {
     /// Per-epoch stats.
-    pub epochs: Vec<EpochStats>,
+    pub epochs: Vec<DistEpochStats>,
     /// Total wall-clock seconds.
     pub wall_secs: f64,
 }

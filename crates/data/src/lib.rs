@@ -30,6 +30,4 @@ pub use replay::{standard_replay, LoaderVariant, ReplayReport};
 pub use scaler::StandardScaler;
 pub use signal::StaticGraphTemporalSignal;
 pub use splits::{SplitIndices, SplitRatios};
-pub use storage::{
-    ChunkCodec, ChunkedSpec, ChunkedStore, ChunkedWriter, RowStore, SignalStorage, StorageSpec,
-};
+pub use storage::{ChunkedSpec, ChunkedStore, RowStore, SignalStorage, StorageSpec};

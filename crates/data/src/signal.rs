@@ -5,10 +5,10 @@
 //! features over time. This is the object both preprocessing pipelines
 //! (standard SWA and index-batching) consume.
 //!
-//! Since PR 8 the feature array sits behind [`SignalStorage`]: the default
-//! `InMemory` backend is the historical dense tensor (all reads zero-copy
-//! views, bit-identical behavior), while the `Chunked` backend streams the
-//! entry axis from an on-disk columnar file through a bounded LRU cache so
+//! The feature array sits behind [`SignalStorage`] and everything here is
+//! written once over its row reads and `rewrite_rows`: in memory (the
+//! default) those are zero-copy views and one whole-tensor pass; on the
+//! chunked backend they are cached reads and a chunk-at-a-time stream, so
 //! resident bytes stay `O(chunks_cached)` instead of `O(entries)`.
 
 use crate::storage::{RowStore, SignalStorage, StorageSpec};
@@ -86,14 +86,8 @@ impl StaticGraphTemporalSignal {
     /// zero-copy view for the in-memory backend, a cached chunk read for
     /// the chunked one.
     pub fn graph_at(&self, t: usize) -> Tensor {
-        match &self.storage {
-            SignalStorage::InMemory(data) => data.select(0, t).expect("t in range"),
-            SignalStorage::Chunked(_) => {
-                let (rows, _) = self.storage.read_rows_quoted(t..t + 1);
-                rows.reshape([self.num_nodes(), self.num_features()])
-                    .expect("one entry")
-            }
-        }
+        let (entry, _) = self.storage.read_rows_quoted(t..t + 1);
+        entry.select(0, 0).expect("one entry")
     }
 
     /// Raw data size in bytes at the given element width (float64 in the
@@ -111,41 +105,27 @@ impl StaticGraphTemporalSignal {
     /// "added data from including time-of-day information as a transposed
     /// matrix"). `period` is the number of entries in one day/week cycle.
     ///
-    /// The in-memory path is byte-for-byte the historical implementation;
-    /// a chunked signal is rewritten chunk-by-chunk on the same backend, so
-    /// peak memory stays at one chunk instead of the whole signal.
+    /// The signal stays on its backend: a chunked one is rewritten chunk by
+    /// chunk, so peak memory is one chunk instead of the whole signal.
     pub fn with_time_feature(&self, period: usize) -> StaticGraphTemporalSignal {
         let n = self.num_nodes();
         let f = self.num_features();
-        let augment = |first_entry: usize, rows: &Tensor, out: &mut Vec<f32>| {
-            let src = rows.as_slice().expect("contiguous rows");
-            for (dt, entry) in src.chunks_exact(n * f).enumerate() {
-                let t = first_entry + dt;
-                let tod = (t % period) as f32 / period as f32;
-                for node_row in entry.chunks_exact(f) {
-                    out.extend_from_slice(node_row);
-                    out.push(tod);
+        let storage = self
+            .storage
+            .rewrite_rows(self.storage.spec(), |first_entry, rows| {
+                let entries = rows.dim(0);
+                let src = rows.as_slice().expect("a row range is contiguous");
+                let mut out = Vec::with_capacity(entries * n * (f + 1));
+                for (dt, entry) in src.chunks_exact(n * f).enumerate() {
+                    let t = first_entry + dt;
+                    let tod = (t % period) as f32 / period as f32;
+                    for node_row in entry.chunks_exact(f) {
+                        out.extend_from_slice(node_row);
+                        out.push(tod);
+                    }
                 }
-            }
-        };
-        let storage = match &self.storage {
-            SignalStorage::InMemory(data) => {
-                let e = self.entries();
-                let mut out = Vec::with_capacity(e * n * (f + 1));
-                augment(0, &data.contiguous(), &mut out);
-                SignalStorage::InMemory(Tensor::from_vec(out, [e, n, f + 1]).expect("numel"))
-            }
-            SignalStorage::Chunked(store) => {
-                let dims = [self.entries(), n, f + 1];
-                let mut w = crate::storage::ChunkedWriter::create(&dims, store.spec());
-                store.for_each_chunk(|first, rows| {
-                    let mut out = Vec::with_capacity(rows.dim(0) * n * (f + 1));
-                    augment(first, rows, &mut out);
-                    w.push_rows(&out);
-                });
-                SignalStorage::Chunked(std::sync::Arc::new(w.finish()))
-            }
-        };
+                Tensor::from_vec(out, [entries, n, f + 1]).expect("numel")
+            });
         StaticGraphTemporalSignal {
             storage,
             adjacency: self.adjacency.clone(),
@@ -203,10 +183,14 @@ mod tests {
         let adj = Adjacency::from_dense(3, vec![1.0; 9]);
         let data = Tensor::arange(7 * 3 * 2).reshape([7, 3, 2]).unwrap();
         let dense = StaticGraphTemporalSignal::new(data, adj);
-        let chunked = dense.rechunk(StorageSpec::Chunked(ChunkedSpec::new(2)));
-        assert!(chunked.is_chunked());
-        for t in 0..7 {
-            assert_eq!(chunked.graph_at(t).to_vec(), dense.graph_at(t).to_vec());
+        for chunk in [1usize, 3, 7, 16, 64] {
+            let chunked = dense.rechunk(StorageSpec::Chunked(ChunkedSpec::new(chunk)));
+            assert!(chunked.is_chunked());
+            for t in 0..7 {
+                let (got, want) = (chunked.graph_at(t), dense.graph_at(t));
+                assert_eq!(got.dims(), want.dims());
+                assert_eq!(got.to_vec(), want.to_vec(), "chunk={chunk} t={t}");
+            }
         }
     }
 
@@ -224,14 +208,13 @@ mod tests {
 
     #[test]
     fn time_feature_in_memory_is_unchanged_bitwise() {
-        // Pin the in-memory path against the historical whole-tensor
-        // implementation: identical output bits, entry by entry.
+        // Pin the streamed rewrite against the whole-tensor definition:
+        // identical output bits, entry by entry.
         let adj = Adjacency::from_dense(4, vec![0.5; 16]);
         let data = Tensor::arange(11 * 4 * 3).reshape([11, 4, 3]).unwrap();
         let s = StaticGraphTemporalSignal::new(data.clone(), adj);
         let aug = s.with_time_feature(5);
 
-        // Historical reference implementation (pre-PR-8, verbatim).
         let (e, n, f) = (11usize, 4usize, 3usize);
         let src = data.to_vec();
         let mut want = Vec::with_capacity(e * n * (f + 1));

@@ -1,93 +1,45 @@
-//! Out-of-core chunked columnar signal storage.
+//! Where a signal's single copy lives: in RAM, or spilled to disk behind a
+//! bounded cache.
 //!
 //! The paper exists to dodge the memory wall of materialized sliding-window
 //! datasets, yet a plain [`Tensor`]-backed signal still pins the full
-//! `[entries, nodes, features]` array in RAM on every rank. This module
-//! makes the backing store a choice: [`SignalStorage`] is an enum of
-//! backends behind one row-oriented access trait ([`RowStore`]) —
+//! `[entries, nodes, features]` array in RAM on every rank. [`SignalStorage`]
+//! makes the backing store a choice between two backends —
 //!
-//! - [`SignalStorage::InMemory`]: the existing dense tensor. Reads are
-//!   zero-copy `narrow` views, bit-identical to the historical path.
-//! - [`SignalStorage::Chunked`]: the entry axis split into fixed-size
-//!   row-group chunks backed by an on-disk columnar file (header +
-//!   per-chunk offset table + optional per-chunk quantization scales),
-//!   loaded through a bounded LRU chunk cache so resident bytes are
-//!   `O(chunks_cached)`, not `O(entries)`.
+//! - [`SignalStorage::InMemory`]: one dense contiguous tensor. Row-range
+//!   reads are zero-copy `narrow` views of it.
+//! - [`SignalStorage::Chunked`]: a [`ChunkedStore`] — a process-private
+//!   spill file of raw little-endian `f32` rows (row `r` sits at byte
+//!   `r · 4 · row_width`; no header, no table, deleted with the store) read
+//!   through a bounded LRU cache of decoded *chunks*. A chunk is
+//!   [`ChunkedSpec::chunk_entries`] consecutive rows: the unit of IO and of
+//!   caching, its file range pure arithmetic. Resident bytes are
+//!   `O(chunks_cached)`, not `O(entries)`, and every stored bit comes back
+//!   unchanged, so a chunked run reproduces an in-memory run bit for bit
+//!   (the engine goldens and `proptests_data` pin this).
 //!
-//! The on-disk codec defaults to [`ChunkCodec::F32`] — **bitwise lossless**,
-//! so a chunked run reproduces an in-memory run bit for bit (the engine
-//! goldens pin this). `F16`/`I8` shrink the file 2×/4× at half-precision /
-//! per-chunk-scaled 8-bit fidelity for footprint-bound deployments.
-//!
-//! Chunk reads return the *stored* bytes pulled from disk so callers can
-//! price the IO with [`st_device::CostModel::pfs_read`] and let the engine's
-//! prefetch overlap hide it behind compute.
+//! — and **this file is the only one that matches on which backend it is**.
+//! Everything else is written once over three data primitives:
+//! [`RowStore::read_rows_quoted`] (a contiguous row range),
+//! [`RowStore::gather_rows_quoted`] (arbitrary rows) and
+//! [`SignalStorage::rewrite_rows`] (stream the store block by block into a
+//! new one). The two reads also return the bytes they pulled from disk so
+//! callers can price the IO with [`st_device::CostModel::pfs_read`] and let
+//! the engine's prefetch overlap hide it behind compute.
 
-use st_tensor::half::{f16_bits_to_f32, f16_round_trip, f32_to_f16_bits};
 use st_tensor::Tensor;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Magic number of the chunked columnar file ("STCC").
-const MAGIC: u32 = 0x5354_4343;
-/// Format version.
-const VERSION: u32 = 1;
+/// Decoded-chunk cache ceiling of [`ChunkedSpec::new`] (64 MiB).
+const DEFAULT_CACHE_BYTES: u64 = 64 << 20;
 
-/// Default rows (entries) per chunk.
-pub const DEFAULT_CHUNK_ENTRIES: usize = 256;
-/// Default decoded-chunk cache ceiling (64 MiB).
-pub const DEFAULT_CACHE_BYTES: u64 = 64 << 20;
-
-/// Per-chunk on-disk encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkCodec {
-    /// Raw little-endian f32 — bitwise lossless (the default).
-    F32,
-    /// IEEE binary16 (2 bytes/scalar, ~2^-11 relative error).
-    F16,
-    /// Per-chunk max-abs-scaled signed 8-bit (1 byte/scalar + one f32
-    /// scale per chunk).
-    I8,
-}
-
-impl ChunkCodec {
-    /// Stored bytes per scalar.
-    pub fn bytes_per_scalar(&self) -> usize {
-        match self {
-            ChunkCodec::F32 => 4,
-            ChunkCodec::F16 => 2,
-            ChunkCodec::I8 => 1,
-        }
-    }
-
-    /// True when decode(encode(x)) == x bitwise for every finite x.
-    pub fn is_lossless(&self) -> bool {
-        matches!(self, ChunkCodec::F32)
-    }
-
-    fn tag(&self) -> u32 {
-        match self {
-            ChunkCodec::F32 => 0,
-            ChunkCodec::F16 => 1,
-            ChunkCodec::I8 => 2,
-        }
-    }
-
-    /// The value a scalar decodes to after one store/load round trip.
-    pub fn round_trip(&self, v: f32) -> f32 {
-        match self {
-            ChunkCodec::F32 => v,
-            ChunkCodec::F16 => f16_round_trip(v),
-            ChunkCodec::I8 => v, // depends on the chunk scale; per-chunk only
-        }
-    }
-}
-
-/// Chunked-backend configuration: chunk shape, cache ceiling, codec.
+/// Chunked-backend configuration: the cache granule and the cache ceiling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChunkedSpec {
     /// Rows (dim-0 entries) per chunk.
@@ -95,18 +47,14 @@ pub struct ChunkedSpec {
     /// Decoded-chunk LRU cache ceiling in bytes. A single chunk larger
     /// than the ceiling still loads (the cache holds exactly that chunk).
     pub cache_bytes: u64,
-    /// On-disk payload codec.
-    pub codec: ChunkCodec,
 }
 
 impl ChunkedSpec {
-    /// Lossless chunked storage with the given chunk size and the default
-    /// cache ceiling.
+    /// Chunked storage with the given chunk size and a 64 MiB cache.
     pub fn new(chunk_entries: usize) -> Self {
         ChunkedSpec {
             chunk_entries,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            codec: ChunkCodec::F32,
         }
     }
 
@@ -115,27 +63,15 @@ impl ChunkedSpec {
         self.cache_bytes = bytes;
         self
     }
-
-    /// Replace the codec.
-    pub fn with_codec(mut self, codec: ChunkCodec) -> Self {
-        self.codec = codec;
-        self
-    }
-}
-
-impl Default for ChunkedSpec {
-    fn default() -> Self {
-        ChunkedSpec::new(DEFAULT_CHUNK_ENTRIES)
-    }
 }
 
 /// Which backend a config-built dataset should use.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum StorageSpec {
-    /// One dense in-memory tensor (the historical layout).
+    /// One dense in-memory tensor.
     #[default]
     InMemory,
-    /// Out-of-core chunked columnar storage.
+    /// Out-of-core: a spill file behind a bounded chunk cache.
     Chunked(ChunkedSpec),
 }
 
@@ -156,9 +92,10 @@ pub trait RowStore {
     fn dims(&self) -> &[usize];
     /// Scalars per row (product of trailing dims).
     fn row_width(&self) -> usize;
-    /// Read a contiguous row range as `[len, trailing...]`, returning the
-    /// tensor plus the **stored bytes pulled from disk** to serve it (0 on
-    /// cache hits and for the in-memory backend, whose reads are views).
+    /// Read a contiguous row range as a contiguous `[len, trailing...]`
+    /// tensor, returning it plus the **bytes pulled from disk** to serve it
+    /// (0 on cache hits and for the in-memory backend, whose reads are
+    /// views).
     fn read_rows_quoted(&self, range: Range<usize>) -> (Tensor, u64);
     /// Gather arbitrary rows as `[ids.len(), trailing...]`, quoting disk
     /// bytes as in [`RowStore::read_rows_quoted`].
@@ -168,202 +105,96 @@ pub trait RowStore {
     fn resident_bytes(&self) -> u64;
 }
 
-// ---------------------------------------------------------------------------
-// Chunk codecs
-// ---------------------------------------------------------------------------
-
-fn encode_chunk(codec: ChunkCodec, values: &[f32]) -> (Vec<u8>, f32) {
-    match codec {
-        ChunkCodec::F32 => {
-            let mut out = Vec::with_capacity(values.len() * 4);
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            (out, 1.0)
-        }
-        ChunkCodec::F16 => {
-            let mut out = Vec::with_capacity(values.len() * 2);
-            for &v in values {
-                out.extend_from_slice(&f32_to_f16_bits(v).to_le_bytes());
-            }
-            (out, 1.0)
-        }
-        ChunkCodec::I8 => {
-            let max_abs = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
-            let out = values
-                .iter()
-                .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8 as u8)
-                .collect();
-            (out, scale)
-        }
-    }
-}
-
-fn decode_chunk(codec: ChunkCodec, bytes: &[u8], scale: f32, out: &mut Vec<f32>) {
-    match codec {
-        ChunkCodec::F32 => {
-            for b in bytes.chunks_exact(4) {
-                out.push(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-            }
-        }
-        ChunkCodec::F16 => {
-            for b in bytes.chunks_exact(2) {
-                out.push(f16_bits_to_f32(u16::from_le_bytes([b[0], b[1]])));
-            }
-        }
-        ChunkCodec::I8 => {
-            for &b in bytes {
-                out.push((b as i8) as f32 * scale);
-            }
-        }
-    }
+fn width_of(dims: &[usize]) -> usize {
+    dims[1..].iter().product::<usize>().max(1)
 }
 
 // ---------------------------------------------------------------------------
-// The on-disk store
+// The spill file
 // ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-struct ChunkMeta {
-    offset: u64,
-    bytes: u64,
-    scale: f32,
-}
-
-struct ChunkCache {
-    /// chunk id -> (decoded scalars, last-touch tick).
-    entries: HashMap<usize, (Arc<Vec<f32>>, u64)>,
-    resident: u64,
-    tick: u64,
-}
 
 static FILE_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-fn fresh_chunk_path() -> std::path::PathBuf {
-    let n = FILE_COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("st-chunks-{}-{n}.stcc", std::process::id()))
+/// The spill file's name. Whoever holds it — the writer until
+/// [`SpillWriter::finish`], the store afterwards — deletes the file when
+/// dropped, so neither a finished store nor a writer abandoned by a panic
+/// leaves anything in the temp dir.
+struct SpillPath(PathBuf);
+
+impl SpillPath {
+    fn fresh() -> Self {
+        let n = FILE_COUNTER.fetch_add(1, Ordering::Relaxed);
+        SpillPath(std::env::temp_dir().join(format!("st-chunks-{}-{n}.f32", std::process::id())))
+    }
 }
 
-/// Streaming writer for the chunked columnar file. Rows are pushed in
-/// order; each full chunk is encoded and appended immediately, so peak
-/// writer memory is one chunk.
-pub struct ChunkedWriter {
+impl Drop for SpillPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Appends rows to a fresh spill file. Rows are encoded one chunk's worth at
+/// a time, so peak writer memory is one chunk whatever is pushed.
+struct SpillWriter {
     file: File,
-    path: std::path::PathBuf,
+    path: SpillPath,
+    /// `[rows pushed so far, trailing...]`.
     dims: Vec<usize>,
     spec: ChunkedSpec,
-    table: Vec<ChunkMeta>,
-    buf: Vec<f32>,
-    rows_written: usize,
-    payload_at: u64,
+    encoded: Vec<u8>,
 }
 
-impl ChunkedWriter {
-    /// Start a file for a `[dims[0], dims[1..]]` array under `spec`. The
-    /// total row count must be known up front (it sizes the header).
-    pub fn create(dims: &[usize], spec: ChunkedSpec) -> Self {
-        assert!(!dims.is_empty(), "need at least the row dimension");
+impl SpillWriter {
+    /// Start a file of `[_, trailing...]` rows under `spec`.
+    fn create(trailing: &[usize], spec: ChunkedSpec) -> Self {
         assert!(spec.chunk_entries > 0, "chunk_entries must be positive");
         assert!(spec.cache_bytes > 0, "cache_bytes must be positive");
-        let path = fresh_chunk_path();
-        let mut file = File::create(&path).expect("create chunk file");
-        let nchunks = dims[0].div_ceil(spec.chunk_entries);
-        // Header: magic, version, codec, ndims, chunk_rows, dims…, nchunks,
-        // then the chunk table (offset u64 + bytes u64 + scale f32 each),
-        // then payload. The table is backfilled on finish().
-        let header_bytes = 16 + 8 + dims.len() * 8 + 8 + nchunks * 20;
-        let mut head = Vec::with_capacity(header_bytes);
-        head.extend_from_slice(&MAGIC.to_le_bytes());
-        head.extend_from_slice(&VERSION.to_le_bytes());
-        head.extend_from_slice(&spec.codec.tag().to_le_bytes());
-        head.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-        head.extend_from_slice(&(spec.chunk_entries as u64).to_le_bytes());
-        for &d in dims {
-            head.extend_from_slice(&(d as u64).to_le_bytes());
-        }
-        head.extend_from_slice(&(nchunks as u64).to_le_bytes());
-        head.resize(header_bytes, 0);
-        file.write_all(&head).expect("write chunk header");
-        ChunkedWriter {
+        let path = SpillPath::fresh();
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path.0)
+            .expect("create spill file");
+        SpillWriter {
             file,
             path,
-            dims: dims.to_vec(),
+            dims: [&[0], trailing].concat(),
             spec,
-            table: Vec::with_capacity(nchunks),
-            buf: Vec::new(),
-            rows_written: 0,
-            payload_at: header_bytes as u64,
+            encoded: Vec::new(),
         }
     }
 
-    fn width(&self) -> usize {
-        self.dims[1..].iter().product::<usize>().max(1)
-    }
-
-    /// Append whole rows (`rows.len()` must be a multiple of the row width).
-    pub fn push_rows(&mut self, rows: &[f32]) {
-        let width = self.width();
-        assert_eq!(rows.len() % width, 0, "push_rows needs whole rows");
-        self.rows_written += rows.len() / width;
-        assert!(
-            self.rows_written <= self.dims[0],
-            "more rows pushed than declared ({} > {})",
-            self.rows_written,
-            self.dims[0]
-        );
-        self.buf.extend_from_slice(rows);
-        let chunk_scalars = self.spec.chunk_entries * width;
-        while self.buf.len() >= chunk_scalars {
-            let rest = self.buf.split_off(chunk_scalars);
-            let full = std::mem::replace(&mut self.buf, rest);
-            self.flush_chunk(&full);
-        }
-    }
-
-    fn flush_chunk(&mut self, values: &[f32]) {
-        let (encoded, scale) = encode_chunk(self.spec.codec, values);
-        self.table.push(ChunkMeta {
-            offset: self.payload_at,
-            bytes: encoded.len() as u64,
-            scale,
-        });
-        self.file.write_all(&encoded).expect("write chunk");
-        self.payload_at += encoded.len() as u64;
-    }
-
-    /// Flush the ragged tail, backfill the chunk table, and open the store.
-    pub fn finish(mut self) -> ChunkedStore {
+    /// Append a contiguous `[len, trailing...]` block of rows.
+    fn push(&mut self, block: &Tensor) {
         assert_eq!(
-            self.rows_written, self.dims[0],
-            "writer closed early: {} of {} rows",
-            self.rows_written, self.dims[0]
+            block.dims()[1..],
+            self.dims[1..],
+            "every block must have the same trailing shape"
         );
-        if !self.buf.is_empty() {
-            let tail = std::mem::take(&mut self.buf);
-            self.flush_chunk(&tail);
+        self.dims[0] += block.dim(0);
+        let data = block.as_slice().expect("contiguous block");
+        let piece_len = self.spec.chunk_entries * self.dims[1..].iter().product::<usize>();
+        for piece in data.chunks(piece_len.max(1)) {
+            self.encoded.resize(piece.len() * 4, 0);
+            for (bytes, v) in self.encoded.chunks_exact_mut(4).zip(piece) {
+                bytes.copy_from_slice(&v.to_le_bytes());
+            }
+            self.file
+                .write_all(&self.encoded)
+                .expect("write spill file");
         }
-        // Backfill the table.
-        let table_at = (16 + 8 + self.dims.len() * 8 + 8) as u64;
-        self.file
-            .seek(SeekFrom::Start(table_at))
-            .expect("seek to table");
-        let mut raw = Vec::with_capacity(self.table.len() * 20);
-        for m in &self.table {
-            raw.extend_from_slice(&m.offset.to_le_bytes());
-            raw.extend_from_slice(&m.bytes.to_le_bytes());
-            raw.extend_from_slice(&m.scale.to_le_bytes());
-        }
-        self.file.write_all(&raw).expect("write chunk table");
-        self.file.flush().expect("flush chunk file");
-        let file = File::open(&self.path).expect("reopen chunk file");
+    }
+
+    /// Hand the file over to a store with an empty cache.
+    fn finish(self) -> ChunkedStore {
         ChunkedStore {
-            file: Mutex::new(file),
+            file: Mutex::new(self.file),
             path: self.path,
             dims: self.dims,
             spec: self.spec,
-            table: self.table,
-            file_bytes: self.payload_at,
             cache: Mutex::new(ChunkCache {
                 entries: HashMap::new(),
                 resident: 0,
@@ -377,16 +208,22 @@ impl ChunkedWriter {
     }
 }
 
-/// An on-disk chunked columnar array with a bounded LRU decoded-chunk
-/// cache. Owns its backing file (deleted on drop). Thread-safe: planes on
-/// different engine ranks may share one store through an `Arc`.
+struct ChunkCache {
+    /// chunk id -> (decoded scalars, last-touch tick).
+    entries: HashMap<usize, (Arc<Vec<f32>>, u64)>,
+    resident: u64,
+    tick: u64,
+}
+
+/// A spilled `[rows, trailing...]` array: a flat `f32` row file read through
+/// a bounded LRU cache of decoded chunks. Owns its backing file (deleted on
+/// drop). Thread-safe: planes on different engine ranks may share one store
+/// through an `Arc`.
 pub struct ChunkedStore {
     file: Mutex<File>,
-    path: std::path::PathBuf,
+    path: SpillPath,
     dims: Vec<usize>,
     spec: ChunkedSpec,
-    table: Vec<ChunkMeta>,
-    file_bytes: u64,
     cache: Mutex<ChunkCache>,
     io_bytes: AtomicU64,
     io_chunks: AtomicU64,
@@ -399,48 +236,23 @@ impl std::fmt::Debug for ChunkedStore {
         f.debug_struct("ChunkedStore")
             .field("dims", &self.dims)
             .field("spec", &self.spec)
-            .field("chunks", &self.table.len())
-            .field("file_bytes", &self.file_bytes)
+            .field("path", &self.path.0)
             .finish()
     }
 }
 
-impl Drop for ChunkedStore {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
 impl ChunkedStore {
-    /// Encode a tensor into a fresh chunk file.
-    pub fn from_tensor(t: &Tensor, spec: ChunkedSpec) -> Arc<ChunkedStore> {
-        let mut w = ChunkedWriter::create(t.dims(), spec);
-        let src = t.contiguous();
-        w.push_rows(src.as_slice().expect("contiguous"));
-        Arc::new(w.finish())
-    }
-
-    /// The chunk configuration.
-    pub fn spec(&self) -> ChunkedSpec {
-        self.spec
-    }
-
-    /// Rows per chunk.
-    pub fn chunk_rows(&self) -> usize {
-        self.spec.chunk_entries
-    }
-
     /// Number of chunks.
     pub fn num_chunks(&self) -> usize {
-        self.table.len()
+        self.dims[0].div_ceil(self.spec.chunk_entries)
     }
 
-    /// Total stored payload + header bytes on disk.
+    /// Bytes of the spill file: every row, four bytes a scalar.
     pub fn file_bytes(&self) -> u64 {
-        self.file_bytes
+        (self.dims[0] * width_of(&self.dims) * 4) as u64
     }
 
-    /// Stored bytes read from disk so far (cache misses only).
+    /// Bytes read from disk so far (cache misses only).
     pub fn io_bytes(&self) -> u64 {
         self.io_bytes.load(Ordering::Relaxed)
     }
@@ -465,12 +277,8 @@ impl ChunkedStore {
         self.spec.chunk_entries.min(self.dims[0] - start)
     }
 
-    fn width(&self) -> usize {
-        self.dims[1..].iter().product::<usize>().max(1)
-    }
-
     /// Decoded chunk `c`, through the LRU cache. Returns the chunk plus the
-    /// stored bytes pulled from disk (0 on a hit).
+    /// bytes pulled from disk (0 on a hit).
     fn chunk(&self, c: usize) -> (Arc<Vec<f32>>, u64) {
         let mut cache = self.cache.lock().expect("chunk cache poisoned");
         cache.tick += 1;
@@ -480,23 +288,26 @@ impl ChunkedStore {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return (data.clone(), 0);
         }
-        // Miss: read + decode from disk.
-        let meta = self.table[c];
-        let mut raw = vec![0u8; meta.bytes as usize];
+        // Miss: the chunk's rows sit back to back from its first row's offset.
+        let row_bytes = width_of(&self.dims) * 4;
+        let mut raw = vec![0u8; self.rows_in_chunk(c) * row_bytes];
         {
-            let mut file = self.file.lock().expect("chunk file poisoned");
-            file.seek(SeekFrom::Start(meta.offset)).expect("seek chunk");
+            let mut file = self.file.lock().expect("spill file poisoned");
+            let offset = (c * self.spec.chunk_entries * row_bytes) as u64;
+            file.seek(SeekFrom::Start(offset)).expect("seek chunk");
             file.read_exact(&mut raw).expect("read chunk");
         }
-        let mut decoded = Vec::with_capacity(self.rows_in_chunk(c) * self.width());
-        decode_chunk(self.spec.codec, &raw, meta.scale, &mut decoded);
+        let mut decoded = Vec::with_capacity(raw.len() / 4);
+        for b in raw.chunks_exact(4) {
+            decoded.push(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+        }
         let decoded = Arc::new(decoded);
-        let decoded_bytes = (decoded.len() * 4) as u64;
-        self.io_bytes.fetch_add(meta.bytes, Ordering::Relaxed);
+        let bytes = raw.len() as u64;
+        self.io_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.io_chunks.fetch_add(1, Ordering::Relaxed);
         // Evict LRU entries until the new chunk fits (a chunk bigger than
         // the whole ceiling still loads — the cache then holds just it).
-        while cache.resident + decoded_bytes > self.spec.cache_bytes && !cache.entries.is_empty() {
+        while cache.resident + bytes > self.spec.cache_bytes && !cache.entries.is_empty() {
             let (&lru, _) = cache
                 .entries
                 .iter()
@@ -505,23 +316,11 @@ impl ChunkedStore {
             let (gone, _) = cache.entries.remove(&lru).expect("present");
             cache.resident -= (gone.len() * 4) as u64;
         }
-        cache.resident += decoded_bytes;
+        cache.resident += bytes;
         cache.entries.insert(c, (decoded.clone(), tick));
         self.peak_resident
             .fetch_max(cache.resident, Ordering::Relaxed);
-        (decoded, meta.bytes)
-    }
-
-    /// Iterate the store chunk-aligned: `f(first_row, rows_tensor)` per
-    /// chunk, in order. Used by per-chunk rewriters (`with_time_feature`,
-    /// scaler transforms) so nothing ever materializes the full array.
-    pub fn for_each_chunk(&self, mut f: impl FnMut(usize, &Tensor)) {
-        for c in 0..self.table.len() {
-            let start = c * self.spec.chunk_entries;
-            let rows = self.rows_in_chunk(c);
-            let (t, _) = self.read_rows_quoted(start..start + rows);
-            f(start, &t);
-        }
+        (decoded, bytes)
     }
 }
 
@@ -535,12 +334,12 @@ impl RowStore for ChunkedStore {
     }
 
     fn row_width(&self) -> usize {
-        self.width()
+        width_of(&self.dims)
     }
 
     fn read_rows_quoted(&self, range: Range<usize>) -> (Tensor, u64) {
         assert!(range.end <= self.dims[0], "row range out of bounds");
-        let width = self.width();
+        let width = self.row_width();
         let mut out = Vec::with_capacity(range.len() * width);
         let mut io = 0u64;
         if !range.is_empty() {
@@ -562,7 +361,7 @@ impl RowStore for ChunkedStore {
     }
 
     fn gather_rows_quoted(&self, ids: &[usize]) -> (Tensor, u64) {
-        let width = self.width();
+        let width = self.row_width();
         let mut out = Vec::with_capacity(ids.len() * width);
         let mut io = 0u64;
         for &r in ids {
@@ -591,20 +390,17 @@ impl RowStore for ChunkedStore {
 /// Clones are O(1) (shared tensor storage / shared `Arc`).
 #[derive(Debug, Clone)]
 pub enum SignalStorage {
-    /// One dense tensor; reads are zero-copy views.
+    /// One dense contiguous tensor; reads are zero-copy views.
     InMemory(Tensor),
-    /// On-disk chunks behind a bounded LRU cache.
+    /// A spill file behind a bounded LRU chunk cache.
     Chunked(Arc<ChunkedStore>),
 }
 
 impl SignalStorage {
     /// Wrap a tensor under the requested backend. `InMemory` shares the
-    /// tensor's storage; `Chunked` encodes it into a fresh chunk file.
+    /// tensor's storage; `Chunked` spills it to a fresh file.
     pub fn from_tensor_spec(t: Tensor, spec: StorageSpec) -> SignalStorage {
-        match spec {
-            StorageSpec::InMemory => SignalStorage::InMemory(t.contiguous()),
-            StorageSpec::Chunked(cs) => SignalStorage::Chunked(ChunkedStore::from_tensor(&t, cs)),
-        }
+        SignalStorage::InMemory(t.contiguous()).rechunk(spec)
     }
 
     /// True for the chunked backend.
@@ -616,7 +412,7 @@ impl SignalStorage {
     pub fn spec(&self) -> StorageSpec {
         match self {
             SignalStorage::InMemory(_) => StorageSpec::InMemory,
-            SignalStorage::Chunked(s) => StorageSpec::Chunked(s.spec()),
+            SignalStorage::Chunked(s) => StorageSpec::Chunked(s.spec),
         }
     }
 
@@ -633,13 +429,10 @@ impl SignalStorage {
         }
     }
 
-    /// Materialize the full array as one tensor (O(1) clone for the
-    /// in-memory backend; a full streamed read for chunks).
+    /// Materialize the full array as one tensor (a view of the in-memory
+    /// backend; a full streamed read for chunks).
     pub fn to_tensor(&self) -> Tensor {
-        match self {
-            SignalStorage::InMemory(t) => t.clone(),
-            SignalStorage::Chunked(s) => s.read_rows_quoted(0..s.rows()).0,
-        }
+        self.read_rows_quoted(0..self.rows()).0
     }
 
     /// The chunked store, when this is the chunked backend.
@@ -650,73 +443,71 @@ impl SignalStorage {
         }
     }
 
-    /// Rewrite this store under a new backend spec (used to convert an
-    /// in-memory dataset to chunked form, or re-chunk with new settings).
-    /// Chunked sources stream chunk-by-chunk; nothing materializes fully.
+    /// Copy this store under another backend spec (spill an in-memory
+    /// dataset, re-chunk with new settings, or load chunks back into RAM).
     pub fn rechunk(&self, spec: StorageSpec) -> SignalStorage {
-        match (self, spec) {
-            (SignalStorage::InMemory(t), s) => SignalStorage::from_tensor_spec(t.clone(), s),
-            (SignalStorage::Chunked(src), StorageSpec::Chunked(cs)) => {
-                let mut w = ChunkedWriter::create(src.dims(), cs);
-                src.for_each_chunk(|_, rows| {
-                    w.push_rows(rows.as_slice().expect("chunk rows contiguous"));
-                });
-                SignalStorage::Chunked(Arc::new(w.finish()))
+        self.rewrite_rows(spec, |_, block| block.clone())
+    }
+
+    /// Stream the store through `f` into a new store under `spec`, one
+    /// block at a time: `f(first_row, block)` gets a `[len, trailing...]`
+    /// block starting at row `first_row` and returns its `len` rewritten
+    /// rows, whose trailing shape may differ (every block must agree on
+    /// it). A block is the whole tensor for the in-memory backend and one
+    /// chunk for the chunked one, so a chunked source never holds more than
+    /// a chunk in RAM; any rewrite that treats rows independently — a scaler
+    /// transform, an appended feature column, a node subset — produces the
+    /// same bits whichever way the rows are blocked.
+    pub fn rewrite_rows(
+        &self,
+        spec: StorageSpec,
+        mut f: impl FnMut(usize, &Tensor) -> Tensor,
+    ) -> SignalStorage {
+        let rows = self.rows();
+        let step = match self {
+            SignalStorage::InMemory(_) => rows.max(1),
+            SignalStorage::Chunked(s) => s.spec.chunk_entries,
+        };
+        // An empty store still yields one (empty) block, so the output's
+        // trailing shape is always known.
+        let mut blocks = (0..rows.max(1)).step_by(step).map(|start| {
+            let end = (start + step).min(rows);
+            let out = f(start, &self.read_rows_quoted(start..end).0).contiguous();
+            assert_eq!(out.dim(0), end - start, "a rewrite keeps each row");
+            out
+        });
+        let first = blocks.next().expect("at least one block");
+        match spec {
+            // The only block is the result: no copy.
+            StorageSpec::InMemory if step >= rows => SignalStorage::InMemory(first),
+            StorageSpec::InMemory => {
+                let mut dims = first.dims().to_vec();
+                dims[0] = rows;
+                let mut all = Vec::with_capacity(dims.iter().product());
+                for block in std::iter::once(first).chain(blocks) {
+                    all.extend_from_slice(block.as_slice().expect("contiguous block"));
+                }
+                SignalStorage::InMemory(Tensor::from_vec(all, dims).expect("rewritten numel"))
             }
-            (SignalStorage::Chunked(_), StorageSpec::InMemory) => {
-                SignalStorage::InMemory(self.to_tensor())
+            StorageSpec::Chunked(cs) => {
+                let mut w = SpillWriter::create(&first.dims()[1..], cs);
+                for block in std::iter::once(first).chain(blocks) {
+                    w.push(&block);
+                }
+                SignalStorage::Chunked(Arc::new(w.finish()))
             }
         }
     }
 
-    /// Apply an elementwise per-row map, staying on the same backend.
-    /// Chunked stores stream per chunk (peak memory = one chunk); the
-    /// in-memory path applies `f` to the whole tensor in one call, so any
-    /// elementwise `f` (e.g. a scaler transform) produces bit-identical
-    /// values on both backends.
-    pub fn map_rows(&self, f: impl Fn(&Tensor) -> Tensor) -> SignalStorage {
-        match self {
-            SignalStorage::InMemory(t) => {
-                let out = f(t);
-                assert_eq!(out.dims(), t.dims(), "map_rows must preserve shape");
-                SignalStorage::InMemory(out.contiguous())
-            }
-            SignalStorage::Chunked(src) => {
-                let mut w = ChunkedWriter::create(src.dims(), src.spec());
-                src.for_each_chunk(|_, rows| {
-                    let out = f(rows);
-                    assert_eq!(out.dims(), rows.dims(), "map_rows must preserve shape");
-                    w.push_rows(out.contiguous().as_slice().expect("contiguous"));
-                });
-                SignalStorage::Chunked(Arc::new(w.finish()))
-            }
-        }
-    }
-
-    /// Stored bytes read from disk so far (0 for the in-memory backend).
+    /// Bytes read from disk so far (0 for the in-memory backend).
     pub fn io_bytes(&self) -> u64 {
-        match self {
-            SignalStorage::InMemory(_) => 0,
-            SignalStorage::Chunked(s) => s.io_bytes(),
-        }
-    }
-
-    /// High-water mark of cache-resident decoded bytes (the full tensor for
-    /// the in-memory backend).
-    pub fn peak_resident_bytes(&self) -> u64 {
-        match self {
-            SignalStorage::InMemory(t) => (t.numel() * 4) as u64,
-            SignalStorage::Chunked(s) => s.peak_resident_bytes(),
-        }
+        self.chunked().map_or(0, |s| s.io_bytes())
     }
 }
 
 impl RowStore for SignalStorage {
     fn rows(&self) -> usize {
-        match self {
-            SignalStorage::InMemory(t) => t.dim(0),
-            SignalStorage::Chunked(s) => s.rows(),
-        }
+        self.dims()[0]
     }
 
     fn dims(&self) -> &[usize] {
@@ -727,10 +518,7 @@ impl RowStore for SignalStorage {
     }
 
     fn row_width(&self) -> usize {
-        match self {
-            SignalStorage::InMemory(t) => t.dims()[1..].iter().product::<usize>().max(1),
-            SignalStorage::Chunked(s) => s.row_width(),
-        }
+        width_of(self.dims())
     }
 
     fn read_rows_quoted(&self, range: Range<usize>) -> (Tensor, u64) {
@@ -765,6 +553,18 @@ mod tests {
         Tensor::arange(rows * width).reshape([rows, width]).unwrap()
     }
 
+    fn spilled(t: &Tensor, spec: ChunkedSpec) -> Arc<ChunkedStore> {
+        let s = SignalStorage::from_tensor_spec(t.clone(), StorageSpec::Chunked(spec));
+        s.chunked().expect("chunked spec").clone()
+    }
+
+    fn assert_same_bits(got: &Tensor, want: &Tensor) {
+        assert_eq!(got.dims(), want.dims());
+        for (g, w) in got.to_vec().iter().zip(want.to_vec()) {
+            assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
+
     #[test]
     fn lossless_chunked_reads_are_bit_identical() {
         let t = arange(37, 5); // ragged final chunk with chunk_entries = 8
@@ -783,8 +583,7 @@ mod tests {
     #[test]
     fn cache_ceiling_bounds_resident_bytes() {
         let t = arange(64, 16); // 16 chunks of 4 rows × 16 cols = 256 B each
-        let spec = ChunkedSpec::new(4).with_cache_bytes(600); // fits 2 chunks
-        let store = ChunkedStore::from_tensor(&t, spec);
+        let store = spilled(&t, ChunkedSpec::new(4).with_cache_bytes(600)); // fits 2 chunks
         for r in 0..64 {
             let _ = store.gather_rows_quoted(&[r]);
         }
@@ -801,7 +600,7 @@ mod tests {
     #[test]
     fn sequential_reads_hit_the_cache() {
         let t = arange(32, 4);
-        let store = ChunkedStore::from_tensor(&t, ChunkedSpec::new(8));
+        let store = spilled(&t, ChunkedSpec::new(8));
         for r in 0..32 {
             let _ = store.gather_rows_quoted(&[r]);
         }
@@ -814,9 +613,9 @@ mod tests {
     #[test]
     fn io_bytes_are_quoted_per_read() {
         let t = arange(16, 4);
-        let store = ChunkedStore::from_tensor(&t, ChunkedSpec::new(8));
+        let store = spilled(&t, ChunkedSpec::new(8));
         let (_, io1) = store.read_rows_quoted(0..8);
-        assert_eq!(io1, 8 * 4 * 4, "one lossless chunk = stored bytes");
+        assert_eq!(io1, 8 * 4 * 4, "one chunk = its rows' bytes");
         let (_, io2) = store.read_rows_quoted(0..8);
         assert_eq!(io2, 0, "cache hit quotes no disk bytes");
         let (_, io3) = store.read_rows_quoted(4..12);
@@ -824,46 +623,59 @@ mod tests {
     }
 
     #[test]
-    fn f16_codec_halves_the_file_within_half_precision() {
-        let vals: Vec<f32> = (0..200).map(|i| (i as f32 * 0.37).sin() * 80.0).collect();
-        let t = Tensor::from_vec(vals.clone(), [50, 4]).unwrap();
-        let lossless = ChunkedStore::from_tensor(&t, ChunkedSpec::new(16));
-        let half = ChunkedStore::from_tensor(&t, ChunkedSpec::new(16).with_codec(ChunkCodec::F16));
-        let payload = |s: &ChunkedStore| -> u64 { s.table.iter().map(|m| m.bytes).sum() };
-        assert_eq!(payload(&half) * 2, payload(&lossless));
-        let (got, _) = half.read_rows_quoted(0..50);
-        for (g, v) in got.to_vec().iter().zip(&vals) {
-            assert!((g - v).abs() <= v.abs() / 2048.0 + 1e-6, "{v} -> {g}");
-        }
-    }
-
-    #[test]
-    fn i8_codec_quarters_the_file_within_scale_error() {
-        let vals: Vec<f32> = (0..200).map(|i| (i as f32 * 0.11).cos() * 3.0).collect();
-        let t = Tensor::from_vec(vals.clone(), [50, 4]).unwrap();
-        let q = ChunkedStore::from_tensor(&t, ChunkedSpec::new(16).with_codec(ChunkCodec::I8));
-        let payload: u64 = q.table.iter().map(|m| m.bytes).sum();
-        assert_eq!(payload, 200);
-        let (got, _) = q.read_rows_quoted(0..50);
-        // Error bound: half a quantization step at per-chunk max-abs scale.
-        for (g, v) in got.to_vec().iter().zip(&vals) {
-            assert!((g - v).abs() <= 3.0 / 127.0, "{v} -> {g}");
-        }
+    fn the_file_holds_the_rows_and_nothing_else() {
+        let t = arange(11, 3); // ragged against chunk_entries = 4
+        let store = spilled(&t, ChunkedSpec::new(4));
+        assert_eq!(store.num_chunks(), 3);
+        assert_eq!(store.file_bytes(), 11 * 3 * 4);
+        let on_disk = std::fs::read(&store.path.0).unwrap();
+        let want: Vec<u8> = t.to_vec().iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(on_disk, want, "row r at byte r * 4 * width, no header");
     }
 
     #[test]
     fn map_rows_matches_dense_map_bitwise() {
         let t = arange(29, 3);
-        let f = |x: &Tensor| st_tensor::ops::mul_scalar(&st_tensor::ops::add_scalar(x, -2.5), 0.3);
-        let dense = f(&t);
-        let chunked = SignalStorage::from_tensor_spec(t, StorageSpec::Chunked(ChunkedSpec::new(7)));
-        let mapped = chunked.map_rows(f);
-        let (got, _) = mapped.read_rows_quoted(0..29);
-        let a = got.to_vec();
-        let b = dense.to_vec();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        // An elementwise map (what `map_rows` was) ...
+        let scale =
+            |x: &Tensor| st_tensor::ops::mul_scalar(&st_tensor::ops::add_scalar(x, -2.5), 0.3);
+        // ... and a rewrite that changes the trailing shape and uses the
+        // block's first row: [len, 3] -> [len, 2, 2] = (x0, row), (x2, row).
+        let reshape = |first: usize, x: &Tensor| {
+            let mut out = Vec::new();
+            for (dt, row) in x.to_vec().chunks_exact(3).enumerate() {
+                let r = (first + dt) as f32;
+                out.extend_from_slice(&[row[0], r, row[2], r]);
+            }
+            Tensor::from_vec(out, [x.dim(0), 2, 2]).unwrap()
+        };
+        let want_scaled = scale(&t);
+        let want_reshaped = reshape(0, &t);
+        let chunked = StorageSpec::Chunked(ChunkedSpec::new(7));
+        for source in [StorageSpec::InMemory, chunked] {
+            let src = SignalStorage::from_tensor_spec(t.clone(), source);
+            for target in [StorageSpec::InMemory, chunked] {
+                let scaled = src.rewrite_rows(target, |_, x| scale(x));
+                assert_eq!(scaled.spec(), target);
+                assert_same_bits(&scaled.to_tensor(), &want_scaled);
+                let reshaped = src.rewrite_rows(target, reshape);
+                assert_eq!(reshaped.dims(), &[29, 2, 2]);
+                assert_same_bits(&reshaped.to_tensor(), &want_reshaped);
+            }
+        }
+    }
+
+    #[test]
+    fn rewriting_an_empty_store_keeps_the_trailing_shape() {
+        let empty = Tensor::zeros([0, 3]);
+        let chunked = StorageSpec::Chunked(ChunkedSpec::new(4));
+        for source in [StorageSpec::InMemory, chunked] {
+            let src = SignalStorage::from_tensor_spec(empty.clone(), source);
+            for target in [StorageSpec::InMemory, chunked] {
+                let out = src.rewrite_rows(target, |_, x| Tensor::zeros([x.dim(0), 2, 5]));
+                assert_eq!(out.dims(), &[0, 2, 5]);
+                assert_eq!(out.to_tensor().numel(), 0);
+            }
         }
     }
 
@@ -882,8 +694,8 @@ mod tests {
     #[test]
     fn chunk_file_is_deleted_on_drop() {
         let t = arange(8, 2);
-        let store = ChunkedStore::from_tensor(&t, ChunkedSpec::new(4));
-        let path = store.path.clone();
+        let store = spilled(&t, ChunkedSpec::new(4));
+        let path = store.path.0.clone();
         assert!(path.exists());
         drop(store);
         assert!(!path.exists());
@@ -896,5 +708,7 @@ mod tests {
         let (view, io) = s.read_rows_quoted(2..7);
         assert_eq!(io, 0);
         assert!(view.shares_storage(&t), "in-memory range reads are views");
+        assert!(view.as_slice().is_ok(), "and contiguous ones");
+        assert!(s.rechunk(StorageSpec::InMemory).dense().shares_storage(&t));
     }
 }

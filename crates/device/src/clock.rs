@@ -20,7 +20,6 @@ struct ClockInner {
     now: f64,
     compute: f64,
     communication: f64,
-    io: f64,
     /// Multiplier applied to every compute advance — the straggler
     /// injection knob. 1.0 models a healthy rank; >1.0 a slow one.
     compute_scale: f64,
@@ -32,7 +31,6 @@ impl Default for ClockInner {
             now: 0.0,
             compute: 0.0,
             communication: 0.0,
-            io: 0.0,
             compute_scale: 1.0,
         }
     }
@@ -80,13 +78,6 @@ impl SimClock {
         i.communication += secs;
     }
 
-    /// Advance by `secs` of I/O time.
-    pub fn advance_io(&self, secs: f64) {
-        let mut i = self.inner.lock();
-        i.now += secs;
-        i.io += secs;
-    }
-
     /// Total compute seconds.
     pub fn compute_secs(&self) -> f64 {
         self.inner.lock().compute
@@ -95,11 +86,6 @@ impl SimClock {
     /// Total communication seconds.
     pub fn comm_secs(&self) -> f64 {
         self.inner.lock().communication
-    }
-
-    /// Total I/O seconds.
-    pub fn io_secs(&self) -> f64 {
-        self.inner.lock().io
     }
 
     /// Jump forward to `t` if it is in the future (barrier semantics: a rank
@@ -128,11 +114,9 @@ mod tests {
         let c = SimClock::new();
         c.advance_compute(1.0);
         c.advance_comm(2.0);
-        c.advance_io(0.5);
-        assert_eq!(c.now(), 3.5);
+        assert_eq!(c.now(), 3.0);
         assert_eq!(c.compute_secs(), 1.0);
         assert_eq!(c.comm_secs(), 2.0);
-        assert_eq!(c.io_secs(), 0.5);
     }
 
     #[test]
@@ -163,9 +147,9 @@ mod tests {
     #[test]
     fn reset_zeroes() {
         let c = SimClock::new();
-        c.advance_io(2.0);
+        c.advance_comm(2.0);
         c.reset();
         assert_eq!(c.now(), 0.0);
-        assert_eq!(c.io_secs(), 0.0);
+        assert_eq!(c.comm_secs(), 0.0);
     }
 }

@@ -84,11 +84,6 @@ impl CostModel {
         self.kernel_latency + (n * 8) as f64 / self.gpu_membw
     }
 
-    /// Seconds for an elementwise pass on the CPU.
-    pub fn elementwise_cpu(&self, n: usize) -> f64 {
-        (n * 8) as f64 / self.cpu_membw
-    }
-
     /// Seconds to move `bytes` host → device (or back) over PCIe.
     pub fn h2d(&self, bytes: u64) -> f64 {
         self.pcie_latency + bytes as f64 / self.pcie_bw

@@ -151,11 +151,6 @@ impl MemPool {
     pub fn peak_gib(&self) -> f64 {
         self.peak() as f64 / GIB
     }
-
-    /// Current usage in GiB.
-    pub fn in_use_gib(&self) -> f64 {
-        self.in_use() as f64 / GIB
-    }
 }
 
 /// RAII guard for pool bytes.

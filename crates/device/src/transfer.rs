@@ -21,8 +21,6 @@ pub struct TransferLedger {
 struct LedgerInner {
     h2d_count: u64,
     h2d_bytes: u64,
-    d2h_count: u64,
-    d2h_bytes: u64,
 }
 
 impl TransferLedger {
@@ -40,15 +38,6 @@ impl TransferLedger {
         clock.advance_comm(cm.h2d(bytes));
     }
 
-    /// Model a device→host copy.
-    pub fn d2h(&self, bytes: u64, cm: &CostModel, clock: &SimClock) {
-        let mut i = self.inner.lock();
-        i.d2h_count += 1;
-        i.d2h_bytes += bytes;
-        drop(i);
-        clock.advance_comm(cm.h2d(bytes));
-    }
-
     /// Number of host→device transfers.
     pub fn h2d_count(&self) -> u64 {
         self.inner.lock().h2d_count
@@ -57,16 +46,6 @@ impl TransferLedger {
     /// Total host→device bytes.
     pub fn h2d_bytes(&self) -> u64 {
         self.inner.lock().h2d_bytes
-    }
-
-    /// Number of device→host transfers.
-    pub fn d2h_count(&self) -> u64 {
-        self.inner.lock().d2h_count
-    }
-
-    /// Total device→host bytes.
-    pub fn d2h_bytes(&self) -> u64 {
-        self.inner.lock().d2h_bytes
     }
 }
 
@@ -81,10 +60,8 @@ mod tests {
         let clock = SimClock::new();
         ledger.h2d(1 << 30, &cm, &clock);
         ledger.h2d(1 << 30, &cm, &clock);
-        ledger.d2h(1 << 20, &cm, &clock);
         assert_eq!(ledger.h2d_count(), 2);
         assert_eq!(ledger.h2d_bytes(), 2 << 30);
-        assert_eq!(ledger.d2h_count(), 1);
         assert!(clock.comm_secs() > 0.08, "2 GiB over ~24 GB/s PCIe");
     }
 

@@ -8,13 +8,12 @@
 //! every remote row lands on the shared ledger (`remote_bytes`,
 //! `remote_requests`), which is exactly the data-plane bar of Fig. 7.
 //!
-//! Since PR 8 the backing store is a [`SignalStorage`]: the in-memory
-//! backend keeps the historical behavior exactly (one shared tensor, O(1)
-//! clones, zero-copy range views), while the chunked backend streams rows
-//! from an on-disk columnar file through its bounded LRU cache — the store
-//! quotes the disk bytes it had to touch and fetches convert them to
-//! modeled PFS seconds, so the engine's prefetch overlap can hide chunk IO
-//! the same way it hides network time. Remote payloads can additionally be
+//! The backing store is a [`SignalStorage`]: in memory it is one shared
+//! tensor (O(1) clones, zero-copy range views); chunked, rows stream from
+//! the store's spill file through its bounded LRU cache — the store quotes
+//! the disk bytes it had to touch and fetches convert them to modeled PFS
+//! seconds, so the engine's prefetch overlap can hide chunk IO the same
+//! way it hides network time. Remote payloads can additionally be
 //! wire-compressed with a [`WireCodec`] (honestly transcoded and
 //! ledger-accounted at encoded size; lossless by default).
 
@@ -22,7 +21,7 @@ use crate::shuffle::contiguous_partition;
 use crate::topology::ClusterTopology;
 use crate::wire::WireCodec;
 use st_data::storage::{RowStore, SignalStorage};
-use st_device::{CostModel, SimClock};
+use st_device::CostModel;
 use st_tensor::Tensor;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -280,9 +279,9 @@ impl DistributedArray {
     /// Gather `indices` rows for `rank`, recording remote traffic on the
     /// ledger and returning `(batch, modeled seconds)` without charging any
     /// clock — the quote lets callers overlap the time (prefetching) or
-    /// charge it synchronously ([`DistributedArray::fetch_rows`]). The
-    /// quote covers network messages plus any chunk IO the backing store
-    /// performed ([`st_device::CostModel::pfs_read`]).
+    /// charge it synchronously. The quote covers network messages plus any
+    /// chunk IO the backing store performed
+    /// ([`st_device::CostModel::pfs_read`]).
     pub fn fetch_rows_quoted(
         &self,
         rank: usize,
@@ -295,22 +294,6 @@ impl DistributedArray {
             secs += cm.pfs_read(io_bytes, 1.0);
         }
         (self.transcode_gather(rank, indices, batch), secs)
-    }
-
-    /// Gather `indices` rows for `rank`, charging the modeled fetch time to
-    /// `clock` synchronously.
-    pub fn fetch_rows(
-        &self,
-        rank: usize,
-        indices: &[usize],
-        cm: &CostModel,
-        clock: &SimClock,
-    ) -> Tensor {
-        let (batch, secs) = self.fetch_rows_quoted(rank, indices, cm);
-        if secs > 0.0 {
-            clock.advance_comm(secs);
-        }
-        batch
     }
 
     /// Read a contiguous row range (a partition plus its halo in the
@@ -332,22 +315,6 @@ impl DistributedArray {
             secs += cm.pfs_read(io_bytes, 1.0);
         }
         (self.transcode_range(rank, &range, view), secs)
-    }
-
-    /// Read a contiguous row range, charging the modeled fetch time to
-    /// `clock` synchronously.
-    pub fn fetch_range(
-        &self,
-        rank: usize,
-        range: Range<usize>,
-        cm: &CostModel,
-        clock: &SimClock,
-    ) -> Tensor {
-        let (view, secs) = self.fetch_range_quoted(rank, range, cm);
-        if secs > 0.0 {
-            clock.advance_comm(secs);
-        }
-        view
     }
 }
 
@@ -379,22 +346,20 @@ mod tests {
     fn local_rows_are_free() {
         let a = arr(16, 4, PartitionPolicy::Contiguous);
         let cm = CostModel::polaris();
-        let clock = SimClock::new();
         let own: Vec<usize> = a.partition(0).collect();
-        let batch = a.fetch_rows(0, &own, &cm, &clock);
+        let (batch, secs) = a.fetch_rows_quoted(0, &own, &cm);
         assert_eq!(batch.dims(), &[4, 3]);
         assert_eq!(a.remote_bytes(), 0);
         assert_eq!(a.remote_requests(), 0);
-        assert_eq!(clock.comm_secs(), 0.0);
+        assert_eq!(secs, 0.0);
     }
 
     #[test]
     fn remote_rows_charge_time_and_ledger() {
         let a = arr(16, 4, PartitionPolicy::Contiguous);
         let cm = CostModel::polaris();
-        let clock = SimClock::new();
         // Rows 12..16 belong to rank 3; fetch them as rank 0.
-        let batch = a.fetch_rows(0, &[12, 13, 14, 15], &cm, &clock);
+        let (batch, secs) = a.fetch_rows_quoted(0, &[12, 13, 14, 15], &cm);
         assert_eq!(batch.to_vec()[0], 36.0);
         assert_eq!(a.remote_bytes(), 4 * 3 * 4);
         assert_eq!(
@@ -402,7 +367,7 @@ mod tests {
             1,
             "request batching: one owner, one message"
         );
-        assert!(clock.comm_secs() > 0.0);
+        assert!(secs > 0.0);
     }
 
     #[test]
@@ -421,13 +386,13 @@ mod tests {
     fn fetch_range_returns_a_view() {
         let a = arr(10, 2, PartitionPolicy::Contiguous);
         let cm = CostModel::polaris();
-        let clock = SimClock::new();
-        let window = a.fetch_range(0, 3..8, &cm, &clock);
+        let (window, secs) = a.fetch_range_quoted(0, 3..8, &cm);
         assert_eq!(window.dims(), &[5, 3]);
         assert_eq!(window.to_vec()[0], 9.0);
+        assert!(window.shares_storage(a.storage().dense()));
         // Rows 5..8 were remote (rank 1 owns 5..10).
         assert_eq!(a.remote_bytes(), 3 * 3 * 4);
-        assert!(clock.comm_secs() > 0.0);
+        assert!(secs > 0.0);
     }
 
     #[test]

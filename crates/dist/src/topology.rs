@@ -29,11 +29,6 @@ impl ClusterTopology {
     pub fn same_node(&self, a: usize, b: usize) -> bool {
         self.node_of(a) == self.node_of(b)
     }
-
-    /// Number of nodes needed for `world` ranks.
-    pub fn nodes_for(&self, world: usize) -> usize {
-        world.div_ceil(self.gpus_per_node)
-    }
 }
 
 impl Default for ClusterTopology {
@@ -52,6 +47,5 @@ mod tests {
         assert!(t.same_node(0, 3));
         assert!(!t.same_node(3, 4));
         assert_eq!(t.node_of(9), 2);
-        assert_eq!(t.nodes_for(9), 3);
     }
 }

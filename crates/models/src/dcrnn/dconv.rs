@@ -53,14 +53,6 @@ impl DiffusionConv {
         self.forward_with_act(tape, &self.supports, x, Activation::Identity)
     }
 
-    /// Apply with caller-supplied supports (the dynamic-graph path: the
-    /// weights are time-invariant, the diffusion operators are not). The
-    /// support count must match construction — the fused weight is laid
-    /// out `[K·in, out]`.
-    pub fn forward_with(&self, tape: &Tape, supports: &[Support], x: &Var) -> Var {
-        self.forward_with_act(tape, supports, x, Activation::Identity)
-    }
-
     /// [`DiffusionConv::forward`] with the gate nonlinearity fused into the
     /// bias add — the DCRNN gate path (`dconv → add-bias → σ/tanh`) runs as
     /// one elementwise kernel instead of two materializing tape nodes.
@@ -68,7 +60,10 @@ impl DiffusionConv {
         self.forward_with_act(tape, &self.supports, x, act)
     }
 
-    /// [`DiffusionConv::forward_with`] with a fused bias+activation tail.
+    /// Apply with caller-supplied supports (the dynamic-graph path: the
+    /// weights are time-invariant, the diffusion operators are not) and a
+    /// fused bias+activation tail. The support count must match
+    /// construction — the fused weight is laid out `[K·in, out]`.
     pub fn forward_with_act(
         &self,
         tape: &Tape,

@@ -25,17 +25,6 @@ impl Table {
         self
     }
 
-    /// Append a row of displayable items.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let v: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&v)
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render as aligned plain text.
     pub fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -73,18 +62,6 @@ impl Table {
         out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
         for row in &self.rows {
             out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
         }
         out
     }
@@ -128,7 +105,6 @@ mod tests {
         let s = t.to_text();
         assert!(s.contains("== Demo =="));
         assert!(s.contains("alpha  1"));
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]
@@ -136,7 +112,6 @@ mod tests {
         let mut t = Table::new("T", &["a", "b"]);
         t.row(&["1".into(), "2".into()]);
         assert!(t.to_markdown().contains("| 1 | 2 |"));
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

@@ -60,31 +60,71 @@ pub struct MicroBatch {
     pub window_of: Vec<usize>,
 }
 
-/// Coalesce arrival-ordered requests into dispatchable micro-batches.
-///
-/// Panics if arrivals are not non-decreasing — the queue models a single
-/// shard's inbox, which observes time monotonically.
-pub fn coalesce(requests: &[PendingRequest], cfg: &QueueConfig) -> Vec<MicroBatch> {
-    assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
-    assert!(cfg.max_delay_secs >= 0.0, "max_delay must be non-negative");
-    let mut batches = Vec::new();
-    let mut open: Option<MicroBatch> = None;
-    let mut deadline = f64::INFINITY;
-    for (i, r) in requests.iter().enumerate() {
-        if i > 0 {
-            assert!(
-                r.arrival_secs >= requests[i - 1].arrival_secs,
-                "requests must be sorted by arrival"
-            );
+/// The open-batch state machine both schedulers drive, one arrival at a
+/// time: [`OpenBatch::flush_due`] → (admission gates, if any) →
+/// [`OpenBatch::join`], then [`OpenBatch::finish`] when the stream ends.
+pub(crate) struct OpenBatch {
+    cfg: QueueConfig,
+    open: Option<MicroBatch>,
+    /// When the open batch's timer fires (∞ while none is open).
+    deadline: f64,
+    last_arrival: f64,
+}
+
+impl OpenBatch {
+    pub(crate) fn new(cfg: &QueueConfig) -> Self {
+        assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
+        assert!(cfg.max_delay_secs >= 0.0, "max_delay must be non-negative");
+        OpenBatch {
+            cfg: *cfg,
+            open: None,
+            deadline: f64::INFINITY,
+            last_arrival: f64::NEG_INFINITY,
         }
-        // The timer fires before this arrival: flush at the deadline.
-        if let Some(b) = open.take_if(|_| r.arrival_secs > deadline) {
-            batches.push(b);
+    }
+
+    /// Observe an arrival at `at`: if the open batch's timer fired before
+    /// it, the batch dispatches at its deadline and is returned.
+    pub(crate) fn flush_due(&mut self, at: f64) -> Option<MicroBatch> {
+        assert!(
+            at >= self.last_arrival,
+            "requests must be sorted by arrival"
+        );
+        self.last_arrival = at;
+        let due = self.open.take_if(|_| at > self.deadline);
+        if due.is_some() {
+            self.deadline = f64::INFINITY;
         }
-        let b = open.get_or_insert_with(|| {
-            deadline = r.arrival_secs + cfg.max_delay_secs;
+        due
+    }
+
+    /// Requests waiting in the open batch.
+    pub(crate) fn waiting(&self) -> usize {
+        self.open.as_ref().map_or(0, |b| b.requests.len())
+    }
+
+    /// The batch `r` would join, as `(latest dispatch, distinct windows)`:
+    /// the open batch at its timer with `r`'s window added (a duplicate
+    /// window adds no slot), or a fresh one opened by `r`.
+    pub(crate) fn quote_join(&self, r: &PendingRequest) -> (f64, usize) {
+        match &self.open {
+            Some(b) => {
+                let extra = usize::from(!b.windows.contains(&r.window_end));
+                (self.deadline, b.windows.len() + extra)
+            }
+            None => (r.arrival_secs + self.cfg.max_delay_secs, 1),
+        }
+    }
+
+    /// Add `r` to the open batch (opening one, timer started at `r`'s
+    /// arrival, if none is). Requests for the same window share a slot. A
+    /// batch this fills dispatches immediately, at the arrival that filled
+    /// it, and is returned.
+    pub(crate) fn join(&mut self, r: &PendingRequest) -> Option<MicroBatch> {
+        let b = self.open.get_or_insert_with(|| {
+            self.deadline = r.arrival_secs + self.cfg.max_delay_secs;
             MicroBatch {
-                dispatch_secs: deadline,
+                dispatch_secs: self.deadline,
                 requests: Vec::new(),
                 windows: Vec::new(),
                 window_of: Vec::new(),
@@ -99,18 +139,33 @@ pub fn coalesce(requests: &[PendingRequest], cfg: &QueueConfig) -> Vec<MicroBatc
         };
         b.requests.push(r.id);
         b.window_of.push(slot);
-        // Full: dispatch immediately, at the arrival that filled it.
-        if b.windows.len() >= cfg.max_batch {
-            let mut b = open.take().expect("just inserted");
-            b.dispatch_secs = r.arrival_secs;
-            batches.push(b);
-            deadline = f64::INFINITY;
+        if b.windows.len() < self.cfg.max_batch {
+            return None;
         }
+        self.deadline = f64::INFINITY;
+        let mut full = self.open.take().expect("just inserted");
+        full.dispatch_secs = r.arrival_secs;
+        Some(full)
     }
-    // The stream ended; the last open batch waits out its timer.
-    if let Some(b) = open {
-        batches.push(b);
+
+    /// The stream ended; the last open batch waits out its timer.
+    pub(crate) fn finish(self) -> Option<MicroBatch> {
+        self.open
     }
+}
+
+/// Coalesce arrival-ordered requests into dispatchable micro-batches.
+///
+/// Panics if arrivals are not non-decreasing — the queue models a single
+/// shard's inbox, which observes time monotonically.
+pub fn coalesce(requests: &[PendingRequest], cfg: &QueueConfig) -> Vec<MicroBatch> {
+    let mut open = OpenBatch::new(cfg);
+    let mut batches = Vec::new();
+    for r in requests {
+        batches.extend(open.flush_due(r.arrival_secs));
+        batches.extend(open.join(r));
+    }
+    batches.extend(open.finish());
     batches
 }
 

@@ -36,6 +36,7 @@ use crate::queue::{PendingRequest, QueueConfig};
 use crate::slo::{admit_and_coalesce, BatchCost, ShedReason, SloConfig};
 use crate::snapshot::ModelSnapshot;
 use crate::window::RollingWindow;
+use st_data::storage::SignalStorage;
 use st_device::{OverlapLedger, SimClock};
 use st_dist::launch::run_workers;
 use st_dist::topology::ClusterTopology;
@@ -297,7 +298,8 @@ impl BatchedServer {
 
     /// Deploy with the buffer pre-seeded from an **already-standardized**
     /// `[E, N, F]` history (e.g. the training `IndexDataset`'s single
-    /// copy), so served windows are bit-identical to training windows.
+    /// copy), so served windows are bit-identical to training windows. The
+    /// ring takes the history's last `capacity` rows and its stream time.
     pub fn with_history(
         snapshot: ModelSnapshot,
         adjacency: Adjacency,
@@ -306,27 +308,7 @@ impl BatchedServer {
     ) -> Self {
         let mut server = BatchedServer::new(snapshot, adjacency, cfg);
         server.window = RollingWindow::from_standardized_history(
-            history,
-            server.cfg.capacity,
-            server.snapshot.scaler.clone(),
-        );
-        server.reset_ingest();
-        server
-    }
-
-    /// [`BatchedServer::with_history`] over a
-    /// [`st_data::SignalStorage`] backend: an out-of-core training copy
-    /// seeds the ring by streaming only its final `capacity` rows, so
-    /// deployment never materializes the dense history.
-    pub fn with_storage_history(
-        snapshot: ModelSnapshot,
-        adjacency: Adjacency,
-        history: &st_data::SignalStorage,
-        cfg: ServeConfig,
-    ) -> Self {
-        let mut server = BatchedServer::new(snapshot, adjacency, cfg);
-        server.window = RollingWindow::from_storage_history(
-            history,
+            &SignalStorage::InMemory(history.contiguous()),
             server.cfg.capacity,
             server.snapshot.scaler.clone(),
         );

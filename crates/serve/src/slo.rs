@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 
 use st_device::CostModel;
 
-use crate::queue::{MicroBatch, PendingRequest, QueueConfig};
+use crate::queue::{MicroBatch, OpenBatch, PendingRequest, QueueConfig};
 
 /// Per-tenant service-level objective knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,44 +192,30 @@ pub fn admit_and_coalesce(
     slo: &SloConfig,
     cost: &BatchCost,
 ) -> SloSchedule {
-    assert!(queue.max_batch >= 1, "max_batch must be at least 1");
-    assert!(
-        queue.max_delay_secs >= 0.0,
-        "max_delay must be non-negative"
-    );
     assert!(slo.deadline_secs > 0.0, "deadline must be positive");
     assert!(
         slo.max_queue_depth >= 1,
         "queue depth bound must admit work"
     );
+    let mut open = OpenBatch::new(queue);
     let mut batches = Vec::new();
     let mut rejections = Vec::new();
-    let mut open: Option<MicroBatch> = None;
-    let mut deadline = f64::INFINITY;
     // Busy chain over modeled time, mirrored from the shard executor.
     let mut busy = 0.0f64;
     // Modeled completions of dispatched-but-unfinished requests,
     // ascending; the depth ledger.
     let mut in_system: VecDeque<f64> = VecDeque::new();
-    for (i, r) in requests.iter().enumerate() {
-        if i > 0 {
-            assert!(
-                r.arrival_secs >= requests[i - 1].arrival_secs,
-                "requests must be sorted by arrival"
-            );
-        }
-        // The timer fires before this arrival: flush at the deadline.
-        if let Some(b) = open.take_if(|_| r.arrival_secs > deadline) {
+    for r in requests {
+        if let Some(b) = open.flush_due(r.arrival_secs) {
             busy = dispatch(&b, busy, cost, &mut in_system);
             batches.push(b);
-            deadline = f64::INFINITY;
         }
         // Retire work whose modeled completion has passed.
         while in_system.front().is_some_and(|&d| d <= r.arrival_secs) {
             in_system.pop_front();
         }
         // Gate 1: bounded queue depth.
-        let depth = in_system.len() + open.as_ref().map_or(0, |b| b.requests.len());
+        let depth = in_system.len() + open.waiting();
         if depth >= slo.max_queue_depth {
             rejections.push(Shed {
                 id: r.id,
@@ -238,14 +224,8 @@ pub fn admit_and_coalesce(
             continue;
         }
         // Gate 2: price the batch this request would join at its latest
-        // possible dispatch (joining a duplicate window adds no slot).
-        let (dispatch_est, windows_est) = match &open {
-            Some(b) => {
-                let extra = usize::from(!b.windows.contains(&r.window_end));
-                (deadline, b.windows.len() + extra)
-            }
-            None => (r.arrival_secs + queue.max_delay_secs, 1),
-        };
+        // possible dispatch.
+        let (dispatch_est, windows_est) = open.quote_join(r);
         let modeled_completion_secs = cost.completion(busy, dispatch_est, windows_est);
         let slo_deadline = r.arrival_secs + slo.deadline_secs;
         if modeled_completion_secs > slo_deadline {
@@ -258,40 +238,14 @@ pub fn admit_and_coalesce(
             });
             continue;
         }
-        // Admitted: exactly the coalesce state machine from here on.
-        let b = open.get_or_insert_with(|| {
-            deadline = r.arrival_secs + queue.max_delay_secs;
-            MicroBatch {
-                dispatch_secs: deadline,
-                requests: Vec::new(),
-                windows: Vec::new(),
-                window_of: Vec::new(),
-            }
-        });
-        let slot = match b.windows.iter().position(|&w| w == r.window_end) {
-            Some(s) => s,
-            None => {
-                b.windows.push(r.window_end);
-                b.windows.len() - 1
-            }
-        };
-        b.requests.push(r.id);
-        b.window_of.push(slot);
-        // Full: dispatch immediately, at the arrival that filled it.
-        if b.windows.len() >= queue.max_batch {
-            let mut b = open.take().expect("just inserted");
-            b.dispatch_secs = r.arrival_secs;
+        if let Some(b) = open.join(r) {
             busy = dispatch(&b, busy, cost, &mut in_system);
             batches.push(b);
-            deadline = f64::INFINITY;
         }
     }
-    // The stream ended; the last open batch waits out its timer.
-    if let Some(b) = open {
-        busy = dispatch(&b, busy, cost, &mut in_system);
-        batches.push(b);
-        let _ = busy;
-    }
+    // The last open batch dispatches after every arrival: nothing is left
+    // to price against it.
+    batches.extend(open.finish());
     SloSchedule {
         batches,
         rejections,

@@ -48,30 +48,13 @@ impl RollingWindow {
     }
 
     /// Seed a buffer from an **already-standardized** `[E, N, F]` history
-    /// (e.g. an `IndexDataset`'s single copy): every row is admitted in
-    /// order, so subsequent windows are bit-identical to training windows.
+    /// (e.g. an `IndexDataset`'s single copy, on either storage backend),
+    /// so subsequent windows are bit-identical to training windows. Only
+    /// the final `capacity` rows are read — a full replay would overwrite
+    /// every earlier one in the ring anyway — so an out-of-core history
+    /// seeds the buffer touching at most `ceil(capacity / chunk_entries) +
+    /// 1` chunks.
     pub fn from_standardized_history(
-        history: &Tensor,
-        capacity: usize,
-        scaler: StandardScaler,
-    ) -> Self {
-        assert_eq!(history.rank(), 3, "history must be [E, N, F]");
-        let mut w = RollingWindow::new(capacity, history.dim(1), history.dim(2), scaler);
-        let rows = history.contiguous();
-        let src = rows.as_slice().expect("contiguous");
-        let row = w.nodes * w.features;
-        for t in 0..history.dim(0) {
-            w.admit_standardized(&src[t * row..(t + 1) * row]);
-        }
-        w
-    }
-
-    /// [`RollingWindow::from_standardized_history`] over a
-    /// [`SignalStorage`] backend: only the final `capacity` rows are ever
-    /// read (earlier rows would be overwritten in the ring anyway), so an
-    /// out-of-core history seeds the buffer touching at most
-    /// `ceil(capacity / chunk_entries) + 1` chunks.
-    pub fn from_storage_history(
         history: &SignalStorage,
         capacity: usize,
         scaler: StandardScaler,
@@ -86,8 +69,7 @@ impl RollingWindow {
         // replay so window ids line up with training snapshot ids.
         w.admitted = start;
         let (rows, _) = history.read_rows_quoted(start..entries);
-        let rows = rows.contiguous();
-        let src = rows.as_slice().expect("contiguous");
+        let src = rows.as_slice().expect("a row range is contiguous");
         let row = w.nodes * w.features;
         for t in 0..(entries - start) {
             w.admit_standardized(&src[t * row..(t + 1) * row]);
@@ -248,10 +230,33 @@ mod tests {
         Tensor::arange(e * n * f).reshape([e, n, f]).unwrap()
     }
 
+    fn seeded(hist: &Tensor, capacity: usize) -> RollingWindow {
+        RollingWindow::from_standardized_history(
+            &SignalStorage::InMemory(hist.clone()),
+            capacity,
+            StandardScaler::identity(),
+        )
+    }
+
+    /// The seeder's definition: every history row admitted in order.
+    fn replayed(hist: &Tensor, capacity: usize) -> RollingWindow {
+        let mut w = RollingWindow::new(
+            capacity,
+            hist.dim(1),
+            hist.dim(2),
+            StandardScaler::identity(),
+        );
+        let row = hist.dim(1) * hist.dim(2);
+        for r in hist.to_vec().chunks_exact(row) {
+            w.admit_standardized(r);
+        }
+        w
+    }
+
     #[test]
     fn windows_match_source_rows_across_wraparound() {
         let hist = arange_rows(50, 3, 2);
-        let w = RollingWindow::from_standardized_history(&hist, 16, StandardScaler::identity());
+        let w = seeded(&hist, 16);
         assert_eq!(w.len(), 50);
         // Any window within the last 16 rows reproduces the source exactly,
         // including ones that straddle the ring's wrap point.
@@ -267,30 +272,44 @@ mod tests {
     #[test]
     fn storage_history_matches_dense_history_bitwise() {
         use st_data::storage::{ChunkedSpec, StorageSpec};
-        let hist = arange_rows(37, 3, 2);
-        let dense = RollingWindow::from_standardized_history(&hist, 10, StandardScaler::identity());
-        for chunk in [1usize, 4, 7, 64] {
-            let store = SignalStorage::from_tensor_spec(
-                hist.clone(),
-                StorageSpec::Chunked(ChunkedSpec::new(chunk)),
-            );
-            let w = RollingWindow::from_storage_history(&store, 10, StandardScaler::identity());
-            assert_eq!(w.len(), dense.len(), "chunk {chunk}");
-            assert_eq!(
-                w.buf.to_vec(),
-                dense.buf.to_vec(),
-                "ring contents, chunk {chunk}"
-            );
-            let got = w.window(37, 6).unwrap();
-            let want = hist.narrow(0, 31, 6).unwrap();
-            assert_eq!(got.to_vec(), want.to_vec());
+        // Seeding reads only the ring's rows; whatever the history's length
+        // and backend it must equal a full replay in stream time, ring
+        // contents and every servable window.
+        for (entries, capacity) in [(37usize, 10usize), (7, 10), (10_000, 16)] {
+            let hist = arange_rows(entries, 3, 2);
+            let full = replayed(&hist, capacity);
+            let specs = [1usize, 4, 7, 64]
+                .map(|chunk| StorageSpec::Chunked(ChunkedSpec::new(chunk)))
+                .into_iter()
+                .chain([StorageSpec::InMemory]);
+            for spec in specs {
+                let store = SignalStorage::from_tensor_spec(hist.clone(), spec);
+                let w = RollingWindow::from_standardized_history(
+                    &store,
+                    capacity,
+                    StandardScaler::identity(),
+                );
+                assert_eq!(w.len(), full.len(), "{entries} rows, {spec:?}");
+                assert_eq!(w.oldest_retained(), full.oldest_retained());
+                assert_eq!(w.buf.to_vec(), full.buf.to_vec(), "ring, {spec:?}");
+                w.assert_ring_invariants();
+                for end in 0..=entries + 1 {
+                    for h in [1usize, 6, capacity] {
+                        assert_eq!(w.window_status(end, h), full.window_status(end, h));
+                        if let Ok(got) = w.window(end, h) {
+                            let want = hist.narrow(0, end - h, h).unwrap();
+                            assert_eq!(got.to_vec(), want.to_vec(), "window {end}-{h}");
+                        }
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn window_views_are_zero_copy() {
         let hist = arange_rows(20, 2, 1);
-        let w = RollingWindow::from_standardized_history(&hist, 8, StandardScaler::identity());
+        let w = seeded(&hist, 8);
         let v = w.window(20, 5).unwrap();
         assert!(v.shares_storage(&w.buf), "window must alias the ring");
         let v2 = w.window(17, 3).unwrap();
@@ -300,7 +319,7 @@ mod tests {
     #[test]
     fn batch_matches_individual_windows() {
         let hist = arange_rows(30, 2, 2);
-        let w = RollingWindow::from_standardized_history(&hist, 12, StandardScaler::identity());
+        let w = seeded(&hist, 12);
         let ends = [30usize, 25, 22];
         let b = w.batch(&ends, 3).unwrap();
         assert_eq!(b.dims(), &[3, 3, 2, 2]);
@@ -324,7 +343,7 @@ mod tests {
     #[test]
     fn evicted_windows_come_back_typed() {
         let hist = arange_rows(20, 1, 1);
-        let w = RollingWindow::from_standardized_history(&hist, 8, StandardScaler::identity());
+        let w = seeded(&hist, 8);
         // Rows [2, 6) fell out of the 8-row ring long ago — a typed
         // eviction, never a panic or an out-of-range view.
         assert_eq!(
@@ -345,7 +364,7 @@ mod tests {
     #[test]
     fn future_windows_come_back_typed() {
         let hist = arange_rows(10, 1, 1);
-        let w = RollingWindow::from_standardized_history(&hist, 8, StandardScaler::identity());
+        let w = seeded(&hist, 8);
         assert_eq!(
             w.window(11, 4).unwrap_err(),
             ServeError::NotYetServable {
@@ -358,7 +377,7 @@ mod tests {
     #[test]
     fn malformed_horizons_come_back_typed() {
         let hist = arange_rows(10, 1, 1);
-        let w = RollingWindow::from_standardized_history(&hist, 8, StandardScaler::identity());
+        let w = seeded(&hist, 8);
         assert_eq!(
             w.window(10, 0).unwrap_err(),
             ServeError::BadHorizon {
@@ -383,7 +402,7 @@ mod tests {
     #[test]
     fn contains_window_boundaries() {
         let hist = arange_rows(20, 1, 1);
-        let w = RollingWindow::from_standardized_history(&hist, 8, StandardScaler::identity());
+        let w = seeded(&hist, 8);
         assert!(w.contains_window(20, 8)); // the full ring
         assert!(w.contains_window(13, 1)); // oldest surviving row
         assert!(!w.contains_window(12, 1)); // just evicted

@@ -1,11 +1,10 @@
 //! Minimal IEEE-754 binary16 conversion.
 //!
-//! The out-of-core chunk codecs (`st_data::storage`) and the wire codecs
-//! (`st_dist::wire`) both quantize f32 payloads to half precision. The
-//! container has no `half` crate, so the two conversions live here in the
-//! common tensor substrate: straightforward, deterministic, round-to-nearest-
-//! even on encode — no table lookups, no platform intrinsics, so results are
-//! bit-identical everywhere.
+//! The `F16` wire codec (`st_dist::wire`) quantizes f32 payloads to half
+//! precision. The container has no `half` crate, so the two conversions
+//! live here in the common tensor substrate: straightforward,
+//! deterministic, round-to-nearest-even on encode — no table lookups, no
+//! platform intrinsics, so results are bit-identical everywhere.
 
 /// Convert an `f32` to IEEE binary16 bits (round-to-nearest-even).
 ///

@@ -18,16 +18,6 @@ pub fn mean_all(t: &Tensor) -> f32 {
     }
 }
 
-/// Maximum element.
-pub fn max_all(t: &Tensor) -> f32 {
-    t.to_vec().into_iter().fold(f32::NEG_INFINITY, f32::max)
-}
-
-/// Minimum element.
-pub fn min_all(t: &Tensor) -> f32 {
-    t.to_vec().into_iter().fold(f32::INFINITY, f32::min)
-}
-
 /// Elements per [`sum_abs`] partial; fixed (rather than derived from the
 /// thread count) so the f64 accumulation order — and therefore the result
 /// bit pattern — is identical no matter how many threads run the chunks.
@@ -145,8 +135,6 @@ mod tests {
         let t = Tensor::from_slice(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(sum_all(&t), 10.0);
         assert_eq!(mean_all(&t), 2.5);
-        assert_eq!(max_all(&t), 4.0);
-        assert_eq!(min_all(&t), 1.0);
         let std = std_all(&t);
         assert!((std - 1.118034).abs() < 1e-5);
     }

@@ -52,11 +52,6 @@ impl Storage {
     pub fn ptr_eq(&self, other: &Storage) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
     }
-
-    /// Number of strong references to the underlying allocation.
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.data)
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +70,6 @@ mod tests {
         let a = Storage::from_vec(vec![1.0, 2.0]);
         let b = a.clone();
         assert!(a.ptr_eq(&b));
-        assert_eq!(a.ref_count(), 2);
     }
 
     #[test]

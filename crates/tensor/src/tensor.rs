@@ -506,12 +506,6 @@ impl Tensor {
             .zip(other.to_vec().iter())
             .all(|(a, b)| (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs())))
     }
-
-    /// Bytes occupied by this view's *elements* (not its storage), assuming
-    /// the given element width. Used by the memory-accounting layer.
-    pub fn view_bytes(&self, elem_bytes: usize) -> usize {
-        self.numel() * elem_bytes
-    }
 }
 
 #[cfg(test)]

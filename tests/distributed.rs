@@ -239,7 +239,7 @@ fn prefetch_and_policies_compose_with_training() {
     let (spec, sig) = setup();
     let mut cfg = DistConfig::new(2, 2, spec.horizon);
     cfg.batch_per_worker = 4;
-    let factory = |_: &pgt_i::core::baseline_ddp::DistributedXy| {
+    let factory = |_: &pgt_i::core::baseline_ddp::DataSvcPlane| {
         let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
         let mc = ModelConfig {
             input_dim: 1,
