@@ -3,9 +3,10 @@
 //! Long distributed runs need resumable state: the paper's 30-epoch PeMS
 //! runs burn hundreds of node-minutes, and a production integration of
 //! PGT-I must survive job preemption. This module provides a compact,
-//! versioned binary format (via the `bytes` crate) for parameter tensors
-//! and Adam moments, with strict name/shape checking on restore — loading
-//! a Chickenpox checkpoint into a PeMS model fails loudly, not silently.
+//! versioned binary format for parameter tensors and Adam moments
+//! (little-endian, decoded through [`st_tensor::le`]), with strict
+//! name/shape checking on restore — loading a Chickenpox checkpoint into a
+//! PeMS model fails loudly, not silently.
 //!
 //! In DDP settings only rank 0 writes the checkpoint (replicas are
 //! bit-identical by construction); every rank restores the same file, which
@@ -13,7 +14,7 @@
 
 use crate::module::Param;
 use crate::optim::Adam;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use st_tensor::le::{self, Reader, Truncated};
 use st_tensor::Tensor;
 use std::collections::BTreeMap;
 
@@ -62,6 +63,20 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<Truncated> for CheckpointError {
+    fn from(_: Truncated) -> Self {
+        CheckpointError::Truncated
+    }
+}
+
+/// Consume the format magic from the front of `r`.
+fn expect_magic(r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+    match r.take(MAGIC.len()) {
+        Ok(magic) if magic == MAGIC => Ok(()),
+        _ => Err(CheckpointError::BadMagic),
+    }
+}
 
 /// An ordered name → tensor map (the PyTorch `state_dict` analogue).
 #[derive(Debug, Clone, Default)]
@@ -187,60 +202,43 @@ impl StateDict {
     }
 
     /// Serialize to the binary format.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(self.entries.len() as u32);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        let count = u32::try_from(self.entries.len()).expect("entry count fits the u32 field");
+        buf.extend_from_slice(&count.to_le_bytes());
         for (name, tensor) in &self.entries {
-            buf.put_u16_le(name.len() as u16);
-            buf.put_slice(name.as_bytes());
-            buf.put_u8(tensor.rank() as u8);
+            let name_len = u16::try_from(name.len()).expect("entry name fits the u16 field");
+            buf.extend_from_slice(&name_len.to_le_bytes());
+            buf.extend_from_slice(name.as_bytes());
+            buf.push(u8::try_from(tensor.rank()).expect("rank fits the u8 field"));
             for &d in tensor.dims() {
-                buf.put_u64_le(d as u64);
+                buf.extend_from_slice(&(d as u64).to_le_bytes());
             }
-            for v in tensor.to_vec() {
-                buf.put_f32_le(v);
+            let values = tensor.as_slice().expect("entries are stored contiguous");
+            buf.reserve(values.len() * 4);
+            for v in values {
+                buf.extend_from_slice(&v.to_le_bytes());
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserialize from the binary format.
-    pub fn from_bytes(mut buf: &[u8]) -> Result<Self, CheckpointError> {
-        if buf.len() < MAGIC.len() + 4 || &buf[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        buf.advance(MAGIC.len());
-        let count = buf.get_u32_le() as usize;
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, CheckpointError> {
+        let mut r = Reader::new(buf);
+        expect_magic(&mut r)?;
+        let count = r.u32()?;
         let mut d = StateDict::new();
         for _ in 0..count {
-            if buf.remaining() < 2 {
-                return Err(CheckpointError::Truncated);
-            }
-            let name_len = buf.get_u16_le() as usize;
-            if buf.remaining() < name_len + 1 {
-                return Err(CheckpointError::Truncated);
-            }
-            let name = std::str::from_utf8(&buf[..name_len])
+            let name_len = usize::from(r.u16()?);
+            let name = std::str::from_utf8(r.take(name_len)?)
                 .map_err(|_| CheckpointError::BadString)?
                 .to_string();
-            buf.advance(name_len);
-            let rank = buf.get_u8() as usize;
-            if buf.remaining() < rank * 8 {
-                return Err(CheckpointError::Truncated);
-            }
-            let dims: Vec<usize> = (0..rank).map(|_| buf.get_u64_le() as usize).collect();
-            let numel: usize = dims.iter().product::<usize>().max(1);
-            let numel = if rank == 0 { 1 } else { numel };
-            if buf.remaining() < numel * 4 {
-                return Err(CheckpointError::Truncated);
-            }
-            let data: Vec<f32> = (0..numel).map(|_| buf.get_f32_le()).collect();
-            let tensor = if rank == 0 {
-                Tensor::scalar(data[0])
-            } else {
-                Tensor::from_vec(data, dims).map_err(|_| CheckpointError::Truncated)?
-            };
+            let rank = r.u8()?;
+            // Grows one extent per successful 8-byte read, never by `rank`.
+            let dims = (0..rank).map(|_| r.size()).collect::<Result<Vec<_>, _>>()?;
+            let data = r.f32s(le::numel(&dims)?)?;
+            let tensor = Tensor::from_vec(data, dims).map_err(|_| CheckpointError::Truncated)?;
             d.entries.insert(name, tensor);
         }
         Ok(d)
@@ -276,43 +274,28 @@ impl Checkpoint {
     }
 
     /// Serialize (sections are length-prefixed state dicts).
-    pub fn to_bytes(&self) -> Bytes {
-        let model = self.model.to_bytes();
-        let opt = self.optimizer.to_bytes();
-        let mut buf = BytesMut::with_capacity(model.len() + opt.len() + 24);
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(self.epoch);
-        buf.put_u64_le(model.len() as u64);
-        buf.put_slice(&model);
-        buf.put_u64_le(opt.len() as u64);
-        buf.put_slice(&opt);
-        buf.freeze()
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&self.epoch.to_le_bytes());
+        for section in [self.model.to_bytes(), self.optimizer.to_bytes()] {
+            buf.extend_from_slice(&(section.len() as u64).to_le_bytes());
+            buf.extend_from_slice(&section);
+        }
+        buf
     }
 
     /// Deserialize.
-    pub fn from_bytes(mut buf: &[u8]) -> Result<Self, CheckpointError> {
-        if buf.len() < MAGIC.len() + 8 || &buf[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        buf.advance(MAGIC.len());
-        let epoch = buf.get_u64_le();
-        let take_section = |buf: &mut &[u8]| -> Result<StateDict, CheckpointError> {
-            if buf.remaining() < 8 {
-                return Err(CheckpointError::Truncated);
-            }
-            let len = buf.get_u64_le() as usize;
-            if buf.remaining() < len {
-                return Err(CheckpointError::Truncated);
-            }
-            let section = StateDict::from_bytes(&buf[..len])?;
-            buf.advance(len);
-            Ok(section)
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, CheckpointError> {
+        let mut r = Reader::new(buf);
+        expect_magic(&mut r)?;
+        let epoch = r.u64()?;
+        let mut section = || -> Result<StateDict, CheckpointError> {
+            let len = r.size()?;
+            StateDict::from_bytes(r.take(len)?)
         };
-        let model = take_section(&mut buf)?;
-        let optimizer = take_section(&mut buf)?;
         Ok(Checkpoint {
-            model,
-            optimizer,
+            model: section()?,
+            optimizer: section()?,
             epoch,
         })
     }
@@ -405,6 +388,30 @@ mod tests {
             StateDict::from_bytes(truncated).unwrap_err(),
             CheckpointError::Truncated
         );
+        // One entry "w" whose extents overflow `usize`. Unchecked, the
+        // 40-byte file's [2⁶³+1, 2] wraps to the two floats present and is
+        // accepted under a shape claiming 2⁶⁴+2 elements; the 24-byte
+        // file's [2⁶²] wraps `numel · 4` to the zero bytes present.
+        let entry = |dims: &[u64], floats: usize| {
+            let mut b = MAGIC.to_vec();
+            b.extend_from_slice(&1u32.to_le_bytes());
+            b.extend_from_slice(&1u16.to_le_bytes());
+            b.push(b'w');
+            b.push(dims.len() as u8);
+            b.extend(dims.iter().flat_map(|d| d.to_le_bytes()));
+            b.resize(b.len() + floats * 4, 0);
+            b
+        };
+        for (crafted, len) in [
+            (entry(&[(1 << 63) + 1, 2], 2), 40),
+            (entry(&[1 << 62], 0), 24),
+        ] {
+            assert_eq!(crafted.len(), len);
+            assert_eq!(
+                StateDict::from_bytes(&crafted).unwrap_err(),
+                CheckpointError::Truncated
+            );
+        }
     }
 
     #[test]

@@ -803,9 +803,7 @@ fn run_rank<P: DistDataPlane>(
     let checkpoint = (opts.capture_checkpoint && ctx.rank() == 0).then(|| {
         // A zero-epoch resume re-captures at the checkpoint's own epoch —
         // round-tripping must not rewind it.
-        Checkpoint::capture(&model.params(), &opt, (cfg.epochs as u64).max(start_epoch))
-            .to_bytes()
-            .to_vec()
+        Checkpoint::capture(&model.params(), &opt, (cfg.epochs as u64).max(start_epoch)).to_bytes()
     });
     // Let every rank finish fetching before the shared ledger is read.
     ctx.comm.barrier();

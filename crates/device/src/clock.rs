@@ -6,8 +6,7 @@
 //! clock; collective operations synchronize clocks to the maximum, mirroring
 //! how a barrier or all-reduce holds every rank until the slowest arrives.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Accumulates simulated seconds, optionally split by category.
 #[derive(Debug, Clone, Default)]
@@ -42,16 +41,22 @@ impl SimClock {
         SimClock::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, ClockInner> {
+        // Every update leaves the totals valid, so a guard poisoned by a
+        // panicking holder is recovered (DESIGN.md §7).
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
-        self.inner.lock().now
+        self.lock().now
     }
 
     /// Advance by `secs` of compute time, scaled by the straggler knob
     /// ([`SimClock::set_compute_scale`]). The default scale is 1.0, so
     /// un-skewed clocks charge exactly `secs`.
     pub fn advance_compute(&self, secs: f64) {
-        let mut i = self.inner.lock();
+        let mut i = self.lock();
         let scaled = secs * i.compute_scale;
         i.now += scaled;
         i.compute += scaled;
@@ -63,45 +68,40 @@ impl SimClock {
     /// staleness the *engine* may consult modeled arrival times, which is
     /// the documented, deterministic relaxation of that invariant.
     pub fn set_compute_scale(&self, scale: f64) {
-        self.inner.lock().compute_scale = scale.max(0.0);
+        self.lock().compute_scale = scale.max(0.0);
     }
 
     /// The current straggler compute multiplier.
     pub fn compute_scale(&self) -> f64 {
-        self.inner.lock().compute_scale
+        self.lock().compute_scale
     }
 
     /// Advance by `secs` of communication time.
     pub fn advance_comm(&self, secs: f64) {
-        let mut i = self.inner.lock();
+        let mut i = self.lock();
         i.now += secs;
         i.communication += secs;
     }
 
     /// Total compute seconds.
     pub fn compute_secs(&self) -> f64 {
-        self.inner.lock().compute
+        self.lock().compute
     }
 
     /// Total communication seconds.
     pub fn comm_secs(&self) -> f64 {
-        self.inner.lock().communication
+        self.lock().communication
     }
 
     /// Jump forward to `t` if it is in the future (barrier semantics: a rank
     /// waiting on a collective idles until the slowest rank arrives). The
     /// waiting time is charged to communication.
     pub fn sync_to(&self, t: f64) {
-        let mut i = self.inner.lock();
+        let mut i = self.lock();
         if t > i.now {
             i.communication += t - i.now;
             i.now = t;
         }
-    }
-
-    /// Reset everything to zero.
-    pub fn reset(&self) {
-        *self.inner.lock() = ClockInner::default();
     }
 }
 
@@ -142,14 +142,5 @@ mod tests {
         c.set_compute_scale(1.0);
         c.advance_compute(1.0);
         assert_eq!(c.compute_secs(), 4.0, "scale is live-settable");
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let c = SimClock::new();
-        c.advance_comm(2.0);
-        c.reset();
-        assert_eq!(c.now(), 0.0);
-        assert_eq!(c.comm_secs(), 0.0);
     }
 }

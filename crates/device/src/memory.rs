@@ -9,8 +9,7 @@
 //! Allocations are RAII guards: dropping an [`Allocation`] returns its bytes
 //! to the pool, so peak tracking follows real object lifetimes.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Whether a pool actually backs allocations or only accounts for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,10 +82,16 @@ impl MemPool {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, PoolInner> {
+        // Every update leaves the ledger valid, so a guard poisoned by a
+        // panicking holder is recovered (DESIGN.md §7).
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Allocate `bytes`; fails with [`AllocError`] when capacity would be
     /// exceeded. The returned guard frees the bytes on drop.
     pub fn alloc(&self, bytes: u64) -> Result<Allocation, AllocError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.in_use + bytes > inner.capacity {
             return Err(AllocError {
                 requested: bytes,
@@ -112,39 +117,33 @@ impl MemPool {
 
     /// Return `bytes` to the pool (pairs with [`MemPool::alloc_untracked`]).
     pub fn free(&self, bytes: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.in_use = inner.in_use.saturating_sub(bytes);
     }
 
     /// Bytes currently allocated.
     pub fn in_use(&self) -> u64 {
-        self.inner.lock().in_use
+        self.lock().in_use
     }
 
-    /// High-water mark since creation (or the last [`MemPool::reset_peak`]).
+    /// High-water mark since creation.
     pub fn peak(&self) -> u64 {
-        self.inner.lock().peak
+        self.lock().peak
     }
 
     /// Capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.inner.lock().capacity
+        self.lock().capacity
     }
 
     /// The pool's accounting mode.
     pub fn mode(&self) -> PoolMode {
-        self.inner.lock().mode
+        self.lock().mode
     }
 
     /// Pool label.
     pub fn label(&self) -> String {
-        self.inner.lock().label.clone()
-    }
-
-    /// Reset the peak to the current usage.
-    pub fn reset_peak(&self) {
-        let mut inner = self.inner.lock();
-        inner.peak = inner.in_use;
+        self.lock().label.clone()
     }
 
     /// Peak usage in GiB (for reports).
@@ -216,16 +215,6 @@ mod tests {
         let stacking_copy = host.alloc((419.46 * gib as f64 * 0.5) as u64);
         assert!(stacking_copy.is_err(), "stack() duplication must OOM");
         drop(original);
-    }
-
-    #[test]
-    fn reset_peak() {
-        let pool = MemPool::new("gpu0", 1000, PoolMode::Virtual);
-        let a = pool.alloc(600).unwrap();
-        drop(a);
-        assert_eq!(pool.peak(), 600);
-        pool.reset_peak();
-        assert_eq!(pool.peak(), 0);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 
 use crate::clock::SimClock;
 use crate::costmodel::CostModel;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Records host↔device traffic for one worker.
 #[derive(Debug, Clone, Default)]
@@ -29,9 +28,15 @@ impl TransferLedger {
         TransferLedger::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, LedgerInner> {
+        // Every update leaves the counts valid, so a guard poisoned by a
+        // panicking holder is recovered (DESIGN.md §7).
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Model a host→device copy: record it and charge time to the clock.
     pub fn h2d(&self, bytes: u64, cm: &CostModel, clock: &SimClock) {
-        let mut i = self.inner.lock();
+        let mut i = self.lock();
         i.h2d_count += 1;
         i.h2d_bytes += bytes;
         drop(i);
@@ -40,12 +45,12 @@ impl TransferLedger {
 
     /// Number of host→device transfers.
     pub fn h2d_count(&self) -> u64 {
-        self.inner.lock().h2d_count
+        self.lock().h2d_count
     }
 
     /// Total host→device bytes.
     pub fn h2d_bytes(&self) -> u64 {
-        self.inner.lock().h2d_bytes
+        self.lock().h2d_bytes
     }
 }
 

@@ -165,8 +165,7 @@ impl Adjacency {
         self.csr().nnz()
     }
 
-    /// The row-major `n×n` weight buffer — `O(N²)`, for the on-disk signal
-    /// format and tests only.
+    /// The row-major `n×n` weight buffer — `O(N²)`, for tests only.
     pub fn to_dense(&self) -> Vec<f32> {
         let n = self.num_nodes();
         let mut dense = vec![0.0f32; n * n];

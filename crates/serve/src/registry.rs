@@ -25,9 +25,8 @@
 //! readers still holding the previous `Arc`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use parking_lot::RwLock;
 use st_tensor::Tensor;
 
 use crate::error::ServeError;
@@ -41,8 +40,10 @@ use crate::snapshot::ModelSnapshot;
 /// concurrency contract.
 #[derive(Default)]
 pub struct SnapshotRegistry {
-    tenants: RwLock<HashMap<String, Arc<BatchedServer>>>,
+    tenants: RwLock<Tenants>,
 }
+
+type Tenants = HashMap<String, Arc<BatchedServer>>;
 
 impl SnapshotRegistry {
     /// An empty registry.
@@ -50,11 +51,22 @@ impl SnapshotRegistry {
         SnapshotRegistry::default()
     }
 
+    // Entries are inserted, replaced or removed whole, so a writer that
+    // panicked cannot have torn the map: a poisoned guard is recovered
+    // (DESIGN.md §7).
+    fn read(&self) -> RwLockReadGuard<'_, Tenants> {
+        self.tenants.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Tenants> {
+        self.tenants.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Register a new tenant. Fails with [`ServeError::TenantExists`] if
     /// the name is taken — replacing a live deployment is an explicit
     /// [`SnapshotRegistry::swap`], never an accidental re-register.
     pub fn register(&self, name: &str, server: BatchedServer) -> Result<(), ServeError> {
-        let mut tenants = self.tenants.write();
+        let mut tenants = self.write();
         if tenants.contains_key(name) {
             return Err(ServeError::TenantExists(name.to_string()));
         }
@@ -66,8 +78,7 @@ impl SnapshotRegistry {
     /// swaps after this call do not affect it, so a caller mid-workload
     /// finishes on the snapshot it started with.
     pub fn get(&self, name: &str) -> Result<Arc<BatchedServer>, ServeError> {
-        self.tenants
-            .read()
+        self.read()
             .get(name)
             .cloned()
             .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))
@@ -80,7 +91,7 @@ impl SnapshotRegistry {
         name: &str,
         server: BatchedServer,
     ) -> Result<Arc<BatchedServer>, ServeError> {
-        let mut tenants = self.tenants.write();
+        let mut tenants = self.write();
         match tenants.get_mut(name) {
             Some(slot) => Ok(std::mem::replace(slot, Arc::new(server))),
             None => Err(ServeError::UnknownTenant(name.to_string())),
@@ -101,7 +112,7 @@ impl SnapshotRegistry {
         name: &str,
         snapshot: ModelSnapshot,
     ) -> Result<Arc<BatchedServer>, ServeError> {
-        let mut tenants = self.tenants.write();
+        let mut tenants = self.write();
         let slot = tenants
             .get_mut(name)
             .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))?;
@@ -111,8 +122,7 @@ impl SnapshotRegistry {
 
     /// Remove a tenant, returning its server.
     pub fn remove(&self, name: &str) -> Result<Arc<BatchedServer>, ServeError> {
-        self.tenants
-            .write()
+        self.write()
             .remove(name)
             .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))
     }
@@ -121,7 +131,7 @@ impl SnapshotRegistry {
     /// number of newly completed `[N, F]` rows admitted to its ring.
     /// Copy-on-write: readers holding a pre-tick `Arc` keep their view.
     pub fn admit_tick(&self, name: &str, tick: &Tick) -> Result<usize, ServeError> {
-        let mut tenants = self.tenants.write();
+        let mut tenants = self.write();
         let slot = tenants
             .get_mut(name)
             .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))?;
@@ -132,7 +142,7 @@ impl SnapshotRegistry {
     /// ring — the legacy full-row path, valid only when no partial ticks
     /// are staged.
     pub fn admit(&self, name: &str, reading: &Tensor) -> Result<(), ServeError> {
-        let mut tenants = self.tenants.write();
+        let mut tenants = self.write();
         let slot = tenants
             .get_mut(name)
             .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))?;
@@ -157,19 +167,19 @@ impl SnapshotRegistry {
 
     /// Registered tenant names, sorted.
     pub fn tenants(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tenants.read().keys().cloned().collect();
+        let mut names: Vec<String> = self.read().keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Number of registered tenants.
     pub fn len(&self) -> usize {
-        self.tenants.read().len()
+        self.read().len()
     }
 
     /// Whether no tenant is registered.
     pub fn is_empty(&self) -> bool {
-        self.tenants.read().is_empty()
+        self.read().is_empty()
     }
 }
 

@@ -9,12 +9,12 @@
 //! truncated or bit-flipped file fails loudly at load time — never with
 //! silently wrong forecasts.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use st_autograd::checkpoint::{Checkpoint, CheckpointError, StateDict};
 use st_autograd::module::{Module, Param};
 use st_data::scaler::StandardScaler;
 use st_graph::{diffusion_supports, Adjacency};
 use st_models::{ModelConfig, PgtDcrnn, Support};
+use st_tensor::le::{self, Reader, Truncated};
 
 /// Format magic (8 bytes) — bumped on breaking layout changes.
 const MAGIC: &[u8; 8] = b"PGTSNAP1";
@@ -58,6 +58,12 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+impl From<Truncated> for SnapshotError {
+    fn from(_: Truncated) -> Self {
+        SnapshotError::Truncated
+    }
+}
 
 impl From<CheckpointError> for SnapshotError {
     fn from(e: CheckpointError) -> Self {
@@ -150,11 +156,11 @@ impl ModelSnapshot {
     }
 
     /// Serialize to the versioned, checksummed binary format.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let params = self.params.to_bytes();
-        let mut buf = BytesMut::with_capacity(params.len() + 128);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
+        let mut buf = Vec::with_capacity(params.len() + 128);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
         for v in [
             self.config.input_dim,
             self.config.output_dim,
@@ -163,72 +169,64 @@ impl ModelSnapshot {
             self.config.horizon,
             self.config.diffusion_steps,
             self.config.layers,
+            self.time_period.unwrap_or(0),
         ] {
-            buf.put_u64_le(v as u64);
+            buf.extend_from_slice(&(v as u64).to_le_bytes());
         }
-        buf.put_u64_le(self.time_period.unwrap_or(0) as u64);
-        buf.put_u64_le(self.trained_epochs);
+        buf.extend_from_slice(&self.trained_epochs.to_le_bytes());
         let stats = self.scaler.feature_stats();
-        buf.put_u32_le(stats.len() as u32);
+        let count = u32::try_from(stats.len()).expect("feature count fits the u32 field");
+        buf.extend_from_slice(&count.to_le_bytes());
         for &(m, s) in stats {
-            buf.put_f32_le(m);
-            buf.put_f32_le(s);
+            buf.extend_from_slice(&m.to_le_bytes());
+            buf.extend_from_slice(&s.to_le_bytes());
         }
-        buf.put_u64_le(params.len() as u64);
-        buf.put_slice(&params);
+        buf.extend_from_slice(&(params.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&params);
         let checksum = fnv1a(&buf);
-        buf.put_u64_le(checksum);
-        buf.freeze()
+        buf.extend_from_slice(&checksum.to_le_bytes());
+        buf
     }
 
     /// Deserialize, verifying magic, version, and checksum.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, SnapshotError> {
-        if buf.len() < MAGIC.len() + 4 + 8 || &buf[..MAGIC.len()] != MAGIC {
+        // Checksum covers everything before the trailing u64.
+        let mut file = Reader::new(buf);
+        let payload = file.take(buf.len().saturating_sub(8))?;
+        let mut r = Reader::new(payload);
+        if r.take(MAGIC.len()) != Ok(MAGIC) {
             return Err(SnapshotError::BadMagic);
         }
-        // Checksum covers everything before the trailing u64.
-        let payload = &buf[..buf.len() - 8];
-        let stored = u64::from_le_bytes(buf[buf.len() - 8..].try_into().expect("8 bytes"));
+        let stored = file.u64()?;
         let actual = fnv1a(payload);
         if stored != actual {
             return Err(SnapshotError::Corrupt { stored, actual });
         }
-        let mut buf = &payload[MAGIC.len()..];
-        let version = buf.get_u32_le();
+        let version = r.u32()?;
         if version != VERSION {
             return Err(SnapshotError::BadVersion(version));
         }
-        if buf.remaining() < 9 * 8 + 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut next = || buf.get_u64_le() as usize;
         let config = ModelConfig {
-            input_dim: next(),
-            output_dim: next(),
-            hidden: next(),
-            num_nodes: next(),
-            horizon: next(),
-            diffusion_steps: next(),
-            layers: next(),
+            input_dim: r.size()?,
+            output_dim: r.size()?,
+            hidden: r.size()?,
+            num_nodes: r.size()?,
+            horizon: r.size()?,
+            diffusion_steps: r.size()?,
+            layers: r.size()?,
         };
-        let time_period = match buf.get_u64_le() as usize {
-            0 => None,
-            p => Some(p),
-        };
-        let trained_epochs = buf.get_u64_le();
-        let count = buf.get_u32_le() as usize;
-        if count == 0 || buf.remaining() < count * 8 + 8 {
+        let time_period = Some(r.size()?).filter(|&p| p != 0);
+        let trained_epochs = r.u64()?;
+        let count = r.u32()? as usize;
+        if count == 0 {
             return Err(SnapshotError::Truncated);
         }
-        let stats: Vec<(f32, f32)> = (0..count)
-            .map(|_| (buf.get_f32_le(), buf.get_f32_le()))
-            .collect();
-        let scaler = StandardScaler::from_feature_stats(stats);
-        let params_len = buf.get_u64_le() as usize;
-        if buf.remaining() < params_len {
-            return Err(SnapshotError::Truncated);
-        }
-        let params = StateDict::from_bytes(&buf[..params_len])?;
+        let stats = r.f32s(le::numel(&[count, 2])?)?;
+        let scaler = StandardScaler::from_feature_stats(
+            stats.chunks_exact(2).map(|p| (p[0], p[1])).collect(),
+        );
+        let params_len = r.size()?;
+        let params = StateDict::from_bytes(r.take(params_len)?)?;
         Ok(ModelSnapshot {
             config,
             scaler,
@@ -330,7 +328,7 @@ mod tests {
     #[test]
     fn bit_flip_fails_checksum() {
         let snap = toy_snapshot();
-        let mut bytes = snap.to_bytes().to_vec();
+        let mut bytes = snap.to_bytes();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         assert!(matches!(

@@ -17,9 +17,13 @@
 //!   into row chunks over one resident `std::thread` pool ([`par`]); how
 //!   many chunks is a per-thread budget handed down by the distributed
 //!   runtime, and never changes a result bit.
+//! - [`le`] is the workspace's one checked little-endian byte reader; the
+//!   three binary formats (signals, checkpoints, snapshots) decode through
+//!   it and through nothing else.
 
 pub mod backend;
 pub mod half;
+pub mod le;
 pub mod ops;
 pub mod par;
 pub mod random;

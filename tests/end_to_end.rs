@@ -84,7 +84,7 @@ fn signal_io_roundtrip_through_workflow() {
     let spec = DatasetSpec::get(DatasetKind::MetrLa).scaled(0.01);
     let sig = synthetic::generate(&spec, 23);
     let bytes = pgt_i::data::io::to_bytes(&sig);
-    let restored = pgt_i::data::io::from_bytes(bytes).expect("roundtrip");
+    let restored = pgt_i::data::io::from_bytes(&bytes).expect("roundtrip");
     let ds_a = IndexDataset::from_signal(&sig, spec.horizon, SplitRatios::default(), None);
     let ds_b = IndexDataset::from_signal(&restored, spec.horizon, SplitRatios::default(), None);
     let (xa, ya) = ds_a.batch(&[0, 5]);

@@ -13,6 +13,7 @@
 mod common;
 
 use common::param_digest;
+use pgt_i::autograd::checkpoint::CheckpointError;
 use pgt_i::autograd::schedule::{LrSchedule, MultiStepLr};
 use pgt_i::core::dist_index::{DistConfig, LocalCopyPlane};
 use pgt_i::core::engine::{self, EngineError, EngineOptions};
@@ -232,18 +233,46 @@ fn corrupt_resume_bytes_surface_a_typed_error() {
             ..Default::default()
         },
     );
-    let mut bytes = done.checkpoint.expect("captured");
-    bytes.truncate(bytes.len() / 2);
-    let result = run_engine(
-        2,
-        &EngineOptions {
-            resume: Some(bytes),
-            ..Default::default()
-        },
-    );
-    match result {
-        Err(EngineError::Checkpoint(_)) => {}
-        Ok(_) => panic!("corrupt bytes must not restore"),
+    let mut half = done.checkpoint.expect("captured");
+    half.truncate(half.len() / 2);
+    // A checkpoint whose model section is one entry "w" with extents that
+    // overflow `usize`: [2⁶³+1, 2] over two floats (its unchecked product
+    // wraps to the two present) and [2⁶²] over none (`numel · 4` wraps to
+    // zero). Decoding must stop there — not hand `restore` a tensor whose
+    // shape lies, and not reach an allocation sized by the wrapped count.
+    let crafted = |dims: &[u64], floats: usize| {
+        let mut dict = b"PGTCKPT1".to_vec();
+        dict.extend_from_slice(&1u32.to_le_bytes());
+        dict.extend_from_slice(&1u16.to_le_bytes());
+        dict.push(b'w');
+        dict.push(dims.len() as u8);
+        dict.extend(dims.iter().flat_map(|d| d.to_le_bytes()));
+        dict.resize(dict.len() + floats * 4, 0);
+        let mut ck = b"PGTCKPT1".to_vec();
+        ck.extend_from_slice(&1u64.to_le_bytes());
+        for section in [&dict[..], &b"PGTCKPT1\0\0\0\0"[..]] {
+            ck.extend_from_slice(&(section.len() as u64).to_le_bytes());
+            ck.extend_from_slice(section);
+        }
+        ck
+    };
+    for bytes in [
+        half,
+        crafted(&[(1 << 63) + 1, 2], 2),
+        crafted(&[1 << 62], 0),
+    ] {
+        let result = run_engine(
+            2,
+            &EngineOptions {
+                resume: Some(bytes),
+                ..Default::default()
+            },
+        );
+        match result {
+            Err(EngineError::Checkpoint(CheckpointError::Truncated)) => {}
+            Err(other) => panic!("expected a truncation error, got {other}"),
+            Ok(_) => panic!("corrupt bytes must not restore"),
+        }
     }
 }
 

@@ -231,7 +231,7 @@ fn engine_checkpoint_feeds_the_snapshot_path() {
 fn corrupted_snapshot_never_serves() {
     let (model, ds, _, mc) = setup();
     let snap = ModelSnapshot::capture(mc, ds.scaler().clone(), Some(288), &model.params(), 2);
-    let mut bytes = snap.to_bytes().to_vec();
+    let mut bytes = snap.to_bytes();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
     assert!(
