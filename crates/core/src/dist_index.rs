@@ -95,9 +95,9 @@ pub struct DistConfig {
     pub backend: st_tensor::backend::BackendKind,
     /// Storage backend for every plane's standardized signal copy.
     /// `InMemory` (the default) is one dense tensor. `Chunked` streams
-    /// windows from a spill file through a bounded LRU chunk cache —
-    /// resident bytes drop to `O(chunks_cached)` and the modeled chunk-IO
-    /// seconds ride the same prefetch/overlap machinery as network time.
+    /// windows straight from a spill file — the store keeps no row
+    /// resident and the modeled file-IO seconds ride the same
+    /// prefetch/overlap machinery as network time.
     /// Every stored bit comes back unchanged, so every loss curve is
     /// **bit-identical** to the in-memory run.
     pub storage: StorageSpec,
@@ -221,7 +221,7 @@ impl LocalCopyPlane {
     /// Build rank `rank`'s plane: its own full local copy (§4.2 — cheap
     /// only because of eq. (2)). Under [`StorageSpec::Chunked`] the "local
     /// copy" lives in a spill file instead of RAM: batches
-    /// stream through the bounded chunk cache and `cm` prices the chunk IO
+    /// are read straight from the file and `cm` prices the IO
     /// ([`CostModel::pfs_read`]) so the engine can prefetch it away.
     pub fn new(
         signal: &StaticGraphTemporalSignal,

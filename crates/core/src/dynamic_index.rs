@@ -144,9 +144,8 @@ impl DynamicIndexDataset {
         (x, y, self.supports_for(i))
     }
 
-    /// [`DynamicIndexDataset::snapshot`] minus the supports, plus the chunk
-    /// IO bytes this window's reads actually touched (0 in memory or on a
-    /// warm cache).
+    /// [`DynamicIndexDataset::snapshot`] minus the supports, plus the file
+    /// bytes this window's read pulled (0 in memory).
     pub fn snapshot_quoted(&self, i: usize) -> (Tensor, Tensor, u64) {
         let h = self.horizon;
         // One contiguous read covers both windows (they abut).
@@ -333,8 +332,7 @@ pub struct DynamicTrainConfig {
     /// topology mutates).
     pub parts: usize,
     /// Storage backend for the standardized feature copy
-    /// ([`StorageSpec::Chunked`] streams windows from disk through a
-    /// bounded cache).
+    /// ([`StorageSpec::Chunked`] reads each window straight from disk).
     pub storage: StorageSpec,
     /// The partitioner the timeline runs at entry 0 and (under
     /// [`RepartitionPolicy::Full`]) at every mutation.

@@ -78,7 +78,7 @@ pub struct Fetch {
 impl Fetch {
     /// A batch assembled from the rank's own store: the `io_bytes` the
     /// store pulled from disk are priced as a parallel-filesystem read
-    /// (an in-memory store, or a warm chunk cache, quotes zero).
+    /// (an in-memory store quotes zero).
     pub(crate) fn from_store(x: Tensor, y: Tensor, io_bytes: u64, cost: &CostModel) -> Fetch {
         let secs = if io_bytes > 0 {
             cost.pfs_read(io_bytes, 1.0)

@@ -17,9 +17,9 @@
 //! The single copy sits behind [`SignalStorage`], and a window is one
 //! `start .. start + 2·horizon` row read split at `horizon` (x and y abut).
 //! In memory that read is a zero-copy view and a batch a straight memcpy
-//! per sample; on the chunked backend it is a cached chunk read, dropping
-//! resident bytes from `E·N·F` to `O(chunks_cached)` — the axis eq. (2)
-//! cannot shrink.
+//! per sample; on the chunked backend it is a positional read of exactly
+//! those rows, decoded straight into the batch, dropping resident bytes
+//! from `E·N·F` to the batch itself — the axis eq. (2) cannot shrink.
 
 use st_data::preprocess::num_snapshots;
 use st_data::scaler::StandardScaler;
@@ -46,8 +46,8 @@ impl IndexDataset {
     ///
     /// The dataset inherits the signal's storage backend: a chunked signal
     /// is standardized chunk-by-chunk (the scaler is elementwise, so the
-    /// result is bit-identical to the dense path) and stays chunked. Only
-    /// the scaler *fit* materializes the training prefix, transiently.
+    /// result is bit-identical to the dense path) and stays chunked; the
+    /// scaler *fit* streams the training prefix too.
     pub fn from_signal(
         signal: &StaticGraphTemporalSignal,
         horizon: usize,
@@ -68,9 +68,7 @@ impl IndexDataset {
         // Fit on the entries the training snapshots can touch:
         // windows [0, train_end) cover entries [0, train_end + 2h - 1).
         let train_entries = (splits.train.end + 2 * horizon - 1).min(sig.entries());
-        let (train_view, _) = sig.storage.read_rows_quoted(0..train_entries);
-        let scaler = StandardScaler::fit(&train_view);
-        drop(train_view);
+        let scaler = StandardScaler::fit_rows(&sig.storage, 0..train_entries);
         let store = sig
             .storage
             .rewrite_rows(sig.storage.spec(), |_, rows| scaler.transform(rows));
@@ -147,8 +145,7 @@ impl IndexDataset {
 
     /// Reconstruct snapshot `i` as `(x, y)` of shape `[horizon, N, F]` each
     /// — the runtime request of Fig. 4. **Zero-copy views** on the
-    /// in-memory backend; the two halves of one cached read on the chunked
-    /// one.
+    /// in-memory backend; the two halves of one read on the chunked one.
     pub fn snapshot(&self, i: usize) -> (Tensor, Tensor) {
         let h = self.horizon;
         let (win, _) = self.store.read_rows_quoted(i..i + 2 * h);
@@ -167,9 +164,14 @@ impl IndexDataset {
     }
 
     /// Like [`IndexDataset::batch`], additionally quoting the **bytes read
-    /// from disk** to assemble the batch (0 on the in-memory backend and on
-    /// chunk-cache hits) so callers can price the IO and overlap it with
-    /// compute.
+    /// from disk** to assemble the batch (0 on the in-memory backend) so
+    /// callers can price the IO and overlap it with compute.
+    ///
+    /// Each window's halves are read straight into the batch. Windows whose
+    /// `i..i+2h` row ranges overlap or abut are merged into one read of
+    /// their union that they are then copied out of, so an ordered pass
+    /// reads each row once per batch instead of once per window. The quote
+    /// is the bytes of those runs: never more than the windows' own.
     pub fn batch_quoted(&self, indices: &[usize]) -> (Tensor, Tensor, u64) {
         let h = self.horizon;
         let n = self.num_nodes();
@@ -182,15 +184,31 @@ impl IndexDataset {
                 self.num_snapshots()
             );
         }
-        let mut x = Vec::with_capacity(indices.len() * half);
-        let mut y = Vec::with_capacity(indices.len() * half);
+        let mut x = vec![0.0; indices.len() * half];
+        let mut y = vec![0.0; indices.len() * half];
         let mut io = 0u64;
-        for &i in indices {
-            let (win, bytes) = self.store.read_rows_quoted(i..i + 2 * h);
-            io += bytes;
-            let src = win.as_slice().expect("a row range is contiguous");
-            x.extend_from_slice(&src[..half]);
-            y.extend_from_slice(&src[half..]);
+        let slot = |b: usize| b * half..(b + 1) * half;
+        // Batch slots in ascending order of window start.
+        let mut by_start: Vec<usize> = (0..indices.len()).collect();
+        by_start.sort_unstable_by_key(|&b| indices[b]);
+        let mut union = Vec::new();
+        for run in by_start.chunk_by(|&a, &b| indices[b] <= indices[a] + 2 * h) {
+            let first = indices[run[0]];
+            if let [b] = *run {
+                io += self.store.read_rows_into(first..first + h, &mut x[slot(b)]);
+                io += self
+                    .store
+                    .read_rows_into(first + h..first + 2 * h, &mut y[slot(b)]);
+                continue;
+            }
+            let end = indices[run[run.len() - 1]] + 2 * h;
+            union.resize((end - first) * n * f, 0.0);
+            io += self.store.read_rows_into(first..end, &mut union);
+            for &b in run {
+                let at = (indices[b] - first) * n * f;
+                x[slot(b)].copy_from_slice(&union[at..at + half]);
+                y[slot(b)].copy_from_slice(&union[at + half..at + 2 * half]);
+            }
         }
         let dims = [indices.len(), h, n, f];
         (
@@ -324,26 +342,56 @@ mod tests {
 
     #[test]
     fn a_cold_snapshot_inside_one_chunk_is_one_read() {
-        // x and y abut, so `snapshot` issues one `i..i+2h` read: a window
-        // that fits a chunk costs one chunk read and no cache lookup more.
+        // x and y abut, so `snapshot` issues one `i..i+2h` read.
         let sig = toy_signal(40, 3);
         let csig = sig.rechunk(StorageSpec::Chunked(ChunkedSpec::new(16)));
         let ds = IndexDataset::from_signal(&csig, 4, SplitRatios::default(), None);
         let store = ds.storage().chunked().expect("stays chunked");
-        assert_eq!((store.io_chunks(), store.cache_hits()), (0, 0), "cold");
-        let _ = ds.snapshot(17); // rows 17..25 of chunk 16..32
-        assert_eq!((store.io_chunks(), store.cache_hits()), (1, 0));
+        assert_eq!((store.io_chunks(), store.io_bytes()), (0, 0), "cold");
+        let _ = ds.snapshot(17); // rows 17..25
+        assert_eq!((store.io_chunks(), store.io_bytes()), (1, 8 * 3 * 4));
     }
 
     #[test]
-    fn chunked_batches_quote_io_then_hit_cache() {
+    fn chunked_batches_quote_the_bytes_of_their_merged_runs() {
         let sig = toy_signal(64, 2);
         let csig = sig.rechunk(StorageSpec::Chunked(ChunkedSpec::new(8)));
         let ds = IndexDataset::from_signal(&csig, 2, SplitRatios::default(), None);
-        let (_, _, io_cold) = ds.batch_quoted(&[0, 1, 2]);
-        assert!(io_cold > 0, "cold batch reads chunks from disk");
-        let (_, _, io_warm) = ds.batch_quoted(&[0, 1, 2]);
-        assert_eq!(io_warm, 0, "warm batch is served by the cache");
+        let dense = IndexDataset::from_signal(&sig, 2, SplitRatios::default(), None);
+        let row = 2 * 4; // bytes a row
+        let window = 4 * row; // 2h rows
+        for (ids, rows_read, what) in [
+            (
+                vec![0usize, 1, 2],
+                6,
+                "three overlapping windows: rows 0..6 once",
+            ),
+            (vec![0, 1, 2], 6, "again: nothing is cached, same quote"),
+            (
+                vec![40, 7, 23],
+                12,
+                "scattered windows: each its own 2h rows",
+            ),
+            (vec![9, 5], 8, "5..9 and 9..13 abut: one run"),
+            (vec![10, 5], 8, "5..9 and 10..14 leave a gap: two runs"),
+            (
+                vec![30, 4, 30, 6],
+                10,
+                "a duplicate and an overlap: 4..10 and 30..34",
+            ),
+            (vec![60], 4, "the last window touches the last row"),
+            (vec![], 0, "an empty batch reads nothing"),
+        ] {
+            let store = ds.storage().chunked().expect("stays chunked");
+            let before = store.io_bytes();
+            let (cx, cy, io) = ds.batch_quoted(&ids);
+            assert_eq!(io, rows_read * row, "{what}");
+            assert_eq!(store.io_bytes() - before, io, "{what}");
+            assert!(io <= ids.len() as u64 * window, "{what}");
+            let (dx, dy, dio) = dense.batch_quoted(&ids);
+            assert_eq!(dio, 0, "in memory quotes nothing");
+            assert_same_bits(&[dx, dy], &[cx, cy], 8);
+        }
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub struct PartitionedConfig {
     /// Shared seed.
     pub seed: u64,
     /// Signal storage backend. Under [`st_data::StorageSpec::Chunked`] every
-    /// per-partition node-subset copy streams from its own spill file
-    /// through a bounded chunk cache instead of living in RAM.
+    /// per-partition node-subset copy is read window by window from its
+    /// own spill file instead of living in RAM.
     pub storage: st_data::StorageSpec,
 }
 

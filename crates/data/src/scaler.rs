@@ -10,7 +10,21 @@
 //! statistics — the ones every original-unit metric conversion needs, since
 //! forecast targets are feature 0 of the label window.
 
+use crate::storage::RowStore;
 use st_tensor::{ops as t, Tensor};
+use std::ops::Range;
+
+/// Scalars per block of a streamed fit: 64 KiB of `f32`, small enough that
+/// the allocator recycles one block's buffer for the next.
+const FIT_BLOCK_SCALARS: usize = 1 << 14;
+
+/// Trailing-dimension feature count of a `dims`-shaped array (1 below rank 2).
+fn features_of(dims: &[usize]) -> usize {
+    match dims {
+        [_, .., features] => (*features).max(1),
+        _ => 1,
+    }
+}
 
 /// Mean/std standardizer with per-feature statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,6 +40,31 @@ pub struct StandardScaler {
     feature_stats: Vec<(f32, f32)>,
 }
 
+/// Per-feature `Σ term(x, feature)` over consecutive blocks of whole rows,
+/// plus the rows seen. Each feature's `f32` sum is carried across blocks in
+/// element order — the accumulation order (and so the bits) of
+/// `ops::mean_all` / `ops::std_all` over the whole column, however the rows
+/// are blocked.
+fn column_sums(
+    features: usize,
+    blocks: impl Iterator<Item = Tensor>,
+    term: impl Fn(f32, usize) -> f32,
+) -> (Vec<f32>, usize) {
+    // What `Iterator::sum::<f32>` starts from.
+    let mut sums = vec![[0.0f32; 0].iter().sum::<f32>(); features];
+    let mut rows = 0usize;
+    for block in blocks {
+        let block = block.contiguous();
+        let data = block.as_slice().expect("contiguous");
+        rows += data.len() / features;
+        for (f, sum) in sums.iter_mut().enumerate() {
+            let column = data.iter().skip(f).step_by(features);
+            *sum = column.fold(*sum, |acc, &x| acc + term(x, f));
+        }
+    }
+    (sums, rows)
+}
+
 impl StandardScaler {
     /// Fit on a tensor (typically the training portion of the signal).
     ///
@@ -33,38 +72,33 @@ impl StandardScaler {
     /// feature axis and each feature gets its own statistics; rank-0/1
     /// tensors are a single feature.
     pub fn fit(train: &Tensor) -> Self {
-        let features = if train.rank() >= 2 {
-            *train.dims().last().expect("rank >= 2")
-        } else {
-            1
-        };
-        if features <= 1 {
-            let mean = t::mean_all(train);
-            let std = t::std_all(train).max(1e-6);
-            return StandardScaler {
-                mean,
-                std,
-                feature_stats: vec![(mean, std)],
-            };
-        }
-        // Per-feature statistics with the same f32 accumulation order as
-        // `ops::mean_all` / `ops::std_all`, so fitting on an augmented
-        // signal recovers the bit-exact single-feature statistics.
-        let data = train.to_vec();
-        let rows = (data.len() / features).max(1);
-        let feature_stats: Vec<(f32, f32)> = (0..features)
-            .map(|f| {
-                let col = || data.iter().skip(f).step_by(features);
-                let mean = col().sum::<f32>() / rows as f32;
-                let var = col().map(|x| (x - mean).powi(2)).sum::<f32>() / rows as f32;
-                (mean, var.sqrt().max(1e-6))
+        Self::fit_blocks(features_of(train.dims()), || std::iter::once(train.clone()))
+    }
+
+    /// [`StandardScaler::fit`] on rows `rows` of a store, read a bounded
+    /// block at a time: a chunked training prefix is never held whole. Same
+    /// bits as fitting the materialized range.
+    pub fn fit_rows(store: &impl RowStore, rows: Range<usize>) -> Self {
+        let step = (FIT_BLOCK_SCALARS / store.row_width()).max(1);
+        Self::fit_blocks(features_of(store.dims()), || {
+            rows.clone().step_by(step).map(|start| {
+                let end = (start + step).min(rows.end);
+                store.read_rows_quoted(start..end).0
             })
-            .collect();
-        StandardScaler {
-            mean: feature_stats[0].0,
-            std: feature_stats[0].1,
-            feature_stats,
+        })
+    }
+
+    /// The two-pass fit — per-feature mean, then per-feature variance about
+    /// it — over the blocks `blocks()` yields, in order, once per pass.
+    fn fit_blocks<I: Iterator<Item = Tensor>>(features: usize, blocks: impl Fn() -> I) -> Self {
+        let (sums, rows) = column_sums(features, blocks(), |x, _| x);
+        if rows == 0 {
+            return Self::from_feature_stats(vec![(0.0, 1e-6); features]);
         }
+        let means: Vec<f32> = sums.iter().map(|s| s / rows as f32).collect();
+        let (squares, _) = column_sums(features, blocks(), |x, f| (x - means[f]).powi(2));
+        let stds = squares.iter().map(|q| (q / rows as f32).sqrt().max(1e-6));
+        Self::from_feature_stats(means.iter().copied().zip(stds).collect())
     }
 
     /// Identity scaler (useful for already-normalized signals).
@@ -103,11 +137,7 @@ impl StandardScaler {
     }
 
     fn check_features(&self, x: &Tensor, what: &str) {
-        let f = if x.rank() >= 2 {
-            *x.dims().last().expect("rank >= 2")
-        } else {
-            1
-        };
+        let f = features_of(x.dims());
         assert_eq!(
             f,
             self.feature_stats.len(),
@@ -216,6 +246,42 @@ mod tests {
         }
         assert!((m0 / 6.0).abs() < 1e-6);
         assert!((m1 / 6.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn one_feature_fit_has_the_bits_of_mean_all_and_std_all() {
+        let x = Tensor::from_vec(
+            (0..999).map(|i| (i as f32 * 0.37).sin()).collect(),
+            [333, 3, 1],
+        )
+        .unwrap();
+        let s = StandardScaler::fit(&x);
+        assert_eq!(s.mean.to_bits(), t::mean_all(&x).to_bits());
+        assert_eq!(s.std.to_bits(), t::std_all(&x).to_bits());
+    }
+
+    #[test]
+    fn streamed_fit_is_bit_identical_to_fitting_the_materialized_prefix() {
+        use crate::storage::{ChunkedSpec, SignalStorage, StorageSpec};
+        // 300 scalars a row: a block is 54 rows, so 500 rows are 10 blocks.
+        let vals = (0..700 * 300).map(|i| ((i * 7919) % 1013) as f32 * 0.25 - 90.0);
+        let data = Tensor::from_vec(vals.collect(), [700, 150, 2]).unwrap();
+        let stores = [
+            StorageSpec::InMemory,
+            StorageSpec::Chunked(ChunkedSpec::new(64)),
+        ]
+        .map(|spec| SignalStorage::from_tensor_spec(data.clone(), spec));
+        for rows in [0..500usize, 0..700, 0..54, 0..1, 0..0] {
+            let want = StandardScaler::fit(&data.narrow(0, rows.start, rows.len()).unwrap());
+            for store in &stores {
+                let got = StandardScaler::fit_rows(store, rows.clone());
+                assert_eq!(got.num_features(), 2);
+                for (g, w) in got.feature_stats().iter().zip(want.feature_stats()) {
+                    assert_eq!(g.0.to_bits(), w.0.to_bits(), "{rows:?} {:?}", store.spec());
+                    assert_eq!(g.1.to_bits(), w.1.to_bits(), "{rows:?} {:?}", store.spec());
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! The feature array sits behind [`SignalStorage`] and everything here is
 //! written once over its row reads and `rewrite_rows`: in memory (the
 //! default) those are zero-copy views and one whole-tensor pass; on the
-//! chunked backend they are cached reads and a chunk-at-a-time stream, so
-//! resident bytes stay `O(chunks_cached)` instead of `O(entries)`.
+//! chunked backend they are positional file reads and a chunk-at-a-time
+//! stream, so resident bytes stay one chunk instead of `O(entries)`.
 
 use crate::storage::{RowStore, SignalStorage, StorageSpec};
 use st_graph::Adjacency;
@@ -59,7 +59,7 @@ impl StaticGraphTemporalSignal {
     }
 
     /// Re-house the signal under another storage backend (e.g. convert an
-    /// in-memory signal into bounded-cache chunks before training).
+    /// in-memory signal into a spill file before training).
     pub fn rechunk(&self, spec: StorageSpec) -> StaticGraphTemporalSignal {
         StaticGraphTemporalSignal {
             storage: self.storage.rechunk(spec),
@@ -83,7 +83,7 @@ impl StaticGraphTemporalSignal {
     }
 
     /// The graph state at time `t` as a `[nodes, features]` tensor — a
-    /// zero-copy view for the in-memory backend, a cached chunk read for
+    /// zero-copy view for the in-memory backend, a one-row file read for
     /// the chunked one.
     pub fn graph_at(&self, t: usize) -> Tensor {
         let (entry, _) = self.storage.read_rows_quoted(t..t + 1);

@@ -1,5 +1,5 @@
-//! Where a signal's single copy lives: in RAM, or spilled to disk behind a
-//! bounded cache.
+//! Where a signal's single copy lives: in RAM, or spilled to disk and read
+//! back a row range at a time.
 //!
 //! The paper exists to dodge the memory wall of materialized sliding-window
 //! datasets, yet a plain [`Tensor`]-backed signal still pins the full
@@ -10,57 +10,55 @@
 //!   reads are zero-copy `narrow` views of it.
 //! - [`SignalStorage::Chunked`]: a [`ChunkedStore`] — a process-private
 //!   spill file of raw little-endian `f32` rows (row `r` sits at byte
-//!   `r · 4 · row_width`; no header, no table, deleted with the store) read
-//!   through a bounded LRU cache of decoded *chunks*. A chunk is
-//!   [`ChunkedSpec::chunk_entries`] consecutive rows: the unit of IO and of
-//!   caching, its file range pure arithmetic. Resident bytes are
-//!   `O(chunks_cached)`, not `O(entries)`, and every stored bit comes back
-//!   unchanged, so a chunked run reproduces an in-memory run bit for bit
-//!   (the engine goldens and `proptests_data` pin this).
+//!   `r · 4 · row_width`; no header, no table, deleted with the store). A
+//!   read is a **positional read of exactly the rows asked for**, decoded
+//!   straight into the caller's buffer: no shared cursor, no lock, and no
+//!   user-space cache — the OS page cache is the cache, so the store keeps
+//!   nothing resident and a read costs the bytes it returns. A *chunk* is
+//!   [`ChunkedSpec::chunk_entries`] consecutive rows: the block size of
+//!   [`SignalStorage::rewrite_rows`] and of the writer, nothing more. Every
+//!   stored bit comes back unchanged, so a chunked run reproduces an
+//!   in-memory run bit for bit (the engine goldens and `proptests_data` pin
+//!   this).
 //!
 //! — and **this file is the only one that matches on which backend it is**.
 //! Everything else is written once over three data primitives:
-//! [`RowStore::read_rows_quoted`] (a contiguous row range),
+//! [`RowStore::read_rows_quoted`] / [`RowStore::read_rows_into`] (a
+//! contiguous row range, as a tensor or copied into a buffer),
 //! [`RowStore::gather_rows_quoted`] (arbitrary rows) and
 //! [`SignalStorage::rewrite_rows`] (stream the store block by block into a
-//! new one). The two reads also return the bytes they pulled from disk so
+//! new one). The reads also return the bytes they pulled from the file so
 //! callers can price the IO with [`st_device::CostModel::pfs_read`] and let
 //! the engine's prefetch overlap hide it behind compute.
 
 use st_tensor::Tensor;
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Decoded-chunk cache ceiling of [`ChunkedSpec::new`] (64 MiB).
-const DEFAULT_CACHE_BYTES: u64 = 64 << 20;
-
-/// Chunked-backend configuration: the cache granule and the cache ceiling.
+/// Chunked-backend configuration: the rewrite block size.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChunkedSpec {
-    /// Rows (dim-0 entries) per chunk.
+    /// Rows (dim-0 entries) per chunk: how many rows
+    /// [`SignalStorage::rewrite_rows`] holds in RAM at once. Reads do not
+    /// depend on it.
     pub chunk_entries: usize,
-    /// Decoded-chunk LRU cache ceiling in bytes. A single chunk larger
-    /// than the ceiling still loads (the cache holds exactly that chunk).
-    pub cache_bytes: u64,
 }
 
 impl ChunkedSpec {
-    /// Chunked storage with the given chunk size and a 64 MiB cache.
+    /// Chunked storage rewritten `chunk_entries` rows at a time.
     pub fn new(chunk_entries: usize) -> Self {
-        ChunkedSpec {
-            chunk_entries,
-            cache_bytes: DEFAULT_CACHE_BYTES,
-        }
+        ChunkedSpec { chunk_entries }
     }
 
-    /// Replace the cache ceiling.
-    pub fn with_cache_bytes(mut self, bytes: u64) -> Self {
-        self.cache_bytes = bytes;
+    /// Inert: there is no user-space cache to size. Kept so `bench/`
+    /// compiles untouched; the next `[benchmark]` PR drops the call.
+    #[doc(hidden)]
+    pub fn with_cache_bytes(self, _bytes: u64) -> Self {
         self
     }
 }
@@ -71,7 +69,7 @@ pub enum StorageSpec {
     /// One dense in-memory tensor.
     #[default]
     InMemory,
-    /// Out-of-core: a spill file behind a bounded chunk cache.
+    /// Out-of-core: a spill file read a row range at a time.
     Chunked(ChunkedSpec),
 }
 
@@ -93,15 +91,20 @@ pub trait RowStore {
     /// Scalars per row (product of trailing dims).
     fn row_width(&self) -> usize;
     /// Read a contiguous row range as a contiguous `[len, trailing...]`
-    /// tensor, returning it plus the **bytes pulled from disk** to serve it
-    /// (0 on cache hits and for the in-memory backend, whose reads are
-    /// views).
+    /// tensor, returning it plus the **bytes read from the spill file** to
+    /// serve it: `len · 4 · row_width` on the chunked backend, 0 for the
+    /// in-memory one, whose reads are views.
     fn read_rows_quoted(&self, range: Range<usize>) -> (Tensor, u64);
-    /// Gather arbitrary rows as `[ids.len(), trailing...]`, quoting disk
+    /// The copying form of [`RowStore::read_rows_quoted`]: write the range's
+    /// `len · row_width` scalars into `dst` (a positional read decoded in
+    /// place on the chunked backend, a `copy_from_slice` in memory) and
+    /// return the same quote.
+    fn read_rows_into(&self, range: Range<usize>, dst: &mut [f32]) -> u64;
+    /// Gather arbitrary rows as `[ids.len(), trailing...]`, quoting file
     /// bytes as in [`RowStore::read_rows_quoted`].
     fn gather_rows_quoted(&self, ids: &[usize]) -> (Tensor, u64);
-    /// Bytes currently resident in RAM for this store (full tensor for the
-    /// in-memory backend; decoded cached chunks for the chunked one).
+    /// Bytes this store keeps resident in RAM: the full tensor for the
+    /// in-memory backend, nothing for the chunked one.
     fn resident_bytes(&self) -> u64;
 }
 
@@ -115,10 +118,10 @@ fn width_of(dims: &[usize]) -> usize {
 
 static FILE_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// The spill file's name. Whoever holds it — the writer until
-/// [`SpillWriter::finish`], the store afterwards — deletes the file when
-/// dropped, so neither a finished store nor a writer abandoned by a panic
-/// leaves anything in the temp dir.
+/// The spill file's name. The store that holds it deletes the file when
+/// dropped, so neither a finished store nor one abandoned half-written by
+/// a panicking rewrite leaves anything in the temp dir.
+#[derive(Debug)]
 struct SpillPath(PathBuf);
 
 impl SpillPath {
@@ -134,22 +137,65 @@ impl Drop for SpillPath {
     }
 }
 
-/// Appends rows to a fresh spill file. Rows are encoded one chunk's worth at
-/// a time, so peak writer memory is one chunk whatever is pushed.
-struct SpillWriter {
-    file: File,
-    path: SpillPath,
-    /// `[rows pushed so far, trailing...]`.
-    dims: Vec<usize>,
-    spec: ChunkedSpec,
-    encoded: Vec<u8>,
+/// Fill `buf` from `file` at byte `offset`, without moving a shared cursor.
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
 }
 
-impl SpillWriter {
-    /// Start a file of `[_, trailing...]` rows under `spec`.
+#[cfg(windows)]
+fn read_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+    while !buf.is_empty() {
+        let n = std::os::windows::fs::FileExt::seek_read(file, buf, offset)?;
+        if n == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        (buf, offset) = (&mut buf[n..], offset + n as u64);
+    }
+    Ok(())
+}
+
+/// Ceiling of the per-thread byte buffer rows are encoded and decoded
+/// through. A longer read or write is issued in pieces, so the buffer never
+/// grows with it (a read-sized one was measured at +22 MB peak RSS on
+/// `data_stream`).
+const SCRATCH_BYTES: usize = 64 << 10;
+
+thread_local! {
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on this thread's byte buffer, at least `min(bytes, SCRATCH_BYTES)`
+/// long.
+fn with_scratch<R>(bytes: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    SCRATCH.with_borrow_mut(|scratch| {
+        if scratch.len() < bytes.min(SCRATCH_BYTES) {
+            scratch.resize(bytes.min(SCRATCH_BYTES), 0);
+        }
+        f(scratch)
+    })
+}
+
+/// A spilled `[rows, trailing...]` array: a flat `f32` row file served by
+/// positional reads of exactly the rows asked for. Owns its backing file
+/// (deleted on drop) and keeps no row in RAM. Thread-safe without a lock —
+/// a positional read has no shared cursor — so planes on different engine
+/// ranks may share one store through an `Arc`.
+#[derive(Debug)]
+pub struct ChunkedStore {
+    file: File,
+    path: SpillPath,
+    /// `[rows written, trailing...]`.
+    dims: Vec<usize>,
+    spec: ChunkedSpec,
+    io_bytes: AtomicU64,
+    io_reads: AtomicU64,
+}
+
+impl ChunkedStore {
+    /// An empty store of `[0, trailing...]` rows over a fresh spill file.
     fn create(trailing: &[usize], spec: ChunkedSpec) -> Self {
         assert!(spec.chunk_entries > 0, "chunk_entries must be positive");
-        assert!(spec.cache_bytes > 0, "cache_bytes must be positive");
         let path = SpillPath::fresh();
         let file = File::options()
             .read(true)
@@ -157,92 +203,52 @@ impl SpillWriter {
             .create(true)
             .truncate(true)
             .open(&path.0)
-            .expect("create spill file");
-        SpillWriter {
+            .unwrap_or_else(|e| panic!("spill file {}: create failed: {e}", path.0.display()));
+        ChunkedStore {
             file,
             path,
             dims: [&[0], trailing].concat(),
             spec,
-            encoded: Vec::new(),
+            io_bytes: AtomicU64::new(0),
+            io_reads: AtomicU64::new(0),
         }
     }
 
-    /// Append a contiguous `[len, trailing...]` block of rows.
+    /// Append a contiguous `[len, trailing...]` block of rows — while the
+    /// store is being built, before anyone can share it.
     fn push(&mut self, block: &Tensor) {
         assert_eq!(
             block.dims()[1..],
             self.dims[1..],
             "every block must have the same trailing shape"
         );
-        self.dims[0] += block.dim(0);
         let data = block.as_slice().expect("contiguous block");
-        let piece_len = self.spec.chunk_entries * self.dims[1..].iter().product::<usize>();
-        for piece in data.chunks(piece_len.max(1)) {
-            self.encoded.resize(piece.len() * 4, 0);
-            for (bytes, v) in self.encoded.chunks_exact_mut(4).zip(piece) {
-                bytes.copy_from_slice(&v.to_le_bytes());
+        let mut offset = self.file_bytes();
+        with_scratch(data.len() * 4, |scratch| {
+            for piece in data.chunks(SCRATCH_BYTES / 4) {
+                let raw = &mut scratch[..piece.len() * 4];
+                for (b, v) in raw.as_chunks_mut::<4>().0.iter_mut().zip(piece) {
+                    *b = v.to_le_bytes();
+                }
+                if let Err(e) = self.file.write_all(raw) {
+                    self.io_failed("writing", raw.len(), offset, e);
+                }
+                offset += raw.len() as u64;
             }
-            self.file
-                .write_all(&self.encoded)
-                .expect("write spill file");
-        }
+        });
+        self.dims[0] += block.dim(0);
     }
 
-    /// Hand the file over to a store with an empty cache.
-    fn finish(self) -> ChunkedStore {
-        ChunkedStore {
-            file: Mutex::new(self.file),
-            path: self.path,
-            dims: self.dims,
-            spec: self.spec,
-            cache: Mutex::new(ChunkCache {
-                entries: HashMap::new(),
-                resident: 0,
-                tick: 0,
-            }),
-            io_bytes: AtomicU64::new(0),
-            io_chunks: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            peak_resident: AtomicU64::new(0),
-        }
+    /// The one way a failed read or write of the spill file surfaces: a
+    /// panic naming the file, the byte range and the OS error. (A full
+    /// disk, or a file truncated under the store, is input; the typed-error
+    /// form waits on `batch_quoted`'s signature.)
+    fn io_failed(&self, what: &str, len: usize, offset: u64, e: io::Error) -> ! {
+        let path = self.path.0.display();
+        panic!("spill file {path}: {what} {len} bytes at offset {offset} failed: {e}")
     }
-}
 
-struct ChunkCache {
-    /// chunk id -> (decoded scalars, last-touch tick).
-    entries: HashMap<usize, (Arc<Vec<f32>>, u64)>,
-    resident: u64,
-    tick: u64,
-}
-
-/// A spilled `[rows, trailing...]` array: a flat `f32` row file read through
-/// a bounded LRU cache of decoded chunks. Owns its backing file (deleted on
-/// drop). Thread-safe: planes on different engine ranks may share one store
-/// through an `Arc`.
-pub struct ChunkedStore {
-    file: Mutex<File>,
-    path: SpillPath,
-    dims: Vec<usize>,
-    spec: ChunkedSpec,
-    cache: Mutex<ChunkCache>,
-    io_bytes: AtomicU64,
-    io_chunks: AtomicU64,
-    cache_hits: AtomicU64,
-    peak_resident: AtomicU64,
-}
-
-impl std::fmt::Debug for ChunkedStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChunkedStore")
-            .field("dims", &self.dims)
-            .field("spec", &self.spec)
-            .field("path", &self.path.0)
-            .finish()
-    }
-}
-
-impl ChunkedStore {
-    /// Number of chunks.
+    /// Number of chunks: the blocks a rewrite of this store streams.
     pub fn num_chunks(&self) -> usize {
         self.dims[0].div_ceil(self.spec.chunk_entries)
     }
@@ -252,75 +258,36 @@ impl ChunkedStore {
         (self.dims[0] * width_of(&self.dims) * 4) as u64
     }
 
-    /// Bytes read from disk so far (cache misses only).
+    /// Bytes read from the spill file so far.
     pub fn io_bytes(&self) -> u64 {
         self.io_bytes.load(Ordering::Relaxed)
     }
 
-    /// Chunks decoded from disk so far.
+    /// Positional reads issued so far (the name predates them: a read used
+    /// to be one whole chunk).
     pub fn io_chunks(&self) -> u64 {
-        self.io_chunks.load(Ordering::Relaxed)
+        self.io_reads.load(Ordering::Relaxed)
     }
 
-    /// Chunk reads served from the cache.
+    /// Inert (always 0): there is no user-space cache to hit. Kept so
+    /// `bench/` compiles untouched; the next `[benchmark]` PR drops it.
+    #[doc(hidden)]
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
+        0
     }
 
-    /// High-water mark of decoded bytes resident in the cache.
+    /// Inert (always 0): the store keeps no row resident. Kept so `bench/`
+    /// compiles untouched; the next `[benchmark]` PR drops it.
+    #[doc(hidden)]
     pub fn peak_resident_bytes(&self) -> u64 {
-        self.peak_resident.load(Ordering::Relaxed)
+        0
     }
 
-    fn rows_in_chunk(&self, c: usize) -> usize {
-        let start = c * self.spec.chunk_entries;
-        self.spec.chunk_entries.min(self.dims[0] - start)
-    }
-
-    /// Decoded chunk `c`, through the LRU cache. Returns the chunk plus the
-    /// bytes pulled from disk (0 on a hit).
-    fn chunk(&self, c: usize) -> (Arc<Vec<f32>>, u64) {
-        let mut cache = self.cache.lock().expect("chunk cache poisoned");
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((data, touched)) = cache.entries.get_mut(&c) {
-            *touched = tick;
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return (data.clone(), 0);
-        }
-        // Miss: the chunk's rows sit back to back from its first row's offset.
-        let row_bytes = width_of(&self.dims) * 4;
-        let mut raw = vec![0u8; self.rows_in_chunk(c) * row_bytes];
-        {
-            let mut file = self.file.lock().expect("spill file poisoned");
-            let offset = (c * self.spec.chunk_entries * row_bytes) as u64;
-            file.seek(SeekFrom::Start(offset)).expect("seek chunk");
-            file.read_exact(&mut raw).expect("read chunk");
-        }
-        let mut decoded = Vec::with_capacity(raw.len() / 4);
-        for b in raw.chunks_exact(4) {
-            decoded.push(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-        }
-        let decoded = Arc::new(decoded);
-        let bytes = raw.len() as u64;
-        self.io_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.io_chunks.fetch_add(1, Ordering::Relaxed);
-        // Evict LRU entries until the new chunk fits (a chunk bigger than
-        // the whole ceiling still loads — the cache then holds just it).
-        while cache.resident + bytes > self.spec.cache_bytes && !cache.entries.is_empty() {
-            let (&lru, _) = cache
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, touched))| *touched)
-                .expect("non-empty");
-            let (gone, _) = cache.entries.remove(&lru).expect("present");
-            cache.resident -= (gone.len() * 4) as u64;
-        }
-        cache.resident += bytes;
-        cache.entries.insert(c, (decoded.clone(), tick));
-        self.peak_resident
-            .fetch_max(cache.resident, Ordering::Relaxed);
-        (decoded, bytes)
+    /// A zeroed `[rows, trailing...]` result buffer and its dims.
+    fn zeroed(&self, rows: usize) -> (Vec<f32>, Vec<usize>) {
+        let mut dims = self.dims.clone();
+        dims[0] = rows;
+        (vec![0.0; rows * self.row_width()], dims)
     }
 }
 
@@ -338,47 +305,55 @@ impl RowStore for ChunkedStore {
     }
 
     fn read_rows_quoted(&self, range: Range<usize>) -> (Tensor, u64) {
-        assert!(range.end <= self.dims[0], "row range out of bounds");
-        let width = self.row_width();
-        let mut out = Vec::with_capacity(range.len() * width);
-        let mut io = 0u64;
-        if !range.is_empty() {
-            let cr = self.spec.chunk_entries;
-            let first = range.start / cr;
-            let last = (range.end - 1) / cr;
-            for c in first..=last {
-                let c_start = c * cr;
-                let (chunk, bytes) = self.chunk(c);
-                io += bytes;
-                let lo = range.start.max(c_start) - c_start;
-                let hi = range.end.min(c_start + self.rows_in_chunk(c)) - c_start;
-                out.extend_from_slice(&chunk[lo * width..hi * width]);
-            }
-        }
-        let mut dims = self.dims.clone();
-        dims[0] = range.len();
+        let (mut out, dims) = self.zeroed(range.len());
+        let io = self.read_rows_into(range, &mut out);
         (Tensor::from_vec(out, dims).expect("range numel"), io)
     }
 
-    fn gather_rows_quoted(&self, ids: &[usize]) -> (Tensor, u64) {
+    /// The one place the spill file is read: the bytes pass through the
+    /// bounded per-thread buffer and are decoded straight into `dst`.
+    fn read_rows_into(&self, rows: Range<usize>, dst: &mut [f32]) -> u64 {
+        assert!(
+            rows.start <= rows.end && rows.end <= self.dims[0],
+            "row range {rows:?} out of bounds ({} rows)",
+            self.dims[0]
+        );
         let width = self.row_width();
-        let mut out = Vec::with_capacity(ids.len() * width);
+        assert_eq!(dst.len(), rows.len() * width, "dst holds the row range");
+        let mut offset = (rows.start * width * 4) as u64;
+        with_scratch(dst.len() * 4, |scratch| {
+            for piece in dst.chunks_mut(SCRATCH_BYTES / 4) {
+                let raw = &mut scratch[..piece.len() * 4];
+                if let Err(e) = read_at(&self.file, raw, offset) {
+                    self.io_failed("reading", raw.len(), offset, e);
+                }
+                for (v, b) in piece.iter_mut().zip(raw.as_chunks::<4>().0) {
+                    *v = f32::from_le_bytes(*b);
+                }
+                offset += raw.len() as u64;
+                self.io_reads.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let bytes = (dst.len() * 4) as u64;
+        self.io_bytes.fetch_add(bytes, Ordering::Relaxed);
+        bytes
+    }
+
+    fn gather_rows_quoted(&self, ids: &[usize]) -> (Tensor, u64) {
+        let (mut out, dims) = self.zeroed(ids.len());
         let mut io = 0u64;
-        for &r in ids {
-            assert!(r < self.dims[0], "row {r} out of bounds");
-            let c = r / self.spec.chunk_entries;
-            let (chunk, bytes) = self.chunk(c);
-            io += bytes;
-            let lo = (r - c * self.spec.chunk_entries) * width;
-            out.extend_from_slice(&chunk[lo..lo + width]);
+        let mut rest = out.as_mut_slice();
+        // Adjacent ids are adjacent in the file: one read per ascending run.
+        for run in ids.chunk_by(|a, b| *b == a + 1) {
+            let (dst, tail) = rest.split_at_mut(run.len() * self.row_width());
+            io += self.read_rows_into(run[0]..run[0] + run.len(), dst);
+            rest = tail;
         }
-        let mut dims = self.dims.clone();
-        dims[0] = ids.len();
         (Tensor::from_vec(out, dims).expect("gather numel"), io)
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.cache.lock().expect("chunk cache poisoned").resident
+        0
     }
 }
 
@@ -392,7 +367,7 @@ impl RowStore for ChunkedStore {
 pub enum SignalStorage {
     /// One dense contiguous tensor; reads are zero-copy views.
     InMemory(Tensor),
-    /// A spill file behind a bounded LRU chunk cache.
+    /// A spill file read a row range at a time.
     Chunked(Arc<ChunkedStore>),
 }
 
@@ -490,16 +465,16 @@ impl SignalStorage {
                 SignalStorage::InMemory(Tensor::from_vec(all, dims).expect("rewritten numel"))
             }
             StorageSpec::Chunked(cs) => {
-                let mut w = SpillWriter::create(&first.dims()[1..], cs);
+                let mut out = ChunkedStore::create(&first.dims()[1..], cs);
                 for block in std::iter::once(first).chain(blocks) {
-                    w.push(&block);
+                    out.push(&block);
                 }
-                SignalStorage::Chunked(Arc::new(w.finish()))
+                SignalStorage::Chunked(Arc::new(out))
             }
         }
     }
 
-    /// Bytes read from disk so far (0 for the in-memory backend).
+    /// Bytes read from the spill file so far (0 for the in-memory backend).
     pub fn io_bytes(&self) -> u64 {
         self.chunked().map_or(0, |s| s.io_bytes())
     }
@@ -527,6 +502,18 @@ impl RowStore for SignalStorage {
                 (t.narrow(0, range.start, range.len()).expect("row range"), 0)
             }
             SignalStorage::Chunked(s) => s.read_rows_quoted(range),
+        }
+    }
+
+    fn read_rows_into(&self, range: Range<usize>, dst: &mut [f32]) -> u64 {
+        match self {
+            SignalStorage::InMemory(t) => {
+                let width = width_of(t.dims());
+                let src = t.as_slice().expect("in-memory storage is contiguous");
+                dst.copy_from_slice(&src[range.start * width..range.end * width]);
+                0
+            }
+            SignalStorage::Chunked(s) => s.read_rows_into(range, dst),
         }
     }
 
@@ -581,45 +568,73 @@ mod tests {
     }
 
     #[test]
-    fn cache_ceiling_bounds_resident_bytes() {
-        let t = arange(64, 16); // 16 chunks of 4 rows × 16 cols = 256 B each
-        let store = spilled(&t, ChunkedSpec::new(4).with_cache_bytes(600)); // fits 2 chunks
-        for r in 0..64 {
-            let _ = store.gather_rows_quoted(&[r]);
+    fn nothing_stays_resident_and_a_second_sweep_reads_the_same_bytes() {
+        let t = arange(64, 16);
+        let store = spilled(&t, ChunkedSpec::new(4));
+        for sweep in 1..=2u64 {
+            for r in 0..64 {
+                let _ = store.gather_rows_quoted(&[r]);
+            }
+            assert_eq!(store.io_bytes(), sweep * 64 * 16 * 4, "sweep {sweep}");
+            assert_eq!(store.io_chunks(), sweep * 64, "one read a row");
+            assert_eq!(store.resident_bytes(), 0);
         }
-        assert!(store.peak_resident_bytes() <= 600);
-        assert!(store.resident_bytes() <= 600);
-        // A full second sweep re-reads from disk (the cache can't hold all).
-        let io_before = store.io_bytes();
-        for r in 0..64 {
-            let _ = store.gather_rows_quoted(&[r]);
-        }
-        assert!(store.io_bytes() > io_before, "evictions force re-reads");
     }
 
     #[test]
-    fn sequential_reads_hit_the_cache() {
+    fn adjacent_gather_ids_coalesce_into_one_read() {
         let t = arange(32, 4);
         let store = spilled(&t, ChunkedSpec::new(8));
-        for r in 0..32 {
-            let _ = store.gather_rows_quoted(&[r]);
-        }
-        assert_eq!(store.io_chunks(), 4, "each chunk read once");
-        assert_eq!(store.cache_hits(), 28);
-        // All 4 chunks fit under the default ceiling.
-        assert_eq!(store.resident_bytes(), 32 * 4 * 4);
+        let ids: Vec<usize> = (0..32).collect();
+        let (all, io) = store.gather_rows_quoted(&ids);
+        assert_same_bits(&all, &t);
+        assert_eq!(io, 32 * 4 * 4, "every row's bytes, once");
+        assert_eq!(store.io_chunks(), 1, "one ascending run, one read");
+        // Runs break where ids stop ascending by one: [5 6 7] [7] [3 4 5].
+        let ids = [5usize, 6, 7, 7, 3, 4, 5];
+        let (got, io) = store.gather_rows_quoted(&ids);
+        assert_same_bits(&got, &t.index_select0(&ids).unwrap());
+        assert_eq!(io, 7 * 4 * 4);
+        assert_eq!(store.io_chunks(), 1 + 3);
     }
 
     #[test]
     fn io_bytes_are_quoted_per_read() {
         let t = arange(16, 4);
         let store = spilled(&t, ChunkedSpec::new(8));
-        let (_, io1) = store.read_rows_quoted(0..8);
-        assert_eq!(io1, 8 * 4 * 4, "one chunk = its rows' bytes");
-        let (_, io2) = store.read_rows_quoted(0..8);
-        assert_eq!(io2, 0, "cache hit quotes no disk bytes");
-        let (_, io3) = store.read_rows_quoted(4..12);
-        assert_eq!(io3, 8 * 4 * 4, "straddle pulls only the missing chunk");
+        for (range, what) in [
+            (0..8usize, "a whole chunk"),
+            (0..8, "again: no cache, same quote"),
+            (4..12, "a straddle costs its rows, not two chunks"),
+            (15..16, "the last row"),
+            (9..9, "nothing"),
+        ] {
+            let before = store.io_bytes();
+            let (_, io) = store.read_rows_quoted(range.clone());
+            assert_eq!(io, (range.len() * 4 * 4) as u64, "{what}");
+            assert_eq!(store.io_bytes() - before, io, "{what}");
+            let mut dst = vec![0.0; range.len() * 4];
+            assert_eq!(store.read_rows_into(range.clone(), &mut dst), io, "{what}");
+            assert_eq!(dst, t.narrow(0, range.start, range.len()).unwrap().to_vec());
+        }
+    }
+
+    #[test]
+    fn a_read_longer_than_the_scratch_buffer_is_issued_in_pieces() {
+        let width = SCRATCH_BYTES / 4 / 2 + 3; // a piece ends mid-row
+        let t = arange(5, width);
+        let store = spilled(&t, ChunkedSpec::new(2));
+        let (got, io) = store.read_rows_quoted(0..5);
+        assert_same_bits(&got, &t);
+        assert_eq!(io, (5 * width * 4) as u64);
+        assert_eq!(store.io_chunks(), 3, "5 rows are just over 2.5 pieces");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_read_past_the_last_row_is_refused() {
+        let store = spilled(&arange(8, 2), ChunkedSpec::new(4));
+        let _ = store.read_rows_quoted(6..9);
     }
 
     #[test]

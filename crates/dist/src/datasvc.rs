@@ -9,11 +9,11 @@
 //! `remote_requests`), which is exactly the data-plane bar of Fig. 7.
 //!
 //! The backing store is a [`SignalStorage`]: in memory it is one shared
-//! tensor (O(1) clones, zero-copy range views); chunked, rows stream from
-//! the store's spill file through its bounded LRU cache — the store quotes
-//! the disk bytes it had to touch and fetches convert them to modeled PFS
-//! seconds, so the engine's prefetch overlap can hide chunk IO the same
-//! way it hides network time. Remote payloads can additionally be
+//! tensor (O(1) clones, zero-copy range views); chunked, exactly the rows
+//! asked for are read from the store's spill file — the store quotes the
+//! file bytes it read and fetches convert them to modeled PFS seconds, so
+//! the engine's prefetch overlap can hide file IO the same way it hides
+//! network time. Remote payloads can additionally be
 //! wire-compressed with a [`WireCodec`] (honestly transcoded and
 //! ledger-accounted at encoded size; lossless by default).
 
@@ -280,7 +280,7 @@ impl DistributedArray {
     /// ledger and returning `(batch, modeled seconds)` without charging any
     /// clock — the quote lets callers overlap the time (prefetching) or
     /// charge it synchronously. The quote covers network messages plus any
-    /// chunk IO the backing store performed
+    /// file IO the backing store performed
     /// ([`st_device::CostModel::pfs_read`]).
     pub fn fetch_rows_quoted(
         &self,
@@ -422,9 +422,10 @@ mod tests {
         assert_eq!(t.dims(), &[6, 3]);
         let want: Vec<f32> = (5 * 3..11 * 3).map(|v| v as f32).collect();
         assert_eq!(t.to_vec(), want);
-        // Two chunks decoded from disk, priced into the quote.
-        assert_eq!(a.storage().io_bytes(), 2 * 8 * 3 * 4);
-        assert!(secs > 0.0, "chunk IO must show up in the quote");
+        // Six rows read, not the two chunks they sit in, and priced into
+        // the quote.
+        assert_eq!(a.storage().io_bytes(), 6 * 3 * 4);
+        assert!(secs > 0.0, "file IO must show up in the quote");
     }
 
     #[test]
@@ -457,8 +458,9 @@ mod tests {
         assert_eq!(t.dims(), &[3, 3]);
         let want: Vec<f32> = (17 * 3..20 * 3).map(|v| v as f32).collect();
         assert_eq!(t.to_vec(), want);
-        // The ragged chunk stores only 4 rows.
-        assert_eq!(a.storage().io_bytes(), 4 * 3 * 4);
+        // Three rows read, up to the file's last byte.
+        assert_eq!(a.storage().io_bytes(), 3 * 3 * 4);
+        assert_eq!(a.storage().chunked().unwrap().file_bytes(), 20 * 3 * 4);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Out-of-core storage invariants, property-based and end-to-end:
 //!
 //! - chunked-lossless row reads are bit-identical to the dense tensor for
-//!   arbitrary shapes, chunk sizes, cache ceilings, and read patterns;
-//! - `IndexDataset` batches are storage-invariant bit for bit;
+//!   arbitrary shapes, chunk sizes and read patterns;
+//! - `IndexDataset` batches are storage-invariant bit for bit — arbitrary
+//!   id lists included — and quote the bytes of their merged runs;
+//! - threads sharing one `ChunkedStore` read correct bits concurrently;
 //! - all five engine data planes (local-copy, data-service, halo-entry,
 //!   partitioned, dynamic) produce bit-identical training trajectories
 //!   under `StorageSpec::Chunked` lossless vs `StorageSpec::InMemory`.
@@ -43,30 +45,28 @@ proptest! {
 
     /// Lossless chunked reads reproduce the dense tensor bit for bit:
     /// contiguous ranges (including empty and chunk-straddling ones) and
-    /// arbitrary gathers, under arbitrary chunk sizes and cache ceilings
-    /// small enough to force evictions mid-read.
+    /// arbitrary gathers, under arbitrary chunk sizes, and every read
+    /// quotes exactly its rows' bytes.
     #[test]
     fn chunked_lossless_reads_are_bit_identical(
         entries in 1usize..70,
         width in 1usize..8,
         chunk in 1usize..24,
-        cache_chunks in 1usize..4,
         seed in any::<u32>(),
         lo_frac in 0.0f64..1.0,
         len_frac in 0.0f64..1.0,
     ) {
         let vals = xorshift_vals(entries * width, seed);
         let dense = Tensor::from_vec(vals.clone(), [entries, width]).unwrap();
-        let spec = ChunkedSpec::new(chunk)
-            .with_cache_bytes((cache_chunks * chunk * width * 4) as u64);
         let store = SignalStorage::from_tensor_spec(
             dense.clone(),
-            StorageSpec::Chunked(spec),
+            StorageSpec::Chunked(ChunkedSpec::new(chunk)),
         );
 
         let lo = ((entries as f64) * lo_frac) as usize;
         let len = (((entries - lo) as f64) * len_frac) as usize;
-        let (got, _) = store.read_rows_quoted(lo..lo + len);
+        let (got, io) = store.read_rows_quoted(lo..lo + len);
+        prop_assert_eq!(io, (len * width * 4) as u64);
         let want: Vec<f32> = vals[lo * width..(lo + len) * width].to_vec();
         let got = got.to_vec();
         prop_assert_eq!(got.len(), want.len());
@@ -78,7 +78,8 @@ proptest! {
         let ids: Vec<usize> = (0..entries.min(9))
             .map(|i| (i * 7 + seed as usize) % entries)
             .collect();
-        let (gathered, _) = store.gather_rows_quoted(&ids);
+        let (gathered, io) = store.gather_rows_quoted(&ids);
+        prop_assert_eq!(io, (ids.len() * width * 4) as u64);
         let gathered = gathered.to_vec();
         for (k, &r) in ids.iter().enumerate() {
             for c in 0..width {
@@ -123,6 +124,101 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+
+    /// Any id list — duplicates, unsorted, overlapping, the window that
+    /// touches the last row — gives the in-memory batch's bits, and the
+    /// quote is the bytes of the merged runs: every row some window covers,
+    /// once.
+    #[test]
+    fn arbitrary_batches_are_bit_equal_and_quote_their_merged_runs(
+        entries in 12usize..60,
+        nodes in 1usize..4,
+        horizon in 1usize..5,
+        chunk in 1usize..17,
+        picks in proptest::collection::vec(0.0f64..1.0, 0..12),
+        with_last in any::<bool>(),
+        seed in any::<u32>(),
+    ) {
+        let vals = xorshift_vals(entries * nodes * 2, seed);
+        let adj = Adjacency::from_dense(nodes, vec![1.0; nodes * nodes]);
+        let data = Tensor::from_vec(vals, [entries, nodes, 2]).unwrap();
+        let sig = StaticGraphTemporalSignal::new(data, adj);
+        let mem = IndexDataset::from_signal(&sig, horizon, SplitRatios::default(), None);
+        let chunked = IndexDataset::from_signal(
+            &sig.rechunk(StorageSpec::Chunked(ChunkedSpec::new(chunk))),
+            horizon,
+            SplitRatios::default(),
+            None,
+        );
+        let s = mem.num_snapshots();
+        let mut ids: Vec<usize> = picks.iter().map(|p| (p * s as f64) as usize).collect();
+        if with_last {
+            ids.push(s - 1);
+        }
+
+        let mut covered = vec![false; entries];
+        for &i in &ids {
+            covered[i..i + 2 * horizon].fill(true);
+        }
+        let run_rows = covered.iter().filter(|c| **c).count();
+
+        let (xm, ym, io_mem) = mem.batch_quoted(&ids);
+        let (xc, yc, io) = chunked.batch_quoted(&ids);
+        prop_assert_eq!(io_mem, 0);
+        prop_assert_eq!(io, (run_rows * nodes * 2 * 4) as u64);
+        prop_assert_eq!(xm.dims(), xc.dims());
+        for (a, b) in xm.to_vec().iter().zip(xc.to_vec().iter()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+        for (a, b) in ym.to_vec().iter().zip(yc.to_vec().iter()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+}
+
+/// Positional reads share no cursor: threads hammering one store through an
+/// `Arc` — all released together, each on its own interleaved row ranges —
+/// read exactly the rows they asked for.
+#[test]
+fn threads_sharing_one_chunked_store_read_correct_bits() {
+    const THREADS: usize = 4;
+    let (rows, width) = (257usize, 19usize);
+    let vals = xorshift_vals(rows * width, 7);
+    let dense = Tensor::from_vec(vals.clone(), [rows, width]).unwrap();
+    let store = SignalStorage::from_tensor_spec(dense, StorageSpec::Chunked(ChunkedSpec::new(16)));
+    let store = store.chunked().expect("chunked spec").clone();
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (store, vals, start) = (&store, &vals, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..200 {
+                    let lo = (t * 61 + round * 13) % rows;
+                    let len = (1 + (t + round) % 23).min(rows - lo);
+                    let (got, io) = store.read_rows_quoted(lo..lo + len);
+                    assert_eq!(io, (len * width * 4) as u64);
+                    let want = &vals[lo * width..(lo + len) * width];
+                    assert!(
+                        got.to_vec()
+                            .iter()
+                            .zip(want)
+                            .all(|(g, w)| g.to_bits() == w.to_bits()),
+                        "thread {t} round {round}: rows {lo}..{}",
+                        lo + len
+                    );
+                }
+            });
+        }
+    });
+    let total: u64 = (0..THREADS)
+        .flat_map(|t| (0..200).map(move |round| (t, round)))
+        .map(|(t, round)| {
+            let lo = (t * 61 + round * 13) % rows;
+            ((1 + (t + round) % 23).min(rows - lo) * width * 4) as u64
+        })
+        .sum();
+    assert_eq!(store.io_bytes(), total, "every thread's bytes are counted");
 }
 
 // ───────────────────── engine-plane bit-identity ─────────────────────
@@ -150,9 +246,8 @@ fn ddp_model(sig: &StaticGraphTemporalSignal, horizon: usize) -> Box<dyn Seq2Seq
 }
 
 fn tiny_chunked() -> StorageSpec {
-    // Small chunks + a cache of only a few chunks: every epoch cycles the
-    // cache, so the bit-identity claim covers eviction/re-read paths too.
-    StorageSpec::Chunked(ChunkedSpec::new(8).with_cache_bytes(16 * 1024))
+    // Small chunks: windows and rewrites straddle many of them.
+    StorageSpec::Chunked(ChunkedSpec::new(8))
 }
 
 fn assert_runs_bit_identical(a: &EngineReport, b: &EngineReport, what: &str) {
