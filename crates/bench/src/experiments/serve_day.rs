@@ -17,9 +17,10 @@
 //! - **A forecast-cache run** at equal shard count. Judged: the hot set hits
 //!   the per-serve-call window cache.
 //!
-//! The arrival rate is self-calibrating: a bursty pilot run measures the
-//! modeled steady-state service time per request (micro-batching included),
-//! and the diurnal peak is then set above per-deployment capacity so
+//! The arrival rate is self-calibrating: a bursty pilot run on the A/B's
+//! deployment measures its modeled steady-state service time per request
+//! (window routing and micro-batching included), and the diurnal peak is
+//! then set above that deployment's capacity so
 //! overload is guaranteed by construction, not by magic constants. The SLO
 //! deadline is likewise searched to a non-degenerate operating point
 //! (some shedding, not total shedding) before the A/B is scored.
@@ -134,7 +135,12 @@ fn table_row(table: &mut Table, tag: &str, shards: usize, report: &ServeReport) 
             .sum::<usize>()
             .to_string(),
         cache_hits(report).to_string(),
-        format!("{:.1}", report.halo_bytes as f64 / (1u64 << 20) as f64),
+        report
+            .shards
+            .iter()
+            .map(|s| s.windows_forwarded)
+            .sum::<usize>()
+            .to_string(),
     ]);
 }
 
@@ -212,11 +218,12 @@ pub fn serve_day(ctx: &Ctx) -> RecordSet {
         BatchedServer::with_history(snapshot.clone(), sig.adjacency.clone(), ds.data(), cfg)
     };
 
-    // --- pilot: measure modeled per-shard service capacity ---
-    // Every request arrives (effectively) at once; the charged busy time
-    // of that saturated shard is the pure service content, so
-    // requests / busy is the sustainable per-shard throughput with
-    // micro-batching amortized in (timer effects excluded by design).
+    // --- pilot: the modeled capacity of the `ab_shards` deployment ---
+    // Every request arrives (effectively) at once; the busiest shard's
+    // charged busy time is the pure service content, so requests / busy
+    // is the sustainable throughput of `ab_shards` shards with window
+    // routing and micro-batching amortized in (timer effects excluded by
+    // design).
     let pilot_n = load.requests.min(10_000);
     let mut rng = XorShift(SEED | 9);
     let pilot: Vec<Query> = (0..pilot_n)
@@ -227,14 +234,19 @@ pub fn serve_day(ctx: &Ctx) -> RecordSet {
             arrival_secs: id as f64 * 1e-12,
         })
         .collect();
-    let pilot_report = deploy(1, SloConfig::unbounded(), false, 1e-3).serve(&pilot);
-    let pilot_busy = pilot_report.shards[0].busy_secs;
+    let pilot_report = deploy(load.ab_shards, SloConfig::unbounded(), false, 1e-3).serve(&pilot);
+    let pilot_busy = pilot_report
+        .shards
+        .iter()
+        .map(|s| s.busy_secs)
+        .fold(0.0, f64::max);
     assert!(pilot_busy > 0.0, "pilot must charge modeled busy time");
     let capacity_hz = pilot_n as f64 / pilot_busy;
     println!(
-        "pilot: {} requests, {:.4} modeled µs busy → 1-shard capacity {:.3} Mreq/s",
+        "pilot: {} requests, {:.4} modeled µs busiest-shard busy → {}-shard capacity {:.3} Mreq/s",
         pilot_n,
         pilot_busy * 1e6,
+        load.ab_shards,
         capacity_hz * 1e-6
     );
 
@@ -243,7 +255,7 @@ pub fn serve_day(ctx: &Ctx) -> RecordSet {
     // and the trough to ρ≈0.12. The coalesce timer is 1.5× a batch's
     // fill time at the base rate: batches dispatch by fullness in the
     // rush hour and by timer in the trough.
-    let base_hz = 0.6 * load.ab_shards as f64 * capacity_hz;
+    let base_hz = 0.6 * capacity_hz;
     let max_delay = 1.5 * 32.0 / base_hz;
     let period = load.requests as f64 / base_hz;
     let (queries, distinct) = diurnal_poisson_stream(&load, base_hz, 0.8, period);
@@ -270,7 +282,7 @@ pub fn serve_day(ctx: &Ctx) -> RecordSet {
             "util max",
             "batches",
             "cache hits",
-            "halo MB",
+            "forwards",
         ],
     );
     let mut sweep = Vec::new();
@@ -303,7 +315,7 @@ pub fn serve_day(ctx: &Ctx) -> RecordSet {
         .1;
     let mut slo = SloConfig {
         // The shed-nothing run's median latency: above the per-batch
-        // remote-fetch floor (every realized latency includes it), below
+        // compute floor (every realized latency includes it), below
         // the rush-hour tail — so the deadline bites exactly where the
         // day overloads.
         deadline_secs: unbounded.p50_latency_secs,
@@ -329,7 +341,7 @@ pub fn serve_day(ctx: &Ctx) -> RecordSet {
         }
         let widen = report.shed_rate >= 0.9;
         governed = Some(report);
-        // The viable band sits between the per-batch fetch floor and the
+        // The viable band sits between the per-batch compute floor and the
         // rush-hour tail — step gently or the search jumps across it.
         if widen {
             slo.deadline_secs *= 1.2;

@@ -113,12 +113,6 @@ impl PaddedBatcher {
     pub fn padding(&self) -> usize {
         self.padding
     }
-
-    /// Bytes of extra host memory the original DCRNN loader holds: one full
-    /// additional copy of the (padded) dataset, per §3.2's analysis.
-    pub fn duplication_bytes(&self, sample_bytes: u64) -> u64 {
-        (self.inner.len() as u64) * sample_bytes
-    }
 }
 
 #[cfg(test)]
@@ -174,12 +168,5 @@ mod tests {
     fn padded_no_padding_when_divisible() {
         let p = PaddedBatcher::new((0..8).collect(), 4, 7, 0);
         assert_eq!(p.padding(), 0);
-    }
-
-    #[test]
-    fn duplication_bytes_counts_padded_copy() {
-        let p = PaddedBatcher::new((0..10).collect(), 4, 7, 0);
-        // 12 padded samples × 100 bytes each.
-        assert_eq!(p.duplication_bytes(100), 1200);
     }
 }

@@ -28,7 +28,7 @@ pub mod transfer;
 
 pub use clock::SimClock;
 pub use costmodel::CostModel;
-pub use device::{DeviceKind, GIB};
+pub use device::GIB;
 pub use memory::{AllocError, Allocation, MemPool, PoolMode};
 pub use overlap::{OverlapLedger, StreamId};
 pub use profiler::{KernelSplit, MemTimeline};

@@ -84,15 +84,6 @@ pub fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
-/// Format seconds as `Xm Ys` / `Ys`.
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 60.0 {
-        format!("{:.1} min", s / 60.0)
-    } else {
-        format!("{s:.2} s")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,11 +116,5 @@ mod tests {
         assert_eq!(fmt_bytes(512), "512 B");
         assert_eq!(fmt_bytes(2048), "2.00 KiB");
         assert_eq!(fmt_bytes(450_971_566_080), "420.00 GiB");
-    }
-
-    #[test]
-    fn seconds_formatting() {
-        assert_eq!(fmt_secs(5.0), "5.00 s");
-        assert_eq!(fmt_secs(90.0), "1.5 min");
     }
 }

@@ -9,11 +9,12 @@
 //!   answers every window query as a zero-copy, index-addressed view —
 //!   exactly the `IndexDataset` trick (§4.1), applied to a live stream
 //!   instead of a training set.
-//! - **Static partition-parallel execution** ([`shard::BatchedServer`]):
-//!   the graph is partitioned once and each shard statically owns its
-//!   nodes' queries (DistTGL's serving-side lesson: never repartition per
-//!   query). Shards run concurrently under `st_dist::run_workers`, with
-//!   halo reads for non-owned signal rows charged to a traffic ledger.
+//! - **Window-parallel execution** ([`shard::BatchedServer`]): the
+//!   paper's split over the temporal index, applied to requests. A call's
+//!   distinct windows are dealt round-robin to shards, each window is
+//!   forwarded once by one shard and scattered to all of its queries, and
+//!   the shards run concurrently under `st_dist::run_workers` over the
+//!   one shared ring.
 //!
 //! Between the two sits [`queue::coalesce`], a micro-batching request
 //! queue: concurrent forecast requests are coalesced into batched
@@ -38,8 +39,8 @@
 //!   [`error::ServeError::NotYetServable`].
 //! - **SLO admission control** ([`slo::admit_and_coalesce`]): the
 //!   micro-batch queue gains a bounded depth and a deadline gate priced
-//!   through the same [`st_device::CostModel`] deadline streams the shard
-//!   executor replays — overload sheds typed [`slo::Shed`] rejections
+//!   through the same [`st_device::CostModel`] quote the shard executor
+//!   charges — overload sheds typed [`slo::Shed`] rejections
 //!   instead of letting tail latency grow without bound.
 //! - **Multi-tenant hot-swap** ([`registry::SnapshotRegistry`]): many
 //!   deployments per process behind atomic `Arc` swaps; a retrained
@@ -67,7 +68,7 @@
 //! let snap = ModelSnapshot::capture(
 //!     cfg, StandardScaler::identity(), None, &model.params(), 1);
 //!
-//! // …served across 2 shards routed by the multilevel partitioner.
+//! // …served across 2 shards, each window forwarded by one of them.
 //! let history = Tensor::arange(20 * 8).reshape([20, 8, 1]).unwrap();
 //! let server = BatchedServer::with_history(
 //!     snap, net.adjacency.clone(), &history, ServeConfig::new(2, 20));

@@ -14,8 +14,8 @@
 //!   server.
 //! - **Bit-identical swapped-in serving.** [`SnapshotRegistry::swap_snapshot`]
 //!   carries the live ring and ingest watermarks over to the new
-//!   snapshot via [`BatchedServer::with_snapshot`], which re-partitions
-//!   for the new horizon exactly as a cold deploy would — so post-swap
+//!   snapshot via [`BatchedServer::with_snapshot`], which keeps the graph
+//!   and config and recomputes nothing graph-sized — so post-swap
 //!   forwards are bitwise equal to a server constructed fresh from the
 //!   new snapshot over the same history (pinned in `tests/serve_plane.rs`).
 //!

@@ -1,31 +1,33 @@
-//! Partition-parallel batched serving.
+//! Window-parallel batched serving.
 //!
-//! DistTGL's serving-side lesson, transplanted: partition the graph **once**
-//! and let each shard statically own its nodes' queries — never repartition
-//! per request. [`BatchedServer`] routes every [`Query`] to the shard that
-//! owns its node ([`st_graph::Partitioning::part_of`]), and the shards run
+//! PGT-I spreads work over the *temporal index*: a worker builds the
+//! windows it was given from one shared signal. [`BatchedServer`] serves
+//! the same way. Every shard restores the **same** full-model replica from
+//! the [`ModelSnapshot`] and reads the same full-N [`RollingWindow`], so
+//! the unit of work is a window, not a node. A call's distinct servable
+//! windows go round-robin to the shards in first-seen order (window counts
+//! per shard differ by at most 1); each window is forwarded by exactly one
+//! shard and scattered to every query that asked about it. The shards run
 //! concurrently under [`st_dist::run_workers`], each draining its own
 //! micro-batch schedule — [`crate::slo::admit_and_coalesce`], the
 //! SLO-gated [`crate::queue::coalesce`] (inert gates by default; see
 //! [`ServeConfig::slo`]).
 //!
-//! Every shard restores the **same** full-model replica from the
-//! [`ModelSnapshot`] (restored replicas are bit-identical — the snapshot
-//! tests pin it), so a served forecast is bitwise the value the trainer's
-//! own evaluation forward would produce, no matter which shard computed it.
-//! What a shard does *not* own is the signal: the rows of each request
-//! window belonging to other shards' nodes are halo reads, charged to the
-//! traffic ledger in bytes and to the simulated clock via
-//! [`st_device::CostModel::micro_batch_secs`] — the same
-//! physically-local-but-modeled-remote idiom the training data planes use.
+//! Restored replicas are bit-identical (the snapshot tests pin it), so a
+//! served forecast is bitwise the value the trainer's own evaluation
+//! forward would produce, no matter which shard computed it.
+//!
+//! The forward itself is not split by space. PGT-DCRNN's receptive field
+//! grows by 2K hops per step (two diffusion convolutions per DCGRU cell):
+//! 48 hops at K = 2, h = 12, which covers the whole benchmark graph, so an
+//! exact spatial halo would save little (DESIGN.md §5).
 //!
 //! Time is simulated, numerics are real: arrival times drive the
-//! micro-batch schedule and the per-shard timeline (an
-//! [`st_device::SimClock`] + [`st_device::OverlapLedger`] pair replaying
-//! MSPipe-style deadline streams: a batch's halo fetch is in flight from
-//! its dispatch and overlaps the tail of the previous batch's compute),
-//! producing modeled p50/p99/p999 latencies and throughput, while the
-//! forwards themselves are real tape-free computations
+//! micro-batch schedule and each shard's modeled timeline (a batch starts
+//! at max(previous completion, dispatch) and runs for its
+//! [`st_device::CostModel::micro_batch_secs`] compute quote), producing
+//! modeled p50/p99/p999 latencies and throughput, while the forwards
+//! themselves are real tape-free computations
 //! ([`st_models::Seq2Seq::forward_inference`]).
 
 use std::collections::HashMap;
@@ -37,17 +39,16 @@ use crate::slo::{admit_and_coalesce, BatchCost, ShedReason, SloConfig};
 use crate::snapshot::ModelSnapshot;
 use crate::window::RollingWindow;
 use st_data::storage::SignalStorage;
-use st_device::{OverlapLedger, SimClock};
 use st_dist::launch::run_workers;
 use st_dist::topology::ClusterTopology;
-use st_graph::{Adjacency, PartitionerKind, Partitioning};
+use st_graph::{Adjacency, Partitioning};
 use st_models::{PgtDcrnn, Seq2Seq};
 use st_tensor::Tensor;
 
 /// Serving deployment knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of partition-parallel shards.
+    /// Number of window-parallel shards.
     pub shards: usize,
     /// Micro-batching policy each shard's queue runs.
     pub queue: QueueConfig,
@@ -55,11 +56,6 @@ pub struct ServeConfig {
     pub capacity: usize,
     /// Cluster topology the shards are modeled on.
     pub topology: ClusterTopology,
-    /// The partitioner the one-time routing split runs — the same choice
-    /// the training planes take via `DistConfig`. Defaults to the
-    /// multilevel partitioner, which minimizes the modeled halo bytes
-    /// ([`st_graph::HaloCostModel`]) every cross-shard window read pays.
-    pub partitioner: PartitionerKind,
     /// Compute backend each shard selects before its first forward
     /// ([`st_tensor::backend::set_backend`]). Backends are bitwise
     /// identical — served forecasts stay bit-equal to the trainer's
@@ -75,9 +71,8 @@ pub struct ServeConfig {
     /// Cache each distinct window's standardized target-channel forecast
     /// for the duration of a [`BatchedServer::serve`] call, so repeat
     /// windows across micro-batches skip their forward (and its modeled
-    /// halo fetch + compute). Safe because per-window forwards are
-    /// batch-composition-invariant bitwise (pinned by the round-trip
-    /// tests). Defaults to `false` — every batch pays its forward, the
+    /// compute). Safe because per-window forwards are batch-composition-
+    /// invariant bitwise (pinned by the round-trip tests). Defaults to `false` — every batch pays its forward, the
     /// pre-cache behavior the serve benchmarks pin.
     pub forecast_cache: bool,
     /// Live-ingest skew bound: a fast sensor may run at most this many
@@ -95,7 +90,6 @@ impl ServeConfig {
             queue: QueueConfig::default(),
             capacity,
             topology: ClusterTopology::polaris(),
-            partitioner: PartitionerKind::Multilevel,
             backend: st_tensor::backend::active_backend(),
             slo: SloConfig::unbounded(),
             forecast_cache: false,
@@ -110,10 +104,10 @@ impl ServeConfig {
 pub struct Query {
     /// Caller-side request id (echoed back on the result).
     pub id: usize,
-    /// The node whose forecast is requested; decides the owning shard.
+    /// The node whose forecast is requested.
     pub node: usize,
     /// Input window end, exclusive stream time (the window is the
-    /// `horizon` most recent readings before it).
+    /// `horizon` most recent readings before it); decides the shard.
     pub window_end: usize,
     /// Modeled arrival time, seconds.
     pub arrival_secs: f64,
@@ -153,8 +147,8 @@ pub struct Rejection {
     pub id: usize,
     /// The queried node.
     pub node: usize,
-    /// The shard that owns (and refused) the query; 0 for an
-    /// [`ShedReason::UnknownNode`], which no shard owns.
+    /// The shard whose admission control refused the query; 0 for a
+    /// query rejected before routing (unknown node, unservable window).
     pub shard: usize,
     /// The requested window end.
     pub window_end: usize,
@@ -163,30 +157,32 @@ pub struct Rejection {
 }
 
 /// Per-shard serving statistics.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
-    /// Nodes this shard owns.
+    /// Inert: this shard's block of a contiguous node split, which no
+    /// longer routes anything. Kept for callers that predate window
+    /// routing.
+    #[doc(hidden)]
     pub owned_nodes: usize,
-    /// Requests routed here (servable windows; pre-routing rejections
-    /// excluded).
+    /// Requests routed here (the queries of this shard's windows;
+    /// pre-routing rejections excluded).
     pub requests: usize,
     /// Requests this shard's admission control shed.
     pub shed: usize,
     /// Micro-batches dispatched.
     pub batches: usize,
+    /// Window forwards this shard ran (cache hits excluded).
+    pub windows_forwarded: usize,
     /// Distinct windows answered from the forecast cache instead of a
     /// forward (always 0 with [`ServeConfig::forecast_cache`] off).
     pub cache_hits: usize,
-    /// Halo-read bytes charged to the ledger.
+    /// Inert: always 0, since every shard reads the same full ring. Kept
+    /// for callers that predate window routing.
+    #[doc(hidden)]
     pub halo_bytes: u64,
-    /// Modeled forward-compute seconds.
-    pub compute_secs: f64,
-    /// Modeled *exposed* halo-fetch seconds (the part the deadline
-    /// streams could not hide behind compute).
-    pub comm_secs: f64,
-    /// Modeled seconds this shard was busy (exposed fetch + compute).
+    /// Modeled forward-compute seconds this shard was busy.
     pub busy_secs: f64,
     /// Completion time of this shard's last batch (0 when idle).
     pub finish_secs: f64,
@@ -226,8 +222,6 @@ pub struct ServeReport {
     pub makespan_secs: f64,
     /// Requests served per modeled second.
     pub requests_per_sec: f64,
-    /// Total halo-read bytes across shards (the data-plane ledger).
-    pub halo_bytes: u64,
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -238,16 +232,18 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// A snapshot-backed, partition-parallel batched inference server.
+/// A snapshot-backed, window-parallel batched inference server.
 ///
 /// Holds the deployment's static state — the trained [`ModelSnapshot`],
-/// the graph and its one-time [`Partitioning`], the rolling signal
-/// buffer, and the live-ingest front. [`BatchedServer::serve`] is the
-/// request path; [`BatchedServer::admit_tick`] is the data path.
+/// the graph, the rolling signal buffer, and the live-ingest front.
+/// [`BatchedServer::serve`] is the request path;
+/// [`BatchedServer::admit_tick`] is the data path.
 #[derive(Debug, Clone)]
 pub struct BatchedServer {
     snapshot: ModelSnapshot,
     adjacency: Adjacency,
+    /// Backs only the inert [`BatchedServer::owner_of`] /
+    /// [`BatchedServer::partitioning`]; routing never reads it.
     partitioning: Partitioning,
     window: RollingWindow,
     ingest: StreamIngest,
@@ -256,9 +252,6 @@ pub struct BatchedServer {
 
 impl BatchedServer {
     /// Deploy a snapshot over `adjacency` with an empty signal buffer.
-    /// The graph is partitioned once, here, by
-    /// [`ServeConfig::partitioner`] (multilevel by default); queries are
-    /// routed against this static assignment forever after.
     pub fn new(snapshot: ModelSnapshot, adjacency: Adjacency, cfg: ServeConfig) -> Self {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert_eq!(
@@ -272,9 +265,10 @@ impl BatchedServer {
             cfg.capacity,
             snapshot.config.horizon
         );
+        // Balanced contiguous node blocks, valid for more shards than nodes.
+        let n = snapshot.config.num_nodes;
         let partitioning =
-            cfg.partitioner
-                .partition(&adjacency, None, cfg.shards, snapshot.config.horizon);
+            Partitioning::from_assignment((0..n).map(|i| i * cfg.shards / n).collect(), cfg.shards);
         let window = RollingWindow::new(
             cfg.capacity,
             snapshot.config.num_nodes,
@@ -328,12 +322,11 @@ impl BatchedServer {
     }
 
     /// Redeploy with a **new model snapshot** over the live state: the
-    /// ring, ingest watermarks, graph and config carry over; the routing
-    /// partitioning is recomputed for the new horizon exactly as a cold
-    /// deploy would, so the swapped-in server's forwards are bit-identical
-    /// to a server constructed fresh from the new snapshot over the same
-    /// history. The hot-reload building block behind
-    /// [`crate::SnapshotRegistry::swap_snapshot`].
+    /// ring, ingest watermarks, graph and config carry over, so the
+    /// swapped-in server's forwards are bit-identical to a server
+    /// constructed fresh from the new snapshot over the same history.
+    /// Nothing graph-sized is recomputed. The hot-reload building block
+    /// behind [`crate::SnapshotRegistry::swap_snapshot`].
     pub fn with_snapshot(&self, snapshot: ModelSnapshot) -> Result<BatchedServer, ServeError> {
         if snapshot.config.num_nodes != self.adjacency.num_nodes() {
             return Err(ServeError::GraphMismatch {
@@ -356,16 +349,10 @@ impl BatchedServer {
                 horizon: snapshot.config.horizon,
             });
         }
-        let partitioning = self.cfg.partitioner.partition(
-            &self.adjacency,
-            None,
-            self.cfg.shards,
-            snapshot.config.horizon,
-        );
         Ok(BatchedServer {
             snapshot,
             adjacency: self.adjacency.clone(),
-            partitioning,
+            partitioning: self.partitioning.clone(),
             window: self.window.clone(),
             ingest: self.ingest.clone(),
             cfg: self.cfg.clone(),
@@ -415,12 +402,16 @@ impl BatchedServer {
         &self.cfg
     }
 
-    /// The static query-routing partitioning.
+    /// Inert: a contiguous node split that no longer routes anything.
+    /// Kept for callers that predate window routing.
+    #[doc(hidden)]
     pub fn partitioning(&self) -> &Partitioning {
         &self.partitioning
     }
 
-    /// The shard that owns `node`'s queries.
+    /// Inert: `node`'s block in [`BatchedServer::partitioning`], not the
+    /// shard that serves it. Kept for callers that predate window routing.
+    #[doc(hidden)]
     pub fn owner_of(&self, node: usize) -> usize {
         self.partitioning.part_of(node)
     }
@@ -463,36 +454,34 @@ impl BatchedServer {
     }
 
     /// Serve a stream of queries (sorted by arrival) under an explicit
-    /// SLO: route each to its owning shard, run SLO admission control
-    /// over each shard's micro-batch queue, and replay the admitted
-    /// schedule as batched tape-free forwards concurrently across
-    /// shards. Unknown nodes and unservable windows (evicted / not yet
-    /// ingested) are rejected before routing; every query lands in exactly
-    /// one of [`ServeReport::results`] / [`ServeReport::rejections`].
+    /// SLO: route each to the shard its window was dealt to, run SLO
+    /// admission control over each shard's micro-batch queue, and replay
+    /// the admitted schedule as batched tape-free forwards concurrently
+    /// across shards. Unknown nodes and unservable windows (evicted / not
+    /// yet ingested) are rejected before routing; every query lands in
+    /// exactly one of [`ServeReport::results`] / [`ServeReport::rejections`].
     pub fn serve_slo(&self, queries: &[Query], slo: &SloConfig) -> ServeReport {
         let horizon = self.snapshot.config.horizon;
         let nodes = self.snapshot.config.num_nodes;
-        let features = self.snapshot.config.input_dim;
 
         // Pre-routing servability: a node the snapshot does not have or a
         // window the ring cannot produce is a typed rejection, not a panic
         // in the caller or in a worker thread.
         let mut pre_rejected: Vec<(usize, Rejection)> = Vec::new();
-        // Static routing: shard r sees only its owned nodes' servable
-        // requests, in arrival order (`PendingRequest::id` is the index
-        // into `queries`).
+        // Window routing: the call's distinct servable windows are dealt
+        // round-robin to shards in first-seen order, and shard r sees its
+        // windows' requests in arrival order (`PendingRequest::id` is the
+        // index into `queries`).
+        let mut shard_of: HashMap<usize, usize> = HashMap::new();
         let mut routed = vec![Vec::new(); self.cfg.shards];
         for (idx, q) in queries.iter().enumerate() {
-            // The owning shard (0 by convention for a node no shard owns)
-            // and, if the query cannot be served, why.
-            let (shard, refusal) = if q.node >= nodes {
-                let reason = ShedReason::UnknownNode {
+            let refusal = if q.node >= nodes {
+                Some(ShedReason::UnknownNode {
                     node: q.node,
                     nodes,
-                };
-                (0, Some(reason))
+                })
             } else {
-                let refusal = match self.window.window_status(q.window_end, horizon) {
+                match self.window.window_status(q.window_end, horizon) {
                     Ok(()) => None,
                     Err(ServeError::WindowEvicted {
                         window_end,
@@ -513,21 +502,24 @@ impl BatchedServer {
                     // horizon passed above is the snapshot's own, not the
                     // query's: unreachable from caller input.
                     Err(other) => panic!("unservable query {}: {other}", q.id),
-                };
-                (self.owner_of(q.node), refusal)
+                }
             };
             match refusal {
-                None => routed[shard].push(PendingRequest {
-                    id: idx,
-                    arrival_secs: q.arrival_secs,
-                    window_end: q.window_end,
-                }),
+                None => {
+                    let next = shard_of.len() % self.cfg.shards;
+                    let shard = *shard_of.entry(q.window_end).or_insert(next);
+                    routed[shard].push(PendingRequest {
+                        id: idx,
+                        arrival_secs: q.arrival_secs,
+                        window_end: q.window_end,
+                    });
+                }
                 Some(reason) => pre_rejected.push((
                     idx,
                     Rejection {
                         id: q.id,
                         node: q.node,
-                        shard,
+                        shard: 0,
                         window_end: q.window_end,
                         reason,
                     },
@@ -537,6 +529,16 @@ impl BatchedServer {
 
         let per_shard = run_workers(self.cfg.shards, self.cfg.topology, |ctx| {
             let shard = ctx.rank();
+            let mut stats = ShardStats {
+                shard,
+                owned_nodes: self.partitioning.part_nodes(shard).len(),
+                requests: routed[shard].len(),
+                ..ShardStats::default()
+            };
+            let mut results = Vec::with_capacity(routed[shard].len());
+            if routed[shard].is_empty() {
+                return (results, Vec::new(), stats);
+            }
             // Each shard thread selects the deployment's compute backend
             // before any forward runs (bitwise-identical either way).
             st_tensor::backend::set_backend(self.cfg.backend);
@@ -546,8 +548,6 @@ impl BatchedServer {
                 .snapshot
                 .build_pgt_dcrnn(&self.adjacency)
                 .expect("snapshot matches its own config");
-            let owned = self.partitioning.part_nodes(shard).len();
-            let halo_row_bytes = (horizon * (nodes - owned) * features * 4) as u64;
 
             // Admission control prices batches through the same
             // CostModel::micro_batch_secs the executor below charges.
@@ -556,7 +556,7 @@ impl BatchedServer {
                 &self.cfg.queue,
                 slo,
                 &BatchCost {
-                    halo_bytes_per_window: halo_row_bytes,
+                    halo_bytes_per_window: 0,
                     flops_per_window: model.flops_per_forward(1),
                     cost: cost.clone(),
                 },
@@ -578,79 +578,49 @@ impl BatchedServer {
                     )
                 })
                 .collect();
+            stats.shed = rejections.len();
 
-            let mut results = Vec::with_capacity(routed[shard].len());
-            let mut stats = ShardStats {
-                shard,
-                owned_nodes: owned,
-                requests: routed[shard].len(),
-                shed: rejections.len(),
-                batches: 0,
-                cache_hits: 0,
-                halo_bytes: 0,
-                compute_secs: 0.0,
-                comm_secs: 0.0,
-                busy_secs: 0.0,
-                finish_secs: 0.0,
-            };
-            // The shard's modeled timeline. A batch occupies it from
-            // max(previous completion, dispatch); its halo fetch is a
-            // deadline stream in flight since dispatch, so only the part
-            // not hidden behind the previous batch's compute is charged.
-            let tl = SimClock::new();
-            let mut ledger = OverlapLedger::new();
+            // The shard's modeled timeline: a batch occupies it from
+            // max(previous completion, dispatch) for its compute quote.
+            let mut busy_until = 0.0f64;
             // Standardized target-channel planes ([horizon × N] each) of
-            // windows already forwarded this call.
-            let mut cache: HashMap<usize, Vec<f32>> = HashMap::new();
+            // the windows this batch forwarded, kept across batches when
+            // the forecast cache is on.
+            let mut planes: HashMap<usize, Vec<f32>> = HashMap::new();
             for batch in &schedule.batches {
                 let uncached: Vec<usize> = batch
                     .windows
                     .iter()
                     .copied()
-                    .filter(|w| !cache.contains_key(w))
+                    .filter(|w| !planes.contains_key(w))
                     .collect();
                 stats.cache_hits += batch.windows.len() - uncached.len();
-                tl.sync_to(batch.dispatch_secs);
-                let mut fresh: HashMap<usize, Vec<f32>> = HashMap::new();
+                busy_until = busy_until.max(batch.dispatch_secs);
                 if !uncached.is_empty() {
-                    let halo_bytes = uncached.len() as u64 * halo_row_bytes;
-                    let (fetch_secs, compute_secs) =
-                        cost.micro_batch_secs(halo_bytes, model.flops_per_forward(uncached.len()));
-                    let charged_before = ledger.charged_secs();
-                    let sid =
-                        ledger.begin_at(batch.dispatch_secs + fetch_secs, batch.dispatch_secs);
-                    ledger.wait(sid, &tl);
-                    let exposed = ledger.charged_secs() - charged_before;
+                    let (_, compute_secs) =
+                        cost.micro_batch_secs(0, model.flops_per_forward(uncached.len()));
                     let x = self
                         .window
                         .batch(&uncached, horizon)
                         .expect("servability pre-checked before routing");
-                    let pred = model.forward_inference(&x);
-                    tl.advance_compute(compute_secs);
-                    ctx.clock.advance_comm(exposed);
-                    ctx.clock.advance_compute(compute_secs);
-                    stats.halo_bytes += halo_bytes;
-                    stats.busy_secs += exposed + compute_secs;
-                    for (j, &w) in uncached.iter().enumerate() {
-                        let mut plane = vec![0.0f32; horizon * nodes];
-                        for t in 0..horizon {
-                            for node in 0..nodes {
-                                plane[t * nodes + node] = pred.at(&[j, t, node, 0]);
-                            }
-                        }
-                        fresh.insert(w, plane);
+                    // [B, horizon, N, out]: window j's target channel is
+                    // every `out`-th value of its contiguous block.
+                    let pred = model.forward_inference(&x).contiguous();
+                    let out = pred.dim(3);
+                    let per_window = horizon * nodes * out;
+                    let values = pred.as_slice().expect("contiguous");
+                    for (block, &w) in values.chunks_exact(per_window).zip(&uncached) {
+                        planes.insert(w, block.iter().step_by(out).copied().collect());
                     }
+                    busy_until += compute_secs;
+                    stats.busy_secs += compute_secs;
+                    stats.windows_forwarded += uncached.len();
                 }
-                let done = tl.now();
                 stats.batches += 1;
-                stats.finish_secs = done;
+                stats.finish_secs = busy_until;
                 for (&idx, &slot) in batch.requests.iter().zip(&batch.window_of) {
                     let q = &queries[idx];
-                    let w = batch.windows[slot];
-                    let plane = fresh
-                        .get(&w)
-                        .or_else(|| cache.get(&w))
-                        .expect("every batch window is fresh or cached");
+                    let plane = &planes[&batch.windows[slot]];
                     let forecast_std: Vec<f32> =
                         (0..horizon).map(|t| plane[t * nodes + q.node]).collect();
                     let forecast = forecast_std
@@ -666,17 +636,15 @@ impl BatchedServer {
                             window_end: q.window_end,
                             forecast_std,
                             forecast,
-                            latency_secs: done - q.arrival_secs,
+                            latency_secs: busy_until - q.arrival_secs,
                             batch_windows: batch.windows.len(),
                         },
                     ));
                 }
-                if self.cfg.forecast_cache {
-                    cache.extend(fresh);
+                if !self.cfg.forecast_cache {
+                    planes.clear();
                 }
             }
-            stats.compute_secs = ctx.clock.compute_secs();
-            stats.comm_secs = ctx.clock.comm_secs();
             (results, rejections, stats)
         });
 
@@ -712,7 +680,6 @@ impl BatchedServer {
             } else {
                 0.0
             },
-            halo_bytes: shards.iter().map(|s| s.halo_bytes).sum(),
             results,
             rejections,
             shards,
@@ -803,24 +770,30 @@ mod tests {
     fn single_shard_has_no_halo_traffic() {
         let (server, _) = deployment(1);
         let report = server.serve(&burst(8, 8));
-        assert_eq!(report.halo_bytes, 0, "one shard owns every row");
         assert!(report.p50_latency_secs > 0.0);
         assert!(report.p99_latency_secs >= report.p50_latency_secs);
         assert!(report.p999_latency_secs >= report.p99_latency_secs);
     }
 
     #[test]
-    fn sharding_charges_halo_reads_and_routes_by_owner() {
+    fn routes_each_distinct_window_to_one_shard() {
         let (server, _) = deployment(2);
+        // 16 queries over 8 distinct windows, all in one batch per shard.
         let queries = burst(16, 8);
         let report = server.serve(&queries);
-        assert!(report.halo_bytes > 0, "2 shards must exchange halo rows");
+        assert_eq!(report.results.len(), 16);
+        let mut served_by: HashMap<usize, usize> = HashMap::new();
         for r in &report.results {
-            assert_eq!(r.shard, server.owner_of(r.node), "static routing");
+            let shard = *served_by.entry(r.window_end).or_insert(r.shard);
+            assert_eq!(shard, r.shard, "window {} on two shards", r.window_end);
         }
+        assert_eq!(served_by.len(), 8);
+        let forwarded: Vec<usize> = report.shards.iter().map(|s| s.windows_forwarded).collect();
+        assert_eq!(forwarded, vec![4, 4], "8 windows dealt round-robin");
         let total: usize = report.shards.iter().map(|s| s.requests).sum();
         assert_eq!(total, 16);
         for s in &report.shards {
+            assert_eq!(s.halo_bytes, 0, "every shard reads the full ring");
             assert!(s.utilization(report.makespan_secs) <= 1.0 + 1e-9);
         }
     }
@@ -958,10 +931,10 @@ mod tests {
         }
         let hits: usize = fast.shards.iter().map(|s| s.cache_hits).sum();
         assert!(hits > 0, "repeat windows must hit the cache");
-        assert!(
-            fast.halo_bytes < plain.halo_bytes,
-            "cached windows skip halo"
-        );
+        let forwarded =
+            |r: &ServeReport| r.shards.iter().map(|s| s.windows_forwarded).sum::<usize>();
+        assert_eq!(forwarded(&plain), 48, "one batch, one forward per query");
+        assert_eq!(forwarded(&fast), 3, "each of 3 windows forwarded once");
         assert_eq!(
             plain.shards.iter().map(|s| s.cache_hits).sum::<usize>(),
             0,

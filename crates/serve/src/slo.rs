@@ -14,12 +14,12 @@
 //! 2. **Deadline-aware shedding** — the batch the request would join is
 //!    priced through [`BatchCost`] (the same
 //!    [`st_device::CostModel::micro_batch_secs`] call the shard executor
-//!    charges to its deadline streams, MSPipe-style): halo fetch plus
-//!    batched forward, started no earlier than the shard is free. If the
-//!    modeled completion at the batch's *latest* possible dispatch (its
-//!    timer deadline) would land past `arrival + deadline_secs`, the
-//!    request is shed [`ShedReason::DeadlineUnmeetable`] instead of
-//!    being queued only to blow its SLO.
+//!    charges): the batched forward, started no earlier than the shard is
+//!    free. If the modeled completion at the batch's *latest* possible
+//!    dispatch (its timer deadline) would land past
+//!    `arrival + deadline_secs`, the request is shed
+//!    [`ShedReason::DeadlineUnmeetable`] instead of being queued only to
+//!    blow its SLO.
 //!
 //! Shedding never mutates queue state: the schedule after a rejection is
 //! exactly the schedule of the stream without that request, and every
@@ -130,13 +130,16 @@ pub struct SloSchedule {
 }
 
 /// The admission estimator's pricing of one shard's micro-batches: the
-/// per-window halo read and forward FLOPs, priced through the deployment
-/// [`CostModel`]. Scheduler and executor price through the **same**
+/// per-window forward FLOPs, priced through the deployment [`CostModel`].
+/// Scheduler and executor price through the **same**
 /// [`CostModel::micro_batch_secs`] call, so a request is shed exactly
 /// when the model that would serve it says its SLO cannot be met.
 #[derive(Debug, Clone)]
 pub struct BatchCost {
-    /// Cross-shard halo bytes one distinct window's read costs.
+    /// Remote bytes one distinct window's read costs, fetched from
+    /// dispatch. The server passes 0: every shard reads the full ring.
+    /// Kept for callers that price a remote read themselves.
+    #[doc(hidden)]
     pub halo_bytes_per_window: u64,
     /// Forward FLOPs one distinct window adds to a batch (the model's
     /// `flops_per_forward` is linear in batch size).
@@ -156,11 +159,11 @@ impl BatchCost {
     }
 
     /// Modeled completion of a `windows`-window batch dispatched at
-    /// `dispatch_secs` on a shard busy until `busy_secs`: the halo fetch
+    /// `dispatch_secs` on a shard busy until `busy_secs`: any remote fetch
     /// streams from dispatch and overlaps the tail of the previous
-    /// batch's compute (the executor's deadline-stream replay of the
-    /// same formula), so the forward starts at
-    /// `max(busy, dispatch + fetch)`.
+    /// batch's compute, so the forward starts at
+    /// `max(busy, dispatch + fetch)` — with no fetch, the executor's own
+    /// `max(busy, dispatch) + compute` timeline.
     pub fn completion(&self, busy_secs: f64, dispatch_secs: f64, windows: usize) -> f64 {
         let (fetch, compute) = self.batch_secs(windows);
         busy_secs.max(dispatch_secs + fetch) + compute
@@ -266,7 +269,7 @@ mod tests {
     }
 
     /// A cost where each window's forward takes exactly one modeled
-    /// second and halo reads are free.
+    /// second.
     fn second_per_window() -> BatchCost {
         let cost = CostModel::polaris();
         BatchCost {

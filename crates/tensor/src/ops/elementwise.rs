@@ -152,12 +152,6 @@ pub fn clamp(t: &Tensor, lo: f32, hi: f32) -> Tensor {
     map(t, |x| x.clamp(lo, hi))
 }
 
-/// Linear interpolation `a * (1 - w) + b * w` where `w` broadcasts.
-pub fn lerp(a: &Tensor, b: &Tensor, w: &Tensor) -> Result<Tensor> {
-    let one_minus = map(w, |x| 1.0 - x);
-    add(&mul(a, &one_minus)?, &mul(b, w)?)
-}
-
 /// Validate shapes match exactly (no broadcasting) — used by gradient code.
 pub fn check_same_shape(op: &'static str, a: &Tensor, b: &Tensor) -> Result<()> {
     if a.shape().same_as(b.shape()) {
@@ -248,13 +242,5 @@ mod tests {
         let mut mt = m.t().unwrap();
         add_assign(&mut mt, &Tensor::ones([2, 2])).unwrap();
         assert_eq!(mt.to_vec(), vec![1.0, 3.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    fn lerp_interpolates() {
-        let a = Tensor::from_slice(&[0.0, 0.0]);
-        let b = Tensor::from_slice(&[10.0, 10.0]);
-        let w = Tensor::from_slice(&[0.25, 0.75]);
-        assert_eq!(lerp(&a, &b, &w).unwrap().to_vec(), vec![2.5, 7.5]);
     }
 }

@@ -1,4 +1,4 @@
-//! Reductions: sum / mean / max / min / std, full and per-axis.
+//! Reductions: sum / mean / std, full and per-axis.
 
 use crate::{par, Result, Tensor, TensorError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,32 +100,6 @@ pub fn mean_axis(t: &Tensor, axis: usize) -> Result<Tensor> {
     Ok(crate::ops::mul_scalar(&s, 1.0 / n))
 }
 
-/// Max along `axis`.
-pub fn max_axis(t: &Tensor, axis: usize) -> Result<Tensor> {
-    reduce_axis(t, axis, f32::NEG_INFINITY, f32::max)
-}
-
-/// Index of the maximum along the last axis, returned as usize rows.
-pub fn argmax_last(t: &Tensor) -> Result<Vec<usize>> {
-    if t.rank() == 0 {
-        return Err(TensorError::Invalid {
-            op: "argmax_last",
-            msg: "rank-0 tensor".into(),
-        });
-    }
-    let last = t.dim(t.rank() - 1);
-    let v = t.to_vec();
-    Ok(v.chunks(last)
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,19 +148,6 @@ mod tests {
         assert_eq!(m.dims(), &[2, 4]);
         // mean over entries (0,4,8)=4, (1,5,9)=5, ...
         assert_eq!(m.to_vec()[..4], [4.0, 5.0, 6.0, 7.0]);
-    }
-
-    #[test]
-    fn max_axis_works() {
-        let t = Tensor::from_vec(vec![1.0, 9.0, -3.0, 4.0], [2, 2]).unwrap();
-        assert_eq!(max_axis(&t, 0).unwrap().to_vec(), vec![1.0, 9.0]);
-        assert_eq!(max_axis(&t, 1).unwrap().to_vec(), vec![9.0, 4.0]);
-    }
-
-    #[test]
-    fn argmax_rows() {
-        let t = Tensor::from_vec(vec![0.1, 0.9, 0.5, 0.2], [2, 2]).unwrap();
-        assert_eq!(argmax_last(&t).unwrap(), vec![1, 0]);
     }
 
     #[test]

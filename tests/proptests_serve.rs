@@ -5,15 +5,25 @@
 //! and arbitrary request streams against the SLO-gated micro-batch queue
 //! (no admitted request dropped or duplicated, `max_batch`/`max_delay`
 //! respected, every shed request gets a typed rejection and leaves the
-//! rest of the schedule untouched).
+//! rest of the schedule untouched), and arbitrary queries against the
+//! whole `BatchedServer` path at 1–4 shards (forecast bits, placement and
+//! window routing invariant in shard count, cache and SLO).
 
+use std::collections::HashMap;
+
+use pgt_i::autograd::Module;
 use pgt_i::data::scaler::StandardScaler;
 use pgt_i::device::CostModel;
+use pgt_i::graph::{diffusion_supports, generators};
+use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 use pgt_i::serve::{
-    admit_and_coalesce, coalesce, BatchCost, IngestError, PendingRequest, QueueConfig,
-    RollingWindow, ServeError, ShedReason, SloConfig, StreamIngest, Tick,
+    admit_and_coalesce, coalesce, BatchCost, BatchedServer, IngestError, ModelSnapshot,
+    PendingRequest, Query, QueueConfig, RollingWindow, ServeConfig, ServeError, ServeReport,
+    ShedReason, SloConfig, StreamIngest, Tick,
 };
+use pgt_i::tensor::Tensor;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Cheap deterministic stream driver (the shim has no shuffle strategy).
 struct XorShift(u64);
@@ -330,6 +340,169 @@ proptest! {
             prop_assert_eq!(&a.requests, &b.requests);
             prop_assert_eq!(&a.windows, &b.windows);
             prop_assert_eq!(&a.window_of, &b.window_of);
+        }
+    }
+}
+
+const NODES: usize = 8;
+const HORIZON: usize = 3;
+/// History rows seeded into a `RING`-row ring: windows ending in
+/// `HISTORY - RING + HORIZON ..= HISTORY` are servable, earlier ones
+/// evicted, later ones not yet ingested.
+const HISTORY: usize = 20;
+const RING: usize = 12;
+
+fn snapshot() -> (ModelSnapshot, pgt_i::graph::Adjacency) {
+    let adjacency = generators::highway_corridor(NODES, 1, 5).adjacency;
+    let cfg = ModelConfig {
+        input_dim: 1,
+        output_dim: 1,
+        hidden: 4,
+        num_nodes: NODES,
+        horizon: HORIZON,
+        diffusion_steps: 2,
+        layers: 1,
+    };
+    let supports = Support::wrap_all(diffusion_supports(&adjacency, 2));
+    let trained = PgtDcrnn::new(cfg.clone(), &supports, 7);
+    let snap = ModelSnapshot::capture(cfg, StandardScaler::identity(), None, &trained.params(), 1);
+    (snap, adjacency)
+}
+
+fn deploy(
+    snap: &ModelSnapshot,
+    adjacency: &pgt_i::graph::Adjacency,
+    shards: usize,
+    cache: bool,
+    queue: QueueConfig,
+) -> BatchedServer {
+    let history = Tensor::arange(HISTORY * NODES)
+        .reshape([HISTORY, NODES, 1])
+        .unwrap();
+    let mut cfg = ServeConfig::new(shards, RING);
+    cfg.queue = queue;
+    cfg.forecast_cache = cache;
+    BatchedServer::with_history(snap.clone(), adjacency.clone(), &history, cfg)
+}
+
+/// Arbitrary queries with ids `0..n` in submission order: nodes including
+/// a few the snapshot does not have, windows from evicted through
+/// not-yet-ingested, bursty arrivals.
+fn query_stream(n: usize, seed: u64) -> Vec<Query> {
+    let mut rng = XorShift(seed | 1);
+    let mut at = 0.0f64;
+    (0..n)
+        .map(|id| {
+            at += [2e-3, 1e-4, 0.0][(rng.next() % 3) as usize];
+            Query {
+                id,
+                node: (rng.next() % (NODES as u64 + 2)) as usize,
+                window_end: 6 + (rng.next() % 18) as usize,
+                arrival_secs: at,
+            }
+        })
+        .collect()
+}
+
+/// Exactly-once placement in submission order, and each window on one
+/// shard: the shard of every answered or admission-shed query is the
+/// shard its window was dealt to.
+fn check_placement(report: &ServeReport, n: usize) -> Result<(), TestCaseError> {
+    let served: Vec<usize> = report.results.iter().map(|r| r.id).collect();
+    let refused: Vec<usize> = report.rejections.iter().map(|r| r.id).collect();
+    prop_assert!(served.windows(2).all(|p| p[0] < p[1]), "results in order");
+    prop_assert!(
+        refused.windows(2).all(|p| p[0] < p[1]),
+        "rejections in order"
+    );
+    let mut placed = vec![0usize; n];
+    for id in served.iter().chain(&refused) {
+        placed[*id] += 1;
+    }
+    prop_assert!(placed.iter().all(|&c| c == 1), "exactly-once: {:?}", placed);
+
+    let mut shard_of: HashMap<usize, usize> = HashMap::new();
+    let routed = report
+        .results
+        .iter()
+        .map(|r| (r.window_end, r.shard))
+        .chain(report.rejections.iter().filter_map(|r| match r.reason {
+            ShedReason::QueueFull { .. } | ShedReason::DeadlineUnmeetable { .. } => {
+                Some((r.window_end, r.shard))
+            }
+            _ => None,
+        }));
+    for (window, shard) in routed {
+        let first = *shard_of.entry(window).or_insert(shard);
+        prop_assert_eq!(first, shard, "window {} on two shards", window);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The full serve path is invariant in shard count: at 1–4 shards,
+    /// cache on and off, every served forecast is bitwise the 1-shard
+    /// serve's, every query is placed exactly once in submission order,
+    /// and no window is forwarded by two shards. With an unbounded SLO the
+    /// whole report (results and typed rejections) equals the 1-shard
+    /// one, and with the cache on each distinct window is forwarded once,
+    /// dealt so that shards differ by at most one forward.
+    #[test]
+    fn serving_is_invariant_in_shard_count(
+        n in 1usize..48,
+        max_batch in 1usize..5,
+        depth in 1usize..6,
+        deadline_kind in 0usize..2,
+        seed in any::<u64>(),
+    ) {
+        let (snap, adjacency) = snapshot();
+        let queries = query_stream(n, seed);
+        let queue = QueueConfig { max_batch, max_delay_secs: 1e-3 };
+        let bounded = SloConfig {
+            deadline_secs: [5e-4, 2e-3][deadline_kind],
+            max_queue_depth: depth,
+        };
+        let reference = deploy(&snap, &adjacency, 1, false, queue)
+            .serve_slo(&queries, &SloConfig::unbounded());
+        let bits: HashMap<usize, Vec<u32>> = reference
+            .results
+            .iter()
+            .map(|r| (r.id, r.forecast_std.iter().map(|v| v.to_bits()).collect()))
+            .collect();
+        let servable = bits.len();
+        let distinct = reference
+            .results
+            .iter()
+            .map(|r| r.window_end)
+            .collect::<std::collections::HashSet<_>>()
+            .len();
+
+        for shards in 1..=4 {
+            for cache in [false, true] {
+                let server = deploy(&snap, &adjacency, shards, cache, queue);
+                for slo in [SloConfig::unbounded(), bounded] {
+                    let report = server.serve_slo(&queries, &slo);
+                    check_placement(&report, n)?;
+                    for r in &report.results {
+                        let got: Vec<u32> = r.forecast_std.iter().map(|v| v.to_bits()).collect();
+                        prop_assert_eq!(Some(&got), bits.get(&r.id), "query {} bits", r.id);
+                    }
+                    if slo != SloConfig::unbounded() {
+                        continue;
+                    }
+                    prop_assert_eq!(report.results.len(), servable);
+                    prop_assert_eq!(&report.rejections, &reference.rejections);
+                    if cache {
+                        let forwarded: Vec<usize> =
+                            report.shards.iter().map(|s| s.windows_forwarded).collect();
+                        prop_assert_eq!(forwarded.iter().sum::<usize>(), distinct);
+                        let (lo, hi) = (forwarded.iter().min(), forwarded.iter().max());
+                        prop_assert!(hi.unwrap() - lo.unwrap() <= 1, "dealt {:?}", forwarded);
+                    }
+                }
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The serving contract, end to end: train → snapshot → load → serve must
 //! be **bit-identical** to the trainer's own evaluation forward pass, on
-//! one shard and on a partitioned deployment alike.
+//! one shard and on a two-shard deployment alike.
 //!
 //! These tests deliberately cross the process-boundary shape of real
 //! deployment: the snapshot is written to disk and read back (fresh
@@ -143,8 +143,8 @@ fn snapshot_serving_is_bit_identical_on_two_shards() {
         )
         .expect("fresh tenant name");
 
-    // Every node × a spread of val windows, served through the partitioned
-    // micro-batching path.
+    // Every node × a spread of val windows, served through the
+    // window-routed micro-batching path.
     let val = ds.splits().val.clone();
     let nodes = ds.num_nodes();
     let queries: Vec<Query> = val
@@ -165,7 +165,10 @@ fn snapshot_serving_is_bit_identical_on_two_shards() {
         .expect("tenant is registered");
     assert_eq!(report.results.len(), queries.len());
     assert!(report.rejections.is_empty(), "all val windows are buffered");
-    assert!(report.halo_bytes > 0, "two shards must exchange halo rows");
+    // Each shard's windows fit one batch, so each is forwarded once.
+    let distinct: std::collections::HashSet<usize> = queries.iter().map(|q| q.window_end).collect();
+    let forwarded: usize = report.shards.iter().map(|s| s.windows_forwarded).sum();
+    assert_eq!(forwarded, distinct.len(), "one forward per distinct window");
 
     // Each served forecast is bitwise the trainer-side forward for that
     // window and node.
