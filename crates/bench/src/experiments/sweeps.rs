@@ -180,7 +180,7 @@ pub fn partition(ctx: &Ctx) -> RecordSet {
         for (strategy, kind) in strategies {
             let mut per_k = Vec::new();
             for k in ks {
-                let p: Partitioning = kind.partition(&net.adjacency, Some(&net.coords), k, horizon);
+                let p: Partitioning = kind.partition(&net.adjacency, Some(&net.coords), k);
                 let bytes = cost.halo_bytes(&net.adjacency, &p);
                 per_k.push(bytes);
                 table.row(&[

@@ -62,14 +62,6 @@ pub struct DistConfig {
     /// element-wise rank-order mean does not care how the buffer is
     /// split); only modeled time moves.
     pub grad_bucket_bytes: Option<usize>,
-    /// The graph partitioner every partition-consuming plane routes
-    /// through: the §7 partitioned trainer splits the sensor graph with
-    /// it, the generalized mode derives its entry-timeline ranges from it
-    /// ([`st_graph::PartitionerKind::entry_ranges`]), and the dynamic
-    /// plane re-partitions with it on every graph mutation. Defaults to
-    /// the multilevel partitioner — the quality choice under the
-    /// [`st_graph::HaloCostModel`].
-    pub partitioner: st_graph::PartitionerKind,
     /// Staleness bound `s` for gradient application (MSPipe direction).
     /// `0` (the default) is the synchronous path — every collective
     /// settles in the step that issued it. `s ≥ 1` lets a rank apply an
@@ -126,7 +118,6 @@ impl DistConfig {
             time_period: None,
             prefetch: false,
             grad_bucket_bytes: Some(st_dist::ddp::DEFAULT_GRAD_BUCKET_BYTES),
-            partitioner: st_graph::PartitionerKind::Multilevel,
             staleness: 0,
             straggler_skew: 0.0,
             backend: st_tensor::backend::active_backend(),

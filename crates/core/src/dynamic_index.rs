@@ -259,7 +259,8 @@ pub fn partition_timeline_with(
     policy: RepartitionPolicy,
 ) -> Vec<TimelinePartition> {
     assert!(k > 0, "need at least one part");
-    let cost = HaloCostModel::new(horizon.max(1), signal.data.dim(2));
+    let features = signal.data.dim(2);
+    let cost = HaloCostModel::new(horizon.max(1), features);
     let mut segments: Vec<TimelinePartition> = Vec::new();
     let mut inc: Option<IncrementalPartitioner> = None;
     for (t, adj) in signal.adjacencies.iter().enumerate() {
@@ -269,7 +270,7 @@ pub fn partition_timeline_with(
         }
         match (policy, inc.as_mut()) {
             (RepartitionPolicy::Full, _) => {
-                let partitioning = kind.partition(adj, None, k, horizon);
+                let partitioning = kind.partition(adj, None, k);
                 let halo_bytes = cost.halo_bytes(adj, &partitioning);
                 segments.push(TimelinePartition {
                     start_entry: t,
@@ -277,12 +278,16 @@ pub fn partition_timeline_with(
                     halo_bytes,
                 });
             }
-            (RepartitionPolicy::Incremental { .. }, None) => {
-                let partitioning = kind.partition(adj, None, k, horizon);
+            (RepartitionPolicy::Incremental { drift, halo_depth }, None) => {
+                let partitioning = kind.partition(adj, None, k);
                 let ip = IncrementalPartitioner::seed(
                     SparseGraph::from_adjacency(adj),
                     &partitioning,
-                    IncrementalConfig::from_policy(policy, cost),
+                    IncrementalConfig {
+                        drift,
+                        halo_depth,
+                        ..IncrementalConfig::for_horizon(horizon, features)
+                    },
                 );
                 segments.push(TimelinePartition {
                     start_entry: t,

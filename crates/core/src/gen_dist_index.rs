@@ -47,11 +47,9 @@ pub struct GenPartition {
 /// modeled seconds come back **quoted** so the caller (the engine) decides
 /// whether to pay them up front or hide them behind compute.
 ///
-/// The snapshot split comes from `partitioner`'s
-/// [`st_graph::PartitionerKind::entry_ranges`] — the entry timeline is a
-/// uniform path graph, for which every partitioner canonicalizes to the
-/// same contiguous ranges, so the config knob flows through without
-/// perturbing the bit-pinned numerics.
+/// The snapshot split is [`shuffle::contiguous_partition`]: the entry
+/// timeline is a uniform path graph, whose balanced optimum by any cut
+/// measure is the contiguous split.
 #[allow(clippy::too_many_arguments)]
 pub fn build_partition(
     entries_array: &DistributedArray,
@@ -59,7 +57,6 @@ pub fn build_partition(
     nodes: usize,
     features: usize,
     horizon: usize,
-    partitioner: st_graph::PartitionerKind,
     world: usize,
     rank: usize,
     snapshot_split: &st_data::splits::SplitIndices,
@@ -70,7 +67,7 @@ pub fn build_partition(
 
     // Partition *snapshots* along the timeline; derive the entry range +
     // halo.
-    let snap_range = partitioner.entry_ranges(total_snaps, world)[rank].clone();
+    let snap_range = shuffle::contiguous_partition(total_snaps, world, rank);
     let entry_start = snap_range.start;
     let entry_end = (snap_range.end + 2 * horizon - 1).min(num_entries);
 
@@ -159,7 +156,6 @@ impl HaloEntryPlane {
             nodes,
             features,
             cfg.horizon,
-            cfg.partitioner,
             cfg.world,
             rank,
             split,
@@ -168,13 +164,13 @@ impl HaloEntryPlane {
         // Partitions intersected with the train split are ragged (a rank
         // owning only validation-era snapshots may have *zero* train
         // batches); all ranks agree on the max batch count analytically,
-        // derived from the same partitioner choice as the data split.
+        // from the same split as the data.
         let total_snaps = st_data::preprocess::num_snapshots(shared.rows(), cfg.horizon);
-        let ranges = cfg.partitioner.entry_ranges(total_snaps, cfg.world);
         let rounds = shuffle::common_rounds(
-            ranges
-                .iter()
-                .map(|snaps| shuffle::range_overlap(snaps, &split.train)),
+            (0..cfg.world).map(|r| {
+                let snaps = shuffle::contiguous_partition(total_snaps, cfg.world, r);
+                shuffle::range_overlap(&snaps, &split.train)
+            }),
             cfg.batch_per_worker,
         );
         HaloEntryPlane {
@@ -357,7 +353,6 @@ mod tests {
                 full.num_nodes(),
                 full.num_features(),
                 spec.horizon,
-                st_graph::PartitionerKind::Multilevel,
                 3,
                 rank,
                 full.splits(),
@@ -383,31 +378,6 @@ mod tests {
                     fy.to_vec(),
                     "rank {rank} snapshot {g} y mismatch"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn entry_ranges_canonicalize_to_contiguous_partition() {
-        // Every partitioner choice must yield the bit-identical timeline
-        // split (the goldens depend on it): on a uniform path graph the
-        // contiguous split is the balanced optimum for all of them.
-        for kind in [
-            st_graph::PartitionerKind::Contiguous,
-            st_graph::PartitionerKind::CoordinateBisection,
-            st_graph::PartitionerKind::GreedyBfs,
-            st_graph::PartitionerKind::Multilevel,
-        ] {
-            for (total, world) in [(10usize, 3usize), (7, 4), (100, 8), (5, 5)] {
-                let ranges = kind.entry_ranges(total, world);
-                assert_eq!(ranges.len(), world);
-                for (rank, r) in ranges.iter().enumerate() {
-                    assert_eq!(
-                        *r,
-                        shuffle::contiguous_partition(total, world, rank),
-                        "{kind:?} total={total} world={world} rank={rank}"
-                    );
-                }
             }
         }
     }

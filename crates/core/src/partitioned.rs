@@ -45,8 +45,7 @@ pub struct PartitionedConfig {
     pub halo_depth: usize,
     /// The partitioner that splits the graph across partition workers
     /// (multilevel by default, the quality choice under the
-    /// [`st_graph::HaloCostModel`]) — the same knob
-    /// [`crate::dist_index::DistConfig::partitioner`] is.
+    /// [`st_graph::HaloCostModel`]).
     pub partitioner: PartitionerKind,
     /// Training epochs per partition model.
     pub epochs: usize,
@@ -269,9 +268,6 @@ pub fn run_partitioned(
     cfg: &PartitionedConfig,
 ) -> PartitionedResult {
     let signal = &*crate::dist_index::stored_as(signal, cfg.storage);
-    // The partitioner flows through DistConfig — the knob every
-    // partition-consuming plane shares — rather than being hard-wired
-    // per runner.
     let mut dist_cfg = crate::dist_index::DistConfig::new(cfg.parts, cfg.epochs, cfg.horizon);
     dist_cfg.batch_per_worker = cfg.batch_size;
     dist_cfg.lr = cfg.lr;
@@ -279,14 +275,12 @@ pub fn run_partitioned(
     dist_cfg.grad_clip = Some(5.0);
     dist_cfg.time_period = cfg.time_period;
     dist_cfg.topology = ClusterTopology::polaris();
-    dist_cfg.partitioner = cfg.partitioner;
     if let Some(c) = coords {
         assert_eq!(c.len(), signal.num_nodes(), "one coordinate per node");
     }
-    let partitioning =
-        dist_cfg
-            .partitioner
-            .partition(&signal.adjacency, coords, cfg.parts, cfg.horizon);
+    let partitioning = cfg
+        .partitioner
+        .partition(&signal.adjacency, coords, cfg.parts);
     let subgraphs = partitioning.subgraphs(&signal.adjacency, cfg.halo_depth);
 
     // Whole-graph comparison quantities.

@@ -23,7 +23,7 @@
 //! // A 32-sensor freeway corridor, split 4 ways by the multilevel
 //! // partitioner (the default choice everywhere a config asks).
 //! let net = generators::highway_corridor(32, 1, 7);
-//! let parts = PartitionerKind::Multilevel.partition(&net.adjacency, None, 4, 12);
+//! let parts = PartitionerKind::Multilevel.partition(&net.adjacency, None, 4);
 //!
 //! // Quality is judged in modeled halo bytes, not raw edge cut.
 //! let cost = HaloCostModel::new(12, 1);
@@ -43,7 +43,7 @@ pub use adjacency::Adjacency;
 pub use csr::Csr;
 pub use generators::SensorNetwork;
 pub use partition::{
-    GraphDelta, HaloCostModel, IncrementalConfig, IncrementalPartitioner, MultilevelConfig,
-    PartitionerKind, Partitioning, RepartitionPolicy, SparseGraph, Subgraph,
+    GraphDelta, HaloCostModel, IncrementalConfig, IncrementalPartitioner, PartitionerKind,
+    Partitioning, RepartitionPolicy, SparseGraph, Subgraph,
 };
 pub use transition::{diffusion_supports, sym_norm_adjacency};

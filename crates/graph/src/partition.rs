@@ -34,14 +34,18 @@
 //!
 //! Quality is scored by [`HaloCostModel`], which converts a partitioning's
 //! *cut neighbors* into the modeled bytes the distributed planes actually
-//! pay (`cut_neighbors × (2·horizon − 1) × row_bytes`) — the objective the
-//! multilevel refinement minimizes, rather than raw edge cut.
+//! pay (`cut_neighbors × (2·horizon − 1) × row_bytes`) — the objective
+//! every refinement minimizes, rather than raw edge cut. There is one
+//! refinement core: the contact-count state the
+//! [`IncrementalPartitioner`] maintains, which the multilevel scheme also
+//! builds at every level.
 
 use crate::adjacency::Adjacency;
+use cut_state::CutState;
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::ops::Range;
 
+mod cut_state;
 pub mod incremental;
 
 pub use incremental::{
@@ -126,11 +130,18 @@ impl Partitioning {
         Partitioning { assignment, k }
     }
 
-    /// Multilevel partitioning with default knobs (see
-    /// [`MultilevelConfig`]): heavy-edge-matching coarsening, seeded
-    /// initial partitions on the coarsest graph, and balance-constrained
-    /// greedy KL/FM boundary refinement during uncoarsening, scored by the
-    /// [`HaloCostModel`] rather than raw edge cut.
+    /// Multilevel partitioning: coarsen by heavy-edge matching (pairs
+    /// contract, edge and node weights sum) down to `max(32, 4k)` nodes,
+    /// keep the best of four seeded region-growings on the coarsest graph
+    /// by cut neighbors, then at every level, coarsest first, load the
+    /// projected assignment into the refinement core the
+    /// [`IncrementalPartitioner`] maintains: shed over-cap parts by best
+    /// halo gain, then refine by strictly positive halo gain, under a
+    /// `1.15 × ⌈n/k⌉` weight cap and never emptying a part.
+    ///
+    /// Like [`Partitioning::greedy_bfs`], `k > n` yields one node per part
+    /// with the remaining parts empty, and disconnected graphs are
+    /// handled by seeding every component.
     ///
     /// ```
     /// use st_graph::partition::{HaloCostModel, Partitioning};
@@ -150,52 +161,10 @@ impl Partitioning {
     ///     <= cost.halo_bytes(&net.adjacency, &greedy));
     /// ```
     pub fn multilevel<'a>(graph: impl Into<Cow<'a, SparseGraph>>, k: usize) -> Self {
-        Self::multilevel_with(graph, k, &MultilevelConfig::default())
-    }
-
-    /// [`Partitioning::multilevel`] with explicit knobs.
-    ///
-    /// The scheme, level by level:
-    /// 1. **Coarsen** — repeated heavy-edge matching: each node pairs with
-    ///    its heaviest still-unmatched neighbor and the pair contracts to
-    ///    one coarse node (edge weights sum, node weights accumulate),
-    ///    until the graph is small or matching stops shrinking it.
-    /// 2. **Initial partition** — [`MultilevelConfig::initial_seeds`]
-    ///    seeded weighted region-growings on the coarsest graph, each
-    ///    refined in place; the candidate with the smallest cut wins.
-    /// 3. **Uncoarsen** — project the assignment back level by level,
-    ///    running [`MultilevelConfig::refine_passes`] greedy KL/FM passes
-    ///    at every level: boundary nodes move to the neighboring part of
-    ///    highest positive edge-cut gain, subject to the
-    ///    [`MultilevelConfig::balance`] cap, so the cut is monotonically
-    ///    non-increasing (Fiedler-free — no spectral machinery).
-    /// 4. **Select** — at the finest level every refinement snapshot is
-    ///    scored by the config's [`HaloCostModel`] and the best-scoring
-    ///    assignment (including the unrefined projection) is returned, so
-    ///    refinement can never worsen the modeled halo traffic.
-    ///
-    /// Like [`Partitioning::greedy_bfs`], `k > n` yields one node per part
-    /// with the remaining parts empty, and disconnected graphs are
-    /// handled by seeding every component.
-    pub fn multilevel_with<'a>(
-        graph: impl Into<Cow<'a, SparseGraph>>,
-        k: usize,
-        cfg: &MultilevelConfig,
-    ) -> Self {
         let graph = graph.into();
         let n = graph.num_nodes();
-        assert!(k > 0, "need at least one part");
-        if k >= n {
-            return Partitioning {
-                assignment: (0..n).collect(),
-                k,
-            };
-        }
-        if k == 1 {
-            return Partitioning {
-                assignment: vec![0; n],
-                k,
-            };
+        if let Some(assignment) = trivial_assignment(n, k) {
+            return Partitioning { assignment, k };
         }
 
         // --- 1. Coarsen by heavy-edge matching. -------------------------
@@ -204,94 +173,49 @@ impl Partitioning {
             node_weight: vec![1; n],
             fine_to_coarse: Vec::new(),
         }];
-        let stop_at = cfg.coarsest.max(4 * k);
         loop {
             let cur = levels.last().unwrap();
-            if cur.len() <= stop_at {
+            if cur.len() <= COARSEST.max(4 * k) {
                 break;
             }
-            let (coarse, map) = cur.contract_heavy_edge_matching();
+            let coarse = cur.contract_heavy_edge_matching();
             if coarse.len() as f64 > cur.len() as f64 * 0.95 {
                 break; // matching stopped shrinking the graph
             }
-            let mut coarse = coarse;
-            coarse.fine_to_coarse = map;
             levels.push(coarse);
         }
 
         // --- 2. Seeded initial partitions on the coarsest graph. --------
-        // Candidates are raw region growings selected by cut weight —
-        // deliberately independent of `refine_passes`, so a refined run
-        // and an unrefined run share the same starting point and the
-        // final halo-score selection makes refinement provably monotone.
-        let coarsest = levels.last().unwrap();
-        let cap = balance_cap(n, k, cfg.balance);
-        let mut best: Option<(f64, Vec<usize>)> = None;
-        for seed in 0..cfg.initial_seeds.max(1) {
-            // Prime stride: distinct starts for every candidate seed unless
-            // the level size is a multiple of 7919 (far beyond the
-            // coarsest-graph sizes).
-            let start = (seed * 7919) % coarsest.len();
-            let cand = grow_regions(&coarsest.graph, &coarsest.node_weight, k, cap, start);
-            let cut = coarsest.cut_weight(&cand);
-            if best.as_ref().is_none_or(|(b, _)| cut < *b) {
-                best = Some((cut, cand));
-            }
-        }
-        let mut assignment = best.expect("at least one seed").1;
+        let cap = balance_cap(n, k, BALANCE);
+        let coarsest = levels.pop().expect("the finest level is a level");
+        let mut state = (0..INITIAL_SEEDS)
+            .map(|seed| {
+                // Prime stride: distinct starts for every candidate unless
+                // the level size is a multiple of 7919.
+                let start = (seed * 7919) % coarsest.len();
+                let cand = grow_regions(&coarsest.graph, &coarsest.node_weight, k, cap, start);
+                let weights = coarsest.node_weight.clone();
+                CutState::new(coarsest.graph.clone(), cand, weights, k)
+            })
+            .min_by_key(CutState::cut)
+            .expect("at least one seed");
+        let mut to_coarser = coarsest.fine_to_coarse;
 
-        // --- 3. Uncoarsen with greedy KL/FM boundary refinement. --------
-        // `unrefined` projects the initial partition straight down with no
-        // refinement — the baseline the final halo-score selection may
-        // never lose to.
-        let mut unrefined = assignment.clone();
-        for li in (0..levels.len()).rev() {
-            let level = &levels[li];
-            if li < levels.len() - 1 {
-                let map = &levels[li + 1].fine_to_coarse;
-                assignment = project(&assignment, map);
-                unrefined = project(&unrefined, map);
-            }
-            if li > 0 {
-                for _ in 0..cfg.refine_passes {
-                    if !level.fm_pass(&mut assignment, k, cap) {
-                        break;
-                    }
-                }
-            }
-        }
-
-        // --- 4. Finest level: refine, score every snapshot by modeled ---
-        // halo bytes, and keep the best seen (unrefined projection
-        // included, so refinement is monotone in the halo-cost score).
-        let finest = &levels[0];
-        rebalance(finest, &mut assignment, k, cap);
-        rebalance(finest, &mut unrefined, k, cap);
-        let score = |a: &[usize]| {
-            cfg.cost.halo_bytes(
-                &finest.graph,
-                &Partitioning {
-                    assignment: a.to_vec(),
-                    k,
-                },
-            )
-        };
-        let mut winner = (score(&unrefined), unrefined);
-        let s = score(&assignment);
-        if s < winner.0 {
-            winner = (s, assignment.clone());
-        }
-        for _ in 0..cfg.refine_passes {
-            if !finest.fm_pass(&mut assignment, k, cap) {
+        // --- 3. Uncoarsen: rebalance and refine every level. ------------
+        loop {
+            state.rebalance(cap);
+            let all: Vec<usize> = (0..state.assignment().len()).collect();
+            state.refine(&all, cap);
+            let Some(finer) = levels.pop() else {
                 break;
-            }
-            let s = score(&assignment);
-            if s < winner.0 {
-                winner = (s, assignment.clone());
-            }
+            };
+            let coarse = state.into_assignment();
+            let assignment = to_coarser.iter().map(|&c| coarse[c]).collect();
+            to_coarser = finer.fine_to_coarse;
+            state = CutState::new(finer.graph, assignment, finer.node_weight, k);
         }
         Partitioning {
-            assignment: winner.1,
+            assignment: state.into_assignment(),
             k,
         }
     }
@@ -532,49 +456,17 @@ impl Default for HaloCostModel {
     }
 }
 
-/// Knobs of [`Partitioning::multilevel_with`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultilevelConfig {
-    /// Balance tolerance: no part may exceed `balance × ⌈n/k⌉` nodes
-    /// (weights, at coarse levels).
-    pub balance: f64,
-    /// Stop coarsening once the graph has at most this many nodes (the
-    /// floor `4·k` always applies).
-    pub coarsest: usize,
-    /// Seeded initial-partition candidates tried on the coarsest graph.
-    pub initial_seeds: usize,
-    /// Greedy KL/FM refinement passes per level (0 disables refinement —
-    /// the knob the monotonicity proptest exercises).
-    pub refine_passes: usize,
-    /// The halo cost model refinement snapshots are scored by.
-    pub cost: HaloCostModel,
-}
-
-impl Default for MultilevelConfig {
-    fn default() -> Self {
-        MultilevelConfig {
-            balance: 1.15,
-            coarsest: 32,
-            initial_seeds: 4,
-            refine_passes: 4,
-            cost: HaloCostModel::default(),
-        }
-    }
-}
-
-impl MultilevelConfig {
-    /// Defaults with the halo cost model tuned to a specific horizon.
-    pub fn for_horizon(horizon: usize) -> Self {
-        MultilevelConfig {
-            cost: HaloCostModel::new(horizon.max(1), 1),
-            ..Default::default()
-        }
-    }
-}
+/// Multilevel's balance tolerance, and [`IncrementalConfig`]'s default.
+const BALANCE: f64 = 1.15;
+/// Multilevel coarsening stops at this many nodes (never below `4·k`).
+const COARSEST: usize = 32;
+/// Seeded initial-partition candidates tried on the coarsest graph.
+const INITIAL_SEEDS: usize = 4;
 
 /// The partitioner choice consumers thread through their configs
-/// (`pgt_index::DistConfig::partitioner`, `st_serve::ServeConfig`
-/// likewise): one tag per algorithm, run via [`PartitionerKind::partition`].
+/// (`pgt_index::PartitionedConfig::partitioner`,
+/// `pgt_index::DynamicTrainConfig::partitioner`): one tag per algorithm,
+/// run via [`PartitionerKind::partition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionerKind {
     /// Contiguous index blocks (the trivial baseline).
@@ -590,14 +482,12 @@ pub enum PartitionerKind {
 
 impl PartitionerKind {
     /// Run the chosen partitioner over `adj` (and `coords` when the
-    /// algorithm is geometric). `horizon` parameterizes the
-    /// [`HaloCostModel`] the multilevel refinement scores against.
+    /// algorithm is geometric).
     pub fn partition(
         &self,
         adj: &Adjacency,
         coords: Option<&[(f32, f32)]>,
         k: usize,
-        horizon: usize,
     ) -> Partitioning {
         match self {
             PartitionerKind::Contiguous => Partitioning::contiguous(adj.num_nodes(), k),
@@ -606,42 +496,17 @@ impl PartitionerKind {
                 None => Partitioning::greedy_bfs(adj, k),
             },
             PartitionerKind::GreedyBfs => Partitioning::greedy_bfs(adj, k),
-            PartitionerKind::Multilevel => {
-                Partitioning::multilevel_with(adj, k, &MultilevelConfig::for_horizon(horizon))
-            }
+            PartitionerKind::Multilevel => Partitioning::multilevel(adj, k),
         }
-    }
-
-    /// The generalized mode's **entry-timeline** split: `total` time
-    /// entries over `world` ranks. The timeline is a uniform path graph,
-    /// and on a uniform path every balanced k-way optimum — by edge cut
-    /// and by halo cost alike — is the contiguous split, so every kind
-    /// canonicalizes to the same ragged contiguous ranges (bit-identical
-    /// to `st_dist::shuffle::contiguous_partition`). The choice still
-    /// flows through here so graph-partitioned planes and entry-
-    /// partitioned planes read one config knob.
-    pub fn entry_ranges(&self, total: usize, world: usize) -> Vec<Range<usize>> {
-        assert!(world > 0, "need at least one rank");
-        let base = total / world;
-        let rem = total % world;
-        (0..world)
-            .map(|rank| {
-                let start = rank * base + rank.min(rem);
-                start..start + base + usize::from(rank < rem)
-            })
-            .collect()
     }
 }
 
-/// One coarsening level: the level's undirected graph plus node weights
-/// (the number of finest-level nodes each coarse node stands for).
+/// One coarsening level: its undirected graph (summed edge weights), the
+/// number of finest-level nodes each node stands for, and the map from
+/// the finer level's nodes to this one's (empty at the finest level).
 struct CoarseGraph {
-    /// Undirected neighbor lists with summed weights.
     graph: SparseGraph,
-    /// Per-node accumulated fine-node count.
     node_weight: Vec<usize>,
-    /// For levels produced by contraction: finer-level node → this level's
-    /// node. Empty at the finest level.
     fine_to_coarse: Vec<usize>,
 }
 
@@ -653,7 +518,7 @@ impl CoarseGraph {
     /// Heavy-edge matching + contraction: each unmatched node pairs with
     /// its heaviest unmatched neighbor; pairs (and leftover singletons)
     /// become the next level's nodes.
-    fn contract_heavy_edge_matching(&self) -> (CoarseGraph, Vec<usize>) {
+    fn contract_heavy_edge_matching(&self) -> CoarseGraph {
         let n = self.len();
         let mut mate = vec![usize::MAX; n];
         for u in 0..n {
@@ -705,91 +570,24 @@ impl CoarseGraph {
             .into_iter()
             .map(|m| m.into_iter().map(|(v, w)| (v, w as f32)).collect())
             .collect();
-        (
-            CoarseGraph {
-                graph: SparseGraph::from_lists(lists),
-                node_weight,
-                fine_to_coarse: Vec::new(),
-            },
-            coarse_of,
-        )
-    }
-
-    /// Total weight of cut edges under `assignment`.
-    fn cut_weight(&self, assignment: &[usize]) -> f64 {
-        let mut cut = 0.0f64;
-        for u in 0..self.len() {
-            for &(v, w) in self.graph.neighbors(u) {
-                if u < v && assignment[u] != assignment[v] {
-                    cut += w as f64;
-                }
-            }
+        CoarseGraph {
+            graph: SparseGraph::from_lists(lists),
+            node_weight,
+            fine_to_coarse: coarse_of,
         }
-        cut
-    }
-
-    /// One greedy KL/FM pass: repeatedly apply the single best
-    /// strictly-positive-gain boundary move that respects the balance cap
-    /// and leaves no part empty. Returns whether anything moved. Strictly
-    /// positive gains keep the edge cut monotone, so passes terminate
-    /// without FM's lock/rollback machinery.
-    fn fm_pass(&self, assignment: &mut [usize], k: usize, cap: usize) -> bool {
-        let n = self.len();
-        let mut part_weight = vec![0usize; k];
-        let mut part_count = vec![0usize; k];
-        for u in 0..n {
-            part_weight[assignment[u]] += self.node_weight[u];
-            part_count[assignment[u]] += 1;
-        }
-        let mut moved_any = false;
-        // Bounded by the strictly-decreasing cut; n·k steps is a generous
-        // safety valve against float-precision stalls.
-        for _ in 0..n * k {
-            let mut best: Option<(f32, usize, usize)> = None;
-            for u in 0..n {
-                let from = assignment[u];
-                if part_count[from] <= 1 {
-                    continue;
-                }
-                // Connectivity of u to each part.
-                let mut conn = vec![0.0f32; k];
-                for &(v, w) in self.graph.neighbors(u) {
-                    conn[assignment[v]] += w;
-                }
-                for to in 0..k {
-                    if to == from || part_weight[to] + self.node_weight[u] > cap {
-                        continue;
-                    }
-                    let gain = conn[to] - conn[from];
-                    if gain > 1e-6 && best.as_ref().is_none_or(|(g, _, _)| gain > *g) {
-                        best = Some((gain, u, to));
-                    }
-                }
-            }
-            match best {
-                Some((_, u, to)) => {
-                    let from = assignment[u];
-                    assignment[u] = to;
-                    part_weight[from] -= self.node_weight[u];
-                    part_weight[to] += self.node_weight[u];
-                    part_count[from] -= 1;
-                    part_count[to] += 1;
-                    moved_any = true;
-                }
-                None => break,
-            }
-        }
-        moved_any
     }
 }
 
-/// Project a coarse assignment onto the finer level through the
-/// contraction map.
-fn project(coarse_assignment: &[usize], fine_to_coarse: &[usize]) -> Vec<usize> {
-    fine_to_coarse
-        .iter()
-        .map(|&c| coarse_assignment[c])
-        .collect()
+/// The assignment when there is nothing to refine — one node per part
+/// when `k >= n` (parts `n..k` empty), everything in part 0 when `k == 1`
+/// — or `None`.
+fn trivial_assignment(n: usize, k: usize) -> Option<Vec<usize>> {
+    assert!(k > 0, "need at least one part");
+    match k {
+        1 => Some(vec![0; n]),
+        _ if k >= n => Some((0..n).collect()),
+        _ => None,
+    }
 }
 
 /// The multilevel balance cap: `balance × ⌈n/k⌉` nodes, never below
@@ -797,65 +595,6 @@ fn project(coarse_assignment: &[usize], fine_to_coarse: &[usize]) -> Vec<usize> 
 fn balance_cap(n: usize, k: usize, balance: f64) -> usize {
     let per = n.div_ceil(k);
     ((per as f64 * balance).ceil() as usize).max(per)
-}
-
-/// The node of `part` with the least internal connectivity — the cheapest
-/// one to give away during rebalancing.
-fn cheapest_node(g: &CoarseGraph, assignment: &[usize], part: usize) -> usize {
-    let internal = |x: usize| -> f32 {
-        g.graph
-            .neighbors(x)
-            .iter()
-            .filter(|&&(v, _)| assignment[v] == part)
-            .map(|&(_, w)| w)
-            .sum()
-    };
-    (0..g.len())
-        .filter(|&u| assignment[u] == part)
-        .min_by(|&a, &b| internal(a).total_cmp(&internal(b)))
-        .expect("part is non-empty")
-}
-
-/// Repair cap violations left by coarse-granularity moves and stranded
-/// fallbacks: shed the cheapest boundary node of each overweight part into
-/// the lightest part that can take it. Also guarantees no part is empty.
-fn rebalance(g: &CoarseGraph, assignment: &mut [usize], k: usize, cap: usize) {
-    let n = g.len();
-    let mut weight = vec![0usize; k];
-    let mut count = vec![0usize; k];
-    for u in 0..n {
-        weight[assignment[u]] += g.node_weight[u];
-        count[assignment[u]] += 1;
-    }
-    // Empty parts steal the heaviest part's least-connected node.
-    for p in 0..k {
-        while count[p] == 0 {
-            let donor = (0..k).max_by_key(|&q| count[q]).unwrap();
-            if count[donor] <= 1 {
-                break;
-            }
-            let u = cheapest_node(g, assignment, donor);
-            assignment[u] = p;
-            weight[donor] -= g.node_weight[u];
-            weight[p] += g.node_weight[u];
-            count[donor] -= 1;
-            count[p] += 1;
-        }
-    }
-    while let Some(over) = (0..k).find(|&p| weight[p] > cap && count[p] > 1) {
-        let u = cheapest_node(g, assignment, over);
-        let Some(to) = (0..k)
-            .filter(|&p| p != over && weight[p] + g.node_weight[u] <= cap)
-            .min_by_key(|&p| weight[p])
-        else {
-            break; // nothing can take it without violating the cap itself
-        };
-        assignment[u] = to;
-        weight[over] -= g.node_weight[u];
-        weight[to] += g.node_weight[u];
-        count[over] -= 1;
-        count[to] += 1;
-    }
 }
 
 /// Seeded region growing — the one grower behind
@@ -1110,8 +849,8 @@ mod tests {
                 PartitionerKind::GreedyBfs,
                 PartitionerKind::Multilevel,
             ] {
-                let got = kind.partition(&odd, Some(&coords), k, 3);
-                let want = kind.partition(&clean, Some(&coords), k, 3);
+                let got = kind.partition(&odd, Some(&coords), k);
+                let want = kind.partition(&clean, Some(&coords), k);
                 assert_eq!(got.assignment(), want.assignment(), "{kind:?} k={k}");
                 assert_eq!(got.cut_neighbors(&odd), want.cut_neighbors(&clean));
             }
@@ -1290,6 +1029,43 @@ mod tests {
     }
 
     #[test]
+    fn refinement_never_worsens_the_halo_score() {
+        let cost = HaloCostModel::new(12, 1);
+        let (n, k) = (48, 4);
+        let cap = balance_cap(n, k, BALANCE);
+        let all: Vec<usize> = (0..n).collect();
+        for seed in [1u64, 5, 9] {
+            let net = random_geometric(n, 10.0, seed);
+            let graph = SparseGraph::from_adjacency(&net.adjacency);
+            let score = |a: &[usize]| {
+                cost.halo_bytes(
+                    &net.adjacency,
+                    &Partitioning::from_assignment(a.to_vec(), k),
+                )
+            };
+            // The balanced, unrefined region growing multilevel's finest
+            // level would start from, and multilevel's own output.
+            let mut grown = CutState::new(
+                graph.clone(),
+                grow_regions(&graph, &vec![1; n], k, cap, 0),
+                Vec::new(),
+                k,
+            );
+            grown.rebalance(cap);
+            let ml = Partitioning::multilevel(&net.adjacency, k);
+            let solved = CutState::new(graph, ml.assignment().to_vec(), Vec::new(), k);
+            for mut state in [grown, solved] {
+                let unrefined = score(state.assignment());
+                state.refine(&all, cap);
+                assert!(
+                    score(state.assignment()) <= unrefined,
+                    "seed {seed}: refinement must be monotone in halo score"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn cut_neighbors_counts_replicas_not_weight() {
         // A path 0-1-2-3 split [0,1] | [2,3]: one cut edge, each side
         // replicates one neighbor → 2 cut neighbors.
@@ -1307,28 +1083,6 @@ mod tests {
         // One part: nothing is replicated.
         let whole = Partitioning::from_assignment(vec![0; 4], 1);
         assert_eq!(whole.cut_neighbors(&adj), 0);
-    }
-
-    #[test]
-    fn refinement_never_worsens_the_halo_score() {
-        let cost = HaloCostModel::new(12, 1);
-        for seed in [1u64, 5, 9] {
-            let net = random_geometric(48, 10.0, seed);
-            let unrefined = Partitioning::multilevel_with(
-                &net.adjacency,
-                4,
-                &MultilevelConfig {
-                    refine_passes: 0,
-                    ..Default::default()
-                },
-            );
-            let refined = Partitioning::multilevel(&net.adjacency, 4);
-            assert!(
-                cost.halo_bytes(&net.adjacency, &refined)
-                    <= cost.halo_bytes(&net.adjacency, &unrefined),
-                "seed {seed}: refinement must be monotone in halo score"
-            );
-        }
     }
 
     #[test]

@@ -30,7 +30,10 @@
 //! same count `Partitioning::cut_neighbors` recomputes in O(E) — a
 //! property-tested invariant.
 
-use super::{balance_cap, grow_regions, halo_nodes, HaloCostModel, Partitioning};
+use super::cut_state::CutState;
+use super::{
+    balance_cap, grow_regions, halo_nodes, trivial_assignment, HaloCostModel, Partitioning, BALANCE,
+};
 use crate::adjacency::{merge_ascending, Adjacency};
 use std::borrow::Cow;
 
@@ -284,12 +287,9 @@ pub struct IncrementalConfig {
     /// refinement region.
     pub halo_depth: usize,
     /// Balance tolerance: no part may exceed `balance × ⌈n/k⌉` nodes —
-    /// the same cap [`super::MultilevelConfig::balance`] enforces.
+    /// by default the cap [`Partitioning::multilevel`] enforces.
     pub balance: f64,
-    /// Refinement passes over the dirty region per delta (and over the
-    /// boundary per full solve).
-    pub refine_passes: usize,
-    /// The halo cost model every candidate move is priced by.
+    /// The halo cost model halo bytes are priced by.
     pub cost: HaloCostModel,
 }
 
@@ -298,8 +298,7 @@ impl Default for IncrementalConfig {
         IncrementalConfig {
             drift: 0.10,
             halo_depth: 2,
-            balance: 1.15,
-            refine_passes: 4,
+            balance: BALANCE,
             cost: HaloCostModel::default(),
         }
     }
@@ -312,23 +311,6 @@ impl IncrementalConfig {
         IncrementalConfig {
             cost: HaloCostModel::new(horizon.max(1), features.max(1)),
             ..Default::default()
-        }
-    }
-
-    /// Defaults overlaid with a [`RepartitionPolicy::Incremental`]'s
-    /// knobs (panics on [`RepartitionPolicy::Full`] — there is nothing
-    /// incremental to configure).
-    pub fn from_policy(policy: RepartitionPolicy, cost: HaloCostModel) -> Self {
-        match policy {
-            RepartitionPolicy::Incremental { drift, halo_depth } => IncrementalConfig {
-                drift,
-                halo_depth,
-                cost,
-                ..Default::default()
-            },
-            RepartitionPolicy::Full => {
-                panic!("RepartitionPolicy::Full has no incremental configuration")
-            }
         }
     }
 }
@@ -352,7 +334,9 @@ pub struct RepairStats {
 /// *part contact* counts (how many of a node's neighbors live in each
 /// part), per-part sizes, and the global cut-neighbor count — all updated
 /// in O(degree) per mutation, so [`IncrementalPartitioner::halo_bytes`]
-/// is O(1) where `Partitioning::cut_neighbors` rescans every edge.
+/// is O(1) where `Partitioning::cut_neighbors` rescans every edge. That
+/// state is the partitioning layer's one refinement core, the same one
+/// [`Partitioning::multilevel`] refines every level with.
 ///
 /// ```
 /// use st_graph::partition::incremental::{
@@ -372,16 +356,8 @@ pub struct RepairStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalPartitioner {
-    graph: SparseGraph,
+    state: CutState,
     cfg: IncrementalConfig,
-    k: usize,
-    assignment: Vec<usize>,
-    part_sizes: Vec<usize>,
-    /// Per node: `(part, count)` of its neighbors by part (zero counts are
-    /// dropped), the structure every cut/gain query reads.
-    contacts: Vec<Vec<(usize, u32)>>,
-    /// Global cut-neighbor count: `Σ_v |{foreign parts v touches}|`.
-    cut: usize,
     /// Halo bytes of the last full solve — the drift-fallback baseline.
     baseline_halo: u64,
 }
@@ -389,21 +365,12 @@ pub struct IncrementalPartitioner {
 impl IncrementalPartitioner {
     /// Adopt an existing partitioning (e.g. a dense multilevel solve of
     /// the same graph) as the maintained state; the drift baseline is the
-    /// seeded partitioning's own halo bytes.
+    /// seeded partitioning's own halo bytes. The partitioning must cover
+    /// the graph (one part per node).
     pub fn seed(graph: SparseGraph, partitioning: &Partitioning, cfg: IncrementalConfig) -> Self {
-        assert_eq!(
-            graph.num_nodes(),
-            partitioning.num_nodes(),
-            "partitioning must cover the graph"
-        );
-        let mut s = Self::from_assignment(
-            graph,
-            partitioning.assignment().to_vec(),
-            partitioning.num_parts(),
-            cfg,
-        );
-        s.baseline_halo = s.halo_bytes();
-        s
+        let assignment = partitioning.assignment().to_vec();
+        let state = CutState::new(graph, assignment, Vec::new(), partitioning.num_parts());
+        Self::solved(state, cfg)
     }
 
     /// Full from-scratch solve on the sparse graph: farthest-first seeded
@@ -413,20 +380,24 @@ impl IncrementalPartitioner {
     /// compares repair quality against. Deterministic (no RNG).
     pub fn partition_fresh(graph: SparseGraph, k: usize, cfg: IncrementalConfig) -> Self {
         let n = graph.num_nodes();
-        assert!(k > 0, "need at least one part");
-        if k >= n || k == 1 {
-            // One node per part (parts n..k empty) or everything in part 0
-            // — nothing to refine either way.
-            let assignment = if k == 1 { vec![0; n] } else { (0..n).collect() };
-            let mut s = Self::from_assignment(graph, assignment, k, cfg);
-            s.baseline_halo = s.halo_bytes();
-            return s;
+        if let Some(assignment) = trivial_assignment(n, k) {
+            return Self::solved(CutState::new(graph, assignment, Vec::new(), k), cfg);
         }
         let cap = balance_cap(n, k, cfg.balance);
         let assignment = grow_regions(&graph, &vec![1; n], k, cap, 0);
-        let mut s = Self::from_assignment(graph, assignment, k, cfg);
+        let mut state = CutState::new(graph, assignment, Vec::new(), k);
         let all: Vec<usize> = (0..n).collect();
-        s.refine(&all, cap);
+        state.refine(&all, cap);
+        Self::solved(state, cfg)
+    }
+
+    /// Adopt `state` as a full solve: its halo bytes become the baseline.
+    fn solved(state: CutState, cfg: IncrementalConfig) -> Self {
+        let mut s = IncrementalPartitioner {
+            state,
+            cfg,
+            baseline_halo: 0,
+        };
         s.baseline_halo = s.halo_bytes();
         s
     }
@@ -438,36 +409,33 @@ impl IncrementalPartitioner {
     /// An empty delta is a guaranteed no-op: the assignment is returned
     /// bit-identical (property-tested).
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> RepairStats {
-        let prev_nodes = self.graph.num_nodes();
+        let prev_nodes = self.state.graph().num_nodes();
         // Arrivals start in the lightest part so this delta's own edges
         // have well-defined endpoints; dirty refinement re-homes them.
-        if delta.added_nodes > 0 {
-            self.graph.add_nodes(delta.added_nodes);
-            for _ in 0..delta.added_nodes {
-                self.contacts.push(Vec::new());
-                let p = (0..self.k).min_by_key(|&p| self.part_sizes[p]).unwrap();
-                self.assignment.push(p);
-                self.part_sizes[p] += 1;
-            }
+        for _ in 0..delta.added_nodes {
+            self.state.add_node();
         }
-        let mut dirty: Vec<usize> = (prev_nodes..self.graph.num_nodes()).collect();
+        let n = self.state.graph().num_nodes();
+        let mut dirty: Vec<usize> = (prev_nodes..n).collect();
         for &(u, v, w) in &delta.edges {
-            self.apply_edge(u, v, w);
+            self.state.set_edge(u, v, w);
             dirty.push(u);
             dirty.push(v);
         }
         dirty.sort_unstable();
         dirty.dedup();
         // The active set: mutated endpoints plus their halo, ascending.
-        let mut active = halo_nodes(&self.graph, &dirty, self.cfg.halo_depth);
+        let mut active = halo_nodes(self.state.graph(), &dirty, self.cfg.halo_depth);
         active.extend_from_slice(&dirty);
         active.sort_unstable();
-        let cap = balance_cap(self.graph.num_nodes(), self.k, self.cfg.balance);
-        let moves = self.refine(&active, cap);
+        let k = self.num_parts();
+        let moves = self
+            .state
+            .refine(&active, balance_cap(n, k, self.cfg.balance));
         let mut rebuilt = false;
         if self.halo_bytes() as f64 > (1.0 + self.cfg.drift) * self.baseline_halo as f64 {
-            let graph = std::mem::take(&mut self.graph);
-            *self = Self::partition_fresh(graph, self.k, self.cfg);
+            let graph = std::mem::take(&mut self.state).into_graph();
+            *self = Self::partition_fresh(graph, k, self.cfg);
             rebuilt = true;
         }
         RepairStats {
@@ -480,39 +448,35 @@ impl IncrementalPartitioner {
 
     /// The maintained graph.
     pub fn graph(&self) -> &SparseGraph {
-        &self.graph
+        self.state.graph()
     }
 
     /// Number of parts.
     pub fn num_parts(&self) -> usize {
-        self.k
+        self.state.num_parts()
     }
 
     /// The current assignment slice.
     pub fn assignment(&self) -> &[usize] {
-        &self.assignment
+        self.state.assignment()
     }
 
     /// Sizes of every part (maintained, O(k) to clone).
     pub fn part_sizes(&self) -> Vec<usize> {
-        self.part_sizes.clone()
-    }
-
-    /// Load imbalance: `max part size / (n / k)` (1.0 = perfect).
-    pub fn imbalance(&self) -> f64 {
-        let max = *self.part_sizes.iter().max().unwrap_or(&0) as f64;
-        max / (self.assignment.len() as f64 / self.k as f64)
+        self.state.part_counts().to_vec()
     }
 
     /// The current cut-neighbor count — O(1), maintained incrementally;
     /// equals `Partitioning::cut_neighbors` recomputed from scratch.
     pub fn cut_neighbors(&self) -> usize {
-        self.cut
+        self.state.cut()
     }
 
     /// Modeled halo bytes of the current partitioning — O(1).
     pub fn halo_bytes(&self) -> u64 {
-        self.cut as u64 * self.cfg.cost.reads_per_cut_neighbor() * self.cfg.cost.row_bytes
+        self.cut_neighbors() as u64
+            * self.cfg.cost.reads_per_cut_neighbor()
+            * self.cfg.cost.row_bytes
     }
 
     /// Halo bytes of the last full solve (the drift-fallback baseline).
@@ -527,200 +491,7 @@ impl IncrementalPartitioner {
 
     /// Snapshot the current assignment as a [`Partitioning`].
     pub fn partitioning(&self) -> Partitioning {
-        Partitioning::from_assignment(self.assignment.clone(), self.k)
-    }
-
-    // --- internals -----------------------------------------------------
-
-    /// Build exact cut state for an assignment in one O(E) sweep.
-    fn from_assignment(
-        graph: SparseGraph,
-        assignment: Vec<usize>,
-        k: usize,
-        cfg: IncrementalConfig,
-    ) -> Self {
-        assert!(
-            assignment.iter().all(|&p| p < k),
-            "assignment references a part >= k"
-        );
-        let n = graph.num_nodes();
-        let mut part_sizes = vec![0usize; k];
-        for &p in &assignment {
-            part_sizes[p] += 1;
-        }
-        let mut contacts: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-        for (u, c) in contacts.iter_mut().enumerate() {
-            for &(v, _) in graph.neighbors(u) {
-                bump(c, assignment[v], 1);
-            }
-        }
-        let cut = contacts
-            .iter()
-            .zip(assignment.iter())
-            .map(|(c, &own)| c.iter().filter(|&&(p, _)| p != own).count())
-            .sum();
-        IncrementalPartitioner {
-            graph,
-            cfg,
-            k,
-            assignment,
-            part_sizes,
-            contacts,
-            cut,
-            baseline_halo: 0,
-        }
-    }
-
-    /// Distinct parts other than `own` that `u` touches.
-    fn foreign_contacts(&self, u: usize, own: usize) -> usize {
-        self.contacts[u].iter().filter(|&&(p, _)| p != own).count()
-    }
-
-    /// Neighbors of `u` currently in part `p`.
-    fn contact_count(&self, u: usize, p: usize) -> u32 {
-        self.contacts[u]
-            .iter()
-            .find(|&&(q, _)| q == p)
-            .map_or(0, |&(_, c)| c)
-    }
-
-    /// Update one edge's weight, keeping contacts and the cut count exact.
-    fn apply_edge(&mut self, u: usize, v: usize, w: f32) {
-        let prev = self.graph.set_edge(u, v, w);
-        let existed = prev > 0.0;
-        let exists = w > 0.0;
-        if existed == exists {
-            return; // weight-only change: contact counts are unweighted
-        }
-        let pu = self.assignment[u];
-        let pv = self.assignment[v];
-        if exists {
-            if bump(&mut self.contacts[u], pv, 1) == 1 && pv != pu {
-                self.cut += 1;
-            }
-            if bump(&mut self.contacts[v], pu, 1) == 1 && pu != pv {
-                self.cut += 1;
-            }
-        } else {
-            if bump(&mut self.contacts[u], pv, -1) == 0 && pv != pu {
-                self.cut -= 1;
-            }
-            if bump(&mut self.contacts[v], pu, -1) == 0 && pu != pv {
-                self.cut -= 1;
-            }
-        }
-    }
-
-    /// The cut-neighbor reduction of moving `u` to part `to` (positive =
-    /// fewer halo replicas), priced without mutating any state.
-    fn halo_gain(&self, u: usize, to: usize) -> i64 {
-        let from = self.assignment[u];
-        debug_assert_ne!(from, to);
-        // u's own replicas change with its notion of "foreign"...
-        let mut delta = self.foreign_contacts(u, to) as i64 - self.foreign_contacts(u, from) as i64;
-        // ...and each neighbor gains/loses a contact in `to`/`from`.
-        for &(v, _) in self.graph.neighbors(u) {
-            let pv = self.assignment[v];
-            if self.contact_count(v, from) == 1 && from != pv {
-                delta -= 1;
-            }
-            if self.contact_count(v, to) == 0 && to != pv {
-                delta += 1;
-            }
-        }
-        -delta
-    }
-
-    /// Move `u` to part `to`, updating contacts, sizes, and the cut count.
-    fn move_node(&mut self, u: usize, to: usize) {
-        let from = self.assignment[u];
-        debug_assert_ne!(from, to);
-        self.cut -= self.foreign_contacts(u, from);
-        self.cut += self.foreign_contacts(u, to);
-        self.assignment[u] = to;
-        self.part_sizes[from] -= 1;
-        self.part_sizes[to] += 1;
-        let IncrementalPartitioner {
-            graph,
-            contacts,
-            assignment,
-            cut,
-            ..
-        } = self;
-        for &(v, _) in graph.neighbors(u) {
-            let pv = assignment[v];
-            if bump(&mut contacts[v], from, -1) == 0 && from != pv {
-                *cut -= 1;
-            }
-            if bump(&mut contacts[v], to, 1) == 1 && to != pv {
-                *cut += 1;
-            }
-        }
-    }
-
-    /// Greedy KL/FM passes restricted to `active`: each node may move to a
-    /// contacted part of strictly positive halo gain, subject to the
-    /// balance cap and the no-empty-part rule. The integer cut-neighbor
-    /// count strictly decreases with every move, so passes terminate.
-    fn refine(&mut self, active: &[usize], cap: usize) -> usize {
-        let mut total = 0usize;
-        for _ in 0..self.cfg.refine_passes.max(1) {
-            let mut moved = 0usize;
-            for &u in active {
-                let from = self.assignment[u];
-                if self.part_sizes[from] <= 1 || self.foreign_contacts(u, from) == 0 {
-                    continue;
-                }
-                let mut best: Option<(i64, usize)> = None;
-                for i in 0..self.contacts[u].len() {
-                    let p = self.contacts[u][i].0;
-                    if p == from || self.part_sizes[p] + 1 > cap {
-                        continue;
-                    }
-                    let g = self.halo_gain(u, p);
-                    let better = match best {
-                        None => g > 0,
-                        Some((bg, bp)) => g > bg || (g == bg && p < bp),
-                    };
-                    if g > 0 && better {
-                        best = Some((g, p));
-                    }
-                }
-                if let Some((_, to)) = best {
-                    self.move_node(u, to);
-                    moved += 1;
-                }
-            }
-            total += moved;
-            if moved == 0 {
-                break;
-            }
-        }
-        total
-    }
-}
-
-/// Adjust the `(part, count)` entry for `p` by `delta` and return the
-/// resulting count; zero-count entries are dropped.
-fn bump(contacts: &mut Vec<(usize, u32)>, p: usize, delta: i32) -> u32 {
-    match contacts.iter().position(|&(q, _)| q == p) {
-        Some(i) => {
-            let c = (contacts[i].1 as i64 + delta as i64).max(0) as u32;
-            if c == 0 {
-                contacts.swap_remove(i);
-            } else {
-                contacts[i].1 = c;
-            }
-            c
-        }
-        None => {
-            if delta > 0 {
-                contacts.push((p, delta as u32));
-                delta as u32
-            } else {
-                0
-            }
-        }
+        Partitioning::from_assignment(self.assignment().to_vec(), self.num_parts())
     }
 }
 

@@ -6,15 +6,17 @@
 //! `f32` matrix the adjacency alone would be 2.6 GB. This file is its own
 //! test binary so that the peak-RSS bound below is about this run only.
 //!
-//! The grid's seed is chosen, not arbitrary: on seeds 4–7 of this size
-//! `multilevel`'s finest-level `rebalance` sheds some 18,000 nodes one at a
-//! time and `fm_pass` drags 12,000 back at `O(N)` per move (7–19 s in
-//! release, a cut 6–12× worse). That is the refinement algorithm, which
-//! this file does not judge; what it bounds is the store.
+//! The second test judges the partitioner on the same grid over seeds
+//! 1–8: every seed balanced, never worse than region growing, and within
+//! 1.25× of the best seed's cut. Multilevel once refined with an `O(N)`
+//! scan per move, and four of these seeds took 10–27 s in release for a
+//! cut 6–13× its best seed's; on the shared refinement core each seed
+//! takes milliseconds. The bounds are counts, so no wall clock is asserted.
 
 use pgt_i::graph::generators::city_grid_sparse;
 use pgt_i::graph::{
     diffusion_supports, HaloCostModel, IncrementalConfig, IncrementalPartitioner, PartitionerKind,
+    Partitioning,
 };
 
 /// Peak resident set of this process in MB (Linux; `None` elsewhere).
@@ -36,7 +38,7 @@ fn a_city_grid_is_partitioned_and_priced_in_edge_proportional_memory() {
     assert_eq!(adj.num_nodes(), n);
     assert_eq!(adj.num_edges(), 2 * net.graph.num_edges());
 
-    let parts = PartitionerKind::Multilevel.partition(&adj, None, K, HORIZON);
+    let parts = PartitionerKind::Multilevel.partition(&adj, None, K);
     let sizes = parts.part_sizes();
     assert_eq!(sizes.iter().sum::<usize>(), n, "every node is assigned");
     assert!(sizes.iter().all(|&s| s > 0), "no empty part: {sizes:?}");
@@ -82,5 +84,40 @@ fn a_city_grid_is_partitioned_and_priced_in_edge_proportional_memory() {
 
     if let Some(mb) = peak_rss_mb() {
         assert!(mb < 512.0, "peak RSS {mb:.0} MB (dense storage: 2,621 MB)");
+    }
+}
+
+/// Per-seed wall time is printed, never asserted:
+/// `cargo test -q --release --test city_scale multilevel -- --nocapture`.
+#[test]
+fn multilevel_is_balanced_and_close_to_its_best_on_every_seed() {
+    let cuts: Vec<(u64, usize)> = (1..=8)
+        .map(|seed| {
+            let g = city_grid_sparse(160, 160, seed).graph;
+            let started = std::time::Instant::now();
+            let p = Partitioning::multilevel(&g, 8);
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            let cut = p.cut_neighbors(&g);
+            println!("seed {seed}: multilevel {ms:.1} ms, {cut} cut neighbours");
+            assert!(p.part_sizes().iter().all(|&s| s > 0), "seed {seed}");
+            assert!(
+                p.imbalance() <= 1.15 + 1e-9,
+                "seed {seed}: {:?}",
+                p.part_sizes()
+            );
+            let greedy = Partitioning::greedy_bfs(&g, 8).cut_neighbors(&g);
+            assert!(
+                cut <= greedy,
+                "seed {seed}: cut {cut} > region growing's {greedy}"
+            );
+            (seed, cut)
+        })
+        .collect();
+    let best = cuts.iter().map(|&(_, c)| c).min().unwrap();
+    for (seed, cut) in cuts {
+        assert!(
+            4 * cut <= 5 * best,
+            "seed {seed}: cut {cut} > 1.25 × the best seed's {best}"
+        );
     }
 }
