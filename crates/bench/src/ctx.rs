@@ -12,7 +12,7 @@ use st_data::replay::{standard_replay, LoaderVariant, ReplayReport};
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
 use st_data::synthetic;
-use st_device::memory::{MemPool, PoolMode};
+use st_device::memory::MemPool;
 use st_device::profiler::MemTimeline;
 use st_device::GIB;
 use st_models::Seq2Seq;
@@ -47,7 +47,7 @@ pub(crate) struct Replays {
 
 impl Replays {
     fn new() -> Self {
-        let host = || MemPool::new("host", 512 * GIB, PoolMode::Virtual);
+        let host = || MemPool::new("host", 512 * GIB);
         let mut standard = Vec::new();
         for kind in [DatasetKind::PemsAllLa, DatasetKind::Pems] {
             for variant in [LoaderVariant::DcrnnPadded, LoaderVariant::Pgt] {
@@ -61,7 +61,7 @@ impl Replays {
         let mut timeline = MemTimeline::new("index");
         let report = index_replay(&pems, &host(), &mut timeline, 8);
         let index = Replay { report, timeline };
-        let device = MemPool::new("gpu0", 40 * GIB, PoolMode::Virtual);
+        let device = MemPool::new("gpu0", 40 * GIB);
         let mut timeline = MemTimeline::new("gpu-index");
         let report = gpu_index_replay(&pems, &host(), &device, &mut timeline, 8, GIB);
         Replays {

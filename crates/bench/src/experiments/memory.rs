@@ -12,7 +12,7 @@ use st_data::preprocess::materialized_xy;
 use st_data::replay::LoaderVariant;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
-use st_device::memory::{MemPool, PoolMode};
+use st_device::memory::MemPool;
 use st_device::{CostModel, SimClock, GIB};
 use st_graph::{diffusion_supports, Adjacency};
 use st_models::{Dcrnn, ModelConfig, PgtDcrnn, Seq2Seq, Support};
@@ -488,7 +488,7 @@ pub fn table4(ctx: &Ctx) -> RecordSet {
         Some(small.spec.period),
     );
     let count_for = |residency| {
-        let pool = MemPool::new("gpu0", 40 * GIB, PoolMode::Virtual);
+        let pool = MemPool::new("gpu0", 40 * GIB);
         let placed = GpuIndexDataset::place(
             ds.clone(),
             residency,

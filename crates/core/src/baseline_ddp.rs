@@ -175,7 +175,6 @@ where
         cfg.topology,
         elem,
         policy,
-        cfg.wire_codec,
     );
     let y = DistributedArray::with_storage(
         SignalStorage::from_tensor_spec(out.y, cfg.storage),
@@ -183,7 +182,6 @@ where
         cfg.topology,
         elem,
         policy,
-        cfg.wire_codec,
     );
 
     engine::run(

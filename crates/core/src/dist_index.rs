@@ -15,7 +15,6 @@ use st_data::storage::StorageSpec;
 use st_device::CostModel;
 use st_dist::shuffle::{self, ShuffleStrategy};
 use st_dist::topology::ClusterTopology;
-use st_dist::wire::WireCodec;
 use st_models::Seq2Seq;
 use std::borrow::Cow;
 
@@ -93,12 +92,6 @@ pub struct DistConfig {
     /// Every stored bit comes back unchanged, so every loss curve is
     /// **bit-identical** to the in-memory run.
     pub storage: StorageSpec,
-    /// Wire codec for remote data-plane payloads (baseline DDP row fetches
-    /// and the generalized mode's halo/entry reads). `Lossless` (the
-    /// default) is bit-exact; `F16`/`DeltaI8` shrink ledger bytes 2×/≈4×
-    /// and honestly transcode delivered rows. Local-copy planes move no
-    /// sample data, so the codec is a no-op there.
-    pub wire_codec: WireCodec,
 }
 
 impl DistConfig {
@@ -122,7 +115,6 @@ impl DistConfig {
             straggler_skew: 0.0,
             backend: st_tensor::backend::active_backend(),
             storage: StorageSpec::InMemory,
-            wire_codec: WireCodec::Lossless,
         }
     }
 

@@ -15,17 +15,12 @@
 //! Training uses [`PgtDcrnn::forward_dynamic`], which swaps the diffusion
 //! operators per step while sharing gate weights across time.
 
-use std::sync::Arc;
-
 use st_data::dynamic::DynamicGraphTemporalSignal;
 use st_data::preprocess::num_snapshots;
 use st_data::scaler::StandardScaler;
 use st_data::splits::{SplitIndices, SplitRatios};
 use st_data::storage::{RowStore, SignalStorage, StorageSpec};
-use st_graph::partition::incremental::{
-    GraphDelta, IncrementalConfig, IncrementalPartitioner, RepartitionPolicy, SparseGraph,
-};
-use st_graph::{diffusion_supports, HaloCostModel, PartitionerKind, Partitioning};
+use st_graph::diffusion_supports;
 use st_models::{ModelConfig, PgtDcrnn, Support};
 use st_tensor::Tensor;
 
@@ -202,120 +197,6 @@ impl DynamicIndexDataset {
     }
 }
 
-/// One segment of a dynamic graph's partition timeline: the partitioning
-/// in force from [`TimelinePartition::start_entry`] until the next graph
-/// mutation re-partitions.
-#[derive(Debug, Clone)]
-pub struct TimelinePartition {
-    /// First time entry this partitioning covers.
-    pub start_entry: usize,
-    /// The partitioning of the graph as of `start_entry`. `Arc`'d so
-    /// segments whose repair moved nothing *share* one allocation instead
-    /// of cloning a full assignment per mutation.
-    pub partitioning: Arc<Partitioning>,
-    /// Modeled halo bytes of this segment's split under the run's
-    /// [`HaloCostModel`] — what a partition-parallel consumer would pay
-    /// per boundary while this topology holds.
-    pub halo_bytes: u64,
-}
-
-/// Partition a dynamic signal's timeline with the configured partitioner:
-/// entry 0's graph is partitioned up front, and every entry whose
-/// adjacency differs from its predecessor's (a **graph mutation**)
-/// triggers a re-partition — static stretches reuse the segment's split,
-/// exactly as the per-entry diffusion supports are shared by every window
-/// touching an entry.
-///
-/// This is the legacy [`RepartitionPolicy::Full`] path of
-/// [`partition_timeline_with`]: every mutation runs the partitioner from
-/// scratch.
-pub fn partition_timeline(
-    signal: &DynamicGraphTemporalSignal,
-    k: usize,
-    kind: PartitionerKind,
-    horizon: usize,
-) -> Vec<TimelinePartition> {
-    partition_timeline_with(signal, k, kind, horizon, RepartitionPolicy::Full)
-}
-
-/// [`partition_timeline`] with an explicit [`RepartitionPolicy`].
-///
-/// Mutation detection is O(1) per entry for frozen stretches: consecutive
-/// adjacencies are compared via [`st_graph::Adjacency::same_topology`]
-/// (shared-buffer pointer equality, then a cached fingerprint) instead of
-/// the historical full weight-array scan.
-///
-/// Under [`RepartitionPolicy::Incremental`], entry 0 still runs the
-/// configured partitioner from scratch; every later mutation is turned
-/// into a [`GraphDelta`] and *repaired* by an [`IncrementalPartitioner`]
-/// (dirty-boundary refinement, drift-bounded fallback) instead of
-/// re-running the full solve. Segments whose repair changed no assignment
-/// share the previous segment's `Arc<Partitioning>`.
-pub fn partition_timeline_with(
-    signal: &DynamicGraphTemporalSignal,
-    k: usize,
-    kind: PartitionerKind,
-    horizon: usize,
-    policy: RepartitionPolicy,
-) -> Vec<TimelinePartition> {
-    assert!(k > 0, "need at least one part");
-    let features = signal.data.dim(2);
-    let cost = HaloCostModel::new(horizon.max(1), features);
-    let mut segments: Vec<TimelinePartition> = Vec::new();
-    let mut inc: Option<IncrementalPartitioner> = None;
-    for (t, adj) in signal.adjacencies.iter().enumerate() {
-        let mutated = t == 0 || !adj.same_topology(&signal.adjacencies[t - 1]);
-        if !mutated {
-            continue;
-        }
-        match (policy, inc.as_mut()) {
-            (RepartitionPolicy::Full, _) => {
-                let partitioning = kind.partition(adj, None, k);
-                let halo_bytes = cost.halo_bytes(adj, &partitioning);
-                segments.push(TimelinePartition {
-                    start_entry: t,
-                    partitioning: Arc::new(partitioning),
-                    halo_bytes,
-                });
-            }
-            (RepartitionPolicy::Incremental { drift, halo_depth }, None) => {
-                let partitioning = kind.partition(adj, None, k);
-                let ip = IncrementalPartitioner::seed(
-                    SparseGraph::from_adjacency(adj),
-                    &partitioning,
-                    IncrementalConfig {
-                        drift,
-                        halo_depth,
-                        ..IncrementalConfig::for_horizon(horizon, features)
-                    },
-                );
-                segments.push(TimelinePartition {
-                    start_entry: t,
-                    halo_bytes: ip.halo_bytes(),
-                    partitioning: Arc::new(partitioning),
-                });
-                inc = Some(ip);
-            }
-            (RepartitionPolicy::Incremental { .. }, Some(ip)) => {
-                let delta = GraphDelta::between(&signal.adjacencies[t - 1], adj);
-                let stats = ip.apply_delta(&delta);
-                let prev = segments.last().expect("seeded at the first mutation");
-                let partitioning = if stats.moves == 0 && !stats.rebuilt {
-                    Arc::clone(&prev.partitioning)
-                } else {
-                    Arc::new(ip.partitioning())
-                };
-                segments.push(TimelinePartition {
-                    start_entry: t,
-                    partitioning,
-                    halo_bytes: stats.halo_bytes,
-                });
-            }
-        }
-    }
-    segments
-}
-
 /// Configuration for dynamic-graph training.
 #[derive(Debug, Clone)]
 pub struct DynamicTrainConfig {
@@ -331,22 +212,9 @@ pub struct DynamicTrainConfig {
     pub seed: u64,
     /// Gradient clip.
     pub grad_clip: Option<f32>,
-    /// Spatial parts the partition timeline tracks (1 = unpartitioned; the
-    /// single-worker trainer itself is unchanged — the timeline prices
-    /// what a `parts`-way partition-parallel deployment would pay as the
-    /// topology mutates).
-    pub parts: usize,
     /// Storage backend for the standardized feature copy
     /// ([`StorageSpec::Chunked`] reads each window straight from disk).
     pub storage: StorageSpec,
-    /// The partitioner the timeline runs at entry 0 and (under
-    /// [`RepartitionPolicy::Full`]) at every mutation.
-    pub partitioner: PartitionerKind,
-    /// How the timeline reacts to graph mutations: re-solve from scratch
-    /// ([`RepartitionPolicy::Full`], the bit-identical legacy path) or
-    /// repair the previous split around the dirty boundary
-    /// ([`RepartitionPolicy::Incremental`]).
-    pub repartition: RepartitionPolicy,
 }
 
 impl Default for DynamicTrainConfig {
@@ -358,10 +226,7 @@ impl Default for DynamicTrainConfig {
             diffusion_steps: 2,
             seed: 42,
             grad_clip: Some(5.0),
-            parts: 1,
             storage: StorageSpec::InMemory,
-            partitioner: PartitionerKind::Multilevel,
-            repartition: RepartitionPolicy::Full,
         }
     }
 }
@@ -377,35 +242,16 @@ impl Default for DynamicTrainConfig {
 pub struct DynamicPlane {
     ds: DynamicIndexDataset,
     seed: u64,
-    timeline: Vec<TimelinePartition>,
     cost: st_device::CostModel,
 }
 
 impl DynamicPlane {
-    /// Wrap a dynamic dataset with an empty partition timeline.
-    pub fn new(ds: DynamicIndexDataset, seed: u64) -> Self {
+    /// Wrap a dynamic dataset; `seed` drives the epoch shuffle and `cm`
+    /// prices chunk IO when the dataset streams from out-of-core storage.
+    pub fn new(ds: DynamicIndexDataset, seed: u64, cm: &st_device::CostModel) -> Self {
         DynamicPlane {
             ds,
             seed,
-            timeline: Vec::new(),
-            cost: st_device::CostModel::polaris(),
-        }
-    }
-
-    /// Wrap a dynamic dataset plus the [`partition_timeline`] the
-    /// configured partitioner produced: the plane re-partitions (segment
-    /// boundaries) exactly where the graph mutates. `cm` prices chunk IO
-    /// when the dataset streams from out-of-core storage.
-    pub fn with_partition_timeline(
-        ds: DynamicIndexDataset,
-        seed: u64,
-        timeline: Vec<TimelinePartition>,
-        cm: &st_device::CostModel,
-    ) -> Self {
-        DynamicPlane {
-            ds,
-            seed,
-            timeline,
             cost: cm.clone(),
         }
     }
@@ -413,26 +259,6 @@ impl DynamicPlane {
     /// The underlying dataset.
     pub fn dataset(&self) -> &DynamicIndexDataset {
         &self.ds
-    }
-
-    /// The partition timeline (empty when the plane was built without a
-    /// partitioner).
-    pub fn partition_timeline(&self) -> &[TimelinePartition] {
-        &self.timeline
-    }
-
-    /// Graph mutations that forced a re-partition.
-    pub fn repartitions(&self) -> usize {
-        self.timeline.len().saturating_sub(1)
-    }
-
-    /// The partitioning in force at time `entry`, if a timeline exists.
-    pub fn partitioning_at(&self, entry: usize) -> Option<&Partitioning> {
-        self.timeline
-            .iter()
-            .rev()
-            .find(|s| s.start_entry <= entry)
-            .map(|s| s.partitioning.as_ref())
     }
 }
 
@@ -504,16 +330,6 @@ pub fn train_dynamic(
     dist_cfg.lr = cfg.lr;
     dist_cfg.seed = cfg.seed;
     dist_cfg.grad_clip = cfg.grad_clip;
-    // Re-partition with the configured partitioner at every graph
-    // mutation: the plane carries the timeline so partition-parallel
-    // consumers can price each topology segment's halo. With the default
-    // `parts = 1` there is nothing to split and nothing to price — skip
-    // the per-entry adjacency scans entirely.
-    let timeline = if cfg.parts > 1 {
-        partition_timeline_with(signal, cfg.parts, cfg.partitioner, horizon, cfg.repartition)
-    } else {
-        Vec::new()
-    };
 
     let model = PgtDcrnn::new(
         ModelConfig {
@@ -531,12 +347,7 @@ pub fn train_dynamic(
         &ds.supports[0],
         cfg.seed,
     );
-    let plane = DynamicPlane::with_partition_timeline(
-        ds,
-        cfg.seed,
-        timeline,
-        &st_device::CostModel::default(),
-    );
+    let plane = DynamicPlane::new(ds, cfg.seed, &st_device::CostModel::default());
     let report = crate::engine::run_single(
         &dist_cfg,
         &crate::engine::EngineOptions::default(),
@@ -624,105 +435,6 @@ mod tests {
             d.resident_bytes(),
             d.materialized_bytes()
         );
-    }
-
-    #[test]
-    fn mutations_trigger_repartitioning_and_static_graphs_do_not() {
-        // synthetic_dynamic_traffic modulates edge weights every entry, so
-        // every entry is a mutation: one segment per entry.
-        let sig = synthetic_dynamic_traffic(6, 20, 5);
-        let segments = partition_timeline(&sig, 2, PartitionerKind::Multilevel, 4);
-        assert_eq!(segments.len(), 20, "every mutation re-partitions");
-        for s in &segments {
-            assert_eq!(s.partitioning.num_parts(), 2);
-            assert_eq!(s.partitioning.part_sizes().iter().sum::<usize>(), 6);
-        }
-
-        // A frozen topology never re-partitions.
-        let frozen =
-            DynamicGraphTemporalSignal::new(sig.data.clone(), vec![sig.adjacencies[0].clone(); 20]);
-        let segments = partition_timeline(&frozen, 2, PartitionerKind::Multilevel, 4);
-        assert_eq!(segments.len(), 1, "static topology keeps one partition");
-        assert_eq!(segments[0].start_entry, 0);
-        assert!(segments[0].halo_bytes > 0, "a 2-way split cuts something");
-    }
-
-    #[test]
-    fn incremental_timeline_matches_segment_structure_and_shares_arcs() {
-        let sig = synthetic_dynamic_traffic(6, 20, 5);
-        let full = partition_timeline(&sig, 2, PartitionerKind::Multilevel, 4);
-        let inc = partition_timeline_with(
-            &sig,
-            2,
-            PartitionerKind::Multilevel,
-            4,
-            RepartitionPolicy::incremental(),
-        );
-        // Same mutation boundaries; entry 0 is the same dense solve.
-        assert_eq!(inc.len(), full.len());
-        assert_eq!(
-            inc[0].partitioning.assignment(),
-            full[0].partitioning.assignment(),
-            "entry 0 seeds from the configured partitioner"
-        );
-        for (a, b) in inc.iter().zip(&full) {
-            assert_eq!(a.start_entry, b.start_entry);
-            assert_eq!(a.partitioning.num_parts(), 2);
-            assert_eq!(a.partitioning.part_sizes().iter().sum::<usize>(), 6);
-        }
-        // Weight-only churn moves nothing on this tiny corridor, so the
-        // repaired segments share the seed's allocation.
-        assert!(
-            inc.windows(2)
-                .any(|w| Arc::ptr_eq(&w[0].partitioning, &w[1].partitioning)),
-            "no-move repairs must share Arc'd partitionings"
-        );
-    }
-
-    #[test]
-    fn incremental_policy_trains_like_full() {
-        let sig = synthetic_dynamic_traffic(6, 80, 7);
-        let full_cfg = DynamicTrainConfig {
-            epochs: 2,
-            parts: 2,
-            ..Default::default()
-        };
-        let inc_cfg = DynamicTrainConfig {
-            repartition: RepartitionPolicy::incremental(),
-            ..full_cfg.clone()
-        };
-        let (_, full_stats) = train_dynamic(&sig, 4, &full_cfg);
-        let (_, inc_stats) = train_dynamic(&sig, 4, &inc_cfg);
-        // The timeline prices partition-parallel halo; the single-worker
-        // trajectory itself is identical under either policy.
-        for (f, i) in full_stats.iter().zip(&inc_stats) {
-            assert_eq!(f.train_loss, i.train_loss);
-            assert_eq!(f.val_mae, i.val_mae);
-        }
-    }
-
-    #[test]
-    fn plane_carries_the_timeline_through_training() {
-        let sig = synthetic_dynamic_traffic(6, 60, 5);
-        let ds = DynamicIndexDataset::from_signal(&sig, 4, SplitRatios::default(), 2);
-        let timeline = partition_timeline(&sig, 2, PartitionerKind::Multilevel, 4);
-        let plane = DynamicPlane::with_partition_timeline(
-            ds,
-            1,
-            timeline,
-            &st_device::CostModel::polaris(),
-        );
-        assert_eq!(plane.repartitions(), 59);
-        let p = plane.partitioning_at(7).expect("timeline covers entry 7");
-        assert_eq!(p.num_parts(), 2);
-        // Plain construction carries no timeline.
-        let plane = DynamicPlane::new(
-            DynamicIndexDataset::from_signal(&sig, 4, SplitRatios::default(), 2),
-            1,
-        );
-        assert!(plane.partition_timeline().is_empty());
-        assert_eq!(plane.repartitions(), 0);
-        assert!(plane.partitioning_at(0).is_none());
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl Fetch {
     /// (an in-memory store quotes zero).
     pub(crate) fn from_store(x: Tensor, y: Tensor, io_bytes: u64, cost: &CostModel) -> Fetch {
         let secs = if io_bytes > 0 {
-            cost.pfs_read(io_bytes, 1.0)
+            cost.pfs_read(io_bytes)
         } else {
             0.0
         };
@@ -472,6 +472,7 @@ where
 /// use pgt_index::engine::{run_single, EngineOptions};
 /// use st_data::dynamic::synthetic_dynamic_traffic;
 /// use st_data::splits::SplitRatios;
+/// use st_device::CostModel;
 /// use st_models::{ModelConfig, PgtDcrnn};
 ///
 /// // A 6-sensor dynamic-topology signal, index-batched, trained for two
@@ -485,7 +486,7 @@ where
 /// // Initial supports fix the weight layout; per-step operators come
 /// // from the dataset at runtime through the plane's forward hook.
 /// let model = PgtDcrnn::new(mc, ds.supports_for(0)[0], 42);
-/// let plane = DynamicPlane::new(ds, 42);
+/// let plane = DynamicPlane::new(ds, 42, &CostModel::polaris());
 /// let cfg = DistConfig::new(1, 2, 4);
 /// let report = run_single(&cfg, &EngineOptions::default(), &plane, &model)
 ///     .expect("no resume bytes to reject");

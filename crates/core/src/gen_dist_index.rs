@@ -276,7 +276,6 @@ where
         cfg.topology,
         4,
         st_dist::datasvc::PartitionPolicy::Contiguous,
-        cfg.wire_codec,
     );
 
     engine::run(

@@ -124,7 +124,6 @@ mod tests {
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::splits::SplitRatios;
     use st_data::synthetic;
-    use st_device::memory::PoolMode;
     use st_device::GIB;
 
     fn dataset() -> IndexDataset {
@@ -134,7 +133,7 @@ mod tests {
     }
 
     fn place(residency: Residency) -> GpuIndexDataset {
-        let pool = MemPool::new("gpu0", 40 * GIB, PoolMode::Virtual);
+        let pool = MemPool::new("gpu0", 40 * GIB);
         GpuIndexDataset::place(
             dataset(),
             residency,
@@ -173,7 +172,7 @@ mod tests {
 
     #[test]
     fn device_oom_when_dataset_exceeds_capacity() {
-        let tiny = MemPool::new("gpu0", 64, PoolMode::Virtual);
+        let tiny = MemPool::new("gpu0", 64);
         let r = GpuIndexDataset::place(
             dataset(),
             Residency::Device,

@@ -179,7 +179,6 @@ pub fn gpu_index_replay(
 mod tests {
     use super::*;
     use st_data::datasets::DatasetKind;
-    use st_device::memory::PoolMode;
     use st_device::GIB;
 
     #[test]
@@ -219,7 +218,7 @@ mod tests {
         // approaches the 512 GB limit. Table 3's "45.75 GB" and Table 4's
         // 45.84 GB are the same quantity.
         let spec = DatasetSpec::get(DatasetKind::Pems);
-        let host = MemPool::new("host", 512 * GIB, PoolMode::Virtual);
+        let host = MemPool::new("host", 512 * GIB);
         let mut tl = MemTimeline::new("index");
         let r = index_replay(&spec, &host, &mut tl, 8);
         assert!(r.oom.is_none());
@@ -237,8 +236,8 @@ mod tests {
     fn gpu_index_replay_matches_table4() {
         // Table 4: GPU-index-batching: CPU 18.20 GB, GPU 18.60 GB.
         let spec = DatasetSpec::get(DatasetKind::Pems);
-        let host = MemPool::new("host", 512 * GIB, PoolMode::Virtual);
-        let device = MemPool::new("gpu0", 40 * GIB, PoolMode::Virtual);
+        let host = MemPool::new("host", 512 * GIB);
+        let device = MemPool::new("gpu0", 40 * GIB);
         let mut tl = MemTimeline::new("gpu-index");
         let r = gpu_index_replay(&spec, &host, &device, &mut tl, 8, GIB);
         assert!(r.oom.is_none());
@@ -260,8 +259,8 @@ mod tests {
         // A hypothetical 4× PeMS would blow the 40 GB A100.
         let mut spec = DatasetSpec::get(DatasetKind::Pems);
         spec.nodes *= 4;
-        let host = MemPool::new("host", 512 * GIB, PoolMode::Virtual);
-        let device = MemPool::new("gpu0", 40 * GIB, PoolMode::Virtual);
+        let host = MemPool::new("host", 512 * GIB);
+        let device = MemPool::new("gpu0", 40 * GIB);
         let mut tl = MemTimeline::new("gpu-index-4x");
         let r = gpu_index_replay(&spec, &host, &device, &mut tl, 8, GIB);
         assert!(r.oom.is_some(), "4x PeMS must not fit on a 40 GB device");
@@ -272,7 +271,7 @@ mod tests {
         // §5.1: index-batching "enables training on large datasets even on
         // commodity devices" — PeMS under a 64 GB workstation budget.
         let spec = DatasetSpec::get(DatasetKind::Pems);
-        let host = MemPool::new("workstation", 64 * GIB, PoolMode::Virtual);
+        let host = MemPool::new("workstation", 64 * GIB);
         let mut tl = MemTimeline::new("commodity");
         let r = index_replay(&spec, &host, &mut tl, 8);
         assert!(r.oom.is_none(), "PeMS + index-batching must fit in 64 GB");

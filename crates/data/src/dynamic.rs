@@ -143,7 +143,7 @@ pub fn synthetic_dynamic_traffic(
 /// Entry 0 is `base`; entry `t` applies `deltas[t-1]` on top of entry
 /// `t-1`, writing each `(u, v, w)` to both directions. Empty deltas
 /// *clone* the previous entry, so frozen stretches share one weight
-/// buffer and `partition_timeline`'s `same_topology` check is O(1) there.
+/// buffer and [`Adjacency::same_topology`] is O(1) there.
 /// The signal tensor has a fixed node count, so deltas must not add nodes.
 pub fn dynamic_signal_from_deltas(
     base: &Adjacency,

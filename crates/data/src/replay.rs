@@ -143,12 +143,11 @@ pub fn standard_replay(
 mod tests {
     use super::*;
     use crate::datasets::DatasetKind;
-    use st_device::memory::PoolMode;
     use st_device::GIB;
 
     fn run(kind: DatasetKind, variant: LoaderVariant) -> (ReplayReport, MemTimeline) {
         let spec = DatasetSpec::get(kind);
-        let pool = MemPool::new("host", 512 * GIB, PoolMode::Virtual);
+        let pool = MemPool::new("host", 512 * GIB);
         let mut tl = MemTimeline::new(spec.name);
         let report = standard_replay(&spec, variant, &pool, &mut tl, 8);
         (report, tl)

@@ -2,23 +2,16 @@
 //!
 //! Calibrated to the paper's platform (§3.1): A100 GPUs, PCIe Gen4 host
 //! links, NVLink within a node, Slingshot-11 between nodes, and a Lustre
-//! parallel filesystem whose bandwidth fluctuates (the paper observed
-//! preprocessing I/O varying between ~10 and ~40 s — §5.3.1). Absolute
-//! seconds are projections, but the *ratios* between compute, transfer and
-//! network terms are what shape Figs 7 and 9, and those come from the
-//! relative magnitudes of these constants.
+//! parallel filesystem read at its mean bandwidth. Absolute seconds are
+//! projections, but the *ratios* between compute, transfer and network
+//! terms are what shape Figs 7 and 9, and those come from the relative
+//! magnitudes of these constants.
 
 /// Cost-model constants (all rates are "effective", not peak).
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// GPU FP32 throughput for GEMM-like kernels, FLOP/s.
     pub gpu_flops: f64,
-    /// GPU memory bandwidth for elementwise kernels, bytes/s.
-    pub gpu_membw: f64,
-    /// CPU throughput, FLOP/s (used when the workflow stays host-side).
-    pub cpu_flops: f64,
-    /// CPU memory bandwidth, bytes/s.
-    pub cpu_membw: f64,
     /// Host ↔ device transfer bandwidth (PCIe Gen4 x16), bytes/s.
     pub pcie_bw: f64,
     /// Per-transfer launch latency, seconds.
@@ -31,8 +24,6 @@ pub struct CostModel {
     pub network_latency: f64,
     /// Parallel filesystem read bandwidth, bytes/s (mean).
     pub pfs_read_bw: f64,
-    /// Fixed per-kernel launch overhead, seconds.
-    pub kernel_latency: f64,
 }
 
 impl Default for CostModel {
@@ -46,42 +37,13 @@ impl CostModel {
     pub fn polaris() -> Self {
         CostModel {
             gpu_flops: 14.0e12,
-            gpu_membw: 1.3e12,
-            cpu_flops: 1.0e12,
-            cpu_membw: 120.0e9,
             pcie_bw: 24.0e9,
             pcie_latency: 10e-6,
             nvlink_bw: 250.0e9,
             network_bw: 22.0e9,
             network_latency: 2.5e-6,
             pfs_read_bw: 2.5e9,
-            kernel_latency: 6e-6,
         }
-    }
-
-    /// Seconds for a dense `[m,k] @ [k,n]` GEMM on the GPU.
-    pub fn gemm(&self, m: usize, k: usize, n: usize) -> f64 {
-        let flops = 2.0 * m as f64 * k as f64 * n as f64;
-        self.kernel_latency + flops / self.gpu_flops
-    }
-
-    /// Seconds for a dense GEMM on the CPU.
-    pub fn gemm_cpu(&self, m: usize, k: usize, n: usize) -> f64 {
-        let flops = 2.0 * m as f64 * k as f64 * n as f64;
-        flops / self.cpu_flops
-    }
-
-    /// Seconds for a sparse×dense product with `nnz` non-zeros and `n`
-    /// output columns (memory-bound: 2 reads + 1 FMA per nnz per column).
-    pub fn spmm(&self, nnz: usize, n: usize) -> f64 {
-        let bytes = (nnz * n * 12) as f64; // value + col index + output traffic
-        self.kernel_latency + bytes / self.gpu_membw
-    }
-
-    /// Seconds for an elementwise pass over `n` scalars on the GPU
-    /// (memory-bound: read + write).
-    pub fn elementwise(&self, n: usize) -> f64 {
-        self.kernel_latency + (n * 8) as f64 / self.gpu_membw
     }
 
     /// Seconds to move `bytes` host → device (or back) over PCIe.
@@ -119,11 +81,10 @@ impl CostModel {
         2.0 * self.network_latency + bytes as f64 / bw
     }
 
-    /// Seconds to read `bytes` from the parallel filesystem, with an
-    /// optional multiplicative jitter factor (the paper's observed I/O
-    /// variability; pass 1.0 for the mean).
-    pub fn pfs_read(&self, bytes: u64, jitter: f64) -> f64 {
-        bytes as f64 / self.pfs_read_bw * jitter.max(0.1)
+    /// Seconds to read `bytes` from the parallel filesystem at its mean
+    /// bandwidth.
+    pub fn pfs_read(&self, bytes: u64) -> f64 {
+        bytes as f64 / self.pfs_read_bw
     }
 
     /// Modeled `(fetch, compute)` seconds for one serving micro-batch:
@@ -159,20 +120,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gemm_scales_with_flops() {
-        let cm = CostModel::polaris();
-        let t1 = cm.gemm(1024, 1024, 1024);
-        let t2 = cm.gemm(2048, 1024, 1024);
-        assert!(t2 > t1 * 1.8 && t2 < t1 * 2.2, "roughly linear in m");
-    }
-
-    #[test]
-    fn gpu_beats_cpu_on_gemm() {
-        let cm = CostModel::polaris();
-        assert!(cm.gemm(512, 512, 512) < cm.gemm_cpu(512, 512, 512));
-    }
 
     #[test]
     fn h2d_dominated_by_bandwidth_for_large_buffers() {
@@ -226,10 +173,15 @@ mod tests {
     }
 
     #[test]
-    fn pfs_jitter_scales_time() {
+    fn pfs_read_is_linear_in_bytes() {
         let cm = CostModel::polaris();
-        let fast = cm.pfs_read(10 << 30, 0.5);
-        let slow = cm.pfs_read(10 << 30, 2.0);
-        assert!((slow / fast - 4.0).abs() < 1e-6);
+        assert_eq!(cm.pfs_read(0), 0.0);
+        assert_eq!(cm.pfs_read(5_000_000_000), 2.0, "5 GB at 2.5 GB/s");
+        let one = cm.pfs_read(10 << 30);
+        assert_eq!(
+            cm.pfs_read(20 << 30),
+            2.0 * one,
+            "twice the bytes, twice the time"
+        );
     }
 }

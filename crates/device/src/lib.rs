@@ -3,11 +3,10 @@
 //! Simulated device substrate replacing the paper's physical Polaris node
 //! (AMD EPYC host + 4×NVIDIA A100) with an analytically modeled one:
 //!
-//! - [`memory`] — capacity-limited, peak-tracked memory pools with **real**
-//!   and **virtual** accounting modes. Virtual mode registers byte counts
-//!   without touching RAM, which is how this repo reproduces the paper's
-//!   512 GB-host OOM crashes (Figs 2 and 6) for the 419.46 GB preprocessed
-//!   PeMS dataset on a 21 GB container.
+//! - [`memory`] — capacity-limited, peak-tracked memory pools that register
+//!   byte counts without touching RAM, which is how this repo reproduces
+//!   the paper's 512 GB-host OOM crashes (Figs 2 and 6) for the 419.46 GB
+//!   preprocessed PeMS dataset on a 21 GB container.
 //! - [`clock`] — a simulated clock accumulating modeled seconds.
 //! - [`costmodel`] — analytic compute / transfer / network / IO costs
 //!   calibrated to A100-, PCIe-, NVLink- and Slingshot-class constants.
@@ -29,7 +28,7 @@ pub mod transfer;
 pub use clock::SimClock;
 pub use costmodel::CostModel;
 pub use device::GIB;
-pub use memory::{AllocError, Allocation, MemPool, PoolMode};
+pub use memory::{AllocError, Allocation, MemPool};
 pub use overlap::{OverlapLedger, StreamId};
 pub use profiler::{KernelSplit, MemTimeline};
 pub use transfer::TransferLedger;

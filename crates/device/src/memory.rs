@@ -1,26 +1,15 @@
 //! Capacity-limited, peak-tracked memory pools.
 //!
 //! A [`MemPool`] accounts every allocation against a device's capacity and
-//! records the high-water mark. In [`PoolMode::Virtual`] the pool *only*
-//! accounts — no RAM is touched — which lets the harness replay the paper's
-//! full-scale preprocessing (419.46 GB for PeMS) on a small container and
-//! reproduce the OOM crashes of Figs 2 and 6 exactly.
+//! records the high-water mark. The pool *only* accounts — no RAM is
+//! touched — which lets the harness replay the paper's full-scale
+//! preprocessing (419.46 GB for PeMS) on a small container and reproduce
+//! the OOM crashes of Figs 2 and 6 exactly.
 //!
 //! Allocations are RAII guards: dropping an [`Allocation`] returns its bytes
 //! to the pool, so peak tracking follows real object lifetimes.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Whether a pool actually backs allocations or only accounts for them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolMode {
-    /// Accounting only. Allocation never touches RAM; used to replay
-    /// paper-scale workloads on small machines.
-    Virtual,
-    /// Accounting for real buffers that live elsewhere (the pool still does
-    /// not own memory, but callers allocate real tensors alongside).
-    Real,
-}
 
 /// Error returned when an allocation would exceed the pool capacity —
 /// the simulated equivalent of the paper's OOM crashes.
@@ -59,7 +48,6 @@ struct PoolInner {
     capacity: u64,
     in_use: u64,
     peak: u64,
-    mode: PoolMode,
 }
 
 /// A shared, thread-safe memory pool.
@@ -70,14 +58,13 @@ pub struct MemPool {
 
 impl MemPool {
     /// Create a pool with the given capacity.
-    pub fn new(label: impl Into<String>, capacity: u64, mode: PoolMode) -> Self {
+    pub fn new(label: impl Into<String>, capacity: u64) -> Self {
         MemPool {
             inner: Arc::new(Mutex::new(PoolInner {
                 label: label.into(),
                 capacity,
                 in_use: 0,
                 peak: 0,
-                mode,
             })),
         }
     }
@@ -89,18 +76,20 @@ impl MemPool {
     }
 
     /// Allocate `bytes`; fails with [`AllocError`] when capacity would be
-    /// exceeded. The returned guard frees the bytes on drop.
+    /// exceeded (a request too large to add to the bytes in use exceeds it
+    /// too). The returned guard frees the bytes on drop.
     pub fn alloc(&self, bytes: u64) -> Result<Allocation, AllocError> {
         let mut inner = self.lock();
-        if inner.in_use + bytes > inner.capacity {
+        let fits = inner.in_use.checked_add(bytes);
+        let Some(in_use) = fits.filter(|&total| total <= inner.capacity) else {
             return Err(AllocError {
                 requested: bytes,
                 in_use: inner.in_use,
                 capacity: inner.capacity,
                 pool: inner.label.clone(),
             });
-        }
-        inner.in_use += bytes;
+        };
+        inner.in_use = in_use;
         inner.peak = inner.peak.max(inner.in_use);
         Ok(Allocation {
             pool: self.clone(),
@@ -136,16 +125,6 @@ impl MemPool {
         self.lock().capacity
     }
 
-    /// The pool's accounting mode.
-    pub fn mode(&self) -> PoolMode {
-        self.lock().mode
-    }
-
-    /// Pool label.
-    pub fn label(&self) -> String {
-        self.lock().label.clone()
-    }
-
     /// Peak usage in GiB (for reports).
     pub fn peak_gib(&self) -> f64 {
         self.peak() as f64 / GIB
@@ -178,7 +157,7 @@ mod tests {
 
     #[test]
     fn alloc_free_tracks_usage_and_peak() {
-        let pool = MemPool::new("host", 1000, PoolMode::Virtual);
+        let pool = MemPool::new("host", 1000);
         let a = pool.alloc(400).unwrap();
         let b = pool.alloc(500).unwrap();
         assert_eq!(pool.in_use(), 900);
@@ -191,7 +170,7 @@ mod tests {
 
     #[test]
     fn oom_when_capacity_exceeded() {
-        let pool = MemPool::new("host", 100, PoolMode::Virtual);
+        let pool = MemPool::new("host", 100);
         let _a = pool.alloc(80).unwrap();
         let err = pool.alloc(30).unwrap_err();
         assert_eq!(err.requested, 30);
@@ -202,12 +181,23 @@ mod tests {
     }
 
     #[test]
+    fn oversized_request_is_refused_not_wrapped() {
+        let pool = MemPool::new("host", 100);
+        let _a = pool.alloc(80).unwrap();
+        let err = pool.alloc(u64::MAX).unwrap_err();
+        assert_eq!(err.requested, u64::MAX);
+        assert_eq!(err.in_use, 80);
+        assert_eq!(pool.in_use(), 80);
+        assert_eq!(pool.peak(), 80);
+    }
+
+    #[test]
     fn paper_scale_pems_oom_on_512gb_host() {
         // PeMS grows to 419.46 GB *after* preprocessing while the original
         // ~8.71 GB copy is still resident (Table 1) — together they exceed
         // the 512 GB Polaris node, which is exactly the crash in Fig. 2.
         let gib = 1u64 << 30;
-        let host = MemPool::new("polaris-host", 512 * gib, PoolMode::Virtual);
+        let host = MemPool::new("polaris-host", 512 * gib);
         let original = host.alloc((8.71 * gib as f64) as u64).unwrap();
         let preprocessed = host.alloc((419.46 * gib as f64) as u64);
         assert!(preprocessed.is_ok(), "the materialized arrays alone fit");
@@ -219,7 +209,7 @@ mod tests {
 
     #[test]
     fn untracked_alloc_requires_manual_free() {
-        let pool = MemPool::new("host", 100, PoolMode::Virtual);
+        let pool = MemPool::new("host", 100);
         pool.alloc_untracked(60).unwrap();
         assert_eq!(pool.in_use(), 60);
         pool.free(60);
@@ -228,7 +218,7 @@ mod tests {
 
     #[test]
     fn pools_are_shared_across_clones() {
-        let pool = MemPool::new("host", 100, PoolMode::Virtual);
+        let pool = MemPool::new("host", 100);
         let clone = pool.clone();
         let _a = pool.alloc(50).unwrap();
         assert_eq!(clone.in_use(), 50);

@@ -135,11 +135,10 @@ impl MemTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::PoolMode;
 
     #[test]
     fn samples_track_pool_usage() {
-        let pool = MemPool::new("host", 1000, PoolMode::Virtual);
+        let pool = MemPool::new("host", 1000);
         let mut tl = MemTimeline::new("test");
         tl.sample(0.0, &pool);
         let _a = pool.alloc(600).unwrap();

@@ -13,13 +13,10 @@
 //! asked for are read from the store's spill file — the store quotes the
 //! file bytes it read and fetches convert them to modeled PFS seconds, so
 //! the engine's prefetch overlap can hide file IO the same way it hides
-//! network time. Remote payloads can additionally be
-//! wire-compressed with a [`WireCodec`] (honestly transcoded and
-//! ledger-accounted at encoded size; lossless by default).
+//! network time. Fetches return the store's rows as read.
 
 use crate::shuffle::contiguous_partition;
 use crate::topology::ClusterTopology;
-use crate::wire::WireCodec;
 use st_data::storage::{RowStore, SignalStorage};
 use st_device::CostModel;
 use st_tensor::Tensor;
@@ -74,7 +71,6 @@ pub struct DistributedArray {
     topology: ClusterTopology,
     elem_bytes: usize,
     policy: PartitionPolicy,
-    wire: WireCodec,
     remote_bytes: AtomicU64,
     remote_requests: AtomicU64,
 }
@@ -112,19 +108,16 @@ impl DistributedArray {
             topology,
             elem_bytes,
             policy,
-            WireCodec::Lossless,
         )
     }
 
-    /// Fully general constructor: any storage backend, any ownership
-    /// policy, any wire codec.
+    /// Fully general constructor: any storage backend and ownership policy.
     pub fn with_storage(
         store: SignalStorage,
         world: usize,
         topology: ClusterTopology,
         elem_bytes: usize,
         policy: PartitionPolicy,
-        wire: WireCodec,
     ) -> Arc<Self> {
         assert!(world > 0, "world must be positive");
         assert!(
@@ -137,7 +130,6 @@ impl DistributedArray {
             topology,
             elem_bytes,
             policy,
-            wire,
             remote_bytes: AtomicU64::new(0),
             remote_requests: AtomicU64::new(0),
         })
@@ -148,7 +140,7 @@ impl DistributedArray {
         self.store.rows()
     }
 
-    /// Modeled bytes of one (uncompressed) row.
+    /// Modeled bytes of one row.
     pub fn row_bytes(&self) -> u64 {
         (self.store.row_width() * self.elem_bytes) as u64
     }
@@ -158,19 +150,13 @@ impl DistributedArray {
         &self.store
     }
 
-    /// The wire codec remote payloads travel under.
-    pub fn wire_codec(&self) -> WireCodec {
-        self.wire
-    }
-
     /// The contiguous row range rank `rank` owns (meaningful for the
     /// contiguous policy; strided owners interleave).
     pub fn partition(&self, rank: usize) -> Range<usize> {
         contiguous_partition(self.rows(), self.world, rank)
     }
 
-    /// Total remote payload bytes fetched so far, across all ranks (encoded
-    /// size under a lossy wire codec).
+    /// Total remote payload bytes fetched so far, across all ranks.
     pub fn remote_bytes(&self) -> u64 {
         self.remote_bytes.load(Ordering::Relaxed)
     }
@@ -181,8 +167,7 @@ impl DistributedArray {
     }
 
     /// Request-batch `row_iter`'s remote rows — one modeled message per
-    /// remote owner, priced at the wire codec's encoded size — onto the
-    /// ledger, returning the modeled seconds.
+    /// remote owner — onto the ledger, returning the modeled seconds.
     fn charge_owners(
         &self,
         rank: usize,
@@ -198,82 +183,18 @@ impl DistributedArray {
                 per_owner_rows[owner] += 1;
             }
         }
-        let width = self.store.row_width() as u64;
+        let row_bytes = self.row_bytes();
         let mut secs = 0.0;
         for (owner, &count) in per_owner_rows.iter().enumerate() {
             if count == 0 {
                 continue;
             }
-            let bytes = self
-                .wire
-                .payload_bytes(count, width, self.elem_bytes as u64);
+            let bytes = count * row_bytes;
             secs += cm.remote_fetch(bytes, self.topology.same_node(rank, owner));
             self.remote_bytes.fetch_add(bytes, Ordering::Relaxed);
             self.remote_requests.fetch_add(1, Ordering::Relaxed);
         }
         secs
-    }
-
-    /// Transcode the remote rows of a gathered batch through the wire
-    /// codec, one per-owner block at a time (matching the per-owner
-    /// messages the ledger charged). No-op under the lossless codec.
-    fn transcode_gather(&self, rank: usize, indices: &[usize], batch: Tensor) -> Tensor {
-        if self.wire.is_lossless() {
-            return batch;
-        }
-        let width = self.store.row_width();
-        let dims = batch.dims().to_vec();
-        let mut buf = batch.to_vec();
-        let rows = self.rows();
-        let mut per_owner: Vec<Vec<usize>> = vec![Vec::new(); self.world];
-        for (j, &idx) in indices.iter().enumerate() {
-            let owner = self.policy.owner_of(idx, rows, self.world);
-            if owner != rank {
-                per_owner[owner].push(j);
-            }
-        }
-        for group in per_owner.iter().filter(|g| !g.is_empty()) {
-            let mut block = Vec::with_capacity(group.len() * width);
-            for &j in group {
-                block.extend_from_slice(&buf[j * width..(j + 1) * width]);
-            }
-            self.wire.transcode_rows(&mut block, width);
-            for (k, &j) in group.iter().enumerate() {
-                buf[j * width..(j + 1) * width].copy_from_slice(&block[k * width..(k + 1) * width]);
-            }
-        }
-        Tensor::from_vec(buf, dims).expect("same numel")
-    }
-
-    /// Transcode the remote runs of a contiguous range read (maximal
-    /// same-owner stretches — the actual per-owner messages).
-    fn transcode_range(&self, rank: usize, range: &Range<usize>, view: Tensor) -> Tensor {
-        if self.wire.is_lossless() || range.is_empty() {
-            return view;
-        }
-        let width = self.store.row_width();
-        let dims = view.dims().to_vec();
-        let mut buf = view.to_vec();
-        let rows = self.rows();
-        let mut run_start = range.start;
-        let mut run_owner = self.policy.owner_of(range.start, rows, self.world);
-        let flush = |buf: &mut Vec<f32>, start: usize, end: usize, owner: usize| {
-            if owner != rank && end > start {
-                let lo = (start - range.start) * width;
-                let hi = (end - range.start) * width;
-                self.wire.transcode_rows(&mut buf[lo..hi], width);
-            }
-        };
-        for r in range.start + 1..range.end {
-            let owner = self.policy.owner_of(r, rows, self.world);
-            if owner != run_owner {
-                flush(&mut buf, run_start, r, run_owner);
-                run_start = r;
-                run_owner = owner;
-            }
-        }
-        flush(&mut buf, run_start, range.end, run_owner);
-        Tensor::from_vec(buf, dims).expect("same numel")
     }
 
     /// Gather `indices` rows for `rank`, recording remote traffic on the
@@ -291,9 +212,9 @@ impl DistributedArray {
         let mut secs = self.charge_owners(rank, indices.iter().copied(), cm);
         let (batch, io_bytes) = self.store.gather_rows_quoted(indices);
         if io_bytes > 0 {
-            secs += cm.pfs_read(io_bytes, 1.0);
+            secs += cm.pfs_read(io_bytes);
         }
-        (self.transcode_gather(rank, indices, batch), secs)
+        (batch, secs)
     }
 
     /// Read a contiguous row range (a partition plus its halo in the
@@ -301,8 +222,8 @@ impl DistributedArray {
     /// returning the rows plus the modeled seconds **without** charging any
     /// clock — bytes land on the ledger immediately, but the caller decides
     /// whether the time is paid synchronously or overlapped with compute
-    /// (the engine's setup prefetch). Under the in-memory backend and the
-    /// lossless codec the returned tensor is a zero-copy view.
+    /// (the engine's setup prefetch). Under the in-memory backend the
+    /// returned tensor is a zero-copy view.
     pub fn fetch_range_quoted(
         &self,
         rank: usize,
@@ -310,11 +231,11 @@ impl DistributedArray {
         cm: &CostModel,
     ) -> (Tensor, f64) {
         let mut secs = self.charge_owners(rank, range.clone(), cm);
-        let (view, io_bytes) = self.store.read_rows_quoted(range.clone());
+        let (view, io_bytes) = self.store.read_rows_quoted(range);
         if io_bytes > 0 {
-            secs += cm.pfs_read(io_bytes, 1.0);
+            secs += cm.pfs_read(io_bytes);
         }
-        (self.transcode_range(rank, &range, view), secs)
+        (view, secs)
     }
 }
 
@@ -338,7 +259,6 @@ mod tests {
             ClusterTopology::polaris(),
             4,
             PartitionPolicy::Contiguous,
-            WireCodec::Lossless,
         )
     }
 
@@ -360,7 +280,12 @@ mod tests {
         let cm = CostModel::polaris();
         // Rows 12..16 belong to rank 3; fetch them as rank 0.
         let (batch, secs) = a.fetch_rows_quoted(0, &[12, 13, 14, 15], &cm);
-        assert_eq!(batch.to_vec()[0], 36.0);
+        let want: Vec<f32> = (12 * 3..16 * 3).map(|v| v as f32).collect();
+        let got = batch.to_vec();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "remote rows arrive as stored");
+        }
         assert_eq!(a.remote_bytes(), 4 * 3 * 4);
         assert_eq!(
             a.remote_requests(),
@@ -480,58 +405,5 @@ mod tests {
         }
         // Network-ledger bytes are storage-invariant.
         assert_eq!(dense.remote_bytes(), chunked.remote_bytes());
-    }
-
-    #[test]
-    fn f16_wire_codec_halves_ledger_bytes() {
-        let t = Tensor::from_vec((0..16 * 3).map(|v| v as f32 * 0.5).collect(), [16, 3]).unwrap();
-        let mk = |wire| {
-            DistributedArray::with_storage(
-                SignalStorage::InMemory(t.clone()),
-                4,
-                ClusterTopology::polaris(),
-                4,
-                PartitionPolicy::Contiguous,
-                wire,
-            )
-        };
-        let raw = mk(WireCodec::Lossless);
-        let f16 = mk(WireCodec::F16);
-        let cm = CostModel::polaris();
-        let ids: Vec<usize> = (8..16).collect(); // all remote for rank 0
-        let (exact, _) = raw.fetch_rows_quoted(0, &ids, &cm);
-        let (coded, _) = f16.fetch_rows_quoted(0, &ids, &cm);
-        assert_eq!(f16.remote_bytes() * 2, raw.remote_bytes());
-        // Values really pass through the codec (but stay close).
-        for (a, b) in coded.to_vec().iter().zip(exact.to_vec().iter()) {
-            assert!((a - b).abs() <= b.abs() / 2048.0 + 1e-6);
-        }
-    }
-
-    #[test]
-    fn lossy_codec_leaves_local_rows_exact() {
-        let t = Tensor::from_vec((0..12 * 3).map(|v| v as f32 + 0.1).collect(), [12, 3]).unwrap();
-        let a = DistributedArray::with_storage(
-            SignalStorage::InMemory(t.clone()),
-            2,
-            ClusterTopology::polaris(),
-            4,
-            PartitionPolicy::Contiguous,
-            WireCodec::DeltaI8,
-        );
-        let cm = CostModel::polaris();
-        // Rank 0 owns 0..6: a straddling range keeps local rows bit-exact.
-        let (got, _) = a.fetch_range_quoted(0, 2..9, &cm);
-        let got = got.to_vec();
-        let want = t.to_vec();
-        for r in 2..6 {
-            for c in 0..3 {
-                assert_eq!(
-                    got[(r - 2) * 3 + c].to_bits(),
-                    want[r * 3 + c].to_bits(),
-                    "local row {r} must not be transcoded"
-                );
-            }
-        }
     }
 }

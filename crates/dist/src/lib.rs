@@ -29,9 +29,6 @@
 //! - [`staleness`] — [`staleness::StalenessWindow`]: the bounded-staleness
 //!   window over in-flight gradient collectives (apply-at-arrival with a
 //!   hard fence at age `s`; `s = 0` is the synchronous path).
-//! - [`wire`] — [`wire::WireCodec`]: optional compression of data-plane
-//!   payloads (f16 / entry-axis-delta i8), honestly transcoded and
-//!   ledger-accounted; lossless by default.
 
 pub mod datasvc;
 pub mod ddp;
@@ -39,7 +36,6 @@ pub mod launch;
 pub mod shuffle;
 pub mod staleness;
 pub mod topology;
-pub mod wire;
 
 pub use datasvc::{DistributedArray, PartitionPolicy};
 pub use ddp::{GradBuckets, DEFAULT_GRAD_BUCKET_BYTES};
@@ -47,4 +43,3 @@ pub use launch::{run_workers, Comm, CommHub, ReduceOp, Timing, WorkerCtx};
 pub use shuffle::ShuffleStrategy;
 pub use staleness::StalenessWindow;
 pub use topology::ClusterTopology;
-pub use wire::WireCodec;

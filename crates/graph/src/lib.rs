@@ -44,6 +44,6 @@ pub use csr::Csr;
 pub use generators::SensorNetwork;
 pub use partition::{
     GraphDelta, HaloCostModel, IncrementalConfig, IncrementalPartitioner, PartitionerKind,
-    Partitioning, RepartitionPolicy, SparseGraph, Subgraph,
+    Partitioning, SparseGraph, Subgraph,
 };
 pub use transition::{diffusion_supports, sym_norm_adjacency};

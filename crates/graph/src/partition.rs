@@ -49,8 +49,7 @@ mod cut_state;
 pub mod incremental;
 
 pub use incremental::{
-    GraphDelta, IncrementalConfig, IncrementalPartitioner, RepairStats, RepartitionPolicy,
-    SparseGraph,
+    GraphDelta, IncrementalConfig, IncrementalPartitioner, RepairStats, SparseGraph,
 };
 
 /// An assignment of every graph node to one of `k` parts.
@@ -464,8 +463,7 @@ const COARSEST: usize = 32;
 const INITIAL_SEEDS: usize = 4;
 
 /// The partitioner choice consumers thread through their configs
-/// (`pgt_index::PartitionedConfig::partitioner`,
-/// `pgt_index::DynamicTrainConfig::partitioner`): one tag per algorithm,
+/// (`pgt_index::PartitionedConfig::partitioner`): one tag per algorithm,
 /// run via [`PartitionerKind::partition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionerKind {

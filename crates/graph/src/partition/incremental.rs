@@ -1,9 +1,9 @@
 //! The undirected topology every partitioner runs on, and incremental
 //! dirty-boundary re-partitioning for dynamic graphs.
 //!
-//! The dynamic plane's `partition_timeline` historically re-ran the full
-//! multilevel partitioner on **every** graph mutation — fine at 325
-//! sensors, a wall at the 10⁵–10⁶-node city scale. Following DGC's
+//! Re-running the full multilevel partitioner on **every** graph mutation
+//! is fine at 325 sensors, a wall at the 10⁵–10⁶-node city scale.
+//! Following DGC's
 //! partitioning-by-chunks observation (dynamic partitions should be
 //! *repaired* locally around the mutated region, not rebuilt), this module
 //! maintains a partitioning **incrementally**:
@@ -21,10 +21,7 @@
 //!   their `halo_depth`-hop halo), prices every candidate move directly in
 //!   [`HaloCostModel`] units, and falls back to a full from-scratch solve
 //!   only when modeled halo bytes drift past [`IncrementalConfig::drift`]
-//!   versus the last full solve;
-//! - [`RepartitionPolicy`] — the consumer-facing knob
-//!   (`DynamicTrainConfig::repartition` threads it into
-//!   `partition_timeline`).
+//!   versus the last full solve.
 //!
 //! Cut state is exact at all times: `cut_neighbors()` returns in O(1) the
 //! same count `Partitioning::cut_neighbors` recomputes in O(E) — a
@@ -214,8 +211,8 @@ impl GraphDelta {
 
     /// The edge delta between two same-sized adjacencies, in the undirected
     /// convention of [`SparseGraph::from_adjacency`], ordered by `(i, j)`
-    /// with `i < j` — how `partition_timeline` turns a pair of consecutive
-    /// snapshots into a repairable mutation. `O(E)`.
+    /// with `i < j` — how a pair of consecutive snapshots becomes a
+    /// repairable mutation. `O(E)`.
     pub fn between(prev: &Adjacency, cur: &Adjacency) -> GraphDelta {
         let n = prev.num_nodes();
         assert_eq!(n, cur.num_nodes(), "adjacencies must match in size");
@@ -239,41 +236,6 @@ impl GraphDelta {
             added_nodes: 0,
             edges,
         }
-    }
-}
-
-/// How a dynamic-graph consumer maintains its partition across mutations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RepartitionPolicy {
-    /// Re-run the configured full partitioner on every mutation — the
-    /// legacy (bit-identical) path.
-    Full,
-    /// Repair the previous partition around the dirty boundary region,
-    /// falling back to a full rebuild only on quality drift.
-    Incremental {
-        /// Fallback threshold: rebuild from scratch once modeled halo
-        /// bytes exceed `(1 + drift) ×` the last full solve's.
-        drift: f64,
-        /// Hops of halo around mutated endpoints included in the
-        /// refinement's active set.
-        halo_depth: usize,
-    },
-}
-
-impl RepartitionPolicy {
-    /// The default incremental policy (10% drift, 2-hop dirty halo).
-    pub fn incremental() -> Self {
-        RepartitionPolicy::Incremental {
-            drift: 0.10,
-            halo_depth: 2,
-        }
-    }
-}
-
-impl Default for RepartitionPolicy {
-    /// The legacy full-rebuild path, so existing consumers are unchanged.
-    fn default() -> Self {
-        RepartitionPolicy::Full
     }
 }
 

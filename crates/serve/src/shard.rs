@@ -75,10 +75,6 @@ pub struct ServeConfig {
     /// invariant bitwise (pinned by the round-trip tests). Defaults to `false` — every batch pays its forward, the
     /// pre-cache behavior the serve benchmarks pin.
     pub forecast_cache: bool,
-    /// Live-ingest skew bound: a fast sensor may run at most this many
-    /// rows ahead of the slowest ([`crate::StreamIngest`]). Defaults to
-    /// the ring capacity — staging beyond a full ring is pathological.
-    pub max_skew: usize,
 }
 
 impl ServeConfig {
@@ -93,7 +89,6 @@ impl ServeConfig {
             backend: st_tensor::backend::active_backend(),
             slo: SloConfig::unbounded(),
             forecast_cache: false,
-            max_skew: capacity.max(1),
         }
     }
 }
@@ -275,10 +270,12 @@ impl BatchedServer {
             snapshot.config.input_dim,
             snapshot.scaler.clone(),
         );
+        // Live-ingest skew bound: a fast sensor may run at most a full
+        // ring ahead of the slowest — staging beyond that is pathological.
         let ingest = StreamIngest::new(
             snapshot.config.num_nodes,
             snapshot.config.input_dim,
-            cfg.max_skew.max(1),
+            cfg.capacity.max(1),
         );
         BatchedServer {
             snapshot,
@@ -316,7 +313,7 @@ impl BatchedServer {
         self.ingest = StreamIngest::with_start(
             self.window.num_nodes(),
             self.window.num_features(),
-            self.cfg.max_skew.max(1),
+            self.cfg.capacity.max(1),
             self.window.len(),
         );
     }

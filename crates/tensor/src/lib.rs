@@ -22,7 +22,6 @@
 //!   it and through nothing else.
 
 pub mod backend;
-pub mod half;
 pub mod le;
 pub mod ops;
 pub mod par;

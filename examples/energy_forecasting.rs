@@ -13,7 +13,7 @@ use pgt_i::core::IndexDataset;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
-use pgt_i::device::memory::{MemPool, PoolMode};
+use pgt_i::device::memory::MemPool;
 use pgt_i::device::{CostModel, SimClock};
 use pgt_i::graph::diffusion_supports;
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
@@ -29,7 +29,7 @@ fn main() {
     let ds = IndexDataset::from_signal(&sig, spec.horizon, SplitRatios::default(), None);
 
     // Place the whole standardized dataset on a simulated 40 GB device.
-    let device = MemPool::new("gpu0", 40 << 30, PoolMode::Virtual);
+    let device = MemPool::new("gpu0", 40 << 30);
     let placed = GpuIndexDataset::place(
         ds,
         Residency::Device,

@@ -7,7 +7,7 @@ use pgt_i::core::memory_model::{
 use pgt_i::core::standard_preprocess_bytes;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::replay::{standard_replay, LoaderVariant};
-use pgt_i::device::memory::{MemPool, PoolMode};
+use pgt_i::device::memory::MemPool;
 use pgt_i::device::profiler::MemTimeline;
 use pgt_i::device::GIB;
 
@@ -49,7 +49,7 @@ fn fig2_oom_matrix() {
     for (kind, expect_oom) in [(DatasetKind::PemsAllLa, false), (DatasetKind::Pems, true)] {
         for variant in [LoaderVariant::Pgt, LoaderVariant::DcrnnPadded] {
             let spec = DatasetSpec::get(kind);
-            let pool = MemPool::new("host", 512 * GIB, PoolMode::Virtual);
+            let pool = MemPool::new("host", 512 * GIB);
             let mut tl = MemTimeline::new("t");
             let r = standard_replay(&spec, variant, &pool, &mut tl, 8);
             assert_eq!(
@@ -68,7 +68,7 @@ fn fig2_oom_matrix() {
 fn table2_host_peaks() {
     let spec = DatasetSpec::get(DatasetKind::PemsAllLa);
     let peak = |variant| {
-        let pool = MemPool::new("host", 512 * GIB, PoolMode::Virtual);
+        let pool = MemPool::new("host", 512 * GIB);
         let mut tl = MemTimeline::new("t");
         standard_replay(&spec, variant, &pool, &mut tl, 8).peak_bytes
     };
@@ -82,7 +82,7 @@ fn table2_host_peaks() {
 #[test]
 fn fig6_and_table4_memory_points() {
     let spec = DatasetSpec::get(DatasetKind::Pems);
-    let host = MemPool::new("host", 512 * GIB, PoolMode::Virtual);
+    let host = MemPool::new("host", 512 * GIB);
     let mut tl = MemTimeline::new("idx");
     let idx = index_replay(&spec, &host, &mut tl, 8);
     assert!(idx.oom.is_none());
@@ -92,8 +92,8 @@ fn fig6_and_table4_memory_points() {
         gib(idx.peak_host)
     );
 
-    let host = MemPool::new("host", 512 * GIB, PoolMode::Virtual);
-    let dev = MemPool::new("gpu", 40 * GIB, PoolMode::Virtual);
+    let host = MemPool::new("host", 512 * GIB);
+    let dev = MemPool::new("gpu", 40 * GIB);
     let mut tl = MemTimeline::new("gidx");
     let gidx = gpu_index_replay(&spec, &host, &dev, &mut tl, 8, GIB);
     assert!(gidx.oom.is_none());

@@ -350,23 +350,3 @@ fn dynamic_plane_is_bitwise_storage_invariant() {
         );
     }
 }
-
-#[test]
-fn wire_codecs_shrink_the_ledger_without_breaking_training() {
-    let (spec, sig) = setup();
-    let mut cfg = DistConfig::new(2, 2, spec.horizon);
-    cfg.batch_per_worker = 4;
-    let raw = run_baseline_ddp(&sig, &cfg, |_| ddp_model(&sig, spec.horizon));
-    use pgt_i::dist::WireCodec::{DeltaI8, F16};
-    for (codec, max_drift) in [(F16, 0.05), (DeltaI8, 0.25)] {
-        cfg.wire_codec = codec;
-        let run = run_baseline_ddp(&sig, &cfg, |_| ddp_model(&sig, spec.horizon));
-        let (bytes, lossless) = (run.data_plane_bytes, raw.data_plane_bytes);
-        assert!(bytes * 2 <= lossless, "{codec:?} at least halves it");
-        if codec == F16 {
-            assert_eq!(bytes * 2, lossless, "F16 halves every payload exactly");
-        }
-        let drift = (run.best_val_mae() - raw.best_val_mae()).abs() / raw.best_val_mae().max(1e-6);
-        assert!(drift < max_drift, "{codec:?} val-MAE drift {drift}");
-    }
-}

@@ -1,16 +1,11 @@
 //! Property-based tests for incremental dirty-boundary re-partitioning:
 //! empty deltas are bit-identical no-ops, repairs hold balance and exact
-//! cut state across arbitrary mutation sequences, the drift invariant
-//! bounds modeled halo bytes, and the timeline's incremental policy agrees
-//! with the legacy full path on segment structure.
+//! cut state across arbitrary mutation sequences, and the drift invariant
+//! bounds modeled halo bytes.
 
-use pgt_i::core::dynamic_index::{partition_timeline, partition_timeline_with};
-use pgt_i::data::dynamic::{dynamic_signal_from_deltas, DynamicGraphTemporalSignal};
 use pgt_i::graph::partition::incremental::{
-    GraphDelta, IncrementalConfig, IncrementalPartitioner, RepartitionPolicy, SparseGraph,
+    GraphDelta, IncrementalConfig, IncrementalPartitioner, SparseGraph,
 };
-use pgt_i::graph::PartitionerKind;
-use pgt_i::tensor::Tensor;
 use proptest::prelude::*;
 use proptest::strategy::Just;
 
@@ -163,53 +158,5 @@ proptest! {
                 stats.halo_bytes, fresh.halo_bytes()
             );
         }
-    }
-
-    /// The incremental timeline policy produces the same segment
-    /// boundaries as the legacy full path, seeds entry 0 identically, and
-    /// a delta-free (frozen) timeline yields exactly one shared segment.
-    #[test]
-    fn timeline_policies_agree_on_structure(
-        nodes in 4usize..8,
-        frozen_len in 3usize..7,
-        seed in any::<u64>(),
-    ) {
-        let net = pgt_i::graph::generators::highway_corridor(nodes, 1, seed);
-        // Frozen stretch: cloned adjacencies share one buffer.
-        let frozen = DynamicGraphTemporalSignal::new(
-            Tensor::zeros([frozen_len, nodes, 1]),
-            vec![net.adjacency.clone(); frozen_len],
-        );
-        for policy in [RepartitionPolicy::Full, RepartitionPolicy::incremental()] {
-            let segs = partition_timeline_with(
-                &frozen, 2, PartitionerKind::Multilevel, 2, policy,
-            );
-            prop_assert_eq!(segs.len(), 1, "frozen topology: one segment");
-        }
-        // A mutating chain: both policies re-partition at the same entries
-        // and agree on the entry-0 solve.
-        let deltas = vec![
-            GraphDelta { added_nodes: 0, edges: vec![(0, nodes - 1, 0.9)] },
-            GraphDelta { added_nodes: 0, edges: vec![] },
-            GraphDelta { added_nodes: 0, edges: vec![(0, nodes - 1, 0.0)] },
-        ];
-        let sig = dynamic_signal_from_deltas(
-            &net.adjacency,
-            &deltas,
-            Tensor::zeros([4, nodes, 1]),
-        );
-        let full = partition_timeline(&sig, 2, PartitionerKind::Multilevel, 2);
-        let inc = partition_timeline_with(
-            &sig, 2, PartitionerKind::Multilevel, 2, RepartitionPolicy::incremental(),
-        );
-        prop_assert_eq!(full.len(), 3, "entry 0 + two real mutations");
-        prop_assert_eq!(inc.len(), full.len());
-        for (a, b) in inc.iter().zip(&full) {
-            prop_assert_eq!(a.start_entry, b.start_entry);
-        }
-        prop_assert_eq!(
-            inc[0].partitioning.assignment(),
-            full[0].partitioning.assignment()
-        );
     }
 }
