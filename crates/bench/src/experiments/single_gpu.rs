@@ -2,11 +2,9 @@
 //! real on scaled synthetic data. Accuracy and wall seconds are `measured`;
 //! the memory columns are the paper-scale analytic eq. (1)/eq. (2) values.
 
-use pgt_index::trainer::{
-    BatchSource, MaterializedDataset, Trainer, TrainerConfig, TrainingHistory,
-};
+use pgt_index::trainer::{BatchSource, MaterializedDataset, Trainer};
 use pgt_index::workflow::{prepare_single_gpu, Batching};
-use pgt_index::IndexDataset;
+use pgt_index::{DistConfig, EngineReport, IndexDataset};
 use st_autograd::loss::mse_metric;
 use st_autograd::Tape;
 use st_data::datasets::{DatasetKind, DatasetSpec};
@@ -39,7 +37,7 @@ fn steady_memory(spec: &DatasetSpec) -> (u64, u64) {
 }
 
 /// One seeded single-GPU PGT-DCRNN training at the mode's scale.
-fn train(ctx: &Ctx, kind: DatasetKind, batching: Batching, seed: u64) -> TrainingHistory {
+fn train(ctx: &Ctx, kind: DatasetKind, batching: Batching, seed: u64) -> EngineReport {
     let run = prepare_single_gpu(kind, ctx.scale.measure_scale, batching, 16, seed);
     let batch = run.spec.batch_size.min(16);
     run.train(ctx.scale.measure_epochs, batch, 0.01)
@@ -168,20 +166,12 @@ pub fn fig5(ctx: &Ctx) -> RecordSet {
 
 /// Train, then (wall seconds, test MSE in standardized units — as
 /// A3T-GCN's example reports).
-fn table6_run(source: &dyn BatchSource, model: &A3tGcn, epochs: usize, batch: usize) -> (f64, f32) {
-    let trainer = Trainer::new(TrainerConfig {
-        epochs,
-        batch_size: batch,
-        lr: 0.01,
-        seed: SEED,
-        validate: false,
-        grad_clip: Some(5.0),
-    });
+fn table6_run(source: &dyn BatchSource, model: &A3tGcn, trainer: &Trainer) -> (f64, f32) {
     let h = trainer.train(model, source);
     let ids: Vec<usize> = source.splits().test.clone().collect();
     let mut mse_sum = 0.0f64;
     let mut n = 0usize;
-    for chunk in ids.chunks(batch) {
+    for chunk in ids.chunks(trainer.cfg.batch_per_worker) {
         let (x, y) = source.get_batch(chunk);
         let target = y.narrow(3, 0, 1).unwrap().contiguous();
         let tape = Tape::new();
@@ -215,16 +205,21 @@ pub fn table6(ctx: &Ctx) -> RecordSet {
             SEED,
         )
     };
-    let epochs = ctx.scale.measure_epochs.min(8);
-    let batch = 16;
+    let mut cfg = DistConfig::new(1, ctx.scale.measure_epochs.min(8), spec.horizon);
+    cfg.batch_per_worker = 16;
+    cfg.seed = SEED;
+    let trainer = Trainer {
+        validate: false,
+        ..Trainer::new(cfg)
+    };
 
     let aug = sig.with_time_feature(spec.period);
     let base_src =
         MaterializedDataset::new(materialized_xy(&aug, spec.horizon, SplitRatios::default()));
-    let (base_runtime, base_mse) = table6_run(&base_src, &mk_model(), epochs, batch);
+    let (base_runtime, base_mse) = table6_run(&base_src, &mk_model(), &trainer);
     let index_src =
         IndexDataset::from_signal(sig, spec.horizon, SplitRatios::default(), Some(spec.period));
-    let (index_runtime, index_mse) = table6_run(&index_src, &mk_model(), epochs, batch);
+    let (index_runtime, index_mse) = table6_run(&index_src, &mk_model(), &trainer);
 
     // Paper-scale memory: full METR-LA footprints.
     let (base_mem, index_mem) = steady_memory(&DatasetSpec::get(DatasetKind::MetrLa));

@@ -13,7 +13,6 @@
 //! remote-traffic ledger.
 
 use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch};
-use crate::trainer::BatchSource;
 use st_data::preprocess::materialized_xy;
 use st_data::scaler::StandardScaler;
 use st_data::signal::StaticGraphTemporalSignal;
@@ -21,7 +20,6 @@ use st_data::splits::{SplitIndices, SplitRatios};
 use st_data::storage::SignalStorage;
 use st_dist::datasvc::DistributedArray;
 use st_models::Seq2Seq;
-use st_tensor::Tensor;
 
 use crate::dist_index::DistConfig;
 use std::sync::Arc;
@@ -63,40 +61,6 @@ impl DataSvcPlane {
             cost,
         }
     }
-
-    /// Fetch an x/y batch, quoting communication for remote rows (bytes
-    /// land on the shared ledger immediately).
-    pub fn fetch(&self, indices: &[usize]) -> (Tensor, Tensor, f64) {
-        let (x, sx) = self.x.fetch_rows_quoted(self.rank, indices, &self.cost);
-        let (y, sy) = self.y.fetch_rows_quoted(self.rank, indices, &self.cost);
-        (x, y, sx + sy)
-    }
-}
-
-/// [`BatchSource`] lets model factories inspect dims/splits and drive
-/// ad-hoc evaluation. **Timing caveat:** `get_batch` records remote bytes
-/// on the shared ledger but discards the quoted transfer seconds — the
-/// plane no longer holds a clock; inside the engine, fetch time is
-/// charged (or prefetch-hidden) by the epoch loop. Callers that need
-/// simulated fetch *time* outside the engine must use
-/// [`DataSvcPlane::fetch`] and charge the returned seconds themselves.
-impl BatchSource for DataSvcPlane {
-    fn num_snapshots(&self) -> usize {
-        self.x.rows()
-    }
-
-    fn splits(&self) -> &SplitIndices {
-        &self.splits
-    }
-
-    fn get_batch(&self, indices: &[usize]) -> (Tensor, Tensor) {
-        let (x, y, _) = self.fetch(indices);
-        (x, y)
-    }
-
-    fn scaler(&self) -> &StandardScaler {
-        &self.scaler
-    }
 }
 
 impl DistDataPlane for DataSvcPlane {
@@ -123,8 +87,15 @@ impl DistDataPlane for DataSvcPlane {
     }
 
     fn fetch_batch(&self, ids: &[usize]) -> Fetch {
-        let (x, y, secs) = self.fetch(ids);
-        Fetch { x, y, secs }
+        // Remote rows are quoted: bytes land on the shared ledger now,
+        // seconds are the engine's to charge or hide.
+        let (x, sx) = self.x.fetch_rows_quoted(self.rank, ids, &self.cost);
+        let (y, sy) = self.y.fetch_rows_quoted(self.rank, ids, &self.cost);
+        Fetch {
+            x,
+            y,
+            secs: sx + sy,
+        }
     }
 
     fn remote(&self) -> bool {

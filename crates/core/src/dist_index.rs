@@ -149,10 +149,11 @@ pub(crate) fn stored_as(
 }
 
 /// Per-epoch statistics of an engine run (rank-0 view; all ranks agree on
-/// the metrics, while the comm split below is rank 0's own accounting).
-/// The single-worker front ends ([`crate::trainer::Trainer`],
-/// [`crate::dynamic_index::train_dynamic`]) report the same struct, with
-/// `val_mae` taken from rank 0's own f64 sums.
+/// the metrics, while the comm split below is rank 0's own accounting):
+/// [`EngineReport::epochs`], the one per-epoch record of every runner. The
+/// single-worker entry points ([`crate::trainer::Trainer`],
+/// [`crate::dynamic_index::train_dynamic`]) take `val_mae` from rank 0's
+/// own f64 sums.
 #[derive(Debug, Clone, Copy)]
 pub struct DistEpochStats {
     /// Epoch index.
@@ -248,31 +249,28 @@ impl DistDataPlane for LocalCopyPlane {
         let train = self.ds.splits().train.clone();
         // Communication-free shuffling: shared-seed stripe or local
         // permutations, identical on every rank's derivation.
-        let my_ids: Vec<usize> = match self.shuffle {
-            ShuffleStrategy::Global => {
-                return engine::striped_plan(
-                    train, self.world, self.rank, self.seed, epoch, self.batch,
-                );
-            }
-            ShuffleStrategy::Local => {
-                let part = shuffle::contiguous_partition(train.len(), self.world, self.rank);
-                let ids: Vec<usize> = part.map(|i| train.start + i).collect();
-                shuffle::local_shuffle(&ids, self.seed, self.rank, epoch)
-            }
-            ShuffleStrategy::LocalBatch => {
-                let part = shuffle::contiguous_partition(train.len(), self.world, self.rank);
-                let ids: Vec<usize> = part.map(|i| train.start + i).collect();
-                let nb = ids.len().div_ceil(self.batch);
-                let order = shuffle::batch_order_shuffle(nb, self.seed, self.rank, epoch);
-                order
-                    .into_iter()
-                    .flat_map(|b| {
-                        ids[b * self.batch..((b + 1) * self.batch).min(ids.len())].to_vec()
-                    })
-                    .collect()
-            }
+        let own = || -> Vec<usize> {
+            shuffle::contiguous_partition(train.len(), self.world, self.rank)
+                .map(|i| train.start + i)
+                .collect()
         };
-        engine::chunk_ids(my_ids, self.batch)
+        match self.shuffle {
+            ShuffleStrategy::Global => engine::striped_plan(
+                train.clone(),
+                self.world,
+                self.rank,
+                self.seed,
+                epoch,
+                self.batch,
+            ),
+            ShuffleStrategy::Local => engine::chunk_ids(
+                shuffle::local_shuffle(&own(), self.seed, self.rank, epoch),
+                self.batch,
+            ),
+            ShuffleStrategy::LocalBatch => {
+                engine::batch_order_plan(own(), self.rank, self.seed, epoch, self.batch)
+            }
+        }
     }
 
     fn plan_val(&self) -> Vec<Vec<usize>> {
@@ -418,6 +416,32 @@ mod tests {
         ] {
             let r = run(2, s, 1);
             assert!(r.epochs[0].train_loss.is_finite(), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn local_batch_reorders_fixed_batches_and_never_recuts_them() {
+        // A 62-id partition at batch 4 ends in a partial batch; wherever
+        // the shuffle visits it, every other batch must keep its contents.
+        let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.35);
+        let sig = synthetic::generate(&spec, 21);
+        let mut cfg = DistConfig::new(2, 1, spec.horizon);
+        cfg.batch_per_worker = 4;
+        cfg.shuffle = ShuffleStrategy::LocalBatch;
+        for rank in 0..2 {
+            let plane = LocalCopyPlane::new(&sig, &cfg, rank, &CostModel::default());
+            let train = plane.dataset().splits().train.clone();
+            let own = shuffle::contiguous_partition(train.len(), 2, rank);
+            let fixed = engine::chunk_ids(own.map(|i| train.start + i).collect(), 4);
+            assert!(fixed.last().unwrap().len() < 4, "a partial batch exists");
+            let mut orders = std::collections::HashSet::new();
+            for epoch in 0..6 {
+                let mut plan = plane.plan_epoch(epoch);
+                orders.insert(plan.clone());
+                plan.sort();
+                assert_eq!(plan, fixed, "rank {rank} epoch {epoch} re-cut a batch");
+            }
+            assert!(orders.len() > 1, "the batch order must reshuffle");
         }
     }
 

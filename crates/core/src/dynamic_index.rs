@@ -15,6 +15,8 @@
 //! Training uses [`PgtDcrnn::forward_dynamic`], which swaps the diffusion
 //! operators per step while sharing gate weights across time.
 
+use crate::dist_index::DistConfig;
+use crate::engine::EngineReport;
 use st_data::dynamic::DynamicGraphTemporalSignal;
 use st_data::preprocess::num_snapshots;
 use st_data::scaler::StandardScaler;
@@ -197,39 +199,9 @@ impl DynamicIndexDataset {
     }
 }
 
-/// Configuration for dynamic-graph training.
-#[derive(Debug, Clone)]
-pub struct DynamicTrainConfig {
-    /// Epochs.
-    pub epochs: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Hidden width.
-    pub hidden: usize,
-    /// Diffusion steps K.
-    pub diffusion_steps: usize,
-    /// Seed for model init + shuffling.
-    pub seed: u64,
-    /// Gradient clip.
-    pub grad_clip: Option<f32>,
-    /// Storage backend for the standardized feature copy
-    /// ([`StorageSpec::Chunked`] reads each window straight from disk).
-    pub storage: StorageSpec,
-}
-
-impl Default for DynamicTrainConfig {
-    fn default() -> Self {
-        DynamicTrainConfig {
-            epochs: 3,
-            lr: 1e-2,
-            hidden: 8,
-            diffusion_steps: 2,
-            seed: 42,
-            grad_clip: Some(5.0),
-            storage: StorageSpec::InMemory,
-        }
-    }
-}
+/// Diffusion steps K of the dynamic model: every entry's supports reach K
+/// hops.
+const K: usize = 2;
 
 /// The §7 dynamic-graph data plane: zero-copy feature windows plus
 /// per-entry diffusion supports, visited one window at a time (each window
@@ -310,35 +282,37 @@ impl crate::engine::DistDataPlane for DynamicPlane {
     }
 }
 
-/// Train a PGT-DCRNN over a dynamic signal with index-batching, via the
-/// unified engine as a one-rank world.
+/// Train a PGT-DCRNN of width `hidden` over a dynamic signal with
+/// index-batching, via the unified engine as a world of one. Every batch
+/// is one window (dynamic windows cannot share a fused batch), so
+/// `cfg.world` and `cfg.batch_per_worker` are not read. The report's
+/// `epochs[].val_mae` comes from rank 0's own f64 validation sums.
 pub fn train_dynamic(
     signal: &DynamicGraphTemporalSignal,
-    horizon: usize,
-    cfg: &DynamicTrainConfig,
-) -> (PgtDcrnn, Vec<crate::dist_index::DistEpochStats>) {
+    hidden: usize,
+    cfg: &DistConfig,
+) -> (PgtDcrnn, EngineReport) {
     let ds = DynamicIndexDataset::from_signal_spec(
         signal,
-        horizon,
+        cfg.horizon,
         SplitRatios::default(),
-        cfg.diffusion_steps,
+        K,
         cfg.storage,
     );
     let std = ds.scaler().std;
-    let mut dist_cfg = crate::dist_index::DistConfig::new(1, cfg.epochs, horizon);
-    dist_cfg.batch_per_worker = 1;
-    dist_cfg.lr = cfg.lr;
-    dist_cfg.seed = cfg.seed;
-    dist_cfg.grad_clip = cfg.grad_clip;
-
+    let cfg = DistConfig {
+        world: 1,
+        batch_per_worker: 1,
+        ..cfg.clone()
+    };
     let model = PgtDcrnn::new(
         ModelConfig {
             input_dim: ds.num_features(),
             output_dim: 1,
-            hidden: cfg.hidden,
+            hidden,
             num_nodes: ds.num_nodes(),
-            horizon,
-            diffusion_steps: cfg.diffusion_steps,
+            horizon: cfg.horizon,
+            diffusion_steps: K,
             layers: 1,
         },
         // Initial supports only fix the weight layout (support count); the
@@ -349,16 +323,13 @@ pub fn train_dynamic(
     );
     let plane = DynamicPlane::new(ds, cfg.seed, &st_device::CostModel::default());
     let report = crate::engine::run_single(
-        &dist_cfg,
+        &cfg,
         &crate::engine::EngineOptions::default(),
         &plane,
         &model,
     )
     .expect("engine run without resume cannot fail");
-    // The single-worker view: rank 0's own f64 validation sums, not the
-    // rank-uniform f32 gather.
-    let stats = crate::trainer::epoch_stats(&report, std);
-    (model, stats)
+    (model, crate::trainer::single_worker_view(report, std))
 }
 
 #[cfg(test)]
@@ -440,11 +411,8 @@ mod tests {
     #[test]
     fn dynamic_training_learns() {
         let sig = synthetic_dynamic_traffic(6, 80, 7);
-        let cfg = DynamicTrainConfig {
-            epochs: 3,
-            ..Default::default()
-        };
-        let (_, stats) = train_dynamic(&sig, 4, &cfg);
+        let (_, report) = train_dynamic(&sig, 8, &DistConfig::new(1, 3, 4));
+        let stats = &report.epochs;
         assert_eq!(stats.len(), 3);
         let first = stats.first().unwrap().train_loss;
         let last = stats.last().unwrap().train_loss;

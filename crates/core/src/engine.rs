@@ -217,6 +217,23 @@ pub fn striped_plan(
     )
 }
 
+/// Batch-level shuffling (the generalized mode, Table 5's local-batch arm):
+/// `ids` cut once into fixed batches, visited in rank `rank`'s shuffled
+/// order for `epoch`. Batch contents never change between epochs.
+pub(crate) fn batch_order_plan(
+    ids: Vec<usize>,
+    rank: usize,
+    seed: u64,
+    epoch: u64,
+    batch: usize,
+) -> Vec<Vec<usize>> {
+    let mut batches = chunk_ids(ids, batch);
+    shuffle::batch_order_shuffle(batches.len(), seed, rank, epoch)
+        .into_iter()
+        .map(|b| std::mem::take(&mut batches[b]))
+        .collect()
+}
+
 /// The collective round count for planes whose train split stripes into
 /// (possibly ragged) contiguous partitions: every rank derives the same
 /// maximum analytically, so per-step all-reduces never mismatch.
@@ -358,10 +375,12 @@ impl From<CheckpointError> for EngineError {
     }
 }
 
-/// What one engine run reports — the one result type of every runner
-/// (`run_distributed_index`, `run_baseline_ddp`, `run_generalized`
-/// return it as is; the partitioned, dynamic and single-worker runners
-/// derive their summaries from it).
+/// What one engine run reports — the one result type of every training
+/// entry point. `run_distributed_index`, `run_baseline_ddp`,
+/// `run_generalized`, [`Trainer::train`](crate::trainer::Trainer::train)
+/// and `train_dynamic` return it (the last two with `epochs[].val_mae`
+/// from rank 0's own f64 sums); `run_partitioned` derives its
+/// per-partition summary from it.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     /// Per-epoch stats (rank-0 view; all ranks agree).

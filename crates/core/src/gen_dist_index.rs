@@ -189,11 +189,6 @@ impl HaloEntryPlane {
     pub fn dataset(&self) -> &IndexDataset {
         &self.part.local
     }
-
-    /// The underlying partition.
-    pub fn partition(&self) -> &GenPartition {
-        &self.part
-    }
 }
 
 impl DistDataPlane for HaloEntryPlane {
@@ -202,17 +197,13 @@ impl DistDataPlane for HaloEntryPlane {
     }
 
     fn plan_epoch(&self, epoch: u64) -> Vec<Vec<usize>> {
-        // Batch-level shuffling: fixed batch contents, shuffled order.
-        let train_ids: Vec<usize> = self.part.global_train_ids.clone().collect();
-        let num_batches = train_ids.len().div_ceil(self.batch.max(1));
-        shuffle::batch_order_shuffle(num_batches, self.seed, self.rank, epoch)
-            .into_iter()
-            .filter_map(|b| {
-                let lo = b * self.batch;
-                let hi = ((b + 1) * self.batch).min(train_ids.len());
-                (lo < hi).then(|| train_ids[lo..hi].to_vec())
-            })
-            .collect()
+        engine::batch_order_plan(
+            self.part.global_train_ids.clone().collect(),
+            self.rank,
+            self.seed,
+            epoch,
+            self.batch,
+        )
     }
 
     fn plan_val(&self) -> Vec<Vec<usize>> {

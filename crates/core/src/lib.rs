@@ -18,7 +18,7 @@
 //!   reports every run as one [`engine::EngineReport`].
 //! - [`trainer`] — the single-worker front end: [`trainer::BatchSource`]
 //!   and a [`trainer::Trainer`] that runs the engine as a world of one
-//!   over any source and reports per-epoch metrics.
+//!   over any source.
 //! - [`dist_index`] — distributed-index-batching: full per-worker copies,
 //!   communication-free global shuffling, DDP gradient averaging (§4.2)
 //!   — the engine's [`dist_index::LocalCopyPlane`].
@@ -36,6 +36,15 @@
 //!   [`partitioned::PartitionedPlane`].
 //! - [`workflow`] — end-to-end convenience entry points used by the
 //!   examples and the reproduction harness.
+//!
+//! Every training entry point — [`trainer::Trainer`], the three
+//! distributed runners, [`partitioned::run_partitioned`] and
+//! [`dynamic_index::train_dynamic`] — takes one run config,
+//! [`dist_index::DistConfig`], and reports through
+//! [`engine::EngineReport`] (the partitioned runner derives its
+//! per-partition summary from it). The remaining arguments are inputs, not
+//! knobs: the data, a model factory or hidden width, and for the
+//! partitioned runner the graph split itself.
 
 pub mod baseline_ddp;
 pub mod dist_index;
@@ -55,4 +64,4 @@ pub use engine::{DistDataPlane, EngineError, EngineOptions, EngineReport, StepLo
 pub use index_batching::IndexDataset;
 pub use memory_model::{index_batching_bytes, standard_preprocess_bytes};
 pub use projection::{ProjectionParams, ScalingPoint};
-pub use trainer::{Trainer, TrainerConfig, TrainingHistory};
+pub use trainer::Trainer;

@@ -25,66 +25,19 @@
 //! loop drives every partition concurrently, and validation is restricted
 //! to owned nodes through [`crate::engine::DistDataPlane::val_views`].
 
+use crate::dist_index::{stored_as, DistConfig};
 use crate::engine::{self, DistDataPlane, EngineOptions, Fetch};
 use crate::index_batching::IndexDataset;
 use st_data::loader::Batcher;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
-use st_dist::topology::ClusterTopology;
-use st_graph::{diffusion_supports, PartitionerKind};
+use st_graph::{diffusion_supports, Partitioning};
 use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
 use st_tensor::Tensor;
 
-/// Configuration of a partitioned training run.
-#[derive(Debug, Clone)]
-pub struct PartitionedConfig {
-    /// Number of partitions (one model per partition).
-    pub parts: usize,
-    /// Halo depth in hops; should be ≥ the model's diffusion steps K so
-    /// boundary convolutions see their full receptive field.
-    pub halo_depth: usize,
-    /// The partitioner that splits the graph across partition workers
-    /// (multilevel by default, the quality choice under the
-    /// [`st_graph::HaloCostModel`]).
-    pub partitioner: PartitionerKind,
-    /// Training epochs per partition model.
-    pub epochs: usize,
-    /// Batch size.
-    pub batch_size: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Hidden width of each partition model.
-    pub hidden: usize,
-    /// Forecast horizon.
-    pub horizon: usize,
-    /// Optional time-of-day augmentation period.
-    pub time_period: Option<usize>,
-    /// Shared seed.
-    pub seed: u64,
-    /// Signal storage backend. Under [`st_data::StorageSpec::Chunked`] every
-    /// per-partition node-subset copy is read window by window from its
-    /// own spill file instead of living in RAM.
-    pub storage: st_data::StorageSpec,
-}
-
-impl PartitionedConfig {
-    /// Reasonable defaults for a measured run.
-    pub fn new(parts: usize, horizon: usize) -> Self {
-        PartitionedConfig {
-            parts,
-            halo_depth: 2,
-            partitioner: PartitionerKind::Multilevel,
-            epochs: 3,
-            batch_size: 8,
-            lr: 1e-2,
-            hidden: 8,
-            horizon,
-            time_period: None,
-            seed: 42,
-            storage: st_data::StorageSpec::InMemory,
-        }
-    }
-}
+/// The partition models' diffusion steps K, and the halo depth in hops
+/// that gives every boundary convolution its full receptive field.
+const K: usize = 2;
 
 /// Per-partition outcome.
 #[derive(Debug)]
@@ -257,43 +210,32 @@ impl DistDataPlane for PartitionedPlane {
     }
 }
 
-/// Run partitioned index-batching training: one PGT-DCRNN per partition,
-/// all partitions trained **concurrently** as engine ranks, each on its
+/// Run partitioned index-batching training: one PGT-DCRNN of width
+/// `hidden` per part of `partitioning` (e.g. [`Partitioning::multilevel`],
+/// the quality choice under the [`st_graph::HaloCostModel`]), all
+/// partitions trained **concurrently** as engine ranks, each on its
 /// halo-augmented node-subset signal, validated on its owned nodes only.
-/// `coords` (one per node) are what [`PartitionerKind::CoordinateBisection`]
-/// splits on; without them it falls back to region growing.
+/// The part count comes from `partitioning`; `cfg.world` is not read.
 pub fn run_partitioned(
     signal: &StaticGraphTemporalSignal,
-    coords: Option<&[(f32, f32)]>,
-    cfg: &PartitionedConfig,
+    partitioning: &Partitioning,
+    hidden: usize,
+    cfg: &DistConfig,
 ) -> PartitionedResult {
-    let signal = &*crate::dist_index::stored_as(signal, cfg.storage);
-    let mut dist_cfg = crate::dist_index::DistConfig::new(cfg.parts, cfg.epochs, cfg.horizon);
-    dist_cfg.batch_per_worker = cfg.batch_size;
-    dist_cfg.lr = cfg.lr;
-    dist_cfg.seed = cfg.seed;
-    dist_cfg.grad_clip = Some(5.0);
-    dist_cfg.time_period = cfg.time_period;
-    dist_cfg.topology = ClusterTopology::polaris();
-    if let Some(c) = coords {
-        assert_eq!(c.len(), signal.num_nodes(), "one coordinate per node");
-    }
-    let partitioning = cfg
-        .partitioner
-        .partition(&signal.adjacency, coords, cfg.parts);
-    let subgraphs = partitioning.subgraphs(&signal.adjacency, cfg.halo_depth);
+    let signal = &*stored_as(signal, cfg.storage);
+    let subgraphs = partitioning.subgraphs(&signal.adjacency, K);
 
     // Whole-graph comparison quantities.
     let whole_ds =
         IndexDataset::from_signal(signal, cfg.horizon, SplitRatios::default(), cfg.time_period);
-    let whole_model = build_model(&whole_ds, signal, cfg);
+    let whole_model = build_model(&whole_ds, signal, hidden, cfg);
     let whole_flops = whole_model.flops_per_forward(1);
     let whole_resident_bytes = whole_ds.resident_bytes(4);
 
     // Empty parts (possible when `parts > n` — the partitioners document
     // it) own nothing, train nothing, and must not panic downstream: only
     // the non-empty parts become engine ranks.
-    let active: Vec<usize> = (0..cfg.parts)
+    let active: Vec<usize> = (0..subgraphs.len())
         .filter(|&p| subgraphs[p].owned_count > 0)
         .collect();
 
@@ -313,7 +255,10 @@ pub fn run_partitioned(
             (local_sig, ds)
         })
         .collect();
-    dist_cfg.world = active.len();
+    let dist_cfg = DistConfig {
+        world: active.len(),
+        ..cfg.clone()
+    };
 
     // Per-partition forward FLOPs, captured from the models the engine
     // builds (so nothing is constructed twice just to size it).
@@ -325,14 +270,14 @@ pub fn run_partitioned(
             PartitionedPlane::new(
                 locals[rank].1.clone(),
                 subgraphs[active[rank]].owned_count,
-                cfg.batch_size,
+                cfg.batch_per_worker,
                 cfg.seed,
                 rank,
                 cm,
             )
         },
         |plane: &PartitionedPlane| {
-            let model = build_model(plane.dataset(), &locals[plane.rank()].0, cfg);
+            let model = build_model(plane.dataset(), &locals[plane.rank()].0, hidden, cfg);
             part_flops.lock().unwrap()[plane.rank()] = model.flops_per_forward(1);
             Box::new(model) as Box<dyn Seq2Seq>
         },
@@ -340,7 +285,7 @@ pub fn run_partitioned(
     .expect("engine run without resume cannot fail");
     let part_flops = part_flops.into_inner().unwrap();
 
-    let mut parts = Vec::with_capacity(cfg.parts);
+    let mut parts = Vec::with_capacity(subgraphs.len());
     let mut abs_weighted = 0.0f64;
     let mut weight = 0.0f64;
     let mut max_flops = 0.0f64;
@@ -389,8 +334,8 @@ pub fn run_partitioned(
     PartitionedResult {
         combined_val_mae: (abs_weighted / weight.max(1.0)) as f32,
         cut_fraction: partitioning.cut_fraction(&signal.adjacency),
-        modeled_halo_bytes: cost.halo_bytes(&signal.adjacency, &partitioning),
-        replication_factor: partitioning.replication_factor(&signal.adjacency, cfg.halo_depth),
+        modeled_halo_bytes: cost.halo_bytes(&signal.adjacency, partitioning),
+        replication_factor: partitioning.replication_factor(&signal.adjacency, K),
         parallel_flops_fraction: max_flops / whole_flops,
         max_resident_bytes: max_resident,
         whole_resident_bytes,
@@ -401,17 +346,18 @@ pub fn run_partitioned(
 fn build_model(
     ds: &IndexDataset,
     sig: &StaticGraphTemporalSignal,
-    cfg: &PartitionedConfig,
+    hidden: usize,
+    cfg: &DistConfig,
 ) -> PgtDcrnn {
-    let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
+    let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, K));
     PgtDcrnn::new(
         ModelConfig {
             input_dim: ds.num_features(),
             output_dim: 1,
-            hidden: cfg.hidden,
+            hidden,
             num_nodes: ds.num_nodes(),
             horizon: cfg.horizon,
-            diffusion_steps: 2,
+            diffusion_steps: K,
             layers: 1,
         },
         &supports,
@@ -422,9 +368,10 @@ fn build_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::{Trainer, TrainerConfig};
+    use crate::trainer::Trainer;
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::synthetic;
+    use st_graph::PartitionerKind;
 
     fn signal() -> (DatasetSpec, StaticGraphTemporalSignal) {
         let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.4);
@@ -493,10 +440,9 @@ mod tests {
     #[test]
     fn partitioned_run_trains_and_reports_tradeoffs() {
         let sig = corridor_signal();
-        let mut cfg = PartitionedConfig::new(2, 4);
-        cfg.epochs = 2;
-        cfg.batch_size = 4;
-        let r = run_partitioned(&sig, None, &cfg);
+        let mut cfg = DistConfig::new(2, 2, 4);
+        cfg.batch_per_worker = 4;
+        let r = run_partitioned(&sig, &Partitioning::multilevel(&sig.adjacency, 2), 8, &cfg);
         assert_eq!(r.parts.len(), 2);
         assert!(r.combined_val_mae.is_finite());
         // The documented trade-off triangle:
@@ -515,27 +461,22 @@ mod tests {
     fn single_part_matches_whole_graph_training() {
         // k = 1 with no halo is exactly the unpartitioned pipeline.
         let (spec, sig) = signal();
-        let mut cfg = PartitionedConfig::new(1, spec.horizon);
-        cfg.epochs = 2;
-        cfg.batch_size = 4;
-        let part = run_partitioned(&sig, None, &cfg);
+        let mut cfg = DistConfig::new(1, 2, spec.horizon);
+        cfg.batch_per_worker = 4;
+        let part = run_partitioned(&sig, &Partitioning::multilevel(&sig.adjacency, 1), 8, &cfg);
         assert_eq!(part.parts[0].halo, 0);
         assert!((part.replication_factor - 1.0).abs() < 1e-9);
         assert!((part.parallel_flops_fraction - 1.0).abs() < 1e-9);
 
         // Whole-graph reference with identical settings and seed.
         let ds = IndexDataset::from_signal(&sig, cfg.horizon, SplitRatios::default(), None);
-        let model = build_model(&ds, &sig, &cfg);
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: cfg.epochs,
-            batch_size: cfg.batch_size,
-            lr: cfg.lr,
-            seed: cfg.seed,
+        let model = build_model(&ds, &sig, 8, &cfg);
+        let trainer = Trainer {
             validate: false,
-            grad_clip: Some(5.0),
-        });
+            ..Trainer::new(cfg.clone())
+        };
         trainer.train(&model, &ds);
-        let whole = owned_val_mae(&model, &ds, sig.num_nodes(), cfg.batch_size);
+        let whole = owned_val_mae(&model, &ds, sig.num_nodes(), cfg.batch_per_worker);
         let diff = (part.combined_val_mae - whole).abs();
         assert!(
             diff < 1e-5 * whole.abs().max(1.0),
@@ -552,11 +493,9 @@ mod tests {
         // node_subset_signal / IndexDataset / the engine.
         let net = st_graph::generators::highway_corridor(5, 1, 11);
         let sig = synthetic::traffic::generate(&net, 160, 288, 11);
-        let mut cfg = PartitionedConfig::new(7, 4);
-        cfg.epochs = 1;
-        cfg.batch_size = 4;
-        cfg.halo_depth = 1;
-        let r = run_partitioned(&sig, None, &cfg);
+        let mut cfg = DistConfig::new(7, 1, 4);
+        cfg.batch_per_worker = 4;
+        let r = run_partitioned(&sig, &Partitioning::multilevel(&sig.adjacency, 7), 8, &cfg);
         assert_eq!(r.parts.len(), 7);
         let empty: Vec<&PartResult> = r.parts.iter().filter(|p| p.owned == 0).collect();
         assert_eq!(empty.len(), 2, "7 parts over 5 nodes leaves 2 empty");
@@ -580,11 +519,10 @@ mod tests {
             PartitionerKind::GreedyBfs,
             PartitionerKind::Multilevel,
         ] {
-            let mut cfg = PartitionedConfig::new(2, spec.horizon);
-            cfg.epochs = 1;
-            cfg.batch_size = 4;
-            cfg.partitioner = partitioner;
-            let r = run_partitioned(&sig, Some(&coords), &cfg);
+            let mut cfg = DistConfig::new(2, 1, spec.horizon);
+            cfg.batch_per_worker = 4;
+            let split = partitioner.partition(&sig.adjacency, Some(&coords), 2);
+            let r = run_partitioned(&sig, &split, 8, &cfg);
             assert!(r.combined_val_mae.is_finite());
         }
     }
@@ -595,10 +533,8 @@ mod tests {
         // removes the horizon blow-up. Per-worker bytes must be close to
         // (local_nodes / N) × whole-graph index bytes.
         let sig = corridor_signal();
-        let mut cfg = PartitionedConfig::new(2, 4);
-        cfg.epochs = 1;
-        cfg.halo_depth = 1;
-        let r = run_partitioned(&sig, None, &cfg);
+        let cfg = DistConfig::new(2, 1, 4);
+        let r = run_partitioned(&sig, &Partitioning::multilevel(&sig.adjacency, 2), 8, &cfg);
         for p in &r.parts {
             let local = p.owned + p.halo;
             let expected = r.whole_resident_bytes as f64 * local as f64 / sig.num_nodes() as f64;

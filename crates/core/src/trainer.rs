@@ -11,7 +11,7 @@
 //! [`engine::run_single`] against the caller's model — bit-identical to
 //! the stand-alone loop it replaced (`tests/trainer_goldens.rs`).
 
-use crate::dist_index::{DistConfig, DistEpochStats};
+use crate::dist_index::DistConfig;
 use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch, StepLoop};
 use crate::index_batching::IndexDataset;
 use st_autograd::schedule::LrSchedule;
@@ -86,79 +86,24 @@ impl BatchSource for MaterializedDataset {
     }
 }
 
-/// Training hyperparameters.
-#[derive(Debug, Clone)]
-pub struct TrainerConfig {
-    /// Number of epochs.
-    pub epochs: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Shuffle seed.
-    pub seed: u64,
-    /// Compute validation MAE each epoch.
-    pub validate: bool,
-    /// Optional global-norm gradient clip.
-    pub grad_clip: Option<f32>,
-}
-
-impl Default for TrainerConfig {
-    fn default() -> Self {
-        TrainerConfig {
-            epochs: 10,
-            batch_size: 32,
-            lr: 1e-2,
-            seed: 42,
-            validate: true,
-            grad_clip: Some(5.0),
-        }
+/// The single-worker view of an engine run: `epochs[].val_mae` becomes
+/// rank 0's original-unit validation MAE from its f64 sums
+/// ([`EngineReport::rank_val_mae`]) under scaler σ `scaler_std` — NaN when
+/// validation is off or the split is empty.
+pub(crate) fn single_worker_view(mut report: EngineReport, scaler_std: f32) -> EngineReport {
+    let val_mae = report.rank_val_mae(0, scaler_std);
+    for (e, v) in report.epochs.iter_mut().zip(val_mae) {
+        e.val_mae = v;
     }
-}
-
-/// The single-worker per-epoch view of an engine run: the engine's own
-/// per-epoch records with `val_mae` replaced by rank 0's original-unit
-/// validation MAE from its f64 sums ([`EngineReport::rank_val_mae`]) under
-/// scaler σ `scaler_std` — NaN when validation is off or the split is empty.
-pub(crate) fn epoch_stats(report: &EngineReport, scaler_std: f32) -> Vec<DistEpochStats> {
     report
-        .epochs
-        .iter()
-        .zip(report.rank_val_mae(0, scaler_std))
-        .map(|(e, val_mae)| DistEpochStats { val_mae, ..*e })
-        .collect()
-}
-
-/// Full training record.
-#[derive(Debug, Clone, Default)]
-pub struct TrainingHistory {
-    /// Per-epoch stats.
-    pub epochs: Vec<DistEpochStats>,
-    /// Total wall-clock seconds.
-    pub wall_secs: f64,
-}
-
-impl TrainingHistory {
-    /// Best (minimum) validation MAE across epochs.
-    pub fn best_val_mae(&self) -> f32 {
-        self.epochs
-            .iter()
-            .map(|e| e.val_mae)
-            .fold(f32::INFINITY, f32::min)
-    }
-
-    /// Final-epoch training loss.
-    pub fn final_train_loss(&self) -> f32 {
-        self.epochs.last().map(|e| e.train_loss).unwrap_or(f32::NAN)
-    }
 }
 
 /// A [`BatchSource`] as a world-of-one engine plane: the epoch plan is
 /// `Batcher::shuffled` over the train split, validation is the val split
-/// in `batch_size` chunks, and there is no peer to synchronize with.
+/// in batch-sized chunks, and there is no peer to synchronize with.
 struct SourcePlane<'a> {
     source: &'a dyn BatchSource,
-    cfg: &'a TrainerConfig,
+    trainer: &'a Trainer,
 }
 
 impl DistDataPlane for SourcePlane<'_> {
@@ -167,12 +112,13 @@ impl DistDataPlane for SourcePlane<'_> {
             .splits()
             .train
             .len()
-            .div_ceil(self.cfg.batch_size.max(1))
+            .div_ceil(self.trainer.cfg.batch_per_worker.max(1))
     }
 
     fn plan_epoch(&self, epoch: u64) -> Vec<Vec<usize>> {
+        let cfg = &self.trainer.cfg;
         let train_ids: Vec<usize> = self.source.splits().train.clone().collect();
-        Batcher::shuffled(train_ids, self.cfg.batch_size, self.cfg.seed, epoch)
+        Batcher::shuffled(train_ids, cfg.batch_per_worker, cfg.seed, epoch)
             .batches()
             .map(<[usize]>::to_vec)
             .collect()
@@ -181,7 +127,7 @@ impl DistDataPlane for SourcePlane<'_> {
     fn plan_val(&self) -> Vec<Vec<usize>> {
         engine::chunk_ids(
             self.source.splits().val.clone().collect(),
-            self.cfg.batch_size,
+            self.trainer.cfg.batch_per_worker,
         )
     }
 
@@ -195,7 +141,7 @@ impl DistDataPlane for SourcePlane<'_> {
     }
 
     fn validate_epoch(&self, _epoch: u64, _epochs: u64) -> bool {
-        self.cfg.validate
+        self.trainer.validate
     }
 
     fn scaler_std(&self) -> f32 {
@@ -203,25 +149,31 @@ impl DistDataPlane for SourcePlane<'_> {
     }
 }
 
-/// The single-worker trainer: a facade over [`engine::run_single`].
+/// The single-worker trainer: a facade over [`engine::run_single`]. It
+/// always runs a world of one, whatever `cfg.world` says, and reads
+/// `epochs`, `batch_per_worker`, [`DistConfig::effective_lr`], `seed`,
+/// `grad_clip`, `topology` and `backend`. Skip validation with
+/// `Trainer { validate: false, ..Trainer::new(cfg) }`.
 pub struct Trainer {
-    cfg: TrainerConfig,
+    /// The run configuration.
+    pub cfg: DistConfig,
+    /// Compute validation MAE each epoch (`true` from [`Trainer::new`]);
+    /// off, every epoch reports `NaN`.
+    pub validate: bool,
 }
 
 impl Trainer {
-    /// New trainer from a config.
-    pub fn new(cfg: TrainerConfig) -> Self {
-        Trainer { cfg }
-    }
-
-    /// The config.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.cfg
+    /// New trainer from a run config, validating every epoch.
+    pub fn new(cfg: DistConfig) -> Self {
+        Trainer {
+            cfg,
+            validate: true,
+        }
     }
 
     /// Train `model` in place on `source` with Adam at a constant
-    /// `cfg.lr`, returning the history.
-    pub fn train(&self, model: &dyn Seq2Seq, source: &dyn BatchSource) -> TrainingHistory {
+    /// [`DistConfig::effective_lr`].
+    pub fn train(&self, model: &dyn Seq2Seq, source: &dyn BatchSource) -> EngineReport {
         self.run(model, source, EngineOptions::default())
     }
 
@@ -233,7 +185,7 @@ impl Trainer {
         model: &dyn Seq2Seq,
         source: &dyn BatchSource,
         schedule: Arc<dyn LrSchedule + Send + Sync>,
-    ) -> TrainingHistory {
+    ) -> EngineReport {
         let opts = EngineOptions {
             schedule: Some(schedule),
             ..Default::default()
@@ -246,23 +198,18 @@ impl Trainer {
         model: &dyn Seq2Seq,
         source: &dyn BatchSource,
         opts: EngineOptions,
-    ) -> TrainingHistory {
-        // The engine reads only its own knobs from `DistConfig`; horizon,
-        // seed and batch size are plane-construction inputs, and this
-        // plane takes them from the source and the trainer config.
-        let mut cfg = DistConfig::new(1, self.cfg.epochs, 0);
-        cfg.lr = self.cfg.lr;
-        cfg.grad_clip = self.cfg.grad_clip;
+    ) -> EngineReport {
+        let cfg = DistConfig {
+            world: 1,
+            ..self.cfg.clone()
+        };
         let plane = SourcePlane {
             source,
-            cfg: &self.cfg,
+            trainer: self,
         };
         let report = engine::run_single(&cfg, &opts, &plane, model)
             .expect("engine run without resume cannot fail");
-        TrainingHistory {
-            epochs: epoch_stats(&report, source.scaler().std),
-            wall_secs: report.wall_secs,
-        }
+        single_worker_view(report, source.scaler().std)
     }
 
     /// MAE over a snapshot range, in original units.
@@ -275,14 +222,13 @@ impl Trainer {
         let step = StepLoop {
             grad_clip: self.cfg.grad_clip,
         };
-        let ids: Vec<usize> = range.collect();
-        if ids.is_empty() {
+        if range.is_empty() {
             return f32::NAN;
         }
         let mut abs_sum = 0.0f64;
         let mut count = 0usize;
-        for chunk in ids.chunks(self.cfg.batch_size) {
-            let (x, y) = source.get_batch(chunk);
+        for chunk in engine::chunk_ids(range.collect(), self.cfg.batch_per_worker) {
+            let (x, y) = source.get_batch(&chunk);
             let (a, c) = step.val_batch(|tape| model.forward(tape, &x), &y, |p, t| (p, t));
             abs_sum += a;
             count += c;
@@ -321,14 +267,7 @@ mod tests {
     #[test]
     fn training_loss_decreases() {
         let (model, ds) = setup();
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: 6,
-            batch_size: 8,
-            lr: 0.01,
-            validate: true,
-            ..Default::default()
-        });
-        let h = trainer.train(&model, &ds);
+        let h = Trainer::new(DistConfig::new(1, 6, ds.horizon())).train(&model, &ds);
         assert_eq!(h.epochs.len(), 6);
         let first = h.epochs.first().unwrap().train_loss;
         let last = h.epochs.last().unwrap().train_loss;
@@ -357,7 +296,7 @@ mod tests {
     #[test]
     fn evaluate_returns_original_units() {
         let (model, ds) = setup();
-        let trainer = Trainer::new(TrainerConfig::default());
+        let trainer = Trainer::new(DistConfig::new(1, 1, ds.horizon()));
         let mae = trainer.evaluate(&model, &ds, ds.splits().val.clone());
         assert!(mae.is_finite() && mae >= 0.0);
         // Untrained model on case-count data: MAE should be on the order of
@@ -369,12 +308,8 @@ mod tests {
     fn deterministic_given_seed() {
         let run = || {
             let (model, ds) = setup();
-            let trainer = Trainer::new(TrainerConfig {
-                epochs: 2,
-                batch_size: 8,
-                ..Default::default()
-            });
-            trainer.train(&model, &ds).final_train_loss()
+            let trainer = Trainer::new(DistConfig::new(1, 2, ds.horizon()));
+            trainer.train(&model, &ds).epochs.last().unwrap().train_loss
         };
         assert_eq!(run(), run());
     }

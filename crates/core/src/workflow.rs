@@ -1,7 +1,9 @@
 //! End-to-end convenience entry points used by the examples and harness.
 
+use crate::dist_index::DistConfig;
+use crate::engine::EngineReport;
 use crate::index_batching::IndexDataset;
-use crate::trainer::{BatchSource, MaterializedDataset, Trainer, TrainerConfig, TrainingHistory};
+use crate::trainer::{BatchSource, MaterializedDataset, Trainer};
 use st_data::datasets::{DatasetKind, DatasetSpec, Domain};
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
@@ -94,23 +96,19 @@ pub fn prepare_single_gpu(
 }
 
 impl SingleGpuRun {
-    /// Train with the given epoch/batch settings; returns the history.
-    pub fn train(&self, epochs: usize, batch_size: usize, lr: f32) -> TrainingHistory {
-        let trainer = Trainer::new(TrainerConfig {
-            epochs,
-            batch_size,
-            lr,
-            seed: 42,
-            validate: true,
-            grad_clip: Some(5.0),
-        });
-        trainer.train(&self.model, self.source.as_ref())
+    /// Train with the given epoch/batch settings (shuffle seed 42).
+    pub fn train(&self, epochs: usize, batch_size: usize, lr: f32) -> EngineReport {
+        let mut cfg = DistConfig::new(1, epochs, self.spec.horizon);
+        cfg.batch_per_worker = batch_size;
+        cfg.lr = lr;
+        Trainer::new(cfg).train(&self.model, self.source.as_ref())
     }
 
-    /// Evaluate test-set MAE (original units).
+    /// Evaluate test-set MAE (original units), in batches of 32.
     pub fn test_mae(&self) -> f32 {
-        let trainer = Trainer::new(TrainerConfig::default());
-        trainer.evaluate(
+        let mut cfg = DistConfig::new(1, 0, self.spec.horizon);
+        cfg.batch_per_worker = 32;
+        Trainer::new(cfg).evaluate(
             &self.model,
             self.source.as_ref(),
             self.source.splits().test.clone(),
@@ -151,7 +149,7 @@ mod tests {
             let run = prepare_single_gpu(DatasetKind::ChickenpoxHungary, 0.3, batching, 8, 7);
             let h = run.train(2, 8, 0.01);
             assert_eq!(h.epochs.len(), 2, "{batching:?}");
-            assert!(h.final_train_loss().is_finite());
+            assert!(h.epochs[1].train_loss.is_finite());
             assert!(run.test_mae().is_finite());
         }
     }

@@ -26,7 +26,8 @@ impl Batcher {
         }
     }
 
-    /// Shuffled batcher: a seeded permutation of `indices` per epoch.
+    /// Shuffled batcher: a seeded permutation of `indices` per epoch. A
+    /// `batch_size` of 0 means 1, as everywhere a training run batches.
     ///
     /// The permutation is applied in place by walking its cycles (the perm
     /// vector doubles as the visited scratch), so no second copy of the
@@ -54,7 +55,7 @@ impl Batcher {
         }
         Batcher {
             indices,
-            batch_size,
+            batch_size: batch_size.max(1),
         }
     }
 

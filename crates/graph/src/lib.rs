@@ -17,13 +17,13 @@
 //! ## Partitioning in one example
 //!
 //! ```
-//! use st_graph::partition::{HaloCostModel, PartitionerKind};
+//! use st_graph::partition::{HaloCostModel, Partitioning};
 //! use st_graph::generators;
 //!
 //! // A 32-sensor freeway corridor, split 4 ways by the multilevel
-//! // partitioner (the default choice everywhere a config asks).
+//! // partitioner, the quality choice.
 //! let net = generators::highway_corridor(32, 1, 7);
-//! let parts = PartitionerKind::Multilevel.partition(&net.adjacency, None, 4);
+//! let parts = Partitioning::multilevel(&net.adjacency, 4);
 //!
 //! // Quality is judged in modeled halo bytes, not raw edge cut.
 //! let cost = HaloCostModel::new(12, 1);

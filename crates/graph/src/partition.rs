@@ -29,8 +29,8 @@
 //! - [`Partitioning::multilevel`] — METIS-flavored multilevel scheme:
 //!   heavy-edge-matching coarsening, seeded initial partitions on the
 //!   coarsest graph, then uncoarsening with balance-constrained greedy
-//!   KL/FM boundary refinement. The quality partitioner every consumer
-//!   defaults to via [`PartitionerKind`].
+//!   KL/FM boundary refinement. The quality partitioner; the partitioned
+//!   training example splits with it.
 //!
 //! Quality is scored by [`HaloCostModel`], which converts a partitioning's
 //! *cut neighbors* into the modeled bytes the distributed planes actually
@@ -462,9 +462,10 @@ const COARSEST: usize = 32;
 /// Seeded initial-partition candidates tried on the coarsest graph.
 const INITIAL_SEEDS: usize = 4;
 
-/// The partitioner choice consumers thread through their configs
-/// (`pgt_index::PartitionedConfig::partitioner`): one tag per algorithm,
-/// run via [`PartitionerKind::partition`].
+/// A partitioner named as a value, for sweeps that compare algorithms
+/// (`repro partition`): one tag per algorithm, run via
+/// [`PartitionerKind::partition`]. Consumers that split a graph take the
+/// resulting [`Partitioning`] as an input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionerKind {
     /// Contiguous index blocks (the trivial baseline).

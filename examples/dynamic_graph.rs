@@ -8,7 +8,8 @@
 //!
 //! Run with: `cargo run --release --example dynamic_graph`
 
-use pgt_index::dynamic_index::{train_dynamic, DynamicIndexDataset, DynamicTrainConfig};
+use pgt_index::dist_index::DistConfig;
+use pgt_index::dynamic_index::{train_dynamic, DynamicIndexDataset};
 use st_data::dynamic::synthetic_dynamic_traffic;
 use st_data::splits::SplitRatios;
 
@@ -29,13 +30,8 @@ fn main() {
         ds.materialized_bytes() as f64 / ds.resident_bytes() as f64
     );
 
-    let cfg = DynamicTrainConfig {
-        epochs: 5,
-        hidden: 12,
-        ..Default::default()
-    };
-    let (_model, stats) = train_dynamic(&signal, horizon, &cfg);
-    for s in &stats {
+    let (_model, report) = train_dynamic(&signal, 12, &DistConfig::new(1, 5, horizon));
+    for s in &report.epochs {
         println!(
             "epoch {:>2}: train loss {:.4} | val MAE {:.4}",
             s.epoch, s.train_loss, s.val_mae

@@ -8,8 +8,8 @@
 //! ```
 
 use pgt_i::core::gpu_index::{GpuIndexDataset, Residency};
-use pgt_i::core::trainer::{Trainer, TrainerConfig};
-use pgt_i::core::IndexDataset;
+use pgt_i::core::trainer::Trainer;
+use pgt_i::core::{DistConfig, IndexDataset};
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
@@ -60,15 +60,10 @@ fn main() {
         &supports,
         11,
     );
-    let trainer = Trainer::new(TrainerConfig {
-        epochs: 8,
-        batch_size: 16,
-        lr: 0.01,
-        seed: 11,
-        validate: true,
-        grad_clip: Some(5.0),
-    });
-    let history = trainer.train(&model, &placed);
+    let mut cfg = DistConfig::new(1, 8, spec.horizon);
+    cfg.batch_per_worker = 16;
+    cfg.seed = 11;
+    let history = Trainer::new(cfg).train(&model, &placed);
     println!("\nepoch  train-loss  val-MAE (normalized power)");
     for e in &history.epochs {
         println!("{:>5}  {:>10.4}  {:>8.4}", e.epoch, e.train_loss, e.val_mae);

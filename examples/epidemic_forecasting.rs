@@ -10,8 +10,8 @@
 //! index-batching API as the DCRNN family — the "any sequence-to-sequence
 //! model" claim.
 
-use pgt_i::core::trainer::{Trainer, TrainerConfig};
-use pgt_i::core::IndexDataset;
+use pgt_i::core::trainer::Trainer;
+use pgt_i::core::{DistConfig, IndexDataset};
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
@@ -42,14 +42,10 @@ fn main() {
         7,
     );
 
-    let trainer = Trainer::new(TrainerConfig {
-        epochs: 15,
-        batch_size: spec.batch_size,
-        lr: 0.01,
-        seed: 7,
-        validate: true,
-        grad_clip: Some(5.0),
-    });
+    let mut cfg = DistConfig::new(1, 15, spec.horizon);
+    cfg.batch_per_worker = spec.batch_size;
+    cfg.seed = 7;
+    let trainer = Trainer::new(cfg);
     let history = trainer.train(&model, &ds);
     println!("epoch  train-loss  val-MAE (weekly cases)");
     for e in &history.epochs {

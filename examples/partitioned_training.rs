@@ -14,9 +14,10 @@
 //! (`PGT_SMOKE=1` shrinks the corridor workload for CI; the city-scale
 //! stanza runs in both modes.)
 
-use pgt_index::partitioned::{run_partitioned, PartitionedConfig};
+use pgt_index::dist_index::DistConfig;
+use pgt_index::partitioned::run_partitioned;
 use st_data::synthetic;
-use st_graph::PartitionerKind;
+use st_graph::Partitioning;
 
 fn main() {
     let smoke = std::env::var("PGT_SMOKE").is_ok();
@@ -32,12 +33,8 @@ fn main() {
     );
 
     for parts in [1usize, 2, 4] {
-        let mut cfg = PartitionedConfig::new(parts, horizon);
-        cfg.partitioner = PartitionerKind::Multilevel;
-        cfg.epochs = epochs;
-        cfg.batch_size = 8;
-        cfg.halo_depth = 2; // ≥ diffusion steps K = 2
-        let r = run_partitioned(&sig, None, &cfg);
+        let split = Partitioning::multilevel(&sig.adjacency, parts);
+        let r = run_partitioned(&sig, &split, 8, &DistConfig::new(parts, epochs, horizon));
         println!(
             "k={parts}: val MAE {:.4} | edge cut {:.1}% | modeled halo {} B | \
              replication {:.2}x | critical path {:.0}% of whole-graph FLOPs | \
@@ -77,10 +74,9 @@ fn city_scale() {
         coords: grid.coords,
     };
     let sig = synthetic::traffic::generate(&net, 16, 288, 7);
-    let mut cfg = PartitionedConfig::new(8, 2);
-    cfg.epochs = 1;
-    cfg.batch_size = 4;
-    let r = run_partitioned(&sig, None, &cfg);
+    let mut cfg = DistConfig::new(8, 1, 2);
+    cfg.batch_per_worker = 4;
+    let r = run_partitioned(&sig, &Partitioning::multilevel(&sig.adjacency, 8), 8, &cfg);
     let wall = started.elapsed().as_secs_f64();
     let peak_mb = std::fs::read_to_string("/proc/self/status")
         .ok()

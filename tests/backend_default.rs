@@ -4,12 +4,13 @@
 //! `DistConfig::new` and `ServeConfig::new` used to hard-code
 //! `BackendKind::Tiled`, and every engine rank / serve shard applies its
 //! config's backend process-wide — so `ST_BACKEND=reference` was silently
-//! overridden by the first run. This binary holds one test because the
-//! backend selection is process-global state.
+//! overridden by the first run. The `Trainer` takes the same `DistConfig`
+//! as the distributed runners, so one default covers both. This binary
+//! holds one test because the backend selection is process-global state.
 
 use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
 use pgt_i::core::index_batching::IndexDataset;
-use pgt_i::core::trainer::{Trainer, TrainerConfig};
+use pgt_i::core::trainer::Trainer;
 use pgt_i::core::workflow::pgt_dcrnn_factory;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::splits::SplitRatios;
@@ -40,14 +41,12 @@ fn default_configs_follow_and_preserve_the_process_wide_backend() {
         "an engine run with a default config must not flip the backend"
     );
 
-    // The Trainer facade builds its own default `DistConfig`.
+    // The Trainer facade runs the same default `DistConfig`.
     let ds = IndexDataset::from_signal(&sig, spec.horizon, SplitRatios::default(), None);
     let model = factory(&ds);
-    let trainer = Trainer::new(TrainerConfig {
-        epochs: 1,
-        ..Default::default()
-    });
-    trainer.train(model.as_ref(), &ds);
+    let mut single = DistConfig::new(1, 1, spec.horizon);
+    single.batch_per_worker = 32;
+    Trainer::new(single).train(model.as_ref(), &ds);
     assert_eq!(active_backend(), BackendKind::Reference);
 
     // An explicit per-run choice still applies.

@@ -4,12 +4,15 @@
 use pgt_i::core::baseline_ddp::run_baseline_ddp;
 use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
 use pgt_i::core::gen_dist_index::run_generalized;
+use pgt_i::core::partitioned::run_partitioned;
 use pgt_i::core::workflow::pgt_dcrnn_factory;
+use pgt_i::core::{IndexDataset, Trainer};
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::signal::StaticGraphTemporalSignal;
+use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
 use pgt_i::dist::shuffle::ShuffleStrategy;
-use pgt_i::graph::diffusion_supports;
+use pgt_i::graph::{diffusion_supports, Partitioning};
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 
 fn setup() -> (DatasetSpec, StaticGraphTemporalSignal) {
@@ -137,6 +140,49 @@ fn shuffle_strategies_produce_finite_results_at_world_3() {
         let r = run_distributed_index(&sig, &cfg, &factory);
         assert!(r.epochs[0].train_loss.is_finite(), "{strategy:?}");
     }
+}
+
+#[test]
+fn batch_zero_trains_exactly_like_batch_one() {
+    // `batch_per_worker = 0` means 1 on every plane and runner, as
+    // `engine::chunk_ids` and `shuffle::common_rounds` always had it. (The
+    // dynamic runner never reads the batch: its windows train one by one.)
+    let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.1);
+    let sig = synthetic::generate(&spec, 13);
+    let factory = pgt_dcrnn_factory(&sig, spec.horizon, 4, 42);
+    let ds = IndexDataset::from_signal(&sig, spec.horizon, SplitRatios::default(), None);
+    let split = Partitioning::greedy_bfs(&sig.adjacency, 2);
+    let bits = |batch: usize| {
+        let mut cfg = DistConfig::new(2, 1, spec.horizon);
+        cfg.batch_per_worker = batch;
+        let mut reports = Vec::new();
+        for shuffle in [
+            ShuffleStrategy::Global,
+            ShuffleStrategy::Local,
+            ShuffleStrategy::LocalBatch,
+        ] {
+            cfg.shuffle = shuffle;
+            reports.push(run_distributed_index(&sig, &cfg, &factory));
+        }
+        reports.push(run_generalized(&sig, &cfg, &factory));
+        reports.push(run_baseline_ddp(&sig, &cfg, |_| factory(&ds)));
+        let model = factory(&ds);
+        let trainer = Trainer::new(cfg.clone());
+        reports.push(trainer.train(model.as_ref(), &ds));
+        let mut bits: Vec<u32> = reports
+            .iter()
+            .flat_map(|r| &r.epochs)
+            .flat_map(|e| [e.train_loss.to_bits(), e.val_mae.to_bits()])
+            .collect();
+        let test_mae = trainer.evaluate(model.as_ref(), &ds, ds.splits().test.clone());
+        bits.push(test_mae.to_bits());
+        let parts = run_partitioned(&sig, &split, 4, &cfg).parts;
+        bits.extend(parts.iter().map(|p| p.val_mae.to_bits()));
+        bits
+    };
+    let one = bits(1);
+    assert!(one.iter().all(|&b| f32::from_bits(b).is_finite()));
+    assert_eq!(bits(0), one);
 }
 
 #[test]

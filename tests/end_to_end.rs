@@ -46,7 +46,7 @@ fn every_domain_generator_feeds_the_workflow() {
         let run = prepare_single_gpu(kind, 0.02, Batching::Index, 8, 3);
         let h = run.train(2, 8, 0.01);
         assert!(
-            h.final_train_loss().is_finite(),
+            h.epochs[1].train_loss.is_finite(),
             "{kind:?} failed to produce a finite loss"
         );
     }

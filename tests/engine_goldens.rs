@@ -12,15 +12,15 @@
 
 use pgt_i::core::baseline_ddp::run_baseline_ddp;
 use pgt_i::core::dist_index::{run_distributed_index, DistConfig, LocalCopyPlane};
-use pgt_i::core::dynamic_index::{train_dynamic, DynamicTrainConfig};
+use pgt_i::core::dynamic_index::train_dynamic;
 use pgt_i::core::engine::{self, EngineOptions};
 use pgt_i::core::gen_dist_index::run_generalized;
-use pgt_i::core::partitioned::{run_partitioned, PartitionedConfig};
+use pgt_i::core::partitioned::run_partitioned;
 use pgt_i::core::workflow::pgt_dcrnn_factory;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::synthetic;
 use pgt_i::device::CostModel;
-use pgt_i::graph::{diffusion_supports, PartitionerKind};
+use pgt_i::graph::{diffusion_supports, Partitioning};
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 use pgt_i::tensor::par;
 
@@ -144,21 +144,16 @@ fn halo_entry_plane_reproduces_the_inline_generalized_loop() {
 #[test]
 fn dynamic_plane_reproduces_the_inline_dynamic_loop() {
     let sig = pgt_i::data::dynamic::synthetic_dynamic_traffic(6, 80, 7);
-    let cfg = DynamicTrainConfig {
-        epochs: 3,
-        ..Default::default()
-    };
-    let (_, stats) = train_dynamic(&sig, 4, &cfg);
-    let golden = [
-        (0.50047874f32, 3.724125f32),
-        (0.29698554, 3.4272969),
-        (0.28425804, 3.1600816),
-    ];
-    assert_eq!(stats.len(), golden.len());
-    for (e, &(loss, val)) in stats.iter().zip(&golden) {
-        assert_eq!(e.train_loss.to_bits(), loss.to_bits(), "epoch {}", e.epoch);
-        assert_eq!(e.val_mae.to_bits(), val.to_bits(), "epoch {}", e.epoch);
-    }
+    let (_, r) = train_dynamic(&sig, 8, &DistConfig::new(1, 3, 4));
+    assert_epochs(
+        "dynamic",
+        &r.epochs,
+        &[
+            (0.50047874, 3.724125),
+            (0.29698554, 3.4272969),
+            (0.28425804, 3.1600816),
+        ],
+    );
 }
 
 #[test]
@@ -168,13 +163,12 @@ fn partitioned_plane_reproduces_the_sequential_trainer_loop() {
     // independent ranks. Same shuffles, same seeds ⇒ identical MAE.
     let net = pgt_i::graph::generators::highway_corridor(24, 1, 11);
     let sig = synthetic::traffic::generate(&net, 220, 288, 11);
-    let mut cfg = PartitionedConfig::new(2, 4);
-    cfg.epochs = 2;
-    cfg.batch_size = 4;
-    // Pin the strategy the golden was captured under (the config default
-    // moved to the multilevel partitioner afterwards).
-    cfg.partitioner = PartitionerKind::GreedyBfs;
-    let r = run_partitioned(&sig, None, &cfg);
+    let mut cfg = DistConfig::new(2, 2, 4);
+    cfg.batch_per_worker = 4;
+    // The split the golden was captured under (the example and the
+    // proptests use the multilevel partitioner).
+    let split = Partitioning::greedy_bfs(&sig.adjacency, 2);
+    let r = run_partitioned(&sig, &split, 8, &cfg);
     assert_eq!(r.combined_val_mae.to_bits(), 2.156524f32.to_bits());
     let vals: Vec<u32> = r.parts.iter().map(|p| p.val_mae.to_bits()).collect();
     assert_eq!(vals, vec![2.8321512f32.to_bits(), 1.4808966f32.to_bits()]);

@@ -18,7 +18,7 @@ use pgt_i::autograd::schedule::{LrSchedule, MultiStepLr};
 use pgt_i::core::dist_index::{DistConfig, LocalCopyPlane};
 use pgt_i::core::engine::{self, EngineError, EngineOptions};
 use pgt_i::core::index_batching::IndexDataset;
-use pgt_i::core::trainer::{Trainer, TrainerConfig, TrainingHistory};
+use pgt_i::core::trainer::Trainer;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::signal::StaticGraphTemporalSignal;
 use pgt_i::data::splits::SplitRatios;
@@ -95,17 +95,13 @@ fn run_ok(epochs: usize, opts: &EngineOptions) -> engine::EngineReport {
 }
 
 fn trainer() -> Trainer {
-    Trainer::new(TrainerConfig {
-        epochs: 6,
-        batch_size: BATCH,
-        lr: LR,
-        seed: SEED,
+    Trainer {
         validate: false,
-        grad_clip: Some(5.0),
-    })
+        ..Trainer::new(engine_cfg(6))
+    }
 }
 
-fn loss_bits(h: &TrainingHistory) -> Vec<u32> {
+fn loss_bits(h: &engine::EngineReport) -> Vec<u32> {
     h.epochs.iter().map(|e| e.train_loss.to_bits()).collect()
 }
 

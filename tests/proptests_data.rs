@@ -11,9 +11,9 @@
 
 use pgt_i::core::baseline_ddp::run_baseline_ddp;
 use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
-use pgt_i::core::dynamic_index::{train_dynamic, DynamicTrainConfig};
+use pgt_i::core::dynamic_index::train_dynamic;
 use pgt_i::core::gen_dist_index::run_generalized;
-use pgt_i::core::partitioned::{run_partitioned, PartitionedConfig};
+use pgt_i::core::partitioned::run_partitioned;
 use pgt_i::core::workflow::pgt_dcrnn_factory;
 use pgt_i::core::EngineReport;
 use pgt_i::core::IndexDataset;
@@ -23,7 +23,7 @@ use pgt_i::data::signal::StaticGraphTemporalSignal;
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::storage::{ChunkedSpec, RowStore, SignalStorage, StorageSpec};
 use pgt_i::data::synthetic;
-use pgt_i::graph::{diffusion_supports, Adjacency};
+use pgt_i::graph::{diffusion_supports, Adjacency, Partitioning};
 use pgt_i::models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
 use pgt_i::tensor::Tensor;
 use proptest::prelude::*;
@@ -309,11 +309,11 @@ fn halo_entry_plane_is_bitwise_storage_invariant() {
 #[test]
 fn partitioned_plane_is_bitwise_storage_invariant() {
     let (spec, sig) = setup();
-    let mut cfg = PartitionedConfig::new(2, spec.horizon);
-    cfg.epochs = 2;
-    let mem = run_partitioned(&sig, None, &cfg);
+    let mut cfg = DistConfig::new(2, 2, spec.horizon);
+    let split = Partitioning::multilevel(&sig.adjacency, 2);
+    let mem = run_partitioned(&sig, &split, 8, &cfg);
     cfg.storage = tiny_chunked();
-    let chunked = run_partitioned(&sig, None, &cfg);
+    let chunked = run_partitioned(&sig, &split, 8, &cfg);
     assert_eq!(
         mem.combined_val_mae.to_bits(),
         chunked.combined_val_mae.to_bits(),
@@ -327,26 +327,9 @@ fn partitioned_plane_is_bitwise_storage_invariant() {
 #[test]
 fn dynamic_plane_is_bitwise_storage_invariant() {
     let sig = synthetic_dynamic_traffic(6, 60, 5);
-    let mut cfg = DynamicTrainConfig {
-        epochs: 2,
-        ..Default::default()
-    };
-    let (_, mem) = train_dynamic(&sig, 4, &cfg);
+    let mut cfg = DistConfig::new(1, 2, 4);
+    let (_, mem) = train_dynamic(&sig, 8, &cfg);
     cfg.storage = tiny_chunked();
-    let (_, chunked) = train_dynamic(&sig, 4, &cfg);
-    assert_eq!(mem.len(), chunked.len());
-    for (a, b) in mem.iter().zip(&chunked) {
-        assert_eq!(
-            a.train_loss.to_bits(),
-            b.train_loss.to_bits(),
-            "dynamic plane: train loss epoch {}",
-            a.epoch
-        );
-        assert_eq!(
-            a.val_mae.to_bits(),
-            b.val_mae.to_bits(),
-            "dynamic plane: val mae epoch {}",
-            a.epoch
-        );
-    }
+    let (_, chunked) = train_dynamic(&sig, 8, &cfg);
+    assert_runs_bit_identical(&mem, &chunked, "dynamic plane");
 }

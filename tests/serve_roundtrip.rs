@@ -9,8 +9,8 @@
 
 use pgt_i::autograd::optim::Adam;
 use pgt_i::autograd::{Checkpoint, Module, Tape};
-use pgt_i::core::trainer::{Trainer, TrainerConfig};
-use pgt_i::core::IndexDataset;
+use pgt_i::core::trainer::Trainer;
+use pgt_i::core::{DistConfig, IndexDataset};
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
 use pgt_i::graph::diffusion_supports;
@@ -45,12 +45,10 @@ fn setup() -> (PgtDcrnn, IndexDataset, pgt_i::graph::Adjacency, ModelConfig) {
 }
 
 fn train_two_epochs(model: &PgtDcrnn, ds: &IndexDataset) -> Trainer {
-    let trainer = Trainer::new(TrainerConfig {
-        epochs: 2,
-        batch_size: 8,
+    let trainer = Trainer {
         validate: false,
-        ..Default::default()
-    });
+        ..Trainer::new(DistConfig::new(1, 2, HORIZON))
+    };
     trainer.train(model, ds);
     trainer
 }
@@ -87,7 +85,7 @@ fn snapshot_serving_is_bit_identical_to_trainer_evaluate_single_rank() {
     // Replay evaluate's exact chunking through the serving forward and
     // re-accumulate its MAE — bit-identical, not approximately equal.
     let ids: Vec<usize> = val.collect();
-    let batch = trainer.config().batch_size;
+    let batch = trainer.cfg.batch_per_worker;
     let replica = server.build_model();
     let mut abs_sum = 0.0f64;
     let mut count = 0usize;
@@ -215,7 +213,7 @@ fn engine_checkpoint_feeds_the_snapshot_path() {
     let replica = server.build_model();
     let mut abs_sum = 0.0f64;
     let mut count = 0usize;
-    for chunk in ids.chunks(trainer.config().batch_size) {
+    for chunk in ids.chunks(trainer.cfg.batch_per_worker) {
         let (_, y) = ds.batch(chunk);
         let ends: Vec<usize> = chunk.iter().map(|&i| i + HORIZON).collect();
         let served = server

@@ -11,7 +11,8 @@ mod common;
 
 use common::param_digest;
 use pgt_i::core::index_batching::IndexDataset;
-use pgt_i::core::trainer::{BatchSource, MaterializedDataset, Trainer, TrainerConfig};
+use pgt_i::core::trainer::{BatchSource, MaterializedDataset, Trainer};
+use pgt_i::core::DistConfig;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::preprocess::materialized_xy;
 use pgt_i::data::splits::SplitRatios;
@@ -49,14 +50,10 @@ fn assert_golden(
     epochs: [(u32, u32); 4],
     digest: u64,
 ) {
-    let trainer = Trainer::new(TrainerConfig {
-        epochs: 4,
-        batch_size: 8,
-        lr: 0.01,
-        seed: 42,
+    let trainer = Trainer {
         validate,
-        grad_clip: Some(5.0),
-    });
+        ..Trainer::new(DistConfig::new(1, 4, 4))
+    };
     let h = trainer.train(model, source);
     assert_eq!(h.epochs.len(), epochs.len(), "{name}: epoch count");
     for (e, (loss, val)) in h.epochs.iter().zip(epochs) {
