@@ -271,10 +271,12 @@ pub fn bmm(a: &Var, b: &Var) -> Var {
         let at = av.transpose(1, 2).expect("rank 3").contiguous();
         let db_batched = t::bmm(&at, g).expect("grad bmm");
         let db = if shared {
-            // Sum over the batch dimension to match the shared [k,n] rhs.
+            // Sum over the batch dimension to match the shared [k,n] rhs,
+            // in batch order, into one buffer.
             let mut acc = db_batched.select(0, 0).expect("batch >= 1");
             for i in 1..bs {
-                acc = t::add(&acc, &db_batched.select(0, i).expect("in range")).expect("same");
+                let slice = db_batched.select(0, i).expect("in range");
+                t::add_assign(&mut acc, &slice).expect("same shape");
             }
             acc
         } else {

@@ -312,7 +312,8 @@ impl StepLoop {
         restrict: impl FnOnce(Tensor, Tensor) -> (Tensor, Tensor),
     ) -> (f64, usize) {
         let target = Self::target_of(y);
-        let tape = Tape::new();
+        // Nobody differentiates a validation forward: record no graph.
+        let tape = Tape::inference();
         let pred = fwd(&tape);
         let (pred, target) = restrict(pred.value().clone(), target);
         let diff = st_tensor::ops::sub(&pred, &target).expect("same shape");

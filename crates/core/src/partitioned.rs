@@ -404,7 +404,7 @@ mod tests {
                 .narrow(2, 0, owned)
                 .expect("owned prefix")
                 .contiguous();
-            let tape = st_autograd::Tape::new();
+            let tape = st_autograd::Tape::inference();
             let pred = model.forward(&tape, &x);
             let pred_owned = pred
                 .value()

@@ -1,6 +1,6 @@
 //! Concatenation, stacking, and splitting.
 
-use crate::{Result, Tensor, TensorError};
+use crate::{Result, Shape, Tensor, TensorError};
 
 /// Concatenate tensors along `dim`. All other dimensions must match.
 pub fn concat(tensors: &[&Tensor], dim: usize) -> Result<Tensor> {
@@ -40,22 +40,16 @@ pub fn concat(tensors: &[&Tensor], dim: usize) -> Result<Tensor> {
     let mut out_dims = tensors[0].dims().to_vec();
     out_dims[dim] = cat_len;
 
-    let outer: usize = out_dims[..dim].iter().product();
-    let inner: usize = out_dims[dim + 1..].iter().product();
-    let mut out = vec![0.0f32; outer * cat_len * inner];
-    // Copy per outer-slab, advancing a cursor through the concat axis.
-    let parts: Vec<Vec<f32>> = tensors.iter().map(|t| t.to_vec()).collect();
-    for o in 0..outer {
-        let mut cursor = 0usize;
-        for (t, part) in tensors.iter().zip(&parts) {
-            let len = t.dim(dim) * inner;
-            let src = &part[o * len..(o + 1) * len];
-            let dst_base = o * cat_len * inner + cursor * inner;
-            out[dst_base..dst_base + len].copy_from_slice(src);
-            cursor += t.dim(dim);
-        }
+    let out_shape = Shape::new(out_dims);
+    let strides = out_shape.contiguous_strides();
+    let mut out = vec![0.0f32; out_shape.numel()];
+    // Each input is copied once, straight into its slot; an empty one has none.
+    let mut cursor = 0usize;
+    for t in tensors.iter().filter(|t| t.numel() > 0) {
+        t.copy_into(&mut out[cursor * strides[dim]..], &strides);
+        cursor += t.dim(dim);
     }
-    Tensor::from_vec(out, out_dims)
+    Tensor::from_vec(out, out_shape)
 }
 
 /// Stack equal-shaped tensors along a new leading dimension.
@@ -67,8 +61,9 @@ pub fn stack0(tensors: &[&Tensor]) -> Result<Tensor> {
         });
     }
     let shape = tensors[0].shape().clone();
-    let mut out = Vec::with_capacity(tensors.len() * shape.numel());
-    for t in tensors {
+    let (n, strides) = (shape.numel(), shape.contiguous_strides());
+    let mut out = vec![0.0f32; tensors.len() * n];
+    for (i, t) in tensors.iter().enumerate() {
         if !t.shape().same_as(&shape) {
             return Err(TensorError::ShapeMismatch {
                 op: "stack0",
@@ -76,7 +71,7 @@ pub fn stack0(tensors: &[&Tensor]) -> Result<Tensor> {
                 rhs: t.dims().to_vec(),
             });
         }
-        out.extend_from_slice(&t.to_vec());
+        t.copy_into(&mut out[i * n..], &strides);
     }
     let mut dims = vec![tensors.len()];
     dims.extend_from_slice(shape.dims());

@@ -1,7 +1,6 @@
 //! Elementwise binary/unary kernels with NumPy-style broadcasting.
 
 use crate::backend::{self, KernelClass};
-use crate::shape::{for_each_offset, Shape};
 use crate::{Result, Tensor, TensorError};
 
 /// Apply `f` elementwise to broadcast-aligned `a` and `b`.
@@ -15,9 +14,10 @@ pub fn zip_with(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<T
                 return Tensor::from_vec(data, out_shape);
             }
         }
-        let av = gather_broadcast(a, &out_shape);
-        let bv = gather_broadcast(b, &out_shape);
-        let data = av.iter().zip(bv.iter()).map(|(&x, &y)| f(x, y)).collect();
+        let av = a.broadcast_to(&out_shape)?.contiguous();
+        let bv = b.broadcast_to(&out_shape)?.contiguous();
+        let (sa, sb) = (av.as_slice()?, bv.as_slice()?);
+        let data = sa.iter().zip(sb).map(|(&x, &y)| f(x, y)).collect();
         Tensor::from_vec(data, out_shape)
     })
 }
@@ -39,29 +39,6 @@ pub fn add_assign(a: &mut Tensor, b: &Tensor) -> Result<()> {
         }
     });
     Ok(())
-}
-
-/// Collect `t`'s elements broadcast to `target` into a flat row-major vec.
-fn gather_broadcast(t: &Tensor, target: &Shape) -> Vec<f32> {
-    if t.shape().same_as(target) {
-        return t.to_vec();
-    }
-    let rank = target.rank();
-    let lead = rank - t.rank();
-    let mut vstrides = vec![0usize; rank];
-    for d in 0..t.rank() {
-        vstrides[lead + d] = if t.shape().dim(d) == 1 {
-            0
-        } else {
-            t.strides()[d]
-        };
-    }
-    let data = t.storage().as_slice();
-    let mut out = Vec::with_capacity(target.numel());
-    for_each_offset(target.dims(), &vstrides, t.storage_offset(), |o| {
-        out.push(data[o]);
-    });
-    out
 }
 
 /// Apply `f` to every element.

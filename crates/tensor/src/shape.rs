@@ -1,8 +1,8 @@
 //! Shape and stride arithmetic.
 //!
 //! A [`Shape`] is a thin wrapper over `Vec<usize>` with the index math needed
-//! for strided tensors: row-major (C-order) strides, broadcast resolution, and
-//! linear-offset computation.
+//! for strided tensors: row-major (C-order) strides and broadcast resolution.
+//! Strided copies live on [`crate::Tensor`].
 
 use crate::{Result, TensorError};
 
@@ -105,34 +105,6 @@ impl<const N: usize> From<[usize; N]> for Shape {
     }
 }
 
-/// Iterate over all multi-dimensional indices of `dims` in row-major order,
-/// calling `f` with the flattened strided offset computed from `strides`.
-///
-/// Used by non-contiguous kernels; hot paths special-case contiguous layouts.
-pub fn for_each_offset(dims: &[usize], strides: &[usize], base: usize, mut f: impl FnMut(usize)) {
-    if dims.is_empty() {
-        f(base);
-        return;
-    }
-    let rank = dims.len();
-    let mut idx = vec![0usize; rank];
-    let total: usize = dims.iter().product();
-    let mut offset = base;
-    for _ in 0..total {
-        f(offset);
-        // Increment the odometer from the innermost dimension.
-        for d in (0..rank).rev() {
-            idx[d] += 1;
-            offset += strides[d];
-            if idx[d] < dims[d] {
-                break;
-            }
-            offset -= strides[d] * dims[d];
-            idx[d] = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,24 +137,5 @@ mod tests {
     fn broadcast_same_shape_is_identity() {
         let a = Shape::new([2, 3]);
         assert_eq!(a.broadcast_with(&a).unwrap(), a);
-    }
-
-    #[test]
-    fn for_each_offset_visits_row_major() {
-        let dims = [2usize, 3];
-        let strides = [3usize, 1];
-        let mut seen = Vec::new();
-        for_each_offset(&dims, &strides, 0, |o| seen.push(o));
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn for_each_offset_transposed() {
-        // 2x3 viewed as the transpose of a 3x2 buffer: strides (1, 2).
-        let dims = [2usize, 3];
-        let strides = [1usize, 2];
-        let mut seen = Vec::new();
-        for_each_offset(&dims, &strides, 0, |o| seen.push(o));
-        assert_eq!(seen, vec![0, 2, 4, 1, 3, 5]);
     }
 }

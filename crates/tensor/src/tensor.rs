@@ -1,8 +1,11 @@
 //! The core [`Tensor`] type: a strided view over shared storage.
 
-use crate::shape::{for_each_offset, Shape};
+use crate::shape::Shape;
 use crate::storage::Storage;
 use crate::{Result, TensorError};
+
+/// Edge of the square tiles a transposing copy moves at a time.
+const TILE: usize = 32;
 
 /// A dense, strided, row-major tensor of `f32` over shared storage.
 ///
@@ -201,7 +204,9 @@ impl Tensor {
         if !self.is_contiguous() {
             return Err(TensorError::NotContiguous { op: "as_slice" });
         }
-        Ok(&self.storage.as_slice()[self.offset..self.offset + self.numel()])
+        // An empty view's offset may lie past its storage's end.
+        let start = self.offset.min(self.storage.len());
+        Ok(&self.storage.as_slice()[start..start + self.numel()])
     }
 
     /// Copy this tensor's elements into a fresh `Vec` in row-major order.
@@ -209,20 +214,77 @@ impl Tensor {
         if let Ok(s) = self.as_slice() {
             return s.to_vec();
         }
-        let mut out = Vec::with_capacity(self.numel());
-        let data = self.storage.as_slice();
-        for_each_offset(self.dims(), &self.strides, self.offset, |o| {
-            out.push(data[o]);
-        });
+        let mut out = vec![0.0; self.numel()];
+        self.copy_into(&mut out, &self.shape.contiguous_strides());
         out
+    }
+
+    /// Copy this view into `dst`, element `i` landing at `Σ i_d · dst_strides[d]`:
+    /// the crate's one strided copy (`to_vec`, `broadcast_to`, `copy_from`,
+    /// `concat`, `stack0`). Size-1 axes drop out and an axis merges into the
+    /// one outside it when both strides chain; then whole runs move: a slice
+    /// copy (innermost strides 1), a fill (source stride 0), a tiled transpose
+    /// (two innermost axes swapped), else an element loop. Pure data movement:
+    /// no value is combined, so no layout changes a bit.
+    pub(crate) fn copy_into(&self, dst: &mut [f32], dst_strides: &[usize]) {
+        if self.numel() == 0 {
+            return;
+        }
+        let src = self.storage.as_slice();
+        // (size, source stride, destination stride), outermost first.
+        let mut axes: Vec<[usize; 3]> = Vec::with_capacity(self.rank());
+        for ((&n, &s), &d) in self.dims().iter().zip(&self.strides).zip(dst_strides) {
+            match axes.last_mut() {
+                _ if n == 1 => {}
+                Some(a) if a[1] == s * n && a[2] == d * n => *a = [a[0] * n, s, d],
+                _ => axes.push([n, s, d]),
+            }
+        }
+        let [n, s, d] = axes.pop().unwrap_or([1, 1, 1]);
+        // Swapped inner axes: `m` rows of `n`, tiles read along the source's unit stride.
+        let rows = match axes.last() {
+            Some(&[m, 1, dm]) if d == 1 && s > 1 => axes.pop().map(|_| (m, dm)),
+            _ => None,
+        };
+        let blocks: usize = axes.iter().map(|a| a[0]).product();
+        let (mut idx, mut so, mut dof) = (vec![0; axes.len()], self.offset, 0);
+        for _ in 0..blocks {
+            match (rows, s, d) {
+                (Some((m, dm)), ..) => {
+                    for i0 in (0..m).step_by(TILE) {
+                        let i1 = (i0 + TILE).min(m);
+                        for j0 in (0..n).step_by(TILE) {
+                            for j in j0..(j0 + TILE).min(n) {
+                                let col = &src[so + j * s + i0..so + j * s + i1];
+                                for (i, &v) in (i0..i1).zip(col) {
+                                    dst[dof + i * dm + j] = v;
+                                }
+                            }
+                        }
+                    }
+                }
+                (None, 1, 1) => dst[dof..dof + n].copy_from_slice(&src[so..so + n]),
+                (None, 0, 1) => dst[dof..dof + n].fill(src[so]),
+                _ => (0..n).for_each(|j| dst[dof + j * d] = src[so + j * s]),
+            }
+            // Advance the outer odometer (after the last block it wraps, unread).
+            for (i, &[size, ss, ds]) in idx.iter_mut().zip(&axes).rev() {
+                *i += 1;
+                (so, dof) = (so + ss, dof + ds);
+                if *i < size {
+                    break;
+                }
+                *i = 0;
+                (so, dof) = (so - ss * size, dof - ds * size);
+            }
+        }
     }
 
     /// Mutable contiguous slice with copy-on-write. If the tensor is a
     /// non-contiguous view it is first gathered into fresh contiguous storage.
     pub fn make_mut_contiguous(&mut self) -> &mut [f32] {
         if !self.is_contiguous() || self.offset != 0 || self.storage.len() != self.numel() {
-            let v = self.to_vec();
-            self.storage = Storage::from_vec(v);
+            self.storage = Storage::from_vec(self.to_vec());
             self.strides = self.shape.contiguous_strides();
             self.offset = 0;
         }
@@ -399,23 +461,17 @@ impl Tensor {
         if self.shape.same_as(target) {
             return Ok(self.clone());
         }
-        // Virtual strides: broadcast dims get stride 0.
-        let rank = target.rank();
-        let lead = rank - self.rank();
-        let mut vstrides = vec![0usize; rank];
-        for d in 0..self.rank() {
-            vstrides[lead + d] = if self.shape.dim(d) == 1 {
-                0
-            } else {
-                self.strides[d]
-            };
-        }
-        let data = self.storage.as_slice();
-        let mut out = Vec::with_capacity(target.numel());
-        for_each_offset(target.dims(), &vstrides, self.offset, |o| {
-            out.push(data[o]);
-        });
-        Tensor::from_vec(out, target.clone())
+        // A view whose broadcast axes have stride 0 (never contiguous), copied.
+        let mut strides = vec![0; target.rank() - self.rank()];
+        let own = self.dims().iter().zip(&self.strides);
+        strides.extend(own.map(|(&n, &s)| if n == 1 { 0 } else { s }));
+        let view = Tensor {
+            storage: self.storage.clone(),
+            shape: target.clone(),
+            strides,
+            offset: self.offset,
+        };
+        Ok(view.contiguous())
     }
 
     // ------------------------------------------------------------------
@@ -464,8 +520,8 @@ impl Tensor {
                 rhs: src.dims().to_vec(),
             });
         }
-        let v = src.to_vec();
-        self.make_mut_contiguous().copy_from_slice(&v);
+        let strides = self.shape.contiguous_strides();
+        src.copy_into(self.make_mut_contiguous(), &strides);
         Ok(())
     }
 
@@ -561,6 +617,27 @@ mod tests {
         assert!(!tt.is_contiguous());
         assert_eq!(tt.to_vec(), vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
         assert!(tt.shares_storage(&t));
+    }
+
+    #[test]
+    fn copy_into_fills_a_slot_row_major() {
+        // A [2, 2] view written into columns 1..3 of a [2, 4] buffer.
+        let t = Tensor::arange(4).reshape([2, 2]).unwrap();
+        let mut dst = vec![0.0; 8];
+        t.copy_into(&mut dst[1..], &[4, 1]);
+        assert_eq!(dst, vec![0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 3.0, 0.0]);
+    }
+
+    #[test]
+    fn copy_into_transposed() {
+        // Swapped axes longer than a tile edge: the tiled path, ragged edges.
+        let (m, n) = (TILE + 3, 2 * TILE + 1);
+        let t = Tensor::arange(m * n).reshape([m, n]).unwrap().t().unwrap();
+        let mut dst = vec![0.0; m * n];
+        t.copy_into(&mut dst, &[m, 1]);
+        for (k, &v) in dst.iter().enumerate() {
+            assert_eq!(v, ((k % m) * n + k / m) as f32, "element {k}");
+        }
     }
 
     #[test]
