@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 const MAGIC: &[u8; 8] = b"PGTCKPT1";
 
 /// Errors surfaced by checkpoint encode/decode/restore.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// Buffer does not start with the expected magic/version.
     BadMagic,
@@ -183,20 +183,51 @@ impl StateDict {
         d
     }
 
-    /// Restore Adam state captured by [`StateDict::from_adam`].
+    /// Restore Adam state captured by [`StateDict::from_adam`] (strict:
+    /// each stored moment has its parameter's shape, and every `adam.*`
+    /// entry names a parameter the optimizer has).
     pub fn apply_to_adam(&self, opt: &mut Adam) -> Result<(), CheckpointError> {
         let t = self
             .entries
             .get("adam.t")
             .ok_or_else(|| CheckpointError::MissingEntry("adam.t".into()))?
             .item() as u64;
-        let n = opt.num_params();
-        let mut m = vec![None; n];
-        let mut v = vec![None; n];
-        for i in 0..n {
-            m[i] = self.entries.get(&format!("adam.m.{i}")).cloned();
-            v[i] = self.entries.get(&format!("adam.v.{i}")).cloned();
+        let params = opt.params();
+        let n = params.len();
+        let live: std::collections::BTreeSet<String> = std::iter::once("adam.t".to_string())
+            .chain((0..n).flat_map(|i| [format!("adam.m.{i}"), format!("adam.v.{i}")]))
+            .collect();
+        if let Some(extra) = self
+            .entries
+            .keys()
+            .find(|k| k.starts_with("adam.") && !live.contains(*k))
+        {
+            return Err(CheckpointError::MissingEntry(format!(
+                "checkpoint entry {extra} has no matching parameter"
+            )));
         }
+        let moments = |kind: &str| -> Result<Vec<Option<Tensor>>, CheckpointError> {
+            params
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let key = format!("adam.{kind}.{i}");
+                    let Some(stored) = self.entries.get(&key) else {
+                        return Ok(None);
+                    };
+                    let expected = p.value().dims().to_vec();
+                    if stored.dims() != expected {
+                        return Err(CheckpointError::ShapeMismatch {
+                            name: key,
+                            stored: stored.dims().to_vec(),
+                            expected,
+                        });
+                    }
+                    Ok(Some(stored.clone()))
+                })
+                .collect()
+        };
+        let (m, v) = (moments("m")?, moments("v")?);
         opt.import_state(t, m, v);
         Ok(())
     }
@@ -449,6 +480,36 @@ mod tests {
         let ck2 = Checkpoint::from_bytes(&bytes).unwrap();
         let (resumed, _) = run(Some(&ck2));
         assert_eq!(direct, resumed, "resume must be bit-exact");
+    }
+
+    #[test]
+    fn adam_moments_are_checked_against_their_parameters() {
+        let ps = params();
+        let mut opt = Adam::new(ps.clone(), 0.1);
+        for p in &ps {
+            p.set_grad(Some(p.value()));
+        }
+        opt.step();
+        let good = StateDict::from_adam(&opt);
+        assert!(good.apply_to_adam(&mut opt).is_ok());
+
+        let mut reshaped = good.clone();
+        reshaped.insert("adam.v.1", Tensor::zeros([2, 1]));
+        assert_eq!(
+            reshaped.apply_to_adam(&mut opt).unwrap_err(),
+            CheckpointError::ShapeMismatch {
+                name: "adam.v.1".into(),
+                stored: vec![2, 1],
+                expected: vec![2],
+            }
+        );
+
+        let mut extra = good;
+        extra.insert("adam.m.2", Tensor::zeros([2]));
+        assert!(matches!(
+            extra.apply_to_adam(&mut opt),
+            Err(CheckpointError::MissingEntry(e)) if e.contains("adam.m.2")
+        ));
     }
 
     #[test]

@@ -136,9 +136,9 @@ impl Adam {
         self.v = v;
     }
 
-    /// Number of parameters this optimizer tracks.
-    pub fn num_params(&self) -> usize {
-        self.params.len()
+    /// The parameters this optimizer tracks, in moment order.
+    pub fn params(&self) -> &[Param] {
+        &self.params
     }
 }
 

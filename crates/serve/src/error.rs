@@ -8,6 +8,7 @@
 //! returns [`ServeError`].
 
 use crate::ingest::IngestError;
+use crate::snapshot::SnapshotError;
 
 /// Why a serving-plane operation could not be carried out.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +74,9 @@ pub enum ServeError {
         /// Input-window length the snapshot needs.
         horizon: usize,
     },
+    /// A deploy or hot-swap snapshot's state dict does not fit its own
+    /// config: restoring a replica from it failed.
+    Snapshot(SnapshotError),
     /// A live-ingest tick was rejected.
     Ingest(IngestError),
 }
@@ -123,6 +127,7 @@ impl std::fmt::Display for ServeError {
                 f,
                 "ring capacity {capacity} cannot hold a horizon-{horizon} window"
             ),
+            ServeError::Snapshot(e) => write!(f, "snapshot does not restore: {e}"),
             ServeError::Ingest(e) => write!(f, "ingest: {e}"),
         }
     }

@@ -75,12 +75,6 @@ pub enum IngestError {
         /// The configured skew bound.
         max_skew: usize,
     },
-    /// A whole-row admission was attempted while partial rows are staged
-    /// (the two admission paths cannot interleave mid-row).
-    PartialRowsInFlight {
-        /// Rows currently staged beyond the frontier.
-        staged: usize,
-    },
 }
 
 impl std::fmt::Display for IngestError {
@@ -106,9 +100,6 @@ impl std::fmt::Display for IngestError {
                 "node {node} at t={t} would run more than {max_skew} rows \
                  ahead of the frontier {frontier}"
             ),
-            IngestError::PartialRowsInFlight { staged } => {
-                write!(f, "{staged} partial rows staged; drain ticks first")
-            }
         }
     }
 }
@@ -245,30 +236,14 @@ impl StreamIngest {
             released
                 .push(Tensor::from_vec(r.data, [self.nodes, self.features]).expect("row numel"));
         }
-        debug_assert_eq!(
-            self.frontier,
-            *self.watermarks.iter().min().expect("nonempty"),
+        // Checked where the frontier moves, not on every tick: an O(N)
+        // scan per tick makes a debug build's ingest quadratic in N.
+        debug_assert!(
+            released.is_empty()
+                || self.frontier == *self.watermarks.iter().min().expect("nonempty"),
             "frontier must equal the minimum watermark"
         );
         Ok(released)
-    }
-
-    /// Record a whole-row admission (the legacy [`crate::BatchedServer::admit`]
-    /// path): bumps every watermark past the frontier row. Fails if any
-    /// partial rows are staged — whole-row and tick admission cannot
-    /// interleave mid-row.
-    pub fn note_full_row(&mut self) -> Result<usize, IngestError> {
-        if !self.staged.is_empty() {
-            return Err(IngestError::PartialRowsInFlight {
-                staged: self.staged.len(),
-            });
-        }
-        let t = self.frontier;
-        self.frontier += 1;
-        for w in &mut self.watermarks {
-            *w = self.frontier;
-        }
-        Ok(t)
     }
 }
 
@@ -380,19 +355,6 @@ mod tests {
             })
             .unwrap_err(),
             IngestError::BadFeatureCount { got: 3, want: 2 }
-        );
-    }
-
-    #[test]
-    fn full_row_admission_interlocks_with_staging() {
-        let mut ing = StreamIngest::with_start(2, 1, 4, 10);
-        assert_eq!(ing.note_full_row().unwrap(), 10);
-        assert_eq!(ing.frontier(), 11);
-        assert_eq!(ing.watermark(0), 11);
-        ing.push(&tick(0, 11, 1.0)).unwrap();
-        assert_eq!(
-            ing.note_full_row().unwrap_err(),
-            IngestError::PartialRowsInFlight { staged: 1 }
         );
     }
 }

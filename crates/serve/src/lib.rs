@@ -10,7 +10,9 @@
 //!   exactly the `IndexDataset` trick (§4.1), applied to a live stream
 //!   instead of a training set.
 //! - **Window-parallel execution** ([`shard::BatchedServer`]): the
-//!   paper's split over the temporal index, applied to requests. A call's
+//!   paper's split over the temporal index, applied to requests. A
+//!   deployment builds the graph's diffusion supports once, at deploy,
+//!   and every shard restores its replica over them. A call's
 //!   distinct windows are dealt round-robin to shards, each window is
 //!   forwarded once by one shard and scattered to all of its queries, and
 //!   the shards run concurrently under `st_dist::run_workers` over the
@@ -33,15 +35,17 @@
 //! (DESIGN.md §11):
 //!
 //! - **Live ingest** ([`ingest::StreamIngest`]): per-node tick streams
-//!   staged behind per-node watermarks; a row enters the ring only once
-//!   every node has delivered it, so servability is monotone and a query
-//!   whose window outruns ingest gets a typed
-//!   [`error::ServeError::NotYetServable`].
+//!   staged behind per-node watermarks — ticks are the only way a row
+//!   enters; a row enters the ring only once every node has delivered
+//!   it, so servability is monotone and a query whose window outruns
+//!   ingest gets a typed [`error::ServeError::NotYetServable`].
 //! - **SLO admission control** ([`slo::admit_and_coalesce`]): the
 //!   micro-batch queue gains a bounded depth and a deadline gate priced
 //!   through the same [`st_device::CostModel`] quote the shard executor
 //!   charges — overload sheds typed [`slo::Shed`] rejections
-//!   instead of letting tail latency grow without bound.
+//!   instead of letting tail latency grow without bound. The SLO is the
+//!   deployment's ([`shard::ServeConfig::slo`]); `serve` is the one query
+//!   entry.
 //! - **Multi-tenant hot-swap** ([`registry::SnapshotRegistry`]): many
 //!   deployments per process behind atomic `Arc` swaps; a retrained
 //!   snapshot hot-reloads with its forwards pinned bit-identical to a

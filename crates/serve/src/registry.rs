@@ -14,10 +14,11 @@
 //!   server.
 //! - **Bit-identical swapped-in serving.** [`SnapshotRegistry::swap_snapshot`]
 //!   carries the live ring and ingest watermarks over to the new
-//!   snapshot via [`BatchedServer::with_snapshot`], which keeps the graph
-//!   and config and recomputes nothing graph-sized — so post-swap
-//!   forwards are bitwise equal to a server constructed fresh from the
-//!   new snapshot over the same history (pinned in `tests/serve_plane.rs`).
+//!   snapshot via [`BatchedServer::with_snapshot`], which keeps the graph,
+//!   its diffusion supports (unless K changes) and the config — so
+//!   post-swap forwards are bitwise equal to a server constructed fresh
+//!   from the new snapshot over the same history (pinned in
+//!   `tests/serve_plane.rs`).
 //!
 //! Live ingest goes through the registry too
 //! ([`SnapshotRegistry::admit_tick`]): a copy-on-write `Arc::make_mut`
@@ -27,12 +28,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use st_tensor::Tensor;
-
 use crate::error::ServeError;
 use crate::ingest::Tick;
 use crate::shard::{BatchedServer, Query, ServeReport};
-use crate::slo::SloConfig;
 use crate::snapshot::ModelSnapshot;
 
 /// A named map of live [`BatchedServer`] deployments with atomic
@@ -106,7 +104,8 @@ impl SnapshotRegistry {
     /// Fails (leaving the tenant untouched) if the snapshot does not fit
     /// the deployment: [`ServeError::GraphMismatch`],
     /// [`ServeError::FeatureMismatch`], [`ServeError::ScalerMismatch`],
-    /// or [`ServeError::CapacityTooSmall`].
+    /// [`ServeError::CapacityTooSmall`], or — its parameters do not fit
+    /// its own config — [`ServeError::Snapshot`].
     pub fn swap_snapshot(
         &self,
         name: &str,
@@ -138,31 +137,11 @@ impl SnapshotRegistry {
         Ok(Arc::make_mut(slot).admit_tick(tick)?)
     }
 
-    /// Admit one whole `[N, F]` reading (original units) to the tenant's
-    /// ring — the legacy full-row path, valid only when no partial ticks
-    /// are staged.
-    pub fn admit(&self, name: &str, reading: &Tensor) -> Result<(), ServeError> {
-        let mut tenants = self.write();
-        let slot = tenants
-            .get_mut(name)
-            .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))?;
-        Ok(Arc::make_mut(slot).admit(reading)?)
-    }
-
     /// Serve a query stream on the tenant's *current* server (stable for
-    /// the whole call even if a swap lands mid-serve).
+    /// the whole call even if a swap lands mid-serve), under that
+    /// deployment's SLO.
     pub fn serve(&self, name: &str, queries: &[Query]) -> Result<ServeReport, ServeError> {
         Ok(self.get(name)?.serve(queries))
-    }
-
-    /// [`SnapshotRegistry::serve`] under an explicit per-tenant SLO.
-    pub fn serve_slo(
-        &self,
-        name: &str,
-        queries: &[Query],
-        slo: &SloConfig,
-    ) -> Result<ServeReport, ServeError> {
-        Ok(self.get(name)?.serve_slo(queries, slo))
     }
 
     /// Registered tenant names, sorted.
@@ -190,6 +169,7 @@ mod tests {
     use st_autograd::Module;
     use st_data::scaler::StandardScaler;
     use st_models::{ModelConfig, PgtDcrnn, Support};
+    use st_tensor::Tensor;
 
     fn tiny_server(seed: u64) -> BatchedServer {
         let net = st_graph::generators::highway_corridor(6, 1, 4);

@@ -2,8 +2,10 @@
 //!
 //! PGT-I spreads work over the *temporal index*: a worker builds the
 //! windows it was given from one shared signal. [`BatchedServer`] serves
-//! the same way. Every shard restores the **same** full-model replica from
-//! the [`ModelSnapshot`] and reads the same full-N [`RollingWindow`], so
+//! the same way. The deployment builds the graph's diffusion supports
+//! once, at deploy; every shard restores the **same** full-model replica
+//! from the [`ModelSnapshot`] over them ([`BatchedServer::build_model`])
+//! and reads the same full-N [`RollingWindow`], so
 //! the unit of work is a window, not a node. A call's distinct servable
 //! windows go round-robin to the shards in first-seen order (window counts
 //! per shard differ by at most 1); each window is forwarded by exactly one
@@ -41,8 +43,8 @@ use crate::window::RollingWindow;
 use st_data::storage::SignalStorage;
 use st_dist::launch::run_workers;
 use st_dist::topology::ClusterTopology;
-use st_graph::{Adjacency, Partitioning};
-use st_models::{PgtDcrnn, Seq2Seq};
+use st_graph::{diffusion_supports, Adjacency, Partitioning};
+use st_models::{PgtDcrnn, Seq2Seq, Support};
 use st_tensor::Tensor;
 
 /// Serving deployment knobs.
@@ -64,16 +66,18 @@ pub struct ServeConfig {
     /// `ST_BACKEND`, or an earlier `set_backend`), so a deployment that
     /// does not set this field leaves the process's backend alone.
     pub backend: st_tensor::backend::BackendKind,
-    /// Per-tenant SLO the default [`BatchedServer::serve`] path enforces.
-    /// Defaults to [`SloConfig::unbounded`] — never sheds, bit-identical
-    /// to pre-SLO serving.
+    /// The deployment's SLO, which every [`BatchedServer::serve`] call
+    /// enforces (a different SLO is a different deployment). Defaults to
+    /// [`SloConfig::unbounded`] — never sheds, bit-identical to pre-SLO
+    /// serving.
     pub slo: SloConfig,
     /// Cache each distinct window's standardized target-channel forecast
     /// for the duration of a [`BatchedServer::serve`] call, so repeat
     /// windows across micro-batches skip their forward (and its modeled
     /// compute). Safe because per-window forwards are batch-composition-
-    /// invariant bitwise (pinned by the round-trip tests). Defaults to `false` — every batch pays its forward, the
-    /// pre-cache behavior the serve benchmarks pin.
+    /// invariant bitwise (pinned by the round-trip tests). Defaults to
+    /// `false` — every batch pays its forward, the pre-cache behavior the
+    /// serve benchmarks pin.
     pub forecast_cache: bool,
 }
 
@@ -230,13 +234,18 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// A snapshot-backed, window-parallel batched inference server.
 ///
 /// Holds the deployment's static state — the trained [`ModelSnapshot`],
-/// the graph, the rolling signal buffer, and the live-ingest front.
-/// [`BatchedServer::serve`] is the request path;
-/// [`BatchedServer::admit_tick`] is the data path.
+/// the graph and its diffusion supports (built once, at deploy), the
+/// rolling signal buffer, and the live-ingest front. Each job has one
+/// path: [`BatchedServer::serve`] is the request path (under
+/// [`ServeConfig::slo`]), [`BatchedServer::admit_tick`] the data path, and
+/// [`BatchedServer::build_model`] the only way to a model replica.
 #[derive(Debug, Clone)]
 pub struct BatchedServer {
     snapshot: ModelSnapshot,
     adjacency: Adjacency,
+    /// The graph's diffusion supports for the snapshot's K; every replica
+    /// shares these `Arc`s.
+    supports: Vec<Support>,
     /// Backs only the inert [`BatchedServer::owner_of`] /
     /// [`BatchedServer::partitioning`]; routing never reads it.
     partitioning: Partitioning,
@@ -246,7 +255,9 @@ pub struct BatchedServer {
 }
 
 impl BatchedServer {
-    /// Deploy a snapshot over `adjacency` with an empty signal buffer.
+    /// Deploy a snapshot over `adjacency` with an empty signal buffer. The
+    /// graph's diffusion supports are built here, once, and one replica is
+    /// restored to check that the snapshot's parameters fit its config.
     pub fn new(snapshot: ModelSnapshot, adjacency: Adjacency, cfg: ServeConfig) -> Self {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert_eq!(
@@ -260,6 +271,13 @@ impl BatchedServer {
             cfg.capacity,
             snapshot.config.horizon
         );
+        let supports = Support::wrap_all(diffusion_supports(
+            &adjacency,
+            snapshot.config.diffusion_steps,
+        ));
+        if let Err(e) = snapshot.build_pgt_dcrnn(&supports) {
+            panic!("snapshot does not fit its own config: {e}");
+        }
         // Balanced contiguous node blocks, valid for more shards than nodes.
         let n = snapshot.config.num_nodes;
         let partitioning =
@@ -280,6 +298,7 @@ impl BatchedServer {
         BatchedServer {
             snapshot,
             adjacency,
+            supports,
             partitioning,
             window,
             ingest,
@@ -322,8 +341,11 @@ impl BatchedServer {
     /// ring, ingest watermarks, graph and config carry over, so the
     /// swapped-in server's forwards are bit-identical to a server
     /// constructed fresh from the new snapshot over the same history.
-    /// Nothing graph-sized is recomputed. The hot-reload building block
-    /// behind [`crate::SnapshotRegistry::swap_snapshot`].
+    /// The supports carry over too (the same `Arc`s) unless the snapshot
+    /// changes K, which builds them fresh. One replica is restored up
+    /// front: a state dict that does not fit the snapshot's own config is
+    /// [`ServeError::Snapshot`]. The hot-reload building block behind
+    /// [`crate::SnapshotRegistry::swap_snapshot`].
     pub fn with_snapshot(&self, snapshot: ModelSnapshot) -> Result<BatchedServer, ServeError> {
         if snapshot.config.num_nodes != self.adjacency.num_nodes() {
             return Err(ServeError::GraphMismatch {
@@ -346,25 +368,26 @@ impl BatchedServer {
                 horizon: snapshot.config.horizon,
             });
         }
+        let supports = if snapshot.config.diffusion_steps == self.snapshot.config.diffusion_steps {
+            self.supports.clone()
+        } else {
+            Support::wrap_all(diffusion_supports(
+                &self.adjacency,
+                snapshot.config.diffusion_steps,
+            ))
+        };
+        snapshot
+            .build_pgt_dcrnn(&supports)
+            .map_err(ServeError::Snapshot)?;
         Ok(BatchedServer {
             snapshot,
             adjacency: self.adjacency.clone(),
+            supports,
             partitioning: self.partitioning.clone(),
             window: self.window.clone(),
             ingest: self.ingest.clone(),
             cfg: self.cfg.clone(),
         })
-    }
-
-    /// Admit one whole reading in original units (`[N, F]`); it is
-    /// standardized with the snapshot's scaler on entry. Fails with
-    /// [`IngestError::PartialRowsInFlight`] if per-node ticks have
-    /// staged a partial row — the two admission paths cannot interleave
-    /// mid-row.
-    pub fn admit(&mut self, reading: &Tensor) -> Result<(), IngestError> {
-        self.ingest.note_full_row()?;
-        self.window.admit(reading);
-        Ok(())
     }
 
     /// Push one live per-node tick (original units) through the ingest
@@ -413,28 +436,28 @@ impl BatchedServer {
         self.partitioning.part_of(node)
     }
 
-    /// Restore the served model replica from the snapshot. Expensive (full
-    /// parameter restore + diffusion-support construction): build once and
-    /// reuse across [`BatchedServer::predict_windows_with`] calls.
+    /// The deployment's diffusion supports, built once at deploy and
+    /// shared by every replica [`BatchedServer::build_model`] restores.
+    pub fn supports(&self) -> &[Support] {
+        &self.supports
+    }
+
+    /// Restore the served model replica from the snapshot over the
+    /// deployment's supports (a parameter restore; no graph-sized work):
+    /// the one way to a replica, which every shard of a call takes.
     pub fn build_model(&self) -> PgtDcrnn {
+        // Deploy and swap restored this snapshot over these supports
+        // already, so the restore cannot fail here.
         self.snapshot
-            .build_pgt_dcrnn(&self.adjacency)
-            .expect("snapshot matches its own config")
+            .build_pgt_dcrnn(&self.supports)
+            .expect("the snapshot was restored once at deploy")
     }
 
     /// Tape-free batched forward over the buffered windows ending at
-    /// `ends`: returns the standardized `[B, horizon, N, 1]` prediction —
-    /// bitwise what the trainer's evaluation forward produces on the same
-    /// windows. The single-shard reference path the round-trip tests pin.
-    /// Convenience wrapper that rebuilds the replica each call; loops
-    /// should [`BatchedServer::build_model`] once and use
-    /// [`BatchedServer::predict_windows_with`].
-    pub fn predict_windows(&self, ends: &[usize]) -> Result<Tensor, ServeError> {
-        self.predict_windows_with(&self.build_model(), ends)
-    }
-
-    /// [`BatchedServer::predict_windows`] against a replica built earlier
-    /// with [`BatchedServer::build_model`].
+    /// `ends`, on a replica from [`BatchedServer::build_model`]: returns
+    /// the standardized `[B, horizon, N, 1]` prediction — bitwise what the
+    /// trainer's evaluation forward produces on the same windows. The
+    /// single-shard reference path the round-trip tests pin.
     pub fn predict_windows_with(
         &self,
         model: &PgtDcrnn,
@@ -444,20 +467,16 @@ impl BatchedServer {
         Ok(model.forward_inference(&x))
     }
 
-    /// Serve a stream of queries under the deployment's configured SLO
-    /// ([`ServeConfig::slo`]; unbounded — never shedding — by default).
+    /// Serve a stream of queries (sorted by arrival) under the
+    /// deployment's SLO ([`ServeConfig::slo`]; unbounded — never shedding —
+    /// by default): route each to the shard its window was dealt to, run
+    /// SLO admission control over each shard's micro-batch queue, and
+    /// replay the admitted schedule as batched tape-free forwards
+    /// concurrently across shards. Unknown nodes and unservable windows
+    /// (evicted / not yet ingested) are rejected before routing; every
+    /// query lands in exactly one of [`ServeReport::results`] /
+    /// [`ServeReport::rejections`].
     pub fn serve(&self, queries: &[Query]) -> ServeReport {
-        self.serve_slo(queries, &self.cfg.slo.clone())
-    }
-
-    /// Serve a stream of queries (sorted by arrival) under an explicit
-    /// SLO: route each to the shard its window was dealt to, run SLO
-    /// admission control over each shard's micro-batch queue, and replay
-    /// the admitted schedule as batched tape-free forwards concurrently
-    /// across shards. Unknown nodes and unservable windows (evicted / not
-    /// yet ingested) are rejected before routing; every query lands in
-    /// exactly one of [`ServeReport::results`] / [`ServeReport::rejections`].
-    pub fn serve_slo(&self, queries: &[Query], slo: &SloConfig) -> ServeReport {
         let horizon = self.snapshot.config.horizon;
         let nodes = self.snapshot.config.num_nodes;
 
@@ -541,17 +560,14 @@ impl BatchedServer {
             st_tensor::backend::set_backend(self.cfg.backend);
             let cost = ctx.comm.hub().cost_model().clone();
             // Every shard restores the same bit-identical replica.
-            let model = self
-                .snapshot
-                .build_pgt_dcrnn(&self.adjacency)
-                .expect("snapshot matches its own config");
+            let model = self.build_model();
 
             // Admission control prices batches through the same
             // CostModel::micro_batch_secs the executor below charges.
             let schedule = admit_and_coalesce(
                 &routed[shard],
                 &self.cfg.queue,
-                slo,
+                &self.cfg.slo,
                 &BatchCost {
                     halo_bytes_per_window: 0,
                     flops_per_window: model.flops_per_forward(1),
@@ -880,14 +896,20 @@ mod tests {
         for (i, q) in queries.iter_mut().enumerate() {
             q.arrival_secs = i as f64 * 1e-12;
         }
-        let unbounded = server.serve_slo(&queries, &SloConfig::unbounded());
+        let unbounded = server.serve(&queries);
         assert!(unbounded.rejections.is_empty());
         assert!(unbounded.p50_latency_secs > 0.0);
-        let slo = SloConfig {
+        // One deployment per SLO.
+        let mut cfgs = server.cfg.clone();
+        cfgs.slo = SloConfig {
             deadline_secs: unbounded.p50_latency_secs,
             max_queue_depth: usize::MAX,
         };
-        let bounded = server.serve_slo(&queries, &slo);
+        let bounded = BatchedServer {
+            cfg: cfgs,
+            ..server
+        }
+        .serve(&queries);
         assert!(bounded.shed_rate > 0.0, "overload must shed");
         assert!(
             bounded.p99_latency_secs < unbounded.p99_latency_secs,

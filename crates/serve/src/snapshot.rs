@@ -12,7 +12,6 @@
 use st_autograd::checkpoint::{Checkpoint, CheckpointError, StateDict};
 use st_autograd::module::{Module, Param};
 use st_data::scaler::StandardScaler;
-use st_graph::{diffusion_supports, Adjacency};
 use st_models::{ModelConfig, PgtDcrnn, Support};
 use st_tensor::le::{self, Reader, Truncated};
 
@@ -23,7 +22,7 @@ const MAGIC: &[u8; 8] = b"PGTSNAP1";
 const VERSION: u32 = 1;
 
 /// Errors surfaced by snapshot encode/decode/restore.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// Buffer does not start with the snapshot magic.
     BadMagic,
@@ -143,14 +142,13 @@ impl ModelSnapshot {
     }
 
     /// Rebuild a ready-to-serve PGT-DCRNN: construct the shell from the
-    /// stored config and the graph's diffusion supports, then overwrite
-    /// every parameter with the trained values. The init seed is irrelevant
-    /// — all parameters are replaced — so restored replicas are
+    /// stored config over `supports` (the graph's diffusion supports for
+    /// this config's K, built once by the caller and shared), then
+    /// overwrite every parameter with the trained values. The init seed is
+    /// irrelevant — all parameters are replaced — so restored replicas are
     /// bit-identical across shards.
-    pub fn build_pgt_dcrnn(&self, adjacency: &Adjacency) -> Result<PgtDcrnn, SnapshotError> {
-        let supports =
-            Support::wrap_all(diffusion_supports(adjacency, self.config.diffusion_steps));
-        let model = PgtDcrnn::new(self.config.clone(), &supports, 0);
+    pub fn build_pgt_dcrnn(&self, supports: &[Support]) -> Result<PgtDcrnn, SnapshotError> {
+        let model = PgtDcrnn::new(self.config.clone(), supports, 0);
         self.restore_params(&model.params())?;
         Ok(model)
     }
@@ -291,6 +289,7 @@ impl ModelSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_graph::diffusion_supports;
     use st_tensor::Tensor;
 
     fn toy_snapshot() -> ModelSnapshot {
@@ -371,8 +370,8 @@ mod tests {
         let trained = PgtDcrnn::new(cfg.clone(), &supports, 99);
         let snap =
             ModelSnapshot::capture(cfg, StandardScaler::identity(), None, &trained.params(), 1);
-        let a = snap.build_pgt_dcrnn(&net.adjacency).unwrap();
-        let b = snap.build_pgt_dcrnn(&net.adjacency).unwrap();
+        let a = snap.build_pgt_dcrnn(&supports).unwrap();
+        let b = snap.build_pgt_dcrnn(&supports).unwrap();
         for ((pa, pb), pt) in a
             .params()
             .iter()
@@ -388,8 +387,9 @@ mod tests {
     fn wrong_architecture_rejects_params() {
         let snap = toy_snapshot();
         let net = st_graph::generators::highway_corridor(7, 1, 3);
+        let supports = Support::wrap_all(diffusion_supports(&net.adjacency, 2));
         // Tamper the config so shapes no longer line up with the stored
         // state dict (toy params aren't a real DCRNN state dict anyway).
-        assert!(snap.build_pgt_dcrnn(&net.adjacency).is_err());
+        assert!(snap.build_pgt_dcrnn(&supports).is_err());
     }
 }

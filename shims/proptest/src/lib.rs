@@ -6,7 +6,8 @@
 //! range strategies, `proptest::collection::vec`, and the `prop_assert*`
 //! macros. Cases are generated from a seed derived deterministically from
 //! the test path, so runs are reproducible; there is **no shrinking** — a
-//! failing case reports its inputs via the panic message only.
+//! failing case (a `prop_assert*` failure or a panic in the body) reports
+//! its case number and message only.
 
 pub mod collection;
 pub mod strategy;
@@ -55,11 +56,18 @@ macro_rules! __proptest_items {
                     __case,
                 );
                 $(let $pat = $crate::strategy::Strategy::generate(&($strat), &mut __rng);)*
+                // A plain `assert!` / `expect` in the body unwinds instead
+                // of returning `Err`: catch it so it reports its case too.
                 let __result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                    (move || {
+                    ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(move || {
                         $body
                         ::std::result::Result::Ok(())
-                    })();
+                    }))
+                    .unwrap_or_else(|__panic| {
+                        ::std::result::Result::Err($crate::test_runner::TestCaseError::panicked(
+                            __panic,
+                        ))
+                    });
                 if let ::std::result::Result::Err(__e) = __result {
                     panic!("proptest {} case {}/{}: {}",
                         stringify!($name), __case + 1, __config.cases, __e);
@@ -156,6 +164,14 @@ mod tests {
         fn the_macro_itself_works(a in 0usize..50, b in 1usize..50) {
             prop_assert!(a < 50, "a = {}", a);
             prop_assert_eq!(a + b, b + a);
+        }
+
+        /// A plain `assert!` failing in the body is reported with its case
+        /// number, like a `prop_assert!` failure.
+        #[test]
+        #[should_panic(expected = "proptest a_panicking_body_names_its_case case")]
+        fn a_panicking_body_names_its_case(a in 0usize..50) {
+            assert!(a >= 50, "a = {}", a);
         }
     }
 }

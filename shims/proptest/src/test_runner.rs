@@ -30,6 +30,18 @@ impl TestCaseError {
     pub fn fail(message: String) -> Self {
         TestCaseError { message }
     }
+
+    /// A case whose body panicked, carrying the panic's message.
+    pub fn panicked(payload: Box<dyn std::any::Any + Send>) -> Self {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        TestCaseError {
+            message: format!("panicked: {message}"),
+        }
+    }
 }
 
 impl std::fmt::Display for TestCaseError {

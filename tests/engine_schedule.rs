@@ -13,7 +13,7 @@
 mod common;
 
 use common::param_digest;
-use pgt_i::autograd::checkpoint::CheckpointError;
+use pgt_i::autograd::checkpoint::{Checkpoint, CheckpointError};
 use pgt_i::autograd::schedule::{LrSchedule, MultiStepLr};
 use pgt_i::core::dist_index::{DistConfig, LocalCopyPlane};
 use pgt_i::core::engine::{self, EngineError, EngineOptions};
@@ -26,6 +26,7 @@ use pgt_i::data::synthetic;
 use pgt_i::device::CostModel;
 use pgt_i::graph::diffusion_supports;
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
+use pgt_i::tensor::Tensor;
 use std::sync::Arc;
 
 const SEED: u64 = 42;
@@ -269,6 +270,40 @@ fn corrupt_resume_bytes_surface_a_typed_error() {
             Err(other) => panic!("expected a truncation error, got {other}"),
             Ok(_) => panic!("corrupt bytes must not restore"),
         }
+    }
+}
+
+#[test]
+fn a_reshaped_adam_moment_is_rejected_typed_on_resume() {
+    // Well-formed bytes whose first Adam moment has a leading unit axis
+    // its parameter lacks: restore must refuse it, not hand it to the
+    // first optimizer step.
+    let done = run_ok(
+        1,
+        &EngineOptions {
+            capture_checkpoint: true,
+            ..Default::default()
+        },
+    );
+    let mut ck = Checkpoint::from_bytes(&done.checkpoint.expect("captured")).unwrap();
+    let m0 = ck.optimizer.get("adam.m.0").expect("one epoch ran").clone();
+    let dims: Vec<usize> = std::iter::once(1)
+        .chain(m0.dims().iter().copied())
+        .collect();
+    ck.optimizer
+        .insert("adam.m.0", Tensor::from_vec(m0.to_vec(), dims).unwrap());
+    match run_engine(
+        2,
+        &EngineOptions {
+            resume: Some(ck.to_bytes()),
+            ..Default::default()
+        },
+    ) {
+        Err(EngineError::Checkpoint(CheckpointError::ShapeMismatch { name, .. })) => {
+            assert_eq!(name, "adam.m.0")
+        }
+        Err(other) => panic!("expected a shape mismatch, got {other}"),
+        Ok(_) => panic!("a reshaped moment must not restore"),
     }
 }
 

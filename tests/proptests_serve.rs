@@ -158,10 +158,8 @@ proptest! {
         check_against_dense(&window, &dense, cap);
     }
 
-    /// Whole-row admission and tick-at-a-time admission of the same
-    /// stream produce bitwise identical rings, and the two paths
-    /// interlock: whole-row admission is refused while a partial row is
-    /// staged.
+    /// Tick-at-a-time admission of a stream produces a ring bitwise
+    /// identical to admitting its released rows whole.
     #[test]
     fn tick_and_whole_row_admission_agree(
         nodes in 2usize..5,
@@ -187,15 +185,6 @@ proptest! {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-
-        // Stage a partial row (only possible with ≥ 2 nodes): the legacy
-        // whole-row path must refuse with a typed interlock.
-        let t = ingest.frontier();
-        ingest.push(&tick(0, t, features)).unwrap();
-        prop_assert_eq!(
-            ingest.note_full_row().unwrap_err(),
-            IngestError::PartialRowsInFlight { staged: 1 }
-        );
     }
 }
 
@@ -375,6 +364,7 @@ fn deploy(
     shards: usize,
     cache: bool,
     queue: QueueConfig,
+    slo: SloConfig,
 ) -> BatchedServer {
     let history = Tensor::arange(HISTORY * NODES)
         .reshape([HISTORY, NODES, 1])
@@ -382,6 +372,7 @@ fn deploy(
     let mut cfg = ServeConfig::new(shards, RING);
     cfg.queue = queue;
     cfg.forecast_cache = cache;
+    cfg.slo = slo;
     BatchedServer::with_history(snap.clone(), adjacency.clone(), &history, cfg)
 }
 
@@ -464,8 +455,8 @@ proptest! {
             deadline_secs: [5e-4, 2e-3][deadline_kind],
             max_queue_depth: depth,
         };
-        let reference = deploy(&snap, &adjacency, 1, false, queue)
-            .serve_slo(&queries, &SloConfig::unbounded());
+        let reference = deploy(&snap, &adjacency, 1, false, queue, SloConfig::unbounded())
+            .serve(&queries);
         let bits: HashMap<usize, Vec<u32>> = reference
             .results
             .iter()
@@ -481,9 +472,9 @@ proptest! {
 
         for shards in 1..=4 {
             for cache in [false, true] {
-                let server = deploy(&snap, &adjacency, shards, cache, queue);
+                // One deployment per SLO.
                 for slo in [SloConfig::unbounded(), bounded] {
-                    let report = server.serve_slo(&queries, &slo);
+                    let report = deploy(&snap, &adjacency, shards, cache, queue, slo).serve(&queries);
                     check_placement(&report, n)?;
                     for r in &report.results {
                         let got: Vec<u32> = r.forecast_std.iter().map(|v| v.to_bits()).collect();

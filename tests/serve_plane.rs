@@ -3,13 +3,14 @@
 //! workloads, live ingest gating servability, and typed rejections where
 //! a panic used to be reachable.
 
+use pgt_i::autograd::checkpoint::CheckpointError;
 use pgt_i::autograd::Module;
 use pgt_i::data::scaler::StandardScaler;
 use pgt_i::graph::{diffusion_supports, generators};
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 use pgt_i::serve::{
-    BatchedServer, ModelSnapshot, Query, ServeConfig, ServeError, ShedReason, SnapshotRegistry,
-    Tick,
+    BatchedServer, ModelSnapshot, Query, ServeConfig, ServeError, ShedReason, SnapshotError,
+    SnapshotRegistry, Tick,
 };
 use pgt_i::tensor::Tensor;
 
@@ -218,6 +219,40 @@ fn swap_snapshot_rejects_incompatible_snapshots_typed() {
 }
 
 #[test]
+fn a_snapshot_whose_params_do_not_fit_its_config_never_swaps_in() {
+    // A hidden-8 config over hidden-4 parameters: every check against the
+    // deployment passes (nodes, features, scaler, horizon), and only a
+    // restore finds the mismatch. The swap must refuse it typed — not
+    // accept it and let the next call panic inside a shard thread.
+    let adj = corridor();
+    let registry = SnapshotRegistry::new();
+    let cfg = ServeConfig::new(2, 12);
+    registry
+        .register(
+            "city",
+            BatchedServer::with_history(snapshot(&adj, 7), adj.clone(), &history(20), cfg.clone()),
+        )
+        .unwrap();
+    let queries = workload(8, 18, 20);
+    let before = registry.serve("city", &queries).unwrap();
+
+    let mut misfit = snapshot(&adj, 19);
+    misfit.config.hidden = 8;
+    let held = registry.get("city").unwrap();
+    assert!(matches!(
+        registry.swap_snapshot("city", misfit).unwrap_err(),
+        ServeError::Snapshot(SnapshotError::State(CheckpointError::ShapeMismatch { .. }))
+    ));
+    assert!(
+        std::sync::Arc::ptr_eq(&held, &registry.get("city").unwrap()),
+        "the tenant is untouched"
+    );
+    let after = registry.serve("city", &queries).unwrap();
+    assert!(after.rejections.is_empty());
+    assert_bitwise_equal(&before, &after);
+}
+
+#[test]
 fn evicted_windows_reject_typed_through_the_full_serve_path() {
     let adj = corridor();
     // Ring of 6 over 20 rows of history: rows < 14 are gone.
@@ -249,16 +284,17 @@ fn evicted_windows_reject_typed_through_the_full_serve_path() {
         }
     ));
     // The reference path agrees, as a typed error.
+    let model = server.build_model();
     assert!(matches!(
-        server.predict_windows(&[10]).unwrap_err(),
+        server.predict_windows_with(&model, &[10]).unwrap_err(),
         ServeError::WindowEvicted { window_end: 10, .. }
     ));
     // Live ingest moves the eviction boundary forward: window_end 17
     // ([14, 17)) is servable now but falls off once row 20 arrives.
-    assert!(server.predict_windows(&[17]).is_ok());
+    assert!(server.predict_windows_with(&model, &[17]).is_ok());
     live_rows(&mut server, 20, 21);
     assert!(matches!(
-        server.predict_windows(&[17]).unwrap_err(),
+        server.predict_windows_with(&model, &[17]).unwrap_err(),
         ServeError::WindowEvicted {
             oldest_retained: 15,
             ..
@@ -364,7 +400,7 @@ fn tenants_are_isolated_and_each_serves_its_own_model() {
 
 #[test]
 fn a_query_naming_an_unknown_node_is_rejected_typed_not_panicked() {
-    // `serve_slo` used to `assert!(q.node < nodes)`: one bad query in a
+    // `serve` used to `assert!(q.node < nodes)`: one bad query in a
     // stream took the caller down. It is a pre-routing rejection now, and
     // its neighbours are served exactly once.
     let adj = corridor();
