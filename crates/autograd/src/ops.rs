@@ -261,7 +261,6 @@ pub fn bmm(a: &Var, b: &Var) -> Var {
     let shared = b.value().rank() == 2;
     a.tape().custom_op(&[a, b], v, move |g| {
         // dA[b] = dC[b] @ B[b]^T ; dB[b] = A[b]^T @ dC[b]
-        let bs = av.dim(0);
         let bt = if shared {
             bv.t().expect("rank 2")
         } else {
@@ -271,18 +270,62 @@ pub fn bmm(a: &Var, b: &Var) -> Var {
         let at = av.transpose(1, 2).expect("rank 3").contiguous();
         let db_batched = t::bmm(&at, g).expect("grad bmm");
         let db = if shared {
-            // Sum over the batch dimension to match the shared [k,n] rhs,
-            // in batch order, into one buffer.
-            let mut acc = db_batched.select(0, 0).expect("batch >= 1");
-            for i in 1..bs {
-                let slice = db_batched.select(0, i).expect("in range");
-                t::add_assign(&mut acc, &slice).expect("same shape");
-            }
-            acc
+            sum_batches(&db_batched)
         } else {
             db_batched
         };
         vec![da, db]
+    })
+}
+
+/// Sum `[bs, k, n]` over its batch axis, in batch order, into one buffer:
+/// the gradient of a rhs shared across the batch.
+fn sum_batches(db_batched: &Tensor) -> Tensor {
+    let mut acc = db_batched.select(0, 0).expect("batch >= 1");
+    for i in 1..db_batched.dim(0) {
+        let slice = db_batched.select(0, i).expect("in range");
+        t::add_assign(&mut acc, &slice).expect("same shape");
+    }
+    acc
+}
+
+/// Shared-rhs batched matmul over column panels, `[P₀ | P₁ | …] @ w` with
+/// every panel `[B,m,kₚ]` and `w: [Σkₚ, n]`, without materializing the
+/// concatenation (the diffusion convolution's projection).
+///
+/// Bit-identical to `bmm(&concat(panels, 2), w)`, forward and backward:
+/// the `dPₚ` are the concatenated `dA = g @ wᵀ` from one GEMM whose store
+/// splits at the panel boundaries, and `dw` is the same `Aᵀ g` over the
+/// panels' transposes stacked in order, summed over the batch in order.
+pub fn bmm_panels(panels: &[&Var], w: &Var) -> Var {
+    assert!(
+        panels.iter().all(|p| p.same_tape(w)),
+        "bmm_panels across different tapes"
+    );
+    let values: Vec<&Tensor> = panels.iter().map(|p| p.value()).collect();
+    let v = t::bmm_panels(&values, w.value()).expect("bmm_panels shapes");
+    let pv: Vec<Tensor> = values.into_iter().cloned().collect();
+    let widths: Vec<usize> = pv.iter().map(|p| p.dim(2)).collect();
+    let wv = w.value().clone();
+    let mut parents = panels.to_vec();
+    parents.push(w);
+    w.tape().custom_op(&parents, v, move |g| {
+        // `dw`'s operand, the panels' transposes stacked on dim 1, comes
+        // first: allocated below the retained `dPₚ` buffers, it leaves a
+        // hole the next call's transposes reuse. Allocated after them, it
+        // sits at the top of the rank thread's heap, which glibc hands back
+        // to the OS on free: 4× the page faults per `train_wide` engine call
+        // on the 2-core host, enough to cancel the copies saved.
+        let pts: Vec<Tensor> = pv
+            .iter()
+            .map(|p| p.transpose(1, 2).expect("rank 3"))
+            .collect();
+        let at = t::concat(&pts.iter().collect::<Vec<_>>(), 1).expect("panel transposes");
+        // One GEMM `g @ wᵀ`, its columns stored straight into the panels.
+        let wt = wv.t().expect("rank 2").contiguous();
+        let mut grads = t::bmm_split(g, &wt, &widths).expect("grad bmm_panels");
+        grads.push(sum_batches(&t::bmm(&at, g).expect("grad bmm_panels")));
+        grads
     })
 }
 

@@ -86,6 +86,14 @@ impl Csr {
         }
     }
 
+    /// True when this is exactly the identity: square, and row `r` stores
+    /// one entry, `(r, 1.0)`.
+    pub fn is_identity(&self) -> bool {
+        self.rows == self.cols
+            && self.nnz() == self.rows
+            && (0..self.rows).all(|r| self.row_slices(r) == (&[r][..], &[1.0f32][..]))
+    }
+
     /// Matrix dimensions `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
@@ -213,6 +221,59 @@ impl Csr {
             });
         }
         Tensor::from_vec(out, [b, self.rows, n])
+    }
+
+    /// Sparse × sparse product `self @ other`, row by row: row `r` adds up
+    /// `self[r,j] · other[j,:]` over `self`'s row in storage order in a
+    /// `+0.0`-seeded accumulator, then stores its columns in ascending order,
+    /// dropping exact zeros as [`Csr::from_dense`] does. Memory is O(nnz +
+    /// cols), not `rows × cols`. For finite entries and rows without
+    /// repeated columns, the bits equal the dense route,
+    /// `Csr::from_dense(.., &self.spmm(&other.to_dense())?.to_vec())`: that
+    /// route adds the same terms in the same order plus a `v · 0.0` for each
+    /// absent `other[j,c]`, and adding `±0.0` to a sum that is never `-0.0`
+    /// leaves it unchanged.
+    pub fn matmul(&self, other: &Csr) -> Result<Csr> {
+        if self.cols != other.rows {
+            return Err(TensorError::ShapeMismatch {
+                op: "csr matmul",
+                lhs: vec![self.rows, self.cols],
+                rhs: vec![other.rows, other.cols],
+            });
+        }
+        let mut acc = vec![0.0f32; other.cols];
+        let mut touched = vec![false; other.cols];
+        let mut cols: Vec<usize> = Vec::new();
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        row_ptr.push(0);
+        for r in 0..self.rows {
+            for (j, v) in self.row(r) {
+                for (c, bv) in other.row(j) {
+                    if !touched[c] {
+                        touched[c] = true;
+                        cols.push(c);
+                    }
+                    acc[c] += v * bv;
+                }
+            }
+            cols.sort_unstable();
+            for c in cols.drain(..) {
+                if acc[c] != 0.0 {
+                    col_idx.push(c);
+                    values.push(acc[c]);
+                }
+                (acc[c], touched[c]) = (0.0, false);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Ok(Csr {
+            rows: self.rows,
+            cols: other.cols,
+            row_ptr,
+            col_idx,
+            values,
+        })
     }
 
     /// Scale row `r` by `s[r]` (used for degree normalization).

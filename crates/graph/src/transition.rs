@@ -28,13 +28,13 @@ pub fn reverse_random_walk(adj: &Adjacency) -> Csr {
 /// convolution: `[I, P, P², …, P^{K-1}, P', P'², …, P'^{K-1}]`.
 ///
 /// `max_step` (K) ≥ 1; with K=1 only the identity is returned, K=2 adds one
-/// forward and one reverse step, and so on. Matrix powers are computed as
-/// repeated CSR×dense products folded back to CSR (road graphs stay sparse
-/// for the small K used in practice — DCRNN uses K=2 or 3).
+/// forward and one reverse step, and so on. Matrix powers are repeated
+/// CSR×CSR products ([`Csr::matmul`]), so no N×N intermediate is ever
+/// formed (road graphs stay sparse for the small K used in practice —
+/// DCRNN uses K=2 or 3).
 pub fn diffusion_supports(adj: &Adjacency, max_step: usize) -> Vec<Csr> {
     assert!(max_step >= 1, "diffusion needs at least the identity step");
-    let n = adj.num_nodes();
-    let mut supports = vec![Csr::identity(n)];
+    let mut supports = vec![Csr::identity(adj.num_nodes())];
     if max_step == 1 {
         return supports;
     }
@@ -42,9 +42,7 @@ pub fn diffusion_supports(adj: &Adjacency, max_step: usize) -> Vec<Csr> {
         let mut power = base.clone();
         supports.push(base.clone());
         for _ in 2..max_step {
-            // power = power @ base (dense intermediate, refolded to CSR).
-            let dense = power.spmm(&base.to_dense()).expect("square matrices");
-            power = Csr::from_dense(n, n, &dense.to_vec());
+            power = power.matmul(&base).expect("square matrices");
             supports.push(power.clone());
         }
     }

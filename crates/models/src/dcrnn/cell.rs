@@ -7,6 +7,10 @@
 //!
 //! All three convolutions see the concatenation of input and hidden state
 //! along the feature axis, as in Li et al.'s reference implementation.
+//! Those two concats (`[x, h]`, `[x, r⊙h]`) are the cell's only copies: each
+//! convolution reads its diffused panels in place. Feeding `x` and `h` to
+//! the convolutions as separate panels would drop them too, but it would
+//! reorder the terms of `h`'s gradient sum, and so change its bits.
 
 use crate::dcrnn::dconv::DiffusionConv;
 use crate::graph_ops::Support;

@@ -15,6 +15,8 @@ pub struct Support {
     pub mat: Arc<Csr>,
     /// `Sᵀ`, used by the gradient.
     pub mat_t: Arc<Csr>,
+    /// `S` is exactly the identity ([`Csr::is_identity`]).
+    identity: bool,
 }
 
 impl Support {
@@ -22,9 +24,16 @@ impl Support {
     pub fn new(mat: Csr) -> Self {
         let mat_t = mat.transpose();
         Support {
+            identity: mat.is_identity(),
             mat: Arc::new(mat),
             mat_t: Arc::new(mat_t),
         }
+    }
+
+    /// True when `S = I`, so `S X` is `X` itself: the diffusion
+    /// convolution then reads `X` as a view instead of running an SpMM.
+    pub fn is_identity(&self) -> bool {
+        self.identity
     }
 
     /// Wrap a whole list of supports.

@@ -82,9 +82,10 @@ impl Block {
             let attn = ops::softmax_last(&scores); // [S,T,T]
             head_outs.push(ops::bmm(&attn, &vh)); // [S,T,hd]
         }
+        // The heads' [S,T,hd] outputs side by side are the [S,T,D] input
+        // of the output projection; one panel GEMM reads them in place.
         let head_refs: Vec<&Var> = head_outs.iter().collect();
-        let mha = ops::concat(&head_refs, 2); // [S,T,D]
-        let mha = ops::bmm(&mha, &tape.param(&self.wo));
+        let mha = ops::bmm_panels(&head_refs, &tape.param(&self.wo));
         let x = ops::add(x, &mha); // residual
 
         // ---- FFN (pre-norm). ----

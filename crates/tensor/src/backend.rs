@@ -35,6 +35,7 @@ use crate::ops::activation::sigmoid_scalar;
 use crate::par;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Which [`Kernels`] implementation the process-wide dispatch uses.
@@ -220,6 +221,39 @@ pub trait Kernels: Sync {
         shared_rhs: bool,
     );
 
+    /// Shared-rhs batched GEMM over a lhs given as column panels:
+    /// `out[bs,m,n] = [P₀ | P₁ | …] @ b[k,n]`, `out` pre-zeroed. Panel `p`
+    /// is a `[bs,m,widths[p]]` buffer and `k = Σ widths`. Every output
+    /// element accumulates its `k` lanes in ascending order from `+0.0`, so
+    /// its bits equal concatenating the panels and calling [`Kernels::bmm`].
+    #[allow(clippy::too_many_arguments)]
+    fn bmm_panels(
+        &self,
+        panels: &[&[f32]],
+        widths: &[usize],
+        b: &[f32],
+        out: &mut [f32],
+        bs: usize,
+        m: usize,
+        n: usize,
+    );
+
+    /// Shared-rhs batched GEMM whose output is stored as column panels:
+    /// `[O₀ | O₁ | …] = a[bs,m,k] @ b[k,n]` with `n = Σ widths`, panel `p`
+    /// the pre-zeroed `[bs,m,widths[p]]` buffer `outs[p]`. Only the store
+    /// is split, so every element's bits equal [`Kernels::bmm`]'s.
+    #[allow(clippy::too_many_arguments)]
+    fn bmm_split(
+        &self,
+        a: &[f32],
+        b: &[f32],
+        outs: &mut [&mut [f32]],
+        widths: &[usize],
+        bs: usize,
+        m: usize,
+        k: usize,
+    );
+
     /// CSR sparse×dense: `out[rows,n] = S @ x[cols,n]`, `out` pre-zeroed.
     /// Row `r`'s nonzeros are `col_idx/values[row_ptr[r]..row_ptr[r+1]]`.
     #[allow(clippy::too_many_arguments)]
@@ -302,6 +336,52 @@ impl Kernels for Reference {
                 );
             }
         });
+    }
+
+    fn bmm_panels(
+        &self,
+        panels: &[&[f32]],
+        widths: &[usize],
+        b: &[f32],
+        out: &mut [f32],
+        bs: usize,
+        m: usize,
+        n: usize,
+    ) {
+        // The oracle: materialize the concatenation, then the naive bmm.
+        let k: usize = widths.iter().sum();
+        let mut cat = vec![0.0f32; bs * m * k];
+        let mut lane = 0;
+        for (&p, &w) in panels.iter().zip(widths).filter(|(_, &w)| w > 0) {
+            for (row, src) in cat.chunks_exact_mut(k).zip(p.chunks_exact(w)) {
+                row[lane..lane + w].copy_from_slice(src);
+            }
+            lane += w;
+        }
+        self.bmm(&cat, b, out, bs, m, k, n, true);
+    }
+
+    fn bmm_split(
+        &self,
+        a: &[f32],
+        b: &[f32],
+        outs: &mut [&mut [f32]],
+        widths: &[usize],
+        bs: usize,
+        m: usize,
+        k: usize,
+    ) {
+        // The oracle: the whole product, then each column panel copied out.
+        let n: usize = widths.iter().sum();
+        let mut full = vec![0.0f32; bs * m * n];
+        self.bmm(a, b, &mut full, bs, m, k, n, true);
+        let mut off = 0;
+        for (out, &w) in outs.iter_mut().zip(widths).filter(|(_, &w)| w > 0) {
+            for (dst, src) in out.chunks_exact_mut(w).zip(full.chunks_exact(n)) {
+                dst.copy_from_slice(&src[off..off + w]);
+            }
+            off += w;
+        }
     }
 
     fn spmm(
@@ -437,18 +517,93 @@ impl Kernels for Tiled {
             return Reference.bmm(a, b, out, bs, m, k, n, shared_rhs);
         }
         if shared_rhs {
-            // Pack once, amortized across the whole batch — the seq2seq
-            // unroll's projection layers all take this path.
-            let packed = pack_b(b, k, n);
-            par::parallel_fill_chunks(out, m * n, work, |i, slab| {
-                tiled_rows(&a[i * m * k..(i + 1) * m * k], &packed, slab, m, k, n);
-            });
-        } else {
-            par::parallel_fill_chunks(out, m * n, work, |i, slab| {
-                let packed = pack_b(&b[i * k * n..(i + 1) * k * n], k, n);
-                tiled_rows(&a[i * m * k..(i + 1) * m * k], &packed, slab, m, k, n);
-            });
+            // A one-panel lhs: the rhs is packed once for the whole batch.
+            return self.bmm_panels(&[a], &[k], b, out, bs, m, n);
         }
+        par::parallel_fill_chunks(out, m * n, work, |i, slab| {
+            let packed = pack_b(&b[i * k * n..(i + 1) * k * n], k, n);
+            tiled_rows(
+                &[(&a[i * m * k..(i + 1) * m * k], k)],
+                &packed,
+                &mut [(slab, n)],
+                m,
+                k,
+                n,
+            );
+        });
+    }
+
+    fn bmm_panels(
+        &self,
+        panels: &[&[f32]],
+        widths: &[usize],
+        b: &[f32],
+        out: &mut [f32],
+        bs: usize,
+        m: usize,
+        n: usize,
+    ) {
+        if bs == 0 || m == 0 || n == 0 {
+            return;
+        }
+        let k: usize = widths.iter().sum();
+        let work = bs * m * n * k;
+        if k == 0 || work < TILE_MIN_WORK {
+            return Reference.bmm_panels(panels, widths, b, out, bs, m, n);
+        }
+        // The shared rhs is packed once; only the A-lane packer sees panels.
+        let packed = pack_b(b, k, n);
+        par::parallel_fill_chunks(out, m * n, work, |i, slab| {
+            let lhs: Vec<(&[f32], usize)> = panels
+                .iter()
+                .zip(widths)
+                .map(|(&p, &w)| (&p[i * m * w..(i + 1) * m * w], w))
+                .collect();
+            tiled_rows(&lhs, &packed, &mut [(slab, n)], m, k, n);
+        });
+    }
+
+    fn bmm_split(
+        &self,
+        a: &[f32],
+        b: &[f32],
+        outs: &mut [&mut [f32]],
+        widths: &[usize],
+        bs: usize,
+        m: usize,
+        k: usize,
+    ) {
+        let n: usize = widths.iter().sum();
+        if bs == 0 || m == 0 || n == 0 {
+            return;
+        }
+        let work = bs * m * n * k;
+        if k == 0 || work < TILE_MIN_WORK {
+            return Reference.bmm_split(a, b, outs, widths, bs, m, k);
+        }
+        // One GEMM over all `n` columns (no per-panel NR padding); batch
+        // `i`'s slice of every output panel goes to the chunk that runs it.
+        let packed = pack_b(b, k, n);
+        let mut batches: Vec<Vec<(&mut [f32], usize)>> = (0..bs).map(|_| Vec::new()).collect();
+        for (out, &w) in outs.iter_mut().zip(widths).filter(|(_, &w)| w > 0) {
+            for (slabs, slab) in batches.iter_mut().zip(out.chunks_exact_mut(m * w)) {
+                slabs.push((slab, w));
+            }
+        }
+        let batches: Vec<Mutex<_>> = batches.into_iter().map(Mutex::new).collect();
+        par::parallel_chunks(bs, work, |_, start, end| {
+            for (i, outs) in batches.iter().enumerate().take(end).skip(start) {
+                let mut outs = outs.lock().expect("a batch is locked once, by its chunk");
+                tiled_rows(
+                    &[(&a[i * m * k..(i + 1) * m * k], k)],
+                    &packed,
+                    &mut outs,
+                    m,
+                    k,
+                    n,
+                );
+            }
+        });
     }
 
     fn spmm(
@@ -542,16 +697,34 @@ fn tiled_rows_parallel(
     par::parallel_slabs(out, MR * n, work, |group, slab| {
         let i0 = group * MR;
         let rows = slab.len() / n;
-        tiled_rows(&a[i0 * k..(i0 + rows) * k], packed, slab, rows, k, n);
+        tiled_rows(
+            &[(&a[i0 * k..(i0 + rows) * k], k)],
+            packed,
+            &mut [(slab, n)],
+            rows,
+            k,
+            n,
+        );
     });
 }
 
-/// Sequential tiled GEMM body: `out[m,n] = a[m,k] @ B` where `B` was packed
-/// by [`pack_b`]. Each `MR`-row block of `A` is repacked `l`-major
-/// (`apack[l*MR + r] = a[(i+r)*k + l]`, zero-padded lanes past `m`) so the
-/// micro-kernel streams both operands contiguously; the pack cost is repaid
-/// `n/NR` times over as the block sweeps the panels.
-fn tiled_rows(a: &[f32], packed: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// Sequential tiled GEMM body: `out[m,n] = A[m,k] @ B` where `B` was packed
+/// by [`pack_b`]. `A` is `lhs` and `out` is `outs`, each as column panels
+/// `(buffer, width)` laid side by side; one panel `(a, k)` or `(out, n)` is a
+/// plain matrix. Each `MR`-row block of `A` is repacked `l`-major
+/// (`apack[l*MR + r] = A[i+r, l]`, lane `l` read from the panel that holds
+/// it, zero-padded lanes past `m`) so the micro-kernel streams both operands
+/// contiguously; the pack cost is repaid `n/NR` times over as the block
+/// sweeps the panels. Each tile's columns are stored to the output panels
+/// that hold them.
+fn tiled_rows(
+    lhs: &[(&[f32], usize)],
+    packed: &[f32],
+    outs: &mut [(&mut [f32], usize)],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let panels = n.div_ceil(NR);
     let mut apack = vec![0.0f32; k * MR];
     let mut i = 0;
@@ -562,27 +735,41 @@ fn tiled_rows(a: &[f32], packed: &[f32], out: &mut [f32], m: usize, k: usize, n:
             apack.fill(0.0);
         }
         for r in 0..rows {
-            let arow = &a[(i + r) * k..(i + r + 1) * k];
-            for (l, &av) in arow.iter().enumerate() {
-                apack[l * MR + r] = av;
+            let mut lane0 = 0;
+            for &(a, w) in lhs {
+                let arow = &a[(i + r) * w..(i + r + 1) * w];
+                for (l, &av) in arow.iter().enumerate() {
+                    apack[(lane0 + l) * MR + r] = av;
+                }
+                lane0 += w;
             }
         }
         for p in 0..panels {
             let j0 = p * NR;
             let cols = NR.min(n - j0);
-            let panel = &packed[p * k * NR..(p + 1) * k * NR];
-            micro(&apack, panel, &mut out[i * n + j0..], n, rows, cols);
+            let acc = micro(&apack, &packed[p * k * NR..(p + 1) * k * NR]);
+            // Columns j0..j0+cols, split where an output panel ends.
+            let mut off = 0;
+            for (out, w) in outs.iter_mut() {
+                let (lo, hi) = (j0.max(off), (j0 + cols).min(off + *w));
+                if lo < hi {
+                    for (r, accr) in acc.iter().enumerate().take(rows) {
+                        let at = (i + r) * *w + lo - off;
+                        out[at..at + hi - lo].copy_from_slice(&accr[lo - j0..hi - j0]);
+                    }
+                }
+                off += *w;
+            }
         }
         i += rows;
     }
 }
 
 /// The `MR×NR` register micro-kernel: partial sums stay in registers across
-/// the whole `k` loop (ascending, `mul` then `add` — never FMA), then spill
-/// to `out` once. Always computes the full tile; ragged edges only narrow
-/// the store.
+/// the whole `k` loop (ascending, `mul` then `add` — never FMA) and are
+/// returned whole; ragged edges only narrow the caller's store.
 #[inline]
-fn micro(apack: &[f32], panel: &[f32], out: &mut [f32], ldc: usize, rows: usize, cols: usize) {
+fn micro(apack: &[f32], panel: &[f32]) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
     for (al, bp) in apack.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
         let al: &[f32; MR] = al.try_into().expect("packed A lane");
@@ -593,9 +780,7 @@ fn micro(apack: &[f32], panel: &[f32], out: &mut [f32], ldc: usize, rows: usize,
             }
         }
     }
-    for (r, accr) in acc.iter().enumerate().take(rows) {
-        out[r * ldc..r * ldc + cols].copy_from_slice(&accr[..cols]);
-    }
+    acc
 }
 
 #[cfg(test)]

@@ -77,6 +77,82 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, [bs, m, n])
 }
 
+/// Shared-rhs batched matmul over column panels:
+/// `C[b,m,n] = [P₀ | P₁ | …][b,m,Σkₚ] @ W[Σkₚ,n]` with every panel
+/// `[b,m,kₚ]`, without materializing the concatenation. Bit-identical to
+/// `bmm(&concat(panels, 2)?, w)`.
+pub fn bmm_panels(panels: &[&Tensor], w: &Tensor) -> Result<Tensor> {
+    let Some(first) = panels.first() else {
+        return Err(TensorError::Invalid {
+            op: "bmm_panels",
+            msg: "empty panel list".into(),
+        });
+    };
+    let mismatch = |p: &Tensor| TensorError::ShapeMismatch {
+        op: "bmm_panels",
+        lhs: p.dims().to_vec(),
+        rhs: w.dims().to_vec(),
+    };
+    if first.rank() != 3 || w.rank() != 2 {
+        return Err(mismatch(first));
+    }
+    let (bs, m, n) = (first.dim(0), first.dim(1), w.dim(1));
+    if let Some(p) = panels
+        .iter()
+        .find(|p| p.rank() != 3 || p.dim(0) != bs || p.dim(1) != m)
+    {
+        return Err(mismatch(p));
+    }
+    let widths: Vec<usize> = panels.iter().map(|p| p.dim(2)).collect();
+    if widths.iter().sum::<usize>() != w.dim(0) {
+        return Err(mismatch(first));
+    }
+    let contiguous: Vec<Tensor> = panels.iter().map(|p| p.contiguous()).collect();
+    let slices: Vec<&[f32]> = contiguous
+        .iter()
+        .map(|p| p.as_slice().expect("contiguous"))
+        .collect();
+    let wc = w.contiguous();
+    let wv = wc.as_slice().expect("contiguous");
+    let mut out = vec![0.0f32; bs * m * n];
+    backend::timed(KernelClass::Gemm, || {
+        backend::kernels().bmm_panels(&slices, &widths, wv, &mut out, bs, m, n)
+    });
+    Tensor::from_vec(out, [bs, m, n])
+}
+
+/// `A[b,m,k] @ W[k,n]` with the output's columns split into panels of
+/// `widths` (summing to `n`): one `[b,m,widths[p]]` tensor per panel, all
+/// computed by one GEMM. Bit-identical to narrowing `bmm(a, w)` along its
+/// last axis, without the copies.
+pub fn bmm_split(a: &Tensor, w: &Tensor, widths: &[usize]) -> Result<Vec<Tensor>> {
+    if a.rank() != 3
+        || w.rank() != 2
+        || a.dim(2) != w.dim(0)
+        || widths.iter().sum::<usize>() != w.dim(1)
+    {
+        return Err(TensorError::ShapeMismatch {
+            op: "bmm_split",
+            lhs: a.dims().to_vec(),
+            rhs: w.dims().to_vec(),
+        });
+    }
+    let (bs, m, k) = (a.dim(0), a.dim(1), a.dim(2));
+    let ac = a.contiguous();
+    let wc = w.contiguous();
+    let av = ac.as_slice().expect("contiguous");
+    let wv = wc.as_slice().expect("contiguous");
+    let mut bufs: Vec<Vec<f32>> = widths.iter().map(|&p| vec![0.0f32; bs * m * p]).collect();
+    let mut outs: Vec<&mut [f32]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+    backend::timed(KernelClass::Gemm, || {
+        backend::kernels().bmm_split(av, wv, &mut outs, widths, bs, m, k)
+    });
+    bufs.into_iter()
+        .zip(widths)
+        .map(|(buf, &p)| Tensor::from_vec(buf, [bs, m, p]))
+        .collect()
+}
+
 /// `y[m] = A[m,k] @ x[k]` — matrix–vector product.
 pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
     if a.rank() != 2 || x.rank() != 1 {

@@ -7,7 +7,8 @@ use pgt_i::data::preprocess::{materialized_bytes, materialized_xy, num_snapshots
 use pgt_i::data::signal::StaticGraphTemporalSignal;
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::dist::shuffle::{contiguous_partition, global_stripe};
-use pgt_i::graph::{Adjacency, Csr};
+use pgt_i::graph::transition::{random_walk, reverse_random_walk};
+use pgt_i::graph::{diffusion_supports, Adjacency, Csr};
 use pgt_i::tensor::Tensor;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -153,6 +154,33 @@ proptest! {
         prop_assert!(sparse.allclose(&reference, 1e-4));
     }
 
+    /// Diffusion supports from sparse powers are bit-identical to the dense
+    /// route they replaced (each power a CSR × dense product refolded to
+    /// CSR), on random directed weighted graphs at K = 1–4.
+    #[test]
+    fn sparse_diffusion_powers_equal_the_dense_route(
+        n in 1usize..10,
+        k in 1usize..5,
+        seed in any::<u32>(),
+    ) {
+        let mut state = seed as u64 | 1;
+        let weights: Vec<f32> = (0..n * n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state.is_multiple_of(3) { (state % 97 + 1) as f32 / 13.0 } else { 0.0 }
+            })
+            .collect();
+        let adj = Adjacency::from_dense(n, weights);
+        let sparse = diffusion_supports(&adj, k);
+        let dense = dense_route_supports(&adj, k);
+        prop_assert_eq!(sparse.len(), dense.len());
+        for (i, (s, d)) in sparse.iter().zip(&dense).enumerate() {
+            prop_assert_eq!(csr_bits(s), csr_bits(d), "n {} K {} support {}", n, k, i);
+        }
+    }
+
     /// num_snapshots formula: consistent with window enumeration.
     #[test]
     fn snapshot_count_formula(entries in 1usize..200, horizon in 1usize..12) {
@@ -164,4 +192,31 @@ proptest! {
             .count();
         prop_assert_eq!(s, direct, "formula vs direct window enumeration");
     }
+}
+
+/// `diffusion_supports` as it was before sparse powers: each power a CSR ×
+/// dense product with an N×N intermediate, refolded to CSR.
+fn dense_route_supports(adj: &Adjacency, k: usize) -> Vec<Csr> {
+    let n = adj.num_nodes();
+    let mut supports = vec![Csr::identity(n)];
+    if k == 1 {
+        return supports;
+    }
+    for base in [random_walk(adj), reverse_random_walk(adj)] {
+        let mut power = base.clone();
+        supports.push(base.clone());
+        for _ in 2..k {
+            let dense = power.spmm(&base.to_dense()).unwrap();
+            power = Csr::from_dense(n, n, &dense.to_vec());
+            supports.push(power.clone());
+        }
+    }
+    supports
+}
+
+/// Every stored entry as `(row, col, value bits)`, in storage order.
+fn csr_bits(m: &Csr) -> Vec<(usize, usize, u32)> {
+    (0..m.shape().0)
+        .flat_map(|r| m.row(r).map(move |(c, v)| (r, c, v.to_bits())))
+        .collect()
 }

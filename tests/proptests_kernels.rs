@@ -7,12 +7,17 @@
 //!
 //! The backends are exercised as structs (not through the process-wide
 //! dispatch), so these tests are independent of `ST_BACKEND` and of any
-//! other test mutating the global selection.
+//! other test mutating the global selection. The one exception, the panel
+//! GEMM's autograd property, selects each backend in turn; both give the
+//! same bits, so the switch cannot move another test's result.
 //!
 //! The last property pins the other half of the contract: the intra-op
 //! width (`st_tensor::par`) moves chunk boundaries and never a bit.
 
-use pgt_i::tensor::backend::{kernels_for, Activation, BackendKind, Kernels};
+use pgt_i::autograd::{ops, Tape, Var};
+use pgt_i::tensor::backend::{
+    active_backend, kernels_for, set_backend, Activation, BackendKind, Kernels,
+};
 use pgt_i::tensor::ops::reduce::sum_abs;
 use pgt_i::tensor::{par, Tensor};
 use proptest::prelude::*;
@@ -152,10 +157,179 @@ proptest! {
             prop_assert!(!r[i * n + col].is_finite(), "row {} col {}", i, col);
         }
     }
+
+    /// The panel GEMM equals concatenate-then-`bmm`, bit for bit, on both
+    /// backends: ragged panel widths (1 to 69), NaN / ±∞ / −0.0 planted in
+    /// the panels and the rhs. `Reference::bmm_panels` is itself the
+    /// concatenation and the naive `bmm`, so it is checked too.
+    #[test]
+    fn panel_gemm_bitwise_equals_concat_then_bmm(
+        widths in proptest::collection::vec(1usize..70, 1..5),
+        bs in 1usize..4,
+        m in 1usize..40,
+        n in 1usize..40,
+        specials in proptest::collection::vec((any::<u32>(), 0u8..4), 0..6),
+        seed in any::<u32>(),
+    ) {
+        let k: usize = widths.iter().sum();
+        let mut panels: Vec<Vec<f32>> = widths
+            .iter()
+            .enumerate()
+            .map(|(p, &w)| fill(bs * m * w, seed.wrapping_add(p as u32)))
+            .collect();
+        let mut b = fill(k * n, seed.wrapping_add(99));
+        for &(at, kind) in &specials {
+            let target = match at as usize % (panels.len() + 1) {
+                p if p < panels.len() => &mut panels[p],
+                _ => &mut b,
+            };
+            let i = at as usize / 7 % target.len();
+            target[i] = special(kind);
+        }
+        let cat = concat_panels(&panels, &widths, bs * m);
+        let refs: Vec<&[f32]> = panels.iter().map(Vec::as_slice).collect();
+        let mut want = vec![0.0f32; bs * m * n];
+        reference().bmm(&cat, &b, &mut want, bs, m, k, n, true);
+        // Sums seeded with +0.0 never become −0.0, whatever the inputs: the
+        // diffusion convolution's identity pass-through relies on it.
+        prop_assert!(want.iter().all(|v| v.to_bits() != (-0.0f32).to_bits()));
+        for kernels in [reference(), tiled()] {
+            let mut concat_out = vec![0.0f32; bs * m * n];
+            kernels.bmm(&cat, &b, &mut concat_out, bs, m, k, n, true);
+            let mut panel_out = vec![0.0f32; bs * m * n];
+            kernels.bmm_panels(&refs, &widths, &b, &mut panel_out, bs, m, n);
+            prop_assert_eq!(bits(&concat_out), bits(&want), "{} bmm", kernels.name());
+            prop_assert_eq!(
+                bits(&panel_out), bits(&want),
+                "{} panels {:?} ({}, {}, {})", kernels.name(), widths, bs, m, n
+            );
+        }
+    }
+
+    /// The split-store GEMM equals the whole `bmm` with its columns copied
+    /// out panel by panel, bit for bit, on both backends, with the same
+    /// ragged widths and planted specials. It is the panel GEMM's `dPₖ`.
+    #[test]
+    fn split_store_gemm_bitwise_equals_bmm_then_narrow(
+        widths in proptest::collection::vec(1usize..70, 1..5),
+        bs in 1usize..4,
+        m in 1usize..40,
+        k in 1usize..40,
+        specials in proptest::collection::vec((any::<u32>(), 0u8..4), 0..6),
+        seed in any::<u32>(),
+    ) {
+        let n: usize = widths.iter().sum();
+        let mut a = fill(bs * m * k, seed);
+        let mut b = fill(k * n, seed.wrapping_add(99));
+        for &(at, kind) in &specials {
+            let target = if at % 2 == 0 { &mut a } else { &mut b };
+            let i = at as usize / 7 % target.len();
+            target[i] = special(kind);
+        }
+        let mut full = vec![0.0f32; bs * m * n];
+        reference().bmm(&a, &b, &mut full, bs, m, k, n, true);
+        // Panel p: columns off..off+w of every row of the whole product.
+        let mut want: Vec<Vec<f32>> = Vec::new();
+        let mut off = 0;
+        for &w in &widths {
+            want.push(full.chunks_exact(n).flat_map(|row| &row[off..off + w]).copied().collect());
+            off += w;
+        }
+        for kernels in [reference(), tiled()] {
+            let mut bufs: Vec<Vec<f32>> = widths.iter().map(|&w| vec![0.0f32; bs * m * w]).collect();
+            let mut outs: Vec<&mut [f32]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+            kernels.bmm_split(&a, &b, &mut outs, &widths, bs, m, k);
+            for (p, (got, want)) in bufs.iter().zip(&want).enumerate() {
+                prop_assert_eq!(
+                    bits(got), bits(want),
+                    "{} panel {} of {:?} ({}, {}, {})", kernels.name(), p, widths, bs, m, k
+                );
+            }
+        }
+    }
+
+    /// The autograd op: forward, every `dPₖ` and `dW` of `bmm_panels` equal
+    /// those of `bmm(&concat(panels, 2), w)` bit for bit, under both
+    /// backends, with the same planted specials in panels, weight and the
+    /// upstream gradient.
+    #[test]
+    fn panel_gemm_gradients_equal_concat_then_bmm(
+        widths in proptest::collection::vec(1usize..70, 1..4),
+        bs in 1usize..4,
+        m in 1usize..24,
+        n in 1usize..24,
+        specials in proptest::collection::vec((any::<u32>(), 0u8..4), 0..5),
+        seed in any::<u32>(),
+    ) {
+        let k: usize = widths.iter().sum();
+        let mut inputs: Vec<Vec<f32>> = widths
+            .iter()
+            .enumerate()
+            .map(|(p, &w)| fill(bs * m * w, seed.wrapping_add(p as u32)))
+            .collect();
+        inputs.push(fill(k * n, seed.wrapping_add(99))); // the weight
+        inputs.push(fill(bs * m * n, seed.wrapping_add(98))); // the upstream gradient
+        for &(at, kind) in &specials {
+            let target = &mut inputs[at as usize % (widths.len() + 2)];
+            let i = at as usize / 7 % target.len();
+            target[i] = special(kind);
+        }
+        let tensor = |p: usize, dims: &[usize]| {
+            Tensor::from_vec(inputs[p].clone(), dims.to_vec()).expect("sized buffer")
+        };
+        let panels: Vec<Tensor> = widths.iter().enumerate().map(|(p, &w)| tensor(p, &[bs, m, w])).collect();
+        let (w, upstream) = (tensor(widths.len(), &[k, n]), tensor(widths.len() + 1, &[bs, m, n]));
+        // Forward value and the gradient of every input, panels first.
+        let run = |fused: bool| -> Vec<Vec<u32>> {
+            let tape = Tape::new();
+            let vars: Vec<Var> = panels.iter().map(|p| tape.leaf(p.clone())).collect();
+            let wv = tape.leaf(w.clone());
+            let refs: Vec<&Var> = vars.iter().collect();
+            let y = if fused {
+                ops::bmm_panels(&refs, &wv)
+            } else {
+                ops::bmm(&ops::concat(&refs, 2), &wv)
+            };
+            // d loss / dy is exactly `upstream`.
+            let grads = tape.backward(&ops::sum_all(&ops::mul(&y, &tape.constant(upstream.clone()))));
+            let mut out = vec![bits(&y.value().to_vec())];
+            out.extend(vars.iter().chain([&wv]).map(|v| bits(&grads.get(v).expect("reached").to_vec())));
+            out
+        };
+        let before = active_backend();
+        for kind in [BackendKind::Reference, BackendKind::Tiled] {
+            set_backend(kind);
+            let (composed, fused) = (run(false), run(true));
+            set_backend(before);
+            for (i, (c, f)) in composed.iter().zip(&fused).enumerate() {
+                prop_assert!(
+                    c == f,
+                    "{:?}: output {} of {} (forward, dP per panel, dW) differs, widths {:?} ({}, {}, {})",
+                    kind, i, composed.len(), widths, bs, m, n
+                );
+            }
+        }
+    }
+}
+
+/// NaN, +∞, −∞ or −0.0.
+fn special(kind: u8) -> f32 {
+    [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0][kind as usize % 4]
+}
+
+/// `[rows, Σ widths]` from panels of `[rows, widths[p]]`.
+fn concat_panels(panels: &[Vec<f32>], widths: &[usize], rows: usize) -> Vec<f32> {
+    let mut cat = Vec::with_capacity(rows * widths.iter().sum::<usize>());
+    for r in 0..rows {
+        for (p, &w) in panels.iter().zip(widths) {
+            cat.extend_from_slice(&p[r * w..(r + 1) * w]);
+        }
+    }
+    cat
 }
 
 /// Every data-parallel kernel's output bits at one intra-op width, and how
-/// many of the five calls were split over the pool, on shapes big enough to
+/// many of the seven calls were split over the pool, on shapes big enough to
 /// be split (at the default `par_threshold`) and ragged against every width
 /// tried.
 fn kernel_bits_at_width(
@@ -174,6 +348,15 @@ fn kernel_bits_at_width(
         kernels.bmm(a, &b[..k * n], &mut shared, bs, m, k, n, true);
         let mut per_batch = vec![0.0f32; bs * m * n];
         kernels.bmm(a, b, &mut per_batch, bs, m, k, n, false);
+        // `a` read as two column panels of a `[bs, m, k]` lhs.
+        let k0 = k / 3;
+        let (p0, p1) = a.split_at(bs * m * k0);
+        let mut panels = vec![0.0f32; bs * m * n];
+        kernels.bmm_panels(&[p0, p1], &[k0, k - k0], &b[..k * n], &mut panels, bs, m, n);
+        let (n0, n1) = (n / 3, n - n / 3);
+        let mut split = vec![0.0f32; bs * m * n];
+        let (s0, s1) = split.split_at_mut(bs * m * n0);
+        kernels.bmm_split(a, &b[..k * n], &mut [s0, s1], &[n0, n1], bs, m, k);
         let rows = row_ptr.len() - 1;
         let mut spmm = vec![0.0f32; rows * n];
         kernels.spmm(row_ptr, col_idx, values, x, &mut spmm, rows, n);
@@ -182,6 +365,8 @@ fn kernel_bits_at_width(
             bits(&matmul),
             bits(&shared),
             bits(&per_batch),
+            bits(&panels),
+            bits(&split),
             bits(&spmm),
             vec![(total >> 32) as u32, total as u32],
         ];
@@ -194,7 +379,9 @@ proptest! {
 
     /// Width 1 (sequential), 2, 3 and 7 (wider than most runners, dividing
     /// none of the shapes) give the same bits for matmul, bmm with a
-    /// shared and a per-batch rhs, spmm and `sum_abs`, on both backends —
+    /// shared and a per-batch rhs, the panel and split-store GEMMs, spmm and
+    /// `sum_abs`, on
+    /// both backends —
     /// "bits never depend on the thread count" as a test, not a comment.
     #[test]
     fn results_do_not_depend_on_the_intra_op_width(
@@ -242,10 +429,10 @@ proptest! {
                     kernels.name(), width, bs, m, k, n
                 );
                 // Not vacuous: unless the environment raised the threshold,
-                // all five calls really were split.
+                // all seven calls really were split.
                 prop_assert!(
-                    pooled == 5 || par::par_threshold() > par::PAR_THRESHOLD,
-                    "{} at width {}: {} of 5 calls pooled", kernels.name(), width, pooled
+                    pooled == 7 || par::par_threshold() > par::PAR_THRESHOLD,
+                    "{} at width {}: {} of 7 calls pooled", kernels.name(), width, pooled
                 );
             }
         }

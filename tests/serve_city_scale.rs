@@ -5,9 +5,11 @@
 //! diffusion supports once: every call, every copy-on-write tick and every
 //! same-K hot swap reuses the same `Arc`s, and each shard's replica is
 //! restored over them. A swap that changes K builds fresh supports and
-//! serves bitwise like a fresh deploy. This file is its own test binary so
-//! that the printed peak RSS is about this run only. Per-call wall time is
-//! printed for the record; no clock is asserted.
+//! serves bitwise like a fresh deploy, down to K = 1 and up to K = 3, whose
+//! second diffusion powers are built sparse. This file is its own test
+//! binary so that its peak RSS (asserted under 512 MB) is about this run
+//! only. Per-call wall time is printed for the record; no clock is
+//! asserted.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -183,7 +185,7 @@ fn a_city_deployment_builds_its_supports_once_and_serves_every_call_on_them() {
     assert_ne!(support_ptrs(&swapped), deployed, "K changed");
     assert_eq!(swapped.supports().len(), diffusion_supports(&adj, 1).len());
     let mut fresh =
-        BatchedServer::with_history(k1, adj, &history(n), ServeConfig::new(SHARDS, RING));
+        BatchedServer::with_history(k1, adj.clone(), &history(n), ServeConfig::new(SHARDS, RING));
     for tick in &ticks {
         fresh.admit_tick(tick).unwrap();
     }
@@ -192,7 +194,24 @@ fn a_city_deployment_builds_its_supports_once_and_serves_every_call_on_them() {
     assert_eq!(after.results.len(), qs.len());
     assert_eq!(forecast_bits(&after), forecast_bits(&fresh.serve(&qs)));
 
+    // K = 3 needs the second powers P² and P'², built sparse: a dense N×N
+    // intermediate here would be 2.6 GB.
+    let k3 = snapshot(&adj, 3, 29);
+    let t = Instant::now();
+    registry.swap_snapshot("city", k3.clone()).unwrap();
+    println!("K = 3 swap: {:.1} ms", t.elapsed().as_secs_f64() * 1e3);
+    assert_eq!(registry.get("city").unwrap().supports().len(), 5);
+    let mut fresh =
+        BatchedServer::with_history(k3, adj, &history(n), ServeConfig::new(SHARDS, RING));
+    for tick in &ticks {
+        fresh.admit_tick(tick).unwrap();
+    }
+    let after = registry.serve("city", &qs).unwrap();
+    assert_eq!(after.results.len(), qs.len());
+    assert_eq!(forecast_bits(&after), forecast_bits(&fresh.serve(&qs)));
+
     if let Some(mb) = peak_rss_mb() {
         println!("peak RSS {mb:.0} MB");
+        assert!(mb < 512.0, "peak RSS {mb:.0} MB");
     }
 }
