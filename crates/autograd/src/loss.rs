@@ -1,9 +1,9 @@
 //! Loss functions and (non-differentiable) evaluation metrics.
 //!
 //! The paper reports MAE for the traffic/epidemic experiments (Tables 3, 5,
-//! Figs 5, 8) and MSE for A3T-GCN (Table 6). Masked variants skip missing
-//! sensor readings (encoded as 0.0 in PeMS-style data), matching the DCRNN
-//! reference implementation.
+//! Figs 5, 8) and MSE for A3T-GCN (Table 6). The masked test metrics
+//! (MAE, RMSE and MAPE over non-missing readings) live in
+//! `st_models::metrics`.
 
 use crate::ops;
 use crate::tape::Var;
@@ -20,58 +20,13 @@ pub fn mse(pred: &Var, target: &Var) -> Var {
     ops::mean_all(&ops::square(&ops::sub(pred, target)))
 }
 
-/// Differentiable root mean squared error.
-pub fn rmse(pred: &Var, target: &Var) -> Var {
-    ops::sqrt(&mse(pred, target))
-}
-
-/// Masked MAE: entries where `target == 0` (missing sensor readings) are
-/// excluded, as in the DCRNN reference loss.
-pub fn masked_mae(pred: &Var, target: &Var) -> Var {
-    let mask = t::map(target.value(), |x| if x != 0.0 { 1.0 } else { 0.0 });
-    let valid = t::sum_all(&mask).max(1.0);
-    let mask_var = pred.tape().constant(mask);
-    let diff = ops::abs(&ops::sub(pred, target));
-    let masked = ops::mul(&diff, &mask_var);
-    ops::mul_scalar(&ops::sum_all(&masked), 1.0 / valid)
-}
-
 // ---------------------------------------------------------------------
 // Metric (tensor-level, non-differentiable) versions used for validation.
 // ---------------------------------------------------------------------
 
-/// MAE between two tensors.
-pub fn mae_metric(pred: &Tensor, target: &Tensor) -> f32 {
-    t::mean_all(&t::abs(&t::sub(pred, target).expect("same shape")))
-}
-
 /// MSE between two tensors.
 pub fn mse_metric(pred: &Tensor, target: &Tensor) -> f32 {
     t::mean_all(&t::square(&t::sub(pred, target).expect("same shape")))
-}
-
-/// RMSE between two tensors.
-pub fn rmse_metric(pred: &Tensor, target: &Tensor) -> f32 {
-    mse_metric(pred, target).sqrt()
-}
-
-/// Mean absolute percentage error (targets of 0 are skipped).
-pub fn mape_metric(pred: &Tensor, target: &Tensor) -> f32 {
-    let p = pred.to_vec();
-    let y = target.to_vec();
-    let mut acc = 0.0f32;
-    let mut n = 0usize;
-    for (pi, yi) in p.iter().zip(&y) {
-        if *yi != 0.0 {
-            acc += ((pi - yi) / yi).abs();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        acc / n as f32
-    }
 }
 
 #[cfg(test)]
@@ -99,23 +54,6 @@ mod tests {
         let l = mse(&pred, &target);
         assert!((l.value().item() - 5.0).abs() < 1e-6);
         assert!((mse_metric(pred.value(), target.value()) - 5.0).abs() < 1e-6);
-        assert!((rmse_metric(pred.value(), target.value()) - 5.0f32.sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn masked_mae_ignores_zero_targets() {
-        let tape = Tape::new();
-        let pred = tape.leaf(Tensor::from_slice(&[5.0, 2.0]));
-        let target = tape.constant(Tensor::from_slice(&[0.0, 4.0])); // first masked out
-        let l = masked_mae(&pred, &target);
-        assert!((l.value().item() - 2.0).abs() < 1e-6, "only |2-4| counted");
-    }
-
-    #[test]
-    fn mape_skips_zeros() {
-        let pred = Tensor::from_slice(&[2.0, 100.0]);
-        let target = Tensor::from_slice(&[0.0, 50.0]);
-        assert!((mape_metric(&pred, &target) - 1.0).abs() < 1e-6);
     }
 
     #[test]

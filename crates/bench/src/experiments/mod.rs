@@ -39,7 +39,7 @@ pub const REGISTRY: &[Experiment] = &[
     entry("overlap", "§7 sweep — overlap vs synchronous step", overlap),
     entry("partition", "§7 sweep — partition halo bytes", partition),
     entry("staleness", "§7 sweep — bounded-staleness sync", staleness),
-    entry("prefetch", "§7 sweep — prefetch and ownership", prefetch),
+    entry("prefetch", "§7 sweep — prefetch", prefetch),
     entry(
         "serve_day",
         "Serving plane — open-loop diurnal day",

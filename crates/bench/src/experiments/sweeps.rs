@@ -8,8 +8,6 @@ use pgt_index::gen_dist_index::run_generalized;
 use pgt_index::workflow::pgt_dcrnn_factory;
 use pgt_index::{DistConfig, EngineReport};
 use st_data::datasets::DatasetKind;
-use st_dist::datasvc::{DistributedArray, PartitionPolicy};
-use st_dist::topology::ClusterTopology;
 use st_graph::generators::{city_grid, highway_corridor, scale_free, SensorNetwork};
 use st_graph::{HaloCostModel, PartitionerKind, Partitioning};
 use st_report::record::{modeled, RecordSet};
@@ -214,119 +212,97 @@ pub fn partition(ctx: &Ctx) -> RecordSet {
     records
 }
 
-/// Bounded-staleness gradient sync under straggler skew.
+/// Bounded-staleness gradient sync.
 ///
-/// Sweeps the staleness bound `s` × world size × injected straggler skew on
-/// the distributed-index plane. `s = 0` is the synchronous path — every
-/// rank's clock rendezvouses at each collective, so a straggler ramp
-/// stretches every step. `s ≥ 1` lets each rank apply a bucket's averaged
-/// gradient up to `s` steps after it was issued: the collective is still
-/// barrier-matched (contents identical across ranks), but fast ranks ride
-/// ahead on the `OverlapLedger`'s deadline streams and only pay a hard
-/// fence when a payload's age would exceed the bound. At this miniature
-/// scale modeled compute is tiny against Polaris flops, so the skew ramp
-/// moves totals in the trailing digits while the bulk of the win comes from
-/// un-exposing the per-step collective.
+/// Sweeps the staleness bound `s` × world size on the distributed-index
+/// plane. `s = 0` is the synchronous path — every rank's clock
+/// rendezvouses at each collective, so the wire time of every step's
+/// gradient sync is exposed. `s ≥ 1` applies each bucket's averaged
+/// gradient exactly `s` steps after it was issued: the collective is still
+/// barrier-matched (contents identical across ranks), and its wire time
+/// hides behind the next `s` steps on the `OverlapLedger`'s deadline
+/// streams, with a fence paying whatever they did not hide.
 ///
 /// Judged: every `s ≥ 1` row's modeled total time never loses to the
 /// `s = 0` row and at world ≥ 4 is strictly below it. Panics if `s = 0`
-/// defers or fences, or if small-`s` convergence (best val MAE) leaves the
+/// fences, or if small-`s` convergence (best val MAE) leaves the
 /// synchronous run's neighborhood.
 pub fn staleness(ctx: &Ctx) -> RecordSet {
     let small = ctx.scaled(DatasetKind::ChickenpoxHungary, 0.3);
     let factory = pgt_dcrnn_factory(&small.sig, small.spec.horizon, 8, SEED);
-    let skews: &[f64] = if ctx.smoke { &[0.5] } else { &[0.3, 0.5] };
 
     let mut table = Table::new(
         "Ablation: bounded-staleness gradient sync vs the synchronous rendezvous",
         &[
             "world",
-            "skew",
             "s",
             "total s",
             "speedup",
             "best val MAE",
-            "stale applied",
             "fence stalls",
         ],
     );
     let mut records = RecordSet::new("§7 staleness");
     for world in [2, 4] {
-        for &skew in skews {
-            let mut sync: Option<EngineReport> = None;
-            let mut speedups = Vec::new();
-            let mut holds = true;
-            for s in [0, 1, 2] {
-                let mut cfg =
-                    DistConfig::new(world, ctx.scale.sweep_epochs + 1, small.spec.horizon);
-                cfg.batch_per_worker = 2;
-                cfg.staleness = s;
-                cfg.straggler_skew = skew;
-                let r = run_distributed_index(&small.sig, &cfg, &factory);
-                let (stale_applied, fence_stalls) = r.epochs.iter().fold((0, 0), |(sa, fs), e| {
-                    (sa + e.stale_steps_applied, fs + e.fence_stalls)
-                });
-                let base = sync.as_ref().unwrap_or(&r);
-                let speedup = base.sim_total_secs / r.sim_total_secs;
-                table.row(&[
-                    world.to_string(),
-                    format!("{skew:.1}"),
-                    s.to_string(),
-                    format!("{:.9}", r.sim_total_secs),
-                    format!("{speedup:.3}×"),
-                    format!("{:.4}", r.best_val_mae()),
-                    stale_applied.to_string(),
-                    fence_stalls.to_string(),
-                ]);
-                if s == 0 {
-                    assert_eq!(
-                        (stale_applied, fence_stalls),
-                        (0, 0),
-                        "w{world} skew {skew}: s = 0 must never defer or fence"
-                    );
-                    sync = Some(r);
-                    continue;
-                }
-                // Riding out skew inside the window never loses to the
-                // per-step rendezvous, and strictly wins once there are
-                // enough ranks for the straggler ramp to dominate it.
-                holds &= wins(r.sim_total_secs, base.sim_total_secs, world >= 4);
-                speedups.push(format!("s{s} {speedup:.3}×"));
-                // Small-s convergence stays in the synchronous run's
-                // neighborhood.
-                assert!(
-                    (r.best_val_mae() - base.best_val_mae()).abs() <= 0.5 * base.best_val_mae(),
-                    "w{world} skew {skew} s{s}: val MAE drifted: {} vs {}",
-                    r.best_val_mae(),
-                    base.best_val_mae()
-                );
+        let mut sync: Option<EngineReport> = None;
+        let mut speedups = Vec::new();
+        let mut holds = true;
+        for s in [0, 1, 2] {
+            let mut cfg = DistConfig::new(world, ctx.scale.sweep_epochs + 1, small.spec.horizon);
+            cfg.batch_per_worker = 2;
+            cfg.staleness = s;
+            let r = run_distributed_index(&small.sig, &cfg, &factory);
+            let fence_stalls: u64 = r.epochs.iter().map(|e| e.fence_stalls).sum();
+            let base = sync.as_ref().unwrap_or(&r);
+            let speedup = base.sim_total_secs / r.sim_total_secs;
+            table.row(&[
+                world.to_string(),
+                s.to_string(),
+                format!("{:.9}", r.sim_total_secs),
+                format!("{speedup:.3}×"),
+                format!("{:.4}", r.best_val_mae()),
+                fence_stalls.to_string(),
+            ]);
+            if s == 0 {
+                assert_eq!(fence_stalls, 0, "w{world}: s = 0 must never fence");
+                sync = Some(r);
+                continue;
             }
-            records.push(
-                &format!("world {world}, skew {skew:.1}: s ≥ 1 vs the synchronous rendezvous"),
-                PROPOSAL,
-                speedups.join(", "),
-                modeled(holds),
-                "never loses; strictly wins once world ≥ 4",
+            // Hiding the wire behind the next `s` steps never loses to
+            // the per-step rendezvous, and strictly wins once the ring
+            // is long enough for its wire time to dominate.
+            holds &= wins(r.sim_total_secs, base.sim_total_secs, world >= 4);
+            speedups.push(format!("s{s} {speedup:.3}×"));
+            // Small-s convergence stays in the synchronous run's
+            // neighborhood.
+            assert!(
+                (r.best_val_mae() - base.best_val_mae()).abs() <= 0.5 * base.best_val_mae(),
+                "w{world} s{s}: val MAE drifted: {} vs {}",
+                r.best_val_mae(),
+                base.best_val_mae()
             );
         }
+        records.push(
+            &format!("world {world}: s ≥ 1 vs the synchronous rendezvous"),
+            PROPOSAL,
+            speedups.join(", "),
+            modeled(holds),
+            "never loses; strictly wins once world ≥ 4",
+        );
     }
     println!("{}", table.to_text());
     records
 }
 
-/// Prefetching + data-distribution policies (paper §7) on the engine's
-/// remote planes:
-/// 1. **Prefetching (baseline DDP)** — double-buffered batch fetches
-///    overlap the data plane with compute; reported as exposed-
-///    communication seconds.
-/// 2. **Prefetching (generalized mode)** — the setup halo read is issued
-///    asynchronously and hidden behind early compute.
-/// 3. **Ownership policy** — contiguous vs strided row ownership changes
-///    how many owners a contiguous read touches (requests per fetch).
+/// Prefetching (paper §7) on the engine's remote planes:
+/// 1. **Baseline DDP** — double-buffered batch fetches overlap the data
+///    plane with compute; reported as exposed-communication seconds.
+/// 2. **Generalized mode** — the setup halo read is issued asynchronously
+///    and hidden behind early compute.
 ///
 /// Tables only: prefetching hides fetch time behind compute without changing
 /// bytes or learning (pinned by `tests/distributed.rs` and the planes' unit
-/// tests), and contiguous ownership keeps window reads single-owner.
+/// tests).
 pub fn prefetch(ctx: &Ctx) -> RecordSet {
     let small = ctx.scaled(DatasetKind::PemsBay, ctx.scale.dist_scale);
     let titles = [
@@ -360,26 +336,5 @@ pub fn prefetch(ctx: &Ctx) -> RecordSet {
         println!("{}", table.to_text());
     }
 
-    // --- ownership policies: requests per contiguous window read ---
-    let mut table = Table::new(
-        "Ablation §7b: ownership policy vs requests for one contiguous 64-row read (4 workers)",
-        &["policy", "remote requests", "remote bytes"],
-    );
-    for (name, policy) in [
-        ("contiguous", PartitionPolicy::Contiguous),
-        ("strided", PartitionPolicy::Strided),
-    ] {
-        let t = st_tensor::Tensor::zeros([256, 64]);
-        let a = DistributedArray::with_policy(t, 4, ClusterTopology::polaris(), 4, policy);
-        let cm = st_device::CostModel::polaris();
-        let ids: Vec<usize> = (0..64).collect(); // rank 0's own block, contiguous
-        a.fetch_rows_quoted(0, &ids, &cm);
-        table.row(&[
-            name.to_string(),
-            a.remote_requests().to_string(),
-            a.remote_bytes().to_string(),
-        ]);
-    }
-    println!("{}", table.to_text());
     RecordSet::new("§7 prefetch")
 }

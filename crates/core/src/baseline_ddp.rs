@@ -139,20 +139,17 @@ where
     let scaler = out.scaler;
     let splits = out.splits.clone();
     let elem = 4; // f32 payloads
-    let policy = st_dist::datasvc::PartitionPolicy::Contiguous;
     let x = DistributedArray::with_storage(
         SignalStorage::from_tensor_spec(out.x, cfg.storage),
         cfg.world,
         cfg.topology,
         elem,
-        policy,
     );
     let y = DistributedArray::with_storage(
         SignalStorage::from_tensor_spec(out.y, cfg.storage),
         cfg.world,
         cfg.topology,
         elem,
-        policy,
     );
 
     engine::run(

@@ -63,19 +63,13 @@ pub struct DistConfig {
     pub grad_bucket_bytes: Option<usize>,
     /// Staleness bound `s` for gradient application (MSPipe direction).
     /// `0` (the default) is the synchronous path — every collective
-    /// settles in the step that issued it. `s ≥ 1` lets a rank apply an
-    /// averaged gradient up to `s` steps after it was issued: bucket
-    /// collectives become deadline streams on the overlap ledger, applied
-    /// when their modeled arrival instant passes the rank's clock, with a
-    /// hard sync fence the moment the bound would be exceeded. See
-    /// DESIGN.md §4.
+    /// settles in the step that issued it. `s ≥ 1` applies each averaged
+    /// gradient exactly `s` steps after it was issued (an epoch's last `s`
+    /// land together at its end): bucket collectives become deadline
+    /// streams on the overlap ledger, so their wire time hides behind the
+    /// next `s` steps. The schedule counts steps, never reads a clock, so
+    /// replicas stay bit-equal. See DESIGN.md §4.
     pub staleness: usize,
-    /// Deterministic straggler-injection knob: scales each rank's modeled
-    /// compute seconds by [`st_device::CostModel::straggler_scale`] (rank 0
-    /// stays at 1.0, the last rank runs `1 + skew` slower, linear ramp
-    /// between). Numerics never see it — only modeled time moves. `0.0`
-    /// (the default) models a uniform healthy allocation.
-    pub straggler_skew: f64,
     /// Compute backend every rank selects before its first step
     /// ([`st_tensor::backend::set_backend`]). Both backends are bitwise
     /// identical, so switching never moves the numerics — only wall time.
@@ -112,7 +106,6 @@ impl DistConfig {
             prefetch: false,
             grad_bucket_bytes: Some(st_dist::ddp::DEFAULT_GRAD_BUCKET_BYTES),
             staleness: 0,
-            straggler_skew: 0.0,
             backend: st_tensor::backend::active_backend(),
             storage: StorageSpec::InMemory,
         }
@@ -171,11 +164,9 @@ pub struct DistEpochStats {
     /// clock (exposed: collective rendezvous, unhidden remainders, metric
     /// reductions).
     pub exposed_comm_secs: f64,
-    /// Gradients rank 0 applied at age ≥ 1 step this epoch (always zero on
+    /// Gradient landings under [`DistConfig::staleness`] `≥ 1` for which
+    /// rank 0's clock had to wait out the rest of the wire (always zero on
     /// the synchronous `staleness = 0` path).
-    pub stale_steps_applied: u64,
-    /// Hard sync fences rank 0 took this epoch because a not-yet-arrived
-    /// collective hit the staleness bound.
     pub fence_stalls: u64,
     /// Rank 0's wall seconds inside compute kernels this epoch, split by
     /// class ([`st_device::KernelSplit`]: gemm / spmm / elementwise). Real

@@ -37,14 +37,11 @@
 //! Determinism invariant (DESIGN.md §2): the engine charges *time* for
 //! fetches and collectives but never lets it influence numerics — plans
 //! are derived from `(seed, epoch[, rank])` alone, all cross-rank
-//! combination happens in rank order, and an element-wise rank-order mean
+//! combination happens in rank order, an element-wise rank-order mean
 //! cannot observe how the gradient buffer is cut into buckets (pinned by
-//! `tests/engine_goldens.rs`).
-//! The one documented relaxation is [`DistConfig::staleness`] `≥ 1`
-//! (DESIGN.md §4): gradient application then consults *modeled* arrival
-//! instants — themselves pure functions of the run configuration — so
-//! runs stay reproducible bit-for-bit while replicas may deliberately
-//! diverge from the synchronous trajectory.
+//! `tests/engine_goldens.rs`), and [`DistConfig::staleness`] lands each
+//! gradient exactly `s` steps after it is issued, so every replica stays
+//! bit-equal at any `s`.
 
 use crate::dist_index::{DistConfig, DistEpochStats};
 use st_autograd::checkpoint::CheckpointError;
@@ -544,11 +541,6 @@ fn run_rank<P: DistDataPlane>(
     // any kernel runs. Both backends are bitwise identical, so this knob
     // only moves wall time, never the training numerics.
     st_tensor::backend::set_backend(cfg.backend);
-    // Deterministic straggler injection: scale this rank's modeled compute
-    // by the cost model's linear skew ramp. Pure time — numerics never see
-    // it (pinned by `straggler_noise_never_leaks_into_numerics`).
-    ctx.clock
-        .set_compute_scale(cm.straggler_scale(ctx.rank(), ctx.world(), cfg.straggler_skew));
     let sync = plane.sync_gradients();
     if sync {
         ddp::broadcast_parameters(&model.params(), &mut ctx.comm);
@@ -606,7 +598,6 @@ fn run_rank<P: DistDataPlane>(
         let comm_mark = ctx.clock.comm_secs();
         let hidden_mark = overlap.hidden_secs();
         let kernel_mark = st_device::KernelSplit::snapshot();
-        let stale_mark = window.as_ref().map_or(0, |w| w.stale_applied());
         let fence_mark = window.as_ref().map_or(0, |w| w.fence_stalls());
         let plan = plane.plan_epoch(epoch);
         // With synchronized gradients every rank must enter the same
@@ -684,8 +675,9 @@ fn run_rank<P: DistDataPlane>(
                     // `ready_at` — no rendezvous, the rank's own clock
                     // keeps running. The averaged payload is captured now
                     // (contents are never cross-rank stale; *application*
-                    // is what the bound delays) and applied when the
-                    // stream arrives, or force-fenced at age `s`.
+                    // is what the bound delays) and applied exactly `s`
+                    // steps later on every rank, paying on the ledger
+                    // whatever wire time those steps did not hide.
                     overlap.credit(bwd_secs);
                     for i in 0..b.num_buckets() {
                         let ready_at = b.reduce_bucket_async(i, &mut ctx.comm);
@@ -737,8 +729,8 @@ fn run_rank<P: DistDataPlane>(
             }
         }
         // Epoch boundary: nothing stale may leak into the metric
-        // reductions or the next epoch — settle every in-flight gradient,
-        // fencing whatever has not arrived.
+        // reductions or the next epoch — land every in-flight gradient,
+        // whatever its age.
         if let (Some(b), Some(w)) = (buckets.as_mut(), window.as_mut()) {
             opt.zero_grad();
             let applied = w.flush(&mut overlap, &ctx.clock, |i, p| b.apply_stale(i, p));
@@ -796,7 +788,6 @@ fn run_rank<P: DistDataPlane>(
             val_mae,
             hidden_comm_secs: overlap.hidden_secs() - hidden_mark,
             exposed_comm_secs: ctx.clock.comm_secs() - comm_mark,
-            stale_steps_applied: window.as_ref().map_or(0, |w| w.stale_applied()) - stale_mark,
             fence_stalls: window.as_ref().map_or(0, |w| w.fence_stalls()) - fence_mark,
             kernel_split: st_device::KernelSplit::snapshot().since(&kernel_mark),
         });
@@ -811,7 +802,6 @@ fn run_rank<P: DistDataPlane>(
             val_mae: f32::NAN,
             hidden_comm_secs: 0.0,
             exposed_comm_secs: 0.0,
-            stale_steps_applied: 0,
             fence_stalls: 0,
             kernel_split: st_device::KernelSplit::default(),
         });
@@ -901,29 +891,43 @@ mod tests {
         }
     }
 
-    /// Two-rank toy plane. When `ragged`, rank 1's plan is empty: it meets
-    /// every collective with zero gradients and must not drag the train
-    /// loss.
+    /// How much of the epoch rank 1's plan covers (rank 0 always runs all
+    /// [`TOY_ROUNDS`] rounds).
+    #[derive(Clone, Copy)]
+    enum Rank1 {
+        Full,
+        /// Runs out halfway through the epoch.
+        Half,
+        /// No batches: it meets every collective with zero gradients and
+        /// must not drag the train loss.
+        Empty,
+    }
+
+    const TOY_ROUNDS: usize = 4;
+
+    /// Two-rank toy plane: batch `i` has target `i + 1`, and both ranks
+    /// validate on one shared batch, so equal replicas give equal sums.
     struct ToyPlane {
         rank: usize,
-        ragged: bool,
+        rank1: Rank1,
     }
 
     impl DistDataPlane for ToyPlane {
         fn rounds_per_epoch(&self) -> usize {
-            2
+            TOY_ROUNDS
         }
 
         fn plan_epoch(&self, _epoch: u64) -> Vec<Vec<usize>> {
-            if self.rank == 0 || !self.ragged {
-                vec![vec![0], vec![1]]
-            } else {
-                Vec::new()
-            }
+            let len = match (self.rank, self.rank1) {
+                (0, _) | (_, Rank1::Full) => TOY_ROUNDS,
+                (_, Rank1::Half) => TOY_ROUNDS / 2,
+                (_, Rank1::Empty) => 0,
+            };
+            (0..len).map(|i| vec![i]).collect()
         }
 
         fn plan_val(&self) -> Vec<Vec<usize>> {
-            Vec::new()
+            vec![vec![TOY_ROUNDS]]
         }
 
         fn fetch_batch(&self, ids: &[usize]) -> Fetch {
@@ -939,55 +943,51 @@ mod tests {
         }
     }
 
-    fn ragged_cfg(bucket: Option<usize>) -> DistConfig {
-        let mut cfg = DistConfig::new(2, 1, 1);
+    fn toy(bucket: Option<usize>, staleness: usize, rank1: Rank1) -> EngineReport {
+        let mut cfg = DistConfig::new(2, 2, 1);
         cfg.batch_per_worker = 1;
         cfg.grad_bucket_bytes = bucket;
-        cfg
+        cfg.staleness = staleness;
+        run(
+            &cfg,
+            &EngineOptions::default(),
+            move |rank, _cm| ToyPlane { rank, rank1 },
+            |_| Box::new(ToyModel::new()),
+        )
+        .expect("no resume")
+    }
+
+    /// Every epoch's `(train loss, val MAE)` bits.
+    fn curve(r: &EngineReport) -> Vec<(u32, u32)> {
+        r.epochs
+            .iter()
+            .map(|e| (e.train_loss.to_bits(), e.val_mae.to_bits()))
+            .collect()
     }
 
     #[test]
     fn zero_batch_ranks_do_not_dilute_the_train_loss() {
-        // Rank 0's two batches have targets 1 and 2 against a zero-init
-        // model: its local mean loss is ≥ 1. The old cross-rank reduction
-        // averaged rank 1's phantom 0.0 in (reporting ~half); contributing
-        // ranks only must keep the mean ≥ 1.
-        let r = run(
-            &ragged_cfg(None),
-            &EngineOptions::default(),
-            |rank, _cm| ToyPlane { rank, ragged: true },
-            |_| Box::new(ToyModel::new()),
-        )
-        .expect("no resume");
-        let loss = r.epochs[0].train_loss;
+        // Rank 0's batches have targets 1..=4 against a zero-init model:
+        // its first epoch's local mean loss is ≥ 1. The old cross-rank
+        // reduction averaged rank 1's phantom 0.0 in (reporting ~half);
+        // contributing ranks only must keep the mean ≥ 1.
+        let loss = toy(None, 0, Rank1::Empty).epochs[0].train_loss;
         assert!(loss > 1.0, "train loss {loss} diluted by a zero-batch rank");
     }
 
     #[test]
     fn bucketed_overlap_matches_flat_and_hides_collective_time() {
-        let toy = |cap: Option<usize>, ragged: bool| {
-            run(
-                &ragged_cfg(cap),
-                &EngineOptions::default(),
-                move |rank, _cm| ToyPlane { rank, ragged },
-                |_| Box::new(ToyModel::new()),
-            )
-            .expect("no resume")
-        };
-        let flat = toy(None, false);
+        let flat = toy(None, 0, Rank1::Full);
         // A 4-byte cap puts w and b in separate buckets; the b-bucket
         // fires halfway through the modeled backward and hides fully
         // behind its tail, so only the final bucket's wire time stays
         // exposed — strictly less than the flat reduce's.
-        let bucketed = toy(Some(4), false);
-        for (a, b) in flat.epochs.iter().zip(&bucketed.epochs) {
-            assert_eq!(
-                a.train_loss.to_bits(),
-                b.train_loss.to_bits(),
-                "bucketing must not change numerics"
-            );
-            assert_eq!(a.val_mae.to_bits(), b.val_mae.to_bits());
-        }
+        let bucketed = toy(Some(4), 0, Rank1::Full);
+        assert_eq!(
+            curve(&flat),
+            curve(&bucketed),
+            "bucketing must not change numerics"
+        );
         assert_eq!(
             flat.epochs[0].hidden_comm_secs, 0.0,
             "flat path hides nothing"
@@ -1006,13 +1006,42 @@ mod tests {
         );
 
         // Ragged worlds stay numerically identical too: the idle rank
-        // meets every bucket collective with zeros.
-        let rflat = toy(None, true);
-        let rbucket = toy(Some(4), true);
+        // meets every bucket collective with zeros. So do stale landings.
         assert_eq!(
-            rflat.epochs[0].train_loss.to_bits(),
-            rbucket.epochs[0].train_loss.to_bits(),
+            curve(&toy(None, 0, Rank1::Empty)),
+            curve(&toy(Some(4), 0, Rank1::Empty)),
             "ragged bucketing must not change numerics"
         );
+        assert_eq!(
+            curve(&toy(None, 2, Rank1::Full)),
+            curve(&toy(Some(4), 2, Rank1::Full)),
+            "bucketing must not change numerics under staleness"
+        );
+    }
+
+    #[test]
+    fn stale_replicas_stay_equal_when_a_rank_runs_out_of_batches() {
+        // Rank 1 idles through the second half of every epoch, so its
+        // clock falls behind rank 0's. Landing by step count, both ranks
+        // still apply the same gradients at the same steps.
+        let r = toy(None, 2, Rank1::Half);
+        let bits = |rank: usize| -> Vec<(u64, usize)> {
+            r.rank_val[rank]
+                .iter()
+                .map(|&(sum, n)| (sum.to_bits(), n))
+                .collect()
+        };
+        assert_eq!(bits(0), bits(1), "the replicas diverged");
+        assert!(r.rank_val[0].iter().all(|&(_, n)| n == 2));
+    }
+
+    #[test]
+    fn the_bound_sets_when_a_gradient_lands() {
+        // Every collective arrives within one step of compute, so only
+        // the bound can tell these runs apart: s steps of delay each.
+        let curves: Vec<_> = (1..=3).map(|s| curve(&toy(None, s, Rank1::Full))).collect();
+        assert_ne!(curves[0], curves[1], "s = 1 vs s = 2");
+        assert_ne!(curves[1], curves[2], "s = 2 vs s = 3");
+        assert_ne!(curves[0], curves[2], "s = 1 vs s = 3");
     }
 }

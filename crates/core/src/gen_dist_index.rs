@@ -261,13 +261,7 @@ where
     // directly ([E, N, F] rows are already `nodes * features` scalars wide);
     // under [`st_data::StorageSpec::Chunked`] this is the out-of-core store
     // itself, so no rank ever holds the dense entry matrix.
-    let shared = DistributedArray::with_storage(
-        full.storage().clone(),
-        cfg.world,
-        cfg.topology,
-        4,
-        st_dist::datasvc::PartitionPolicy::Contiguous,
-    );
+    let shared = DistributedArray::with_storage(full.storage().clone(), cfg.world, cfg.topology, 4);
 
     engine::run(
         cfg,

@@ -5,6 +5,9 @@
 //! [`crate::costmodel::CostModel`]) onto a [`SimClock`]. Each worker owns a
 //! clock; collective operations synchronize clocks to the maximum, mirroring
 //! how a barrier or all-reduce holds every rank until the slowest arrives.
+//! A clock prices time and nothing else: no training decision reads one
+//! (DESIGN.md §2), so its rates can move every modeled second without
+//! moving a bit.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -14,25 +17,11 @@ pub struct SimClock {
     inner: Arc<Mutex<ClockInner>>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ClockInner {
     now: f64,
     compute: f64,
     communication: f64,
-    /// Multiplier applied to every compute advance — the straggler
-    /// injection knob. 1.0 models a healthy rank; >1.0 a slow one.
-    compute_scale: f64,
-}
-
-impl Default for ClockInner {
-    fn default() -> Self {
-        ClockInner {
-            now: 0.0,
-            compute: 0.0,
-            communication: 0.0,
-            compute_scale: 1.0,
-        }
-    }
 }
 
 impl SimClock {
@@ -52,28 +41,11 @@ impl SimClock {
         self.lock().now
     }
 
-    /// Advance by `secs` of compute time, scaled by the straggler knob
-    /// ([`SimClock::set_compute_scale`]). The default scale is 1.0, so
-    /// un-skewed clocks charge exactly `secs`.
+    /// Advance by `secs` of compute time.
     pub fn advance_compute(&self, secs: f64) {
         let mut i = self.lock();
-        let scaled = secs * i.compute_scale;
-        i.now += scaled;
-        i.compute += scaled;
-    }
-
-    /// Set the straggler compute multiplier (≥ 0; 1.0 = healthy rank).
-    /// Timing only — the scale shapes this clock's modeled seconds and can
-    /// never touch numerics directly (DESIGN.md §2); under bounded
-    /// staleness the *engine* may consult modeled arrival times, which is
-    /// the documented, deterministic relaxation of that invariant.
-    pub fn set_compute_scale(&self, scale: f64) {
-        self.lock().compute_scale = scale.max(0.0);
-    }
-
-    /// The current straggler compute multiplier.
-    pub fn compute_scale(&self) -> f64 {
-        self.lock().compute_scale
+        i.now += secs;
+        i.compute += secs;
     }
 
     /// Advance by `secs` of communication time.
@@ -128,19 +100,5 @@ mod tests {
         c.sync_to(8.0);
         assert_eq!(c.now(), 8.0);
         assert_eq!(c.comm_secs(), 3.0, "waiting charged to communication");
-    }
-
-    #[test]
-    fn compute_scale_slows_compute_only() {
-        let c = SimClock::new();
-        c.set_compute_scale(1.5);
-        c.advance_compute(2.0);
-        c.advance_comm(1.0);
-        assert_eq!(c.compute_secs(), 3.0, "compute scaled by the knob");
-        assert_eq!(c.comm_secs(), 1.0, "comm unaffected");
-        assert_eq!(c.now(), 4.0);
-        c.set_compute_scale(1.0);
-        c.advance_compute(1.0);
-        assert_eq!(c.compute_secs(), 4.0, "scale is live-settable");
     }
 }

@@ -102,19 +102,6 @@ impl CostModel {
         };
         (fetch, flops / self.gpu_flops)
     }
-
-    /// Per-rank straggler compute multiplier under a linear skew ramp:
-    /// rank 0 stays at 1.0 and the last rank runs `1 + skew` slower, with
-    /// the ranks between on the line — the deterministic stand-in for the
-    /// per-node performance variability MSPipe-style bounded staleness is
-    /// designed to ride out. `skew = 0` (the default) models a uniform
-    /// healthy allocation.
-    pub fn straggler_scale(&self, rank: usize, world: usize, skew: f64) -> f64 {
-        if world <= 1 || skew == 0.0 {
-            return 1.0;
-        }
-        1.0 + skew.max(0.0) * rank as f64 / (world - 1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -149,16 +136,6 @@ mod tests {
         let w8 = cm.allreduce(1 << 30, 8, 4);
         let w128 = cm.allreduce(1 << 30, 128, 4);
         assert!(w128 < w8 * 1.5, "w8={w8}, w128={w128}");
-    }
-
-    #[test]
-    fn straggler_ramp_is_linear_and_anchored() {
-        let cm = CostModel::polaris();
-        assert_eq!(cm.straggler_scale(0, 4, 0.3), 1.0, "rank 0 is healthy");
-        assert!((cm.straggler_scale(3, 4, 0.3) - 1.3).abs() < 1e-12);
-        assert!((cm.straggler_scale(1, 4, 0.3) - 1.1).abs() < 1e-12);
-        assert_eq!(cm.straggler_scale(0, 1, 0.5), 1.0, "world of one");
-        assert_eq!(cm.straggler_scale(2, 4, 0.0), 1.0, "no skew, no ramp");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the generalized mode's shared entry array (§5.4).
 //!
 //! A [`DistributedArray`] is a row-partitioned array: rank `r` owns a
-//! subset of dim-0 rows (by [`PartitionPolicy`]). Fetches are
+//! contiguous block of dim-0 rows ([`owner_of`]). Fetches are
 //! **request-batched** — one modeled message per remote *owner* per call,
 //! the optimization the paper's authors added to their Dask baseline — and
 //! every remote row lands on the shared ledger (`remote_bytes`,
@@ -24,41 +24,25 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// How rows map to owning ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PartitionPolicy {
-    /// Rank `r` owns a balanced contiguous block (halo-friendly: a
-    /// contiguous window read touches at most two owners).
-    Contiguous,
-    /// Round-robin rows (`row % world`): balanced for any access pattern,
-    /// but a contiguous read touches every rank.
-    Strided,
-}
-
-impl PartitionPolicy {
-    /// The rank owning `row` of `rows` total across `world` ranks.
-    pub fn owner_of(&self, row: usize, rows: usize, world: usize) -> usize {
-        assert!(world > 0, "world must be positive");
-        match self {
-            PartitionPolicy::Contiguous => {
-                if rows == 0 {
-                    return 0;
-                }
-                let base = rows / world;
-                let rem = rows % world;
-                // First `rem` ranks own `base + 1` rows.
-                let boundary = rem * (base + 1);
-                if row < boundary {
-                    row / (base + 1)
-                } else {
-                    match (row - boundary).checked_div(base) {
-                        Some(q) => rem + q,
-                        // More ranks than rows: tail rows pile on the last.
-                        None => world - 1,
-                    }
-                }
-            }
-            PartitionPolicy::Strided => row % world,
+/// The rank owning `row` of `rows` total across `world` ranks: rank `r`
+/// owns a balanced contiguous block ([`contiguous_partition`]), so a
+/// contiguous window read touches at most two owners.
+pub fn owner_of(row: usize, rows: usize, world: usize) -> usize {
+    assert!(world > 0, "world must be positive");
+    if rows == 0 {
+        return 0;
+    }
+    let base = rows / world;
+    let rem = rows % world;
+    // First `rem` ranks own `base + 1` rows.
+    let boundary = rem * (base + 1);
+    if row < boundary {
+        row / (base + 1)
+    } else {
+        match (row - boundary).checked_div(base) {
+            Some(q) => rem + q,
+            // More ranks than rows: tail rows pile on the last.
+            None => world - 1,
         }
     }
 }
@@ -70,7 +54,6 @@ pub struct DistributedArray {
     world: usize,
     topology: ClusterTopology,
     elem_bytes: usize,
-    policy: PartitionPolicy,
     remote_bytes: AtomicU64,
     remote_requests: AtomicU64,
 }
@@ -85,39 +68,20 @@ impl DistributedArray {
         topology: ClusterTopology,
         elem_bytes: usize,
     ) -> Arc<Self> {
-        Self::with_policy(
-            data,
-            world,
-            topology,
-            elem_bytes,
-            PartitionPolicy::Contiguous,
-        )
-    }
-
-    /// Like [`DistributedArray::new`] with an explicit ownership policy.
-    pub fn with_policy(
-        data: Tensor,
-        world: usize,
-        topology: ClusterTopology,
-        elem_bytes: usize,
-        policy: PartitionPolicy,
-    ) -> Arc<Self> {
         Self::with_storage(
             SignalStorage::InMemory(data.contiguous()),
             world,
             topology,
             elem_bytes,
-            policy,
         )
     }
 
-    /// Fully general constructor: any storage backend and ownership policy.
+    /// Like [`DistributedArray::new`] over any storage backend.
     pub fn with_storage(
         store: SignalStorage,
         world: usize,
         topology: ClusterTopology,
         elem_bytes: usize,
-        policy: PartitionPolicy,
     ) -> Arc<Self> {
         assert!(world > 0, "world must be positive");
         assert!(
@@ -129,7 +93,6 @@ impl DistributedArray {
             world,
             topology,
             elem_bytes,
-            policy,
             remote_bytes: AtomicU64::new(0),
             remote_requests: AtomicU64::new(0),
         })
@@ -150,8 +113,7 @@ impl DistributedArray {
         &self.store
     }
 
-    /// The contiguous row range rank `rank` owns (meaningful for the
-    /// contiguous policy; strided owners interleave).
+    /// The contiguous row range rank `rank` owns.
     pub fn partition(&self, rank: usize) -> Range<usize> {
         contiguous_partition(self.rows(), self.world, rank)
     }
@@ -178,7 +140,7 @@ impl DistributedArray {
         let mut per_owner_rows = vec![0u64; self.world];
         for idx in row_iter {
             assert!(idx < rows, "row {idx} out of bounds ({rows})");
-            let owner = self.policy.owner_of(idx, rows, self.world);
+            let owner = owner_of(idx, rows, self.world);
             if owner != rank {
                 per_owner_rows[owner] += 1;
             }
@@ -244,27 +206,21 @@ mod tests {
     use super::*;
     use st_data::storage::{ChunkedSpec, StorageSpec};
 
-    fn arr(rows: usize, world: usize, policy: PartitionPolicy) -> Arc<DistributedArray> {
+    fn arr(rows: usize, world: usize) -> Arc<DistributedArray> {
         let t = Tensor::from_vec((0..rows * 3).map(|v| v as f32).collect(), [rows, 3]).unwrap();
-        DistributedArray::with_policy(t, world, ClusterTopology::polaris(), 4, policy)
+        DistributedArray::new(t, world, ClusterTopology::polaris(), 4)
     }
 
     fn chunked_arr(rows: usize, world: usize, chunk: usize) -> Arc<DistributedArray> {
         let t = Tensor::from_vec((0..rows * 3).map(|v| v as f32).collect(), [rows, 3]).unwrap();
         let store =
             SignalStorage::InMemory(t).rechunk(StorageSpec::Chunked(ChunkedSpec::new(chunk)));
-        DistributedArray::with_storage(
-            store,
-            world,
-            ClusterTopology::polaris(),
-            4,
-            PartitionPolicy::Contiguous,
-        )
+        DistributedArray::with_storage(store, world, ClusterTopology::polaris(), 4)
     }
 
     #[test]
     fn local_rows_are_free() {
-        let a = arr(16, 4, PartitionPolicy::Contiguous);
+        let a = arr(16, 4);
         let cm = CostModel::polaris();
         let own: Vec<usize> = a.partition(0).collect();
         let (batch, secs) = a.fetch_rows_quoted(0, &own, &cm);
@@ -276,7 +232,7 @@ mod tests {
 
     #[test]
     fn remote_rows_charge_time_and_ledger() {
-        let a = arr(16, 4, PartitionPolicy::Contiguous);
+        let a = arr(16, 4);
         let cm = CostModel::polaris();
         // Rows 12..16 belong to rank 3; fetch them as rank 0.
         let (batch, secs) = a.fetch_rows_quoted(0, &[12, 13, 14, 15], &cm);
@@ -296,20 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn strided_policy_spreads_ownership() {
-        let a = arr(16, 4, PartitionPolicy::Strided);
-        let cm = CostModel::polaris();
-        // A contiguous 8-row read touches 3 remote owners under striding.
-        let ids: Vec<usize> = (0..8).collect();
-        let (_, secs) = a.fetch_rows_quoted(0, &ids, &cm);
-        assert!(secs > 0.0);
-        assert_eq!(a.remote_requests(), 3);
-        assert_eq!(a.remote_bytes(), 6 * 3 * 4, "6 of 8 rows are remote");
-    }
-
-    #[test]
     fn fetch_range_returns_a_view() {
-        let a = arr(10, 2, PartitionPolicy::Contiguous);
+        let a = arr(10, 2);
         let cm = CostModel::polaris();
         let (window, secs) = a.fetch_range_quoted(0, 3..8, &cm);
         assert_eq!(window.dims(), &[5, 3]);
@@ -327,7 +271,7 @@ mod tests {
                 for rank in 0..world {
                     for idx in contiguous_partition(rows, world, rank) {
                         assert_eq!(
-                            PartitionPolicy::Contiguous.owner_of(idx, rows, world),
+                            owner_of(idx, rows, world),
                             rank,
                             "rows={rows} world={world} idx={idx}"
                         );
@@ -391,7 +335,7 @@ mod tests {
     #[test]
     fn chunked_lossless_matches_in_memory_bitwise() {
         let rows = 26;
-        let dense = arr(rows, 3, PartitionPolicy::Contiguous);
+        let dense = arr(rows, 3);
         let chunked = chunked_arr(rows, 3, 7);
         let cm = CostModel::polaris();
         for range in [0..rows, 3..19, 25..26] {

@@ -27,8 +27,8 @@
 //!   data service (partitioned rows, on-demand batched fetches, remote-byte
 //!   ledger).
 //! - [`staleness`] — [`staleness::StalenessWindow`]: the bounded-staleness
-//!   window over in-flight gradient collectives (apply-at-arrival with a
-//!   hard fence at age `s`; `s = 0` is the synchronous path).
+//!   window over in-flight gradient collectives (each lands exactly `s`
+//!   steps after it is issued; `s = 0` is the synchronous path).
 
 pub mod datasvc;
 pub mod ddp;
@@ -37,7 +37,7 @@ pub mod shuffle;
 pub mod staleness;
 pub mod topology;
 
-pub use datasvc::{DistributedArray, PartitionPolicy};
+pub use datasvc::DistributedArray;
 pub use ddp::{GradBuckets, DEFAULT_GRAD_BUCKET_BYTES};
 pub use launch::{run_workers, Comm, CommHub, ReduceOp, Timing, WorkerCtx};
 pub use shuffle::ShuffleStrategy;

@@ -1,27 +1,24 @@
 //! The bounded-staleness window over in-flight gradient collectives.
 //!
 //! MSPipe-style bounded staleness (PAPERS.md) relaxes the synchronous
-//! step barrier: a rank may run up to `s` steps ahead of a gradient
-//! collective it has issued, applying the averaged result whenever it
-//! *arrives* (its modeled completion instant passes the rank's own clock)
-//! — with a **hard sync fence** the moment the bound would be exceeded.
-//! `s = 0` degenerates to today's synchronous path: every collective is
-//! fenced in the step that issued it, bitwise identical to the flat
-//! reduce.
+//! step barrier by a bound stated in steps: a gradient collective issued
+//! at step `t` is applied at step `t + s`, never earlier and never later,
+//! so its wire time hides behind the next `s` steps of compute. `s = 0`
+//! is the synchronous path: every collective lands in the step that
+//! issued it, bitwise identical to the flat reduce.
 //!
-//! [`StalenessWindow`] owns the bookkeeping, not the policy mechanics: it
-//! queues `(bucket, step, payload, stream)` launches in FIFO order and
-//! settles the queue front against an [`st_device::OverlapLedger`] —
-//! apply when the deadline stream is ready, fence when the pending
-//! gradient's age hits the bound. FIFO settling keeps same-bucket
-//! payloads ordered and makes the applied-age invariant (`age ≤ s`,
-//! pinned by proptests) easy to audit.
+//! [`StalenessWindow`] queues `(bucket, step, payload, stream)` launches
+//! in FIFO order and lands the queue front once its age reaches the
+//! bound. Each landing waits on its stream in an
+//! [`st_device::OverlapLedger`], so the ledger prices the wire — hidden
+//! behind the compute since the launch, or exposed as a fence stall when
+//! the modeled arrival is still ahead of the rank's clock — but arrival
+//! decides nothing.
 //!
-//! Determinism: arrival decisions read *modeled* clocks, which are pure
-//! functions of the run configuration — so runs are reproducible
-//! bit-for-bit, while replicas on different ranks may (deliberately,
-//! realistically) diverge once `s ≥ 1`. DESIGN.md §4 spells out the
-//! timing model.
+//! Determinism: when a gradient lands is a function of the step count
+//! alone, so the schedule depends on `(DistConfig, seed)` and no clock.
+//! Every rank lands the same buckets at the same steps, and DDP replicas
+//! stay bit-equal at any `s`. DESIGN.md §4 spells out the timing model.
 
 use st_device::{OverlapLedger, SimClock, StreamId};
 use std::collections::VecDeque;
@@ -35,28 +32,24 @@ struct Pending {
 }
 
 /// FIFO window of in-flight gradient collectives under a staleness bound.
-/// See the module docs for the settle policy.
+/// See the module docs for the landing rule.
 pub struct StalenessWindow {
     bound: u64,
     pending: VecDeque<Pending>,
     /// Recycled payload buffers — steady state allocates nothing.
     pool: Vec<Vec<f32>>,
-    stale_applied: u64,
     fence_stalls: u64,
-    max_applied_age: u64,
 }
 
 impl StalenessWindow {
-    /// A window allowing gradients up to `bound` steps stale (`0` =
-    /// synchronous: everything settles in its own step).
+    /// A window landing each gradient `bound` steps after it is issued
+    /// (`0` = synchronous: everything lands in its own step).
     pub fn new(bound: usize) -> Self {
         StalenessWindow {
             bound: bound as u64,
             pending: VecDeque::new(),
             pool: Vec::new(),
-            stale_applied: 0,
             fence_stalls: 0,
-            max_applied_age: 0,
         }
     }
 
@@ -70,21 +63,10 @@ impl StalenessWindow {
         self.pending.len()
     }
 
-    /// Gradients applied at age ≥ 1 so far (stale applications).
-    pub fn stale_applied(&self) -> u64 {
-        self.stale_applied
-    }
-
-    /// Hard fences taken because the bound would have been exceeded by a
-    /// not-yet-arrived collective.
+    /// Landings whose stream had not yet arrived: the rank's clock waited
+    /// out the rest of the wire (an observation; it decides nothing).
     pub fn fence_stalls(&self) -> u64 {
         self.fence_stalls
-    }
-
-    /// Maximum age (in steps) at which any gradient has been applied —
-    /// never exceeds [`StalenessWindow::bound`].
-    pub fn max_applied_age(&self) -> u64 {
-        self.max_applied_age
     }
 
     /// A cleared payload buffer, recycled from an earlier settle when one
@@ -107,15 +89,11 @@ impl StalenessWindow {
         });
     }
 
-    /// Settle the queue front while settling is due at `step`: a pending
-    /// gradient is applied if its stream has arrived (free — the rank's
-    /// clock already passed the deadline, or the wait charges the
-    /// remaining gap as hidden/exposed per the ledger), or **force-fenced**
-    /// if its age reached the bound (the wait then charges the gap to the
-    /// deadline — the hard sync fence). Stops at the first pending that is
-    /// neither due nor arrived, preserving FIFO application order. Calls
-    /// `apply(bucket, payload)` per settled gradient and returns how many
-    /// settled.
+    /// Land, in FIFO order, every pending gradient whose age at `step` has
+    /// reached the bound. Each landing waits on its stream (the ledger
+    /// charges whatever gap compute did not hide; a stream not yet arrived
+    /// counts as a fence stall) and calls `apply(bucket, payload)`.
+    /// Returns how many landed.
     pub fn settle(
         &mut self,
         step: u64,
@@ -125,39 +103,10 @@ impl StalenessWindow {
     ) -> usize {
         let mut applied = 0;
         while let Some(front) = self.pending.front() {
-            let age = step.saturating_sub(front.step);
-            let arrived = overlap.ready(front.stream, clock.now());
-            if age < self.bound && !arrived {
+            if step.saturating_sub(front.step) < self.bound {
                 break;
             }
-            if !arrived {
-                self.fence_stalls += 1;
-            }
             let p = self.pending.pop_front().expect("front exists");
-            overlap.wait(p.stream, clock);
-            apply(p.bucket, &p.payload);
-            self.max_applied_age = self.max_applied_age.max(age);
-            if age >= 1 {
-                self.stale_applied += 1;
-            }
-            self.pool.push(p.payload);
-            applied += 1;
-        }
-        applied
-    }
-
-    /// Settle **everything** still in flight (epoch boundary: the epoch's
-    /// optimizer state must not leak pending gradients into the metric
-    /// reductions or the next epoch's shuffle). Fences any stream that has
-    /// not arrived. Returns how many settled.
-    pub fn flush(
-        &mut self,
-        overlap: &mut OverlapLedger,
-        clock: &SimClock,
-        mut apply: impl FnMut(usize, &[f32]),
-    ) -> usize {
-        let mut applied = 0;
-        while let Some(p) = self.pending.pop_front() {
             if !overlap.ready(p.stream, clock.now()) {
                 self.fence_stalls += 1;
             }
@@ -167,6 +116,19 @@ impl StalenessWindow {
             applied += 1;
         }
         applied
+    }
+
+    /// Land **everything** still in flight, whatever its age (epoch
+    /// boundary: the epoch's optimizer state must not leak pending
+    /// gradients into the metric reductions or the next epoch's shuffle).
+    /// Returns how many landed.
+    pub fn flush(
+        &mut self,
+        overlap: &mut OverlapLedger,
+        clock: &SimClock,
+        apply: impl FnMut(usize, &[f32]),
+    ) -> usize {
+        self.settle(u64::MAX, overlap, clock, apply)
     }
 }
 
@@ -196,7 +158,6 @@ mod tests {
         }
         w.flush(&mut overlap, &clock, |_, _| {});
         assert_eq!(w.in_flight(), 0);
-        assert!(w.max_applied_age() <= bound as u64, "bound respected");
         settled
     }
 
@@ -221,20 +182,22 @@ mod tests {
 
     #[test]
     fn fast_arrivals_settle_without_fences() {
+        // Arrival already in the past: nothing stalls, yet every gradient
+        // still waits out its full `bound` steps.
         let clock = SimClock::new();
         let mut overlap = OverlapLedger::new();
         let mut w = StalenessWindow::new(3);
+        let mut settled = Vec::new();
         for step in 0..5u64 {
             clock.advance_compute(1.0);
-            // Ready in the past: arrived before the next settle.
             let stream = overlap.begin_at(clock.now() - 0.5, clock.now());
             let buf = w.payload_buf();
-            w.launch(0, step, buf, stream);
-            w.settle(step, &mut overlap, &clock, |_, _| {});
+            w.launch(step as usize, step, buf, stream);
+            w.settle(step, &mut overlap, &clock, |b, _| settled.push((b, step)));
         }
+        assert_eq!(settled, vec![(0, 3), (1, 4)], "landed at age exactly 3");
+        assert_eq!(w.in_flight(), 3, "the rest wait for their age");
         assert_eq!(w.fence_stalls(), 0, "everything arrived on its own");
-        assert_eq!(w.in_flight(), 0);
-        assert_eq!(w.max_applied_age(), 0);
     }
 
     #[test]
@@ -242,23 +205,25 @@ mod tests {
         let clock = SimClock::new();
         let mut overlap = OverlapLedger::new();
         let mut w = StalenessWindow::new(1);
-        // Step 0: slow stream. Step 1: instant stream. The instant one
-        // must NOT settle before the slow one (FIFO prefix rule).
+        // Step 0: slow stream. Step 1: instant stream. Neither lands
+        // before its age reaches the bound, and the slow one lands first.
         clock.advance_compute(1.0);
         let slow = overlap.begin_at(clock.now() + 100.0, clock.now());
         let buf = w.payload_buf();
         w.launch(7, 0, buf, slow);
         let mut order = Vec::new();
         w.settle(0, &mut overlap, &clock, |b, _| order.push(b));
-        assert!(order.is_empty(), "not due, not arrived");
+        assert!(order.is_empty(), "age 0 < bound");
         clock.advance_compute(1.0);
         let fast = overlap.begin_at(clock.now(), clock.now());
         let buf = w.payload_buf();
         w.launch(9, 1, buf, fast);
         w.settle(1, &mut overlap, &clock, |b, _| order.push(b));
-        assert_eq!(order, vec![7, 9], "front fenced first, then the fast one");
+        assert_eq!(order, vec![7], "the slow one lands at age 1, fenced");
         assert_eq!(w.fence_stalls(), 1);
-        assert_eq!(w.stale_applied(), 1, "the slow one settled one step old");
+        w.settle(2, &mut overlap, &clock, |b, _| order.push(b));
+        assert_eq!(order, vec![7, 9], "the arrived one still waits for age 1");
+        assert_eq!(w.fence_stalls(), 1, "and lands without a stall");
     }
 
     #[test]

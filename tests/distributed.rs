@@ -229,52 +229,56 @@ fn distributed_checkpoint_resume_is_bit_identical() {
     // captured checkpoints are byte-identical) and the same per-epoch
     // stats for the resumed tail. This requires every rank to restore the
     // same state and to replay the epoch-keyed shuffles from the right
-    // epoch.
+    // epoch. Under bounded staleness it also requires the window to hold
+    // nothing across an epoch boundary.
     use pgt_i::core::dist_index::LocalCopyPlane;
     use pgt_i::core::engine::{self, EngineOptions};
 
     let (spec, sig) = setup();
     let factory = pgt_dcrnn_factory(&sig, spec.horizon, 8, 42);
-    let run = |epochs: usize, opts: &EngineOptions| {
-        let mut cfg = DistConfig::new(2, epochs, spec.horizon);
-        cfg.batch_per_worker = 4;
-        engine::run(
-            &cfg,
-            opts,
-            |rank, cm| LocalCopyPlane::new(&sig, &cfg, rank, cm),
-            |plane: &LocalCopyPlane| factory(plane.dataset()),
-        )
-        .expect("checkpoint round-trips")
-    };
-    let capture = EngineOptions {
-        resume: None,
-        capture_checkpoint: true,
-        ..Default::default()
-    };
-    let straight = run(4, &capture);
-    let interrupted = run(2, &capture);
-    let resumed = run(
-        4,
-        &EngineOptions {
-            resume: Some(interrupted.checkpoint.clone().expect("rank-0 checkpoint")),
+    for staleness in [0, 2] {
+        let run = |epochs: usize, opts: &EngineOptions| {
+            let mut cfg = DistConfig::new(2, epochs, spec.horizon);
+            cfg.batch_per_worker = 4;
+            cfg.staleness = staleness;
+            engine::run(
+                &cfg,
+                opts,
+                |rank, cm| LocalCopyPlane::new(&sig, &cfg, rank, cm),
+                |plane: &LocalCopyPlane| factory(plane.dataset()),
+            )
+            .expect("checkpoint round-trips")
+        };
+        let capture = EngineOptions {
+            resume: None,
             capture_checkpoint: true,
             ..Default::default()
-        },
-    );
-    assert_eq!(
-        straight.checkpoint, resumed.checkpoint,
-        "resumed model + optimizer state must be byte-identical"
-    );
-    // The resumed run reports exactly the tail epochs of the straight run.
-    assert_eq!(resumed.epochs.len(), 2);
-    for (r, s) in resumed.epochs.iter().zip(&straight.epochs[2..]) {
-        assert_eq!(r.epoch, s.epoch);
-        assert_eq!(r.train_loss.to_bits(), s.train_loss.to_bits());
-        assert_eq!(r.val_mae.to_bits(), s.val_mae.to_bits());
-    }
-    // And the first segment reproduced the straight run's head.
-    for (i, s) in interrupted.epochs.iter().zip(&straight.epochs[..2]) {
-        assert_eq!(i.train_loss.to_bits(), s.train_loss.to_bits());
+        };
+        let straight = run(4, &capture);
+        let interrupted = run(2, &capture);
+        let resumed = run(
+            4,
+            &EngineOptions {
+                resume: Some(interrupted.checkpoint.clone().expect("rank-0 checkpoint")),
+                capture_checkpoint: true,
+                ..Default::default()
+            },
+        );
+        assert_eq!(
+            straight.checkpoint, resumed.checkpoint,
+            "s = {staleness}: resumed model + optimizer state must be byte-identical"
+        );
+        // The resumed run reports exactly the tail epochs of the straight run.
+        assert_eq!(resumed.epochs.len(), 2);
+        for (r, s) in resumed.epochs.iter().zip(&straight.epochs[2..]) {
+            assert_eq!(r.epoch, s.epoch);
+            assert_eq!(r.train_loss.to_bits(), s.train_loss.to_bits());
+            assert_eq!(r.val_mae.to_bits(), s.val_mae.to_bits());
+        }
+        // And the first segment reproduced the straight run's head.
+        for (i, s) in interrupted.epochs.iter().zip(&straight.epochs[..2]) {
+            assert_eq!(i.train_loss.to_bits(), s.train_loss.to_bits());
+        }
     }
 }
 

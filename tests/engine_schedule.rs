@@ -210,7 +210,7 @@ fn zero_epoch_resume_reports_an_explicit_marker() {
     assert_eq!(m.epoch, 2, "marker carries the resume epoch");
     assert!(m.train_loss.is_nan() && m.val_mae.is_nan());
     assert_eq!(m.exposed_comm_secs, 0.0);
-    assert_eq!((m.stale_steps_applied, m.fence_stalls), (0, 0));
+    assert_eq!(m.fence_stalls, 0);
     assert_eq!(replay.rank_val, vec![vec![(0.0, 0)]]);
     assert_eq!(
         replay.checkpoint,

@@ -1,9 +1,9 @@
 //! Property-based tests for the §7 extension subsystems: graph
 //! partitioning laws, checkpoint round-trips, the common-round collective
-//! guard, data-distribution policies, and prefetch exposure algebra.
+//! guard, row ownership, and prefetch exposure algebra.
 
 use pgt_i::autograd::{Checkpoint, Param, StateDict};
-use pgt_i::dist::datasvc::PartitionPolicy;
+use pgt_i::dist::datasvc::owner_of;
 use pgt_i::dist::shuffle::{common_rounds, contiguous_partition, range_overlap};
 use pgt_i::graph::partition::{
     halo_nodes, GraphDelta, HaloCostModel, IncrementalConfig, IncrementalPartitioner, Partitioning,
@@ -180,22 +180,16 @@ proptest! {
         prop_assert_eq!(o, brute, "matches brute force");
     }
 
-    /// Every ownership policy assigns every row to a valid rank, and the
-    /// contiguous policy matches `contiguous_partition`.
+    /// Row ownership assigns every row to a valid rank and matches
+    /// `contiguous_partition`.
     #[test]
     fn ownership_policies_are_total(rows in 1usize..200, world in 1usize..9) {
-        for policy in [PartitionPolicy::Contiguous, PartitionPolicy::Strided] {
-            for idx in 0..rows {
-                let o = policy.owner_of(idx, rows, world);
-                prop_assert!(o < world);
-            }
+        for idx in 0..rows {
+            prop_assert!(owner_of(idx, rows, world) < world);
         }
         for rank in 0..world {
             for idx in contiguous_partition(rows, world, rank) {
-                prop_assert_eq!(
-                    PartitionPolicy::Contiguous.owner_of(idx, rows, world),
-                    rank
-                );
+                prop_assert_eq!(owner_of(idx, rows, world), rank);
             }
         }
     }
