@@ -1,8 +1,9 @@
 //! The one refinement core of the partitioning layer: an assignment plus
 //! its exact cut state — per-node *part contact* counts, per-part weight
 //! and node count, and the cut-neighbor count `Σ_v |{foreign parts v
-//! touches}|` (DGC's partition cost, kept incrementally). Moves are priced
-//! in integer halo gain and applied in O(degree). Node weights are 1 for
+//! touches}|` (DGC's partition cost, kept incrementally). Every move of a
+//! node is priced in integer halo gain by one walk over its neighbors, and
+//! applied in O(degree). Node weights are 1 for
 //! [`super::IncrementalPartitioner`] and contracted fine-node counts at
 //! [`super::Partitioning::multilevel`]'s coarse levels: the cap bounds part
 //! *weight*, the no-empty-part rule counts *nodes*.
@@ -155,24 +156,40 @@ impl CutState {
             .map_or(0, |&(_, c)| c)
     }
 
-    /// The cut-neighbor reduction of moving `u` to part `to` (positive =
-    /// fewer halo replicas), priced without mutating any state.
-    fn halo_gain(&self, u: usize, to: usize) -> i64 {
+    /// Price every move of `u` in one walk over its neighbors, after which
+    /// `prices.gain(p, ..)` is the halo gain of moving `u` to any part `p`
+    /// other than its own `from`.
+    ///
+    /// Moving `u` changes the cut by `foreign(u, p) − foreign(u, from)`
+    /// for `u` itself, plus one per neighbor that touches `p` nowhere and
+    /// sits outside it (it gains a foreign part), minus one per neighbor
+    /// outside `from` whose only contact there is `u` (it loses one). The
+    /// first term is `[u touches from] − [u touches p]`; the second is the
+    /// degree less `near[p]`, the neighbors that touch `p` or sit in it;
+    /// the third does not depend on `p`. So one walk that counts `near` per
+    /// part, and the lone contacts once, prices every target in integers.
+    fn sweep(&self, u: usize, prices: &mut Prices) {
+        for p in prices.touched.drain(..) {
+            prices.near[p] = 0;
+        }
         let from = self.assignment[u];
-        debug_assert_ne!(from, to);
-        // u's own replicas change with its notion of "foreign"...
-        let mut delta = self.foreign_contacts(u, to) as i64 - self.foreign_contacts(u, from) as i64;
-        // ...and each neighbor gains/loses a contact in `to`/`from`.
+        let mut base = -i64::from(self.contact_count(u, from) > 0);
         for &(v, _) in self.graph.neighbors(u) {
             let pv = self.assignment[v];
-            if self.contact_count(v, from) == 1 && from != pv {
-                delta -= 1;
+            base -= 1;
+            let mut sits_touched = false;
+            for &(q, c) in &self.contacts[v] {
+                if q == from && c == 1 && pv != from {
+                    base += 1;
+                }
+                sits_touched |= q == pv;
+                prices.count(q);
             }
-            if self.contact_count(v, to) == 0 && to != pv {
-                delta += 1;
+            if !sits_touched {
+                prices.count(pv);
             }
         }
-        -delta
+        prices.base = base;
     }
 
     /// Move `u` to part `to`, updating contacts, weights, and the cut.
@@ -210,18 +227,47 @@ impl CutState {
     /// part id) whose weight stays within `cap`, never emptying its own
     /// part. The integer cut strictly decreases with every move, so passes
     /// terminate. Returns the moves made.
+    ///
+    /// A node is *settled* once a look finds it no foreign contact, or no
+    /// contacted part of positive gain whatever the cap; later passes skip
+    /// it. Its prices read only its own and its neighbors' assignment and
+    /// contacts, and a move of `w` changes only `w`'s assignment and its
+    /// neighbors' contacts, so the move un-settles `w` and everything
+    /// within two hops of it. A node alone in its part is never settled.
+    /// A skipped node could not have moved, so the moves are those of
+    /// looking at every node on every pass.
     pub(super) fn refine(&mut self, active: &[usize], cap: usize) -> usize {
+        let mut prices = Prices::new(self.k);
+        let mut settled = vec![false; self.assignment.len()];
         let mut total = 0usize;
         for _ in 0..REFINE_PASSES {
             let mut moved = 0usize;
             for &u in active {
                 let from = self.assignment[u];
-                if self.part_count[from] <= 1 || self.foreign_contacts(u, from) == 0 {
+                if settled[u] || self.part_count[from] <= 1 {
                     continue;
                 }
-                if let Some((_, to)) = self.best_target(u, cap).filter(|&(g, _)| g > 0) {
+                if self.foreign_contacts(u, from) == 0 {
+                    settled[u] = true;
+                    continue;
+                }
+                self.sweep(u, &mut prices);
+                if self.contacts[u]
+                    .iter()
+                    .all(|&(p, _)| p == from || prices.gain(p, true) <= 0)
+                {
+                    settled[u] = true;
+                    continue;
+                }
+                if let Some((_, to)) = self.best_target(u, cap, &prices).filter(|&(g, _)| g > 0) {
                     self.move_node(u, to);
                     moved += 1;
+                    for &(x, _) in self.graph.neighbors(u) {
+                        for &(y, _) in self.graph.neighbors(x) {
+                            settled[y] = false;
+                        }
+                        settled[x] = false;
+                    }
                 }
             }
             total += moved;
@@ -244,20 +290,21 @@ impl CutState {
     /// stays over `cap` only when none of its nodes fits elsewhere.
     /// Returns the moves made.
     pub(super) fn rebalance(&mut self, cap: usize) -> usize {
+        let mut prices = Prices::new(self.k);
         let mut heap = Offers::new();
         for u in 0..self.assignment.len() {
-            self.offer(u, cap, &mut heap);
+            self.offer(u, cap, &mut heap, &mut prices);
         }
         let mut moves = 0usize;
         while let Some((gain, Reverse(u), Reverse(to))) = heap.pop() {
-            if self.sheddable(u, cap) && self.shed_target(u, cap) == Some((gain, to)) {
+            if self.sheddable(u, cap) && self.shed_target(u, cap, &mut prices) == Some((gain, to)) {
                 self.move_node(u, to);
                 moves += 1;
                 for &(v, _) in self.graph.neighbors(u) {
-                    self.offer(v, cap, &mut heap);
+                    self.offer(v, cap, &mut heap, &mut prices);
                 }
             } else {
-                self.offer(u, cap, &mut heap); // stale: re-price it
+                self.offer(u, cap, &mut heap, &mut prices); // stale: re-price it
             }
         }
         moves
@@ -270,9 +317,9 @@ impl CutState {
     }
 
     /// Queue `u`'s best shed move, if it may leave and fits somewhere.
-    fn offer(&self, u: usize, cap: usize, heap: &mut Offers) {
+    fn offer(&self, u: usize, cap: usize, heap: &mut Offers, prices: &mut Prices) {
         if self.sheddable(u, cap) {
-            if let Some((g, p)) = self.shed_target(u, cap) {
+            if let Some((g, p)) = self.shed_target(u, cap, prices) {
                 heap.push((g, Reverse(u), Reverse(p)));
             }
         }
@@ -284,24 +331,62 @@ impl CutState {
     }
 
     /// The contacted part that can take `u` at the highest halo gain,
-    /// ties to the lower part id.
-    fn best_target(&self, u: usize, cap: usize) -> Option<(i64, usize)> {
+    /// ties to the lower part id, priced by `u`'s sweep.
+    fn best_target(&self, u: usize, cap: usize, prices: &Prices) -> Option<(i64, usize)> {
         self.contacts[u]
             .iter()
             .filter(|&&(p, _)| self.fits(u, p, cap))
-            .map(|&(p, _)| (self.halo_gain(u, p), p))
+            .map(|&(p, _)| (prices.gain(p, true), p))
             .max_by_key(|&(g, p)| (g, Reverse(p)))
     }
 
     /// Where to shed `u`: its best contacted target, else the lightest
-    /// part that can take it.
-    fn shed_target(&self, u: usize, cap: usize) -> Option<(i64, usize)> {
-        self.best_target(u, cap).or_else(|| {
+    /// part that can take it (uncontacted, as no contacted part fits).
+    fn shed_target(&self, u: usize, cap: usize, prices: &mut Prices) -> Option<(i64, usize)> {
+        self.sweep(u, prices);
+        self.best_target(u, cap, prices).or_else(|| {
             let p = (0..self.k)
                 .filter(|&p| self.fits(u, p, cap))
                 .min_by_key(|&p| self.part_weight[p])?;
-            Some((self.halo_gain(u, p), p))
+            Some((prices.gain(p, false), p))
         })
+    }
+}
+
+/// What one [`CutState::sweep`] learns about a node: the halo gain of every
+/// move it can make. Sized by the part count and reused from node to node.
+struct Prices {
+    /// Per part `p`: the swept node's neighbors that touch `p` or sit in
+    /// it.
+    near: Vec<u32>,
+    /// The parts whose `near` is non-zero, so the next sweep clears only
+    /// those.
+    touched: Vec<usize>,
+    /// The part-independent rest of every gain: lone contacts in the
+    /// node's own part, less its degree and whether it touches that part.
+    base: i64,
+}
+
+impl Prices {
+    fn new(k: usize) -> Self {
+        Prices {
+            near: vec![0; k],
+            touched: Vec::new(),
+            base: 0,
+        }
+    }
+
+    fn count(&mut self, p: usize) {
+        if self.near[p] == 0 {
+            self.touched.push(p);
+        }
+        self.near[p] += 1;
+    }
+
+    /// The swept node's halo gain for a move to `p`, any part but its own;
+    /// `contacted` says whether it touches `p`.
+    fn gain(&self, p: usize, contacted: bool) -> i64 {
+        self.base + i64::from(self.near[p]) + i64::from(contacted)
     }
 }
 
@@ -336,13 +421,69 @@ mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
+    impl CutState {
+        /// The cut-neighbor reduction of moving `u` to part `to`, priced
+        /// from its definition, neighbor by neighbor: the oracle for
+        /// [`CutState::sweep`].
+        fn halo_gain(&self, u: usize, to: usize) -> i64 {
+            let from = self.assignment[u];
+            assert_ne!(from, to);
+            // u's own replicas change with its notion of "foreign"...
+            let mut delta =
+                self.foreign_contacts(u, to) as i64 - self.foreign_contacts(u, from) as i64;
+            // ...and each neighbor gains/loses a contact in `to`/`from`.
+            for &(v, _) in self.graph.neighbors(u) {
+                let pv = self.assignment[v];
+                if self.contact_count(v, from) == 1 && from != pv {
+                    delta -= 1;
+                }
+                if self.contact_count(v, to) == 0 && to != pv {
+                    delta += 1;
+                }
+            }
+            -delta
+        }
+
+        /// [`CutState::refine`] without settled nodes or sweeps: every
+        /// active node is priced part by part with `halo_gain` on every
+        /// pass.
+        fn refine_reference(&mut self, active: &[usize], cap: usize) -> usize {
+            let mut total = 0usize;
+            for _ in 0..REFINE_PASSES {
+                let mut moved = 0usize;
+                for &u in active {
+                    let from = self.assignment[u];
+                    if self.part_count[from] <= 1 || self.foreign_contacts(u, from) == 0 {
+                        continue;
+                    }
+                    let best = self.contacts[u]
+                        .iter()
+                        .filter(|&&(p, _)| self.fits(u, p, cap))
+                        .map(|&(p, _)| (self.halo_gain(u, p), p))
+                        .max_by_key(|&(g, p)| (g, Reverse(p)));
+                    if let Some((_, to)) = best.filter(|&(g, _)| g > 0) {
+                        self.move_node(u, to);
+                        moved += 1;
+                    }
+                }
+                total += moved;
+                if moved == 0 {
+                    break;
+                }
+            }
+            total
+        }
+    }
+
     /// An arbitrary core and cap: 2–23 nodes joined by random edges
     /// (components and isolated nodes included), node weights 1–4 (or
     /// unit weights, given as none), an
-    /// arbitrary assignment over 1–5 parts (some possibly empty), and a
-    /// cap anywhere from 1 to the total weight.
+    /// arbitrary assignment over 1–5 parts, or one time in eight 65–69
+    /// parts (some possibly empty), and a cap anywhere from 1 to the total
+    /// weight.
     fn arb_core() -> impl Strategy<Value = (CutState, usize)> {
         (2usize..24, 1usize..6, any::<u64>(), 0usize..100).prop_map(|(n, k, seed, cap_pct)| {
+            let k = if seed % 8 == 7 { 64 + k } else { k };
             let mut x = seed | 1;
             let mut next = move || {
                 x ^= x << 13;
@@ -405,8 +546,55 @@ mod tests {
         Ok(())
     }
 
+    /// Two cores hold the same assignment and exact cut state.
+    fn assert_same(a: &CutState, b: &CutState) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&a.assignment, &b.assignment);
+        prop_assert_eq!(&a.contacts, &b.contacts);
+        prop_assert_eq!(&a.part_weight, &b.part_weight);
+        prop_assert_eq!(&a.part_count, &b.part_count);
+        prop_assert_eq!(a.cut, b.cut);
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One sweep prices every move of every node exactly as
+        /// `halo_gain` does, any part count included.
+        #[test]
+        fn one_sweep_prices_every_move_like_halo_gain((s, _) in arb_core()) {
+            let mut prices = Prices::new(s.k);
+            for u in 0..s.assignment.len() {
+                s.sweep(u, &mut prices);
+                for p in (0..s.k).filter(|&p| p != s.assignment[u]) {
+                    prop_assert_eq!(
+                        prices.gain(p, s.contact_count(u, p) > 0),
+                        s.halo_gain(u, p),
+                        "node {} to part {}", u, p
+                    );
+                }
+            }
+        }
+
+        /// Skipping settled nodes changes nothing: `refine` makes the moves
+        /// of the loop that prices every active node on every pass, over
+        /// an arbitrary ascending active set and over all nodes, before
+        /// and after a `rebalance`.
+        #[test]
+        fn refine_moves_like_the_unskipped_loop(((core, cap), mask) in (arb_core(), any::<u64>())) {
+            let n = core.assignment.len();
+            let some: Vec<usize> = (0..n).filter(|&u| mask >> u & 1 == 1).collect();
+            let all: Vec<usize> = (0..n).collect();
+            let mut balanced = core.clone();
+            balanced.rebalance(cap);
+            for start in [core, balanced] {
+                for active in [&some, &all] {
+                    let (mut a, mut b) = (start.clone(), start.clone());
+                    prop_assert_eq!(a.refine(active, cap), b.refine_reference(active, cap));
+                    assert_same(&a, &b)?;
+                }
+            }
+        }
 
         /// `refine` never raises the cut, and `rebalance` leaves no part
         /// over the cap while any node of it fits elsewhere; neither

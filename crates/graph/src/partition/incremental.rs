@@ -21,7 +21,9 @@
 //!   their `halo_depth`-hop halo), prices every candidate move directly in
 //!   [`HaloCostModel`] units, and falls back to a full from-scratch solve
 //!   only when modeled halo bytes drift past [`IncrementalConfig::drift`]
-//!   versus the last full solve.
+//!   versus the last full solve. A dirty node's moves are all priced in
+//!   one walk over its neighbors, and a later pass looks again only at
+//!   nodes within two hops of a move: nothing else can have changed.
 //!
 //! Cut state is exact at all times: `cut_neighbors()` returns in O(1) the
 //! same count `Partitioning::cut_neighbors` recomputes in O(E) — a
