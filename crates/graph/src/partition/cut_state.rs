@@ -169,9 +169,7 @@ impl CutState {
     /// the third does not depend on `p`. So one walk that counts `near` per
     /// part, and the lone contacts once, prices every target in integers.
     fn sweep(&self, u: usize, prices: &mut Prices) {
-        for p in prices.touched.drain(..) {
-            prices.near[p] = 0;
-        }
+        prices.near.fill(0);
         let from = self.assignment[u];
         let mut base = -i64::from(self.contact_count(u, from) > 0);
         for &(v, _) in self.graph.neighbors(u) {
@@ -183,10 +181,10 @@ impl CutState {
                     base += 1;
                 }
                 sits_touched |= q == pv;
-                prices.count(q);
+                prices.near[q] += 1;
             }
             if !sits_touched {
-                prices.count(pv);
+                prices.near[pv] += 1;
             }
         }
         prices.base = base;
@@ -359,9 +357,6 @@ struct Prices {
     /// Per part `p`: the swept node's neighbors that touch `p` or sit in
     /// it.
     near: Vec<u32>,
-    /// The parts whose `near` is non-zero, so the next sweep clears only
-    /// those.
-    touched: Vec<usize>,
     /// The part-independent rest of every gain: lone contacts in the
     /// node's own part, less its degree and whether it touches that part.
     base: i64,
@@ -371,16 +366,8 @@ impl Prices {
     fn new(k: usize) -> Self {
         Prices {
             near: vec![0; k],
-            touched: Vec::new(),
             base: 0,
         }
-    }
-
-    fn count(&mut self, p: usize) {
-        if self.near[p] == 0 {
-            self.touched.push(p);
-        }
-        self.near[p] += 1;
     }
 
     /// The swept node's halo gain for a move to `p`, any part but its own;
