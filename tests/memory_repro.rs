@@ -7,7 +7,7 @@ use pgt_i::core::memory_model::{
 use pgt_i::core::standard_preprocess_bytes;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::replay::{standard_replay, LoaderVariant};
-use pgt_i::device::memory::MemPool;
+use pgt_i::device::memory::{AllocError, MemPool};
 use pgt_i::device::profiler::MemTimeline;
 use pgt_i::device::GIB;
 
@@ -131,3 +131,277 @@ fn fig3_stage_monotonicity_for_all_datasets() {
         );
     }
 }
+
+/// One replay as the golden reads it: every host timeline sample
+/// (progress bits, bytes), both pool peaks, the steady host bytes of a
+/// replay that completes, and the OOM point with its full `AllocError`.
+struct Pinned {
+    samples: Vec<(u64, u64)>,
+    peak_host: u64,
+    peak_device: u64,
+    steady: Option<u64>,
+    oom: Option<(u64, AllocError)>,
+}
+
+fn standard_pinned(spec: &DatasetSpec, variant: LoaderVariant) -> Pinned {
+    let host = MemPool::new("host", 512 * GIB);
+    let mut tl = MemTimeline::new("golden");
+    let r = standard_replay(spec, variant, &host, &mut tl, 8);
+    Pinned {
+        samples: bits(&tl),
+        peak_host: r.peak_bytes,
+        peak_device: 0,
+        steady: r.oom.is_none().then_some(r.steady_bytes),
+        oom: r.oom.map(|e| (tl.oom_at().expect("marked").to_bits(), e)),
+    }
+}
+
+fn index_pinned(spec: &DatasetSpec, host_gib: u64) -> Pinned {
+    let host = MemPool::new("host", host_gib * GIB);
+    let mut tl = MemTimeline::new("golden");
+    let r = index_replay(spec, &host, &mut tl, 8);
+    Pinned {
+        samples: bits(&tl),
+        peak_host: r.peak_host,
+        peak_device: r.peak_device,
+        steady: r.oom.is_none().then_some(r.steady_host),
+        oom: r.oom.map(|e| (tl.oom_at().expect("marked").to_bits(), e)),
+    }
+}
+
+fn gpu_index_pinned(spec: &DatasetSpec) -> Pinned {
+    let host = MemPool::new("host", 512 * GIB);
+    let device = MemPool::new("gpu0", 40 * GIB);
+    let mut tl = MemTimeline::new("golden");
+    let r = gpu_index_replay(spec, &host, &device, &mut tl, 8, GIB);
+    Pinned {
+        samples: bits(&tl),
+        peak_host: r.peak_host,
+        peak_device: r.peak_device,
+        steady: r.oom.is_none().then_some(r.steady_host),
+        oom: r.oom.map(|e| (tl.oom_at().expect("marked").to_bits(), e)),
+    }
+}
+
+fn bits(tl: &MemTimeline) -> Vec<(u64, u64)> {
+    tl.samples()
+        .iter()
+        .map(|&(p, b)| (p.to_bits(), b))
+        .collect()
+}
+
+/// PeMS-All-LA with twice its sensors: `memory_planner`'s
+/// `105120 5432 2 12` shape.
+fn pems_all_la_2x() -> DatasetSpec {
+    let mut spec = DatasetSpec::get(DatasetKind::PemsAllLa);
+    spec.nodes *= 2;
+    spec
+}
+
+/// Every replay behind Table 2, Figs 2 and 6 and Table 4, plus the
+/// commodity-host, 4×-node and planner-shape cases, in source form.
+fn pinned_replays() -> String {
+    let all_la = DatasetSpec::get(DatasetKind::PemsAllLa);
+    let pems = DatasetSpec::get(DatasetKind::Pems);
+    let mut pems_4x = pems.clone();
+    pems_4x.nodes *= 4;
+    let runs = [
+        (
+            "standard/pgt/PeMS-All-LA",
+            standard_pinned(&all_la, LoaderVariant::Pgt),
+        ),
+        (
+            "standard/dcrnn/PeMS-All-LA",
+            standard_pinned(&all_la, LoaderVariant::DcrnnPadded),
+        ),
+        (
+            "standard/pgt/PeMS",
+            standard_pinned(&pems, LoaderVariant::Pgt),
+        ),
+        (
+            "standard/dcrnn/PeMS",
+            standard_pinned(&pems, LoaderVariant::DcrnnPadded),
+        ),
+        (
+            "standard/pgt/PeMS-All-LA-2x",
+            standard_pinned(&pems_all_la_2x(), LoaderVariant::Pgt),
+        ),
+        ("index/PeMS/512GiB", index_pinned(&pems, 512)),
+        ("index/PeMS/64GiB", index_pinned(&pems, 64)),
+        ("gpu-index/PeMS", gpu_index_pinned(&pems)),
+        ("gpu-index/PeMS-4x", gpu_index_pinned(&pems_4x)),
+    ];
+    let mut out = String::new();
+    for (name, p) in runs {
+        out += &format!("{name}\n");
+        for (progress, bytes) in p.samples {
+            out += &format!("  sample {progress:#018x} {bytes}\n");
+        }
+        out += &format!("  peaks host {} device {}\n", p.peak_host, p.peak_device);
+        if let Some(steady) = p.steady {
+            out += &format!("  steady {steady}\n");
+        }
+        if let Some((at, e)) = p.oom {
+            out += &format!(
+                "  oom at {at:#018x} requested {} in_use {} capacity {} pool {}\n",
+                e.requested, e.in_use, e.capacity, e.pool
+            );
+        }
+    }
+    out
+}
+
+/// Every replay sample, peak, steady state and OOM point, bit for bit.
+/// Computed by the replay code of commit 227befd, before the three
+/// replays became one type;
+/// on a mismatch the assertion prints the computed table.
+#[test]
+fn replay_golden() {
+    let got = pinned_replays();
+    assert!(got == REPLAY_GOLDEN, "computed table:\n{got}");
+}
+
+const REPLAY_GOLDEN: &str = "\
+standard/pgt/PeMS-All-LA
+  sample 0x3f947ae147ae147b 2284047360
+  sample 0x3fa999999999999a 6852142080
+  sample 0x3faeb851eb851eb8 4568094720
+  sample 0x3fb5c28f5c28f5c2 18269380416
+  sample 0x3fbae147ae147ae1 31970666112
+  sample 0x3fbc28f5c28f5c29 45671951808
+  sample 0x3fc0a3d70a3d70a4 59373237504
+  sample 0x3fc147ae147ae148 73074523200
+  sample 0x3fc3d70a3d70a3d7 86775808896
+  sample 0x3fc47ae147ae147b 100477094592
+  sample 0x3fc70a3d70a3d70a 114178380288
+  sample 0x3fd3333333333333 168983523072
+  sample 0x3fd5c28f5c28f5c3 223788665856
+  sample 0x3fd851eb851eb852 278593808640
+  sample 0x3fd999999999999a 223788665856
+  sample 0x3fdae147ae147ae1 278593808640
+  sample 0x3fdc28f5c28f5c29 223788665856
+  sample 0x3fdd70a3d70a3d71 114178380288
+  sample 0x3fe3333333333333 114178380288
+  sample 0x3fe6666666666666 114178380288
+  sample 0x3fe999999999999a 114178380288
+  sample 0x3feccccccccccccd 114178380288
+  sample 0x3ff0000000000000 114178380288
+  peaks host 278593808640 device 0
+  steady 114178380288
+standard/dcrnn/PeMS-All-LA
+  sample 0x3f947ae147ae147b 2284047360
+  sample 0x3fa999999999999a 6852142080
+  sample 0x3faeb851eb851eb8 4568094720
+  sample 0x3fb5c28f5c28f5c2 18269380416
+  sample 0x3fbae147ae147ae1 31970666112
+  sample 0x3fbc28f5c28f5c29 45671951808
+  sample 0x3fc0a3d70a3d70a4 59373237504
+  sample 0x3fc147ae147ae148 73074523200
+  sample 0x3fc3d70a3d70a3d7 86775808896
+  sample 0x3fc47ae147ae147b 100477094592
+  sample 0x3fc70a3d70a3d70a 114178380288
+  sample 0x3fd3333333333333 168983523072
+  sample 0x3fd5c28f5c28f5c3 223788665856
+  sample 0x3fd70a3d70a3d70a 333398951424
+  sample 0x3fd851eb851eb852 388204094208
+  sample 0x3fd999999999999a 333398951424
+  sample 0x3fdae147ae147ae1 388204094208
+  sample 0x3fdc28f5c28f5c29 333398951424
+  sample 0x3fdd70a3d70a3d71 223788665856
+  sample 0x3fe3333333333333 223788665856
+  sample 0x3fe6666666666666 223788665856
+  sample 0x3fe999999999999a 223788665856
+  sample 0x3feccccccccccccd 223788665856
+  sample 0x3ff0000000000000 223788665856
+  peaks host 388204094208 device 0
+  steady 223788665856
+standard/pgt/PeMS
+  sample 0x3f947ae147ae147b 9385113600
+  sample 0x3fa999999999999a 28155340800
+  sample 0x3faeb851eb851eb8 18770227200
+  sample 0x3fb5c28f5c28f5c2 75068588160
+  sample 0x3fbae147ae147ae1 131366949120
+  sample 0x3fbc28f5c28f5c29 187665310080
+  sample 0x3fc0a3d70a3d70a4 243963671040
+  sample 0x3fc147ae147ae148 300262032000
+  sample 0x3fc3d70a3d70a3d7 356560392960
+  sample 0x3fc47ae147ae147b 412858753920
+  sample 0x3fc70a3d70a3d70a 469157114880
+  peaks host 469157114880 device 0
+  oom at 0x3fd3333333333333 requested 225193443840 in_use 469157114880 capacity 549755813888 pool host
+standard/dcrnn/PeMS
+  sample 0x3f947ae147ae147b 9385113600
+  sample 0x3fa999999999999a 28155340800
+  sample 0x3faeb851eb851eb8 18770227200
+  sample 0x3fb5c28f5c28f5c2 75068588160
+  sample 0x3fbae147ae147ae1 131366949120
+  sample 0x3fbc28f5c28f5c29 187665310080
+  sample 0x3fc0a3d70a3d70a4 243963671040
+  sample 0x3fc147ae147ae148 300262032000
+  sample 0x3fc3d70a3d70a3d7 356560392960
+  sample 0x3fc47ae147ae147b 412858753920
+  sample 0x3fc70a3d70a3d70a 469157114880
+  peaks host 469157114880 device 0
+  oom at 0x3fd3333333333333 requested 225193443840 in_use 469157114880 capacity 549755813888 pool host
+standard/pgt/PeMS-All-LA-2x
+  sample 0x3f947ae147ae147b 4568094720
+  sample 0x3fa999999999999a 13704284160
+  sample 0x3faeb851eb851eb8 9136189440
+  sample 0x3fb5c28f5c28f5c2 36538760832
+  sample 0x3fbae147ae147ae1 63941332224
+  sample 0x3fbc28f5c28f5c29 91343903616
+  sample 0x3fc0a3d70a3d70a4 118746475008
+  sample 0x3fc147ae147ae148 146149046400
+  sample 0x3fc3d70a3d70a3d7 173551617792
+  sample 0x3fc47ae147ae147b 200954189184
+  sample 0x3fc70a3d70a3d70a 228356760576
+  sample 0x3fd3333333333333 337967046144
+  sample 0x3fd5c28f5c28f5c3 447577331712
+  peaks host 447577331712 device 0
+  oom at 0x3fd851eb851eb852 requested 109610285568 in_use 447577331712 capacity 549755813888 pool host
+index/PeMS/512GiB
+  sample 0x3f947ae147ae147b 9385113600
+  sample 0x3fa47ae147ae147b 28155340800
+  sample 0x3faeb851eb851eb8 46925568000
+  sample 0x3fb47ae147ae147b 18771067976
+  sample 0x3fb999999999999a 18771067976
+  sample 0x3fd1eb851eb851ec 18771067976
+  sample 0x3fdd70a3d70a3d70 18771067976
+  sample 0x3fe47ae147ae147b 18771067976
+  sample 0x3fea3d70a3d70a3d 18771067976
+  sample 0x3fefffffffffffff 18771067976
+  peaks host 46925568000 device 0
+  steady 18771067976
+index/PeMS/64GiB
+  sample 0x3f947ae147ae147b 9385113600
+  sample 0x3fa47ae147ae147b 28155340800
+  sample 0x3faeb851eb851eb8 46925568000
+  sample 0x3fb47ae147ae147b 18771067976
+  sample 0x3fb999999999999a 18771067976
+  sample 0x3fd1eb851eb851ec 18771067976
+  sample 0x3fdd70a3d70a3d70 18771067976
+  sample 0x3fe47ae147ae147b 18771067976
+  sample 0x3fea3d70a3d70a3d 18771067976
+  sample 0x3fefffffffffffff 18771067976
+  peaks host 46925568000 device 0
+  steady 18771067976
+gpu-index/PeMS
+  sample 0x3f847ae147ae147b 586569600
+  sample 0x3f9eb851eb851eb8 19356796800
+  sample 0x3fa999999999999a 18770227200
+  sample 0x3faeb851eb851eb8 0
+  sample 0x3fb1eb851eb851ec 0
+  sample 0x3fb70a3d70a3d70a 0
+  sample 0x3fd1eb851eb851ec 0
+  sample 0x3fdd70a3d70a3d70 0
+  sample 0x3fe47ae147ae147b 0
+  sample 0x3fea3d70a3d70a3d 0
+  sample 0x3fefffffffffffff 0
+  peaks host 19356796800 device 19844809800
+  steady 0
+gpu-index/PeMS-4x
+  sample 0x3f847ae147ae147b 2346278400
+  sample 0x3f9eb851eb851eb8 77427187200
+  peaks host 77427187200 device 0
+  oom at 0x3fa999999999999a requested 75080908800 in_use 0 capacity 42949672960 pool gpu0
+";
