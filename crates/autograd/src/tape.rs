@@ -24,9 +24,6 @@ struct TapeInner {
     /// closures are dropped on arrival and no node (hence no retained
     /// activation) is created. Forward values are identical either way.
     grad_enabled: bool,
-    /// The compute backend active when this tape was created (see
-    /// [`Tape::backend`]).
-    backend: st_tensor::backend::BackendKind,
 }
 
 impl Default for TapeInner {
@@ -35,7 +32,6 @@ impl Default for TapeInner {
             nodes: Vec::new(),
             params: Vec::new(),
             grad_enabled: true,
-            backend: st_tensor::backend::active_backend(),
         }
     }
 }
@@ -74,15 +70,6 @@ impl Tape {
     /// False when this tape was created with [`Tape::inference`].
     pub fn grad_enabled(&self) -> bool {
         self.inner.borrow().grad_enabled
-    }
-
-    /// The [`st_tensor::backend::BackendKind`] that was process-active when
-    /// this tape was created. Kernel dispatch itself is process-wide
-    /// ([`st_tensor::backend::set_backend`]); the tape snapshots the choice
-    /// so trainers, the serve shards, and benches can assert every graph in
-    /// a run was recorded under the kernels they configured.
-    pub fn backend(&self) -> st_tensor::backend::BackendKind {
-        self.inner.borrow().backend
     }
 
     /// Number of recorded nodes (useful for tests and leak checks).

@@ -4,16 +4,15 @@
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
-use pgt_index::memory_model::{gpu_index_replay, index_replay, IndexReplayReport};
+use pgt_index::memory_model::{
+    gpu_index_replay, index_replay, standard_replay, LoaderVariant, Replay,
+};
 use pgt_index::workflow::pgt_dcrnn_factory;
 use pgt_index::IndexDataset;
 use st_data::datasets::{DatasetKind, DatasetSpec};
-use st_data::replay::{standard_replay, LoaderVariant, ReplayReport};
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
 use st_data::synthetic;
-use st_device::memory::MemPool;
-use st_device::profiler::MemTimeline;
 use st_device::GIB;
 use st_models::Seq2Seq;
 
@@ -27,56 +26,37 @@ pub(crate) struct Scaled {
     pub(crate) sig: StaticGraphTemporalSignal,
 }
 
-/// One virtual replay at paper shapes against the Polaris pools (512 GiB
-/// host, 40 GiB GPU, float64): its report and the timeline it drew.
-pub(crate) struct Replay<R> {
-    /// Peaks, steady state and the OOM verdict.
-    pub(crate) report: R,
-    /// Memory against progress, for the figures.
-    pub(crate) timeline: MemTimeline,
-}
-
-/// The six paper-shape replays Table 2, Fig 2, Fig 6 and Table 4 read.
+/// The six paper-shape replays Table 2, Fig 2, Fig 6 and Table 4 read, all
+/// against the Polaris pools (512 GiB host, 40 GiB GPU, float64).
 pub(crate) struct Replays {
-    standard: Vec<(DatasetKind, LoaderVariant, Replay<ReplayReport>)>,
+    standard: Vec<(DatasetKind, LoaderVariant, Replay)>,
     /// CPU index-batching on full PeMS.
-    pub(crate) index: Replay<IndexReplayReport>,
+    pub(crate) index: Replay,
     /// GPU-index-batching on full PeMS.
-    pub(crate) gpu_index: Replay<IndexReplayReport>,
+    pub(crate) gpu_index: Replay,
 }
 
 impl Replays {
     fn new() -> Self {
-        let host = || MemPool::new("host", 512 * GIB);
+        let (host, gpu) = (512 * GIB, 40 * GIB);
         let mut standard = Vec::new();
         for kind in [DatasetKind::PemsAllLa, DatasetKind::Pems] {
             for variant in [LoaderVariant::DcrnnPadded, LoaderVariant::Pgt] {
                 let spec = DatasetSpec::get(kind);
-                let mut timeline = MemTimeline::new(format!("{variant:?}-{}", spec.name));
-                let report = standard_replay(&spec, variant, &host(), &mut timeline, 8);
-                standard.push((kind, variant, Replay { report, timeline }));
+                let replay = Replay::run(host, gpu, |r| standard_replay(r, &spec, variant, 8));
+                standard.push((kind, variant, replay));
             }
         }
         let pems = DatasetSpec::get(DatasetKind::Pems);
-        let mut timeline = MemTimeline::new("index");
-        let report = index_replay(&pems, &host(), &mut timeline, 8);
-        let index = Replay { report, timeline };
-        let device = MemPool::new("gpu0", 40 * GIB);
-        let mut timeline = MemTimeline::new("gpu-index");
-        let report = gpu_index_replay(&pems, &host(), &device, &mut timeline, 8, GIB);
         Replays {
             standard,
-            index,
-            gpu_index: Replay { report, timeline },
+            index: Replay::run(host, gpu, |r| index_replay(r, &pems, 8)),
+            gpu_index: Replay::run(host, gpu, |r| gpu_index_replay(r, &pems, 8)),
         }
     }
 
     /// The Algorithm-1 pipeline on PeMS-All-LA or PeMS under either loader.
-    pub(crate) fn standard(
-        &self,
-        kind: DatasetKind,
-        variant: LoaderVariant,
-    ) -> &Replay<ReplayReport> {
+    pub(crate) fn standard(&self, kind: DatasetKind, variant: LoaderVariant) -> &Replay {
         let found = self
             .standard
             .iter()

@@ -2,14 +2,13 @@
 //! virtual replays of the reference pipelines against the Polaris pools.
 
 use pgt_index::gpu_index::{GpuIndexDataset, Residency};
-use pgt_index::memory_model::growth_stages;
+use pgt_index::memory_model::{growth_stages, LoaderVariant};
 use pgt_index::projection::{project_table2, project_table4, ProjectionParams};
 use pgt_index::trainer::BatchSource;
 use pgt_index::IndexDataset;
 use st_autograd::Tape;
 use st_data::datasets::{DatasetKind, DatasetSpec};
 use st_data::preprocess::materialized_xy;
-use st_data::replay::LoaderVariant;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
 use st_device::memory::MemPool;
@@ -21,7 +20,7 @@ use st_report::series::{render_columns, Series};
 use st_report::table::{fmt_bytes, Table};
 use st_tensor::Tensor;
 
-use crate::{footprints, gib, minutes, Ctx, SEED};
+use crate::{footprints, gib, minutes, timeline_gib, Ctx, SEED};
 
 /// **Table 1**: dataset sizes before and after preprocessing (float64),
 /// computed analytically from the registered Table-1 shapes via the paper's
@@ -177,7 +176,7 @@ pub fn table2(ctx: &Ctx) -> RecordSet {
     // --- Host memory: virtual replays. ---
     let host_peak = |variant| {
         let replay = ctx.replays().standard(DatasetKind::PemsAllLa, variant);
-        replay.report.peak_bytes
+        replay.peak_host()
     };
     let dcrnn_host = host_peak(LoaderVariant::DcrnnPadded);
     let pgt_host = host_peak(LoaderVariant::Pgt);
@@ -300,10 +299,10 @@ pub fn fig2(ctx: &Ctx) -> RecordSet {
                 },
                 DatasetSpec::get(kind).name
             );
-            let oom = replay.timeline.oom_at();
+            let oom = replay.oom().map(|&(at, _)| at);
             let verdict = match oom {
                 Some(p) => format!("OOM at {:.0}% progress", p * 100.0),
-                None => format!("completes, peak {:.2} GiB", gib(replay.report.peak_bytes)),
+                None => format!("completes, peak {:.2} GiB", gib(replay.peak_host())),
             };
             println!("{label:<24} {verdict}");
             let crashed = |oom: bool| if oom { "crash (OOM)" } else { "completes" };
@@ -314,7 +313,7 @@ pub fn fig2(ctx: &Ctx) -> RecordSet {
                 modeled(oom.is_some() == paper_oom),
                 "virtual replay at paper shapes, 512 GB limit",
             );
-            series.push(Series::new(label, replay.timeline.rows_gib()));
+            series.push(Series::new(label, timeline_gib(replay)));
         }
     }
     println!();
@@ -378,63 +377,61 @@ pub fn fig6(ctx: &Ctx) -> RecordSet {
     let standard = replays.standard(DatasetKind::Pems, LoaderVariant::Pgt);
     println!(
         "PGT (standard batching): {}",
-        match &standard.report.oom {
-            Some(e) => format!("OOM — {e}"),
+        match standard.oom() {
+            Some((_, e)) => format!("OOM — {e}"),
             None => "completed (unexpected!)".into(),
         }
     );
     records.push(
         "standard PGT on PeMS",
         "OOM before training",
-        if standard.report.oom.is_some() {
+        if standard.oom().is_some() {
             "OOM during preprocessing"
         } else {
             "completed"
         },
-        modeled(standard.report.oom.is_some()),
+        modeled(standard.oom().is_some()),
         "",
     );
 
     // --- Index-batching. ---
-    let idx = &replays.index.report;
+    let idx = &replays.index;
+    let steady = idx.steady_host().expect("index-batching reaches training");
     println!(
         "PGT-index-batching: peak {:.2} GiB, steady {:.2} GiB",
-        gib(idx.peak_host),
-        gib(idx.steady_host)
+        gib(idx.peak_host()),
+        gib(steady)
     );
     records.push(
         "index-batching peak host memory",
         "≈46 GB spike during preprocessing",
-        format!("{:.2} GiB", gib(idx.peak_host)),
-        modeled((gib(idx.peak_host) - 45.84).abs() < 3.0),
+        format!("{:.2} GiB", gib(idx.peak_host())),
+        modeled((gib(idx.peak_host()) - 45.84).abs() < 3.0),
         "raw + augmented + standardize temporary",
     );
 
     // --- GPU-index-batching. ---
-    let gidx = &replays.gpu_index.report;
+    let gidx = &replays.gpu_index;
     println!(
         "PGT-GPU-index-batching: host peak {:.2} GiB, device peak {:.2} GiB",
-        gib(gidx.peak_host),
-        gib(gidx.peak_device)
+        gib(gidx.peak_host()),
+        gib(gidx.peak_device())
     );
     records.push(
         "GPU-index host memory reduction vs index",
         "60.30%",
         format!(
             "{:.1}%",
-            100.0 * (1.0 - gidx.peak_host as f64 / idx.peak_host as f64)
+            100.0 * (1.0 - gidx.peak_host() as f64 / idx.peak_host() as f64)
         ),
-        modeled(gidx.peak_host < idx.peak_host / 2),
+        modeled(gidx.peak_host() < idx.peak_host() / 2),
         "chunked read never materializes the raw array on the host",
     );
 
     let series = [
-        Series::new("PGT", standard.timeline.rows_gib()),
-        Series::new("PGT-index-batching", replays.index.timeline.rows_gib()),
-        Series::new(
-            "PGT-GPU-index-batching",
-            replays.gpu_index.timeline.rows_gib(),
-        ),
+        Series::new("PGT", timeline_gib(standard)),
+        Series::new("PGT-index-batching", timeline_gib(&replays.index)),
+        Series::new("PGT-GPU-index-batching", timeline_gib(&replays.gpu_index)),
     ];
     println!();
     println!(
@@ -453,8 +450,8 @@ pub fn table4(ctx: &Ctx) -> RecordSet {
     let spec = DatasetSpec::get(DatasetKind::Pems);
     let params = ProjectionParams::default();
     let (index_secs, gpu_secs) = project_table4(&params, &spec, 30);
-    let idx = &ctx.replays().index.report;
-    let gidx = &ctx.replays().gpu_index.report;
+    let idx = &ctx.replays().index;
+    let gidx = &ctx.replays().gpu_index;
 
     let mut table = Table::new(
         "Table 4 — single-GPU PeMS training (30 epochs)",
@@ -468,14 +465,14 @@ pub fn table4(ctx: &Ctx) -> RecordSet {
     table.row(&[
         "Index-batching".into(),
         format!("{:.2}", minutes(index_secs)),
-        format!("{:.2}", gib(idx.peak_host)),
+        format!("{:.2}", gib(idx.peak_host())),
         "5.50 (model+batches)".into(),
     ]);
     table.row(&[
         "GPU-index-batching".into(),
         format!("{:.2}", minutes(gpu_secs)),
-        format!("{:.2}", gib(gidx.peak_host)),
-        format!("{:.2}", gib(gidx.peak_device)),
+        format!("{:.2}", gib(gidx.peak_host())),
+        format!("{:.2}", gib(gidx.peak_device())),
     ]);
     println!("{}", table.to_text());
 
@@ -488,11 +485,11 @@ pub fn table4(ctx: &Ctx) -> RecordSet {
         Some(small.spec.period),
     );
     let count_for = |residency| {
-        let pool = MemPool::new("gpu0", 40 * GIB);
+        let mut pool = MemPool::new("gpu0", 40 * GIB);
         let placed = GpuIndexDataset::place(
             ds.clone(),
             residency,
-            &pool,
+            &mut pool,
             CostModel::polaris(),
             SimClock::new(),
             4,
@@ -501,7 +498,7 @@ pub fn table4(ctx: &Ctx) -> RecordSet {
         for i in 0..50 {
             let _ = placed.get_batch(&[i, i + 1]);
         }
-        (placed.ledger().h2d_count(), placed.clock().comm_secs())
+        (placed.h2d_count(), placed.clock().comm_secs())
     };
     let (host_count, host_time) = count_for(Residency::Host);
     let (dev_count, dev_time) = count_for(Residency::Device);
@@ -535,17 +532,21 @@ pub fn table4(ctx: &Ctx) -> RecordSet {
     records.push(
         "index CPU memory (GB)",
         "45.84",
-        format!("{:.2}", gib(idx.peak_host)),
-        modeled((gib(idx.peak_host) - 45.84).abs() / 45.84 < 0.06),
+        format!("{:.2}", gib(idx.peak_host())),
+        modeled((gib(idx.peak_host()) - 45.84).abs() / 45.84 < 0.06),
         "",
     );
     records.push(
         "GPU-index CPU / GPU memory (GB)",
         "18.20 / 18.60",
-        format!("{:.2} / {:.2}", gib(gidx.peak_host), gib(gidx.peak_device)),
+        format!(
+            "{:.2} / {:.2}",
+            gib(gidx.peak_host()),
+            gib(gidx.peak_device())
+        ),
         modeled(
-            (gib(gidx.peak_host) - 18.20).abs() < 1.5
-                && (gib(gidx.peak_device) - 18.60).abs() < 1.5,
+            (gib(gidx.peak_host()) - 18.20).abs() < 1.5
+                && (gib(gidx.peak_device()) - 18.60).abs() < 1.5,
         ),
         "",
     );

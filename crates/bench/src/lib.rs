@@ -17,6 +17,7 @@ mod experiments;
 
 pub use ctx::Ctx;
 use pgt_index::index_batching_bytes;
+use pgt_index::memory_model::Replay;
 use st_data::datasets::DatasetSpec;
 use st_data::preprocess::materialized_bytes;
 use st_report::record::{json_string, Basis, ExperimentRecord, RecordSet, MARKDOWN_HEADER};
@@ -35,6 +36,13 @@ pub fn smoke() -> bool {
 /// Bytes → GiB.
 pub fn gib(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 30) as f64
+}
+
+/// A replay's host timeline as (% progress, GiB) rows, as Figs 2 and 6
+/// plot it.
+pub(crate) fn timeline_gib(replay: &Replay) -> Vec<(f64, f64)> {
+    let samples = replay.samples().iter();
+    samples.map(|&(p, b)| (p * 100.0, gib(b))).collect()
 }
 
 /// Seconds → minutes.
@@ -254,6 +262,13 @@ mod tests {
     fn unit_helpers() {
         assert_eq!(gib(1 << 30), 1.0);
         assert_eq!(minutes(120.0), 2.0);
+        let spec = DatasetSpec::get(st_data::DatasetKind::Pems);
+        let replay = Replay::run(512 << 30, 40 << 30, |r| {
+            pgt_index::memory_model::index_replay(r, &spec, 8)
+        });
+        let rows = timeline_gib(&replay);
+        assert_eq!(rows.len(), replay.samples().len());
+        assert_eq!(rows[0], (2.0, gib(spec.raw_bytes(8))), "load at 2%");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! After one consolidated host→device transfer, preprocessing and training
 //! proceed entirely on the device: batches are sliced from device memory,
 //! so the per-batch host→device copies of the standard workflow disappear.
-//! On this simulated substrate the "device" is a [`MemPool`] plus a
-//! [`TransferLedger`]; what the experiments measure — transfer counts,
+//! On this simulated substrate the "device" is a [`MemPool`] plus two
+//! host→device counters; what the experiments measure — transfer counts,
 //! bytes, modeled time, device-pool peaks — is exactly what changes
 //! between the CPU and GPU variants on real hardware.
 
@@ -13,8 +13,9 @@ use crate::trainer::BatchSource;
 use st_data::scaler::StandardScaler;
 use st_data::splits::SplitIndices;
 use st_device::memory::{AllocError, MemPool};
-use st_device::{CostModel, SimClock, TransferLedger};
+use st_device::{CostModel, SimClock};
 use st_tensor::Tensor;
+use std::cell::Cell;
 
 /// Where the dataset lives during training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +30,8 @@ pub enum Residency {
 pub struct GpuIndexDataset {
     inner: IndexDataset,
     residency: Residency,
-    ledger: TransferLedger,
+    h2d_count: Cell<u64>,
+    h2d_bytes: Cell<u64>,
     cost: CostModel,
     clock: SimClock,
     elem_bytes: usize,
@@ -43,30 +45,43 @@ impl GpuIndexDataset {
     pub fn place(
         dataset: IndexDataset,
         residency: Residency,
-        device_pool: &MemPool,
+        device_pool: &mut MemPool,
         cost: CostModel,
         clock: SimClock,
         elem_bytes: usize,
     ) -> Result<Self, AllocError> {
-        let ledger = TransferLedger::new();
-        if residency == Residency::Device {
-            let bytes = dataset.resident_bytes(elem_bytes);
-            device_pool.alloc_untracked(bytes)?;
-            ledger.h2d(bytes, &cost, &clock);
-        }
-        Ok(GpuIndexDataset {
+        let placed = GpuIndexDataset {
             inner: dataset,
             residency,
-            ledger,
+            h2d_count: Cell::new(0),
+            h2d_bytes: Cell::new(0),
             cost,
             clock,
             elem_bytes,
-        })
+        };
+        if residency == Residency::Device {
+            let bytes = placed.inner.resident_bytes(elem_bytes);
+            device_pool.alloc(bytes)?;
+            placed.h2d(bytes);
+        }
+        Ok(placed)
     }
 
-    /// The transfer ledger (counts + bytes).
-    pub fn ledger(&self) -> &TransferLedger {
-        &self.ledger
+    /// Model a host→device copy: count it and charge its time to the clock.
+    fn h2d(&self, bytes: u64) {
+        self.h2d_count.set(self.h2d_count.get() + 1);
+        self.h2d_bytes.set(self.h2d_bytes.get() + bytes);
+        self.clock.advance_comm(self.cost.h2d(bytes));
+    }
+
+    /// Number of host→device transfers so far.
+    pub fn h2d_count(&self) -> u64 {
+        self.h2d_count.get()
+    }
+
+    /// Total host→device bytes so far.
+    pub fn h2d_bytes(&self) -> u64 {
+        self.h2d_bytes.get()
     }
 
     /// The simulated clock charged by transfers.
@@ -106,8 +121,7 @@ impl BatchSource for GpuIndexDataset {
     fn get_batch(&self, indices: &[usize]) -> (Tensor, Tensor) {
         if self.residency == Residency::Host {
             // The standard workflow ships each batch over PCIe.
-            self.ledger
-                .h2d(self.batch_bytes(indices.len()), &self.cost, &self.clock);
+            self.h2d(self.batch_bytes(indices.len()));
         }
         // Device-resident batches are on-device slices: no transfer.
         self.inner.batch(indices)
@@ -133,11 +147,11 @@ mod tests {
     }
 
     fn place(residency: Residency) -> GpuIndexDataset {
-        let pool = MemPool::new("gpu0", 40 * GIB);
+        let mut pool = MemPool::new("gpu0", 40 * GIB);
         GpuIndexDataset::place(
             dataset(),
             residency,
-            &pool,
+            &mut pool,
             CostModel::polaris(),
             SimClock::new(),
             4,
@@ -148,12 +162,13 @@ mod tests {
     #[test]
     fn device_residency_is_one_consolidated_transfer() {
         let ds = place(Residency::Device);
-        assert_eq!(ds.ledger().h2d_count(), 1);
+        assert_eq!(ds.h2d_count(), 1);
+        assert_eq!(ds.h2d_bytes(), ds.inner().resident_bytes(4));
         for _ in 0..10 {
             let _ = ds.get_batch(&[0, 1]);
         }
         assert_eq!(
-            ds.ledger().h2d_count(),
+            ds.h2d_count(),
             1,
             "batches must not cross PCIe when device-resident"
         );
@@ -162,21 +177,24 @@ mod tests {
     #[test]
     fn host_residency_transfers_every_batch() {
         let ds = place(Residency::Host);
-        assert_eq!(ds.ledger().h2d_count(), 0);
+        assert_eq!(ds.h2d_count(), 0);
         for _ in 0..10 {
             let _ = ds.get_batch(&[0, 1]);
         }
-        assert_eq!(ds.ledger().h2d_count(), 10);
-        assert!(ds.clock().comm_secs() > 0.0);
+        assert_eq!(ds.h2d_count(), 10);
+        let batch = ds.batch_bytes(2);
+        assert_eq!(ds.h2d_bytes(), 10 * batch);
+        let charged = 10.0 * CostModel::polaris().h2d(batch);
+        assert!((ds.clock().comm_secs() - charged).abs() <= 1e-9 * charged);
     }
 
     #[test]
     fn device_oom_when_dataset_exceeds_capacity() {
-        let tiny = MemPool::new("gpu0", 64);
+        let mut tiny = MemPool::new("gpu0", 64);
         let r = GpuIndexDataset::place(
             dataset(),
             Residency::Device,
-            &tiny,
+            &mut tiny,
             CostModel::polaris(),
             SimClock::new(),
             4,

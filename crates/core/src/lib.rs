@@ -2,9 +2,10 @@
 //!
 //! This crate implements the paper's contribution:
 //!
-//! - [`memory_model`] — the analytic size formulas: eq. (1) for standard
-//!   sliding-window preprocessing and eq. (2) for index-batching, plus the
-//!   stage-by-stage data-growth breakdown of Fig. 3.
+//! - [`memory_model`] — paper-scale memory accounting: eq. (2) for
+//!   index-batching, the stage-by-stage data-growth breakdown of Fig. 3,
+//!   and [`memory_model::Replay`], the one virtual replay the standard,
+//!   index-batching and GPU-index-batching pipelines run on.
 //! - [`index_batching`] — [`index_batching::IndexDataset`]: one copy of the
 //!   standardized data + an array of window-start indices; snapshots are
 //!   reconstructed at runtime as zero-copy views (Fig. 4).
@@ -62,6 +63,6 @@ pub mod workflow;
 pub use dist_index::DistConfig;
 pub use engine::{DistDataPlane, EngineError, EngineOptions, EngineReport, StepLoop};
 pub use index_batching::IndexDataset;
-pub use memory_model::{index_batching_bytes, standard_preprocess_bytes};
+pub use memory_model::index_batching_bytes;
 pub use projection::{ProjectionParams, ScalingPoint};
 pub use trainer::Trainer;

@@ -34,6 +34,7 @@
 //!   fixed costs §5.3.1 blames for sublinear scaling at 64/128 GPUs.
 
 use st_data::datasets::DatasetSpec;
+use st_data::preprocess::materialized_bytes;
 use st_device::CostModel;
 
 /// Calibrated projection constants (see module docs).
@@ -278,13 +279,8 @@ pub fn project_scaling(
             let index_train = epochs as f64 * index_epoch;
 
             // --- baseline DDP ---
-            let eq1 = crate::memory_model::standard_preprocess_bytes(
-                spec.entries,
-                spec.horizon,
-                spec.nodes,
-                spec.aug_features,
-                8,
-            );
+            let eq1 =
+                materialized_bytes(spec.entries, spec.horizon, spec.nodes, spec.aug_features, 8);
             let ddp_pre = eq1 as f64 / (w as f64 * params.swa_bw)
                 + params.ddp_pre_fixed_secs
                 + params.ddp_pre_per_worker_secs * w as f64;

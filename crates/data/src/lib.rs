@@ -16,7 +16,6 @@ pub mod dynamic;
 pub mod io;
 pub mod loader;
 pub mod preprocess;
-pub mod replay;
 pub mod scaler;
 pub mod signal;
 pub mod splits;
@@ -26,7 +25,6 @@ pub mod synthetic;
 pub use datasets::{DatasetKind, DatasetSpec, Domain};
 pub use loader::{Batcher, PaddedBatcher};
 pub use preprocess::{materialized_bytes, materialized_xy, num_snapshots, PreprocessOutput};
-pub use replay::{standard_replay, LoaderVariant, ReplayReport};
 pub use scaler::StandardScaler;
 pub use signal::StaticGraphTemporalSignal;
 pub use splits::{SplitIndices, SplitRatios};

@@ -28,7 +28,7 @@
 //! [`RowStore::gather_rows_quoted`] (arbitrary rows) and
 //! [`SignalStorage::rewrite_rows`] (stream the store block by block into a
 //! new one). The reads also return the bytes they pulled from the file so
-//! callers can price the IO with [`st_device::CostModel::pfs_read`] and let
+//! callers can price the IO with `st_device`'s `CostModel::pfs_read` and let
 //! the engine's prefetch overlap hide it behind compute.
 
 use st_tensor::Tensor;

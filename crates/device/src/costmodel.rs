@@ -116,6 +116,15 @@ mod tests {
     }
 
     #[test]
+    fn consolidated_transfer_beats_per_batch() {
+        // The GPU-index-batching argument in miniature: one 8 GiB transfer
+        // is cheaper than 10k transfers of 0.8 MiB because of latency.
+        let cm = CostModel::polaris();
+        let chatty = 10_000.0 * cm.h2d((8 << 30) / 10_000);
+        assert!(cm.h2d(8 << 30) < chatty);
+    }
+
+    #[test]
     fn allreduce_zero_for_single_rank() {
         let cm = CostModel::polaris();
         assert_eq!(cm.allreduce(1 << 20, 1, 4), 0.0);

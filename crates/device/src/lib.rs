@@ -13,9 +13,8 @@
 //! - [`overlap`] — the overlap ledger: FIFO accounting for quoted comm
 //!   streams (setup reads, prefetched fetches, in-flight gradient
 //!   buckets) hidden behind modeled compute.
-//! - [`profiler`] — memory-timeline sampling, standing in for psutil/pynvml,
-//!   plus [`profiler::KernelSplit`] snapshots over `st_tensor`'s per-thread
-//!   kernel-time counters (gemm / spmm / elementwise seconds).
+//! - [`profiler`] — [`profiler::KernelSplit`] snapshots over `st_tensor`'s
+//!   per-thread kernel-time counters (gemm / spmm / elementwise seconds).
 
 pub mod clock;
 pub mod costmodel;
@@ -23,12 +22,10 @@ pub mod device;
 pub mod memory;
 pub mod overlap;
 pub mod profiler;
-pub mod transfer;
 
 pub use clock::SimClock;
 pub use costmodel::CostModel;
 pub use device::GIB;
-pub use memory::{AllocError, Allocation, MemPool};
+pub use memory::{AllocError, MemPool};
 pub use overlap::{OverlapLedger, StreamId};
-pub use profiler::{KernelSplit, MemTimeline};
-pub use transfer::TransferLedger;
+pub use profiler::KernelSplit;

@@ -1,18 +1,8 @@
-//! Memory-timeline sampling — the psutil/pynvml substitute.
-//!
-//! The paper samples system and GPU memory once per second during training
-//! (§3.1) and plots the timelines in Figs 2 and 6. Here, the workflow code
-//! calls [`MemTimeline::sample`] at the same milestones (after load, after
-//! each preprocessing stage, per training step); the x-axis is normalized
-//! progress, exactly like the figures.
-//!
-//! This module also hosts [`KernelSplit`], a thin profiler view over the
+//! Kernel-time profiling: [`KernelSplit`], a thin view over the
 //! per-thread kernel-time counters that `st_tensor`'s compute backends
-//! maintain (see [`st_tensor::backend::kernel_secs`]). The trainer snapshots
-//! the counters at epoch boundaries to attribute wall time to GEMM, spmm,
-//! or elementwise work.
-
-use crate::memory::MemPool;
+//! maintain (see [`st_tensor::backend::kernel_secs`]). The trainer
+//! snapshots the counters at epoch boundaries to attribute wall time to
+//! GEMM, spmm, or elementwise work.
 
 /// Cumulative kernel seconds by class, as reported by the calling thread's
 /// `st_tensor` backend counters, and how often its kernels used the
@@ -70,91 +60,9 @@ impl KernelSplit {
     }
 }
 
-/// A labeled sequence of (progress, bytes) samples for one pool.
-#[derive(Debug, Clone)]
-pub struct MemTimeline {
-    label: String,
-    samples: Vec<(f64, u64)>,
-    oom_at: Option<f64>,
-}
-
-impl MemTimeline {
-    /// New empty timeline.
-    pub fn new(label: impl Into<String>) -> Self {
-        MemTimeline {
-            label: label.into(),
-            samples: Vec::new(),
-            oom_at: None,
-        }
-    }
-
-    /// Record the pool's current usage at `progress` ∈ [0, 1].
-    pub fn sample(&mut self, progress: f64, pool: &MemPool) {
-        self.samples.push((progress, pool.in_use()));
-    }
-
-    /// Record a raw byte value at `progress`.
-    pub fn sample_bytes(&mut self, progress: f64, bytes: u64) {
-        self.samples.push((progress, bytes));
-    }
-
-    /// Mark that the workflow crashed with OOM at `progress`.
-    pub fn mark_oom(&mut self, progress: f64) {
-        self.oom_at = Some(progress);
-    }
-
-    /// Timeline label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The recorded samples.
-    pub fn samples(&self) -> &[(f64, u64)] {
-        &self.samples
-    }
-
-    /// Progress at which OOM occurred, if it did.
-    pub fn oom_at(&self) -> Option<f64> {
-        self.oom_at
-    }
-
-    /// Peak bytes over the timeline.
-    pub fn peak(&self) -> u64 {
-        self.samples.iter().map(|&(_, b)| b).max().unwrap_or(0)
-    }
-
-    /// Render as rows of `progress%, GiB` for the report tables.
-    pub fn rows_gib(&self) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
-            .map(|&(p, b)| (p * 100.0, b as f64 / (1u64 << 30) as f64))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn samples_track_pool_usage() {
-        let pool = MemPool::new("host", 1000);
-        let mut tl = MemTimeline::new("test");
-        tl.sample(0.0, &pool);
-        let _a = pool.alloc(600).unwrap();
-        tl.sample(0.5, &pool);
-        tl.sample(1.0, &pool);
-        assert_eq!(tl.samples(), &[(0.0, 0), (0.5, 600), (1.0, 600)]);
-        assert_eq!(tl.peak(), 600);
-    }
-
-    #[test]
-    fn oom_marker() {
-        let mut tl = MemTimeline::new("pems");
-        tl.sample_bytes(0.1, 100);
-        tl.mark_oom(0.15);
-        assert_eq!(tl.oom_at(), Some(0.15));
-    }
 
     #[test]
     fn kernel_split_snapshot_and_delta() {
@@ -175,15 +83,5 @@ mod tests {
                 .abs()
                 < 1e-12
         );
-    }
-
-    #[test]
-    fn gib_rows() {
-        let mut tl = MemTimeline::new("x");
-        tl.sample_bytes(0.5, 2 << 30);
-        let rows = tl.rows_gib();
-        assert_eq!(rows.len(), 1);
-        assert!((rows[0].0 - 50.0).abs() < 1e-9);
-        assert!((rows[0].1 - 2.0).abs() < 1e-9);
     }
 }

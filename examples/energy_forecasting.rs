@@ -29,11 +29,11 @@ fn main() {
     let ds = IndexDataset::from_signal(&sig, spec.horizon, SplitRatios::default(), None);
 
     // Place the whole standardized dataset on a simulated 40 GB device.
-    let device = MemPool::new("gpu0", 40 << 30);
+    let mut device = MemPool::new("gpu0", 40 << 30);
     let placed = GpuIndexDataset::place(
         ds,
         Residency::Device,
-        &device,
+        &mut device,
         CostModel::polaris(),
         SimClock::new(),
         4,
@@ -41,8 +41,8 @@ fn main() {
     .expect("scaled windmill fits easily on-device");
     println!(
         "consolidated transfer: {} host->device copies, {:.2} MiB, device pool at {:.2} MiB",
-        placed.ledger().h2d_count(),
-        placed.ledger().h2d_bytes() as f64 / (1 << 20) as f64,
+        placed.h2d_count(),
+        placed.h2d_bytes() as f64 / (1 << 20) as f64,
         device.in_use() as f64 / (1 << 20) as f64,
     );
 
@@ -70,6 +70,6 @@ fn main() {
     }
     println!(
         "\nafter training: still {} host->device transfer(s) — batches were sliced on-device",
-        placed.ledger().h2d_count()
+        placed.h2d_count()
     );
 }

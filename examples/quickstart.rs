@@ -9,9 +9,10 @@
 //! for a few epochs, and prints per-epoch validation MAE alongside the
 //! memory the standard pipeline would have needed.
 
+use pgt_i::core::index_batching_bytes;
 use pgt_i::core::workflow::{prepare_single_gpu, Batching};
-use pgt_i::core::{index_batching_bytes, standard_preprocess_bytes};
 use pgt_i::data::datasets::DatasetKind;
+use pgt_i::data::preprocess::materialized_bytes;
 
 fn main() {
     println!("PGT-I quickstart — index-batching on a PeMS-BAY-like workload\n");
@@ -25,7 +26,7 @@ fn main() {
     );
 
     // 2. The memory argument, at this run's scale (float32):
-    let eq1 = standard_preprocess_bytes(run.spec.entries, run.spec.horizon, run.spec.nodes, 2, 4);
+    let eq1 = materialized_bytes(run.spec.entries, run.spec.horizon, run.spec.nodes, 2, 4);
     let eq2 = index_batching_bytes(run.spec.entries, run.spec.horizon, run.spec.nodes, 2, 4);
     println!(
         "standard preprocessing would materialize {:.1} MiB; index-batching holds {:.1} MiB ({:.1}% less)\n",

@@ -2,13 +2,12 @@
 //! expect to match *exactly*, per DESIGN.md §7).
 
 use pgt_i::core::memory_model::{
-    gpu_index_replay, growth_stages, index_batching_bytes, index_replay,
+    gpu_index_replay, growth_stages, index_batching_bytes, index_replay, standard_replay,
+    LoaderVariant, Replay,
 };
-use pgt_i::core::standard_preprocess_bytes;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
-use pgt_i::data::replay::{standard_replay, LoaderVariant};
-use pgt_i::device::memory::{AllocError, MemPool};
-use pgt_i::device::profiler::MemTimeline;
+use pgt_i::data::preprocess::materialized_bytes;
+use pgt_i::device::memory::AllocError;
 use pgt_i::device::GIB;
 
 fn gib(bytes: u64) -> f64 {
@@ -25,8 +24,7 @@ fn table1_after_sizes_within_two_percent() {
     ];
     for (kind, want) in expected {
         let s = DatasetSpec::get(kind);
-        let got =
-            standard_preprocess_bytes(s.entries, s.horizon, s.nodes, s.aug_features, 8) as f64;
+        let got = materialized_bytes(s.entries, s.horizon, s.nodes, s.aug_features, 8) as f64;
         assert!(
             (got - want).abs() / want < 0.02,
             "{}: {got} vs paper {want}",
@@ -38,7 +36,7 @@ fn table1_after_sizes_within_two_percent() {
 #[test]
 fn paper_headline_89_percent_reduction() {
     let s = DatasetSpec::get(DatasetKind::Pems);
-    let eq1 = standard_preprocess_bytes(s.entries, s.horizon, s.nodes, s.aug_features, 8);
+    let eq1 = materialized_bytes(s.entries, s.horizon, s.nodes, s.aug_features, 8);
     let eq2 = index_batching_bytes(s.entries, s.horizon, s.nodes, s.aug_features, 8);
     assert!(1.0 - eq2 as f64 / eq1 as f64 > 0.89);
 }
@@ -49,16 +47,14 @@ fn fig2_oom_matrix() {
     for (kind, expect_oom) in [(DatasetKind::PemsAllLa, false), (DatasetKind::Pems, true)] {
         for variant in [LoaderVariant::Pgt, LoaderVariant::DcrnnPadded] {
             let spec = DatasetSpec::get(kind);
-            let pool = MemPool::new("host", 512 * GIB);
-            let mut tl = MemTimeline::new("t");
-            let r = standard_replay(&spec, variant, &pool, &mut tl, 8);
+            let r = polaris(|r| standard_replay(r, &spec, variant, 8));
             assert_eq!(
-                r.oom.is_some(),
+                r.oom().is_some(),
                 expect_oom,
                 "{:?} on {}: oom={:?}",
                 variant,
                 spec.name,
-                r.oom
+                r.oom()
             );
         }
     }
@@ -67,11 +63,7 @@ fn fig2_oom_matrix() {
 #[test]
 fn table2_host_peaks() {
     let spec = DatasetSpec::get(DatasetKind::PemsAllLa);
-    let peak = |variant| {
-        let pool = MemPool::new("host", 512 * GIB);
-        let mut tl = MemTimeline::new("t");
-        standard_replay(&spec, variant, &pool, &mut tl, 8).peak_bytes
-    };
+    let peak = |variant| polaris(|r| standard_replay(r, &spec, variant, 8)).peak_host();
     let pgt = gib(peak(LoaderVariant::Pgt));
     let dcrnn = gib(peak(LoaderVariant::DcrnnPadded));
     assert!((pgt - 259.84).abs() / 259.84 < 0.03, "PGT peak {pgt}");
@@ -82,33 +74,28 @@ fn table2_host_peaks() {
 #[test]
 fn fig6_and_table4_memory_points() {
     let spec = DatasetSpec::get(DatasetKind::Pems);
-    let host = MemPool::new("host", 512 * GIB);
-    let mut tl = MemTimeline::new("idx");
-    let idx = index_replay(&spec, &host, &mut tl, 8);
-    assert!(idx.oom.is_none());
+    let idx = polaris(|r| index_replay(r, &spec, 8));
+    assert!(idx.oom().is_none());
     assert!(
-        (gib(idx.peak_host) - 45.84).abs() < 3.0,
+        (gib(idx.peak_host()) - 45.84).abs() < 3.0,
         "{}",
-        gib(idx.peak_host)
+        gib(idx.peak_host())
     );
 
-    let host = MemPool::new("host", 512 * GIB);
-    let dev = MemPool::new("gpu", 40 * GIB);
-    let mut tl = MemTimeline::new("gidx");
-    let gidx = gpu_index_replay(&spec, &host, &dev, &mut tl, 8, GIB);
-    assert!(gidx.oom.is_none());
+    let gidx = polaris(|r| gpu_index_replay(r, &spec, 8));
+    assert!(gidx.oom().is_none());
     assert!(
-        (gib(gidx.peak_host) - 18.20).abs() < 1.5,
+        (gib(gidx.peak_host()) - 18.20).abs() < 1.5,
         "{}",
-        gib(gidx.peak_host)
+        gib(gidx.peak_host())
     );
     assert!(
-        (gib(gidx.peak_device) - 18.60).abs() < 1.5,
+        (gib(gidx.peak_device()) - 18.60).abs() < 1.5,
         "{}",
-        gib(gidx.peak_device)
+        gib(gidx.peak_device())
     );
     // §7 conclusion: 60.30% host-memory reduction from GPU-index-batching.
-    let reduction = 1.0 - gidx.peak_host as f64 / idx.peak_host as f64;
+    let reduction = 1.0 - gidx.peak_host() as f64 / idx.peak_host() as f64;
     assert!(
         (reduction - 0.603).abs() < 0.05,
         "host reduction {reduction}"
@@ -125,77 +112,16 @@ fn fig3_stage_monotonicity_for_all_datasets() {
         // eq. (1) equals the stage-3 total.
         assert_eq!(
             g.stage3,
-            standard_preprocess_bytes(spec.entries, spec.horizon, spec.nodes, spec.aug_features, 8),
+            materialized_bytes(spec.entries, spec.horizon, spec.nodes, spec.aug_features, 8),
             "{}",
             spec.name
         );
     }
 }
 
-/// One replay as the golden reads it: every host timeline sample
-/// (progress bits, bytes), both pool peaks, the steady host bytes of a
-/// replay that completes, and the OOM point with its full `AllocError`.
-struct Pinned {
-    samples: Vec<(u64, u64)>,
-    peak_host: u64,
-    peak_device: u64,
-    steady: Option<u64>,
-    oom: Option<(u64, AllocError)>,
-}
-
-fn standard_pinned(spec: &DatasetSpec, variant: LoaderVariant) -> Pinned {
-    let host = MemPool::new("host", 512 * GIB);
-    let mut tl = MemTimeline::new("golden");
-    let r = standard_replay(spec, variant, &host, &mut tl, 8);
-    Pinned {
-        samples: bits(&tl),
-        peak_host: r.peak_bytes,
-        peak_device: 0,
-        steady: r.oom.is_none().then_some(r.steady_bytes),
-        oom: r.oom.map(|e| (tl.oom_at().expect("marked").to_bits(), e)),
-    }
-}
-
-fn index_pinned(spec: &DatasetSpec, host_gib: u64) -> Pinned {
-    let host = MemPool::new("host", host_gib * GIB);
-    let mut tl = MemTimeline::new("golden");
-    let r = index_replay(spec, &host, &mut tl, 8);
-    Pinned {
-        samples: bits(&tl),
-        peak_host: r.peak_host,
-        peak_device: r.peak_device,
-        steady: r.oom.is_none().then_some(r.steady_host),
-        oom: r.oom.map(|e| (tl.oom_at().expect("marked").to_bits(), e)),
-    }
-}
-
-fn gpu_index_pinned(spec: &DatasetSpec) -> Pinned {
-    let host = MemPool::new("host", 512 * GIB);
-    let device = MemPool::new("gpu0", 40 * GIB);
-    let mut tl = MemTimeline::new("golden");
-    let r = gpu_index_replay(spec, &host, &device, &mut tl, 8, GIB);
-    Pinned {
-        samples: bits(&tl),
-        peak_host: r.peak_host,
-        peak_device: r.peak_device,
-        steady: r.oom.is_none().then_some(r.steady_host),
-        oom: r.oom.map(|e| (tl.oom_at().expect("marked").to_bits(), e)),
-    }
-}
-
-fn bits(tl: &MemTimeline) -> Vec<(u64, u64)> {
-    tl.samples()
-        .iter()
-        .map(|&(p, b)| (p.to_bits(), b))
-        .collect()
-}
-
-/// PeMS-All-LA with twice its sensors: `memory_planner`'s
-/// `105120 5432 2 12` shape.
-fn pems_all_la_2x() -> DatasetSpec {
-    let mut spec = DatasetSpec::get(DatasetKind::PemsAllLa);
-    spec.nodes *= 2;
-    spec
+/// A replay on the Polaris pools: a 512 GiB host and a 40 GiB GPU.
+fn polaris(pipeline: impl FnOnce(&mut Replay) -> Result<(), AllocError>) -> Replay {
+    Replay::run(512 * GIB, 40 * GIB, pipeline)
 }
 
 /// Every replay behind Table 2, Figs 2 and 6 and Table 4, plus the
@@ -205,46 +131,65 @@ fn pinned_replays() -> String {
     let pems = DatasetSpec::get(DatasetKind::Pems);
     let mut pems_4x = pems.clone();
     pems_4x.nodes *= 4;
+    // `memory_planner -- 105120 5432 2 12`: PeMS-All-LA with twice its
+    // sensors, where the standard pipeline runs out of the 512 GiB host.
+    let mut all_la_2x = all_la.clone();
+    all_la_2x.nodes *= 2;
+    let (pgt, dcrnn) = (LoaderVariant::Pgt, LoaderVariant::DcrnnPadded);
     let runs = [
         (
             "standard/pgt/PeMS-All-LA",
-            standard_pinned(&all_la, LoaderVariant::Pgt),
+            polaris(|r| standard_replay(r, &all_la, pgt, 8)),
         ),
         (
             "standard/dcrnn/PeMS-All-LA",
-            standard_pinned(&all_la, LoaderVariant::DcrnnPadded),
+            polaris(|r| standard_replay(r, &all_la, dcrnn, 8)),
         ),
         (
             "standard/pgt/PeMS",
-            standard_pinned(&pems, LoaderVariant::Pgt),
+            polaris(|r| standard_replay(r, &pems, pgt, 8)),
         ),
         (
             "standard/dcrnn/PeMS",
-            standard_pinned(&pems, LoaderVariant::DcrnnPadded),
+            polaris(|r| standard_replay(r, &pems, dcrnn, 8)),
         ),
         (
             "standard/pgt/PeMS-All-LA-2x",
-            standard_pinned(&pems_all_la_2x(), LoaderVariant::Pgt),
+            polaris(|r| standard_replay(r, &all_la_2x, pgt, 8)),
         ),
-        ("index/PeMS/512GiB", index_pinned(&pems, 512)),
-        ("index/PeMS/64GiB", index_pinned(&pems, 64)),
-        ("gpu-index/PeMS", gpu_index_pinned(&pems)),
-        ("gpu-index/PeMS-4x", gpu_index_pinned(&pems_4x)),
+        ("index/PeMS/512GiB", polaris(|r| index_replay(r, &pems, 8))),
+        (
+            "index/PeMS/64GiB",
+            Replay::run(64 * GIB, 40 * GIB, |r| index_replay(r, &pems, 8)),
+        ),
+        ("gpu-index/PeMS", polaris(|r| gpu_index_replay(r, &pems, 8))),
+        (
+            "gpu-index/PeMS-4x",
+            polaris(|r| gpu_index_replay(r, &pems_4x, 8)),
+        ),
     ];
     let mut out = String::new();
-    for (name, p) in runs {
+    for (name, r) in runs {
         out += &format!("{name}\n");
-        for (progress, bytes) in p.samples {
-            out += &format!("  sample {progress:#018x} {bytes}\n");
+        for &(progress, bytes) in r.samples() {
+            out += &format!("  sample {:#018x} {bytes}\n", progress.to_bits());
         }
-        out += &format!("  peaks host {} device {}\n", p.peak_host, p.peak_device);
-        if let Some(steady) = p.steady {
+        out += &format!(
+            "  peaks host {} device {}\n",
+            r.peak_host(),
+            r.peak_device()
+        );
+        if let Some(steady) = r.steady_host() {
             out += &format!("  steady {steady}\n");
         }
-        if let Some((at, e)) = p.oom {
+        if let Some((at, e)) = r.oom() {
             out += &format!(
-                "  oom at {at:#018x} requested {} in_use {} capacity {} pool {}\n",
-                e.requested, e.in_use, e.capacity, e.pool
+                "  oom at {:#018x} requested {} in_use {} capacity {} pool {}\n",
+                at.to_bits(),
+                e.requested,
+                e.in_use,
+                e.capacity,
+                e.pool
             );
         }
     }
@@ -252,9 +197,9 @@ fn pinned_replays() -> String {
 }
 
 /// Every replay sample, peak, steady state and OOM point, bit for bit.
-/// Computed by the replay code of commit 227befd, before the three
-/// replays became one type;
-/// on a mismatch the assertion prints the computed table.
+/// Recorded by the replay code of commit 227befd, before the three
+/// replays became one type; on a mismatch the assertion prints the
+/// computed table.
 #[test]
 fn replay_golden() {
     let got = pinned_replays();
