@@ -262,6 +262,10 @@ mod tests {
     fn unit_helpers() {
         assert_eq!(gib(1 << 30), 1.0);
         assert_eq!(minutes(120.0), 2.0);
+    }
+
+    #[test]
+    fn timeline_gib_rows() {
         let spec = DatasetSpec::get(st_data::DatasetKind::Pems);
         let replay = Replay::run(512 << 30, 40 << 30, |r| {
             pgt_index::memory_model::index_replay(r, &spec, 8)
@@ -269,6 +273,9 @@ mod tests {
         let rows = timeline_gib(&replay);
         assert_eq!(rows.len(), replay.samples().len());
         assert_eq!(rows[0], (2.0, gib(spec.raw_bytes(8))), "load at 2%");
+        for (&(pct, g), &(p, b)) in rows.iter().zip(replay.samples()) {
+            assert_eq!((pct, g), (p * 100.0, b as f64 / (1u64 << 30) as f64));
+        }
     }
 
     #[test]

@@ -175,6 +175,16 @@ mod tests {
     }
 
     #[test]
+    fn h2d_counts_and_charges_time() {
+        let ds = place(Residency::Host);
+        ds.h2d(1 << 30);
+        ds.h2d(1 << 30);
+        assert_eq!(ds.h2d_count(), 2);
+        assert_eq!(ds.h2d_bytes(), 2 << 30);
+        assert!(ds.clock().comm_secs() > 0.08, "2 GiB over ~24 GB/s PCIe");
+    }
+
+    #[test]
     fn host_residency_transfers_every_batch() {
         let ds = place(Residency::Host);
         assert_eq!(ds.h2d_count(), 0);

@@ -298,7 +298,30 @@ mod tests {
     }
 
     #[test]
-    fn samples_follow_the_host_and_stop_at_the_first_oom() {
+    fn samples_track_pool_usage() {
+        let r = Replay::run(1000, 100, |r| {
+            r.sample(0.0);
+            r.alloc(Pool::Host, 600, 0.5)?;
+            r.alloc(Pool::Device, 50, 0.6)?;
+            r.free(100);
+            r.sample(0.7);
+            r.train(0.7, 0.1);
+            Ok(())
+        });
+        let mut expected = vec![(0.0, 0), (0.5, 600), (0.6, 600), (0.7, 500)];
+        expected.extend((1..=5).map(|i| (0.7 + 0.1 * i as f64, 500)));
+        assert_eq!(
+            r.samples(),
+            expected.as_slice(),
+            "device allocs sample the host"
+        );
+        assert_eq!((r.peak_host(), r.peak_device()), (600, 50));
+        assert_eq!(r.steady_host(), Some(500));
+        assert!(r.oom().is_none());
+    }
+
+    #[test]
+    fn oom_marker() {
         let r = Replay::run(1000, 100, |r| {
             r.alloc(Pool::Host, 600, 0.5)?;
             r.alloc(Pool::Device, 50, 0.6)?;
