@@ -12,7 +12,7 @@ use st_data::preprocess::materialized_xy;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
 use st_device::memory::MemPool;
-use st_device::{CostModel, SimClock, GIB};
+use st_device::{CostModel, GIB};
 use st_graph::{diffusion_supports, Adjacency};
 use st_models::{Dcrnn, ModelConfig, PgtDcrnn, Seq2Seq, Support};
 use st_report::record::{analytic, measured, modeled, RecordSet};
@@ -486,19 +486,13 @@ pub fn table4(ctx: &Ctx) -> RecordSet {
     );
     let count_for = |residency| {
         let mut pool = MemPool::new("gpu0", 40 * GIB);
-        let placed = GpuIndexDataset::place(
-            ds.clone(),
-            residency,
-            &mut pool,
-            CostModel::polaris(),
-            SimClock::new(),
-            4,
-        )
-        .expect("fits");
+        let placed =
+            GpuIndexDataset::place(ds.clone(), residency, &mut pool, CostModel::polaris(), 4)
+                .expect("fits");
         for i in 0..50 {
             let _ = placed.get_batch(&[i, i + 1]);
         }
-        (placed.h2d_count(), placed.clock().comm_secs())
+        (placed.h2d_count(), placed.h2d_secs())
     };
     let (host_count, host_time) = count_for(Residency::Host);
     let (dev_count, dev_time) = count_for(Residency::Device);

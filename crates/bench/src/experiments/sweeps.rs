@@ -47,7 +47,7 @@ fn run_remote(plane: &str, small: &Scaled, cfg: &DistConfig) -> EngineReport {
 /// halo-partitioned entries) and compares the fully synchronous step path
 /// (no prefetch, one flat charged all-reduce) against the pipelined one
 /// (double-buffered fetches + backward-overlapped byte-capped gradient
-/// buckets, all on the engine's `OverlapLedger`). Learning is bit-identical
+/// buckets, all streams on each rank's `SimClock`). Learning is bit-identical
 /// across every row — the sweep moves modeled *time* only — so the table
 /// isolates exactly the Figs. 8–9 lever: how much data-plane and collective
 /// time hides behind compute. Smaller buckets fire earlier in the backward
@@ -220,8 +220,8 @@ pub fn partition(ctx: &Ctx) -> RecordSet {
 /// gradient sync is exposed. `s ≥ 1` applies each bucket's averaged
 /// gradient exactly `s` steps after it was issued: the collective is still
 /// barrier-matched (contents identical across ranks), and its wire time
-/// hides behind the next `s` steps on the `OverlapLedger`'s deadline
-/// streams, with a fence paying whatever they did not hide.
+/// hides behind the next `s` steps as a deadline stream on the rank's
+/// `SimClock`, with a fence paying whatever they did not hide.
 ///
 /// Judged: every `s ≥ 1` row's modeled total time never loses to the
 /// `s = 0` row and at world ≥ 4 is strictly below it. Panics if `s = 0`

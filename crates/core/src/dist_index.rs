@@ -66,7 +66,7 @@ pub struct DistConfig {
     /// settles in the step that issued it. `s ≥ 1` applies each averaged
     /// gradient exactly `s` steps after it was issued (an epoch's last `s`
     /// land together at its end): bucket collectives become deadline
-    /// streams on the overlap ledger, so their wire time hides behind the
+    /// streams on the rank's clock, so their wire time hides behind the
     /// next `s` steps. The schedule counts steps, never reads a clock, so
     /// replicas stay bit-equal. See DESIGN.md §4.
     pub staleness: usize,

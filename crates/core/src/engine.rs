@@ -24,9 +24,9 @@
 //!   **pipelined step path**: every concurrent comm stream — the one-time
 //!   setup read, the double-buffered next-batch fetch
 //!   ([`DistConfig::prefetch`]), and the backward-overlapped gradient
-//!   buckets ([`DistConfig::grad_bucket_bytes`]) — is quoted onto one
-//!   [`st_device::OverlapLedger`] and hidden behind modeled compute
-//!   uniformly, with the per-epoch hidden/exposed split reported in
+//!   buckets ([`DistConfig::grad_bucket_bytes`]) — is quoted as a stream
+//!   on the rank's [`st_device::SimClock`] and hidden behind modeled
+//!   compute uniformly, with the per-epoch hidden/exposed split reported in
 //!   [`DistEpochStats`]. Gradient sync has one mechanism,
 //!   [`st_dist::GradBuckets`]: `grad_bucket_bytes = None` is one
 //!   whole-model bucket (nothing to overlap — the flat synchronous
@@ -50,7 +50,7 @@ use st_autograd::module::Param;
 use st_autograd::optim::{clip_grad_norm, Adam, Optimizer};
 use st_autograd::schedule::{ConstantLr, LrSchedule};
 use st_autograd::{Checkpoint, Tape, Var};
-use st_device::{CostModel, OverlapLedger, StreamId};
+use st_device::{CostModel, StreamId};
 use st_dist::ddp::{self, GradBuckets};
 use st_dist::launch::{self, run_workers, ReduceOp, Timing, WorkerCtx};
 use st_dist::shuffle;
@@ -408,12 +408,15 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    /// Best (minimum) rank-uniform validation MAE over epochs.
+    /// Best (minimum) rank-uniform validation MAE over the epochs that
+    /// validated; `NaN` for a run that never validated (validation off,
+    /// or zero epochs), like its `epochs[].val_mae`.
     pub fn best_val_mae(&self) -> f32 {
+        // `f32::min` returns its other argument when one is NaN.
         self.epochs
             .iter()
             .map(|e| e.val_mae)
-            .fold(f32::INFINITY, f32::min)
+            .fold(f32::NAN, f32::min)
     }
 
     /// Rank `rank`'s **own** validation MAE per epoch, in original units
@@ -575,19 +578,18 @@ fn run_rank<P: DistDataPlane>(
     };
     let gpu_flops = cm.gpu_flops;
 
-    // The overlap scheduler: one FIFO ledger for every concurrent comm
-    // stream — the one-time setup transfer (halo reads), the §7
-    // double-buffered next-batch fetch, and the in-flight gradient
-    // buckets. Bytes land on their ledgers at quote time regardless;
-    // only the modeled seconds move between hidden and exposed.
-    let mut overlap = OverlapLedger::new();
+    // Every concurrent comm stream — the one-time setup transfer (halo
+    // reads), the §7 double-buffered next-batch fetch, and the in-flight
+    // gradient buckets — runs FIFO on the rank's clock. Bytes land on
+    // their ledgers at quote time regardless; only the modeled seconds
+    // move between hidden and exposed.
     let prefetch_on = cfg.prefetch && plane.remote();
     let setup_secs = plane.setup_secs();
     if setup_secs > 0.0 {
         if prefetch_on {
-            let _ = overlap.begin(setup_secs);
+            let _ = ctx.comm.clock_mut().begin(setup_secs);
         } else {
-            ctx.clock.advance_comm(setup_secs);
+            ctx.comm.clock_mut().advance_comm(setup_secs);
         }
     }
 
@@ -595,8 +597,8 @@ fn run_rank<P: DistDataPlane>(
     let mut val_series = Vec::with_capacity(cfg.epochs);
     for epoch in start_epoch..cfg.epochs as u64 {
         schedule.apply(&mut opt, epoch as usize);
-        let comm_mark = ctx.clock.comm_secs();
-        let hidden_mark = overlap.hidden_secs();
+        let comm_mark = ctx.comm.clock().comm_secs();
+        let hidden_mark = ctx.comm.clock().hidden_secs();
         let kernel_mark = st_device::KernelSplit::snapshot();
         let fence_mark = window.as_ref().map_or(0, |w| w.fence_stalls());
         let plan = plane.plan_epoch(epoch);
@@ -613,7 +615,7 @@ fn run_rank<P: DistDataPlane>(
         if prefetch_on {
             if let Some(first) = plan.first() {
                 let f = plane.fetch_batch(first);
-                pending = Some(((f.x, f.y), overlap.begin(f.secs)));
+                pending = Some(((f.x, f.y), ctx.comm.clock_mut().begin(f.secs)));
             }
         }
         let mut loss_sum = 0.0f64;
@@ -629,17 +631,17 @@ fn run_rank<P: DistDataPlane>(
             if let Some(ids) = plan.get(round) {
                 let (x, y) = match pending.take() {
                     Some((pair, stream)) => {
-                        overlap.wait(stream, &ctx.clock);
+                        ctx.comm.clock_mut().wait(stream);
                         if let Some(next) = plan.get(round + 1) {
                             let f = plane.fetch_batch(next);
-                            pending = Some(((f.x, f.y), overlap.begin(f.secs)));
+                            pending = Some(((f.x, f.y), ctx.comm.clock_mut().begin(f.secs)));
                         }
                         pair
                     }
                     None => {
                         let f = plane.fetch_batch(ids);
                         if f.secs > 0.0 {
-                            ctx.clock.advance_comm(f.secs);
+                            ctx.comm.clock_mut().advance_comm(f.secs);
                         }
                         (f.x, f.y)
                     }
@@ -658,7 +660,7 @@ fn run_rank<P: DistDataPlane>(
                 batches += 1;
                 // Charge modeled step compute (fwd + bwd ≈ 3× fwd).
                 let compute_secs = 3.0 * model.flops_per_forward(ids.len()) / gpu_flops;
-                ctx.clock.advance_compute(compute_secs);
+                ctx.comm.clock_mut().advance_compute(compute_secs);
                 fwd_secs = compute_secs / 3.0;
                 bwd_secs = compute_secs - fwd_secs;
                 if let (true, Some(b)) = (trace, &buckets) {
@@ -667,7 +669,7 @@ fn run_rank<P: DistDataPlane>(
             }
             // Forward compute hides whatever was already in flight
             // (setup remainder, the double-buffered fetch).
-            overlap.credit(fwd_secs);
+            ctx.comm.clock_mut().credit(fwd_secs);
             match (buckets.as_mut(), window.as_mut()) {
                 (Some(b), Some(w)) => {
                     // Bounded staleness: every bucket becomes a deadline
@@ -676,12 +678,12 @@ fn run_rank<P: DistDataPlane>(
                     // keeps running. The averaged payload is captured now
                     // (contents are never cross-rank stale; *application*
                     // is what the bound delays) and applied exactly `s`
-                    // steps later on every rank, paying on the ledger
+                    // steps later on every rank, paying on the clock
                     // whatever wire time those steps did not hide.
-                    overlap.credit(bwd_secs);
+                    ctx.comm.clock_mut().credit(bwd_secs);
                     for i in 0..b.num_buckets() {
                         let ready_at = b.reduce_bucket_async(i, &mut ctx.comm);
-                        let stream = overlap.begin_at(ready_at, ctx.clock.now());
+                        let stream = ctx.comm.clock_mut().begin_at(ready_at);
                         let mut buf = w.payload_buf();
                         buf.extend_from_slice(b.bucket_payload(i));
                         w.launch(i, round as u64, buf, stream);
@@ -689,7 +691,7 @@ fn run_rank<P: DistDataPlane>(
                     // Local grads were folded into the payloads above;
                     // drop them so settled payloads accumulate cleanly.
                     opt.zero_grad();
-                    let applied = w.settle(round as u64, &mut overlap, &ctx.clock, |i, p| {
+                    let applied = w.settle(round as u64, ctx.comm.clock_mut(), |i, p| {
                         b.apply_stale(i, p)
                     });
                     // Adam's bias-correction step count must only tick
@@ -708,22 +710,23 @@ fn run_rank<P: DistDataPlane>(
                     let mut in_flight = Vec::with_capacity(b.num_buckets());
                     for i in 0..b.num_buckets() {
                         let at = fractions.map_or(1.0, |f| f[i]).max(done);
-                        overlap.credit((at - done) * bwd_secs);
+                        ctx.comm.clock_mut().credit((at - done) * bwd_secs);
                         done = at;
                         let secs = b.reduce_bucket_quoted(i, &mut ctx.comm);
-                        in_flight.push(overlap.begin(secs));
+                        in_flight.push(ctx.comm.clock_mut().begin(secs));
                     }
-                    overlap.credit((1.0 - done) * bwd_secs);
+                    let clock = ctx.comm.clock_mut();
+                    clock.credit((1.0 - done) * bwd_secs);
                     // The optimizer needs every averaged gradient: settle
                     // all buckets, paying only what compute never hid.
                     for stream in in_flight {
-                        overlap.wait(stream, &ctx.clock);
+                        clock.wait(stream);
                     }
                     step.clip_and_step(&model.params(), &mut opt);
                 }
                 (None, _) => {
                     // Independent models: nothing to synchronize.
-                    overlap.credit(bwd_secs);
+                    ctx.comm.clock_mut().credit(bwd_secs);
                     step.clip_and_step(&model.params(), &mut opt);
                 }
             }
@@ -733,7 +736,7 @@ fn run_rank<P: DistDataPlane>(
         // whatever its age.
         if let (Some(b), Some(w)) = (buckets.as_mut(), window.as_mut()) {
             opt.zero_grad();
-            let applied = w.flush(&mut overlap, &ctx.clock, |i, p| b.apply_stale(i, p));
+            let applied = w.flush(ctx.comm.clock_mut(), |i, p| b.apply_stale(i, p));
             if applied > 0 {
                 step.clip_and_step(&model.params(), &mut opt);
             }
@@ -762,14 +765,15 @@ fn run_rank<P: DistDataPlane>(
                 }
                 let f = plane.fetch_batch(&ids);
                 if f.secs > 0.0 {
-                    ctx.clock.advance_comm(f.secs);
+                    ctx.comm.clock_mut().advance_comm(f.secs);
                 }
                 let (a, c) = step.val_batch(
                     |tape| plane.forward(model, tape, &ids, &f.x),
                     &f.y,
                     |pred, target| plane.val_views(pred, target),
                 );
-                ctx.clock
+                ctx.comm
+                    .clock_mut()
                     .advance_compute(model.flops_per_forward(ids.len()) / gpu_flops);
                 abs_sum += a;
                 count += c;
@@ -786,8 +790,8 @@ fn run_rank<P: DistDataPlane>(
             epoch: epoch as usize,
             train_loss,
             val_mae,
-            hidden_comm_secs: overlap.hidden_secs() - hidden_mark,
-            exposed_comm_secs: ctx.clock.comm_secs() - comm_mark,
+            hidden_comm_secs: ctx.comm.clock().hidden_secs() - hidden_mark,
+            exposed_comm_secs: ctx.comm.clock().comm_secs() - comm_mark,
             fence_stalls: window.as_ref().map_or(0, |w| w.fence_stalls()) - fence_mark,
             kernel_split: st_device::KernelSplit::snapshot().since(&kernel_mark),
         });
@@ -809,7 +813,7 @@ fn run_rank<P: DistDataPlane>(
     }
     // Any quoted time never hidden by compute (the setup remainder) is
     // still owed.
-    overlap.wait_all(&ctx.clock);
+    ctx.comm.clock_mut().wait_all();
 
     let checkpoint = (opts.capture_checkpoint && ctx.rank() == 0).then(|| {
         // A zero-epoch resume re-captures at the checkpoint's own epoch —
@@ -818,12 +822,13 @@ fn run_rank<P: DistDataPlane>(
     });
     // Let every rank finish fetching before the shared ledger is read.
     ctx.comm.barrier();
+    let clock = ctx.comm.clock();
     Ok(RankOutcome {
         epochs: epoch_stats,
         val_series,
-        compute_secs: ctx.clock.compute_secs(),
-        comm_secs: ctx.clock.comm_secs(),
-        total_secs: ctx.clock.now(),
+        compute_secs: clock.compute_secs(),
+        comm_secs: clock.comm_secs(),
+        total_secs: clock.now(),
         hub_bytes: ctx.comm.hub().bytes_moved(),
         ledger_bytes: plane.ledger_bytes(),
         checkpoint,

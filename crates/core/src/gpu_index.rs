@@ -3,7 +3,7 @@
 //! After one consolidated host→device transfer, preprocessing and training
 //! proceed entirely on the device: batches are sliced from device memory,
 //! so the per-batch host→device copies of the standard workflow disappear.
-//! On this simulated substrate the "device" is a [`MemPool`] plus two
+//! On this simulated substrate the "device" is a [`MemPool`] plus three
 //! host→device counters; what the experiments measure — transfer counts,
 //! bytes, modeled time, device-pool peaks — is exactly what changes
 //! between the CPU and GPU variants on real hardware.
@@ -13,7 +13,7 @@ use crate::trainer::BatchSource;
 use st_data::scaler::StandardScaler;
 use st_data::splits::SplitIndices;
 use st_device::memory::{AllocError, MemPool};
-use st_device::{CostModel, SimClock};
+use st_device::CostModel;
 use st_tensor::Tensor;
 use std::cell::Cell;
 
@@ -32,14 +32,14 @@ pub struct GpuIndexDataset {
     residency: Residency,
     h2d_count: Cell<u64>,
     h2d_bytes: Cell<u64>,
+    h2d_secs: Cell<f64>,
     cost: CostModel,
-    clock: SimClock,
     elem_bytes: usize,
 }
 
 impl GpuIndexDataset {
     /// Place `dataset` with the chosen residency. For
-    /// [`Residency::Device`], charges the single consolidated transfer now
+    /// [`Residency::Device`], counts the single consolidated transfer now
     /// and reserves device-pool bytes (OOM if the dataset exceeds device
     /// capacity, as §4.1 warns).
     pub fn place(
@@ -47,7 +47,6 @@ impl GpuIndexDataset {
         residency: Residency,
         device_pool: &mut MemPool,
         cost: CostModel,
-        clock: SimClock,
         elem_bytes: usize,
     ) -> Result<Self, AllocError> {
         let placed = GpuIndexDataset {
@@ -55,8 +54,8 @@ impl GpuIndexDataset {
             residency,
             h2d_count: Cell::new(0),
             h2d_bytes: Cell::new(0),
+            h2d_secs: Cell::new(0.0),
             cost,
-            clock,
             elem_bytes,
         };
         if residency == Residency::Device {
@@ -67,11 +66,12 @@ impl GpuIndexDataset {
         Ok(placed)
     }
 
-    /// Model a host→device copy: count it and charge its time to the clock.
+    /// Model a host→device copy: count it and its modeled seconds.
     fn h2d(&self, bytes: u64) {
         self.h2d_count.set(self.h2d_count.get() + 1);
         self.h2d_bytes.set(self.h2d_bytes.get() + bytes);
-        self.clock.advance_comm(self.cost.h2d(bytes));
+        self.h2d_secs
+            .set(self.h2d_secs.get() + self.cost.h2d(bytes));
     }
 
     /// Number of host→device transfers so far.
@@ -84,9 +84,9 @@ impl GpuIndexDataset {
         self.h2d_bytes.get()
     }
 
-    /// The simulated clock charged by transfers.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
+    /// Modeled host→device seconds so far.
+    pub fn h2d_secs(&self) -> f64 {
+        self.h2d_secs.get()
     }
 
     /// The wrapped dataset.
@@ -148,15 +148,7 @@ mod tests {
 
     fn place(residency: Residency) -> GpuIndexDataset {
         let mut pool = MemPool::new("gpu0", 40 * GIB);
-        GpuIndexDataset::place(
-            dataset(),
-            residency,
-            &mut pool,
-            CostModel::polaris(),
-            SimClock::new(),
-            4,
-        )
-        .unwrap()
+        GpuIndexDataset::place(dataset(), residency, &mut pool, CostModel::polaris(), 4).unwrap()
     }
 
     #[test]
@@ -181,7 +173,7 @@ mod tests {
         ds.h2d(1 << 30);
         assert_eq!(ds.h2d_count(), 2);
         assert_eq!(ds.h2d_bytes(), 2 << 30);
-        assert!(ds.clock().comm_secs() > 0.08, "2 GiB over ~24 GB/s PCIe");
+        assert!(ds.h2d_secs() > 0.08, "2 GiB over ~24 GB/s PCIe");
     }
 
     #[test]
@@ -195,7 +187,7 @@ mod tests {
         let batch = ds.batch_bytes(2);
         assert_eq!(ds.h2d_bytes(), 10 * batch);
         let charged = 10.0 * CostModel::polaris().h2d(batch);
-        assert!((ds.clock().comm_secs() - charged).abs() <= 1e-9 * charged);
+        assert!((ds.h2d_secs() - charged).abs() <= 1e-9 * charged);
     }
 
     #[test]
@@ -206,7 +198,6 @@ mod tests {
             Residency::Device,
             &mut tiny,
             CostModel::polaris(),
-            SimClock::new(),
             4,
         );
         assert!(r.is_err(), "must OOM on a 64-byte device");

@@ -276,6 +276,22 @@ mod tests {
     }
 
     #[test]
+    fn a_run_that_never_validated_has_no_best_val_mae() {
+        let (model, ds) = setup();
+        let cfg = DistConfig::new(1, 1, ds.horizon());
+        let skipped = Trainer {
+            validate: false,
+            ..Trainer::new(cfg.clone())
+        };
+        let h = skipped.train(&model, &ds);
+        assert!(h.epochs[0].val_mae.is_nan());
+        assert!(h.best_val_mae().is_nan(), "got {}", h.best_val_mae());
+        let none = Trainer::new(DistConfig { epochs: 0, ..cfg }).train(&model, &ds);
+        assert!(none.epochs.is_empty());
+        assert!(none.best_val_mae().is_nan(), "got {}", none.best_val_mae());
+    }
+
+    #[test]
     fn index_and_materialized_sources_agree_per_batch() {
         // Same snapshots, same model ⇒ identical losses from either source
         // modulo standardization fit (verified separately); here we check

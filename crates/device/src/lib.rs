@@ -7,12 +7,12 @@
 //!   byte counts without touching RAM, which is how this repo reproduces
 //!   the paper's 512 GB-host OOM crashes (Figs 2 and 6) for the 419.46 GB
 //!   preprocessed PeMS dataset on a 21 GB container.
-//! - [`clock`] — a simulated clock accumulating modeled seconds.
-//! - [`costmodel`] — analytic compute / transfer / network / IO costs
-//!   calibrated to A100-, PCIe-, NVLink- and Slingshot-class constants.
-//! - [`overlap`] — the overlap ledger: FIFO accounting for quoted comm
+//! - [`clock`] — one rank's simulated clock: modeled compute and
+//!   communication seconds, plus the FIFO accounting of quoted comm
 //!   streams (setup reads, prefetched fetches, in-flight gradient
 //!   buckets) hidden behind modeled compute.
+//! - [`costmodel`] — analytic compute / transfer / network / IO costs
+//!   calibrated to A100-, PCIe-, NVLink- and Slingshot-class constants.
 //! - [`profiler`] — [`profiler::KernelSplit`] snapshots over `st_tensor`'s
 //!   per-thread kernel-time counters (gemm / spmm / elementwise seconds).
 
@@ -20,12 +20,10 @@ pub mod clock;
 pub mod costmodel;
 pub mod device;
 pub mod memory;
-pub mod overlap;
 pub mod profiler;
 
-pub use clock::SimClock;
+pub use clock::{SimClock, StreamId};
 pub use costmodel::CostModel;
 pub use device::GIB;
 pub use memory::{AllocError, MemPool};
-pub use overlap::{OverlapLedger, StreamId};
 pub use profiler::KernelSplit;

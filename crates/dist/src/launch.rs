@@ -1,11 +1,13 @@
 //! Worker launch and barrier-synchronized collectives.
 //!
 //! [`run_workers`] spawns one OS thread per rank; each gets a [`WorkerCtx`]
-//! holding a [`Comm`] (rank + shared [`CommHub`]) and its own
-//! [`SimClock`]. Collectives exchange payloads through the hub under a
-//! reusable barrier and combine them **in rank order**, so results are
-//! bit-identical regardless of thread scheduling — the invariant that lets
-//! the simulated clock model stragglers without perturbing numerics
+//! holding a [`Comm`]: the rank, the shared [`CommHub`] and the rank's own
+//! [`SimClock`], which nothing else holds. Collectives exchange payloads
+//! through the hub under a reusable barrier and combine them **in rank
+//! order**, so results are bit-identical regardless of thread scheduling
+//! and of how far each rank's clock has run: skewing the ranks' clocks by
+//! different compute advances before every all-reduce changes their
+//! reported times and no bit of the reduced values
 //! (`tests/distributed.rs::straggler_noise_never_leaks_into_numerics`).
 //!
 //! There is one all-reduce, [`Comm::all_reduce`]`(buf, op, timing)`: one
@@ -13,8 +15,8 @@
 //! clock policy. `Charge` synchronizes simulated clocks to the latest rank
 //! (barrier semantics: nobody leaves an all-reduce before the slowest
 //! arrives) and charges the modeled ring time from
-//! [`CostModel::allreduce`]; `Quote` hands those seconds to the caller's
-//! overlap scheduler; `Async` skips the rendezvous too and returns the
+//! [`CostModel::allreduce`]; `Quote` hands those seconds to the caller,
+//! who runs them as a stream on the clock; `Async` skips the rendezvous too and returns the
 //! instant the result is available. [`Comm::broadcast`],
 //! [`Comm::barrier`] and [`Comm::all_gather_scalar`] always rendezvous
 //! and charge.
@@ -47,13 +49,14 @@ pub enum Timing {
     /// seconds to this rank's clock. Returns the seconds charged.
     Charge,
     /// Rendezvous, but return the wire seconds instead of charging them —
-    /// mirroring the data planes' quoted fetches, so an overlap scheduler
-    /// decides whether the time hides behind compute or is paid exposed.
+    /// mirroring the data planes' quoted fetches, so a [`SimClock::begin`]
+    /// stream decides whether the time hides behind compute or is paid
+    /// exposed.
     Quote,
     /// Neither rendezvous nor charge (the bounded-staleness engine's
     /// non-blocking form): return the absolute modeled instant at which
-    /// the result is *available* — `t_slowest + wire` — for an
-    /// [`st_device::OverlapLedger::begin_at`] deadline stream.
+    /// the result is *available* — `t_slowest + wire` — for a
+    /// [`SimClock::begin_at`] deadline stream.
     Async,
 }
 
@@ -111,7 +114,9 @@ impl CommHub {
     }
 }
 
-/// One rank's handle on the collective hub.
+/// One rank's handle on the collective hub. It owns the rank's simulated
+/// clock: collectives charge onto it, and the engine reads and advances it
+/// through [`Comm::clock`] and [`Comm::clock_mut`].
 pub struct Comm {
     rank: usize,
     hub: Arc<CommHub>,
@@ -127,6 +132,16 @@ impl Comm {
     /// The shared hub (cost model, topology, byte ledger).
     pub fn hub(&self) -> &CommHub {
         &self.hub
+    }
+
+    /// This rank's simulated clock.
+    pub fn clock(&self) -> &SimClock {
+        &self.clock
+    }
+
+    /// This rank's simulated clock, to advance or to run streams on.
+    pub fn clock_mut(&mut self) -> &mut SimClock {
+        &mut self.clock
     }
 
     /// Exchange `payload` with every rank; returns all payloads in rank
@@ -195,7 +210,7 @@ impl Comm {
     }
 
     /// Charge `secs` of modeled collective time to this rank's clock.
-    fn charge(&self, secs: f64) {
+    fn charge(&mut self, secs: f64) {
         if secs > 0.0 {
             self.clock.advance_comm(secs);
         }
@@ -282,11 +297,9 @@ impl Comm {
 /// handed to already runs at the rank's intra-op width (see
 /// [`run_workers`]).
 pub struct WorkerCtx {
-    /// Collective communicator bound to this rank.
+    /// Collective communicator bound to this rank; it owns the rank's
+    /// simulated clock.
     pub comm: Comm,
-    /// This worker's simulated clock (shared with `comm`, which charges
-    /// collective time onto it).
-    pub clock: SimClock,
 }
 
 impl WorkerCtx {
@@ -333,13 +346,12 @@ where
                 let hub = Arc::clone(&hub);
                 let f = &f;
                 scope.spawn(move || {
-                    let clock = SimClock::new();
                     let comm = Comm {
                         rank,
                         hub,
-                        clock: clock.clone(),
+                        clock: SimClock::new(),
                     };
-                    par::with_width(width, || f(WorkerCtx { comm, clock }))
+                    par::with_width(width, || f(WorkerCtx { comm }))
                 })
             })
             .collect();
@@ -360,14 +372,12 @@ pub fn run_single<F, R>(topology: ClusterTopology, f: F) -> R
 where
     F: FnOnce(WorkerCtx) -> R,
 {
-    let hub = Arc::new(CommHub::new(1, topology));
-    let clock = SimClock::new();
     let comm = Comm {
         rank: 0,
-        hub,
-        clock: clock.clone(),
+        hub: Arc::new(CommHub::new(1, topology)),
+        clock: SimClock::new(),
     };
-    f(WorkerCtx { comm, clock })
+    f(WorkerCtx { comm })
 }
 
 #[cfg(test)]
@@ -420,7 +430,7 @@ mod tests {
             let mut buf = vec![1.0f32; 1024];
             ctx.comm
                 .all_reduce(&mut buf, ReduceOp::Mean, Timing::Charge);
-            (ctx.clock.comm_secs(), ctx.comm.hub().bytes_moved())
+            (ctx.comm.clock().comm_secs(), ctx.comm.hub().bytes_moved())
         });
         for (comm_secs, bytes) in out {
             assert!(comm_secs > 0.0);
@@ -436,11 +446,17 @@ mod tests {
             let mut quoted = charged.clone();
             ctx.comm
                 .all_reduce(&mut charged, ReduceOp::Mean, Timing::Charge);
-            let charged_secs = ctx.clock.comm_secs();
+            let charged_secs = ctx.comm.clock().comm_secs();
             let quote = ctx
                 .comm
                 .all_reduce(&mut quoted, ReduceOp::Mean, Timing::Quote);
-            (charged, quoted, charged_secs, quote, ctx.clock.comm_secs())
+            (
+                charged,
+                quoted,
+                charged_secs,
+                quote,
+                ctx.comm.clock().comm_secs(),
+            )
         });
         for (charged, quoted, charged_secs, quote, after) in out {
             assert_eq!(charged, quoted, "identical numerics");
@@ -454,14 +470,15 @@ mod tests {
     fn async_all_reduce_matches_sync_numerics_without_rendezvous() {
         let out = run_workers(3, ClusterTopology::polaris(), |mut ctx| {
             // Skew the clocks so the rendezvous would be visible.
-            ctx.clock.advance_compute(ctx.rank() as f64);
+            let skew = ctx.rank() as f64;
+            ctx.comm.clock_mut().advance_compute(skew);
             let mut sync_buf = vec![ctx.rank() as f32 + 1.0; 16];
             let mut async_buf = sync_buf.clone();
-            let before = ctx.clock.now();
+            let before = ctx.comm.clock().now();
             let ready_at = ctx
                 .comm
                 .all_reduce(&mut async_buf, ReduceOp::Mean, Timing::Async);
-            let after = ctx.clock.now();
+            let after = ctx.comm.clock().now();
             ctx.comm
                 .all_reduce(&mut sync_buf, ReduceOp::Mean, Timing::Charge);
             (sync_buf, async_buf, before, after, ready_at)
@@ -478,10 +495,10 @@ mod tests {
     #[test]
     fn single_rank_async_all_reduce_is_immediately_ready() {
         let out = run_workers(1, ClusterTopology::polaris(), |mut ctx| {
-            ctx.clock.advance_compute(1.5);
+            ctx.comm.clock_mut().advance_compute(1.5);
             let mut buf = vec![4.0f32; 4];
             let ready_at = ctx.comm.all_reduce(&mut buf, ReduceOp::Mean, Timing::Async);
-            (buf, ready_at, ctx.clock.now())
+            (buf, ready_at, ctx.comm.clock().now())
         });
         let (buf, ready_at, now) = &out[0];
         assert_eq!(*buf, vec![4.0f32; 4]);
@@ -494,7 +511,11 @@ mod tests {
             let mut buf = vec![2.0f32; 8];
             ctx.comm
                 .all_reduce(&mut buf, ReduceOp::Mean, Timing::Charge);
-            (buf, ctx.clock.comm_secs(), ctx.comm.hub().bytes_moved())
+            (
+                buf,
+                ctx.comm.clock().comm_secs(),
+                ctx.comm.hub().bytes_moved(),
+            )
         });
         let (buf, secs, bytes) = &out[0];
         assert_eq!(*buf, vec![2.0f32; 8]);
@@ -518,9 +539,10 @@ mod tests {
     #[test]
     fn clocks_sync_to_the_slowest_rank() {
         let out = run_workers(3, ClusterTopology::polaris(), |mut ctx| {
-            ctx.clock.advance_compute(ctx.rank() as f64);
+            let skew = ctx.rank() as f64;
+            ctx.comm.clock_mut().advance_compute(skew);
             ctx.comm.barrier();
-            ctx.clock.now()
+            ctx.comm.clock().now()
         });
         // All ranks leave the barrier at (at least) the slowest rank's time.
         for now in out {

@@ -11,7 +11,8 @@
 //! - [`topology`] — cluster shape (ranks per node) deciding whether traffic
 //!   rides NVLink or the inter-node network.
 //! - [`launch`] — [`launch::run_workers`]: spawn one thread per rank, hand
-//!   each a [`launch::WorkerCtx`] (communicator + clock), join in rank
+//!   each a [`launch::WorkerCtx`] (a communicator that owns the rank's
+//!   clock), join in rank
 //!   order; [`launch::Comm::all_reduce`] is the one all-reduce (sum or
 //!   mean; charged, quoted or non-blocking).
 //! - [`ddp`] — [`ddp::broadcast_parameters`] and [`ddp::GradBuckets`], the

@@ -9,18 +9,17 @@
 //!
 //! [`StalenessWindow`] queues `(bucket, step, payload, stream)` launches
 //! in FIFO order and lands the queue front once its age reaches the
-//! bound. Each landing waits on its stream in an
-//! [`st_device::OverlapLedger`], so the ledger prices the wire — hidden
-//! behind the compute since the launch, or exposed as a fence stall when
-//! the modeled arrival is still ahead of the rank's clock — but arrival
-//! decides nothing.
+//! bound. Each landing waits on its deadline stream on the rank's
+//! [`SimClock`], so the clock prices the wire — hidden behind the compute
+//! since the launch, or exposed as a fence stall when the modeled arrival
+//! is still ahead of the clock — but arrival decides nothing.
 //!
 //! Determinism: when a gradient lands is a function of the step count
 //! alone, so the schedule depends on `(DistConfig, seed)` and no clock.
 //! Every rank lands the same buckets at the same steps, and DDP replicas
 //! stay bit-equal at any `s`. DESIGN.md §4 spells out the timing model.
 
-use st_device::{OverlapLedger, SimClock, StreamId};
+use st_device::{SimClock, StreamId};
 use std::collections::VecDeque;
 
 /// One in-flight averaged gradient awaiting application.
@@ -79,7 +78,7 @@ impl StalenessWindow {
 
     /// Enqueue bucket `bucket`'s averaged `payload`, issued at `step`,
     /// whose arrival is tracked by `stream` (an
-    /// [`OverlapLedger::begin_at`] deadline stream).
+    /// [`SimClock::begin_at`] deadline stream).
     pub fn launch(&mut self, bucket: usize, step: u64, payload: Vec<f32>, stream: StreamId) {
         self.pending.push_back(Pending {
             bucket,
@@ -90,15 +89,14 @@ impl StalenessWindow {
     }
 
     /// Land, in FIFO order, every pending gradient whose age at `step` has
-    /// reached the bound. Each landing waits on its stream (the ledger
+    /// reached the bound. Each landing waits on its stream (the clock
     /// charges whatever gap compute did not hide; a stream not yet arrived
     /// counts as a fence stall) and calls `apply(bucket, payload)`.
     /// Returns how many landed.
     pub fn settle(
         &mut self,
         step: u64,
-        overlap: &mut OverlapLedger,
-        clock: &SimClock,
+        clock: &mut SimClock,
         mut apply: impl FnMut(usize, &[f32]),
     ) -> usize {
         let mut applied = 0;
@@ -107,10 +105,10 @@ impl StalenessWindow {
                 break;
             }
             let p = self.pending.pop_front().expect("front exists");
-            if !overlap.ready(p.stream, clock.now()) {
+            if !clock.ready(p.stream) {
                 self.fence_stalls += 1;
             }
-            overlap.wait(p.stream, clock);
+            clock.wait(p.stream);
             apply(p.bucket, &p.payload);
             self.pool.push(p.payload);
             applied += 1;
@@ -122,13 +120,8 @@ impl StalenessWindow {
     /// boundary: the epoch's optimizer state must not leak pending
     /// gradients into the metric reductions or the next epoch's shuffle).
     /// Returns how many landed.
-    pub fn flush(
-        &mut self,
-        overlap: &mut OverlapLedger,
-        clock: &SimClock,
-        apply: impl FnMut(usize, &[f32]),
-    ) -> usize {
-        self.settle(u64::MAX, overlap, clock, apply)
+    pub fn flush(&mut self, clock: &mut SimClock, apply: impl FnMut(usize, &[f32])) -> usize {
+        self.settle(u64::MAX, clock, apply)
     }
 }
 
@@ -140,23 +133,22 @@ mod tests {
     /// compute advance per step, recording (bucket, launch step, settle
     /// step) triples.
     fn drive(bound: usize, steps: u64, ready_delay: f64, step_secs: f64) -> Vec<(u64, u64)> {
-        let clock = SimClock::new();
-        let mut overlap = OverlapLedger::new();
+        let mut clock = SimClock::new();
         let mut w = StalenessWindow::new(bound);
         let mut settled = Vec::new();
         for step in 0..steps {
             clock.advance_compute(step_secs);
             let ready_at = clock.now() + ready_delay;
-            let stream = overlap.begin_at(ready_at, clock.now());
+            let stream = clock.begin_at(ready_at);
             let buf = w.payload_buf();
             w.launch(step as usize, step, buf, stream);
             let mut hits = Vec::new();
-            w.settle(step, &mut overlap, &clock, |bucket, _| {
+            w.settle(step, &mut clock, |bucket, _| {
                 hits.push(bucket as u64);
             });
             settled.extend(hits.into_iter().map(|launch| (launch, step)));
         }
-        w.flush(&mut overlap, &clock, |_, _| {});
+        w.flush(&mut clock, |_, _| {});
         assert_eq!(w.in_flight(), 0);
         settled
     }
@@ -184,16 +176,15 @@ mod tests {
     fn fast_arrivals_settle_without_fences() {
         // Arrival already in the past: nothing stalls, yet every gradient
         // still waits out its full `bound` steps.
-        let clock = SimClock::new();
-        let mut overlap = OverlapLedger::new();
+        let mut clock = SimClock::new();
         let mut w = StalenessWindow::new(3);
         let mut settled = Vec::new();
         for step in 0..5u64 {
             clock.advance_compute(1.0);
-            let stream = overlap.begin_at(clock.now() - 0.5, clock.now());
+            let stream = clock.begin_at(clock.now() - 0.5);
             let buf = w.payload_buf();
             w.launch(step as usize, step, buf, stream);
-            w.settle(step, &mut overlap, &clock, |b, _| settled.push((b, step)));
+            w.settle(step, &mut clock, |b, _| settled.push((b, step)));
         }
         assert_eq!(settled, vec![(0, 3), (1, 4)], "landed at age exactly 3");
         assert_eq!(w.in_flight(), 3, "the rest wait for their age");
@@ -202,40 +193,38 @@ mod tests {
 
     #[test]
     fn fifo_order_is_preserved_under_mixed_arrivals() {
-        let clock = SimClock::new();
-        let mut overlap = OverlapLedger::new();
+        let mut clock = SimClock::new();
         let mut w = StalenessWindow::new(1);
         // Step 0: slow stream. Step 1: instant stream. Neither lands
         // before its age reaches the bound, and the slow one lands first.
         clock.advance_compute(1.0);
-        let slow = overlap.begin_at(clock.now() + 100.0, clock.now());
+        let slow = clock.begin_at(clock.now() + 100.0);
         let buf = w.payload_buf();
         w.launch(7, 0, buf, slow);
         let mut order = Vec::new();
-        w.settle(0, &mut overlap, &clock, |b, _| order.push(b));
+        w.settle(0, &mut clock, |b, _| order.push(b));
         assert!(order.is_empty(), "age 0 < bound");
         clock.advance_compute(1.0);
-        let fast = overlap.begin_at(clock.now(), clock.now());
+        let fast = clock.begin_at(clock.now());
         let buf = w.payload_buf();
         w.launch(9, 1, buf, fast);
-        w.settle(1, &mut overlap, &clock, |b, _| order.push(b));
+        w.settle(1, &mut clock, |b, _| order.push(b));
         assert_eq!(order, vec![7], "the slow one lands at age 1, fenced");
         assert_eq!(w.fence_stalls(), 1);
-        w.settle(2, &mut overlap, &clock, |b, _| order.push(b));
+        w.settle(2, &mut clock, |b, _| order.push(b));
         assert_eq!(order, vec![7, 9], "the arrived one still waits for age 1");
         assert_eq!(w.fence_stalls(), 1, "and lands without a stall");
     }
 
     #[test]
     fn payload_buffers_recycle() {
-        let clock = SimClock::new();
-        let mut overlap = OverlapLedger::new();
+        let mut clock = SimClock::new();
         let mut w = StalenessWindow::new(0);
         let mut buf = w.payload_buf();
         buf.extend_from_slice(&[1.0, 2.0]);
-        let s = overlap.begin_at(0.0, 0.0);
+        let s = clock.begin_at(0.0);
         w.launch(0, 0, buf, s);
-        w.settle(0, &mut overlap, &clock, |_, p| assert_eq!(p, [1.0, 2.0]));
+        w.settle(0, &mut clock, |_, p| assert_eq!(p, [1.0, 2.0]));
         let recycled = w.payload_buf();
         assert!(recycled.is_empty(), "recycled buffer comes back cleared");
         assert!(recycled.capacity() >= 2, "and keeps its allocation");

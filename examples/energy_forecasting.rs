@@ -14,7 +14,7 @@ use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::synthetic;
 use pgt_i::device::memory::MemPool;
-use pgt_i::device::{CostModel, SimClock};
+use pgt_i::device::CostModel;
 use pgt_i::graph::diffusion_supports;
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 
@@ -30,15 +30,9 @@ fn main() {
 
     // Place the whole standardized dataset on a simulated 40 GB device.
     let mut device = MemPool::new("gpu0", 40 << 30);
-    let placed = GpuIndexDataset::place(
-        ds,
-        Residency::Device,
-        &mut device,
-        CostModel::polaris(),
-        SimClock::new(),
-        4,
-    )
-    .expect("scaled windmill fits easily on-device");
+    let placed =
+        GpuIndexDataset::place(ds, Residency::Device, &mut device, CostModel::polaris(), 4)
+            .expect("scaled windmill fits easily on-device");
     println!(
         "consolidated transfer: {} host->device copies, {:.2} MiB, device pool at {:.2} MiB",
         placed.h2d_count(),

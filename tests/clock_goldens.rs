@@ -24,7 +24,7 @@ use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::storage::{ChunkedSpec, StorageSpec};
 use pgt_i::data::synthetic;
 use pgt_i::device::memory::MemPool;
-use pgt_i::device::{CostModel, SimClock, GIB};
+use pgt_i::device::{CostModel, GIB};
 use pgt_i::graph::diffusion_supports;
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 
@@ -145,21 +145,15 @@ fn gpu_index_host_to_device_accounting() {
     let mut got = Vec::new();
     for (name, residency) in [("host", Residency::Host), ("device", Residency::Device)] {
         let mut pool = MemPool::new("gpu0", 40 * GIB);
-        let placed = GpuIndexDataset::place(
-            ds.clone(),
-            residency,
-            &mut pool,
-            CostModel::polaris(),
-            SimClock::new(),
-            4,
-        )
-        .expect("fits");
+        let placed =
+            GpuIndexDataset::place(ds.clone(), residency, &mut pool, CostModel::polaris(), 4)
+                .expect("fits");
         for i in 0..20 {
             let _ = placed.get_batch(&[i, i + 1, i + 3]);
         }
         got.push((format!("gpu_index/{name} h2d_count"), placed.h2d_count()));
         got.push((format!("gpu_index/{name} h2d_bytes"), placed.h2d_bytes()));
-        let secs = placed.clock().comm_secs();
+        let secs = placed.h2d_secs();
         got.push((format!("gpu_index/{name} h2d_secs"), secs.to_bits()));
     }
     assert_table("gpu index", &got, &GPU_INDEX);

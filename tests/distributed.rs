@@ -200,8 +200,8 @@ fn straggler_noise_never_leaks_into_numerics() {
             for round in 0..5 {
                 if straggle {
                     // Rank- and round-dependent virtual slowdown.
-                    ctx.clock
-                        .advance_compute((ctx.rank() * round) as f64 * 0.37);
+                    let slowdown = (ctx.rank() * round) as f64 * 0.37;
+                    ctx.comm.clock_mut().advance_compute(slowdown);
                 }
                 ctx.comm
                     .all_reduce(&mut acc, ReduceOp::Mean, Timing::Charge);
@@ -209,7 +209,7 @@ fn straggler_noise_never_leaks_into_numerics() {
                     *v = *v * 1.25 + round as f32;
                 }
             }
-            (acc, ctx.clock.now())
+            (acc, ctx.comm.clock().now())
         })
     };
     let clean = run(false);

@@ -7,7 +7,7 @@ use pgt_i::core::EngineReport;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::signal::StaticGraphTemporalSignal;
 use pgt_i::data::synthetic;
-use pgt_i::device::{OverlapLedger, SimClock};
+use pgt_i::device::SimClock;
 use pgt_i::dist::ddp::GradBuckets;
 use pgt_i::dist::launch::run_workers;
 use pgt_i::dist::staleness::StalenessWindow;
@@ -84,22 +84,21 @@ proptest! {
         bound in 0usize..4,
         steps in proptest::collection::vec((0.0f64..8.0, 0.1f64..3.0), 1..24),
     ) {
-        let clock = SimClock::new();
-        let mut overlap = OverlapLedger::new();
+        let mut clock = SimClock::new();
         let mut w = StalenessWindow::new(bound);
         let mut applied: Vec<(u64, u64)> = Vec::new();
         for (step, &(delay, compute)) in steps.iter().enumerate() {
             let step = step as u64;
             clock.advance_compute(compute);
-            let stream = overlap.begin_at(clock.now() + delay, clock.now());
+            let stream = clock.begin_at(clock.now() + delay);
             let buf = w.payload_buf();
             w.launch(step as usize, step, buf, stream);
             let mut hits = Vec::new();
-            w.settle(step, &mut overlap, &clock, |bucket, _| hits.push(bucket as u64));
+            w.settle(step, &mut clock, |bucket, _| hits.push(bucket as u64));
             applied.extend(hits.into_iter().map(|launch| (launch, step)));
         }
         let last = steps.len() as u64 - 1;
-        w.flush(&mut overlap, &clock, |bucket, _| applied.push((bucket as u64, last)));
+        w.flush(&mut clock, |bucket, _| applied.push((bucket as u64, last)));
         prop_assert_eq!(w.in_flight(), 0);
         prop_assert_eq!(applied.len(), steps.len(), "each launch applied exactly once");
         for (i, &(launch, settle)) in applied.iter().enumerate() {
@@ -122,7 +121,7 @@ proptest! {
     ) {
         let out = run_workers(3, ClusterTopology::polaris(), move |mut ctx| {
             let rank = ctx.rank();
-            ctx.clock.advance_compute(skews[rank]);
+            ctx.comm.clock_mut().advance_compute(skews[rank]);
             let grads = |tag: &str| {
                 let ps = vec![
                     pgt_i::autograd::Param::new(
@@ -156,11 +155,10 @@ proptest! {
 
             let stale_ps = grads("stale");
             let mut buckets = GradBuckets::new(stale_ps.clone(), 12);
-            let mut overlap = OverlapLedger::new();
             let mut w = StalenessWindow::new(0);
             for i in 0..buckets.num_buckets() {
                 let ready_at = buckets.reduce_bucket_async(i, &mut ctx.comm);
-                let stream = overlap.begin_at(ready_at, ctx.clock.now());
+                let stream = ctx.comm.clock_mut().begin_at(ready_at);
                 let mut buf = w.payload_buf();
                 buf.extend_from_slice(buckets.bucket_payload(i));
                 w.launch(i, 0, buf, stream);
@@ -168,7 +166,7 @@ proptest! {
             for p in &stale_ps {
                 p.zero_grad();
             }
-            w.settle(0, &mut overlap, &ctx.clock, |i, p| buckets.apply_stale(i, p));
+            w.settle(0, ctx.comm.clock_mut(), |i, p| buckets.apply_stale(i, p));
             assert_eq!(w.in_flight(), 0, "bound 0 settles in-step");
 
             let bits = |ps: &[pgt_i::autograd::Param]| -> Vec<u32> {
