@@ -16,10 +16,10 @@
 //! (barrier semantics: nobody leaves an all-reduce before the slowest
 //! arrives) and charges the modeled ring time from
 //! [`CostModel::allreduce`]; `Quote` hands those seconds to the caller,
-//! who runs them as a stream on the clock; `Async` skips the rendezvous too and returns the
-//! instant the result is available. [`Comm::broadcast`],
-//! [`Comm::barrier`] and [`Comm::all_gather_scalar`] always rendezvous
-//! and charge.
+//! who runs them as a stream on the clock; `Async` skips the rendezvous
+//! too and returns the instant the result is available.
+//! [`Comm::broadcast`], [`Comm::barrier`] and [`Comm::all_gather_scalar`]
+//! always rendezvous and charge.
 
 use crate::topology::ClusterTopology;
 use st_device::{CostModel, SimClock};
