@@ -47,9 +47,10 @@ pub struct DistConfig {
     pub time_period: Option<usize>,
     /// Double-buffer data-plane fetches so they overlap with compute
     /// (§7 future work). Applies to **every** remote data plane the
-    /// engine drives: the baseline's per-batch data-service fetches and
-    /// the generalized mode's one-time halo read alike. A no-op for
-    /// local planes (dist-index has no data plane to hide).
+    /// engine drives: the baseline's per-batch data-service fetches, the
+    /// generalized mode's one-time halo read and a chunked store's disk
+    /// reads (a local copy's, a partition's, a `Trainer` source's) alike.
+    /// A no-op for in-memory local planes (nothing to hide).
     pub prefetch: bool,
     /// Byte cap for the pipelined step engine's gradient buckets.
     /// `Some(cap)`: gradients all-reduce in deterministic byte-capped

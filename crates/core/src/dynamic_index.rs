@@ -5,38 +5,39 @@
 //! features. Index-batching generalizes cleanly because *both* halves of a
 //! snapshot are index-addressed:
 //!
-//! - features: zero-copy views `data[s .. s+h]` / `data[s+h .. s+2h]`,
-//!   exactly as in the static [`IndexDataset`](crate::IndexDataset);
+//! - features: zero-copy views `data[s .. s+h]` / `data[s+h .. s+2h]` of
+//!   a static [`IndexDataset`] over the feature tensor;
 //! - topology: the per-entry diffusion supports are computed **once per
 //!   time entry** and shared by every overlapping window — a materializing
 //!   pipeline would replicate each entry's supports into `horizon`
 //!   windows, the same eq.-(1) blow-up the paper eliminates for features.
 //!
-//! Training uses [`PgtDcrnn::forward_dynamic`], which swaps the diffusion
-//! operators per step while sharing gate weights across time.
+//! A [`DynamicIndexDataset`] is a [`BatchSource`] whose forward is
+//! [`PgtDcrnn::forward_dynamic`], which swaps the diffusion operators per
+//! step while sharing gate weights across time; [`train_dynamic`] is a
+//! [`Trainer`] run over it at batch 1.
 
 use crate::dist_index::DistConfig;
 use crate::engine::EngineReport;
+use crate::index_batching::IndexDataset;
+use crate::trainer::{BatchSource, Trainer};
+use st_autograd::{Tape, Var};
 use st_data::dynamic::DynamicGraphTemporalSignal;
-use st_data::preprocess::num_snapshots;
 use st_data::scaler::StandardScaler;
 use st_data::splits::{SplitIndices, SplitRatios};
 use st_data::storage::{RowStore, SignalStorage, StorageSpec};
 use st_graph::diffusion_supports;
-use st_models::{ModelConfig, PgtDcrnn, Support};
+use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
 use st_tensor::Tensor;
 
-/// Index-batched dataset over a dynamic-topology signal.
+/// Index-batched dataset over a dynamic-topology signal: an
+/// [`IndexDataset`] over the features plus each entry's supports.
 pub struct DynamicIndexDataset {
-    /// Single standardized feature copy `[E, N, F]` — dense in RAM or
-    /// out-of-core chunks, per the construction-time [`StorageSpec`].
-    store: SignalStorage,
+    /// The single standardized feature copy and its windows.
+    index: IndexDataset,
     /// Diffusion supports per time entry (one set per entry, shared by all
     /// windows that touch the entry).
     supports: Vec<Vec<Support>>,
-    horizon: usize,
-    scaler: StandardScaler,
-    splits: SplitIndices,
 }
 
 impl DynamicIndexDataset {
@@ -68,99 +69,37 @@ impl DynamicIndexDataset {
         diffusion_steps: usize,
         spec: StorageSpec,
     ) -> Self {
-        let s = num_snapshots(signal.entries(), horizon);
-        assert!(s > 0, "signal too short for horizon {horizon}");
-        let splits = ratios.split(s);
-        let train_entries = (splits.train.end + 2 * horizon - 1).min(signal.entries());
-        let train_view = signal
-            .data
-            .narrow(0, 0, train_entries)
-            .expect("prefix in range");
-        let scaler = StandardScaler::fit(&train_view);
-        let data = scaler.transform(&signal.data);
+        let features = SignalStorage::InMemory(signal.data.contiguous());
         let supports = signal
             .adjacencies
             .iter()
             .map(|adj| Support::wrap_all(diffusion_supports(adj, diffusion_steps)))
             .collect();
         DynamicIndexDataset {
-            store: SignalStorage::from_tensor_spec(data, spec),
+            index: IndexDataset::from_storage(&features, horizon, ratios, spec),
             supports,
-            horizon,
-            scaler,
-            splits,
         }
     }
 
-    /// The dense standardized tensor (in-memory storage only; panics for
-    /// chunked datasets — use [`DynamicIndexDataset::snapshot`]).
-    pub fn data(&self) -> &Tensor {
-        self.store.dense()
+    /// The feature windows: snapshot count, splits, scaler, dims, storage.
+    pub fn index(&self) -> &IndexDataset {
+        &self.index
     }
 
-    /// True when the feature copy streams from out-of-core chunks.
-    pub fn is_chunked(&self) -> bool {
-        self.store.is_chunked()
-    }
-
-    /// Number of `(x, y)` snapshot pairs.
-    pub fn num_snapshots(&self) -> usize {
-        num_snapshots(self.store.rows(), self.horizon)
-    }
-
-    /// Split ranges.
-    pub fn splits(&self) -> &SplitIndices {
-        &self.splits
-    }
-
-    /// The fitted scaler.
-    pub fn scaler(&self) -> &StandardScaler {
-        &self.scaler
-    }
-
-    /// Window length.
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Graph nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.store.dims()[1]
-    }
-
-    /// Node features.
-    pub fn num_features(&self) -> usize {
-        self.store.dims()[2]
-    }
-
-    /// Snapshot `i`: `(x, y)` feature windows (zero-copy views in memory,
-    /// streamed reads out-of-core) plus the borrowed per-step support sets
-    /// for the x window.
+    /// Snapshot `i`: `[1, h, N, F]` `(x, y)` feature windows (zero-copy
+    /// views in memory, one streamed read out-of-core) plus the borrowed
+    /// per-step support sets for the x window.
     pub fn snapshot(&self, i: usize) -> (Tensor, Tensor, Vec<&[Support]>) {
-        let (x, y, _) = self.snapshot_quoted(i);
-        (x, y, self.supports_for(i))
-    }
-
-    /// [`DynamicIndexDataset::snapshot`] minus the supports, plus the file
-    /// bytes this window's read pulled (0 in memory).
-    pub fn snapshot_quoted(&self, i: usize) -> (Tensor, Tensor, u64) {
-        let h = self.horizon;
-        // One contiguous read covers both windows (they abut).
-        let (rows, io) = self.store.read_rows_quoted(i..i + 2 * h);
-        let half = |start: usize| {
-            rows.narrow(0, start, h)
-                .expect("window in range")
-                .unsqueeze(0)
-                .expect("add batch dim")
-        };
-        (half(0), half(h), io)
+        let (x, y) = self.index.snapshot(i);
+        let batch_of_one = |t: Tensor| t.unsqueeze(0).expect("add batch dim");
+        (batch_of_one(x), batch_of_one(y), self.supports_for(i))
     }
 
     /// The borrowed per-step support sets of window `i` alone (no feature
     /// views) — one slice per step, each shared by every window touching
     /// the entry.
     pub fn supports_for(&self, i: usize) -> Vec<&[Support]> {
-        self.supports[i..i + self.horizon]
+        self.supports[i..i + self.index.horizon()]
             .iter()
             .map(|s| s.as_slice())
             .collect()
@@ -169,23 +108,23 @@ impl DynamicIndexDataset {
     /// Resident bytes of the index layout (features f32 + support CSRs +
     /// window bookkeeping) — the dynamic analogue of eq. (2).
     pub fn resident_bytes(&self) -> u64 {
-        let features = self.store.resident_bytes();
+        let features = self.index.storage().resident_bytes();
         let supports: u64 = self
             .supports
             .iter()
             .flat_map(|per_entry| per_entry.iter())
             .map(|s| s.mat.approx_bytes() as u64)
             .sum();
-        features + supports + self.num_snapshots() as u64 * 8
+        features + supports + self.index.num_snapshots() as u64 * 8
     }
 
     /// What a materializing pipeline would hold instead: every window's
     /// features duplicated twice (eq. 1) *and* every window's per-step
     /// support list replicated.
     pub fn materialized_bytes(&self) -> u64 {
-        let s = self.num_snapshots() as u64;
-        let h = self.horizon as u64;
-        let row = (self.store.row_width() * 4) as u64;
+        let s = self.index.num_snapshots() as u64;
+        let h = self.index.horizon() as u64;
+        let row = (self.index.storage().row_width() * 4) as u64;
         let features = 2 * s * h * row;
         let per_entry_supports: u64 = self
             .supports
@@ -199,94 +138,49 @@ impl DynamicIndexDataset {
     }
 }
 
+/// Dynamic windows: each carries its own support sequence, so samples with
+/// different topology cannot share a fused batch (the same constraint
+/// PGT's dynamic-signal iterators have) — every batch is one window.
+impl BatchSource for DynamicIndexDataset {
+    fn num_snapshots(&self) -> usize {
+        self.index.num_snapshots()
+    }
+
+    fn splits(&self) -> &SplitIndices {
+        self.index.splits()
+    }
+
+    fn get_batch(&self, indices: &[usize]) -> (Tensor, Tensor) {
+        self.index.batch(indices)
+    }
+
+    fn get_batch_quoted(&self, indices: &[usize]) -> (Tensor, Tensor, u64) {
+        self.index.batch_quoted(indices)
+    }
+
+    fn is_chunked(&self) -> bool {
+        self.index.is_chunked()
+    }
+
+    fn scaler(&self) -> &StandardScaler {
+        self.index.scaler()
+    }
+
+    fn forward(&self, model: &dyn Seq2Seq, tape: &Tape, ids: &[usize], x: &Tensor) -> Var {
+        assert_eq!(ids.len(), 1, "dynamic windows cannot share a fused batch");
+        model.forward_dynamic(tape, x, &self.supports_for(ids[0]))
+    }
+}
+
 /// Diffusion steps K of the dynamic model: every entry's supports reach K
 /// hops.
 const K: usize = 2;
 
-/// The §7 dynamic-graph data plane: zero-copy feature windows plus
-/// per-entry diffusion supports, visited one window at a time (each window
-/// carries its own support sequence, so samples with different topology
-/// cannot share a fused batch — the same constraint PGT's dynamic-signal
-/// iterators have). Single-worker and model-independent
-/// (`sync_gradients = false`), with the forward routed through
-/// [`st_models::Seq2Seq::forward_dynamic`] so per-step operators come from
-/// the dataset at runtime.
-pub struct DynamicPlane {
-    ds: DynamicIndexDataset,
-    seed: u64,
-    cost: st_device::CostModel,
-}
-
-impl DynamicPlane {
-    /// Wrap a dynamic dataset; `seed` drives the epoch shuffle and `cm`
-    /// prices chunk IO when the dataset streams from out-of-core storage.
-    pub fn new(ds: DynamicIndexDataset, seed: u64, cm: &st_device::CostModel) -> Self {
-        DynamicPlane {
-            ds,
-            seed,
-            cost: cm.clone(),
-        }
-    }
-
-    /// The underlying dataset.
-    pub fn dataset(&self) -> &DynamicIndexDataset {
-        &self.ds
-    }
-}
-
-impl crate::engine::DistDataPlane for DynamicPlane {
-    fn rounds_per_epoch(&self) -> usize {
-        self.ds.splits().train.len()
-    }
-
-    fn plan_epoch(&self, epoch: u64) -> Vec<Vec<usize>> {
-        let train = self.ds.splits().train.clone();
-        st_tensor::random::permutation(train.len(), self.seed, epoch)
-            .into_iter()
-            .map(|idx| vec![train.start + idx])
-            .collect()
-    }
-
-    fn plan_val(&self) -> Vec<Vec<usize>> {
-        self.ds.splits().val.clone().map(|i| vec![i]).collect()
-    }
-
-    fn fetch_batch(&self, ids: &[usize]) -> crate::engine::Fetch {
-        assert_eq!(ids.len(), 1, "dynamic windows cannot share a fused batch");
-        let (x, y, io_bytes) = self.ds.snapshot_quoted(ids[0]);
-        crate::engine::Fetch::from_store(x, y, io_bytes, &self.cost)
-    }
-
-    fn remote(&self) -> bool {
-        // Out-of-core windows carry modeled disk time; let the engine's
-        // prefetcher hide it behind compute.
-        self.ds.is_chunked()
-    }
-
-    fn sync_gradients(&self) -> bool {
-        false
-    }
-
-    fn scaler_std(&self) -> f32 {
-        self.ds.scaler().std
-    }
-
-    fn forward(
-        &self,
-        model: &dyn st_models::Seq2Seq,
-        tape: &st_autograd::Tape,
-        ids: &[usize],
-        x: &st_tensor::Tensor,
-    ) -> st_autograd::Var {
-        model.forward_dynamic(tape, x, &self.ds.supports_for(ids[0]))
-    }
-}
-
 /// Train a PGT-DCRNN of width `hidden` over a dynamic signal with
-/// index-batching, via the unified engine as a world of one. Every batch
-/// is one window (dynamic windows cannot share a fused batch), so
-/// `cfg.world` and `cfg.batch_per_worker` are not read. The report's
-/// `epochs[].val_mae` comes from rank 0's own f64 validation sums.
+/// index-batching: a [`Trainer`] run over its [`DynamicIndexDataset`] at
+/// batch 1 (dynamic windows cannot share a fused batch), so
+/// `cfg.batch_per_worker` is not read, and neither is `cfg.world`. The
+/// dataset's feature copy lives under `cfg.storage`.
 pub fn train_dynamic(
     signal: &DynamicGraphTemporalSignal,
     hidden: usize,
@@ -299,37 +193,28 @@ pub fn train_dynamic(
         K,
         cfg.storage,
     );
-    let std = ds.scaler().std;
-    let cfg = DistConfig {
-        world: 1,
-        batch_per_worker: 1,
-        ..cfg.clone()
-    };
     let model = PgtDcrnn::new(
         ModelConfig {
-            input_dim: ds.num_features(),
+            input_dim: ds.index.num_features(),
             output_dim: 1,
             hidden,
-            num_nodes: ds.num_nodes(),
+            num_nodes: ds.index.num_nodes(),
             horizon: cfg.horizon,
             diffusion_steps: K,
             layers: 1,
         },
         // Initial supports only fix the weight layout (support count); the
-        // per-step operators come from the dataset at runtime through the
-        // plane's forward hook.
+        // per-step operators come from the dataset at runtime through its
+        // forward.
         &ds.supports[0],
         cfg.seed,
     );
-    let plane = DynamicPlane::new(ds, cfg.seed, &st_device::CostModel::default());
-    let report = crate::engine::run_single(
-        &cfg,
-        &crate::engine::EngineOptions::default(),
-        &plane,
-        &model,
-    )
-    .expect("engine run without resume cannot fail");
-    (model, crate::trainer::single_worker_view(report, std))
+    let trainer = Trainer::new(DistConfig {
+        batch_per_worker: 1,
+        ..cfg.clone()
+    });
+    let report = trainer.train(&model, &ds);
+    (model, report)
 }
 
 #[cfg(test)]
@@ -362,7 +247,7 @@ mod tests {
     fn feature_views_are_zero_copy() {
         let d = ds();
         let (x, _, _) = d.snapshot(0);
-        assert!(x.shares_storage(d.data()), "x must be a view");
+        assert!(x.shares_storage(d.index().data()), "x must be a view");
     }
 
     #[test]
@@ -391,7 +276,7 @@ mod tests {
     fn standardization_uses_train_prefix() {
         let d = ds();
         // Standardized training data has ≈0 mean.
-        let train_view = d.data().narrow(0, 0, d.splits().train.end).unwrap();
+        let train_view = d.index().data().narrow(0, 0, d.splits().train.end).unwrap();
         let vals = train_view.to_vec();
         let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
         assert!(mean.abs() < 0.25, "mean {mean}");
@@ -421,5 +306,23 @@ mod tests {
             "dynamic-graph loss must fall: {first} -> {last}"
         );
         assert!(stats.last().unwrap().val_mae.is_finite());
+    }
+
+    #[test]
+    fn evaluate_reproduces_the_last_epoch_val_mae() {
+        // `Trainer::evaluate` runs the source's forward too: over the val
+        // range at batch 1 it is the last epoch's validation, bit for bit.
+        let sig = synthetic_dynamic_traffic(6, 80, 7);
+        let cfg = DistConfig::new(1, 2, 4);
+        let (model, report) = train_dynamic(&sig, 8, &cfg);
+        let d = DynamicIndexDataset::from_signal(&sig, 4, SplitRatios::default(), K);
+        let trainer = Trainer::new(DistConfig {
+            batch_per_worker: 1,
+            ..cfg
+        });
+        let mae = trainer.evaluate(&model, &d, d.splits().val.clone());
+        let last = report.epochs.last().unwrap().val_mae;
+        assert!(mae.is_finite());
+        assert_eq!(mae.to_bits(), last.to_bits(), "evaluate {mae} vs {last}");
     }
 }

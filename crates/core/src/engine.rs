@@ -17,9 +17,9 @@
 //!   [`st_tensor::ops::sum_abs`]).
 //! - [`run`] / [`run_single`] — the **only** epoch loop: one rank per
 //!   worker ([`run`]) or a world of one on the calling thread against the
-//!   caller's model ([`run_single`] — what the single-worker
-//!   [`Trainer`](crate::trainer::Trainer) and the dynamic-graph runner
-//!   are facades over), bit-deterministic rank-order metric reductions,
+//!   caller's model ([`run_single`] — the single-worker
+//!   [`Trainer`](crate::trainer::Trainer)'s entry, and so the dynamic-graph
+//!   runner's), bit-deterministic rank-order metric reductions,
 //!   simulated-clock charging, optional checkpoint capture/resume, and a
 //!   **pipelined step path**: every concurrent comm stream — the one-time
 //!   setup read, the double-buffered next-batch fetch
@@ -33,6 +33,12 @@
 //!   reduce's timing), and [`DistConfig::staleness`] is a schedule over
 //!   the same buckets.
 //! - [`EngineReport`] — what every runner returns.
+//!
+//! Three planes share a model across ranks (local copies, the data
+//! service, halo'd entry partitions); every run that trains independent
+//! models — the [`Trainer`](crate::trainer::Trainer), each partition of
+//! `run_partitioned`, `train_dynamic` — runs the Trainer's one plane over a
+//! [`BatchSource`](crate::trainer::BatchSource).
 //!
 //! Determinism invariant (DESIGN.md §2): the engine charges *time* for
 //! fetches and collectives but never lets it influence numerics — plans
@@ -155,15 +161,16 @@ pub trait DistDataPlane {
     }
 
     /// Run the model forward for a batch. The default is the static
-    /// [`Seq2Seq::forward`]; planes whose samples carry extra context
-    /// (per-step diffusion supports on dynamic graphs) override this.
+    /// [`Seq2Seq::forward`]; the single-model plane hands it to its
+    /// source's [`BatchSource::forward`](crate::trainer::BatchSource::forward)
+    /// (per-step diffusion supports on dynamic graphs).
     fn forward(&self, model: &dyn Seq2Seq, tape: &Tape, ids: &[usize], x: &Tensor) -> Var {
         let _ = ids;
         model.forward(tape, x)
     }
 
-    /// Restrict `(pred, target)` before the validation reduction (the
-    /// partitioned plane narrows to owned nodes so halo duplicates are
+    /// Restrict `(pred, target)` before the validation reduction (a
+    /// partition's plane narrows to owned nodes so halo duplicates are
     /// not double-counted). Default: identity.
     fn val_views(&self, pred: Tensor, target: Tensor) -> (Tensor, Tensor) {
         (pred, target)
@@ -483,32 +490,24 @@ where
 /// training the caller's `model` in place (models are not `Send`, so the
 /// threaded [`run`] must build its replicas inside the workers and cannot
 /// hand them back). Collectives are free no-ops. This is the entry the
-/// single-worker [`Trainer`](crate::trainer::Trainer) and the
-/// dynamic-graph runner use.
+/// single-worker [`Trainer`](crate::trainer::Trainer) uses.
 ///
 /// ```
-/// use pgt_index::dist_index::DistConfig;
-/// use pgt_index::dynamic_index::{DynamicIndexDataset, DynamicPlane};
+/// use pgt_index::dist_index::{DistConfig, LocalCopyPlane};
 /// use pgt_index::engine::{run_single, EngineOptions};
-/// use st_data::dynamic::synthetic_dynamic_traffic;
-/// use st_data::splits::SplitRatios;
+/// use pgt_index::workflow::pgt_dcrnn_factory;
+/// use st_data::datasets::{DatasetKind, DatasetSpec};
+/// use st_data::synthetic;
 /// use st_device::CostModel;
-/// use st_models::{ModelConfig, PgtDcrnn};
 ///
-/// // A 6-sensor dynamic-topology signal, index-batched, trained for two
-/// // epochs as a world of one.
-/// let sig = synthetic_dynamic_traffic(6, 60, 5);
-/// let ds = DynamicIndexDataset::from_signal(&sig, 4, SplitRatios::default(), 2);
-/// let mc = ModelConfig {
-///     input_dim: ds.num_features(), output_dim: 1, hidden: 4,
-///     num_nodes: ds.num_nodes(), horizon: 4, diffusion_steps: 2, layers: 1,
-/// };
-/// // Initial supports fix the weight layout; per-step operators come
-/// // from the dataset at runtime through the plane's forward hook.
-/// let model = PgtDcrnn::new(mc, ds.supports_for(0)[0], 42);
-/// let plane = DynamicPlane::new(ds, 42, &CostModel::polaris());
-/// let cfg = DistConfig::new(1, 2, 4);
-/// let report = run_single(&cfg, &EngineOptions::default(), &plane, &model)
+/// // A small Chickenpox-shaped signal, index-batched as a full local
+/// // copy, trained for two epochs as a world of one.
+/// let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.2);
+/// let sig = synthetic::generate(&spec, 5);
+/// let cfg = DistConfig::new(1, 2, spec.horizon);
+/// let plane = LocalCopyPlane::new(&sig, &cfg, 0, &CostModel::polaris());
+/// let model = pgt_dcrnn_factory(&sig, spec.horizon, 4, 42)(plane.dataset());
+/// let report = run_single(&cfg, &EngineOptions::default(), &plane, model.as_ref())
 ///     .expect("no resume bytes to reject");
 /// assert_eq!(report.epochs.len(), 2);
 /// assert!(report.epochs[1].train_loss.is_finite());

@@ -18,117 +18,30 @@
 use crate::dist_index::DistConfig;
 use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch};
 use crate::index_batching::IndexDataset;
+use st_data::preprocess::num_snapshots;
 use st_data::scaler::StandardScaler;
 use st_data::signal::StaticGraphTemporalSignal;
-use st_data::splits::SplitRatios;
+use st_data::splits::{SplitIndices, SplitRatios};
 use st_dist::datasvc::DistributedArray;
 use st_dist::shuffle;
 use st_models::Seq2Seq;
+use std::ops::Range;
 use std::sync::Arc;
-
-/// A worker's slice of the generalized dataset: its entry partition plus
-/// halo, re-wrapped as a local [`IndexDataset`] over *local* snapshot ids.
-pub struct GenPartition {
-    /// Local dataset over the partition + halo entries.
-    pub local: IndexDataset,
-    /// Global snapshot ids covered by this partition (train split only).
-    pub global_train_ids: std::ops::Range<usize>,
-    /// Global snapshot ids covered by this partition (validation split).
-    pub global_val_ids: std::ops::Range<usize>,
-    /// First global entry owned by this worker.
-    pub entry_offset: usize,
-}
-
-/// Build worker `rank`'s partition from the shared entry array.
-///
-/// `entries_array` is the standardized `[E, N·F]`-flattened signal wrapped
-/// in a [`DistributedArray`]; the halo read past the partition boundary is
-/// the only remote traffic. Its bytes are ledgered immediately, but its
-/// modeled seconds come back **quoted** so the caller (the engine) decides
-/// whether to pay them up front or hide them behind compute.
-///
-/// The snapshot split is [`shuffle::contiguous_partition`]: the entry
-/// timeline is a uniform path graph, whose balanced optimum by any cut
-/// measure is the contiguous split.
-#[allow(clippy::too_many_arguments)]
-pub fn build_partition(
-    entries_array: &DistributedArray,
-    scaler: StandardScaler,
-    nodes: usize,
-    features: usize,
-    horizon: usize,
-    world: usize,
-    rank: usize,
-    snapshot_split: &st_data::splits::SplitIndices,
-    cost: &st_device::CostModel,
-) -> (GenPartition, f64) {
-    let num_entries = entries_array.rows();
-    let total_snaps = st_data::preprocess::num_snapshots(num_entries, horizon);
-
-    // Partition *snapshots* along the timeline; derive the entry range +
-    // halo.
-    let snap_range = shuffle::contiguous_partition(total_snaps, world, rank);
-    let entry_start = snap_range.start;
-    let entry_end = (snap_range.end + 2 * horizon - 1).min(num_entries);
-
-    // One contiguous (mostly-local + halo) read, quoted.
-    let (rows, setup_secs) = entries_array.fetch_range_quoted(rank, entry_start..entry_end, cost);
-    let local_entries = entry_end - entry_start;
-    let data = rows
-        .reshape([local_entries, nodes, features])
-        .expect("row size is nodes*features");
-
-    // Local split bookkeeping: which of my snapshots are train/val.
-    let inter = |a: &std::ops::Range<usize>, b: &std::ops::Range<usize>| {
-        a.start.max(b.start)..a.end.min(b.end).max(a.start.max(b.start))
-    };
-    let train = inter(&snap_range, &snapshot_split.train);
-    let val = inter(&snap_range, &snapshot_split.val);
-
-    // Local ids are global ids minus the entry offset; the local dataset's
-    // own split ranges are unused (we drive ids explicitly).
-    let local = IndexDataset::from_standardized(
-        data,
-        horizon,
-        scaler,
-        SplitRatios::default().split(st_data::preprocess::num_snapshots(local_entries, horizon)),
-    );
-    (
-        GenPartition {
-            local,
-            global_train_ids: train,
-            global_val_ids: val,
-            entry_offset: entry_start,
-        },
-        setup_secs,
-    )
-}
-
-impl GenPartition {
-    /// Fetch a batch by **global** snapshot ids (must lie in this partition).
-    pub fn batch_global(&self, global_ids: &[usize]) -> (st_tensor::Tensor, st_tensor::Tensor) {
-        let local: Vec<usize> = global_ids
-            .iter()
-            .map(|&g| {
-                assert!(
-                    g >= self.entry_offset,
-                    "snapshot {g} not in partition starting at {}",
-                    self.entry_offset
-                );
-                g - self.entry_offset
-            })
-            .collect();
-        self.local.batch(&local)
-    }
-}
 
 /// The §5.4 data plane: a fixed entry partition plus halo, with batch-level
 /// shuffling inside the partition and a data-plane ledger that only ever
 /// records the setup halo reads.
 pub struct HaloEntryPlane {
-    part: GenPartition,
+    /// Local dataset over the partition + halo entries, by *local* snapshot
+    /// id (its own split ranges are unused: the plane drives ids itself).
+    local: IndexDataset,
+    /// This rank's global snapshot ids in the train split.
+    train: Range<usize>,
+    /// This rank's global snapshot ids in the validation split.
+    val: Range<usize>,
+    /// First global entry this rank holds: local id = global id − offset.
+    entry_offset: usize,
     shared: Arc<DistributedArray>,
-    scaler_std: f32,
     rounds: usize,
     batch: usize,
     seed: u64,
@@ -137,35 +50,52 @@ pub struct HaloEntryPlane {
 }
 
 impl HaloEntryPlane {
-    /// Build rank `rank`'s plane over the shared entry array.
+    /// Build rank `rank`'s plane over the shared entry array: the
+    /// standardized `[E, N·F]`-flattened signal, of which this rank reads
+    /// its contiguous snapshot partition plus a halo of `2·horizon − 1`
+    /// entries past its right edge. That read is the only remote traffic:
+    /// its bytes are ledgered at once, and its modeled seconds are the
+    /// plane's quoted setup transfer.
+    ///
+    /// The snapshot split is [`shuffle::contiguous_partition`]: the entry
+    /// timeline is a uniform path graph, whose balanced optimum by any cut
+    /// measure is the contiguous split.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         shared: Arc<DistributedArray>,
         scaler: StandardScaler,
         nodes: usize,
         features: usize,
-        split: &st_data::splits::SplitIndices,
+        split: &SplitIndices,
         cfg: &DistConfig,
         rank: usize,
         cost: &st_device::CostModel,
     ) -> Self {
-        let scaler_std = scaler.std;
-        let (part, setup_secs) = build_partition(
-            &shared,
+        let horizon = cfg.horizon;
+        let num_entries = shared.rows();
+        let total_snaps = num_snapshots(num_entries, horizon);
+        // Partition *snapshots* along the timeline; derive the entry range
+        // + halo, and read it in one contiguous (mostly-local) quoted read.
+        let snaps = shuffle::contiguous_partition(total_snaps, cfg.world, rank);
+        let entry_end = (snaps.end + 2 * horizon - 1).min(num_entries);
+        let (rows, setup_secs) = shared.fetch_range_quoted(rank, snaps.start..entry_end, cost);
+        let local_entries = entry_end - snaps.start;
+        let data = rows
+            .reshape([local_entries, nodes, features])
+            .expect("row size is nodes*features");
+        let local = IndexDataset::from_standardized(
+            data,
+            horizon,
             scaler,
-            nodes,
-            features,
-            cfg.horizon,
-            cfg.world,
-            rank,
-            split,
-            cost,
+            SplitRatios::default().split(num_snapshots(local_entries, horizon)),
         );
+        let inter = |a: &Range<usize>, b: &Range<usize>| {
+            a.start.max(b.start)..a.end.min(b.end).max(a.start.max(b.start))
+        };
         // Partitions intersected with the train split are ragged (a rank
         // owning only validation-era snapshots may have *zero* train
         // batches); all ranks agree on the max batch count analytically,
         // from the same split as the data.
-        let total_snaps = st_data::preprocess::num_snapshots(shared.rows(), cfg.horizon);
         let rounds = shuffle::common_rounds(
             (0..cfg.world).map(|r| {
                 let snaps = shuffle::contiguous_partition(total_snaps, cfg.world, r);
@@ -174,9 +104,11 @@ impl HaloEntryPlane {
             cfg.batch_per_worker,
         );
         HaloEntryPlane {
-            part,
+            local,
+            train: inter(&snaps, &split.train),
+            val: inter(&snaps, &split.val),
+            entry_offset: snaps.start,
             shared,
-            scaler_std,
             rounds,
             batch: cfg.batch_per_worker,
             seed: cfg.seed,
@@ -187,7 +119,7 @@ impl HaloEntryPlane {
 
     /// The worker's local dataset (model factories derive dims from it).
     pub fn dataset(&self) -> &IndexDataset {
-        &self.part.local
+        &self.local
     }
 }
 
@@ -198,7 +130,7 @@ impl DistDataPlane for HaloEntryPlane {
 
     fn plan_epoch(&self, epoch: u64) -> Vec<Vec<usize>> {
         engine::batch_order_plan(
-            self.part.global_train_ids.clone().collect(),
+            self.train.clone().collect(),
             self.rank,
             self.seed,
             epoch,
@@ -207,11 +139,23 @@ impl DistDataPlane for HaloEntryPlane {
     }
 
     fn plan_val(&self) -> Vec<Vec<usize>> {
-        engine::chunk_ids(self.part.global_val_ids.clone().collect(), self.batch)
+        engine::chunk_ids(self.val.clone().collect(), self.batch)
     }
 
+    /// A batch by **global** snapshot ids, which must lie in this partition.
     fn fetch_batch(&self, ids: &[usize]) -> Fetch {
-        let (x, y) = self.part.batch_global(ids);
+        let local: Vec<usize> = ids
+            .iter()
+            .map(|&g| {
+                assert!(
+                    g >= self.entry_offset,
+                    "snapshot {g} not in partition starting at {}",
+                    self.entry_offset
+                );
+                g - self.entry_offset
+            })
+            .collect();
+        let (x, y) = self.local.batch(&local);
         Fetch { x, y, secs: 0.0 }
     }
 
@@ -224,7 +168,7 @@ impl DistDataPlane for HaloEntryPlane {
     }
 
     fn scaler_std(&self) -> f32 {
-        self.scaler_std
+        self.local.scaler().std
     }
 
     fn ledger_bytes(&self) -> u64 {
@@ -330,27 +274,24 @@ mod tests {
             .unwrap();
         let shared = DistributedArray::new(entries, 3, ClusterTopology::polaris(), 4);
         let cm = st_device::CostModel::polaris();
+        let cfg = DistConfig::new(3, 1, spec.horizon);
         for rank in 0..3 {
-            let (part, _) = build_partition(
-                &shared,
+            let plane = HaloEntryPlane::new(
+                shared.clone(),
                 full.scaler().clone(),
                 full.num_nodes(),
                 full.num_features(),
-                spec.horizon,
-                3,
-                rank,
                 full.splits(),
+                &cfg,
+                rank,
                 &cm,
             );
             // Every boundary-adjacent snapshot must match the full copy.
-            for g in [
-                part.global_train_ids.start,
-                part.global_train_ids.end.saturating_sub(1),
-            ] {
-                if !part.global_train_ids.contains(&g) {
+            for g in [plane.train.start, plane.train.end.saturating_sub(1)] {
+                if !plane.train.contains(&g) {
                     continue;
                 }
-                let (bx, by) = part.batch_global(&[g]);
+                let Fetch { x: bx, y: by, .. } = plane.fetch_batch(&[g]);
                 let (fx, fy) = full.snapshot(g);
                 assert_eq!(
                     bx.select(0, 0).unwrap().to_vec(),

@@ -25,7 +25,7 @@ use st_data::preprocess::num_snapshots;
 use st_data::scaler::StandardScaler;
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::{SplitIndices, SplitRatios};
-use st_data::storage::{RowStore, SignalStorage};
+use st_data::storage::{RowStore, SignalStorage, StorageSpec};
 use st_tensor::Tensor;
 
 /// The index-batching dataset: one data copy + window indices.
@@ -62,16 +62,28 @@ impl IndexDataset {
             }
             None => signal,
         };
-        let s = num_snapshots(sig.entries(), horizon);
+        Self::from_storage(&sig.storage, horizon, ratios, sig.storage.spec())
+    }
+
+    /// Index `[E, N, F]` rows `storage` by windows of `horizon`: fit the
+    /// scaler on the training prefix with [`StandardScaler::fit_rows`]
+    /// (the bits of [`StandardScaler::fit`] over the materialized prefix)
+    /// and standardize a copy under `spec`, block by block.
+    pub(crate) fn from_storage(
+        storage: &SignalStorage,
+        horizon: usize,
+        ratios: SplitRatios,
+        spec: StorageSpec,
+    ) -> Self {
+        let entries = storage.rows();
+        let s = num_snapshots(entries, horizon);
         assert!(s > 0, "signal too short for horizon {horizon}");
         let splits = ratios.split(s);
         // Fit on the entries the training snapshots can touch:
         // windows [0, train_end) cover entries [0, train_end + 2h - 1).
-        let train_entries = (splits.train.end + 2 * horizon - 1).min(sig.entries());
-        let scaler = StandardScaler::fit_rows(&sig.storage, 0..train_entries);
-        let store = sig
-            .storage
-            .rewrite_rows(sig.storage.spec(), |_, rows| scaler.transform(rows));
+        let train_entries = (splits.train.end + 2 * horizon - 1).min(entries);
+        let scaler = StandardScaler::fit_rows(storage, 0..train_entries);
+        let store = storage.rewrite_rows(spec, |_, rows| scaler.transform(rows));
         IndexDataset {
             store,
             horizon,
@@ -236,7 +248,7 @@ mod tests {
     use super::*;
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::preprocess::materialized_xy;
-    use st_data::storage::{ChunkedSpec, StorageSpec};
+    use st_data::storage::ChunkedSpec;
     use st_data::synthetic;
     use st_graph::Adjacency;
 

@@ -17,9 +17,10 @@
 //!   forward/backward, bucketed gradient sync, prefetch overlap,
 //!   rank-order metric reductions, and checkpoint capture/resume, and
 //!   reports every run as one [`engine::EngineReport`].
-//! - [`trainer`] — the single-worker front end: [`trainer::BatchSource`]
-//!   and a [`trainer::Trainer`] that runs the engine as a world of one
-//!   over any source.
+//! - [`trainer`] — the single-worker front end: [`trainer::BatchSource`],
+//!   one model's data, and a [`trainer::Trainer`] that runs the engine as
+//!   a world of one over any source, on the crate's one independent-model
+//!   plane.
 //! - [`dist_index`] — distributed-index-batching: full per-worker copies,
 //!   communication-free global shuffling, DDP gradient averaging (§4.2)
 //!   — the engine's [`dist_index::LocalCopyPlane`].
@@ -31,10 +32,11 @@
 //!   batch-level shuffling (§5.4) — [`gen_dist_index::HaloEntryPlane`].
 //! - [`dynamic_index`] — §7 future work: index-batching over dynamic
 //!   graphs with temporal signal (per-entry diffusion supports shared
-//!   across overlapping windows) — [`dynamic_index::DynamicPlane`].
+//!   across overlapping windows) — a [`trainer::BatchSource`] the
+//!   `Trainer` runs at batch 1.
 //! - [`partitioned`] — the §7 future-work integration of index-batching
-//!   with graph partitioning (per-partition models + halos) —
-//!   [`partitioned::PartitionedPlane`].
+//!   with graph partitioning (per-partition models + halos) — the
+//!   `Trainer`'s plane once per partition rank.
 //! - [`workflow`] — end-to-end convenience entry points used by the
 //!   examples and the reproduction harness.
 //!

@@ -20,20 +20,19 @@
 //!   the *largest* partition's per-epoch compute
 //!   ([`PartitionedResult::parallel_flops_fraction`]).
 //!
-//! Training runs on [`crate::engine`] with one rank per partition and
-//! **independent** models (`sync_gradients = false`): the engine's epoch
-//! loop drives every partition concurrently, and validation is restricted
-//! to owned nodes through [`crate::engine::DistDataPlane::val_views`].
+//! Training runs on [`crate::engine`] with one rank per partition, each an
+//! **independent** model on the single-worker [`Trainer`](crate::Trainer)'s
+//! plane: the engine's epoch loop drives every partition concurrently, and
+//! validation runs once, after the last epoch, on owned nodes only.
 
 use crate::dist_index::{stored_as, DistConfig};
-use crate::engine::{self, DistDataPlane, EngineOptions, Fetch};
+use crate::engine::{self, EngineOptions};
 use crate::index_batching::IndexDataset;
-use st_data::loader::Batcher;
+use crate::trainer::{SourcePlane, Validation};
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
 use st_graph::{diffusion_supports, Partitioning};
 use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
-use st_tensor::Tensor;
 
 /// The partition models' diffusion steps K, and the halo depth in hops
 /// that gives every boundary convolution its full receptive field.
@@ -109,107 +108,6 @@ pub fn node_subset_signal(
     StaticGraphTemporalSignal::with_storage(storage, adjacency)
 }
 
-/// The §7 partitioned data plane: one rank per graph partition, each with
-/// an index-batched dataset over its halo-augmented node subset and an
-/// **independent** model (no gradient synchronization). Validation is
-/// narrowed to owned nodes so halo duplicates are never double-counted.
-pub struct PartitionedPlane {
-    ds: IndexDataset,
-    owned: usize,
-    batch: usize,
-    seed: u64,
-    rank: usize,
-    cost: st_device::CostModel,
-}
-
-impl PartitionedPlane {
-    /// Wrap a partition's dataset; `owned` is the count of nodes this
-    /// partition owns (its nodes are ordered owned-first), `rank` the
-    /// partition/worker index. `cm` prices chunk IO when the dataset is
-    /// backed by out-of-core storage.
-    pub fn new(
-        ds: IndexDataset,
-        owned: usize,
-        batch: usize,
-        seed: u64,
-        rank: usize,
-        cm: &st_device::CostModel,
-    ) -> Self {
-        PartitionedPlane {
-            ds,
-            owned,
-            batch,
-            seed,
-            rank,
-            cost: cm.clone(),
-        }
-    }
-
-    /// The partition's dataset.
-    pub fn dataset(&self) -> &IndexDataset {
-        &self.ds
-    }
-
-    /// The partition (= engine rank) this plane belongs to.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-}
-
-impl DistDataPlane for PartitionedPlane {
-    fn rounds_per_epoch(&self) -> usize {
-        self.ds.splits().train.len().div_ceil(self.batch.max(1))
-    }
-
-    fn plan_epoch(&self, epoch: u64) -> Vec<Vec<usize>> {
-        let ids: Vec<usize> = self.ds.splits().train.clone().collect();
-        let batcher = Batcher::shuffled(ids, self.batch, self.seed, epoch);
-        batcher.batches().map(|b| b.to_vec()).collect()
-    }
-
-    fn plan_val(&self) -> Vec<Vec<usize>> {
-        engine::chunk_ids(self.ds.splits().val.clone().collect(), self.batch)
-    }
-
-    fn fetch_batch(&self, ids: &[usize]) -> Fetch {
-        let (x, y, io_bytes) = self.ds.batch_quoted(ids);
-        Fetch::from_store(x, y, io_bytes, &self.cost)
-    }
-
-    fn remote(&self) -> bool {
-        // Chunked partitions pay modeled disk time per batch; report remote
-        // so the engine's prefetcher overlaps it with compute.
-        self.ds.is_chunked()
-    }
-
-    fn sync_gradients(&self) -> bool {
-        false
-    }
-
-    fn validate_epoch(&self, epoch: u64, epochs: u64) -> bool {
-        // Only the final numbers are consumed (per-partition MAE from the
-        // last rank-val entry), matching the pre-engine runner's single
-        // post-training validation — intermediate epochs skip it.
-        epoch + 1 == epochs
-    }
-
-    fn scaler_std(&self) -> f32 {
-        self.ds.scaler().std
-    }
-
-    fn val_views(&self, pred: Tensor, target: Tensor) -> (Tensor, Tensor) {
-        let p = pred
-            .narrow(2, 0, self.owned)
-            .expect("owned prefix")
-            .contiguous();
-        let t = target
-            .narrow(2, 0, self.owned)
-            .expect("owned prefix")
-            .contiguous();
-        (p, t)
-    }
-}
-
 /// Run partitioned index-batching training: one PGT-DCRNN of width
 /// `hidden` per part of `partitioning` (e.g. [`Partitioning::multilevel`],
 /// the quality choice under the [`st_graph::HaloCostModel`]), all
@@ -239,8 +137,8 @@ pub fn run_partitioned(
         .filter(|&p| subgraphs[p].owned_count > 0)
         .collect();
 
-    // Per-partition signals and datasets, built once up front (tensor
-    // storage is shared, so the engine's per-rank planes clone in O(1)).
+    // Per-partition signals and datasets, built once up front and borrowed
+    // by the engine's per-rank planes.
     let locals: Vec<(StaticGraphTemporalSignal, IndexDataset)> = active
         .iter()
         .map(|&p| {
@@ -266,19 +164,16 @@ pub fn run_partitioned(
     let report = engine::run(
         &dist_cfg,
         &EngineOptions::default(),
+        // Only the final numbers are read: one validation, after the last
+        // epoch, on the nodes this partition owns.
         |rank, cm| {
-            PartitionedPlane::new(
-                locals[rank].1.clone(),
-                subgraphs[active[rank]].owned_count,
-                cfg.batch_per_worker,
-                cfg.seed,
-                rank,
-                cm,
-            )
+            let owned = Some(subgraphs[active[rank]].owned_count);
+            SourcePlane::new(&locals[rank].1, cfg, rank, cm, Validation::Last, owned)
         },
-        |plane: &PartitionedPlane| {
-            let model = build_model(plane.dataset(), &locals[plane.rank()].0, hidden, cfg);
-            part_flops.lock().unwrap()[plane.rank()] = model.flops_per_forward(1);
+        |plane: &SourcePlane| {
+            let (sig, ds) = &locals[plane.rank];
+            let model = build_model(ds, sig, hidden, cfg);
+            part_flops.lock().unwrap()[plane.rank] = model.flops_per_forward(1);
             Box::new(model) as Box<dyn Seq2Seq>
         },
     )
@@ -372,6 +267,7 @@ mod tests {
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::synthetic;
     use st_graph::PartitionerKind;
+    use st_tensor::Tensor;
 
     fn signal() -> (DatasetSpec, StaticGraphTemporalSignal) {
         let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.4);

@@ -5,25 +5,31 @@
 //! the apples-to-apples setup behind Table 3 and Fig. 5. Validation MAE is
 //! reported in original (un-standardized) units, like the paper.
 //!
-//! There is no epoch loop here: [`Trainer::train`] wraps the source in a
-//! private world-of-one [`DistDataPlane`] (`Batcher`-order epoch plans,
-//! batch-chunked validation, no gradient sync) and hands it to
-//! [`engine::run_single`] against the caller's model — bit-identical to
-//! the stand-alone loop it replaced (`tests/trainer_goldens.rs`).
+//! There is no epoch loop here: [`Trainer::train`] wraps the source in the
+//! crate's one independent-model [`DistDataPlane`] (`Batcher`-order epoch
+//! plans, batch-chunked validation, priced chunk reads, no gradient sync)
+//! and hands it to [`engine::run_single`] against the caller's model —
+//! bit-identical to the stand-alone loop it replaced
+//! (`tests/trainer_goldens.rs`). The §7 runners are that plane too:
+//! `run_partitioned` builds it for each partition rank, and
+//! `train_dynamic` is a `Trainer` run at batch 1 over a dynamic source.
 
 use crate::dist_index::DistConfig;
 use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch, StepLoop};
 use crate::index_batching::IndexDataset;
 use st_autograd::schedule::LrSchedule;
+use st_autograd::{Tape, Var};
 use st_data::loader::Batcher;
 use st_data::preprocess::PreprocessOutput;
 use st_data::scaler::StandardScaler;
 use st_data::splits::SplitIndices;
+use st_device::CostModel;
 use st_models::Seq2Seq;
 use st_tensor::Tensor;
 use std::sync::Arc;
 
-/// Anything that can produce `(x, y)` minibatches from snapshot ids.
+/// Anything that can produce `(x, y)` minibatches from snapshot ids: one
+/// model's data, whatever batching or storage is behind it.
 pub trait BatchSource {
     /// Total snapshots.
     fn num_snapshots(&self) -> usize;
@@ -31,8 +37,28 @@ pub trait BatchSource {
     fn splits(&self) -> &SplitIndices;
     /// Assemble `[B, h, N, F]` x and y batches.
     fn get_batch(&self, indices: &[usize]) -> (Tensor, Tensor);
+    /// [`BatchSource::get_batch`] plus the bytes the batch read from disk,
+    /// which training prices as a parallel-filesystem read. The default
+    /// reads nothing from disk.
+    fn get_batch_quoted(&self, indices: &[usize]) -> (Tensor, Tensor, u64) {
+        let (x, y) = self.get_batch(indices);
+        (x, y, 0)
+    }
+    /// Whether batches stream from out-of-core chunks; training then lets
+    /// [`DistConfig::prefetch`] hide their reads behind compute.
+    fn is_chunked(&self) -> bool {
+        false
+    }
     /// The fitted scaler (for original-unit metrics).
     fn scaler(&self) -> &StandardScaler;
+    /// Run `model` forward on the batch of snapshots `ids` whose inputs are
+    /// `x`. The default is the static [`Seq2Seq::forward`]; a source whose
+    /// samples carry extra context (per-step supports on a dynamic graph)
+    /// overrides it.
+    fn forward(&self, model: &dyn Seq2Seq, tape: &Tape, ids: &[usize], x: &Tensor) -> Var {
+        let _ = ids;
+        model.forward(tape, x)
+    }
 }
 
 impl BatchSource for IndexDataset {
@@ -46,6 +72,14 @@ impl BatchSource for IndexDataset {
 
     fn get_batch(&self, indices: &[usize]) -> (Tensor, Tensor) {
         self.batch(indices)
+    }
+
+    fn get_batch_quoted(&self, indices: &[usize]) -> (Tensor, Tensor, u64) {
+        self.batch_quoted(indices)
+    }
+
+    fn is_chunked(&self) -> bool {
+        IndexDataset::is_chunked(self)
     }
 
     fn scaler(&self) -> &StandardScaler {
@@ -86,73 +120,119 @@ impl BatchSource for MaterializedDataset {
     }
 }
 
-/// The single-worker view of an engine run: `epochs[].val_mae` becomes
-/// rank 0's original-unit validation MAE from its f64 sums
-/// ([`EngineReport::rank_val_mae`]) under scaler σ `scaler_std` — NaN when
-/// validation is off or the split is empty.
-pub(crate) fn single_worker_view(mut report: EngineReport, scaler_std: f32) -> EngineReport {
-    let val_mae = report.rank_val_mae(0, scaler_std);
-    for (e, v) in report.epochs.iter_mut().zip(val_mae) {
-        e.val_mae = v;
-    }
-    report
+/// The epochs a [`SourcePlane`] validates after.
+pub(crate) enum Validation {
+    /// Every epoch.
+    Every,
+    /// The last epoch only (a run whose consumer reads the final numbers).
+    Last,
+    /// None: every epoch reports `NaN`.
+    Never,
 }
 
-/// A [`BatchSource`] as a world-of-one engine plane: the epoch plan is
-/// `Batcher::shuffled` over the train split, validation is the val split
-/// in batch-sized chunks, and there is no peer to synchronize with.
-struct SourcePlane<'a> {
+/// The one independent-model engine plane: a [`BatchSource`] trained by
+/// its own model on engine rank `rank`. The epoch plan is
+/// `Batcher::shuffled` over the train split, validation is the val split in
+/// batch-sized chunks, each batch's disk bytes are priced through
+/// [`Fetch::from_store`], and there is no peer to synchronize with.
+pub(crate) struct SourcePlane<'a> {
     source: &'a dyn BatchSource,
-    trainer: &'a Trainer,
+    batch: usize,
+    seed: u64,
+    cost: CostModel,
+    validation: Validation,
+    owned: Option<usize>,
+    /// The engine rank this plane feeds (0 in a world of one).
+    pub(crate) rank: usize,
+}
+
+impl<'a> SourcePlane<'a> {
+    /// `source` on rank `rank` under `cfg`'s batch and seed; `cost` prices
+    /// its disk reads. With `owned = Some(n)` validation sees the first `n`
+    /// nodes only: a partition's nodes come owned-first, so halo duplicates
+    /// are never double-counted.
+    pub(crate) fn new(
+        source: &'a dyn BatchSource,
+        cfg: &DistConfig,
+        rank: usize,
+        cost: &CostModel,
+        validation: Validation,
+        owned: Option<usize>,
+    ) -> Self {
+        SourcePlane {
+            source,
+            batch: cfg.batch_per_worker,
+            seed: cfg.seed,
+            cost: cost.clone(),
+            validation,
+            owned,
+            rank,
+        }
+    }
 }
 
 impl DistDataPlane for SourcePlane<'_> {
     fn rounds_per_epoch(&self) -> usize {
-        self.source
-            .splits()
-            .train
-            .len()
-            .div_ceil(self.trainer.cfg.batch_per_worker.max(1))
+        self.source.splits().train.len().div_ceil(self.batch.max(1))
     }
 
     fn plan_epoch(&self, epoch: u64) -> Vec<Vec<usize>> {
-        let cfg = &self.trainer.cfg;
         let train_ids: Vec<usize> = self.source.splits().train.clone().collect();
-        Batcher::shuffled(train_ids, cfg.batch_per_worker, cfg.seed, epoch)
+        Batcher::shuffled(train_ids, self.batch, self.seed, epoch)
             .batches()
             .map(<[usize]>::to_vec)
             .collect()
     }
 
     fn plan_val(&self) -> Vec<Vec<usize>> {
-        engine::chunk_ids(
-            self.source.splits().val.clone().collect(),
-            self.trainer.cfg.batch_per_worker,
-        )
+        engine::chunk_ids(self.source.splits().val.clone().collect(), self.batch)
     }
 
     fn fetch_batch(&self, ids: &[usize]) -> Fetch {
-        let (x, y) = self.source.get_batch(ids);
-        Fetch { x, y, secs: 0.0 }
+        let (x, y, io_bytes) = self.source.get_batch_quoted(ids);
+        Fetch::from_store(x, y, io_bytes, &self.cost)
+    }
+
+    fn remote(&self) -> bool {
+        // Chunked reads carry modeled disk time: let the prefetcher hide it.
+        self.source.is_chunked()
     }
 
     fn sync_gradients(&self) -> bool {
         false
     }
 
-    fn validate_epoch(&self, _epoch: u64, _epochs: u64) -> bool {
-        self.trainer.validate
+    fn validate_epoch(&self, epoch: u64, epochs: u64) -> bool {
+        match self.validation {
+            Validation::Every => true,
+            Validation::Last => epoch + 1 == epochs,
+            Validation::Never => false,
+        }
     }
 
     fn scaler_std(&self) -> f32 {
         self.source.scaler().std
+    }
+
+    fn forward(&self, model: &dyn Seq2Seq, tape: &Tape, ids: &[usize], x: &Tensor) -> Var {
+        self.source.forward(model, tape, ids, x)
+    }
+
+    fn val_views(&self, pred: Tensor, target: Tensor) -> (Tensor, Tensor) {
+        let Some(owned) = self.owned else {
+            return (pred, target);
+        };
+        let prefix = |t: Tensor| t.narrow(2, 0, owned).expect("owned prefix").contiguous();
+        (prefix(pred), prefix(target))
     }
 }
 
 /// The single-worker trainer: a facade over [`engine::run_single`]. It
 /// always runs a world of one, whatever `cfg.world` says, and reads
 /// `epochs`, `batch_per_worker`, [`DistConfig::effective_lr`], `seed`,
-/// `grad_clip`, `topology` and `backend`. Skip validation with
+/// `grad_clip`, `prefetch`, `topology` and `backend`. A chunked source's
+/// reads are priced as parallel-filesystem reads, and `prefetch` hides
+/// them behind compute. Skip validation with
 /// `Trainer { validate: false, ..Trainer::new(cfg) }`.
 pub struct Trainer {
     /// The run configuration.
@@ -193,6 +273,10 @@ impl Trainer {
         self.run(model, source, opts)
     }
 
+    /// The one world-of-one run. `epochs[].val_mae` is rank 0's
+    /// original-unit validation MAE from its f64 sums
+    /// ([`EngineReport::rank_val_mae`]): NaN when validation is off or the
+    /// split is empty.
     fn run(
         &self,
         model: &dyn Seq2Seq,
@@ -203,16 +287,25 @@ impl Trainer {
             world: 1,
             ..self.cfg.clone()
         };
-        let plane = SourcePlane {
-            source,
-            trainer: self,
+        let validation = if self.validate {
+            Validation::Every
+        } else {
+            Validation::Never
         };
-        let report = engine::run_single(&cfg, &opts, &plane, model)
+        // The world-of-one hub prices its streams with the default model.
+        let cost = CostModel::default();
+        let plane = SourcePlane::new(source, &cfg, 0, &cost, validation, None);
+        let mut report = engine::run_single(&cfg, &opts, &plane, model)
             .expect("engine run without resume cannot fail");
-        single_worker_view(report, source.scaler().std)
+        let val_mae = report.rank_val_mae(0, source.scaler().std);
+        for (e, v) in report.epochs.iter_mut().zip(val_mae) {
+            e.val_mae = v;
+        }
+        report
     }
 
-    /// MAE over a snapshot range, in original units.
+    /// MAE over a snapshot range, in original units, through the source's
+    /// own forward.
     pub fn evaluate(
         &self,
         model: &dyn Seq2Seq,
@@ -229,7 +322,11 @@ impl Trainer {
         let mut count = 0usize;
         for chunk in engine::chunk_ids(range.collect(), self.cfg.batch_per_worker) {
             let (x, y) = source.get_batch(&chunk);
-            let (a, c) = step.val_batch(|tape| model.forward(tape, &x), &y, |p, t| (p, t));
+            let (a, c) = step.val_batch(
+                |tape| source.forward(model, tape, &chunk, &x),
+                &y,
+                |p, t| (p, t),
+            );
             abs_sum += a;
             count += c;
         }
@@ -243,13 +340,18 @@ mod tests {
     use super::*;
     use st_data::datasets::{DatasetKind, DatasetSpec};
     use st_data::splits::SplitRatios;
+    use st_data::storage::{ChunkedSpec, StorageSpec};
     use st_data::synthetic;
     use st_graph::diffusion_supports;
     use st_models::{ModelConfig, PgtDcrnn, Support};
 
     fn setup() -> (PgtDcrnn, IndexDataset) {
+        setup_stored(StorageSpec::InMemory)
+    }
+
+    fn setup_stored(storage: StorageSpec) -> (PgtDcrnn, IndexDataset) {
         let spec = DatasetSpec::get(DatasetKind::ChickenpoxHungary).scaled(0.3);
-        let sig = synthetic::generate(&spec, 11);
+        let sig = synthetic::generate(&spec, 11).rechunk(storage);
         let ds = IndexDataset::from_signal(&sig, spec.horizon, SplitRatios::default(), None);
         let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, 2));
         let cfg = ModelConfig {
@@ -289,6 +391,36 @@ mod tests {
         let none = Trainer::new(DistConfig { epochs: 0, ..cfg }).train(&model, &ds);
         assert!(none.epochs.is_empty());
         assert!(none.best_val_mae().is_nan(), "got {}", none.best_val_mae());
+    }
+
+    #[test]
+    fn a_chunked_source_trains_the_same_bits_and_pays_for_its_reads() {
+        let run = |storage: StorageSpec, prefetch: bool| {
+            let (model, ds) = setup_stored(storage);
+            assert_eq!(BatchSource::is_chunked(&ds), storage.is_chunked());
+            let mut cfg = DistConfig::new(1, 2, ds.horizon());
+            cfg.prefetch = prefetch;
+            Trainer::new(cfg).train(&model, &ds)
+        };
+        let chunked = StorageSpec::Chunked(ChunkedSpec::new(7));
+        let mem = run(StorageSpec::InMemory, false);
+        let disk = run(chunked, false);
+        assert_eq!(mem.epochs.len(), disk.epochs.len());
+        for (a, b) in mem.epochs.iter().zip(&disk.epochs) {
+            assert!(a.val_mae.is_finite());
+            assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits(), "train loss");
+            assert_eq!(a.val_mae.to_bits(), b.val_mae.to_bits(), "val MAE");
+        }
+        // Every chunked batch is a priced disk read, and prefetching hides
+        // part of that time behind compute.
+        assert!(disk.sim_comm_secs > 0.0, "chunked reads cost nothing");
+        let hidden = run(chunked, true);
+        assert!(
+            hidden.sim_comm_secs < disk.sim_comm_secs,
+            "prefetch {} s vs synchronous {} s",
+            hidden.sim_comm_secs,
+            disk.sim_comm_secs
+        );
     }
 
     #[test]

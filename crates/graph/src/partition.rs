@@ -986,7 +986,7 @@ mod tests {
     fn greedy_bfs_k_beyond_n_leaves_empty_parts() {
         // Regression: k > n must not panic — the first n parts get one
         // node each and the rest stay empty (documented behavior that
-        // PartitionedPlane consumers tolerate).
+        // run_partitioned tolerates).
         let adj = disconnected_adjacency();
         let p = Partitioning::greedy_bfs(&adj, 11);
         assert_eq!(p.num_parts(), 11);

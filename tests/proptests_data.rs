@@ -5,9 +5,11 @@
 //! - `IndexDataset` batches are storage-invariant bit for bit — arbitrary
 //!   id lists included — and quote the bytes of their merged runs;
 //! - threads sharing one `ChunkedStore` read correct bits concurrently;
-//! - all five engine data planes (local-copy, data-service, halo-entry,
-//!   partitioned, dynamic) produce bit-identical training trajectories
-//!   under `StorageSpec::Chunked` lossless vs `StorageSpec::InMemory`.
+//! - all five runners over the four engine data planes (local-copy,
+//!   data-service, halo-entry, and the `Trainer`'s plane under the
+//!   partitioned and dynamic runners) produce bit-identical training
+//!   trajectories under `StorageSpec::Chunked` lossless vs
+//!   `StorageSpec::InMemory`.
 
 use pgt_i::core::baseline_ddp::run_baseline_ddp;
 use pgt_i::core::dist_index::{run_distributed_index, DistConfig};
