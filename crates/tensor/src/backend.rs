@@ -1,6 +1,8 @@
 //! Pluggable compute backends: the [`Kernels`] trait and its two
 //! implementations, [`Reference`] (the original naive loops) and [`Tiled`]
-//! (cache-blocked, register-tiled, packed-panel kernels).
+//! (cache-blocked, register-tiled, packed-panel kernels; explicit AVX-512
+//! register tiles for the GEMM and the CSR SpMM when the build target has
+//! `avx512f`).
 //!
 //! Every dense hot loop in the workspace — trainer, the distributed step
 //! engine, `st-serve` inference, and the benches — bottoms out in the four
@@ -15,11 +17,13 @@
 //! output element stays sequential and in ascending order, in a plain
 //! `acc += a * b` form (no FMA, no pairwise reassociation). Rust does not
 //! contract float expressions by default, so the rounding sequence of every
-//! output element is exactly the reference kernel's. This is what lets the
-//! engine's golden tests pin train-loss *bits* while the backend underneath
-//! is swapped freely. The proptest suite (`tests/proptests_kernels.rs`)
-//! pins the contract across ragged shapes; DESIGN.md §8 documents the
-//! reasoning.
+//! output element is exactly the reference kernel's. The AVX-512 tiles keep
+//! the same sequence per lane: a multiply then a separate add, each rounded
+//! to nearest exactly as `_mm512_mul_ps` / `_mm512_add_ps` round, never
+//! `fmadd`. This is what lets the engine's golden tests pin train-loss
+//! *bits* while the backend underneath is swapped freely. The proptest
+//! suite (`tests/proptests_kernels.rs`) pins the contract across ragged
+//! shapes; DESIGN.md §8 documents the reasoning.
 //!
 //! # Selection
 //!
@@ -255,7 +259,9 @@ pub trait Kernels: Sync {
     );
 
     /// CSR sparse×dense: `out[rows,n] = S @ x[cols,n]`, `out` pre-zeroed.
-    /// Row `r`'s nonzeros are `col_idx/values[row_ptr[r]..row_ptr[r+1]]`.
+    /// Row `r`'s nonzeros are `col_idx/values[row_ptr[r]..row_ptr[r+1]]`,
+    /// and each output element adds them in storage order. A column index
+    /// past `x`'s rows, or an `x` shorter than the rows it names, panics.
     #[allow(clippy::too_many_arguments)]
     fn spmm(
         &self,
@@ -349,6 +355,9 @@ impl Kernels for Reference {
         n: usize,
     ) {
         // The oracle: materialize the concatenation, then the naive bmm.
+        for (p, &w) in panels.iter().zip(widths) {
+            assert_eq!(p.len(), bs * m * w, "a [bs, m, width] panel");
+        }
         let k: usize = widths.iter().sum();
         let mut cat = vec![0.0f32; bs * m * k];
         let mut lane = 0;
@@ -394,19 +403,7 @@ impl Kernels for Reference {
         rows: usize,
         n: usize,
     ) {
-        if rows == 0 || n == 0 {
-            return;
-        }
-        let nnz = values.len();
-        par::parallel_fill_chunks(out, n, nnz * n, |r, row_out| {
-            for p in row_ptr[r]..row_ptr[r + 1] {
-                let v = values[p];
-                let xrow = &x[col_idx[p] * n..(col_idx[p] + 1) * n];
-                for (o, &xv) in row_out.iter_mut().zip(xrow) {
-                    *o += v * xv;
-                }
-            }
-        });
+        spmm_rows(row_ptr, col_idx, values, x, out, rows, n, naive_spmm_row);
     }
 
     fn bias_act(&self, z: &[f32], bias: &[f32], out: &mut [f32], act: Activation) {
@@ -444,6 +441,41 @@ impl Kernels for Reference {
     }
 }
 
+/// The CSR driver both backends share: rows split over `par`, each row's
+/// `out` slice handed to `row` with its nonzeros (`cols`, `vals`) in storage
+/// order.
+#[allow(clippy::too_many_arguments)]
+fn spmm_rows(
+    row_ptr: &[usize],
+    col_idx: &[usize],
+    values: &[f32],
+    x: &[f32],
+    out: &mut [f32],
+    rows: usize,
+    n: usize,
+    row: impl Fn(&[usize], &[f32], &[f32], &mut [f32]) + Sync,
+) {
+    if rows == 0 || n == 0 {
+        return;
+    }
+    par::parallel_fill_chunks(out, n, values.len() * n, |r, row_out| {
+        let nz = row_ptr[r]..row_ptr[r + 1];
+        row(&col_idx[nz.clone()], &values[nz], x, row_out);
+    });
+}
+
+/// One CSR row of the naive SpMM: `out += Σ vals[p] · x[cols[p], ..]`, the
+/// nonzeros in storage order, each column's `acc += v * x` in place.
+fn naive_spmm_row(cols: &[usize], vals: &[f32], x: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    for (&c, &v) in cols.iter().zip(vals) {
+        let xrow = &x[c * n..(c + 1) * n];
+        for (o, &xv) in out.iter_mut().zip(xrow) {
+            *o += v * xv;
+        }
+    }
+}
+
 /// One output row of the naive i-k-j GEMM: `row += a_row @ b`.
 #[inline]
 fn naive_row_kernel(arow: &[f32], b: &[f32], row: &mut [f32], n: usize) {
@@ -459,10 +491,43 @@ fn naive_row_kernel(arow: &[f32], b: &[f32], row: &mut [f32], n: usize) {
 // Tiled backend
 // ---------------------------------------------------------------------------
 
-/// Rows per register micro-tile.
-pub const MR: usize = 4;
-/// Columns per packed B panel (and per register micro-tile).
-pub const NR: usize = 8;
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod avx512;
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+use avx512 as tile;
+
+/// The portable tile, the only one on targets without AVX-512: `4×8`
+/// accumulators the compiler keeps in four ymm registers, and the naive
+/// CSR row.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+mod tile {
+    pub(super) use super::naive_spmm_row as spmm_row;
+
+    /// Rows per register micro-tile.
+    pub const MR: usize = 4;
+    /// Columns per packed B panel (and per register micro-tile).
+    pub const NR: usize = 8;
+
+    /// The `MR×NR` register micro-kernel: partial sums stay in registers
+    /// across the whole `k` loop (ascending, `mul` then `add` — never FMA)
+    /// and are returned whole; ragged edges only narrow the caller's store.
+    #[inline]
+    pub(super) fn micro(apack: &[f32], panel: &[f32]) -> [[f32; NR]; MR] {
+        let mut acc = [[0.0f32; NR]; MR];
+        for (al, bp) in apack.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
+            let al: &[f32; MR] = al.try_into().expect("packed A lane");
+            let bp: &[f32; NR] = bp.try_into().expect("packed B lane");
+            for (accr, &av) in acc.iter_mut().zip(al) {
+                for (accv, &bv) in accr.iter_mut().zip(bp) {
+                    *accv += av * bv;
+                }
+            }
+        }
+        acc
+    }
+}
+
+pub use tile::{MR, NR};
 
 /// Products smaller than this many scalar ops take the naive kernel —
 /// packing overhead only pays off once the B panel is re-streamed across
@@ -477,6 +542,13 @@ const TILE_MIN_WORK: usize = 16 * 1024;
 /// loop, so `C` is written once instead of being re-loaded per `k` step,
 /// and `B`'s traffic drops by `MR×`. The `k` loop is never split or
 /// reassociated — see the module docs for the bitwise contract.
+///
+/// The tile is chosen at build time. With `avx512f` in the target
+/// (`-C target-cpu=native` on an AVX-512 host) it is `8×16`, eight zmm
+/// accumulators, and `spmm` runs each CSR row's columns in 16-lane zmm
+/// strips, up to four accumulators per pass, storing each strip once.
+/// Everywhere else it is the portable `4×8` tile and `spmm` is the
+/// reference's row loop.
 pub struct Tiled;
 
 impl Kernels for Tiled {
@@ -616,9 +688,7 @@ impl Kernels for Tiled {
         rows: usize,
         n: usize,
     ) {
-        // CSR rows are short and irregular on road graphs; the naive
-        // row-parallel loop is already the right shape for them.
-        Reference.spmm(row_ptr, col_idx, values, x, out, rows, n);
+        spmm_rows(row_ptr, col_idx, values, x, out, rows, n, tile::spmm_row);
     }
 
     fn bias_act(&self, z: &[f32], bias: &[f32], out: &mut [f32], act: Activation) {
@@ -747,7 +817,7 @@ fn tiled_rows(
         for p in 0..panels {
             let j0 = p * NR;
             let cols = NR.min(n - j0);
-            let acc = micro(&apack, &packed[p * k * NR..(p + 1) * k * NR]);
+            let acc = tile::micro(&apack, &packed[p * k * NR..(p + 1) * k * NR]);
             // Columns j0..j0+cols, split where an output panel ends.
             let mut off = 0;
             for (out, w) in outs.iter_mut() {
@@ -763,24 +833,6 @@ fn tiled_rows(
         }
         i += rows;
     }
-}
-
-/// The `MR×NR` register micro-kernel: partial sums stay in registers across
-/// the whole `k` loop (ascending, `mul` then `add` — never FMA) and are
-/// returned whole; ragged edges only narrow the caller's store.
-#[inline]
-fn micro(apack: &[f32], panel: &[f32]) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (al, bp) in apack.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
-        let al: &[f32; MR] = al.try_into().expect("packed A lane");
-        let bp: &[f32; NR] = bp.try_into().expect("packed B lane");
-        for (accr, &av) in acc.iter_mut().zip(al) {
-            for (accv, &bv) in accr.iter_mut().zip(bp) {
-                *accv += av * bv;
-            }
-        }
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -26,7 +26,8 @@
 //!   one chunk; `reduce::sum_abs` combines fixed-size partials in index
 //!   order). `tests/proptests_kernels.rs` pins that across widths.
 //!
-//! The pool is the one place in the workspace that needs `unsafe`: a
+//! The pool needs `unsafe`, as does the AVX-512 kernel module
+//! (`backend/avx512.rs`), and nothing else in the workspace does: a
 //! resident thread cannot borrow from a caller's stack in safe Rust, so
 //! `run_chunks` erases the chunk body's lifetime. The invariant that makes
 //! that sound — *the caller blocks until every chunk has finished, and a

@@ -1,9 +1,12 @@
 //! Property-based pinning of the kernel-backend bitwise contract: for
 //! arbitrary (ragged, tiny, empty) shapes, the tiled backend's GEMM, bmm,
-//! and fused elementwise kernels produce **bit-identical** `f32` buffers to
-//! the reference backend. This is the invariant that lets the engine's
-//! golden tests keep pinning train-loss bits while the backend underneath
-//! is swapped freely (DESIGN.md §8).
+//! panel and split-store GEMMs, CSR SpMM and fused elementwise kernels
+//! produce **bit-identical** `f32` buffers to the reference backend. This
+//! is the invariant that lets the engine's golden tests keep pinning
+//! train-loss bits while the backend underneath is swapped freely
+//! (DESIGN.md §8). On an AVX-512 build the tiled GEMM and SpMM are the
+//! intrinsic register tiles; on any other target they are the portable
+//! ones, and the same properties pin both.
 //!
 //! The backends are exercised as structs (not through the process-wide
 //! dispatch), so these tests are independent of `ST_BACKEND` and of any
@@ -12,7 +15,9 @@
 //! same bits, so the switch cannot move another test's result.
 //!
 //! The last property pins the other half of the contract: the intra-op
-//! width (`st_tensor::par`) moves chunk boundaries and never a bit.
+//! width (`st_tensor::par`) moves chunk boundaries and never a bit. One
+//! plain test checks that every kernel panics on a short or out-of-range
+//! operand instead of reading past it.
 
 use pgt_i::autograd::{ops, Tape, Var};
 use pgt_i::tensor::backend::{
@@ -89,6 +94,47 @@ proptest! {
         reference().bmm(&a, &b, &mut r, bs, m, k, n, shared);
         tiled().bmm(&a, &b, &mut t, bs, m, k, n, shared);
         prop_assert_eq!(bits(&r), bits(&t), "({}, {}, {}, {}) shared={}", bs, m, k, n, shared);
+    }
+
+    /// Tiled SpMM == reference SpMM, bit for bit: 0 to 69 rows of 0 to 5
+    /// nonzeros (empty rows included), `n` from 0 to 69 (one to five
+    /// 16-lane strips and every tail width), columns drawn from a few `x`
+    /// rows so they repeat within a row, and NaN / ±∞ / −0.0 planted in
+    /// both `x` and `values`.
+    #[test]
+    fn tiled_spmm_bitwise_equals_reference(
+        degrees in proptest::collection::vec(0usize..6, 0..70),
+        n in 0usize..70,
+        cols in 1usize..12,
+        specials in proptest::collection::vec((any::<u32>(), 0u8..4, any::<bool>()), 0..6),
+        seed in any::<u32>(),
+    ) {
+        let rows = degrees.len();
+        let row_ptr: Vec<usize> = std::iter::once(0)
+            .chain(degrees.iter().scan(0, |end, &d| {
+                *end += d;
+                Some(*end)
+            }))
+            .collect();
+        let nnz = row_ptr[rows];
+        let col_idx: Vec<usize> = fill(nnz, seed)
+            .iter()
+            .map(|v| ((v + 1.0) * 1000.0) as usize % cols)
+            .collect();
+        let mut values = fill(nnz, seed.wrapping_add(1));
+        let mut x = fill(cols * n, seed.wrapping_add(2));
+        for &(at, kind, in_x) in &specials {
+            let target = if in_x { &mut x } else { &mut values };
+            if !target.is_empty() {
+                let i = at as usize / 7 % target.len();
+                target[i] = special(kind);
+            }
+        }
+        let mut r = vec![0.0f32; rows * n];
+        let mut t = vec![0.0f32; rows * n];
+        reference().spmm(&row_ptr, &col_idx, &values, &x, &mut r, rows, n);
+        tiled().spmm(&row_ptr, &col_idx, &values, &x, &mut t, rows, n);
+        prop_assert_eq!(bits(&r), bits(&t), "{} rows, n {}, {} cols", rows, n, cols);
     }
 
     /// The fused bias+activation tail matches the reference's two
@@ -309,6 +355,71 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Whether `f` panics.
+fn panics(f: impl FnOnce()) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+}
+
+/// Every kernel bounds-checks what it reads: on both backends, a CSR column
+/// index past `x`'s rows, a short `x`, a GEMM lhs shorter than `m·k` and a
+/// short lhs panel panic instead of reading past a slice. Each call is first
+/// made with sound operands, which must not panic, so the panic is the bad
+/// operand's. The AVX-512 kernels' raw loads make this a memory-safety
+/// property, so CI runs it in release too, where `debug_assert!` is off.
+#[test]
+fn kernels_panic_on_short_or_out_of_range_operands() {
+    // A 40-row CSR over `x[40, 37]`: three nonzeros a row, every column
+    // used, and 37 columns are two full 16-lane strips and a tail.
+    let (rows, cols, n) = (40, 40, 37);
+    let row_ptr: Vec<usize> = (0..=rows).map(|r| 3 * r).collect();
+    let col_idx: Vec<usize> = (0..3 * rows).map(|p| p % cols).collect();
+    let mut past_x = col_idx.clone();
+    past_x[3 * rows - 1] = cols;
+    let values = fill(3 * rows, 1);
+    let x = fill(cols * n, 2);
+    // GEMMs below and above the tiled backend's small-product fallback.
+    let gemms = [(3, 4, 5), (64, 64, 64)];
+    // Two panels of `[2, 33, width]`; the short one loses its last element.
+    let (bs, m, widths) = (2, 33, [20usize, 30]);
+    let w = fill(50 * 40, 3);
+    let panels: Vec<Vec<f32>> = widths.iter().map(|&k| fill(bs * m * k, 4)).collect();
+    for kernels in [reference(), tiled()] {
+        let name = kernels.name();
+        let spmm = |cols_of: &[usize], x: &[f32]| {
+            let mut out = vec![0.0f32; rows * n];
+            kernels.spmm(&row_ptr, cols_of, &values, x, &mut out, rows, n);
+        };
+        assert!(!panics(|| spmm(&col_idx, &x)), "{name}: sound spmm");
+        assert!(panics(|| spmm(&past_x, &x)), "{name}: column past x");
+        assert!(
+            panics(|| spmm(&col_idx, &x[..cols * n - 1])),
+            "{name}: short x"
+        );
+        for (m, k, n) in gemms {
+            let (a, b) = (fill(m * k, 5), fill(k * n, 6));
+            let matmul = |a: &[f32]| {
+                let mut out = vec![0.0f32; m * n];
+                kernels.matmul(a, &b, &mut out, m, k, n);
+            };
+            assert!(
+                !panics(|| matmul(&a)),
+                "{name}: sound matmul ({m}, {k}, {n})"
+            );
+            assert!(
+                panics(|| matmul(&a[..m * k - 1])),
+                "{name}: short lhs ({m}, {k}, {n})"
+            );
+        }
+        let bmm_panels = |short: usize| {
+            let (p0, p1) = (&panels[0][..], &panels[1][..panels[1].len() - short]);
+            let mut out = vec![0.0f32; bs * m * 40];
+            kernels.bmm_panels(&[p0, p1], &widths, &w, &mut out, bs, m, 40);
+        };
+        assert!(!panics(|| bmm_panels(0)), "{name}: sound panels");
+        assert!(panics(|| bmm_panels(1)), "{name}: short panel");
     }
 }
 
