@@ -6,7 +6,7 @@
 
 use crate::tape::Var;
 use st_tensor::ops as t;
-use st_tensor::{Shape, Tensor};
+use st_tensor::{math, Shape, Tensor};
 
 pub use st_tensor::backend::Activation;
 
@@ -185,7 +185,7 @@ pub fn gelu(v: &Var) -> Var {
         const C: f32 = 0.797_884_6;
         let dy = t::map(&x, |e| {
             let inner = C * (e + 0.044715 * e * e * e);
-            let th = inner.tanh();
+            let th = math::tanhf(inner);
             let sech2 = 1.0 - th * th;
             0.5 * (1.0 + th) + 0.5 * e * sech2 * C * (1.0 + 3.0 * 0.044715 * e * e)
         });

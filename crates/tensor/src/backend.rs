@@ -35,7 +35,7 @@
 //! kernels; per-call structs ([`Reference`], [`Tiled`]) remain available
 //! for side-by-side comparison (benches, proptests).
 
-use crate::ops::activation::sigmoid_scalar;
+use crate::math;
 use crate::par;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -135,15 +135,26 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Scalar evaluation — the exact expression the unfused
-    /// `st_tensor::ops` activation maps use, so fused and composed paths
+    /// Scalar evaluation through the [`math`] ports ([`math::sigmoid`],
+    /// [`math::tanhf`]), whose bits the unfused `st_tensor::ops` activation
+    /// maps and `Tiled`'s slice kernels share, so fused and composed paths
     /// agree bitwise.
     #[inline]
     pub fn eval(self, x: f32) -> f32 {
         match self {
             Activation::Identity => x,
-            Activation::Sigmoid => sigmoid_scalar(x),
-            Activation::Tanh => x.tanh(),
+            Activation::Sigmoid => math::sigmoid(x),
+            Activation::Tanh => math::tanhf(x),
+        }
+    }
+
+    /// [`Activation::eval`] over a slice, through the [`math`] slice
+    /// kernels.
+    pub(crate) fn apply_in_place(self, v: &mut [f32]) {
+        match self {
+            Activation::Identity => {}
+            Activation::Sigmoid => math::sigmoid_in_place(v),
+            Activation::Tanh => math::tanh_in_place(v),
         }
     }
 }
@@ -492,7 +503,7 @@ fn naive_row_kernel(arow: &[f32], b: &[f32], row: &mut [f32], n: usize) {
 // ---------------------------------------------------------------------------
 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-mod avx512;
+pub(crate) mod avx512;
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 use avx512 as tile;
 
@@ -692,35 +703,17 @@ impl Kernels for Tiled {
     }
 
     fn bias_act(&self, z: &[f32], bias: &[f32], out: &mut [f32], act: Activation) {
-        // One pass, row-chunked: the bias index never needs a modulo, and
-        // the activation branch is hoisted out of the loop. Trailing
-        // partial rows (never produced by the public op, which validates
-        // `z`'s last dim against `bias`) still zip correctly — `zip`
-        // truncates to the shorter side.
+        // The bias add row-chunked (no modulo), then the activation's slice
+        // kernel over `out` in place. Trailing partial rows (never produced
+        // by the public op, which validates `z`'s last dim against `bias`)
+        // still zip correctly — `zip` truncates to the shorter side.
         let nb = bias.len().max(1);
-        match act {
-            Activation::Identity => {
-                for (orow, zrow) in out.chunks_mut(nb).zip(z.chunks(nb)) {
-                    for ((o, &zv), &bv) in orow.iter_mut().zip(zrow).zip(bias) {
-                        *o = zv + bv;
-                    }
-                }
-            }
-            Activation::Sigmoid => {
-                for (orow, zrow) in out.chunks_mut(nb).zip(z.chunks(nb)) {
-                    for ((o, &zv), &bv) in orow.iter_mut().zip(zrow).zip(bias) {
-                        *o = sigmoid_scalar(zv + bv);
-                    }
-                }
-            }
-            Activation::Tanh => {
-                for (orow, zrow) in out.chunks_mut(nb).zip(z.chunks(nb)) {
-                    for ((o, &zv), &bv) in orow.iter_mut().zip(zrow).zip(bias) {
-                        *o = (zv + bv).tanh();
-                    }
-                }
+        for (orow, zrow) in out.chunks_mut(nb).zip(z.chunks(nb)) {
+            for ((o, &zv), &bv) in orow.iter_mut().zip(zrow).zip(bias) {
+                *o = zv + bv;
             }
         }
+        act.apply_in_place(out);
     }
 
     fn gru_blend(&self, u: &[f32], h: &[f32], c: &[f32], out: &mut [f32]) {
@@ -907,7 +900,7 @@ mod tests {
         }
         let (u, h, c) = (fill(40, 8), fill(40, 9), fill(40, 10));
         // Squash u into (0,1) like a real gate.
-        let u: Vec<f32> = u.iter().map(|&x| sigmoid_scalar(x)).collect();
+        let u: Vec<f32> = u.iter().map(|&x| math::sigmoid(x)).collect();
         let mut r = vec![0.0f32; 40];
         let mut t = vec![0.0f32; 40];
         Reference.gru_blend(&u, &h, &c, &mut r);

@@ -13,7 +13,8 @@
 //! their arithmetic intrinsics are safe calls. `unsafe` is confined to the
 //! two entry points (the call into a target-feature function) and the four
 //! load/store helpers, whose pointers come only from slices of exactly the
-//! accessed length or are masked to it.
+//! accessed length or are masked to it; `crate::math`'s slice kernels load
+//! and store through the two masked ones.
 
 use std::arch::x86_64::{
     __m512, __mmask16, _mm512_add_round_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
@@ -22,7 +23,7 @@ use std::arch::x86_64::{
 };
 
 /// `f32` lanes per zmm register.
-const L: usize = 16;
+pub(crate) const L: usize = 16;
 
 /// Rows per register micro-tile: eight zmm accumulators.
 pub const MR: usize = 8;
@@ -148,7 +149,7 @@ fn add(a: __m512, b: __m512) -> __m512 {
 
 /// Lanes `0..min(len, 16)` set.
 #[inline]
-fn tail_mask(len: usize) -> __mmask16 {
+pub(crate) fn tail_mask(len: usize) -> __mmask16 {
     ((1u32 << len.min(L)) - 1) as __mmask16
 }
 
@@ -162,7 +163,7 @@ fn load(src: &[f32; L]) -> __m512 {
 /// The first `min(src.len(), 16)` lanes of `src`, zeros above.
 #[target_feature(enable = "avx512f")]
 #[inline]
-fn load_tail(src: &[f32]) -> __m512 {
+pub(crate) fn load_tail(src: &[f32]) -> __m512 {
     // SAFETY: the mask enables only lanes below `src.len()`; masked-off
     // lanes are neither read nor able to fault.
     unsafe { _mm512_maskz_loadu_ps(tail_mask(src.len()), src.as_ptr()) }
@@ -178,7 +179,7 @@ fn store(dst: &mut [f32; L], v: __m512) {
 /// Writes the first `min(dst.len(), 16)` lanes of `v` to `dst`.
 #[target_feature(enable = "avx512f")]
 #[inline]
-fn store_tail(dst: &mut [f32], v: __m512) {
+pub(crate) fn store_tail(dst: &mut [f32], v: __m512) {
     // SAFETY: the mask enables only lanes below `dst.len()`, all inside the
     // mutably borrowed `dst`; masked-off lanes are not written.
     unsafe { _mm512_mask_storeu_ps(dst.as_mut_ptr(), tail_mask(dst.len()), v) }

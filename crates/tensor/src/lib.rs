@@ -23,6 +23,7 @@
 
 pub mod backend;
 pub mod le;
+pub mod math;
 pub mod ops;
 pub mod par;
 pub mod random;

@@ -1,29 +1,17 @@
 //! Activation functions used by the ST-GNN model zoo.
 
-use crate::ops::map;
+use crate::math;
+use crate::ops::{map, map_slice};
 use crate::{Result, Tensor, TensorError};
 
-/// Scalar logistic sigmoid, numerically stable in both tails. The single
-/// definition both the [`sigmoid`] map and the fused backend kernels
-/// evaluate, so composed and fused paths agree bitwise.
-#[inline]
-pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
-/// Logistic sigmoid, numerically stable in both tails.
+/// Logistic sigmoid, numerically stable in both tails ([`math::sigmoid`]).
 pub fn sigmoid(t: &Tensor) -> Tensor {
-    map(t, sigmoid_scalar)
+    map_slice(t, math::sigmoid_in_place)
 }
 
-/// Hyperbolic tangent.
+/// Hyperbolic tangent ([`math::tanhf`]).
 pub fn tanh(t: &Tensor) -> Tensor {
-    map(t, f32::tanh)
+    map_slice(t, math::tanh_in_place)
 }
 
 /// Rectified linear unit.
@@ -34,7 +22,7 @@ pub fn relu(t: &Tensor) -> Tensor {
 /// GELU (tanh approximation), used by the transformer blocks.
 pub fn gelu(t: &Tensor) -> Tensor {
     map(t, |x| {
-        0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044715 * x * x * x)).tanh())
+        0.5 * x * (1.0 + math::tanhf(0.797_884_6 * (x + 0.044715 * x * x * x)))
     })
 }
 
@@ -48,13 +36,14 @@ pub fn softmax_last(t: &Tensor) -> Result<Tensor> {
     }
     let last = t.dim(t.rank() - 1);
     let mut v = t.to_vec();
-    for row in v.chunks_mut(last) {
+    // A zero-length last dimension has no rows to normalize.
+    for row in v.chunks_mut(last.max(1)) {
         let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0;
         for x in row.iter_mut() {
-            *x = (*x - mx).exp();
-            z += *x;
+            *x -= mx;
         }
+        math::exp_in_place(row);
+        let z = row.iter().fold(0.0, |z, &x| z + x);
         for x in row.iter_mut() {
             *x /= z;
         }
@@ -101,5 +90,14 @@ mod tests {
         assert!((r0 - 1.0).abs() < 1e-5);
         assert!((r1 - 1.0).abs() < 1e-5, "stable under large inputs");
         assert!(v[2] > v[1] && v[1] > v[0]);
+    }
+
+    #[test]
+    fn softmax_of_an_empty_last_dim_is_empty() {
+        for dims in [vec![2, 0], vec![0], vec![0, 3, 0]] {
+            let s = softmax_last(&Tensor::zeros(dims.clone())).unwrap();
+            assert_eq!(s.dims(), &dims[..]);
+            assert_eq!(s.numel(), 0);
+        }
     }
 }

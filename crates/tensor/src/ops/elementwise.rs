@@ -49,6 +49,16 @@ pub fn map(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     })
 }
 
+/// Copy `t` into a contiguous buffer and transform it in place with `f`
+/// (the slice kernels of [`crate::math`]).
+pub(crate) fn map_slice(t: &Tensor, f: impl FnOnce(&mut [f32])) -> Tensor {
+    backend::timed(KernelClass::Elementwise, || {
+        let mut data = t.to_vec();
+        f(&mut data);
+        Tensor::from_vec(data, t.shape().clone()).expect("same numel")
+    })
+}
+
 /// `a + b` with broadcasting.
 pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     zip_with(a, b, |x, y| x + y)
@@ -99,9 +109,9 @@ pub fn sqrt(t: &Tensor) -> Tensor {
     map(t, |x| x.sqrt())
 }
 
-/// Elementwise natural exponential.
+/// Elementwise natural exponential ([`crate::math::expf`]).
 pub fn exp(t: &Tensor) -> Tensor {
-    map(t, |x| x.exp())
+    map_slice(t, crate::math::exp_in_place)
 }
 
 /// Elementwise natural log.

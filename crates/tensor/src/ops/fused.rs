@@ -6,7 +6,10 @@
 //! `u⊙h + (1−u)⊙c` — into single backend-dispatched kernels that walk the
 //! data once and allocate only the output. Per the backend contract, the
 //! fused per-element expressions replicate the composed ones exactly, so
-//! results are bit-identical to the unfused op chain.
+//! results are bit-identical to the unfused op chain: `bias_act`'s
+//! activation is [`crate::math`]'s slice kernel over the biased output in
+//! place (`Tiled`) or its scalar port per element (`Reference`), and the
+//! unfused `ops::sigmoid`/`ops::tanh` maps run the same kernels.
 
 use crate::backend::{self, Activation, KernelClass};
 use crate::ops::map;
