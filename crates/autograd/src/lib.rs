@@ -17,7 +17,6 @@ pub mod loss;
 pub mod module;
 pub mod ops;
 pub mod optim;
-pub mod schedule;
 pub mod tape;
 
 pub use checkpoint::{Checkpoint, StateDict};

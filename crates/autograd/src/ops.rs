@@ -6,7 +6,7 @@
 
 use crate::tape::Var;
 use st_tensor::ops as t;
-use st_tensor::{math, Shape, Tensor};
+use st_tensor::{Shape, Tensor};
 
 pub use st_tensor::backend::Activation;
 
@@ -183,12 +183,11 @@ pub fn gelu(v: &Var) -> Var {
     let x = v.value().clone();
     v.tape().custom_op(&[v], t::gelu(v.value()), move |g| {
         const C: f32 = 0.797_884_6;
-        let dy = t::map(&x, |e| {
-            let inner = C * (e + 0.044715 * e * e * e);
-            let th = math::tanhf(inner);
+        let dy = t::zip_with(&x, &t::gelu_tanh(&x), |e, th| {
             let sech2 = 1.0 - th * th;
             0.5 * (1.0 + th) + 0.5 * e * sech2 * C * (1.0 + 3.0 * 0.044715 * e * e)
-        });
+        })
+        .expect("same shape");
         vec![t::mul(g, &dy).expect("same shape")]
     })
 }

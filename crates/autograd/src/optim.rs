@@ -1,118 +1,44 @@
-//! Optimizers: SGD (with momentum) and Adam, plus large-batch helpers.
+//! The optimizer: Adam, plus large-batch helpers.
 //!
-//! The paper's §5.3.3 follow-up attributes most of the MAE inflation at high
-//! GPU counts to the growing *global batch size* and shows learning-rate
-//! scaling mitigates it; [`lr_for_global_batch`] implements the standard
-//! linear scaling rule (Goyal et al.) used for that experiment.
+//! Every training run steps Adam at a constant rate
+//! (`DistConfig::effective_lr`). The paper's §5.3.3 follow-up attributes
+//! most of the MAE inflation at high GPU counts to the growing *global
+//! batch size* and shows learning-rate scaling mitigates it;
+//! [`lr_for_global_batch`] implements the standard linear scaling rule
+//! (Goyal et al.) used for that experiment.
 
 use crate::module::Param;
 use st_tensor::Tensor;
 
-/// Interface shared by all optimizers.
+/// The optimizer interface the step loop drives.
 pub trait Optimizer {
     /// Apply one update using the parameters' accumulated gradients.
     fn step(&mut self);
     /// Clear all gradients.
     fn zero_grad(&self);
-    /// Current learning rate.
-    fn lr(&self) -> f32;
-    /// Override the learning rate (for schedules / scaling rules).
-    fn set_lr(&mut self, lr: f32);
 }
 
-/// Stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    params: Vec<Param>,
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Option<Tensor>>,
-}
+const BETA1: f32 = 0.9;
+const BETA2: f32 = 0.999;
+const EPS: f32 = 1e-8;
 
-impl Sgd {
-    /// Create an SGD optimizer over `params`.
-    pub fn new(params: Vec<Param>, lr: f32, momentum: f32) -> Self {
-        let n = params.len();
-        Sgd {
-            params,
-            lr,
-            momentum,
-            velocity: vec![None; n],
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self) {
-        for (p, v) in self.params.iter().zip(self.velocity.iter_mut()) {
-            let Some(g) = p.grad() else { continue };
-            let update = if self.momentum > 0.0 {
-                let mut vel = v.take().unwrap_or_else(|| Tensor::zeros(g.shape().clone()));
-                vel.scale_(self.momentum);
-                vel.add_scaled_(&g, 1.0).expect("shapes stable");
-                *v = Some(vel.clone());
-                vel
-            } else {
-                g
-            };
-            p.update_with(|value, _| {
-                let mut nv = value.clone();
-                nv.add_scaled_(&update, -self.lr).expect("shapes stable");
-                nv
-            });
-        }
-    }
-
-    fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba) — the paper's default optimizer.
+/// Adam (Kingma & Ba) with PyTorch-default hyperparameters — the paper's
+/// default optimizer — and no weight decay.
 pub struct Adam {
     params: Vec<Param>,
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
     t: u64,
     m: Vec<Option<Tensor>>,
     v: Vec<Option<Tensor>>,
 }
 
 impl Adam {
-    /// Adam with PyTorch-default hyperparameters.
+    /// Adam over `params` at the constant rate `lr`.
     pub fn new(params: Vec<Param>, lr: f32) -> Self {
-        Self::with_config(params, lr, 0.9, 0.999, 1e-8, 0.0)
-    }
-
-    /// Fully-configured Adam.
-    pub fn with_config(
-        params: Vec<Param>,
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-        weight_decay: f32,
-    ) -> Self {
         let n = params.len();
         Adam {
             params,
             lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
             t: 0,
             m: vec![None; n],
             v: vec![None; n],
@@ -145,30 +71,26 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for i in 0..self.params.len() {
             let p = &self.params[i];
-            let Some(mut g) = p.grad() else { continue };
-            if self.weight_decay > 0.0 {
-                g.add_scaled_(&p.value(), self.weight_decay)
-                    .expect("shapes stable");
-            }
+            let Some(g) = p.grad() else { continue };
             let mut m = self.m[i]
                 .take()
                 .unwrap_or_else(|| Tensor::zeros(g.shape().clone()));
             let mut v = self.v[i]
                 .take()
                 .unwrap_or_else(|| Tensor::zeros(g.shape().clone()));
-            m.scale_(self.beta1);
-            m.add_scaled_(&g, 1.0 - self.beta1).expect("shapes stable");
+            m.scale_(BETA1);
+            m.add_scaled_(&g, 1.0 - BETA1).expect("shapes stable");
             let g2 = st_tensor::ops::square(&g);
-            v.scale_(self.beta2);
-            v.add_scaled_(&g2, 1.0 - self.beta2).expect("shapes stable");
+            v.scale_(BETA2);
+            v.add_scaled_(&g2, 1.0 - BETA2).expect("shapes stable");
 
             let mhat = st_tensor::ops::mul_scalar(&m, 1.0 / bc1);
             let vhat = st_tensor::ops::mul_scalar(&v, 1.0 / bc2);
-            let denom = st_tensor::ops::add_scalar(&st_tensor::ops::sqrt(&vhat), self.eps);
+            let denom = st_tensor::ops::add_scalar(&st_tensor::ops::sqrt(&vhat), EPS);
             let update = st_tensor::ops::div(&mhat, &denom).expect("same shape");
             p.update_with(|value, _| {
                 let mut nv = value.clone();
@@ -184,14 +106,6 @@ impl Optimizer for Adam {
         for p in &self.params {
             p.zero_grad();
         }
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -246,22 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let p = Param::new("w", Tensor::scalar(0.0));
-        let mut opt = Sgd::new(vec![p.clone()], 0.1, 0.0);
-        let w = run_steps(&mut opt, &p, 100);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let p = Param::new("w", Tensor::scalar(0.0));
-        let mut opt = Sgd::new(vec![p.clone()], 0.05, 0.9);
-        let w = run_steps(&mut opt, &p, 200);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let p = Param::new("w", Tensor::scalar(0.0));
         let mut opt = Adam::new(vec![p.clone()], 0.1);
@@ -289,7 +187,7 @@ mod tests {
     fn zero_grad_clears_all() {
         let p = Param::new("w", Tensor::scalar(1.0));
         p.set_grad(Some(Tensor::scalar(2.0)));
-        let opt = Sgd::new(vec![p.clone()], 0.1, 0.0);
+        let opt = Adam::new(vec![p.clone()], 0.1);
         opt.zero_grad();
         assert!(p.grad().is_none());
     }

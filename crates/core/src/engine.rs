@@ -54,7 +54,6 @@ use st_autograd::checkpoint::CheckpointError;
 use st_autograd::loss;
 use st_autograd::module::Param;
 use st_autograd::optim::{clip_grad_norm, Adam, Optimizer};
-use st_autograd::schedule::{ConstantLr, LrSchedule};
 use st_autograd::{Checkpoint, Tape, Var};
 use st_device::{CostModel, StreamId};
 use st_dist::ddp::{self, GradBuckets};
@@ -325,8 +324,7 @@ impl StepLoop {
     }
 }
 
-/// Engine knobs beyond [`DistConfig`]: checkpoint capture/resume and the
-/// learning-rate schedule.
+/// Engine knobs beyond [`DistConfig`]: checkpoint capture and resume.
 #[derive(Clone, Default)]
 pub struct EngineOptions {
     /// Serialized [`Checkpoint`] to restore before training. Every rank
@@ -337,13 +335,6 @@ pub struct EngineOptions {
     /// Capture a rank-0 checkpoint (model + Adam + next epoch) at the end
     /// of the run, returned in [`EngineReport::checkpoint`].
     pub capture_checkpoint: bool,
-    /// Epoch-indexed learning-rate schedule, applied at the top of every
-    /// epoch (`schedule.apply(&mut opt, epoch)`), so a resumed run
-    /// re-applies `lr_at(start_epoch)` instead of restarting at the base
-    /// rate. `None` means a constant [`DistConfig::effective_lr`] — the
-    /// schedule-free behavior, bit-identical to setting
-    /// `ConstantLr(cfg.effective_lr())` explicitly.
-    pub schedule: Option<std::sync::Arc<dyn LrSchedule + Send + Sync>>,
 }
 
 impl std::fmt::Debug for EngineOptions {
@@ -351,7 +342,6 @@ impl std::fmt::Debug for EngineOptions {
         f.debug_struct("EngineOptions")
             .field("resume", &self.resume.as_ref().map(|b| b.len()))
             .field("capture_checkpoint", &self.capture_checkpoint)
-            .field("schedule", &self.schedule.is_some())
             .finish()
     }
 }
@@ -567,14 +557,6 @@ fn run_rank<P: DistDataPlane>(
         let ck = Checkpoint::from_bytes(bytes)?;
         start_epoch = ck.restore(&model.params(), &mut opt)?;
     }
-    // The schedule is applied at the top of *every* epoch — including the
-    // first after a resume, which therefore re-enters at `lr_at(start)`
-    // instead of silently restarting from the base rate.
-    let constant = ConstantLr(cfg.effective_lr());
-    let schedule: &dyn LrSchedule = match &opts.schedule {
-        Some(s) => s.as_ref(),
-        None => &constant,
-    };
     let gpu_flops = cm.gpu_flops;
 
     // Every concurrent comm stream — the one-time setup transfer (halo
@@ -595,7 +577,6 @@ fn run_rank<P: DistDataPlane>(
     let mut epoch_stats = Vec::with_capacity(cfg.epochs);
     let mut val_series = Vec::with_capacity(cfg.epochs);
     for epoch in start_epoch..cfg.epochs as u64 {
-        schedule.apply(&mut opt, epoch as usize);
         let comm_mark = ctx.comm.clock().comm_secs();
         let hidden_mark = ctx.comm.clock().hidden_secs();
         let kernel_mark = st_device::KernelSplit::snapshot();

@@ -17,7 +17,6 @@
 use crate::dist_index::DistConfig;
 use crate::engine::{self, DistDataPlane, EngineOptions, EngineReport, Fetch, StepLoop};
 use crate::index_batching::IndexDataset;
-use st_autograd::schedule::LrSchedule;
 use st_autograd::{Tape, Var};
 use st_data::loader::Batcher;
 use st_data::preprocess::PreprocessOutput;
@@ -26,7 +25,6 @@ use st_data::splits::SplitIndices;
 use st_device::CostModel;
 use st_models::Seq2Seq;
 use st_tensor::Tensor;
-use std::sync::Arc;
 
 /// Anything that can produce `(x, y)` minibatches from snapshot ids: one
 /// model's data, whatever batching or storage is behind it.
@@ -251,38 +249,12 @@ impl Trainer {
         }
     }
 
-    /// Train `model` in place on `source` with Adam at a constant
-    /// [`DistConfig::effective_lr`].
-    pub fn train(&self, model: &dyn Seq2Seq, source: &dyn BatchSource) -> EngineReport {
-        self.run(model, source, EngineOptions::default())
-    }
-
-    /// Train under a learning-rate schedule (DCRNN's multi-step decay, the
-    /// §5.3.3 warmup recipe, …): the schedule sets Adam's rate at each
-    /// epoch boundary, then the epoch proceeds as usual.
-    pub fn train_with_schedule(
-        &self,
-        model: &dyn Seq2Seq,
-        source: &dyn BatchSource,
-        schedule: Arc<dyn LrSchedule + Send + Sync>,
-    ) -> EngineReport {
-        let opts = EngineOptions {
-            schedule: Some(schedule),
-            ..Default::default()
-        };
-        self.run(model, source, opts)
-    }
-
-    /// The one world-of-one run. `epochs[].val_mae` is rank 0's
-    /// original-unit validation MAE from its f64 sums
+    /// Train `model` in place on `source` as a world of one, with Adam at
+    /// a constant [`DistConfig::effective_lr`]. `epochs[].val_mae` is rank
+    /// 0's original-unit validation MAE from its f64 sums
     /// ([`EngineReport::rank_val_mae`]): NaN when validation is off or the
     /// split is empty.
-    fn run(
-        &self,
-        model: &dyn Seq2Seq,
-        source: &dyn BatchSource,
-        opts: EngineOptions,
-    ) -> EngineReport {
+    pub fn train(&self, model: &dyn Seq2Seq, source: &dyn BatchSource) -> EngineReport {
         let cfg = DistConfig {
             world: 1,
             ..self.cfg.clone()
@@ -295,7 +267,7 @@ impl Trainer {
         // The world-of-one hub prices its streams with the default model.
         let cost = CostModel::default();
         let plane = SourcePlane::new(source, &cfg, 0, &cost, validation, None);
-        let mut report = engine::run_single(&cfg, &opts, &plane, model)
+        let mut report = engine::run_single(&cfg, &EngineOptions::default(), &plane, model)
             .expect("engine run without resume cannot fail");
         let val_mae = report.rank_val_mae(0, source.scaler().std);
         for (e, v) in report.epochs.iter_mut().zip(val_mae) {

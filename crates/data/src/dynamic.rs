@@ -8,7 +8,6 @@
 //! windows into the single feature array, and the per-step adjacencies are
 //! themselves index-addressed (no duplication across overlapping windows).
 
-use crate::signal::StaticGraphTemporalSignal;
 use st_graph::Adjacency;
 use st_tensor::Tensor;
 use std::collections::BTreeMap;
@@ -79,26 +78,6 @@ impl DynamicGraphTemporalSignal {
     /// Number of valid windows for `horizon`.
     pub fn num_windows(&self, horizon: usize) -> usize {
         crate::preprocess::num_snapshots(self.entries(), horizon)
-    }
-
-    /// Freeze the topology at `t` into a static-graph signal (for models
-    /// that require a fixed support set).
-    pub fn frozen_at(&self, t: usize) -> StaticGraphTemporalSignal {
-        StaticGraphTemporalSignal::new(self.data.clone(), self.adjacencies[t].clone())
-    }
-
-    /// Bytes of an index-batching layout for this structure: one feature
-    /// copy + per-step sparse adjacencies + window indices. Contrast with a
-    /// materializing layout, which would duplicate both features *and*
-    /// adjacency references `horizon`-fold.
-    pub fn index_layout_bytes(&self, horizon: usize, elem_bytes: usize) -> u64 {
-        let features = (self.data.numel() * elem_bytes) as u64;
-        let adj: u64 = self
-            .adjacencies
-            .iter()
-            .map(|a| (a.num_edges() * (elem_bytes + 2 * 8)) as u64)
-            .sum();
-        features + adj + self.num_windows(horizon) as u64 * 8
     }
 }
 
@@ -223,24 +202,6 @@ mod tests {
     fn window_count_matches_static_formula() {
         let d = synthetic_dynamic_traffic(4, 25, 1);
         assert_eq!(d.num_windows(3), 25 - 5);
-    }
-
-    #[test]
-    fn frozen_signal_is_trainable_shape() {
-        let d = synthetic_dynamic_traffic(5, 40, 2);
-        let frozen = d.frozen_at(0);
-        assert_eq!(frozen.entries(), 40);
-        assert_eq!(frozen.num_nodes(), 5);
-    }
-
-    #[test]
-    fn index_layout_grows_linearly_not_with_horizon() {
-        let d = synthetic_dynamic_traffic(5, 60, 4);
-        let h4 = d.index_layout_bytes(4, 8);
-        let h12 = d.index_layout_bytes(12, 8);
-        // Bigger horizon means *fewer* windows, so the layout shrinks
-        // slightly — the defining contrast with eq. (1) growth.
-        assert!(h12 <= h4);
     }
 
     #[test]

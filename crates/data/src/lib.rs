@@ -4,8 +4,8 @@
 //! Table-1 shapes, synthetic signal generators standing in for the PeMS /
 //! METR-LA / Windmill / Chickenpox feeds, the **baseline** Algorithm-1
 //! preprocessing pipeline (sliding-window materialization with its
-//! `2×horizon×` memory blow-up), standardization, splits, and batch loaders
-//! (including the original DCRNN loader's padded duplication).
+//! `2×horizon×` memory blow-up), standardization, splits, and the batch
+//! loader.
 //!
 //! The paper's contribution — index-batching — lives in the `pgt-index`
 //! crate and *replaces* [`preprocess`]; this crate deliberately implements
@@ -23,7 +23,7 @@ pub mod storage;
 pub mod synthetic;
 
 pub use datasets::{DatasetKind, DatasetSpec, Domain};
-pub use loader::{Batcher, PaddedBatcher};
+pub use loader::Batcher;
 pub use preprocess::{materialized_bytes, materialized_xy, num_snapshots, PreprocessOutput};
 pub use scaler::StandardScaler;
 pub use signal::StaticGraphTemporalSignal;

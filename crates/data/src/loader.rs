@@ -1,11 +1,9 @@
 //! Minibatch iteration over snapshot indices.
 //!
-//! [`Batcher`] is the standard loader: shuffled index order, last partial
-//! batch kept. [`PaddedBatcher`] mimics the *original DCRNN* dataloader,
-//! which (a) keeps an extra full copy of the dataset and (b) pads the final
-//! batch by duplicating samples so every batch has identical size — the
-//! behavior §3.2 identifies as the source of DCRNN's extra ~100 GB of
-//! host memory versus PGT-DCRNN.
+//! [`Batcher`] is the one loader: shuffled index order, last partial batch
+//! kept. The *original DCRNN* loader's padded duplication (§3.2's extra
+//! ~100 GB of host memory) is priced, not run: see
+//! `pgt_index::memory_model::LoaderVariant::DcrnnPadded`.
 
 use st_tensor::random::permutation;
 
@@ -17,15 +15,6 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Sequential (unshuffled) batcher over `indices`.
-    pub fn sequential(indices: Vec<usize>, batch_size: usize) -> Self {
-        assert!(batch_size > 0);
-        Batcher {
-            indices,
-            batch_size,
-        }
-    }
-
     /// Shuffled batcher: a seeded permutation of `indices` per epoch. A
     /// `batch_size` of 0 means 1, as everywhere a training run batches.
     ///
@@ -64,11 +53,6 @@ impl Batcher {
         self.indices.chunks(self.batch_size)
     }
 
-    /// Number of batches (last may be partial).
-    pub fn num_batches(&self) -> usize {
-        self.indices.len().div_ceil(self.batch_size)
-    }
-
     /// Total number of samples.
     pub fn len(&self) -> usize {
         self.indices.len()
@@ -80,53 +64,9 @@ impl Batcher {
     }
 }
 
-/// DCRNN-style padded loader: duplicates trailing samples so every batch is
-/// exactly `batch_size` long. Reports how many bytes of duplication that
-/// implies (the memory-accounting hook for Table 2 / Fig 2).
-#[derive(Debug, Clone)]
-pub struct PaddedBatcher {
-    inner: Batcher,
-    padding: usize,
-}
-
-impl PaddedBatcher {
-    /// Pad `indices` to a multiple of `batch_size` by repeating the final
-    /// sample (as `np.repeat(x[-1:], ...)` does in the reference loader).
-    pub fn new(mut indices: Vec<usize>, batch_size: usize, seed: u64, epoch: u64) -> Self {
-        assert!(batch_size > 0);
-        let rem = indices.len() % batch_size;
-        let padding = if rem == 0 { 0 } else { batch_size - rem };
-        if let Some(&last) = indices.last() {
-            for _ in 0..padding {
-                indices.push(last);
-            }
-        }
-        let inner = Batcher::shuffled(indices, batch_size, seed, epoch);
-        PaddedBatcher { inner, padding }
-    }
-
-    /// The padded batches — all exactly `batch_size` long.
-    pub fn batches(&self) -> impl Iterator<Item = &[usize]> {
-        self.inner.batches()
-    }
-
-    /// Number of synthetic (duplicated) samples appended.
-    pub fn padding(&self) -> usize {
-        self.padding
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sequential_batches_cover_in_order() {
-        let b = Batcher::sequential((0..7).collect(), 3);
-        let batches: Vec<Vec<usize>> = b.batches().map(|s| s.to_vec()).collect();
-        assert_eq!(batches, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
-        assert_eq!(b.num_batches(), 3);
-    }
 
     #[test]
     fn shuffled_is_permutation_and_epoch_varies() {
@@ -154,20 +94,5 @@ mod tests {
             let got: Vec<usize> = b.batches().flatten().copied().collect();
             assert_eq!(got, want, "n={n} seed={seed} epoch={epoch}");
         }
-    }
-
-    #[test]
-    fn padded_batches_all_full() {
-        let p = PaddedBatcher::new((0..10).collect(), 4, 7, 0);
-        assert_eq!(p.padding(), 2);
-        assert!(p.batches().all(|b| b.len() == 4));
-        let total: usize = p.batches().map(<[usize]>::len).sum();
-        assert_eq!(total, 12);
-    }
-
-    #[test]
-    fn padded_no_padding_when_divisible() {
-        let p = PaddedBatcher::new((0..8).collect(), 4, 7, 0);
-        assert_eq!(p.padding(), 0);
     }
 }

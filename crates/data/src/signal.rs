@@ -5,11 +5,10 @@
 //! features over time. This is the object both preprocessing pipelines
 //! (standard SWA and index-batching) consume.
 //!
-//! The feature array sits behind [`SignalStorage`] and everything here is
-//! written once over its row reads and `rewrite_rows`: in memory (the
-//! default) those are zero-copy views and one whole-tensor pass; on the
-//! chunked backend they are positional file reads and a chunk-at-a-time
-//! stream, so resident bytes stay one chunk instead of `O(entries)`.
+//! The feature array sits behind [`SignalStorage`] and every rewrite here
+//! goes through its `rewrite_rows`: one whole-tensor pass in memory (the
+//! default), a chunk-at-a-time stream on the chunked backend, so resident
+//! bytes stay one chunk instead of `O(entries)`.
 
 use crate::storage::{RowStore, SignalStorage, StorageSpec};
 use st_graph::Adjacency;
@@ -82,25 +81,6 @@ impl StaticGraphTemporalSignal {
         self.storage.dims()[2]
     }
 
-    /// The graph state at time `t` as a `[nodes, features]` tensor — a
-    /// zero-copy view for the in-memory backend, a one-row file read for
-    /// the chunked one.
-    pub fn graph_at(&self, t: usize) -> Tensor {
-        let (entry, _) = self.storage.read_rows_quoted(t..t + 1);
-        entry.select(0, 0).expect("one entry")
-    }
-
-    /// Raw data size in bytes at the given element width (float64 in the
-    /// paper's Table 1; float32 in our measured runs). Each factor widens
-    /// to `u64` *before* multiplying, so city-scale signals don't overflow
-    /// `usize` arithmetic on 32-bit targets.
-    pub fn size_bytes(&self, elem_bytes: usize) -> u64 {
-        self.entries() as u64
-            * self.num_nodes() as u64
-            * self.num_features() as u64
-            * elem_bytes as u64
-    }
-
     /// Append a time-of-day feature column (stage 1 of the paper's Fig. 3:
     /// "added data from including time-of-day information as a transposed
     /// matrix"). `period` is the number of entries in one day/week cycle.
@@ -150,48 +130,6 @@ mod tests {
         assert_eq!(s.entries(), 2);
         assert_eq!(s.num_nodes(), 2);
         assert_eq!(s.num_features(), 1);
-        assert_eq!(s.size_bytes(8), 32);
-    }
-
-    #[test]
-    fn size_bytes_widens_before_multiplying() {
-        // 70k entries × 9k nodes × 8 features × 8 bytes ≈ 40 GB — overflows
-        // a 32-bit usize product but must report exactly in u64.
-        let e = 70_000u64;
-        let n = 9_000u64;
-        let f = 8u64;
-        // Build a tiny signal and check the arithmetic shape of size_bytes
-        // directly (we cannot allocate 40 GB in a test).
-        let s = tiny_signal();
-        assert_eq!(s.size_bytes(8), 2 * 2 * 8);
-        // The formula must be pure u64 math end to end.
-        assert_eq!(e * n * f * 8, 40_320_000_000u64);
-        assert!(e * n * f * 8 > u32::MAX as u64);
-    }
-
-    #[test]
-    fn graph_at_is_a_view() {
-        let s = tiny_signal();
-        let g = s.graph_at(1);
-        assert_eq!(g.dims(), &[2, 1]);
-        assert_eq!(g.to_vec(), vec![2.0, 3.0]);
-        assert!(g.shares_storage(s.data()), "must be zero-copy");
-    }
-
-    #[test]
-    fn chunked_graph_at_matches_dense() {
-        let adj = Adjacency::from_dense(3, vec![1.0; 9]);
-        let data = Tensor::arange(7 * 3 * 2).reshape([7, 3, 2]).unwrap();
-        let dense = StaticGraphTemporalSignal::new(data, adj);
-        for chunk in [1usize, 3, 7, 16, 64] {
-            let chunked = dense.rechunk(StorageSpec::Chunked(ChunkedSpec::new(chunk)));
-            assert!(chunked.is_chunked());
-            for t in 0..7 {
-                let (got, want) = (chunked.graph_at(t), dense.graph_at(t));
-                assert_eq!(got.dims(), want.dims());
-                assert_eq!(got.to_vec(), want.to_vec(), "chunk={chunk} t={t}");
-            }
-        }
     }
 
     #[test]

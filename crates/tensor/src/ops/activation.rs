@@ -1,7 +1,7 @@
 //! Activation functions used by the ST-GNN model zoo.
 
 use crate::math;
-use crate::ops::{map, map_slice};
+use crate::ops::{map, map_slice, zip_with};
 use crate::{Result, Tensor, TensorError};
 
 /// Logistic sigmoid, numerically stable in both tails ([`math::sigmoid`]).
@@ -21,8 +21,17 @@ pub fn relu(t: &Tensor) -> Tensor {
 
 /// GELU (tanh approximation), used by the transformer blocks.
 pub fn gelu(t: &Tensor) -> Tensor {
-    map(t, |x| {
-        0.5 * x * (1.0 + math::tanhf(0.797_884_6 * (x + 0.044715 * x * x * x)))
+    zip_with(t, &gelu_tanh(t), |x, th| 0.5 * x * (1.0 + th)).expect("same shape")
+}
+
+/// GELU's inner `tanh(√(2/π)·(x + 0.044715·x³))` on the slice kernel,
+/// shared by [`gelu`] and its derivative.
+pub fn gelu_tanh(t: &Tensor) -> Tensor {
+    map_slice(t, |v| {
+        for x in v.iter_mut() {
+            *x = 0.797_884_6 * (*x + 0.044715 * *x * *x * *x);
+        }
+        math::tanh_in_place(v);
     })
 }
 

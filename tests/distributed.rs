@@ -252,7 +252,6 @@ fn distributed_checkpoint_resume_is_bit_identical() {
         let capture = EngineOptions {
             resume: None,
             capture_checkpoint: true,
-            ..Default::default()
         };
         let straight = run(4, &capture);
         let interrupted = run(2, &capture);
@@ -261,7 +260,6 @@ fn distributed_checkpoint_resume_is_bit_identical() {
             &EngineOptions {
                 resume: Some(interrupted.checkpoint.clone().expect("rank-0 checkpoint")),
                 capture_checkpoint: true,
-                ..Default::default()
             },
         );
         assert_eq!(

@@ -1,20 +1,14 @@
-//! The engine's learning-rate schedule and resume semantics.
+//! Checkpoint resume through the engine, and the `Trainer`'s constant
+//! rate.
 //!
-//! Historically the engine built `Adam::new(params, effective_lr())` once
-//! and never consulted any schedule — the DCRNN multi-step decay only
-//! existed on the legacy stand-alone `Trainer` loop. These tests pin the
-//! fix three ways: a scheduled engine run (through the `Trainer` facade,
-//! whose plane replays the legacy batch order) is bit-identical to the
-//! trajectory recorded from that legacy loop, a resumed run re-enters the
-//! schedule at the checkpoint's epoch (not the base rate), and degenerate
-//! resumes (at/past the horizon, corrupt bytes) surface explicitly instead
-//! of panicking or returning silently empty series.
+//! A run interrupted at an epoch boundary and resumed from its checkpoint
+//! must finish byte-identical to the straight run; degenerate resumes
+//! (at/past the horizon, corrupt bytes, reshaped moments) surface
+//! explicitly instead of panicking or returning silently empty series.
+//! `Trainer::train` still reproduces the first epochs recorded from the
+//! stand-alone trainer loop it replaced.
 
-mod common;
-
-use common::param_digest;
 use pgt_i::autograd::checkpoint::{Checkpoint, CheckpointError};
-use pgt_i::autograd::schedule::{LrSchedule, MultiStepLr};
 use pgt_i::core::dist_index::{DistConfig, LocalCopyPlane};
 use pgt_i::core::engine::{self, EngineError, EngineOptions};
 use pgt_i::core::index_batching::IndexDataset;
@@ -27,7 +21,6 @@ use pgt_i::device::CostModel;
 use pgt_i::graph::diffusion_supports;
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 use pgt_i::tensor::Tensor;
-use std::sync::Arc;
 
 const SEED: u64 = 42;
 const LR: f32 = 0.01;
@@ -57,16 +50,6 @@ fn model_for(ds: &IndexDataset) -> PgtDcrnn {
     PgtDcrnn::new(mc, &supports, 7)
 }
 
-/// DCRNN-style multi-step decay with milestones scaled into a 6-epoch
-/// test budget (the reference `MultiStepLr::dcrnn` decays at 20/30/40/50).
-fn decay() -> MultiStepLr {
-    MultiStepLr {
-        base_lr: LR,
-        milestones: vec![2, 4],
-        gamma: 0.1,
-    }
-}
-
 fn engine_cfg(epochs: usize) -> DistConfig {
     let mut cfg = DistConfig::new(1, epochs, 4);
     cfg.batch_per_worker = BATCH;
@@ -74,13 +57,6 @@ fn engine_cfg(epochs: usize) -> DistConfig {
     cfg.seed = SEED;
     cfg.grad_bucket_bytes = None;
     cfg
-}
-
-fn scheduled_opts() -> EngineOptions {
-    EngineOptions {
-        schedule: Some(Arc::new(decay())),
-        ..Default::default()
-    }
 }
 
 /// An engine run as a world of one over the §4.2 local-copy plane.
@@ -95,87 +71,47 @@ fn run_ok(epochs: usize, opts: &EngineOptions) -> engine::EngineReport {
     run_engine(epochs, opts).expect("resume bytes, when present, are valid")
 }
 
-fn trainer() -> Trainer {
-    Trainer {
-        validate: false,
-        ..Trainer::new(engine_cfg(6))
-    }
-}
-
 fn loss_bits(h: &engine::EngineReport) -> Vec<u32> {
     h.epochs.iter().map(|e| e.train_loss.to_bits()).collect()
 }
 
-/// Per-epoch train-loss bits and the final-parameter digest recorded from
-/// the legacy path at commit `cf7dfb3`: the stand-alone `Trainer` epoch
-/// loop driving a caller-owned Adam under `decay()`, 6 epochs.
-const LEGACY_LOSSES: [u32; 6] = [
-    0x3f4d_067a,
-    0x3f2a_015b,
-    0x3f1f_ac82,
-    0x3f22_a0d9,
-    0x3f21_6f80,
-    0x3f22_146b,
-];
-const LEGACY_PARAM_DIGEST: u64 = 0xb672_9f54_c550_8704;
+/// The first two epochs' train-loss bits recorded from the legacy path
+/// at commit `cf7dfb3`: the stand-alone `Trainer` epoch loop driving a
+/// caller-owned Adam at the 0.01 base rate (its decay began at epoch 2).
+const LEGACY_LOSSES: [u32; 2] = [0x3f4d_067a, 0x3f2a_015b];
 
 #[test]
-fn scheduled_engine_run_matches_the_legacy_trainer_bitwise() {
-    // The engine, driving the legacy batches under the same schedule.
+fn trainer_reproduces_the_legacy_constant_rate_losses() {
     let ds = dataset();
-    let model = model_for(&ds);
-    let scheduled = trainer().train_with_schedule(&model, &ds, Arc::new(decay()));
-    assert_eq!(loss_bits(&scheduled), LEGACY_LOSSES);
-    assert_eq!(
-        param_digest(&model),
-        LEGACY_PARAM_DIGEST,
-        "final parameters must be bit-identical"
-    );
-
-    // And the schedule demonstrably took effect: dropping it (the old,
-    // buggy behavior — constant effective_lr forever) lands on a
-    // different trajectory after the first milestone.
-    let constant = trainer().train(&model_for(&ds), &ds);
-    assert_ne!(
-        loss_bits(&constant)[5],
-        LEGACY_LOSSES[5],
-        "a decayed rate must diverge from the constant-rate run"
-    );
-    // Before the first milestone the two runs coincide exactly — the
-    // default constant schedule reproduces the legacy numerics.
-    assert_eq!(loss_bits(&constant)[..2], LEGACY_LOSSES[..2]);
+    let trainer = Trainer {
+        validate: false,
+        ..Trainer::new(engine_cfg(LEGACY_LOSSES.len()))
+    };
+    let report = trainer.train(&model_for(&ds), &ds);
+    assert_eq!(loss_bits(&report), LEGACY_LOSSES);
 }
 
 #[test]
-fn resume_reenters_the_schedule_at_the_checkpoint_epoch() {
-    // Interrupt at epoch 3 (past the first milestone, before the second):
-    // the resumed run must re-apply lr_at(3) = 0.001, not restart at the
-    // 0.01 base rate. Byte-identical final checkpoints prove it.
-    let straight = run_ok(
-        6,
-        &EngineOptions {
-            capture_checkpoint: true,
-            ..scheduled_opts()
-        },
-    );
-    let head = run_ok(
-        3,
-        &EngineOptions {
-            capture_checkpoint: true,
-            ..scheduled_opts()
-        },
-    );
+fn resume_continues_a_constant_rate_run_byte_identically() {
+    // Interrupt at epoch 3 of 6 and resume from the captured checkpoint:
+    // the model, Adam's `t`/`m`/`v` and the epoch-keyed shuffle carry
+    // over, so the final checkpoints are byte-identical.
+    let capture = EngineOptions {
+        capture_checkpoint: true,
+        ..Default::default()
+    };
+    let straight = run_ok(6, &capture);
+    let head = run_ok(3, &capture);
     let resumed = run_ok(
         6,
         &EngineOptions {
             resume: Some(head.checkpoint.clone().expect("captured")),
             capture_checkpoint: true,
-            ..scheduled_opts()
         },
     );
     assert_eq!(
         straight.checkpoint, resumed.checkpoint,
-        "resume must continue the schedule, not restart it"
+        "resume must continue the run, not restart it"
     );
     assert_eq!(resumed.epochs.len(), 3, "only the tail epochs re-run");
     for (r, s) in resumed.epochs.iter().zip(&straight.epochs[3..]) {
@@ -202,7 +138,6 @@ fn zero_epoch_resume_reports_an_explicit_marker() {
         &EngineOptions {
             resume: Some(bytes.clone()),
             capture_checkpoint: true,
-            ..Default::default()
         },
     );
     assert_eq!(replay.epochs.len(), 1, "exactly one marker entry");
@@ -305,18 +240,4 @@ fn a_reshaped_adam_moment_is_rejected_typed_on_resume() {
         Err(other) => panic!("expected a shape mismatch, got {other}"),
         Ok(_) => panic!("a reshaped moment must not restore"),
     }
-}
-
-#[test]
-fn schedule_lr_at_is_what_the_engine_applies() {
-    // Sanity on the schedule arithmetic the tests above lean on.
-    let s = decay();
-    assert_eq!(s.lr_at(0), 0.01);
-    assert_eq!(s.lr_at(2), 0.001);
-    assert!((s.lr_at(4) - 0.0001).abs() < 1e-9);
-    // And the reference DCRNN milestones stay where the paper's
-    // configuration puts them.
-    let d = MultiStepLr::dcrnn(0.01);
-    assert_eq!(d.lr_at(19), 0.01);
-    assert_eq!(d.lr_at(20), 0.001);
 }

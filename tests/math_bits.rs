@@ -191,6 +191,42 @@ fn strided_sweep_matches_pinned_hashes() {
     );
 }
 
+/// GELU and its derivative as per-element formulas over the scalar
+/// `tanhf`, in the expression and operand order the tensor ops use.
+fn gelu_scalar(x: f32) -> (f32, f32) {
+    const C: f32 = 0.797_884_6;
+    let th = math::tanhf(C * (x + 0.044715 * x * x * x));
+    let sech2 = 1.0 - th * th;
+    let dy = 0.5 * (1.0 + th) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x);
+    (0.5 * x * (1.0 + th), dy)
+}
+
+/// `ops::gelu` runs its inner tanh on the slice kernel; forward and
+/// gradient must still equal the per-element formula bit for bit.
+#[test]
+fn gelu_and_its_gradient_equal_the_scalar_formula() {
+    use pgt_i::autograd::{ops, Tape};
+    let mut xs = special_inputs();
+    xs.extend((0..=u32::MAX).step_by(4099).map(f32::from_bits));
+    let tape = Tape::new();
+    let x = tape.leaf(st_tensor::Tensor::from_slice(&xs));
+    let y = ops::gelu(&x);
+    let grads = tape.backward(&ops::sum_all(&y));
+    let ys = y.value().to_vec();
+    let gs = grads.get(&x).expect("x feeds y").to_vec();
+    for (i, &x) in xs.iter().enumerate() {
+        let (want_y, want_dy) = gelu_scalar(x);
+        // The seed gradient is 1, and the chain rule multiplies by it.
+        let want_g = 1.0 * want_dy;
+        assert_eq!(
+            (ys[i].to_bits(), gs[i].to_bits()),
+            (want_y.to_bits(), want_g.to_bits()),
+            "gelu at {x:e} = {:#010x}",
+            x.to_bits()
+        );
+    }
+}
+
 /// Runs `body` on every bit pattern in blocks of 2^16, the blocks dealt
 /// round-robin to one worker per available core, and returns each block's
 /// result.
