@@ -259,33 +259,22 @@ pub fn bmm(a: &Var, b: &Var) -> Var {
     let (av, bv) = (a.value().clone(), b.value().clone());
     let shared = b.value().rank() == 2;
     a.tape().custom_op(&[a, b], v, move |g| {
-        // dA[b] = dC[b] @ B[b]^T ; dB[b] = A[b]^T @ dC[b]
+        // dA[b] = dC[b] @ B[b]^T ; dB[b] = A[b]^T @ dC[b], summed over the
+        // batch when B is shared.
         let bt = if shared {
             bv.t().expect("rank 2")
         } else {
             bv.transpose(1, 2).expect("rank 3")
         };
         let da = t::bmm(g, &bt.contiguous()).expect("grad bmm");
-        let at = av.transpose(1, 2).expect("rank 3").contiguous();
-        let db_batched = t::bmm(&at, g).expect("grad bmm");
         let db = if shared {
-            sum_batches(&db_batched)
+            t::bmm_panels_dw(&[&av], g).expect("grad bmm")
         } else {
-            db_batched
+            let at = av.transpose(1, 2).expect("rank 3").contiguous();
+            t::bmm(&at, g).expect("grad bmm")
         };
         vec![da, db]
     })
-}
-
-/// Sum `[bs, k, n]` over its batch axis, in batch order, into one buffer:
-/// the gradient of a rhs shared across the batch.
-fn sum_batches(db_batched: &Tensor) -> Tensor {
-    let mut acc = db_batched.select(0, 0).expect("batch >= 1");
-    for i in 1..db_batched.dim(0) {
-        let slice = db_batched.select(0, i).expect("in range");
-        t::add_assign(&mut acc, &slice).expect("same shape");
-    }
-    acc
 }
 
 /// Shared-rhs batched matmul over column panels, `[P₀ | P₁ | …] @ w` with
@@ -294,8 +283,8 @@ fn sum_batches(db_batched: &Tensor) -> Tensor {
 ///
 /// Bit-identical to `bmm(&concat(panels, 2), w)`, forward and backward:
 /// the `dPₚ` are the concatenated `dA = g @ wᵀ` from one GEMM whose store
-/// splits at the panel boundaries, and `dw` is the same `Aᵀ g` over the
-/// panels' transposes stacked in order, summed over the batch in order.
+/// splits at the panel boundaries, and `dw` is `Aᵀ g` read straight from the
+/// panels, summed over the batch in order ([`t::bmm_panels_dw`]).
 pub fn bmm_panels(panels: &[&Var], w: &Var) -> Var {
     assert!(
         panels.iter().all(|p| p.same_tape(w)),
@@ -309,21 +298,11 @@ pub fn bmm_panels(panels: &[&Var], w: &Var) -> Var {
     let mut parents = panels.to_vec();
     parents.push(w);
     w.tape().custom_op(&parents, v, move |g| {
-        // `dw`'s operand, the panels' transposes stacked on dim 1, comes
-        // first: allocated below the retained `dPₚ` buffers, it leaves a
-        // hole the next call's transposes reuse. Allocated after them, it
-        // sits at the top of the rank thread's heap, which glibc hands back
-        // to the OS on free: 4× the page faults per `train_wide` engine call
-        // on the 2-core host, enough to cancel the copies saved.
-        let pts: Vec<Tensor> = pv
-            .iter()
-            .map(|p| p.transpose(1, 2).expect("rank 3"))
-            .collect();
-        let at = t::concat(&pts.iter().collect::<Vec<_>>(), 1).expect("panel transposes");
         // One GEMM `g @ wᵀ`, its columns stored straight into the panels.
         let wt = wv.t().expect("rank 2").contiguous();
         let mut grads = t::bmm_split(g, &wt, &widths).expect("grad bmm_panels");
-        grads.push(sum_batches(&t::bmm(&at, g).expect("grad bmm_panels")));
+        let refs: Vec<&Tensor> = pv.iter().collect();
+        grads.push(t::bmm_panels_dw(&refs, g).expect("grad bmm_panels"));
         grads
     })
 }

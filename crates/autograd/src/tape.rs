@@ -122,13 +122,11 @@ impl Tape {
         {
             let inner = self.inner.borrow();
             if let Some((_, id)) = inner.params.iter().find(|(q, _)| q.key() == key) {
-                let id = *id;
-                let shape = inner.nodes[id].shape.clone();
-                drop(inner);
                 // Rebuild the Var handle for the existing leaf. The value
                 // snapshot is the parameter's current value (unchanged
                 // within a step).
-                let _ = shape;
+                let id = *id;
+                drop(inner);
                 return Var {
                     id,
                     value: p.value(),
@@ -222,12 +220,16 @@ impl Tape {
     }
 
     /// Run reverse-mode differentiation from `root` (a scalar, typically a
-    /// loss). Returns per-node gradients.
+    /// loss). Returns the gradients of the leaves ([`Tape::leaf`],
+    /// [`Tape::constant`], [`Tape::param`]) that the root reaches.
     ///
     /// Gradients finalize in descending node-id order (the reverse scan
     /// below); [`Tape::param_completion_order`] exposes that sequence for
     /// the bound parameters so gradient buckets can fire as soon as their
-    /// last member completes rather than after the whole backward.
+    /// last member completes rather than after the whole backward. An
+    /// interior node's gradient is dropped as soon as its own backward has
+    /// consumed it, so the pass holds the activations plus only the
+    /// gradients still in flight, as PyTorch does by default.
     pub fn backward(&self, root: &Var) -> Gradients {
         assert!(
             Rc::ptr_eq(&root.tape.inner, &self.inner),
@@ -243,16 +245,18 @@ impl Tape {
         // Nodes are created in topological order, so a reverse scan visits
         // every consumer before its producers.
         for id in (0..=root.id).rev() {
-            let Some(g) = grads[id].take() else { continue };
             let node = &inner.nodes[id];
-            if let Some(backward) = &node.backward {
-                let parent_grads = backward(&g);
-                debug_assert_eq!(parent_grads.len(), node.parents.len());
-                for (pid, pg) in node.parents.iter().zip(parent_grads) {
-                    accumulate(&mut grads[*pid], pg);
-                }
+            // A leaf keeps its gradient; an interior node's is consumed here.
+            let Some(backward) = &node.backward else {
+                continue;
+            };
+            let Some(g) = grads[id].take() else { continue };
+            let parent_grads = backward(&g);
+            drop(g);
+            debug_assert_eq!(parent_grads.len(), node.parents.len());
+            for (pid, pg) in node.parents.iter().zip(parent_grads) {
+                accumulate(&mut grads[*pid], pg);
             }
-            grads[id] = Some(g);
         }
         Gradients { grads }
     }
@@ -272,13 +276,16 @@ fn accumulate(slot: &mut Option<Tensor>, g: Tensor) {
     }
 }
 
-/// Gradients produced by [`Tape::backward`], indexed by node id.
+/// Gradients produced by [`Tape::backward`], indexed by node id. Only leaf
+/// gradients are kept: an interior node's was freed once consumed, so
+/// [`Gradients::get`] on it is `None`.
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
 }
 
 impl Gradients {
-    /// Gradient of the root w.r.t. `var`, if any gradient flowed to it.
+    /// Gradient of the root w.r.t. the leaf `var`, if any gradient flowed
+    /// to it (`None` for an interior node).
     pub fn get(&self, var: &Var) -> Option<&Tensor> {
         self.grads.get(var.id).and_then(|g| g.as_ref())
     }
@@ -425,6 +432,21 @@ mod tests {
         // Re-binding is idempotent: the order is stable.
         let _ = tape.param(&a);
         assert_eq!(tape.param_completion_order().len(), 2);
+    }
+
+    #[test]
+    fn only_leaf_gradients_are_kept() {
+        let p = crate::module::Param::new("w", Tensor::from_slice(&[3.0]));
+        let tape = Tape::new();
+        let x = tape.leaf(Tensor::from_slice(&[2.0]));
+        let w = tape.param(&p);
+        let h = ops::mul(&x, &w);
+        let y = ops::sum_all(&ops::square(&h));
+        let g = tape.backward(&y);
+        assert!(g.get(&h).is_none() && g.get(&y).is_none(), "interior freed");
+        // d(xw)²/dx = 2xw², d/dw = 2x²w.
+        assert_eq!(g.get(&x).unwrap().to_vec(), vec![36.0]);
+        assert_eq!(g.get(&w).unwrap().to_vec(), vec![24.0]);
     }
 
     #[test]

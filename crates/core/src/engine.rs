@@ -526,6 +526,10 @@ fn run_rank<P: DistDataPlane>(
     ctx: &mut WorkerCtx,
     cm: &CostModel,
 ) -> Result<RankOutcome, EngineError> {
+    // Every step allocates the buffers the last one freed: keep the large
+    // ones on this thread for reuse until the rank finishes. Declared
+    // first, so it closes after everything below has dropped.
+    let _recycle = st_tensor::storage::RecycleScope::open();
     let step = StepLoop {
         grad_clip: cfg.grad_clip,
     };

@@ -54,23 +54,22 @@ impl IndexDataset {
         ratios: SplitRatios,
         time_feature_period: Option<usize>,
     ) -> Self {
-        let augmented;
-        let sig = match time_feature_period {
-            Some(p) => {
-                augmented = signal.with_time_feature(p);
-                &augmented
-            }
-            None => signal,
+        let storage = match time_feature_period {
+            Some(p) => signal.with_time_feature(p).storage,
+            None => signal.storage.clone(),
         };
-        Self::from_storage(&sig.storage, horizon, ratios, sig.storage.spec())
+        let spec = storage.spec();
+        Self::from_storage(storage, horizon, ratios, spec)
     }
 
     /// Index `[E, N, F]` rows `storage` by windows of `horizon`: fit the
     /// scaler on the training prefix with [`StandardScaler::fit_rows`]
     /// (the bits of [`StandardScaler::fit`] over the materialized prefix)
-    /// and standardize a copy under `spec`, block by block.
+    /// and standardize a copy under `spec`, block by block. An in-memory
+    /// `storage` kept in memory is standardized in place when nothing else
+    /// holds its buffer: the same bits without a second copy of the signal.
     pub(crate) fn from_storage(
-        storage: &SignalStorage,
+        storage: SignalStorage,
         horizon: usize,
         ratios: SplitRatios,
         spec: StorageSpec,
@@ -82,8 +81,13 @@ impl IndexDataset {
         // Fit on the entries the training snapshots can touch:
         // windows [0, train_end) cover entries [0, train_end + 2h - 1).
         let train_entries = (splits.train.end + 2 * horizon - 1).min(entries);
-        let scaler = StandardScaler::fit_rows(storage, 0..train_entries);
-        let store = storage.rewrite_rows(spec, |_, rows| scaler.transform(rows));
+        let scaler = StandardScaler::fit_rows(&storage, 0..train_entries);
+        let store = match storage {
+            SignalStorage::InMemory(data) if !spec.is_chunked() => {
+                SignalStorage::InMemory(scaler.transform_owned(data))
+            }
+            storage => storage.rewrite_rows(spec, |_, rows| scaler.transform(rows)),
+        };
         IndexDataset {
             store,
             horizon,

@@ -152,6 +152,17 @@ impl StandardScaler {
             return t::mul_scalar(&t::add_scalar(x, -self.mean), 1.0 / self.std);
         }
         self.check_features(x, "transform");
+        self.map_per_feature(x.clone(), |v, (m, s)| (v - m) / s)
+    }
+
+    /// [`StandardScaler::transform`] of a tensor the caller gives up: a
+    /// contiguous one that nothing else holds is standardized where it
+    /// lies, without a copy.
+    pub fn transform_owned(&self, x: Tensor) -> Tensor {
+        if self.is_scalar() {
+            return self.transform(&x);
+        }
+        self.check_features(&x, "transform");
         self.map_per_feature(x, |v, (m, s)| (v - m) / s)
     }
 
@@ -161,7 +172,7 @@ impl StandardScaler {
             return t::add_scalar(&t::mul_scalar(x, self.std), self.mean);
         }
         self.check_features(x, "inverse");
-        self.map_per_feature(x, |v, (m, s)| v * s + m)
+        self.map_per_feature(x.clone(), |v, (m, s)| v * s + m)
     }
 
     /// Map a scalar **target-channel** value back to original units.
@@ -169,15 +180,16 @@ impl StandardScaler {
         v * self.std + self.mean
     }
 
-    fn map_per_feature(&self, x: &Tensor, f: impl Fn(f32, (f32, f32)) -> f32) -> Tensor {
+    /// `f` over every element of `x` with its feature's statistics, in
+    /// `x`'s buffer when nothing else holds it (else in a contiguous copy).
+    fn map_per_feature(&self, mut x: Tensor, f: impl Fn(f32, (f32, f32)) -> f32) -> Tensor {
         let features = self.feature_stats.len();
-        let mut data = x.to_vec();
-        for row in data.chunks_exact_mut(features) {
+        for row in x.make_mut_contiguous().chunks_exact_mut(features) {
             for (v, &stats) in row.iter_mut().zip(&self.feature_stats) {
                 *v = f(*v, stats);
             }
         }
-        Tensor::from_vec(data, x.dims()).expect("same numel")
+        x
     }
 }
 
@@ -209,6 +221,24 @@ mod tests {
         let s = StandardScaler::fit(&x);
         let z = s.transform(&x);
         assert!(z.to_vec().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn transform_owned_matches_transform_in_place() {
+        let data: Vec<f32> = (0..12).map(|i| (i * i) as f32 * 0.37).collect();
+        let x = Tensor::from_vec(data, [3, 2, 2]).unwrap();
+        let s = StandardScaler::fit(&x);
+        let want = s.transform(&x).to_vec();
+        let unique = Tensor::from_vec(x.to_vec(), [3, 2, 2]).unwrap();
+        let ptr = unique.as_slice().unwrap().as_ptr();
+        let z = s.transform_owned(unique);
+        assert_eq!(z.as_slice().unwrap().as_ptr(), ptr, "no copy");
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&z.to_vec()), bits(&want));
+        // A tensor someone else holds is copied, and left as it was.
+        let shared = x.clone();
+        assert_eq!(bits(&s.transform_owned(shared).to_vec()), bits(&want));
+        assert_eq!(x.to_vec()[5], 25.0 * 0.37);
     }
 
     #[test]

@@ -203,11 +203,12 @@ impl Csr {
         let n = x.dim(2);
         let xc = x.contiguous();
         let xs = xc.as_slice().expect("contiguous");
-        let mut out = vec![0.0f32; b * self.rows * n];
+        let mut out = Tensor::zeros([b, self.rows, n]);
         if self.rows * n > 0 {
+            let slabs = out.make_mut_contiguous();
             st_tensor::backend::timed(st_tensor::backend::KernelClass::Spmm, || {
                 let kernels = st_tensor::backend::kernels();
-                for (i, slab) in out.chunks_mut(self.rows * n).enumerate() {
+                for (i, slab) in slabs.chunks_mut(self.rows * n).enumerate() {
                     kernels.spmm(
                         &self.row_ptr,
                         &self.col_idx,
@@ -220,7 +221,7 @@ impl Csr {
                 }
             });
         }
-        Tensor::from_vec(out, [b, self.rows, n])
+        Ok(out)
     }
 
     /// Sparse × sparse product `self @ other`, row by row: row `r` adds up

@@ -37,6 +37,7 @@
 
 use crate::math;
 use crate::par;
+use crate::storage::Storage;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -269,6 +270,27 @@ pub trait Kernels: Sync {
         k: usize,
     );
 
+    /// The weight gradient of [`Kernels::bmm_panels`]:
+    /// `out[k,n] = Σ_b [P₀ | P₁ | …][b]ᵀ @ g[b]` for `g` a `[bs,m,n]` buffer,
+    /// panels as in `bmm_panels` and `k = Σ widths`. Each batch's product
+    /// accumulates its `m` lanes in ascending order from `+0.0`, and the
+    /// products are summed in batch order, each add taking the new product
+    /// as its first operand and the running sum as its second (which NaN
+    /// payload survives): the bits of stacking the panels' transposes,
+    /// one batched GEMM and an in-order batch sum (which [`Reference`]
+    /// does). `out` is overwritten; with `bs = 0` it is left as it is.
+    #[allow(clippy::too_many_arguments)]
+    fn bmm_panels_dw(
+        &self,
+        panels: &[&[f32]],
+        widths: &[usize],
+        g: &[f32],
+        out: &mut [f32],
+        bs: usize,
+        m: usize,
+        n: usize,
+    );
+
     /// CSR sparse×dense: `out[rows,n] = S @ x[cols,n]`, `out` pre-zeroed.
     /// Row `r`'s nonzeros are `col_idx/values[row_ptr[r]..row_ptr[r+1]]`,
     /// and each output element adds them in storage order. A column index
@@ -404,6 +426,46 @@ impl Kernels for Reference {
         }
     }
 
+    fn bmm_panels_dw(
+        &self,
+        panels: &[&[f32]],
+        widths: &[usize],
+        g: &[f32],
+        out: &mut [f32],
+        bs: usize,
+        m: usize,
+        n: usize,
+    ) {
+        // The oracle: the panels' transposes stacked, one batched GEMM,
+        // then the products summed in batch order into the first.
+        let k: usize = widths.iter().sum();
+        if bs == 0 || k == 0 || n == 0 {
+            return;
+        }
+        let mut at = vec![0.0f32; bs * k * m];
+        let mut lane0 = 0;
+        for (&p, &w) in panels.iter().zip(widths) {
+            assert_eq!(p.len(), bs * m * w, "a [bs, m, width] panel");
+            for (b, pb) in p.chunks_exact(m * w).enumerate() {
+                for (l, row) in pb.chunks_exact(w).enumerate() {
+                    for (c, &v) in row.iter().enumerate() {
+                        at[(b * k + lane0 + c) * m + l] = v;
+                    }
+                }
+            }
+            lane0 += w;
+        }
+        let mut prods = vec![0.0f32; bs * k * n];
+        self.bmm(&at, g, &mut prods, bs, k, m, n, false);
+        let (first, rest) = prods.split_at(k * n);
+        out.copy_from_slice(first);
+        for slab in rest.chunks_exact(k * n) {
+            for (o, &v) in out.iter_mut().zip(slab) {
+                *o += v;
+            }
+        }
+    }
+
     fn spmm(
         &self,
         row_ptr: &[usize],
@@ -535,6 +597,15 @@ mod tile {
             }
         }
         acc
+    }
+
+    /// `dst += v`, written as `add_assign` writes it, so it compiles to the
+    /// same operand order (`v` first; the NaN payload it keeps).
+    #[inline]
+    pub(super) fn add_into(dst: &mut [f32], v: &[f32]) {
+        for (d, &x) in dst.iter_mut().zip(v) {
+            *d += x;
+        }
     }
 }
 
@@ -689,6 +760,76 @@ impl Kernels for Tiled {
         });
     }
 
+    fn bmm_panels_dw(
+        &self,
+        panels: &[&[f32]],
+        widths: &[usize],
+        g: &[f32],
+        out: &mut [f32],
+        bs: usize,
+        m: usize,
+        n: usize,
+    ) {
+        let k: usize = widths.iter().sum();
+        if bs == 0 || k == 0 || n == 0 {
+            return;
+        }
+        let work = bs * m * n * k;
+        if work < TILE_MIN_WORK {
+            return Reference.bmm_panels_dw(panels, widths, g, out, bs, m, n);
+        }
+        for (p, &w) in panels.iter().zip(widths) {
+            assert_eq!(p.len(), bs * m * w, "a [bs, m, width] panel");
+        }
+        // Every batch's `g[b]` packed once, for all row blocks.
+        let gp = n.div_ceil(NR) * m * NR;
+        let mut packed = Storage::scratch(bs * gp);
+        for (dst, gb) in packed
+            .make_mut()
+            .chunks_exact_mut(gp)
+            .zip(g.chunks_exact(m * n))
+        {
+            pack_b_into(gb, m, n, dst);
+        }
+        let packed = packed.as_slice();
+        // Row blocks of `out` in parallel; each block runs the batches in
+        // order, so every element's batch sum keeps its order.
+        par::parallel_slabs(out, MR * n, work, |group, slab| {
+            let mut apack = vec![0.0f32; m * MR];
+            for (blk, oblk) in slab.chunks_mut(MR * n).enumerate() {
+                let (i0, rows) = ((group + blk) * MR, oblk.len() / n);
+                if rows < MR {
+                    // Padded row lanes accumulate zeros and are never stored.
+                    apack.fill(0.0);
+                }
+                let runs = panel_runs(widths, i0, rows);
+                for (b, gb) in packed.chunks_exact(gp).enumerate() {
+                    // Lane `l` of the block is row `l` of batch `b`'s panels,
+                    // columns `i0..i0 + rows`, read where they lie.
+                    for &(p, c0, r0, len) in &runs {
+                        let w = widths[p];
+                        let pb = &panels[p][b * m * w..(b + 1) * m * w];
+                        for (lane, prow) in apack.chunks_exact_mut(MR).zip(pb.chunks_exact(w)) {
+                            lane[r0..r0 + len].copy_from_slice(&prow[c0..c0 + len]);
+                        }
+                    }
+                    for (pj, bpanel) in gb.chunks_exact(m * NR).enumerate() {
+                        let acc = tile::micro(&apack, bpanel);
+                        let (j0, cols) = (pj * NR, NR.min(n - pj * NR));
+                        for (orow, accr) in oblk.chunks_exact_mut(n).zip(&acc) {
+                            let dst = &mut orow[j0..j0 + cols];
+                            if b == 0 {
+                                dst.copy_from_slice(&accr[..cols]);
+                            } else {
+                                tile::add_into(dst, &accr[..cols]);
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
+
     fn spmm(
         &self,
         row_ptr: &[usize],
@@ -733,18 +874,37 @@ impl Kernels for Tiled {
 /// b[l*n + p*NR + c]`), zero-padded past `n`. Padded lanes are computed but
 /// never stored to `out`.
 fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let panels = n.div_ceil(NR);
-    let mut packed = vec![0.0f32; panels * k * NR];
-    for p in 0..panels {
+    let mut packed = vec![0.0f32; n.div_ceil(NR) * k * NR];
+    pack_b_into(b, k, n, &mut packed);
+    packed
+}
+
+/// [`pack_b`] into `packed`, every element written (pads included).
+fn pack_b_into(b: &[f32], k: usize, n: usize, packed: &mut [f32]) {
+    for (p, panel) in packed.chunks_exact_mut(k * NR).enumerate() {
         let j0 = p * NR;
         let w = NR.min(n - j0);
-        let base = p * k * NR;
-        for l in 0..k {
-            let src = &b[l * n + j0..l * n + j0 + w];
-            packed[base + l * NR..base + l * NR + w].copy_from_slice(src);
+        for (lane, src) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+            lane[..w].copy_from_slice(&src[j0..j0 + w]);
+            lane[w..].fill(0.0);
         }
     }
-    packed
+}
+
+/// The columns `i0..i0 + rows` of the panels laid side by side, as runs
+/// `(panel, first column in it, first row of the block, length)` — where a
+/// row block of the stacked transposes lies in the panels.
+fn panel_runs(widths: &[usize], i0: usize, rows: usize) -> Vec<(usize, usize, usize, usize)> {
+    let mut runs = Vec::new();
+    let mut off = 0;
+    for (p, &w) in widths.iter().enumerate() {
+        let (lo, hi) = (i0.max(off), (i0 + rows).min(off + w));
+        if lo < hi {
+            runs.push((p, lo - off, lo - i0, hi - lo));
+        }
+        off += w;
+    }
+    runs
 }
 
 /// Tiled GEMM over `out[m,n]` with `packed` panels, parallel across

@@ -1,5 +1,5 @@
 //! AVX-512 register tiles for [`super::Tiled`]: the `8×16` GEMM
-//! micro-kernel and the CSR SpMM row kernel.
+//! micro-kernel, the CSR SpMM row kernel and the batch-sum add.
 //!
 //! Compiled only when the build target has `avx512f`
 //! (`cfg(all(target_arch = "x86_64", target_feature = "avx512f"))`, which the
@@ -44,6 +44,22 @@ pub(super) fn spmm_row(cols: &[usize], vals: &[f32], x: &[f32], out: &mut [f32])
     // SAFETY: as for `micro` — `avx512f` is a compile-time feature of the
     // target this module is built for.
     unsafe { spmm_row_avx512(cols, vals, x, out) }
+}
+
+/// `dst += v` lane by lane, the batch sum of `Tiled::bmm_panels_dw`: `v`
+/// is the first operand of every add and the running sum `dst` the second,
+/// the order `add_assign`'s compiled `*acc += v` has (see [`add`]).
+#[inline]
+pub(super) fn add_into(dst: &mut [f32], v: &[f32]) {
+    // SAFETY: as for `micro`.
+    unsafe { add_into_avx512(dst, v) }
+}
+
+#[target_feature(enable = "avx512f")]
+fn add_into_avx512(dst: &mut [f32], v: &[f32]) {
+    for (d, x) in dst.chunks_mut(L).zip(v.chunks(L)) {
+        store_tail(d, add(load_tail(x), load_tail(d)));
+    }
 }
 
 /// Eight zmm accumulators, one per tile row, stay in registers across the
@@ -127,8 +143,8 @@ fn strip_pass<const S: usize>(
 /// order, not their rounding: LLVM may commute a plain `_mm512_add_ps`, and
 /// when both operands are NaN the first one's payload is the result. The
 /// reference's compiled loops put the product first (the accumulator is
-/// the folded memory operand), and pinning the same order keeps even NaN
-/// payloads bit-equal.
+/// the folded memory operand), as `add_assign`'s `*acc += v` puts `v`
+/// first, and pinning the same order keeps even NaN payloads bit-equal.
 const RN: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
 
 /// `a * b`, rounded as `_mm512_mul_ps` rounds it, with `a` pinned as the

@@ -10,9 +10,10 @@
 //! Design notes
 //! - Element type is `f32` (model math). Byte accounting for the paper's
 //!   float64 datasets is handled by `st-device` pools, not by this crate.
-//! - Storage is `Arc<Vec<f32>>`; clones and views are O(1). Mutating methods
-//!   (`fill_`, `add_scaled_`, ...) use copy-on-write semantics via
-//!   [`Tensor::make_mut_contiguous`].
+//! - Storage is an `Arc`'d `Vec<f32>`; clones and views are O(1). Mutating
+//!   methods (`fill_`, `add_scaled_`, ...) use copy-on-write semantics via
+//!   [`Tensor::make_mut_contiguous`]. Inside a [`storage::RecycleScope`],
+//!   buffers of 64 KiB and more are reused instead of freed.
 //! - GEMM, batched GEMM, spmm and the `sum_abs` reduction split large calls
 //!   into row chunks over one resident `std::thread` pool ([`par`]); how
 //!   many chunks is a per-thread budget handed down by the distributed

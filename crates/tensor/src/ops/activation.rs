@@ -44,9 +44,9 @@ pub fn softmax_last(t: &Tensor) -> Result<Tensor> {
         });
     }
     let last = t.dim(t.rank() - 1);
-    let mut v = t.to_vec();
+    let mut storage = t.to_storage();
     // A zero-length last dimension has no rows to normalize.
-    for row in v.chunks_mut(last.max(1)) {
+    for row in storage.make_mut().chunks_mut(last.max(1)) {
         let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         for x in row.iter_mut() {
             *x -= mx;
@@ -57,7 +57,7 @@ pub fn softmax_last(t: &Tensor) -> Result<Tensor> {
             *x /= z;
         }
     }
-    Tensor::from_vec(v, t.shape().clone())
+    Ok(Tensor::from_storage(storage, t.shape().clone()))
 }
 
 #[cfg(test)]

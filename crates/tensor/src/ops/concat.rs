@@ -1,6 +1,6 @@
 //! Concatenation, stacking, and splitting.
 
-use crate::{Result, Shape, Tensor, TensorError};
+use crate::{Result, Shape, Storage, Tensor, TensorError};
 
 /// Concatenate tensors along `dim`. All other dimensions must match.
 pub fn concat(tensors: &[&Tensor], dim: usize) -> Result<Tensor> {
@@ -42,14 +42,14 @@ pub fn concat(tensors: &[&Tensor], dim: usize) -> Result<Tensor> {
 
     let out_shape = Shape::new(out_dims);
     let strides = out_shape.contiguous_strides();
-    let mut out = vec![0.0f32; out_shape.numel()];
+    let mut out = Storage::scratch(out_shape.numel());
     // Each input is copied once, straight into its slot; an empty one has none.
     let mut cursor = 0usize;
     for t in tensors.iter().filter(|t| t.numel() > 0) {
-        t.copy_into(&mut out[cursor * strides[dim]..], &strides);
+        t.copy_into(&mut out.make_mut()[cursor * strides[dim]..], &strides);
         cursor += t.dim(dim);
     }
-    Tensor::from_vec(out, out_shape)
+    Ok(Tensor::from_storage(out, out_shape))
 }
 
 /// Stack equal-shaped tensors along a new leading dimension.
@@ -62,7 +62,7 @@ pub fn stack0(tensors: &[&Tensor]) -> Result<Tensor> {
     }
     let shape = tensors[0].shape().clone();
     let (n, strides) = (shape.numel(), shape.contiguous_strides());
-    let mut out = vec![0.0f32; tensors.len() * n];
+    let mut out = Storage::scratch(tensors.len() * n);
     for (i, t) in tensors.iter().enumerate() {
         if !t.shape().same_as(&shape) {
             return Err(TensorError::ShapeMismatch {
@@ -71,11 +71,11 @@ pub fn stack0(tensors: &[&Tensor]) -> Result<Tensor> {
                 rhs: t.dims().to_vec(),
             });
         }
-        t.copy_into(&mut out[i * n..], &strides);
+        t.copy_into(&mut out.make_mut()[i * n..], &strides);
     }
     let mut dims = vec![tensors.len()];
     dims.extend_from_slice(shape.dims());
-    Tensor::from_vec(out, dims)
+    Ok(Tensor::from_storage(out, dims))
 }
 
 /// Split a tensor into `n` equal chunks along `dim` (dim size must divide).

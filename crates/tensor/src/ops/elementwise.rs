@@ -1,24 +1,25 @@
 //! Elementwise binary/unary kernels with NumPy-style broadcasting.
 
 use crate::backend::{self, KernelClass};
-use crate::{Result, Tensor, TensorError};
+use crate::{Result, Storage, Tensor, TensorError};
 
 /// Apply `f` elementwise to broadcast-aligned `a` and `b`.
 pub fn zip_with(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
     backend::timed(KernelClass::Elementwise, || {
         let out_shape = a.shape().broadcast_with(b.shape())?;
+        let zip = |sa: &[f32], sb: &[f32]| {
+            let values = sa.iter().zip(sb).map(|(&x, &y)| f(x, y));
+            Tensor::from_storage(Storage::collect(sa.len(), values), out_shape.clone())
+        };
         // Fast path: identical contiguous shapes.
         if a.shape().same_as(b.shape()) {
             if let (Ok(sa), Ok(sb)) = (a.as_slice(), b.as_slice()) {
-                let data = sa.iter().zip(sb).map(|(&x, &y)| f(x, y)).collect();
-                return Tensor::from_vec(data, out_shape);
+                return Ok(zip(sa, sb));
             }
         }
         let av = a.broadcast_to(&out_shape)?.contiguous();
         let bv = b.broadcast_to(&out_shape)?.contiguous();
-        let (sa, sb) = (av.as_slice()?, bv.as_slice()?);
-        let data = sa.iter().zip(sb).map(|(&x, &y)| f(x, y)).collect();
-        Tensor::from_vec(data, out_shape)
+        Ok(zip(av.as_slice()?, bv.as_slice()?))
     })
 }
 
@@ -43,19 +44,16 @@ pub fn add_assign(a: &mut Tensor, b: &Tensor) -> Result<()> {
 
 /// Apply `f` to every element.
 pub fn map(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
-    backend::timed(KernelClass::Elementwise, || {
-        let data = t.to_vec().into_iter().map(f).collect();
-        Tensor::from_vec(data, t.shape().clone()).expect("same numel")
-    })
+    map_slice(t, |v| v.iter_mut().for_each(|x| *x = f(*x)))
 }
 
 /// Copy `t` into a contiguous buffer and transform it in place with `f`
 /// (the slice kernels of [`crate::math`]).
 pub(crate) fn map_slice(t: &Tensor, f: impl FnOnce(&mut [f32])) -> Tensor {
     backend::timed(KernelClass::Elementwise, || {
-        let mut data = t.to_vec();
-        f(&mut data);
-        Tensor::from_vec(data, t.shape().clone()).expect("same numel")
+        let mut data = t.to_storage();
+        f(data.make_mut());
+        Tensor::from_storage(data, t.shape().clone())
     })
 }
 

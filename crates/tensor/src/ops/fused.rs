@@ -13,7 +13,7 @@
 
 use crate::backend::{self, Activation, KernelClass};
 use crate::ops::map;
-use crate::{Result, Tensor, TensorError};
+use crate::{Result, Storage, Tensor, TensorError};
 
 /// Fused `act(z + bias)` where `bias` is rank-1 and broadcasts over `z`'s
 /// last dimension — the `dconv → add-bias → σ/tanh` gate tail in one pass.
@@ -29,11 +29,11 @@ pub fn bias_act(z: &Tensor, bias: &Tensor, act: Activation) -> Result<Tensor> {
     let bc = bias.contiguous();
     let zs = zc.as_slice().expect("contiguous");
     let bs = bc.as_slice().expect("contiguous");
-    let mut out = vec![0.0f32; zs.len()];
+    let mut out = Storage::scratch(zs.len());
     backend::timed(KernelClass::Elementwise, || {
-        backend::kernels().bias_act(zs, bs, &mut out, act)
+        backend::kernels().bias_act(zs, bs, out.make_mut(), act)
     });
-    Tensor::from_vec(out, z.shape().clone())
+    Ok(Tensor::from_storage(out, z.shape().clone()))
 }
 
 /// `d act / d z` evaluated from the activation *output* `y`, matching the
@@ -55,11 +55,11 @@ pub fn gru_blend(u: &Tensor, h: &Tensor, c: &Tensor) -> Result<Tensor> {
     let us = uc.as_slice().expect("contiguous");
     let hs = hc.as_slice().expect("contiguous");
     let cs = cc.as_slice().expect("contiguous");
-    let mut out = vec![0.0f32; us.len()];
+    let mut out = Storage::scratch(us.len());
     backend::timed(KernelClass::Elementwise, || {
-        backend::kernels().gru_blend(us, hs, cs, &mut out)
+        backend::kernels().gru_blend(us, hs, cs, out.make_mut())
     });
-    Tensor::from_vec(out, u.shape().clone())
+    Ok(Tensor::from_storage(out, u.shape().clone()))
 }
 
 /// `1 − u` computed as the historical `neg → add_scalar` composition

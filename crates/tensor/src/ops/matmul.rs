@@ -7,7 +7,7 @@
 //! avoid thread overhead.
 
 use crate::backend::{self, KernelClass};
-use crate::{Result, Tensor, TensorError};
+use crate::{Result, Storage, Tensor, TensorError};
 
 /// `C[m,n] = A[m,k] @ B[k,n]`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
@@ -30,11 +30,11 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let bc = b.contiguous();
     let av = ac.as_slice().expect("contiguous");
     let bv = bc.as_slice().expect("contiguous");
-    let mut out = vec![0.0f32; m * n];
+    let mut out = Storage::zeros(m * n);
     backend::timed(KernelClass::Gemm, || {
-        backend::kernels().matmul(av, bv, &mut out, m, k, n)
+        backend::kernels().matmul(av, bv, out.make_mut(), m, k, n)
     });
-    Tensor::from_vec(out, [m, n])
+    Ok(Tensor::from_storage(out, [m, n]))
 }
 
 /// Batched matmul: `C[b,m,n] = A[b,m,k] @ B[b,k,n]`.
@@ -70,11 +70,11 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let bc = b.contiguous();
     let av = ac.as_slice().expect("contiguous");
     let bv = bc.as_slice().expect("contiguous");
-    let mut out = vec![0.0f32; bs * m * n];
+    let mut out = Storage::zeros(bs * m * n);
     backend::timed(KernelClass::Gemm, || {
-        backend::kernels().bmm(av, bv, &mut out, bs, m, k, n, shared_rhs)
+        backend::kernels().bmm(av, bv, out.make_mut(), bs, m, k, n, shared_rhs)
     });
-    Tensor::from_vec(out, [bs, m, n])
+    Ok(Tensor::from_storage(out, [bs, m, n]))
 }
 
 /// Shared-rhs batched matmul over column panels:
@@ -114,11 +114,11 @@ pub fn bmm_panels(panels: &[&Tensor], w: &Tensor) -> Result<Tensor> {
         .collect();
     let wc = w.contiguous();
     let wv = wc.as_slice().expect("contiguous");
-    let mut out = vec![0.0f32; bs * m * n];
+    let mut out = Storage::zeros(bs * m * n);
     backend::timed(KernelClass::Gemm, || {
-        backend::kernels().bmm_panels(&slices, &widths, wv, &mut out, bs, m, n)
+        backend::kernels().bmm_panels(&slices, &widths, wv, out.make_mut(), bs, m, n)
     });
-    Tensor::from_vec(out, [bs, m, n])
+    Ok(Tensor::from_storage(out, [bs, m, n]))
 }
 
 /// `A[b,m,k] @ W[k,n]` with the output's columns split into panels of
@@ -142,15 +142,53 @@ pub fn bmm_split(a: &Tensor, w: &Tensor, widths: &[usize]) -> Result<Vec<Tensor>
     let wc = w.contiguous();
     let av = ac.as_slice().expect("contiguous");
     let wv = wc.as_slice().expect("contiguous");
-    let mut bufs: Vec<Vec<f32>> = widths.iter().map(|&p| vec![0.0f32; bs * m * p]).collect();
-    let mut outs: Vec<&mut [f32]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+    let mut bufs: Vec<Storage> = widths.iter().map(|&p| Storage::zeros(bs * m * p)).collect();
+    let mut outs: Vec<&mut [f32]> = bufs.iter_mut().map(Storage::make_mut).collect();
     backend::timed(KernelClass::Gemm, || {
         backend::kernels().bmm_split(av, wv, &mut outs, widths, bs, m, k)
     });
-    bufs.into_iter()
+    Ok(bufs
+        .into_iter()
         .zip(widths)
-        .map(|(buf, &p)| Tensor::from_vec(buf, [bs, m, p]))
-        .collect()
+        .map(|(buf, &p)| Tensor::from_storage(buf, [bs, m, p]))
+        .collect())
+}
+
+/// The weight gradient of [`bmm_panels`]: `dW[Σkₚ,n] = Σ_b [P₀ | P₁ | …][b]ᵀ
+/// @ g[b]` for `g: [b,m,n]`, summed over the batch in order. Bit-identical to
+/// concatenating the panels' transposes, `bmm` against `g` and adding the
+/// batch's products in order, without the transposes or the per-batch
+/// products.
+pub fn bmm_panels_dw(panels: &[&Tensor], g: &Tensor) -> Result<Tensor> {
+    let mismatch = |p: &Tensor| TensorError::ShapeMismatch {
+        op: "bmm_panels_dw",
+        lhs: p.dims().to_vec(),
+        rhs: g.dims().to_vec(),
+    };
+    if g.rank() != 3 || panels.is_empty() {
+        return Err(mismatch(g));
+    }
+    let (bs, m, n) = (g.dim(0), g.dim(1), g.dim(2));
+    if let Some(p) = panels
+        .iter()
+        .find(|p| p.rank() != 3 || p.dim(0) != bs || p.dim(1) != m)
+    {
+        return Err(mismatch(p));
+    }
+    let widths: Vec<usize> = panels.iter().map(|p| p.dim(2)).collect();
+    let k = widths.iter().sum::<usize>();
+    let contiguous: Vec<Tensor> = panels.iter().map(|p| p.contiguous()).collect();
+    let slices: Vec<&[f32]> = contiguous
+        .iter()
+        .map(|p| p.as_slice().expect("contiguous"))
+        .collect();
+    let gc = g.contiguous();
+    let gv = gc.as_slice().expect("contiguous");
+    let mut out = Storage::zeros(k * n);
+    backend::timed(KernelClass::Gemm, || {
+        backend::kernels().bmm_panels_dw(&slices, &widths, gv, out.make_mut(), bs, m, n)
+    });
+    Ok(Tensor::from_storage(out, [k, n]))
 }
 
 /// `y[m] = A[m,k] @ x[k]` — matrix–vector product.

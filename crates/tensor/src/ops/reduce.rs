@@ -1,6 +1,6 @@
 //! Reductions: sum / mean / std, full and per-axis.
 
-use crate::{par, Result, Tensor, TensorError};
+use crate::{par, Result, Storage, Tensor, TensorError};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sum of all elements.
@@ -73,7 +73,8 @@ fn reduce_axis(t: &Tensor, axis: usize, init: f32, f: impl Fn(f32, f32) -> f32) 
     let inner: usize = dims[axis + 1..].iter().product();
     let src = t.contiguous();
     let s = src.as_slice().expect("contiguous");
-    let mut out = vec![init; outer * inner];
+    let mut storage = Storage::full(outer * inner, init);
+    let out = storage.make_mut();
     for o in 0..outer {
         for a in 0..axis_len {
             let base = (o * axis_len + a) * inner;
@@ -85,7 +86,7 @@ fn reduce_axis(t: &Tensor, axis: usize, init: f32, f: impl Fn(f32, f32) -> f32) 
     }
     let mut out_dims = dims;
     out_dims.remove(axis);
-    Tensor::from_vec(out, out_dims)
+    Ok(Tensor::from_storage(storage, out_dims))
 }
 
 /// Sum along `axis` (axis removed from the result shape).

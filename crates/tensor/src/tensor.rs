@@ -41,7 +41,7 @@ impl Tensor {
         let shape = shape.into();
         let strides = shape.contiguous_strides();
         Tensor {
-            storage: Storage::from_vec(vec![value; shape.numel()]),
+            storage: Storage::full(shape.numel(), value),
             shape,
             strides,
             offset: 0,
@@ -79,6 +79,20 @@ impl Tensor {
             strides,
             offset: 0,
         })
+    }
+
+    /// A contiguous tensor over `storage`, which holds exactly `shape`'s
+    /// elements — how the crate's ops wrap the buffers they fill.
+    pub(crate) fn from_storage(storage: Storage, shape: impl Into<Shape>) -> Self {
+        let shape = shape.into();
+        assert_eq!(storage.len(), shape.numel(), "storage holds the shape");
+        let strides = shape.contiguous_strides();
+        Tensor {
+            storage,
+            shape,
+            strides,
+            offset: 0,
+        }
     }
 
     /// 1-D tensor from a slice.
@@ -219,6 +233,17 @@ impl Tensor {
         out
     }
 
+    /// [`Tensor::to_vec`] into a fresh [`Storage`] (a recycled buffer
+    /// inside a [`crate::storage::RecycleScope`]).
+    pub(crate) fn to_storage(&self) -> Storage {
+        if let Ok(s) = self.as_slice() {
+            return Storage::copy_of(s);
+        }
+        let mut out = Storage::scratch(self.numel());
+        self.copy_into(out.make_mut(), &self.shape.contiguous_strides());
+        out
+    }
+
     /// Copy this view into `dst`, element `i` landing at `Σ i_d · dst_strides[d]`:
     /// the crate's one strided copy (`to_vec`, `broadcast_to`, `copy_from`,
     /// `concat`, `stack0`). Size-1 axes drop out and an axis merges into the
@@ -284,7 +309,7 @@ impl Tensor {
     /// non-contiguous view it is first gathered into fresh contiguous storage.
     pub fn make_mut_contiguous(&mut self) -> &mut [f32] {
         if !self.is_contiguous() || self.offset != 0 || self.storage.len() != self.numel() {
-            self.storage = Storage::from_vec(self.to_vec());
+            self.storage = self.to_storage();
             self.strides = self.shape.contiguous_strides();
             self.offset = 0;
         }
@@ -297,7 +322,7 @@ impl Tensor {
         if self.is_contiguous() {
             self.clone()
         } else {
-            Tensor::from_vec(self.to_vec(), self.shape.clone()).expect("same numel")
+            Tensor::from_storage(self.to_storage(), self.shape.clone())
         }
     }
 
@@ -534,22 +559,22 @@ impl Tensor {
                 msg: "rank-0 tensor".into(),
             });
         }
-        let row = self.numel() / self.dim(0).max(1);
-        let mut out = Vec::with_capacity(indices.len() * row);
-        for &i in indices {
-            if i >= self.dim(0) {
-                return Err(TensorError::OutOfBounds {
-                    op: "index_select0",
-                    index: i,
-                    bound: self.dim(0),
-                });
-            }
-            let r = self.select(0, i)?;
-            out.extend_from_slice(&r.to_vec());
+        if let Some(&i) = indices.iter().find(|&&i| i >= self.dim(0)) {
+            return Err(TensorError::OutOfBounds {
+                op: "index_select0",
+                index: i,
+                bound: self.dim(0),
+            });
         }
+        let row = self.numel() / self.dim(0).max(1);
         let mut dims = self.dims().to_vec();
         dims[0] = indices.len();
-        Tensor::from_vec(out, dims)
+        let mut out = Storage::scratch(indices.len() * row);
+        let strides = Shape::new(dims.clone()).contiguous_strides();
+        for (dst, &i) in out.make_mut().chunks_exact_mut(row.max(1)).zip(indices) {
+            self.select(0, i)?.copy_into(dst, &strides[1..]);
+        }
+        Ok(Tensor::from_storage(out, dims))
     }
 
     /// Approximate elementwise equality (for tests).

@@ -1,7 +1,8 @@
 //! Property-based pinning of the kernel-backend bitwise contract: for
 //! arbitrary (ragged, tiny, empty) shapes, the tiled backend's GEMM, bmm,
-//! panel and split-store GEMMs, CSR SpMM and fused elementwise kernels
-//! produce **bit-identical** `f32` buffers to the reference backend. This
+//! panel and split-store GEMMs, the panel GEMM's weight gradient, CSR SpMM
+//! and fused elementwise kernels produce **bit-identical** `f32` buffers to
+//! the reference backend. This
 //! is the invariant that lets the engine's golden tests keep pinning
 //! train-loss bits while the backend underneath is swapped freely
 //! (DESIGN.md §8). On an AVX-512 build the tiled GEMM and SpMM are the
@@ -23,6 +24,7 @@ use pgt_i::autograd::{ops, Tape, Var};
 use pgt_i::tensor::backend::{
     active_backend, kernels_for, set_backend, Activation, BackendKind, Kernels,
 };
+use pgt_i::tensor::ops as tensor_ops;
 use pgt_i::tensor::ops::reduce::sum_abs;
 use pgt_i::tensor::{par, Tensor};
 use proptest::prelude::*;
@@ -294,6 +296,67 @@ proptest! {
         }
     }
 
+    /// The panel GEMM's weight gradient equals the composition it replaces,
+    /// bit for bit, on both backends: the panels' transposes concatenated,
+    /// one batched GEMM against `g`, and the products summed in batch order
+    /// by `add_assign`. Ragged panel widths 1–69 put panel boundaries inside
+    /// the 8-row tiles, `K·in` and `n` are rarely multiples of `MR` and
+    /// `NR`, `bs = 1` is included, and NaNs of several payloads, ±∞ and
+    /// −0.0 are planted in the panels and in `g`: with two NaNs in one batch
+    /// sum, only the add's operand order decides which payload survives.
+    #[test]
+    fn panel_gemm_dw_bitwise_equals_transpose_concat_bmm_sum(
+        widths in proptest::collection::vec(1usize..70, 1..5),
+        bs in 1usize..5,
+        m in 1usize..40,
+        n in 1usize..40,
+        specials in proptest::collection::vec((any::<u32>(), 0u8..7), 0..8),
+        seed in any::<u32>(),
+    ) {
+        let k: usize = widths.iter().sum();
+        let mut inputs: Vec<Vec<f32>> = widths
+            .iter()
+            .enumerate()
+            .map(|(p, &w)| fill(bs * m * w, seed.wrapping_add(p as u32)))
+            .collect();
+        inputs.push(fill(bs * m * n, seed.wrapping_add(98))); // g
+        for &(at, kind) in &specials {
+            let target = &mut inputs[at as usize % (widths.len() + 1)];
+            let i = at as usize / 7 % target.len();
+            target[i] = payload_special(kind);
+        }
+        let g = inputs.pop().expect("g");
+        let panels: Vec<Tensor> = widths
+            .iter()
+            .zip(&inputs)
+            .map(|(&w, p)| Tensor::from_vec(p.clone(), [bs, m, w]).expect("sized buffer"))
+            .collect();
+        let refs: Vec<&[f32]> = inputs.iter().map(Vec::as_slice).collect();
+        for kernels in [reference(), tiled()] {
+            // The composition: [bs, k, m] transposes, `bmm` against g, then
+            // slab 0 plus each later slab in order.
+            let pts: Vec<Tensor> = panels.iter().map(|p| p.transpose(1, 2).expect("rank 3")).collect();
+            let at = tensor_ops::concat(&pts.iter().collect::<Vec<_>>(), 1).expect("transposes");
+            let mut prods = vec![0.0f32; bs * k * n];
+            kernels.bmm(&at.to_vec(), &g, &mut prods, bs, k, m, n, false);
+            let mut want = Tensor::from_vec(prods[..k * n].to_vec(), [k, n]).expect("slab");
+            for slab in prods.chunks_exact(k * n).skip(1) {
+                let slab = Tensor::from_vec(slab.to_vec(), [k, n]).expect("slab");
+                tensor_ops::add_assign(&mut want, &slab).expect("same shape");
+            }
+            let mut got = vec![0.0f32; k * n];
+            kernels.bmm_panels_dw(&refs, &widths, &g, &mut got, bs, m, n);
+            let (got, want) = (bits(&got), bits(&want.to_vec()));
+            let first = (0..k * n).find(|&i| got[i] != want[i]);
+            prop_assert!(
+                first.is_none(),
+                "{} dW, widths {:?} ({}, {}, {}): element {:?} is {:#x}, not {:#x}",
+                kernels.name(), widths, bs, m, n, first,
+                first.map_or(0, |i| got[i]), first.map_or(0, |i| want[i])
+            );
+        }
+    }
+
     /// The autograd op: forward, every `dPₖ` and `dW` of `bmm_panels` equal
     /// those of `bmm(&concat(panels, 2), w)` bit for bit, under both
     /// backends, with the same planted specials in panels, weight and the
@@ -428,6 +491,17 @@ fn special(kind: u8) -> f32 {
     [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0][kind as usize % 4]
 }
 
+/// [`special`], or one of three NaNs whose payloads differ from its NaN and
+/// from each other (one negative, one signaling).
+fn payload_special(kind: u8) -> f32 {
+    match kind {
+        4 => f32::from_bits(0x7fc0_1234),
+        5 => f32::from_bits(0xffc0_0777),
+        6 => f32::from_bits(0x7f80_0042),
+        _ => special(kind),
+    }
+}
+
 /// `[rows, Σ widths]` from panels of `[rows, widths[p]]`.
 fn concat_panels(panels: &[Vec<f32>], widths: &[usize], rows: usize) -> Vec<f32> {
     let mut cat = Vec::with_capacity(rows * widths.iter().sum::<usize>());
@@ -440,7 +514,7 @@ fn concat_panels(panels: &[Vec<f32>], widths: &[usize], rows: usize) -> Vec<f32>
 }
 
 /// Every data-parallel kernel's output bits at one intra-op width, and how
-/// many of the seven calls were split over the pool, on shapes big enough to
+/// many of the eight calls were split over the pool, on shapes big enough to
 /// be split (at the default `par_threshold`) and ragged against every width
 /// tried.
 fn kernel_bits_at_width(
@@ -468,6 +542,9 @@ fn kernel_bits_at_width(
         let mut split = vec![0.0f32; bs * m * n];
         let (s0, s1) = split.split_at_mut(bs * m * n0);
         kernels.bmm_split(a, &b[..k * n], &mut [s0, s1], &[n0, n1], bs, m, k);
+        // The same two panels' weight gradient against `shared` as `g`.
+        let mut dw = vec![0.0f32; k * n];
+        kernels.bmm_panels_dw(&[p0, p1], &[k0, k - k0], &shared, &mut dw, bs, m, n);
         let rows = row_ptr.len() - 1;
         let mut spmm = vec![0.0f32; rows * n];
         kernels.spmm(row_ptr, col_idx, values, x, &mut spmm, rows, n);
@@ -478,6 +555,7 @@ fn kernel_bits_at_width(
             bits(&per_batch),
             bits(&panels),
             bits(&split),
+            bits(&dw),
             bits(&spmm),
             vec![(total >> 32) as u32, total as u32],
         ];
@@ -490,8 +568,8 @@ proptest! {
 
     /// Width 1 (sequential), 2, 3 and 7 (wider than most runners, dividing
     /// none of the shapes) give the same bits for matmul, bmm with a
-    /// shared and a per-batch rhs, the panel and split-store GEMMs, spmm and
-    /// `sum_abs`, on
+    /// shared and a per-batch rhs, the panel and split-store GEMMs, the
+    /// panel GEMM's weight gradient, spmm and `sum_abs`, on
     /// both backends —
     /// "bits never depend on the thread count" as a test, not a comment.
     #[test]
@@ -540,10 +618,10 @@ proptest! {
                     kernels.name(), width, bs, m, k, n
                 );
                 // Not vacuous: unless the environment raised the threshold,
-                // all seven calls really were split.
+                // all eight calls really were split.
                 prop_assert!(
-                    pooled == 7 || par::par_threshold() > par::PAR_THRESHOLD,
-                    "{} at width {}: {} of 7 calls pooled", kernels.name(), width, pooled
+                    pooled == 8 || par::par_threshold() > par::PAR_THRESHOLD,
+                    "{} at width {}: {} of 8 calls pooled", kernels.name(), width, pooled
                 );
             }
         }
