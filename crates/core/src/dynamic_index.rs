@@ -13,9 +13,9 @@
 //!   windows, the same eq.-(1) blow-up the paper eliminates for features.
 //!
 //! A [`DynamicIndexDataset`] is a [`BatchSource`] whose forward is
-//! [`PgtDcrnn::forward_dynamic`], which swaps the diffusion operators per
-//! step while sharing gate weights across time; [`train_dynamic`] is a
-//! [`Trainer`] run over it at batch 1.
+//! [`Seq2Seq::forward_dynamic`]: [`PgtDcrnn`] passes step `t`'s supports
+//! to its one DCGRU step, sharing gate weights across time;
+//! [`train_dynamic`] is a [`Trainer`] run over it at batch 1.
 
 use crate::dist_index::DistConfig;
 use crate::engine::EngineReport;

@@ -7,13 +7,17 @@
 //! `2×horizon×` memory blow-up), standardization, splits, and the batch
 //! loader.
 //!
+//! A signal has one on-disk form: the out-of-core spill file behind
+//! [`storage`] (raw `f32` rows, private to the process that wrote it).
+//! Signals enter as tensors built in memory; no other signal file format
+//! is read or written.
+//!
 //! The paper's contribution — index-batching — lives in the `pgt-index`
 //! crate and *replaces* [`preprocess`]; this crate deliberately implements
 //! the wasteful standard pipeline so the comparison is honest.
 
 pub mod datasets;
 pub mod dynamic;
-pub mod io;
 pub mod loader;
 pub mod preprocess;
 pub mod scaler;

@@ -11,6 +11,10 @@
 //! convolution reads its diffused panels in place. Feeding `x` and `h` to
 //! the convolutions as separate panels would drop them too, but it would
 //! reorder the terms of `h`'s gradient sum, and so change its bits.
+//!
+//! The graph is an argument of [`DcGruCell::step`], as in PyTorch Geometric
+//! Temporal's recurrent layers: the gate weights are shared across time,
+//! and a dynamic graph passes each step's supports.
 
 use crate::dcrnn::dconv::DiffusionConv;
 use crate::graph_ops::Support;
@@ -28,28 +32,23 @@ pub struct DcGruCell {
 }
 
 impl DcGruCell {
-    /// Build a cell. Each gate owns its own diffusion convolution over
-    /// `input_dim + hidden` inputs.
+    /// Build a cell over `k` supports. Each gate owns its own diffusion
+    /// convolution over `input_dim + hidden` inputs.
     pub fn new(
         name: &str,
-        supports: &[Support],
+        k: usize,
         input_dim: usize,
         hidden: usize,
         rng: &mut rand::rngs::StdRng,
     ) -> Self {
         let io = input_dim + hidden;
         DcGruCell {
-            gate_r: DiffusionConv::new(&format!("{name}.r"), supports.to_vec(), io, hidden, rng),
-            gate_u: DiffusionConv::new(&format!("{name}.u"), supports.to_vec(), io, hidden, rng),
-            cand: DiffusionConv::new(&format!("{name}.c"), supports.to_vec(), io, hidden, rng),
+            gate_r: DiffusionConv::new(&format!("{name}.r"), k, io, hidden, rng),
+            gate_u: DiffusionConv::new(&format!("{name}.u"), k, io, hidden, rng),
+            cand: DiffusionConv::new(&format!("{name}.c"), k, io, hidden, rng),
             input_dim,
             hidden,
         }
-    }
-
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
     }
 
     /// A zero initial hidden state for batch size `b` over `n` nodes.
@@ -57,43 +56,30 @@ impl DcGruCell {
         Tensor::zeros([b, n, self.hidden])
     }
 
-    /// One step: `x: [B, N, input_dim]`, `h: [B, N, hidden]` → new hidden.
-    pub fn step(&self, tape: &Tape, x: &Var, h: &Var) -> Var {
-        debug_assert_eq!(x.value().dim(2), self.input_dim, "cell input dim");
-        let xh = ops::concat(&[x, h], 2);
-        let r = self.gate_r.forward_act(tape, &xh, Activation::Sigmoid);
-        let u = self.gate_u.forward_act(tape, &xh, Activation::Sigmoid);
-        let rh = ops::mul(&r, h);
-        let xrh = ops::concat(&[x, &rh], 2);
-        let c = self.cand.forward_act(tape, &xrh, Activation::Tanh);
-        // h' = u*h + (1-u)*c, as one fused blend node.
-        ops::gru_blend(&u, h, &c)
-    }
-
-    /// One step with caller-supplied supports (dynamic topology): the
-    /// gate weights stay shared across time while the diffusion operators
-    /// change per step.
-    pub fn step_with(&self, tape: &Tape, supports: &[Support], x: &Var, h: &Var) -> Var {
+    /// One step over `supports`: `x: [B, N, input_dim]`,
+    /// `h: [B, N, hidden]` → new hidden.
+    pub fn step(&self, tape: &Tape, supports: &[Support], x: &Var, h: &Var) -> Var {
         debug_assert_eq!(x.value().dim(2), self.input_dim, "cell input dim");
         let xh = ops::concat(&[x, h], 2);
         let r = self
             .gate_r
-            .forward_with_act(tape, supports, &xh, Activation::Sigmoid);
+            .forward(tape, supports, &xh, Activation::Sigmoid);
         let u = self
             .gate_u
-            .forward_with_act(tape, supports, &xh, Activation::Sigmoid);
+            .forward(tape, supports, &xh, Activation::Sigmoid);
         let rh = ops::mul(&r, h);
         let xrh = ops::concat(&[x, &rh], 2);
-        let c = self
-            .cand
-            .forward_with_act(tape, supports, &xrh, Activation::Tanh);
+        let c = self.cand.forward(tape, supports, &xrh, Activation::Tanh);
+        // h' = u*h + (1-u)*c, as one fused blend node.
         ops::gru_blend(&u, h, &c)
     }
 
-    /// FLOPs of one step (three diffusion convolutions + gate arithmetic).
-    pub fn flops(&self, batch: usize, n: usize) -> f64 {
-        let conv =
-            self.gate_r.flops(batch, n) + self.gate_u.flops(batch, n) + self.cand.flops(batch, n);
+    /// FLOPs of one step over `supports` (three diffusion convolutions +
+    /// gate arithmetic).
+    pub fn flops(&self, supports: &[Support], batch: usize, n: usize) -> f64 {
+        let conv = self.gate_r.flops(supports, batch, n)
+            + self.gate_u.flops(supports, batch, n)
+            + self.cand.flops(supports, batch, n);
         let gates = 6.0 * (batch * n * self.hidden) as f64;
         conv + gates
     }
@@ -113,7 +99,7 @@ mod tests {
     use super::*;
     use st_graph::{diffusion_supports, Adjacency};
 
-    fn cell() -> DcGruCell {
+    fn cell() -> (DcGruCell, Vec<Support>) {
         let adj = Adjacency::from_dense(4, {
             let mut w = vec![0.0; 16];
             for i in 0..3 {
@@ -123,23 +109,24 @@ mod tests {
         });
         let supports = Support::wrap_all(diffusion_supports(&adj, 2));
         let mut rng = st_tensor::random::rng_from_seed(9);
-        DcGruCell::new("cell", &supports, 2, 8, &mut rng)
+        let cell = DcGruCell::new("cell", supports.len(), 2, 8, &mut rng);
+        (cell, supports)
     }
 
     #[test]
     fn step_preserves_shape() {
-        let c = cell();
+        let (c, supports) = cell();
         let tape = Tape::new();
         let x = tape.leaf(Tensor::ones([3, 4, 2]));
         let h = tape.leaf(c.zero_state(3, 4));
-        let h2 = c.step(&tape, &x, &h);
+        let h2 = c.step(&tape, &supports, &x, &h);
         assert_eq!(h2.value().dims(), &[3, 4, 8]);
     }
 
     #[test]
     fn hidden_state_stays_bounded() {
         // GRU interpolation keeps h in (-1, 1) when starting from zero.
-        let c = cell();
+        let (c, supports) = cell();
         let tape = Tape::new();
         let x = tape.leaf(st_tensor::random::uniform(
             [2, 4, 2],
@@ -149,20 +136,20 @@ mod tests {
         ));
         let mut h = tape.leaf(c.zero_state(2, 4));
         for _ in 0..5 {
-            h = c.step(&tape, &x, &h);
+            h = c.step(&tape, &supports, &x, &h);
         }
         assert!(h.value().to_vec().iter().all(|&v| v.abs() <= 1.0 + 1e-5));
     }
 
     #[test]
     fn params_count_and_gradients() {
-        let c = cell();
+        let (c, supports) = cell();
         // 3 convolutions × (w, b).
         assert_eq!(c.params().len(), 6);
         let tape = Tape::new();
         let x = tape.leaf(Tensor::ones([1, 4, 2]));
         let h = tape.leaf(c.zero_state(1, 4));
-        let h2 = c.step(&tape, &x, &h);
+        let h2 = c.step(&tape, &supports, &x, &h);
         let loss = ops::sum_all(&h2);
         let grads = tape.backward(&loss);
         tape.accumulate_param_grads(&grads);

@@ -23,8 +23,13 @@ use st_autograd::{ops, Module, Param, Tape, Var};
 use st_tensor::random;
 
 /// A diffusion convolution mapping `[B, N, in_dim] → [B, N, out_dim]`.
+///
+/// The layer owns only its weights: the supports are an argument of every
+/// call, so a model holds its graph once and a dynamic graph passes a new
+/// one per step.
 pub struct DiffusionConv {
-    supports: Vec<Support>,
+    /// Support count K, baked into the weight layout `[K·in, out]`.
+    k: usize,
     w: Param,
     b: Param,
     in_dim: usize,
@@ -32,23 +37,22 @@ pub struct DiffusionConv {
 }
 
 impl DiffusionConv {
-    /// Create with Xavier-initialized weights. `supports` come from
-    /// [`st_graph::diffusion_supports`].
+    /// Create with Xavier-initialized weights for `k` supports (as many as
+    /// [`st_graph::diffusion_supports`] builds).
     pub fn new(
         name: &str,
-        supports: Vec<Support>,
+        k: usize,
         in_dim: usize,
         out_dim: usize,
         rng: &mut rand::rngs::StdRng,
     ) -> Self {
-        let k = supports.len();
         let w = Param::new(
             format!("{name}.w"),
             random::xavier_uniform(k * in_dim, out_dim, rng),
         );
         let b = Param::new(format!("{name}.b"), st_tensor::Tensor::zeros([out_dim]));
         DiffusionConv {
-            supports,
+            k,
             w,
             b,
             in_dim,
@@ -56,37 +60,20 @@ impl DiffusionConv {
         }
     }
 
-    /// Apply to `x: [B, N, in_dim]`, producing `[B, N, out_dim]`.
+    /// Apply over `supports` to `x: [B, N, in_dim]`, producing
+    /// `[B, N, out_dim]`, with `act` fused into the bias add: the DCRNN
+    /// gate path (`dconv → add-bias → σ/tanh`) runs as one elementwise
+    /// kernel instead of two materializing tape nodes. The support count
+    /// must match construction.
     ///
     /// Parameters are bound through [`Tape::param`], so the trainer's
     /// [`Tape::accumulate_param_grads`] collects their gradients after the
     /// backward pass.
-    pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        self.forward_with_act(tape, &self.supports, x, Activation::Identity)
-    }
-
-    /// [`DiffusionConv::forward`] with the gate nonlinearity fused into the
-    /// bias add — the DCRNN gate path (`dconv → add-bias → σ/tanh`) runs as
-    /// one elementwise kernel instead of two materializing tape nodes.
-    pub fn forward_act(&self, tape: &Tape, x: &Var, act: Activation) -> Var {
-        self.forward_with_act(tape, &self.supports, x, act)
-    }
-
-    /// Apply with caller-supplied supports (the dynamic-graph path: the
-    /// weights are time-invariant, the diffusion operators are not) and a
-    /// fused bias+activation tail. The support count must match
-    /// construction — the fused weight is laid out `[K·in, out]`.
-    pub fn forward_with_act(
-        &self,
-        tape: &Tape,
-        supports: &[Support],
-        x: &Var,
-        act: Activation,
-    ) -> Var {
+    pub fn forward(&self, tape: &Tape, supports: &[Support], x: &Var, act: Activation) -> Var {
         debug_assert_eq!(x.value().dim(2), self.in_dim, "dconv input dim");
         assert_eq!(
             supports.len(),
-            self.supports.len(),
+            self.k,
             "support count is baked into the weight layout"
         );
         // The panels S_k X, each [B, N, in_dim]. A leading identity support
@@ -109,21 +96,17 @@ impl DiffusionConv {
         ops::bias_act(&ops::bmm_panels(&refs, &w), &b, act)
     }
 
-    /// FLOPs of one forward call at batch `b` over `n` nodes: an SpMM per
-    /// support (≈2·nnz·in) plus the fused GEMM. This prices the reference
-    /// formulation the modeled clock charges (K SpMMs, the identity's
-    /// included), not the kernels this host runs, which skip the identity.
-    pub fn flops(&self, batch: usize, n: usize) -> f64 {
-        let k = self.supports.len() as f64;
-        let nnz: usize = self.supports.iter().map(|s| s.mat.nnz()).sum();
+    /// FLOPs of one forward call over `supports` at batch `b` over `n`
+    /// nodes: an SpMM per support (≈2·nnz·in) plus the fused GEMM. This
+    /// prices the reference formulation the modeled clock charges (K
+    /// SpMMs, the identity's included), not the kernels this host runs,
+    /// which skip the identity.
+    pub fn flops(&self, supports: &[Support], batch: usize, n: usize) -> f64 {
+        let k = supports.len() as f64;
+        let nnz: usize = supports.iter().map(|s| s.mat.nnz()).sum();
         let spmm = 2.0 * nnz as f64 * self.in_dim as f64 * batch as f64;
         let gemm = 2.0 * batch as f64 * n as f64 * (k * self.in_dim as f64) * self.out_dim as f64;
         spmm + gemm
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
     }
 }
 
@@ -139,28 +122,29 @@ mod tests {
     use st_graph::{diffusion_supports, Adjacency, Csr};
     use st_tensor::Tensor;
 
-    fn layer(in_dim: usize, out_dim: usize) -> DiffusionConv {
+    fn layer(in_dim: usize, out_dim: usize) -> (DiffusionConv, Vec<Support>) {
         let adj = Adjacency::from_dense(3, vec![0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]);
         let supports = Support::wrap_all(diffusion_supports(&adj, 2));
         let mut rng = st_tensor::random::rng_from_seed(1);
-        DiffusionConv::new("dc", supports, in_dim, out_dim, &mut rng)
+        let dc = DiffusionConv::new("dc", supports.len(), in_dim, out_dim, &mut rng);
+        (dc, supports)
     }
 
     #[test]
     fn forward_shape() {
-        let dc = layer(2, 4);
+        let (dc, supports) = layer(2, 4);
         let tape = Tape::new();
         let x = tape.leaf(Tensor::ones([5, 3, 2]));
-        let y = dc.forward(&tape, &x);
+        let y = dc.forward(&tape, &supports, &x, Activation::Identity);
         assert_eq!(y.value().dims(), &[5, 3, 4]);
     }
 
     #[test]
     fn gradients_flow_to_weights() {
-        let dc = layer(1, 2);
+        let (dc, supports) = layer(1, 2);
         let tape = Tape::new();
         let x = tape.leaf(Tensor::ones([2, 3, 1]));
-        let y = dc.forward(&tape, &x);
+        let y = dc.forward(&tape, &supports, &x, Activation::Identity);
         let loss = ops::sum_all(&y);
         let grads = tape.backward(&loss);
         tape.accumulate_param_grads(&grads);
@@ -176,11 +160,11 @@ mod tests {
     fn repeated_binding_accumulates_once_per_backward() {
         // Use the same layer twice in one graph (as a recurrent cell does):
         // binding must reuse one leaf and the gradient must combine both uses.
-        let dc = layer(1, 1);
+        let (dc, supports) = layer(1, 1);
         let tape = Tape::new();
         let x = tape.leaf(Tensor::ones([1, 3, 1]));
-        let y1 = dc.forward(&tape, &x);
-        let y2 = dc.forward(&tape, &y1);
+        let y1 = dc.forward(&tape, &supports, &x, Activation::Identity);
+        let y2 = dc.forward(&tape, &supports, &y1, Activation::Identity);
         let loss = ops::sum_all(&y2);
         let grads = tape.backward(&loss);
         tape.accumulate_param_grads(&grads);
@@ -205,7 +189,7 @@ mod tests {
         )
     }
 
-    /// `DcGruCell::step_with` over [`concat_dconv`], with the cell's own
+    /// `DcGruCell::step` over [`concat_dconv`], with the cell's own
     /// parameters (`r.w, r.b, u.w, u.b, c.w, c.b`).
     fn concat_step(tape: &Tape, supports: &[Support], p: &[Param], x: &Var, h: &Var) -> Var {
         let xh = ops::concat(&[x, h], 2);
@@ -234,7 +218,7 @@ mod tests {
         let params = cell.params();
         let step = |x: &Var, h: &Var| match concat {
             true => concat_step(&tape, supports, &params, x, h),
-            false => cell.step_with(&tape, supports, x, h),
+            false => cell.step(&tape, supports, x, h),
         };
         let h2 = step(&x1, &step(&x0, &h0));
         let loss = ops::sum_all(&ops::mul(&h2, &tape.constant(inputs[3].clone())));
@@ -299,7 +283,8 @@ mod tests {
             .chain([("dynamic, first support not I".to_string(), dynamic)]);
         for (name, supports) in cases {
             let mut rng = st_tensor::random::rng_from_seed(5);
-            let cell = crate::dcrnn::DcGruCell::new("cell", &supports, input_dim, hidden, &mut rng);
+            let cell =
+                crate::dcrnn::DcGruCell::new("cell", supports.len(), input_dim, hidden, &mut rng);
             let panel = cell_run(&cell, &supports, &inputs, false);
             let concat = cell_run(&cell, &supports, &inputs, true);
             let labels = [
@@ -320,18 +305,18 @@ mod tests {
             let supports = Support::wrap_all(diffusion_supports(&adj, k));
             let count = supports.len();
             let mut rng = st_tensor::random::rng_from_seed(1);
-            let dc = DiffusionConv::new("dc", supports, 2, 4, &mut rng);
+            let dc = DiffusionConv::new("dc", count, 2, 4, &mut rng);
             let tape = Tape::new();
             let x = tape.leaf(Tensor::ones([2, 3, 2]));
-            let _ = dc.forward(&tape, &x);
+            let _ = dc.forward(&tape, &supports, &x, Activation::Identity);
             assert_eq!(tape.len(), 1 + count + 4, "K = {k}");
         }
     }
 
     #[test]
     fn flops_positive_and_scale_with_batch() {
-        let dc = layer(2, 4);
-        assert!(dc.flops(1, 3) > 0.0);
-        assert!(dc.flops(8, 3) > dc.flops(4, 3));
+        let (dc, supports) = layer(2, 4);
+        assert!(dc.flops(&supports, 1, 3) > 0.0);
+        assert!(dc.flops(&supports, 8, 3) > dc.flops(&supports, 4, 3));
     }
 }

@@ -15,6 +15,8 @@ use st_tensor::{random, Tensor};
 /// Encoder–decoder DCRNN.
 pub struct Dcrnn {
     cfg: ModelConfig,
+    /// The diffusion supports every cell steps over.
+    supports: Vec<Support>,
     encoder: Vec<DcGruCell>,
     decoder: Vec<DcGruCell>,
     proj_w: Param,
@@ -31,7 +33,7 @@ impl Dcrnn {
             let enc_in = if l == 0 { cfg.input_dim } else { cfg.hidden };
             encoder.push(DcGruCell::new(
                 &format!("enc{l}"),
-                supports,
+                supports.len(),
                 enc_in,
                 cfg.hidden,
                 &mut rng,
@@ -39,7 +41,7 @@ impl Dcrnn {
             let dec_in = if l == 0 { cfg.output_dim } else { cfg.hidden };
             decoder.push(DcGruCell::new(
                 &format!("dec{l}"),
-                supports,
+                supports.len(),
                 dec_in,
                 cfg.hidden,
                 &mut rng,
@@ -52,6 +54,7 @@ impl Dcrnn {
         let proj_b = Param::new("proj.b", Tensor::zeros([cfg.output_dim]));
         Dcrnn {
             cfg,
+            supports: supports.to_vec(),
             encoder,
             decoder,
             proj_w,
@@ -96,7 +99,7 @@ impl Seq2Seq for Dcrnn {
             let xt = tape.constant(x.select(1, step).expect("step in range").contiguous());
             let mut inp = xt;
             for (l, cell) in self.encoder.iter().enumerate() {
-                let h = cell.step(tape, &inp, &hidden[l]);
+                let h = cell.step(tape, &self.supports, &inp, &hidden[l]);
                 hidden[l] = h.clone();
                 inp = h;
             }
@@ -111,7 +114,7 @@ impl Seq2Seq for Dcrnn {
         for _ in 0..t {
             let mut inp = prev.clone();
             for (l, cell) in self.decoder.iter().enumerate() {
-                let h = cell.step(tape, &inp, &dec_hidden[l]);
+                let h = cell.step(tape, &self.supports, &inp, &dec_hidden[l]);
                 dec_hidden[l] = h.clone();
                 inp = h;
             }
@@ -133,8 +136,9 @@ impl Seq2Seq for Dcrnn {
     fn flops_per_forward(&self, batch: usize) -> f64 {
         let n = self.cfg.num_nodes;
         let t = self.cfg.horizon as f64;
-        let enc: f64 = self.encoder.iter().map(|c| c.flops(batch, n)).sum();
-        let dec: f64 = self.decoder.iter().map(|c| c.flops(batch, n)).sum();
+        let flops = |c: &DcGruCell| c.flops(&self.supports, batch, n);
+        let enc: f64 = self.encoder.iter().map(flops).sum();
+        let dec: f64 = self.decoder.iter().map(flops).sum();
         let proj = 2.0 * (batch * n * self.cfg.hidden * self.cfg.output_dim) as f64;
         t * (enc + dec + proj)
     }

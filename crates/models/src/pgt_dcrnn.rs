@@ -16,6 +16,8 @@ use st_tensor::{random, Tensor};
 /// Single-layer stepwise DCRNN, PGT style.
 pub struct PgtDcrnn {
     cfg: ModelConfig,
+    /// The construction-time supports [`Seq2Seq::forward`] steps over.
+    supports: Vec<Support>,
     cell: DcGruCell,
     out_w: Param,
     out_b: Param,
@@ -25,7 +27,13 @@ impl PgtDcrnn {
     /// Build from diffusion supports and a seed.
     pub fn new(cfg: ModelConfig, supports: &[Support], seed: u64) -> Self {
         let mut rng = random::rng_from_seed(seed);
-        let cell = DcGruCell::new("pgt.cell", supports, cfg.input_dim, cfg.hidden, &mut rng);
+        let cell = DcGruCell::new(
+            "pgt.cell",
+            supports.len(),
+            cfg.input_dim,
+            cfg.hidden,
+            &mut rng,
+        );
         let out_w = Param::new(
             "pgt.out.w",
             random::xavier_uniform(cfg.hidden, cfg.output_dim, &mut rng),
@@ -33,6 +41,7 @@ impl PgtDcrnn {
         let out_b = Param::new("pgt.out.b", Tensor::zeros([cfg.output_dim]));
         PgtDcrnn {
             cfg,
+            supports: supports.to_vec(),
             cell,
             out_w,
             out_b,
@@ -44,26 +53,22 @@ impl PgtDcrnn {
         &self.cfg
     }
 
-    /// Forward over a **dynamic** graph: one support set per time step
-    /// (paper §7 — "dynamic graphs with temporal signal"). Gate weights are
-    /// shared across steps; only the diffusion operators change. Each
-    /// `per_step` entry must have the same support count the model was
-    /// built with.
-    pub fn forward_dynamic(&self, tape: &Tape, x: &Tensor, per_step: &[&[Support]]) -> Var {
-        check_input(x, &self.cfg, "PGT-DCRNN(dynamic)");
-        assert_eq!(
-            per_step.len(),
-            self.cfg.horizon,
-            "need one support set per time step"
-        );
+    /// Roll `x: [B, T, N, F]` through the cell, step `t` over
+    /// `supports(t)`, projecting each hidden state to the output features.
+    fn unroll<'s>(
+        &self,
+        tape: &Tape,
+        x: &Tensor,
+        supports: impl Fn(usize) -> &'s [Support],
+    ) -> Var {
         let (b, t, n) = (x.dim(0), x.dim(1), x.dim(2));
         let mut h = tape.constant(self.cell.zero_state(b, n));
         let w = tape.param(&self.out_w);
         let bias = tape.param(&self.out_b);
         let mut outputs: Vec<Var> = Vec::with_capacity(t);
-        for (step, step_supports) in per_step.iter().enumerate().take(t) {
+        for step in 0..t {
             let xt = tape.constant(x.select(1, step).expect("step in range").contiguous());
-            h = self.cell.step_with(tape, step_supports, &xt, &h);
+            h = self.cell.step(tape, supports(step), &xt, &h);
             let out = ops::bias_act(&ops::bmm(&h, &w), &bias, ops::Activation::Identity); // [B, N, out]
             outputs.push(out);
         }
@@ -85,24 +90,22 @@ impl Module for PgtDcrnn {
 impl Seq2Seq for PgtDcrnn {
     fn forward(&self, tape: &Tape, x: &Tensor) -> Var {
         check_input(x, &self.cfg, "PGT-DCRNN");
-        let (b, t, n) = (x.dim(0), x.dim(1), x.dim(2));
-        let mut h = tape.constant(self.cell.zero_state(b, n));
-        let w = tape.param(&self.out_w);
-        let bias = tape.param(&self.out_b);
-        let mut outputs: Vec<Var> = Vec::with_capacity(t);
-        for step in 0..t {
-            let xt = tape.constant(x.select(1, step).expect("step in range").contiguous());
-            h = self.cell.step(tape, &xt, &h);
-            let out = ops::bias_act(&ops::bmm(&h, &w), &bias, ops::Activation::Identity); // [B, N, out]
-            outputs.push(out);
-        }
-        let refs: Vec<&Var> = outputs.iter().collect();
-        let stacked = ops::stack0(&refs); // [T, B, N, out]
-        ops::permute(&stacked, &[1, 0, 2, 3])
+        self.unroll(tape, x, |_| &self.supports)
     }
 
+    /// Forward over a **dynamic** graph: one support set per time step
+    /// (paper §7 — "dynamic graphs with temporal signal"). Gate weights are
+    /// shared across steps; only the diffusion operators change. Each
+    /// `per_step` entry must have the same support count the model was
+    /// built with.
     fn forward_dynamic(&self, tape: &Tape, x: &Tensor, per_step: &[&[Support]]) -> Var {
-        PgtDcrnn::forward_dynamic(self, tape, x, per_step)
+        check_input(x, &self.cfg, "PGT-DCRNN(dynamic)");
+        assert_eq!(
+            per_step.len(),
+            self.cfg.horizon,
+            "need one support set per time step"
+        );
+        self.unroll(tape, x, |step| per_step[step])
     }
 
     fn name(&self) -> &'static str {
@@ -113,7 +116,7 @@ impl Seq2Seq for PgtDcrnn {
         let n = self.cfg.num_nodes;
         let t = self.cfg.horizon as f64;
         let proj = 2.0 * (batch * n * self.cfg.hidden * self.cfg.output_dim) as f64;
-        t * (self.cell.flops(batch, n) + proj)
+        t * (self.cell.flops(&self.supports, batch, n) + proj)
     }
 }
 

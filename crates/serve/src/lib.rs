@@ -18,11 +18,12 @@
 //!   the shards run concurrently under `st_dist::run_workers` over the
 //!   one shared ring.
 //!
-//! Between the two sits [`queue::coalesce`], a micro-batching request
-//! queue: concurrent forecast requests are coalesced into batched
-//! **tape-free** forward passes ([`st_models::Seq2Seq::forward_inference`],
-//! which allocates no autograd graph) under a `max_batch` / `max_delay`
-//! policy, so per-batch fixed costs amortize across requests.
+//! Between the two sits a micro-batching request queue ([`queue`], driven
+//! by [`slo::admit_and_coalesce`]): concurrent forecast requests are
+//! coalesced into batched **tape-free** forward passes
+//! ([`st_models::Seq2Seq::forward_inference`], which allocates no autograd
+//! graph) under a `max_batch` / `max_delay` policy, so per-batch fixed
+//! costs amortize across requests.
 //!
 //! [`snapshot::ModelSnapshot`] is the handoff format: trained parameters
 //! (the engine's checkpoint state-dict), the `ModelConfig`, the fitted
@@ -96,7 +97,7 @@ pub mod window;
 
 pub use error::ServeError;
 pub use ingest::{IngestError, StreamIngest, Tick};
-pub use queue::{coalesce, MicroBatch, PendingRequest, QueueConfig};
+pub use queue::{MicroBatch, PendingRequest, QueueConfig};
 pub use registry::SnapshotRegistry;
 pub use shard::{
     BatchedServer, Query, QueryResult, Rejection, ServeConfig, ServeReport, ShardStats,

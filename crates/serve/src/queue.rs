@@ -3,17 +3,21 @@
 //!
 //! Serving traffic arrives one request at a time, but the model amortizes
 //! per-launch fixed costs (kernel latency, halo round-trips) across a
-//! batch. [`coalesce`] implements the standard micro-batching policy over
-//! *modeled* time: an open batch dispatches when it holds `max_batch`
-//! distinct windows (full — dispatched the instant the filling request
-//! arrives) or when its oldest request has waited `max_delay_secs` (timer —
-//! dispatched at the deadline). Requests for the **same** window share one
-//! batch slot: the forward computes each distinct window once no matter how
-//! many users asked about it.
+//! batch. The queue runs the standard micro-batching policy over *modeled*
+//! time: an open batch dispatches when it holds `max_batch` distinct
+//! windows (full — dispatched the instant the filling request arrives) or
+//! when its oldest request has waited `max_delay_secs` (timer — dispatched
+//! at the deadline; a request arriving exactly at the deadline still
+//! joins). Requests for the **same** window share one batch slot: the
+//! forward computes each distinct window once no matter how many users
+//! asked about it.
 //!
-//! The function is pure — arrival times in, dispatch schedule out — so the
-//! policy is deterministic and unit-testable; the sharded server replays
-//! the schedule against its simulated clock.
+//! This module holds the policy's types and its state machine; one
+//! function runs it, [`crate::slo::admit_and_coalesce`], which with
+//! [`crate::slo::SloConfig::unbounded`] runs the plain policy. It is pure —
+//! arrival times in, dispatch schedule out — so the policy is deterministic
+//! and unit-testable; the sharded server replays the schedule against its
+//! simulated clock.
 
 /// Micro-batching policy knobs.
 #[derive(Debug, Clone, Copy)]
@@ -60,8 +64,8 @@ pub struct MicroBatch {
     pub window_of: Vec<usize>,
 }
 
-/// The open-batch state machine both schedulers drive, one arrival at a
-/// time: [`OpenBatch::flush_due`] → (admission gates, if any) →
+/// The open-batch state machine [`crate::slo::admit_and_coalesce`] drives,
+/// one arrival at a time: [`OpenBatch::flush_due`] → admission gates →
 /// [`OpenBatch::join`], then [`OpenBatch::finish`] when the stream ends.
 pub(crate) struct OpenBatch {
     cfg: QueueConfig,
@@ -154,24 +158,23 @@ impl OpenBatch {
     }
 }
 
-/// Coalesce arrival-ordered requests into dispatchable micro-batches.
-///
-/// Panics if arrivals are not non-decreasing — the queue models a single
-/// shard's inbox, which observes time monotonically.
-pub fn coalesce(requests: &[PendingRequest], cfg: &QueueConfig) -> Vec<MicroBatch> {
-    let mut open = OpenBatch::new(cfg);
-    let mut batches = Vec::new();
-    for r in requests {
-        batches.extend(open.flush_due(r.arrival_secs));
-        batches.extend(open.join(r));
-    }
-    batches.extend(open.finish());
-    batches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slo::{admit_and_coalesce, BatchCost, SloConfig};
+    use st_device::CostModel;
+
+    /// The plain policy: the one scheduler with its SLO gates inert.
+    fn schedule(requests: &[PendingRequest], cfg: &QueueConfig) -> Vec<MicroBatch> {
+        let cost = BatchCost {
+            halo_bytes_per_window: 0,
+            flops_per_window: 1e9,
+            cost: CostModel::polaris(),
+        };
+        let out = admit_and_coalesce(requests, cfg, &SloConfig::unbounded(), &cost);
+        assert!(out.rejections.is_empty(), "an unbounded SLO sheds nothing");
+        out.batches
+    }
 
     fn req(id: usize, at: f64, window: usize) -> PendingRequest {
         PendingRequest {
@@ -188,7 +191,7 @@ mod tests {
             max_delay_secs: 10.0,
         };
         let rs = [req(0, 0.0, 10), req(1, 0.5, 11), req(2, 0.6, 12)];
-        let bs = coalesce(&rs, &cfg);
+        let bs = schedule(&rs, &cfg);
         assert_eq!(bs.len(), 2);
         assert_eq!(bs[0].requests, vec![0, 1]);
         assert_eq!(bs[0].dispatch_secs, 0.5, "dispatched when filled");
@@ -204,7 +207,7 @@ mod tests {
             max_delay_secs: 1.0,
         };
         let rs = [req(0, 0.0, 10), req(1, 0.2, 11), req(2, 5.0, 12)];
-        let bs = coalesce(&rs, &cfg);
+        let bs = schedule(&rs, &cfg);
         assert_eq!(bs.len(), 2);
         assert_eq!(bs[0].requests, vec![0, 1]);
         assert_eq!(bs[0].dispatch_secs, 1.0, "timer fires at open + delay");
@@ -220,7 +223,7 @@ mod tests {
         // Three users ask about window 10 — one forward slot, max_batch
         // counts distinct windows so the batch is NOT full yet.
         let rs = [req(0, 0.0, 10), req(1, 0.1, 10), req(2, 0.2, 10)];
-        let bs = coalesce(&rs, &cfg);
+        let bs = schedule(&rs, &cfg);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].windows, vec![10]);
         assert_eq!(bs[0].requests, vec![0, 1, 2]);
@@ -234,7 +237,7 @@ mod tests {
             max_delay_secs: 1.0,
         };
         let rs = [req(0, 0.0, 10), req(1, 1.0, 11)];
-        let bs = coalesce(&rs, &cfg);
+        let bs = schedule(&rs, &cfg);
         assert_eq!(bs.len(), 1, "t == deadline is still in time");
     }
 
@@ -245,7 +248,7 @@ mod tests {
             max_delay_secs: 9.0,
         };
         let rs = [req(0, 0.0, 10), req(1, 0.5, 10), req(2, 0.7, 11)];
-        let bs = coalesce(&rs, &cfg);
+        let bs = schedule(&rs, &cfg);
         assert_eq!(bs.len(), 3);
         for (b, r) in bs.iter().zip(&rs) {
             assert_eq!(b.dispatch_secs, r.arrival_secs, "no coalescing delay");
@@ -256,11 +259,11 @@ mod tests {
     #[should_panic(expected = "sorted by arrival")]
     fn unsorted_arrivals_are_rejected() {
         let cfg = QueueConfig::default();
-        coalesce(&[req(0, 1.0, 10), req(1, 0.5, 11)], &cfg);
+        schedule(&[req(0, 1.0, 10), req(1, 0.5, 11)], &cfg);
     }
 
     #[test]
     fn empty_stream_yields_no_batches() {
-        assert!(coalesce(&[], &QueueConfig::default()).is_empty());
+        assert!(schedule(&[], &QueueConfig::default()).is_empty());
     }
 }

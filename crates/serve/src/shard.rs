@@ -11,9 +11,8 @@
 //! per shard differ by at most 1); each window is forwarded by exactly one
 //! shard and scattered to every query that asked about it. The shards run
 //! concurrently under [`st_dist::run_workers`], each draining its own
-//! micro-batch schedule — [`crate::slo::admit_and_coalesce`], the
-//! SLO-gated [`crate::queue::coalesce`] (inert gates by default; see
-//! [`ServeConfig::slo`]).
+//! micro-batch schedule — [`crate::slo::admit_and_coalesce`], the one
+//! scheduler (inert SLO gates by default; see [`ServeConfig::slo`]).
 //!
 //! Restored replicas are bit-identical (the snapshot tests pin it), so a
 //! served forecast is bitwise the value the trainer's own evaluation
@@ -138,8 +137,9 @@ pub struct QueryResult {
 /// place of a result — either admission control shed it
 /// ([`ShedReason::QueueFull`] / [`ShedReason::DeadlineUnmeetable`]), its
 /// window is not servable against the live ring
-/// ([`ShedReason::WindowEvicted`] / [`ShedReason::NotYetServable`]), or it
-/// names a node the snapshot does not have ([`ShedReason::UnknownNode`]).
+/// ([`ShedReason::WindowEvicted`] / [`ShedReason::NotYetServable`]), it
+/// names a node the snapshot does not have ([`ShedReason::UnknownNode`]),
+/// or it arrived out of order ([`ShedReason::OutOfOrder`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rejection {
     /// The caller-side id from the [`Query`].
@@ -147,7 +147,8 @@ pub struct Rejection {
     /// The queried node.
     pub node: usize,
     /// The shard whose admission control refused the query; 0 for a
-    /// query rejected before routing (unknown node, unservable window).
+    /// query rejected before routing (out of order, unknown node,
+    /// unservable window).
     pub shard: usize,
     /// The requested window end.
     pub window_end: usize,
@@ -472,18 +473,21 @@ impl BatchedServer {
     /// by default): route each to the shard its window was dealt to, run
     /// SLO admission control over each shard's micro-batch queue, and
     /// replay the admitted schedule as batched tape-free forwards
-    /// concurrently across shards. Unknown nodes and unservable windows
-    /// (evicted / not yet ingested) are rejected before routing; every
-    /// query lands in exactly one of [`ServeReport::results`] /
+    /// concurrently across shards. A query that arrives before an earlier
+    /// one (or at NaN), an unknown node and an unservable window (evicted /
+    /// not yet ingested) are rejected before routing; every query lands in
+    /// exactly one of [`ServeReport::results`] /
     /// [`ServeReport::rejections`].
     pub fn serve(&self, queries: &[Query]) -> ServeReport {
         let horizon = self.snapshot.config.horizon;
         let nodes = self.snapshot.config.num_nodes;
 
-        // Pre-routing servability: a node the snapshot does not have or a
-        // window the ring cannot produce is a typed rejection, not a panic
-        // in the caller or in a worker thread.
+        // Pre-routing servability: an arrival earlier than the call's
+        // latest, a node the snapshot does not have or a window the ring
+        // cannot produce is a typed rejection, not a panic in the caller
+        // or in a worker thread.
         let mut pre_rejected: Vec<(usize, Rejection)> = Vec::new();
+        let mut latest = f64::NEG_INFINITY;
         // Window routing: the call's distinct servable windows are dealt
         // round-robin to shards in first-seen order, and shard r sees its
         // windows' requests in arrival order (`PendingRequest::id` is the
@@ -491,7 +495,14 @@ impl BatchedServer {
         let mut shard_of: HashMap<usize, usize> = HashMap::new();
         let mut routed = vec![Vec::new(); self.cfg.shards];
         for (idx, q) in queries.iter().enumerate() {
-            let refusal = if q.node >= nodes {
+            // False for a NaN arrival too.
+            let in_order = q.arrival_secs >= latest;
+            let refusal = if !in_order {
+                Some(ShedReason::OutOfOrder {
+                    arrival_secs: q.arrival_secs,
+                    latest_secs: latest,
+                })
+            } else if q.node >= nodes {
                 Some(ShedReason::UnknownNode {
                     node: q.node,
                     nodes,
@@ -520,6 +531,9 @@ impl BatchedServer {
                     Err(other) => panic!("unservable query {}: {other}", q.id),
                 }
             };
+            if in_order {
+                latest = q.arrival_secs;
+            }
             match refusal {
                 None => {
                     let next = shard_of.len() % self.cfg.shards;
@@ -875,6 +889,52 @@ mod tests {
         // Ids echo the caller's, and every query landed somewhere.
         assert_eq!(report.rejections[0].id, 101);
         assert_eq!(report.rejections[1].id, 102);
+    }
+
+    #[test]
+    fn out_of_order_arrivals_are_rejected_not_panicked() {
+        let (server, _) = deployment(1);
+        let [first, second] = [0, 1].map(|i| Query {
+            id: 100 + i,
+            node: i,
+            window_end: 10 + i,
+            arrival_secs: 0.5,
+        });
+        let alone = server.serve(&[second]);
+        for early in [1.0, f64::NAN] {
+            let report = server.serve(&[
+                Query {
+                    arrival_secs: early,
+                    ..first
+                },
+                second,
+            ]);
+            assert_eq!(report.results.len() + report.rejections.len(), 2);
+            let rejected = &report.rejections[0];
+            match (early.is_nan(), rejected.reason) {
+                // 0.5 follows 1.0: the second query is out of order.
+                (
+                    false,
+                    ShedReason::OutOfOrder {
+                        arrival_secs,
+                        latest_secs,
+                    },
+                ) => {
+                    assert_eq!((rejected.id, arrival_secs, latest_secs), (101, 0.5, 1.0));
+                    assert_eq!(report.results[0].id, 100);
+                }
+                // A NaN arrival is out of order itself and moves nothing:
+                // the second query is served as if it came alone.
+                (true, ShedReason::OutOfOrder { arrival_secs, .. }) => {
+                    assert!(arrival_secs.is_nan() && rejected.id == 100);
+                    let (a, b) = (&report.results[0], &alone.results[0]);
+                    assert_eq!(a.id, 101);
+                    assert_eq!(a.latency_secs, b.latency_secs);
+                    assert_eq!(a.forecast_std, b.forecast_std);
+                }
+                (_, other) => panic!("arrival {early}: expected OutOfOrder, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! SLO-driven admission control and load shedding on the micro-batch queue.
 //!
-//! [`crate::queue::coalesce`] batches everything it is given; under
-//! sustained overload that drives the busy chain — and with it every
-//! later request's latency — unboundedly high. [`admit_and_coalesce`]
-//! wraps the same coalescing state machine with two admission gates,
-//! evaluated at each arrival *before* the request joins a batch:
+//! The plain micro-batch policy ([`crate::queue`]) batches everything it
+//! is given; under sustained overload that drives the busy chain — and
+//! with it every later request's latency — unboundedly high.
+//! [`admit_and_coalesce`], the one scheduler, runs that policy's state
+//! machine behind two admission gates, evaluated at each arrival *before*
+//! the request joins a batch:
 //!
 //! 1. **Bounded queue depth** — requests admitted but not yet complete
 //!    (open-batch members plus dispatched work whose modeled completion
@@ -25,8 +26,8 @@
 //! exactly the schedule of the stream without that request, and every
 //! shed request gets an explicit typed [`Shed`] record — no silent loss.
 //! With [`SloConfig::unbounded`] both gates are inert and the schedule
-//! is bit-for-bit the plain [`crate::queue::coalesce`] schedule (pinned
-//! by test and proptest).
+//! is the plain policy's, bit for bit (a unit test and a proptest pin it
+//! against an oracle written from the policy alone).
 
 use std::collections::VecDeque;
 
@@ -48,8 +49,8 @@ pub struct SloConfig {
 }
 
 impl SloConfig {
-    /// No SLO: never shed. [`admit_and_coalesce`] degenerates to
-    /// [`crate::queue::coalesce`].
+    /// No SLO: never shed. [`admit_and_coalesce`] then runs the plain
+    /// micro-batch policy of [`crate::queue`].
     pub fn unbounded() -> Self {
         SloConfig {
             deadline_secs: f64::INFINITY,
@@ -106,6 +107,16 @@ pub enum ShedReason {
         node: usize,
         /// Nodes in the served snapshot.
         nodes: usize,
+    },
+    /// The query arrived before an earlier query of the same call, or its
+    /// arrival is NaN: a call's arrivals must not decrease (server-side
+    /// pre-routing check).
+    OutOfOrder {
+        /// The query's arrival, seconds.
+        arrival_secs: f64,
+        /// The latest arrival among the call's earlier in-order queries
+        /// (`-∞` for the first query).
+        latest_secs: f64,
     },
 }
 
@@ -182,9 +193,9 @@ fn dispatch(b: &MicroBatch, busy: f64, cost: &BatchCost, in_system: &mut VecDequ
     done
 }
 
-/// [`crate::queue::coalesce`] with SLO admission control: coalesce
-/// arrival-ordered requests into micro-batches, shedding arrivals that
-/// would overflow the queue or miss their deadline.
+/// Coalesce arrival-ordered requests into micro-batches under the
+/// [`crate::queue`] policy with SLO admission control, shedding arrivals
+/// that would overflow the queue or miss their deadline.
 ///
 /// Panics if arrivals are not non-decreasing, `max_batch == 0`,
 /// `max_delay_secs < 0`, or `deadline_secs <= 0` (an unmeetable-by-
@@ -258,7 +269,6 @@ pub fn admit_and_coalesce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::coalesce;
 
     fn req(id: usize, at: f64, window: usize) -> PendingRequest {
         PendingRequest {
@@ -279,16 +289,55 @@ mod tests {
         }
     }
 
+    /// The plain micro-batch policy as documented, written without
+    /// `OpenBatch`: a batch opens at its first request, takes every later
+    /// arrival up to `open + max_delay` (that instant included) and
+    /// dispatches at that deadline, or at the arrival that brings it to
+    /// `max_batch` distinct windows.
+    fn plain_policy(rs: &[PendingRequest], queue: &QueueConfig) -> Vec<MicroBatch> {
+        let mut batches = Vec::new();
+        let mut next = 0;
+        while next < rs.len() {
+            let deadline = rs[next].arrival_secs + queue.max_delay_secs;
+            let mut b = MicroBatch {
+                dispatch_secs: deadline,
+                requests: Vec::new(),
+                windows: Vec::new(),
+                window_of: Vec::new(),
+            };
+            while b.windows.len() < queue.max_batch
+                && next < rs.len()
+                && rs[next].arrival_secs <= deadline
+            {
+                let r = rs[next];
+                if !b.windows.contains(&r.window_end) {
+                    b.windows.push(r.window_end);
+                }
+                b.window_of
+                    .push(b.windows.iter().position(|&w| w == r.window_end).unwrap());
+                b.requests.push(r.id);
+                if b.windows.len() == queue.max_batch {
+                    b.dispatch_secs = r.arrival_secs;
+                }
+                next += 1;
+            }
+            batches.push(b);
+        }
+        batches
+    }
+
     #[test]
     fn unbounded_slo_reduces_to_plain_coalesce() {
         let queue = QueueConfig {
             max_batch: 3,
             max_delay_secs: 0.5,
         };
-        let rs: Vec<PendingRequest> = (0..17)
-            .map(|i| req(i, i as f64 * 0.21, 10 + i % 4))
+        // Quarter-second arrivals, exact in binary: some land exactly on
+        // a batch's deadline, some share an instant, some fill a batch.
+        let rs: Vec<PendingRequest> = (0..24)
+            .map(|i| req(i, (i * 3 / 4) as f64 * 0.25, 10 + (i * 7) % 5))
             .collect();
-        let plain = coalesce(&rs, &queue);
+        let plain = plain_policy(&rs, &queue);
         let slo = admit_and_coalesce(&rs, &queue, &SloConfig::unbounded(), &second_per_window());
         assert!(slo.rejections.is_empty());
         assert_eq!(slo.batches.len(), plain.len());

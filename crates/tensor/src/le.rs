@@ -1,6 +1,5 @@
 //! Checked little-endian decoding — the one reader behind the workspace's
-//! binary formats (`STD2` signals, `PGTCKPT1` checkpoints, `PGTSNAP1`
-//! snapshots).
+//! two binary formats (`PGTCKPT1` checkpoints and `PGTSNAP1` snapshots).
 //!
 //! The rule it enforces: **a length read from input is checked against the
 //! bytes remaining before it sizes anything.** Every accessor returns
@@ -77,11 +76,6 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64()?).map_err(|_| Truncated)
     }
 
-    /// A little-endian `f32` (any bit pattern, NaNs included).
-    pub fn f32(&mut self) -> Result<f32, Truncated> {
-        self.array().map(f32::from_le_bytes)
-    }
-
     /// `count` little-endian `f32`s. `count · 4 ≤ remaining` is proven
     /// before the output is allocated, so a hostile count costs nothing.
     pub fn f32s(&mut self, count: usize) -> Result<Vec<f32>, Truncated> {
@@ -123,7 +117,7 @@ mod tests {
         assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
         assert_eq!(r.u64(), Ok(0x0123_4567_89AB_CDEF));
         assert_eq!(r.size(), Ok(7));
-        assert_eq!(r.f32(), Ok(-1.5));
+        assert_eq!(r.f32s(1), Ok(vec![-1.5]));
         assert_eq!(r.take(4), Ok(&b"tail"[..]));
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.take(0), Ok(&[][..]), "an empty read at the end is fine");
@@ -139,7 +133,6 @@ mod tests {
             assert_eq!(fresh().u8().is_err(), have < 1);
             assert_eq!(fresh().u16().is_err(), have < 2);
             assert_eq!(fresh().u32().is_err(), have < 4);
-            assert_eq!(fresh().f32().is_err(), have < 4);
             assert_eq!(fresh().u64(), Err(Truncated));
             assert_eq!(fresh().size(), Err(Truncated));
             assert_eq!(fresh().take(have + 1), Err(Truncated));

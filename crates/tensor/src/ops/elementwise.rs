@@ -122,16 +122,6 @@ pub fn powf(t: &Tensor, e: f32) -> Tensor {
     map(t, |x| x.powf(e))
 }
 
-/// Elementwise maximum of two tensors with broadcasting.
-pub fn maximum(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    zip_with(a, b, f32::max)
-}
-
-/// Elementwise minimum of two tensors with broadcasting.
-pub fn minimum(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    zip_with(a, b, f32::min)
-}
-
 /// Clamp values into `[lo, hi]`.
 pub fn clamp(t: &Tensor, lo: f32, hi: f32) -> Tensor {
     map(t, |x| x.clamp(lo, hi))

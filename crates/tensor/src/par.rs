@@ -42,7 +42,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-/// Default for [`par_threshold`]: below this many scalar operations, run
+/// What [`par_threshold`] returns: below this many scalar operations, run
 /// sequentially.
 ///
 /// Re-derived against the resident pool (2-core Xeon host, release,
@@ -91,40 +91,20 @@ const SPIN_BUSY: Duration = Duration::from_micros(20);
 
 /// The one shared work-size threshold every data-parallel helper consults:
 /// ops whose estimated scalar-op count is below it run inline on the
-/// calling thread.
+/// calling thread. It is the constant [`PAR_THRESHOLD`].
 ///
-/// There are exactly two knobs in the threading story, and this is the
-/// second one:
-/// - `ST_NUM_THREADS` caps the process ([`num_threads`]); `1` is a true
-///   sequential path — the pool is never started.
-/// - `ST_PAR_THRESHOLD` overrides this threshold (read once, then cached;
-///   a non-numeric or empty value keeps the [`PAR_THRESHOLD`] default).
-///   `0` makes every op eligible for the pool; a huge value forces
-///   everything inline.
+/// The threading story has one knob: `ST_NUM_THREADS` caps the process
+/// ([`num_threads`]), and `1` is a true sequential path — the pool is never
+/// started.
 ///
 /// Per-op magic constants are not welcome: kernels estimate their work
 /// (`m*n*k` for a GEMM, `nnz*n` for an spmm) and compare against this one
-/// number, so the sequential/parallel switch is tunable in one place and
-/// none of it can affect results — chunked reductions use fixed chunk
-/// sizes (`reduce::SUM_ABS_CHUNK`) precisely so bit patterns never depend
-/// on the thread count.
+/// number, so the sequential/parallel switch lives in one place and none
+/// of it can affect results — chunked reductions use fixed chunk sizes
+/// (`reduce::SUM_ABS_CHUNK`) precisely so bit patterns never depend on the
+/// thread count.
 pub fn par_threshold() -> usize {
-    static CACHED: AtomicUsize = AtomicUsize::new(usize::MAX);
-    let v = CACHED.load(Ordering::Relaxed);
-    if v != usize::MAX {
-        return v;
-    }
-    let v = threshold_override(std::env::var("ST_PAR_THRESHOLD").ok().as_deref())
-        .unwrap_or(PAR_THRESHOLD);
-    CACHED.store(v, Ordering::Relaxed);
-    v
-}
-
-/// Parse a threshold override: any non-negative integer is taken verbatim;
-/// unset, empty, or garbage means "no override".
-fn threshold_override(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n != usize::MAX)
+    PAR_THRESHOLD
 }
 
 /// The process's thread cap for data-parallel loops: the pool holds this
@@ -568,25 +548,6 @@ mod tests {
         assert_eq!(thread_count_override(Some("lots")), None);
         assert_eq!(thread_count_override(Some("")), None);
         assert_eq!(thread_count_override(None), None);
-    }
-
-    #[test]
-    fn par_threshold_defaults_and_override_parsing() {
-        // The cached value in this process is the default unless the
-        // environment set one before the first call.
-        let expected = threshold_override(std::env::var("ST_PAR_THRESHOLD").ok().as_deref())
-            .unwrap_or(PAR_THRESHOLD);
-        assert_eq!(par_threshold(), expected);
-        // The override parser itself is pinned on pure inputs.
-        assert_eq!(
-            threshold_override(Some("0")),
-            Some(0),
-            "0 is a valid threshold"
-        );
-        assert_eq!(threshold_override(Some(" 1024 ")), Some(1024));
-        assert_eq!(threshold_override(Some("lots")), None);
-        assert_eq!(threshold_override(Some("")), None);
-        assert_eq!(threshold_override(None), None);
     }
 
     #[test]

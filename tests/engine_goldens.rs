@@ -202,7 +202,7 @@ fn the_intra_op_width_never_reaches_a_loss_bit() {
         // The per-epoch ledger says which path each run took.
         assert_eq!(a.kernel_split.pooled_calls, 0, "width 1 is inline");
         assert!(
-            b.kernel_split.pooled_calls > 0 || par::par_threshold() > par::PAR_THRESHOLD,
+            b.kernel_split.pooled_calls > 0,
             "width 3 never reached the pool: {:?}",
             b.kernel_split
         );

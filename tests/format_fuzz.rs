@@ -1,5 +1,5 @@
-//! Mutation tests over the three binary formats — `STD2` signals,
-//! `PGTCKPT1` state dicts and checkpoints, `PGTSNAP1` snapshots.
+//! Mutation tests over the two binary formats — `PGTCKPT1` state dicts
+//! and checkpoints, and `PGTSNAP1` snapshots.
 //!
 //! Exhaustive and deterministic: every proper prefix, every single-bit flip
 //! and every size field overwritten with a set of hostile values, for one
@@ -14,10 +14,7 @@
 use pgt_i::autograd::checkpoint::{Checkpoint, StateDict};
 use pgt_i::autograd::module::Param;
 use pgt_i::autograd::optim::Adam;
-use pgt_i::data::io;
 use pgt_i::data::scaler::StandardScaler;
-use pgt_i::data::signal::StaticGraphTemporalSignal;
-use pgt_i::graph::Adjacency;
 use pgt_i::models::ModelConfig;
 use pgt_i::serve::ModelSnapshot;
 use pgt_i::tensor::le::Reader;
@@ -88,12 +85,6 @@ fn snapshot() -> ModelSnapshot {
     }
 }
 
-fn signal() -> StaticGraphTemporalSignal {
-    let adjacency =
-        Adjacency::from_edges(3, &[(0, 1, 0.5), (1, 0, 0.5), (1, 2, 0.25), (2, 2, 1.0)]);
-    StaticGraphTemporalSignal::new(Tensor::arange(12).reshape([2, 3, 2]).unwrap(), adjacency)
-}
-
 /// Every decoded tensor holds exactly the elements its shape claims. The
 /// claim is multiplied out in `u128`: a product that wrapped in `usize`
 /// and so "matched" the few floats present is the defect being hunted.
@@ -124,13 +115,6 @@ fn decode_snapshot(b: &[u8]) -> Result<Vec<u8>, String> {
     let snap = ModelSnapshot::from_bytes(b).map_err(|e| e.to_string())?;
     honest(&snap.params);
     Ok(snap.to_bytes())
-}
-
-fn decode_signal(b: &[u8]) -> Result<Vec<u8>, String> {
-    let sig = io::from_bytes(b).map_err(|e| e.to_string())?;
-    let claimed = sig.entries() * sig.num_nodes() * sig.num_features();
-    assert_eq!(claimed, sig.data().to_vec().len());
-    Ok(io::to_bytes(&sig))
 }
 
 /// Size fields of a valid state dict that starts `base` bytes into its
@@ -196,21 +180,7 @@ fn formats() -> Vec<Format> {
         sealed: true,
     };
 
-    // magic 4 | entries 4 | nodes 4 | features 4 | edge count 8 | data | edges
-    let signal_format = Format {
-        name: "STD2 signal",
-        valid: io::to_bytes(&signal()),
-        decode: decode_signal,
-        fields: vec![(4, 4), (8, 4), (12, 4), (16, 8)],
-        sealed: false,
-    };
-
-    vec![
-        dict_format,
-        checkpoint_format,
-        snapshot_format,
-        signal_format,
-    ]
+    vec![dict_format, checkpoint_format, snapshot_format]
 }
 
 impl Format {

@@ -515,8 +515,7 @@ fn concat_panels(panels: &[Vec<f32>], widths: &[usize], rows: usize) -> Vec<f32>
 
 /// Every data-parallel kernel's output bits at one intra-op width, and how
 /// many of the eight calls were split over the pool, on shapes big enough to
-/// be split (at the default `par_threshold`) and ragged against every width
-/// tried.
+/// be split (at `par_threshold`) and ragged against every width tried.
 fn kernel_bits_at_width(
     width: usize,
     kernels: &dyn Kernels,
@@ -617,10 +616,9 @@ proptest! {
                     "{} at width {}: ({}, {}, {}, {})",
                     kernels.name(), width, bs, m, k, n
                 );
-                // Not vacuous: unless the environment raised the threshold,
-                // all eight calls really were split.
+                // Not vacuous: all eight calls really were split.
                 prop_assert!(
-                    pooled == 8 || par::par_threshold() > par::PAR_THRESHOLD,
+                    pooled == 8,
                     "{} at width {}: {} of 8 calls pooled", kernels.name(), width, pooled
                 );
             }

@@ -17,7 +17,7 @@ use pgt_i::device::CostModel;
 use pgt_i::graph::{diffusion_supports, generators};
 use pgt_i::models::{ModelConfig, PgtDcrnn, Support};
 use pgt_i::serve::{
-    admit_and_coalesce, coalesce, BatchCost, BatchedServer, IngestError, ModelSnapshot,
+    admit_and_coalesce, BatchCost, BatchedServer, IngestError, MicroBatch, ModelSnapshot,
     PendingRequest, Query, QueueConfig, RollingWindow, ServeConfig, ServeError, ServeReport,
     ShedReason, SloConfig, StreamIngest, Tick,
 };
@@ -211,6 +211,46 @@ fn request_stream(n: usize, seed: u64) -> Vec<PendingRequest> {
         .collect()
 }
 
+/// The plain micro-batch policy as `st_serve::queue` documents it, an
+/// oracle that shares no code with the server's state machine. Batches are
+/// cut by scanning: a batch opens at its first request and takes each
+/// following arrival while it is not later than `open + max_delay`; it
+/// dispatches at that deadline, or at the arrival that gives it
+/// `max_batch` distinct windows. Same-window requests share a slot.
+fn plain_policy(rs: &[PendingRequest], queue: &QueueConfig) -> Vec<MicroBatch> {
+    let mut batches: Vec<MicroBatch> = Vec::new();
+    let mut start = 0;
+    while start < rs.len() {
+        let deadline = rs[start].arrival_secs + queue.max_delay_secs;
+        let mut windows: Vec<usize> = Vec::new();
+        let mut end = start;
+        while end < rs.len() && rs[end].arrival_secs <= deadline && windows.len() < queue.max_batch
+        {
+            if !windows.contains(&rs[end].window_end) {
+                windows.push(rs[end].window_end);
+            }
+            end += 1;
+        }
+        let members = &rs[start..end];
+        let full = windows.len() == queue.max_batch;
+        batches.push(MicroBatch {
+            dispatch_secs: if full {
+                members[members.len() - 1].arrival_secs
+            } else {
+                deadline
+            },
+            requests: members.iter().map(|r| r.id).collect(),
+            window_of: members
+                .iter()
+                .map(|r| windows.iter().position(|&w| w == r.window_end).unwrap())
+                .collect(),
+            windows,
+        });
+        start = end;
+    }
+    batches
+}
+
 fn arb_cost(scale_pow: u32, halo: bool) -> BatchCost {
     let cost = CostModel::polaris();
     BatchCost {
@@ -305,7 +345,7 @@ proptest! {
     }
 
     /// With the SLO gates inert, `admit_and_coalesce` is bit-for-bit the
-    /// plain `coalesce` schedule.
+    /// plain policy's schedule, as the oracle cuts it.
     #[test]
     fn unbounded_slo_is_plain_coalesce(
         n in 1usize..70,
@@ -321,7 +361,7 @@ proptest! {
         };
         let cost = arb_cost(scale_pow, true);
         let gated = admit_and_coalesce(&rs, &queue, &SloConfig::unbounded(), &cost);
-        let plain = coalesce(&rs, &queue);
+        let plain = plain_policy(&rs, &queue);
         prop_assert!(gated.rejections.is_empty());
         prop_assert_eq!(gated.batches.len(), plain.len());
         for (a, b) in gated.batches.iter().zip(&plain) {
