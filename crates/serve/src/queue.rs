@@ -72,7 +72,6 @@ pub(crate) struct OpenBatch {
     open: Option<MicroBatch>,
     /// When the open batch's timer fires (∞ while none is open).
     deadline: f64,
-    last_arrival: f64,
 }
 
 impl OpenBatch {
@@ -83,18 +82,13 @@ impl OpenBatch {
             cfg: *cfg,
             open: None,
             deadline: f64::INFINITY,
-            last_arrival: f64::NEG_INFINITY,
         }
     }
 
-    /// Observe an arrival at `at`: if the open batch's timer fired before
-    /// it, the batch dispatches at its deadline and is returned.
+    /// Observe an arrival at `at`, no earlier than the last one observed:
+    /// if the open batch's timer fired before it, the batch dispatches at
+    /// its deadline and is returned.
     pub(crate) fn flush_due(&mut self, at: f64) -> Option<MicroBatch> {
-        assert!(
-            at >= self.last_arrival,
-            "requests must be sorted by arrival"
-        );
-        self.last_arrival = at;
         let due = self.open.take_if(|_| at > self.deadline);
         if due.is_some() {
             self.deadline = f64::INFINITY;
@@ -161,7 +155,7 @@ impl OpenBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::{admit_and_coalesce, BatchCost, SloConfig};
+    use crate::slo::{admit_and_coalesce, BatchCost, ShedReason, SloConfig};
     use st_device::CostModel;
 
     /// The plain policy: the one scheduler with its SLO gates inert.
@@ -256,10 +250,51 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sorted by arrival")]
     fn unsorted_arrivals_are_rejected() {
+        let cost = BatchCost {
+            halo_bytes_per_window: 0,
+            flops_per_window: 1e9,
+            cost: CostModel::polaris(),
+        };
         let cfg = QueueConfig::default();
-        schedule(&[req(0, 1.0, 10), req(1, 0.5, 11)], &cfg);
+        let slo = SloConfig::unbounded();
+        // A decreasing arrival, then a NaN one: each is shed with the
+        // latest in-order arrival before it, and neither moves the queue.
+        let rs = [
+            req(0, 1.0, 10),
+            req(1, 0.5, 11),
+            req(2, f64::NAN, 12),
+            req(3, 1.5, 12),
+        ];
+        let out = admit_and_coalesce(&rs, &cfg, &slo, &cost);
+        assert_eq!(out.rejections.len(), 2);
+        assert_eq!(out.rejections[0].id, 1);
+        assert_eq!(
+            out.rejections[0].reason,
+            ShedReason::OutOfOrder {
+                arrival_secs: 0.5,
+                latest_secs: 1.0
+            }
+        );
+        assert_eq!(out.rejections[1].id, 2);
+        assert!(matches!(
+            out.rejections[1].reason,
+            ShedReason::OutOfOrder { arrival_secs, latest_secs }
+                if arrival_secs.is_nan() && latest_secs == 1.0
+        ));
+        let kept = schedule(&[req(0, 1.0, 10), req(3, 1.5, 12)], &cfg);
+        assert_eq!(out.batches.len(), kept.len());
+        for (got, want) in out.batches.iter().zip(&kept) {
+            assert_eq!(got.requests, want.requests);
+            assert_eq!(got.dispatch_secs, want.dispatch_secs);
+        }
+        // The first arrival is checked against −∞; a NaN is still shed.
+        let out = admit_and_coalesce(&[req(0, f64::NAN, 10)], &cfg, &slo, &cost);
+        assert!(out.batches.is_empty());
+        assert!(matches!(
+            out.rejections[0].reason,
+            ShedReason::OutOfOrder { latest_secs, .. } if latest_secs == f64::NEG_INFINITY
+        ));
     }
 
     #[test]

@@ -195,11 +195,14 @@ fn dispatch(b: &MicroBatch, busy: f64, cost: &BatchCost, in_system: &mut VecDequ
 
 /// Coalesce arrival-ordered requests into micro-batches under the
 /// [`crate::queue`] policy with SLO admission control, shedding arrivals
-/// that would overflow the queue or miss their deadline.
+/// that would overflow the queue or miss their deadline. An arrival
+/// earlier than the latest in-order one before it, or a NaN arrival, is
+/// shed as [`ShedReason::OutOfOrder`] and moves nothing, the rule
+/// [`crate::BatchedServer::serve`] applies to a call.
 ///
-/// Panics if arrivals are not non-decreasing, `max_batch == 0`,
-/// `max_delay_secs < 0`, or `deadline_secs <= 0` (an unmeetable-by-
-/// construction SLO is a config error, not traffic).
+/// Panics if `max_batch == 0`, `max_delay_secs < 0`, or
+/// `deadline_secs <= 0` (an unmeetable-by-construction SLO is a config
+/// error, not traffic).
 pub fn admit_and_coalesce(
     requests: &[PendingRequest],
     queue: &QueueConfig,
@@ -219,7 +222,21 @@ pub fn admit_and_coalesce(
     // Modeled completions of dispatched-but-unfinished requests,
     // ascending; the depth ledger.
     let mut in_system: VecDeque<f64> = VecDeque::new();
+    let mut latest = f64::NEG_INFINITY;
     for r in requests {
+        // False for a NaN arrival too.
+        let in_order = r.arrival_secs >= latest;
+        if !in_order {
+            rejections.push(Shed {
+                id: r.id,
+                reason: ShedReason::OutOfOrder {
+                    arrival_secs: r.arrival_secs,
+                    latest_secs: latest,
+                },
+            });
+            continue;
+        }
+        latest = r.arrival_secs;
         if let Some(b) = open.flush_due(r.arrival_secs) {
             busy = dispatch(&b, busy, cost, &mut in_system);
             batches.push(b);

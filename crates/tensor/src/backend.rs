@@ -1,8 +1,8 @@
 //! Pluggable compute backends: the [`Kernels`] trait and its two
 //! implementations, [`Reference`] (the original naive loops) and [`Tiled`]
-//! (cache-blocked, register-tiled, packed-panel kernels; explicit AVX-512
-//! register tiles for the GEMM and the CSR SpMM when the build target has
-//! `avx512f`).
+//! (register-tiled kernels that read their operands where they lie, with
+//! no packed copies; explicit AVX-512 register tiles for the GEMM and the
+//! CSR SpMM when the build target has `avx512f`).
 //!
 //! Every dense hot loop in the workspace — trainer, the distributed step
 //! engine, `st-serve` inference, and the benches — bottoms out in the four
@@ -20,7 +20,10 @@
 //! output element is exactly the reference kernel's. The AVX-512 tiles keep
 //! the same sequence per lane: a multiply then a separate add, each rounded
 //! to nearest exactly as `_mm512_mul_ps` / `_mm512_add_ps` round, never
-//! `fmadd`. This is what lets the engine's golden tests pin train-loss
+//! `fmadd`. Operand order is kept as well — the `A` element first in every
+//! multiply, the product first in every add, each batch's tile first in
+//! the weight gradient's batch sum — so even NaN payloads agree. This is
+//! what lets the engine's golden tests pin train-loss
 //! *bits* while the backend underneath is swapped freely. The proptest
 //! suite (`tests/proptests_kernels.rs`) pins the contract across ragged
 //! shapes; DESIGN.md §8 documents the reasoning.
@@ -37,7 +40,6 @@
 
 use crate::math;
 use crate::par;
-use crate::storage::Storage;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -569,68 +571,158 @@ pub(crate) mod avx512;
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 use avx512 as tile;
 
-/// The portable tile, the only one on targets without AVX-512: `4×8`
-/// accumulators the compiler keeps in four ymm registers, and the naive
-/// CSR row.
+/// The portable tile, the only one on targets without AVX-512: a `4×8`
+/// block of accumulators the compiler keeps in four ymm registers, and the
+/// naive CSR row.
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 mod tile {
     pub(super) use super::naive_spmm_row as spmm_row;
+    use super::{Dst, Operands};
 
-    /// Rows per register micro-tile.
+    /// Rows per GEMM block.
     pub const MR: usize = 4;
-    /// Columns per packed B panel (and per register micro-tile).
-    pub const NR: usize = 8;
+    /// Columns per GEMM block.
+    pub const NC: usize = 8;
+    /// Rows per block of a one-column product.
+    pub const COL_MR: usize = MR;
 
-    /// The `MR×NR` register micro-kernel: partial sums stay in registers
-    /// across the whole `k` loop (ascending, `mul` then `add` — never FMA)
-    /// and are returned whole; ragged edges only narrow the caller's store.
-    #[inline]
-    pub(super) fn micro(apack: &[f32], panel: &[f32]) -> [[f32; NR]; MR] {
-        let mut acc = [[0.0f32; NR]; MR];
-        for (al, bp) in apack.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
-            let al: &[f32; MR] = al.try_into().expect("packed A lane");
-            let bp: &[f32; NR] = bp.try_into().expect("packed B lane");
-            for (accr, &av) in acc.iter_mut().zip(al) {
-                for (accv, &bv) in accr.iter_mut().zip(bp) {
-                    *accv += av * bv;
+    /// `dst` rows `i0..i0 + rows`, columns `j0..j0 + cols` of `A @ B`: the
+    /// partial sums stay in registers across the whole `k` loop (ascending,
+    /// `mul` then `add` — never FMA, `A` read where it lies), then each row
+    /// is stored, or added into `dst` as `add_assign` adds (`v` first; the
+    /// NaN payload it keeps), split where an output panel ends.
+    pub(super) fn block(
+        ops: &Operands,
+        i0: usize,
+        rows: usize,
+        j0: usize,
+        cols: usize,
+        dst: &mut Dst,
+    ) {
+        let mut acc = [[0.0f32; NC]; MR];
+        let mut l = 0;
+        for s in ops.lhs {
+            for t in 0..s.lanes {
+                let brow = &ops.b[l * ops.ldb + j0..][..cols];
+                for (r, accr) in acc.iter_mut().enumerate().take(rows) {
+                    let av = s.a[(i0 + r) * s.rs + t * s.ls];
+                    for (c, &bv) in accr.iter_mut().zip(brow) {
+                        *c += av * bv;
+                    }
                 }
+                l += 1;
             }
         }
-        acc
+        let mut off = 0;
+        for (p, w) in dst.panels.iter_mut() {
+            let (lo, hi) = (j0.max(off), (j0 + cols).min(off + *w));
+            for (r, accr) in acc.iter().enumerate().take(rows).filter(|_| lo < hi) {
+                let at = (i0 + r) * *w + lo - off;
+                let (row, v) = (&mut p[at..at + hi - lo], &accr[lo - j0..hi - j0]);
+                if dst.add {
+                    for (d, &x) in row.iter_mut().zip(v) {
+                        *d += x;
+                    }
+                } else {
+                    row.copy_from_slice(v);
+                }
+            }
+            off += *w;
+        }
     }
 
-    /// `dst += v`, written as `add_assign` writes it, so it compiles to the
-    /// same operand order (`v` first; the NaN payload it keeps).
-    #[inline]
-    pub(super) fn add_into(dst: &mut [f32], v: &[f32]) {
-        for (d, &x) in dst.iter_mut().zip(v) {
-            *d += x;
+    /// The one-column case of [`block`].
+    pub(super) fn column(ops: &Operands, i0: usize, rows: usize, dst: &mut Dst) {
+        block(ops, i0, rows, 0, 1, dst);
+    }
+}
+
+use tile::{COL_MR, MR, NC};
+
+/// One stretch of a GEMM's `k` loop, read where it lies: `lanes` lanes
+/// whose lhs element for row `r`, lane `t` is `a[r * rs + t * ls]`.
+#[derive(Clone, Copy)]
+pub(crate) struct Lhs<'a> {
+    pub(crate) a: &'a [f32],
+    pub(crate) rs: usize,
+    pub(crate) ls: usize,
+    pub(crate) lanes: usize,
+}
+
+impl<'a> Lhs<'a> {
+    /// A row-major `[.., k]` matrix (or a column panel of width `k`).
+    fn rows(a: &'a [f32], k: usize) -> Self {
+        Lhs {
+            a,
+            rs: k,
+            ls: 1,
+            lanes: k,
         }
     }
 }
 
-pub use tile::{MR, NR};
+/// A GEMM's operands as the tiles read them, in place: the lhs stretch by
+/// stretch along `k`, and the rhs, whose row `l` (counted across all
+/// stretches) starts at `b[l * ldb]`.
+pub(crate) struct Operands<'a> {
+    pub(crate) lhs: &'a [Lhs<'a>],
+    pub(crate) b: &'a [f32],
+    pub(crate) ldb: usize,
+}
 
-/// Products smaller than this many scalar ops take the naive kernel —
-/// packing overhead only pays off once the B panel is re-streamed across
-/// several row blocks. Both paths are bitwise identical, so the switch is
-/// purely a latency decision.
-const TILE_MIN_WORK: usize = 16 * 1024;
+/// Where a GEMM's rows go: column panels `(buffer, width)` side by side,
+/// row `i` of panel `q` at `buffer[i * width..]`; one panel is a plain
+/// matrix. A tile is stored, or, with `add`, added into what is there (the
+/// weight gradient's batch sum).
+pub(crate) struct Dst<'o, 'a> {
+    pub(crate) panels: &'o mut [(&'a mut [f32], usize)],
+    pub(crate) add: bool,
+}
 
-/// Cache-blocked, register-tiled kernels with packed B panels.
+/// `panels = lhs @ b[k, n]` over rows `0..rows`: `MR×NC` blocks, row
+/// blocks outermost, or one-column blocks of `COL_MR` rows when `n == 1`.
+/// The tile reads both operands where they lie and writes each block
+/// once; nothing is packed or allocated.
+fn gemm(
+    lhs: &[Lhs],
+    b: &[f32],
+    rows: usize,
+    n: usize,
+    panels: &mut [(&mut [f32], usize)],
+    add: bool,
+) {
+    let (ops, dst) = (&Operands { lhs, b, ldb: n }, &mut Dst { panels, add });
+    if n == 1 {
+        for i0 in (0..rows).step_by(COL_MR) {
+            tile::column(ops, i0, COL_MR.min(rows - i0), dst);
+        }
+        return;
+    }
+    for i0 in (0..rows).step_by(MR) {
+        for j0 in (0..n).step_by(NC) {
+            tile::block(ops, i0, MR.min(rows - i0), j0, NC.min(n - j0), dst);
+        }
+    }
+}
+
+/// Register-tiled kernels that read their operands where they lie.
 ///
-/// GEMM walks `NR`-column panels of a packed copy of `B`; each `MR×NR`
-/// micro-tile keeps its partial sums in registers across the whole `k`
-/// loop, so `C` is written once instead of being re-loaded per `k` step,
-/// and `B`'s traffic drops by `MR×`. The `k` loop is never split or
-/// reassociated — see the module docs for the bitwise contract.
+/// Every GEMM runs one driver: `MR`-row blocks of the output, split over
+/// the pool as whole blocks, each swept in `NC`-column register blocks
+/// whose partial sums stay in registers across the whole `k` loop, so `C`
+/// is written once. The lhs is read through row and lane strides (a
+/// matrix, column panels, a transposed panel), the rhs row by row, and the
+/// store splits at output panel edges; nothing is packed. A one-column
+/// product runs its own block, one output row per lane. The `k` loop is
+/// never split or reassociated — see the module docs for the bitwise
+/// contract.
 ///
 /// The tile is chosen at build time. With `avx512f` in the target
-/// (`-C target-cpu=native` on an AVX-512 host) it is `8×16`, eight zmm
-/// accumulators, and `spmm` runs each CSR row's columns in 16-lane zmm
-/// strips, up to four accumulators per pass, storing each strip once.
-/// Everywhere else it is the portable `4×8` tile and `spmm` is the
-/// reference's row loop.
+/// (`-C target-cpu=native` on an AVX-512 host) it is `12×32`, 24 zmm
+/// accumulators (a one-column block holds 64 rows in four), and `spmm`
+/// runs each CSR row's columns in 16-lane zmm strips, up to four
+/// accumulators per pass, storing each strip once. Everywhere else it is
+/// the portable `4×8` tile and `spmm` is the reference's row loop.
 pub struct Tiled;
 
 impl Kernels for Tiled {
@@ -639,17 +731,15 @@ impl Kernels for Tiled {
     }
 
     fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
+        assert_eq!(a.len(), m * k, "an [m, k] lhs");
         if m == 0 || n == 0 {
             return;
         }
-        if k == 0 || m * n * k < TILE_MIN_WORK {
-            return Reference.matmul(a, b, out, m, k, n);
-        }
-        let packed = pack_b(b, k, n);
-        tiled_rows_parallel(a, &packed, out, k, n, m * n * k);
+        // `MR`-aligned row blocks over the pool.
+        par::parallel_slabs(out, MR * n, m * n * k, |group, slab| {
+            let lhs = [Lhs::rows(&a[group * MR * k..], k)];
+            gemm(&lhs, b, slab.len() / n, n, &mut [(slab, n)], false);
+        });
     }
 
     fn bmm(
@@ -663,27 +753,19 @@ impl Kernels for Tiled {
         n: usize,
         shared_rhs: bool,
     ) {
+        if shared_rhs {
+            // A one-panel lhs.
+            return self.bmm_panels(&[a], &[k], b, out, bs, m, n);
+        }
         if bs == 0 || m == 0 || n == 0 {
             return;
         }
-        let work = bs * m * n * k;
-        if k == 0 || work < TILE_MIN_WORK {
-            return Reference.bmm(a, b, out, bs, m, k, n, shared_rhs);
-        }
-        if shared_rhs {
-            // A one-panel lhs: the rhs is packed once for the whole batch.
-            return self.bmm_panels(&[a], &[k], b, out, bs, m, n);
-        }
-        par::parallel_fill_chunks(out, m * n, work, |i, slab| {
-            let packed = pack_b(&b[i * k * n..(i + 1) * k * n], k, n);
-            tiled_rows(
-                &[(&a[i * m * k..(i + 1) * m * k], k)],
-                &packed,
-                &mut [(slab, n)],
-                m,
-                k,
-                n,
+        par::parallel_fill_chunks(out, m * n, bs * m * n * k, |i, slab| {
+            let (a, b) = (
+                &a[i * m * k..(i + 1) * m * k],
+                &b[i * k * n..(i + 1) * k * n],
             );
+            gemm(&[Lhs::rows(a, k)], b, m, n, &mut [(slab, n)], false);
         });
     }
 
@@ -697,23 +779,19 @@ impl Kernels for Tiled {
         m: usize,
         n: usize,
     ) {
+        for (p, &w) in panels.iter().zip(widths) {
+            assert_eq!(p.len(), bs * m * w, "a [bs, m, width] panel");
+        }
         if bs == 0 || m == 0 || n == 0 {
             return;
         }
         let k: usize = widths.iter().sum();
-        let work = bs * m * n * k;
-        if k == 0 || work < TILE_MIN_WORK {
-            return Reference.bmm_panels(panels, widths, b, out, bs, m, n);
-        }
-        // The shared rhs is packed once; only the A-lane packer sees panels.
-        let packed = pack_b(b, k, n);
-        par::parallel_fill_chunks(out, m * n, work, |i, slab| {
-            let lhs: Vec<(&[f32], usize)> = panels
-                .iter()
-                .zip(widths)
-                .map(|(&p, &w)| (&p[i * m * w..(i + 1) * m * w], w))
+        // Batches over the pool; batch `i`'s lhs is one stretch per panel.
+        par::parallel_fill_chunks(out, m * n, bs * m * n * k, |i, slab| {
+            let lhs: Vec<Lhs> = (panels.iter().zip(widths))
+                .map(|(&p, &w)| Lhs::rows(&p[i * m * w..], w))
                 .collect();
-            tiled_rows(&lhs, &packed, &mut [(slab, n)], m, k, n);
+            gemm(&lhs, b, m, n, &mut [(slab, n)], false);
         });
     }
 
@@ -731,13 +809,8 @@ impl Kernels for Tiled {
         if bs == 0 || m == 0 || n == 0 {
             return;
         }
-        let work = bs * m * n * k;
-        if k == 0 || work < TILE_MIN_WORK {
-            return Reference.bmm_split(a, b, outs, widths, bs, m, k);
-        }
-        // One GEMM over all `n` columns (no per-panel NR padding); batch
-        // `i`'s slice of every output panel goes to the chunk that runs it.
-        let packed = pack_b(b, k, n);
+        // One GEMM over all `n` columns; batch `i`'s slice of every output
+        // panel goes to the chunk that runs it.
         let mut batches: Vec<Vec<(&mut [f32], usize)>> = (0..bs).map(|_| Vec::new()).collect();
         for (out, &w) in outs.iter_mut().zip(widths).filter(|(_, &w)| w > 0) {
             for (slabs, slab) in batches.iter_mut().zip(out.chunks_exact_mut(m * w)) {
@@ -745,17 +818,11 @@ impl Kernels for Tiled {
             }
         }
         let batches: Vec<Mutex<_>> = batches.into_iter().map(Mutex::new).collect();
-        par::parallel_chunks(bs, work, |_, start, end| {
+        par::parallel_chunks(bs, bs * m * n * k, |_, start, end| {
             for (i, outs) in batches.iter().enumerate().take(end).skip(start) {
                 let mut outs = outs.lock().expect("a batch is locked once, by its chunk");
-                tiled_rows(
-                    &[(&a[i * m * k..(i + 1) * m * k], k)],
-                    &packed,
-                    &mut outs,
-                    m,
-                    k,
-                    n,
-                );
+                let a = &a[i * m * k..(i + 1) * m * k];
+                gemm(&[Lhs::rows(a, k)], b, m, n, &mut outs, false);
             }
         });
     }
@@ -774,58 +841,37 @@ impl Kernels for Tiled {
         if bs == 0 || k == 0 || n == 0 {
             return;
         }
-        let work = bs * m * n * k;
-        if work < TILE_MIN_WORK {
-            return Reference.bmm_panels_dw(panels, widths, g, out, bs, m, n);
-        }
         for (p, &w) in panels.iter().zip(widths) {
             assert_eq!(p.len(), bs * m * w, "a [bs, m, width] panel");
         }
-        // Every batch's `g[b]` packed once, for all row blocks.
-        let gp = n.div_ceil(NR) * m * NR;
-        let mut packed = Storage::scratch(bs * gp);
-        for (dst, gb) in packed
-            .make_mut()
-            .chunks_exact_mut(gp)
-            .zip(g.chunks_exact(m * n))
-        {
-            pack_b_into(gb, m, n, dst);
-        }
-        let packed = packed.as_slice();
-        // Row blocks of `out` in parallel; each block runs the batches in
-        // order, so every element's batch sum keeps its order.
-        par::parallel_slabs(out, MR * n, work, |group, slab| {
-            let mut apack = vec![0.0f32; m * MR];
-            for (blk, oblk) in slab.chunks_mut(MR * n).enumerate() {
-                let (i0, rows) = ((group + blk) * MR, oblk.len() / n);
-                if rows < MR {
-                    // Padded row lanes accumulate zeros and are never stored.
-                    apack.fill(0.0);
+        // Row blocks of `out` in parallel. Output row `c` of panel `p` is
+        // the panel's column `c` read down its `m` rows (row stride 1, lane
+        // stride `w`); each block runs the batches in order, batch 0 stored
+        // and each later one added, so every element's sum keeps its order.
+        par::parallel_slabs(out, MR * n, bs * m * n * k, |group, slab| {
+            let (s0, s1) = (group * MR, group * MR + slab.len() / n);
+            let mut off = 0;
+            for (&p, &w) in panels.iter().zip(widths) {
+                let (lo, hi) = (s0.max(off), s1.min(off + w));
+                for b in (0..bs).filter(|_| lo < hi) {
+                    let a = &p[b * m * w + lo - off..];
+                    let lhs = [Lhs {
+                        a,
+                        rs: 1,
+                        ls: w,
+                        lanes: m,
+                    }];
+                    let rows = &mut slab[(lo - s0) * n..(hi - s0) * n];
+                    gemm(
+                        &lhs,
+                        &g[b * m * n..(b + 1) * m * n],
+                        hi - lo,
+                        n,
+                        &mut [(rows, n)],
+                        b > 0,
+                    );
                 }
-                let runs = panel_runs(widths, i0, rows);
-                for (b, gb) in packed.chunks_exact(gp).enumerate() {
-                    // Lane `l` of the block is row `l` of batch `b`'s panels,
-                    // columns `i0..i0 + rows`, read where they lie.
-                    for &(p, c0, r0, len) in &runs {
-                        let w = widths[p];
-                        let pb = &panels[p][b * m * w..(b + 1) * m * w];
-                        for (lane, prow) in apack.chunks_exact_mut(MR).zip(pb.chunks_exact(w)) {
-                            lane[r0..r0 + len].copy_from_slice(&prow[c0..c0 + len]);
-                        }
-                    }
-                    for (pj, bpanel) in gb.chunks_exact(m * NR).enumerate() {
-                        let acc = tile::micro(&apack, bpanel);
-                        let (j0, cols) = (pj * NR, NR.min(n - pj * NR));
-                        for (orow, accr) in oblk.chunks_exact_mut(n).zip(&acc) {
-                            let dst = &mut orow[j0..j0 + cols];
-                            if b == 0 {
-                                dst.copy_from_slice(&accr[..cols]);
-                            } else {
-                                tile::add_into(dst, &accr[..cols]);
-                            }
-                        }
-                    }
-                }
+                off += w;
             }
         });
     }
@@ -869,125 +915,6 @@ impl Kernels for Tiled {
     }
 }
 
-/// Pack `b[k,n]` into `NR`-column panels: panel `p` holds columns
-/// `p*NR..p*NR+NR` contiguously per `k` step (`packed[(p*k + l)*NR + c] =
-/// b[l*n + p*NR + c]`), zero-padded past `n`. Padded lanes are computed but
-/// never stored to `out`.
-fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let mut packed = vec![0.0f32; n.div_ceil(NR) * k * NR];
-    pack_b_into(b, k, n, &mut packed);
-    packed
-}
-
-/// [`pack_b`] into `packed`, every element written (pads included).
-fn pack_b_into(b: &[f32], k: usize, n: usize, packed: &mut [f32]) {
-    for (p, panel) in packed.chunks_exact_mut(k * NR).enumerate() {
-        let j0 = p * NR;
-        let w = NR.min(n - j0);
-        for (lane, src) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
-            lane[..w].copy_from_slice(&src[j0..j0 + w]);
-            lane[w..].fill(0.0);
-        }
-    }
-}
-
-/// The columns `i0..i0 + rows` of the panels laid side by side, as runs
-/// `(panel, first column in it, first row of the block, length)` — where a
-/// row block of the stacked transposes lies in the panels.
-fn panel_runs(widths: &[usize], i0: usize, rows: usize) -> Vec<(usize, usize, usize, usize)> {
-    let mut runs = Vec::new();
-    let mut off = 0;
-    for (p, &w) in widths.iter().enumerate() {
-        let (lo, hi) = (i0.max(off), (i0 + rows).min(off + w));
-        if lo < hi {
-            runs.push((p, lo - off, lo - i0, hi - lo));
-        }
-        off += w;
-    }
-    runs
-}
-
-/// Tiled GEMM over `out[m,n]` with `packed` panels, parallel across
-/// MR-aligned row blocks.
-fn tiled_rows_parallel(
-    a: &[f32],
-    packed: &[f32],
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-    work: usize,
-) {
-    par::parallel_slabs(out, MR * n, work, |group, slab| {
-        let i0 = group * MR;
-        let rows = slab.len() / n;
-        tiled_rows(
-            &[(&a[i0 * k..(i0 + rows) * k], k)],
-            packed,
-            &mut [(slab, n)],
-            rows,
-            k,
-            n,
-        );
-    });
-}
-
-/// Sequential tiled GEMM body: `out[m,n] = A[m,k] @ B` where `B` was packed
-/// by [`pack_b`]. `A` is `lhs` and `out` is `outs`, each as column panels
-/// `(buffer, width)` laid side by side; one panel `(a, k)` or `(out, n)` is a
-/// plain matrix. Each `MR`-row block of `A` is repacked `l`-major
-/// (`apack[l*MR + r] = A[i+r, l]`, lane `l` read from the panel that holds
-/// it, zero-padded lanes past `m`) so the micro-kernel streams both operands
-/// contiguously; the pack cost is repaid `n/NR` times over as the block
-/// sweeps the panels. Each tile's columns are stored to the output panels
-/// that hold them.
-fn tiled_rows(
-    lhs: &[(&[f32], usize)],
-    packed: &[f32],
-    outs: &mut [(&mut [f32], usize)],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let panels = n.div_ceil(NR);
-    let mut apack = vec![0.0f32; k * MR];
-    let mut i = 0;
-    while i < m {
-        let rows = MR.min(m - i);
-        if rows < MR {
-            // Padded row lanes accumulate zeros and are never stored.
-            apack.fill(0.0);
-        }
-        for r in 0..rows {
-            let mut lane0 = 0;
-            for &(a, w) in lhs {
-                let arow = &a[(i + r) * w..(i + r + 1) * w];
-                for (l, &av) in arow.iter().enumerate() {
-                    apack[(lane0 + l) * MR + r] = av;
-                }
-                lane0 += w;
-            }
-        }
-        for p in 0..panels {
-            let j0 = p * NR;
-            let cols = NR.min(n - j0);
-            let acc = tile::micro(&apack, &packed[p * k * NR..(p + 1) * k * NR]);
-            // Columns j0..j0+cols, split where an output panel ends.
-            let mut off = 0;
-            for (out, w) in outs.iter_mut() {
-                let (lo, hi) = (j0.max(off), (j0 + cols).min(off + *w));
-                if lo < hi {
-                    for (r, accr) in acc.iter().enumerate().take(rows) {
-                        let at = (i + r) * *w + lo - off;
-                        out[at..at + hi - lo].copy_from_slice(&accr[lo - j0..hi - j0]);
-                    }
-                }
-                off += *w;
-            }
-        }
-        i += rows;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1014,7 +941,7 @@ mod tests {
 
     #[test]
     fn tiled_matmul_bitwise_equals_reference() {
-        // Sizes above TILE_MIN_WORK with ragged m/k/n remainders.
+        // Ragged m/k/n remainders against the register blocks.
         for (m, k, n) in [(64, 64, 64), (67, 33, 41), (128, 37, 9), (31, 130, 65)] {
             let (r, t) = matmul_both(m, k, n);
             for (i, (x, y)) in r.iter().zip(&t).enumerate() {

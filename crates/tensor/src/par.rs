@@ -46,8 +46,11 @@ use std::time::{Duration, Instant};
 /// sequentially.
 ///
 /// Re-derived against the resident pool (2-core Xeon host, release,
-/// `target-cpu=native`, tiled GEMM at about 12 G scalar ops/s at these
-/// sizes) and kept at 2¹⁵:
+/// `target-cpu=native`) and kept at 2¹⁵. The inline times below were
+/// taken with the packed `8×16` GEMM tile, about 12 G scalar ops/s at
+/// these sizes; the in-place `12×32` tile runs them at about 30 G/s (a
+/// 32³ GEMM in 1.1 µs, 128×64×64 in 17.5 µs), so the inline break-even
+/// now lies about 2.5× higher and the constant is due a re-derivation:
 ///
 /// - *Hot* dispatch — a worker is polling — costs the caller 0.3 µs when it
 ///   ends up running both chunks itself (`st_tensor.par_dispatch_us` on

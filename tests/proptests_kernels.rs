@@ -60,7 +60,7 @@ proptest! {
 
     /// Tiled GEMM == reference GEMM, bit for bit, across ragged shapes that
     /// straddle the small-product fallback and the tile remainders
-    /// (m % MR, n % NR, any k — including empty dims).
+    /// (m % MR, n % NC, any k — including empty dims).
     #[test]
     fn tiled_matmul_bitwise_equals_reference(
         m in 0usize..70,
@@ -78,7 +78,9 @@ proptest! {
     }
 
     /// Batched GEMM agrees in both rhs modes: one shared `[k,n]` weight
-    /// (the seq2seq unroll) and a per-batch `[bs,k,n]` rhs.
+    /// (the seq2seq unroll) and a per-batch `[bs,k,n]` rhs, with NaNs of
+    /// four payloads, ±∞ and −0.0 planted, two of the NaNs where they meet
+    /// in one product.
     #[test]
     fn tiled_bmm_bitwise_equals_reference(
         bs in 0usize..5,
@@ -86,16 +88,58 @@ proptest! {
         k in 0usize..40,
         n in 0usize..40,
         shared in any::<bool>(),
+        specials in proptest::collection::vec((any::<u32>(), 0u8..7, any::<bool>()), 0..6),
+        meet in (any::<u32>(), 4u8..7),
         seed in any::<u32>(),
     ) {
-        let a = fill(bs * m * k, seed);
+        let mut a = fill(bs * m * k, seed);
         let blen = if shared { k * n } else { bs * k * n };
-        let b = fill(blen, seed.wrapping_add(2));
+        let mut b = fill(blen, seed.wrapping_add(2));
+        plant(&specials, &mut a, &mut b);
+        if bs * m * k * n > 0 {
+            let (r, l, c, x, y) = meeting(meet, bs * m, k, n);
+            a[r * k + l] = x;
+            b[if shared { 0 } else { r / m * k * n } + l * n + c] = y;
+        }
         let mut r = vec![0.0f32; bs * m * n];
         let mut t = vec![0.0f32; bs * m * n];
         reference().bmm(&a, &b, &mut r, bs, m, k, n, shared);
         tiled().bmm(&a, &b, &mut t, bs, m, k, n, shared);
         prop_assert_eq!(bits(&r), bits(&t), "({}, {}, {}, {}) shared={}", bs, m, k, n, shared);
+    }
+
+    /// A projection's narrow shapes, shared rhs: one output column (rows
+    /// 64 to a block, read down a column of the lhs), two columns, and one
+    /// lane (`k = 1`), over up to 267 rows (several 12- and 64-row blocks
+    /// and every remainder), with NaNs of four payloads, ±∞ and −0.0
+    /// planted and two NaNs meeting in one product, so the operand order of
+    /// every multiply is pinned.
+    #[test]
+    fn narrow_bmm_bitwise_equals_reference(
+        bs in 1usize..4,
+        m in 1usize..90,
+        wide in 1usize..40,
+        which in 0u8..3,
+        specials in proptest::collection::vec((any::<u32>(), 0u8..7, any::<bool>()), 0..6),
+        meet in (any::<u32>(), 4u8..7),
+        seed in any::<u32>(),
+    ) {
+        let (k, n) = match which {
+            0 => (wide, 1),
+            1 => (wide, 2),
+            _ => (1, wide),
+        };
+        let mut a = fill(bs * m * k, seed);
+        let mut b = fill(k * n, seed.wrapping_add(3));
+        plant(&specials, &mut a, &mut b);
+        let (r, l, c, x, y) = meeting(meet, bs * m, k, n);
+        a[r * k + l] = x;
+        b[l * n + c] = y;
+        let mut want = vec![0.0f32; bs * m * n];
+        let mut got = vec![0.0f32; bs * m * n];
+        reference().bmm(&a, &b, &mut want, bs, m, k, n, true);
+        tiled().bmm(&a, &b, &mut got, bs, m, k, n, true);
+        prop_assert_eq!(bits(&want), bits(&got), "({}, {}, {}, {})", bs, m, k, n);
     }
 
     /// Tiled SpMM == reference SpMM, bit for bit: 0 to 69 rows of 0 to 5
@@ -207,16 +251,19 @@ proptest! {
     }
 
     /// The panel GEMM equals concatenate-then-`bmm`, bit for bit, on both
-    /// backends: ragged panel widths (1 to 69), NaN / ±∞ / −0.0 planted in
-    /// the panels and the rhs. `Reference::bmm_panels` is itself the
-    /// concatenation and the naive `bmm`, so it is checked too.
+    /// backends: ragged panel widths (1 to 69), `n` up to 70 (one to three
+    /// zmm strips and every tail), NaNs of four payloads, ±∞ and −0.0
+    /// planted in the panels and the rhs, two of the NaNs where they meet
+    /// in one product. `Reference::bmm_panels` is itself the concatenation
+    /// and the naive `bmm`, so it is checked too.
     #[test]
     fn panel_gemm_bitwise_equals_concat_then_bmm(
         widths in proptest::collection::vec(1usize..70, 1..5),
         bs in 1usize..4,
         m in 1usize..40,
-        n in 1usize..40,
-        specials in proptest::collection::vec((any::<u32>(), 0u8..4), 0..6),
+        n in 1usize..71,
+        specials in proptest::collection::vec((any::<u32>(), 0u8..7), 0..6),
+        meet in (any::<u32>(), 4u8..7),
         seed in any::<u32>(),
     ) {
         let k: usize = widths.iter().sum();
@@ -232,8 +279,12 @@ proptest! {
                 _ => &mut b,
             };
             let i = at as usize / 7 % target.len();
-            target[i] = special(kind);
+            target[i] = payload_special(kind);
         }
+        let (r, l, c, x, y) = meeting(meet, bs * m, k, n);
+        let (p, t) = lane_in_panel(&widths, l);
+        panels[p][r * widths[p] + t] = x;
+        b[l * n + c] = y;
         let cat = concat_panels(&panels, &widths, bs * m);
         let refs: Vec<&[f32]> = panels.iter().map(Vec::as_slice).collect();
         let mut want = vec![0.0f32; bs * m * n];
@@ -256,14 +307,16 @@ proptest! {
 
     /// The split-store GEMM equals the whole `bmm` with its columns copied
     /// out panel by panel, bit for bit, on both backends, with the same
-    /// ragged widths and planted specials. It is the panel GEMM's `dPₖ`.
+    /// ragged widths and planted specials, two NaNs meeting in one product.
+    /// It is the panel GEMM's `dPₖ`.
     #[test]
     fn split_store_gemm_bitwise_equals_bmm_then_narrow(
         widths in proptest::collection::vec(1usize..70, 1..5),
         bs in 1usize..4,
         m in 1usize..40,
         k in 1usize..40,
-        specials in proptest::collection::vec((any::<u32>(), 0u8..4), 0..6),
+        specials in proptest::collection::vec((any::<u32>(), 0u8..7), 0..6),
+        meet in (any::<u32>(), 4u8..7),
         seed in any::<u32>(),
     ) {
         let n: usize = widths.iter().sum();
@@ -272,8 +325,11 @@ proptest! {
         for &(at, kind) in &specials {
             let target = if at % 2 == 0 { &mut a } else { &mut b };
             let i = at as usize / 7 % target.len();
-            target[i] = special(kind);
+            target[i] = payload_special(kind);
         }
+        let (r, l, c, x, y) = meeting(meet, bs * m, k, n);
+        a[r * k + l] = x;
+        b[l * n + c] = y;
         let mut full = vec![0.0f32; bs * m * n];
         reference().bmm(&a, &b, &mut full, bs, m, k, n, true);
         // Panel p: columns off..off+w of every row of the whole product.
@@ -300,8 +356,8 @@ proptest! {
     /// bit for bit, on both backends: the panels' transposes concatenated,
     /// one batched GEMM against `g`, and the products summed in batch order
     /// by `add_assign`. Ragged panel widths 1–69 put panel boundaries inside
-    /// the 8-row tiles, `K·in` and `n` are rarely multiples of `MR` and
-    /// `NR`, `bs = 1` is included, and NaNs of several payloads, ±∞ and
+    /// the 12-row blocks, `K·in` and `n` are rarely multiples of `MR` and
+    /// `NC`, `bs = 1` is included, and NaNs of several payloads, ±∞ and
     /// −0.0 are planted in the panels and in `g`: with two NaNs in one batch
     /// sum, only the add's operand order decides which payload survives.
     #[test]
@@ -500,6 +556,49 @@ fn payload_special(kind: u8) -> f32 {
         6 => f32::from_bits(0x7f80_0042),
         _ => special(kind),
     }
+}
+
+/// Each `(at, kind, in_a)` puts [`payload_special`]`(kind)` into `a` or
+/// `b` (skipping an empty one).
+fn plant(specials: &[(u32, u8, bool)], a: &mut [f32], b: &mut [f32]) {
+    for &(at, kind, in_a) in specials {
+        let target = if in_a { &mut *a } else { &mut *b };
+        if !target.is_empty() {
+            let i = at as usize / 7 % target.len();
+            target[i] = payload_special(kind);
+        }
+    }
+}
+
+/// Where two NaNs of different payloads meet in one product of a
+/// `[rows, k] @ [k, n]` GEMM: `(row, lane, column, A's NaN, B's NaN)`. A
+/// multiply that swaps its operands returns the other payload.
+fn meeting(
+    (at, kind): (u32, u8),
+    rows: usize,
+    k: usize,
+    n: usize,
+) -> (usize, usize, usize, f32, f32) {
+    let at = at as usize;
+    (
+        at % rows,
+        at / 7 % k,
+        at / 11 % n,
+        payload_special(kind),
+        payload_special(4 + (kind - 3) % 3),
+    )
+}
+
+/// The panel holding lane `l` of panels laid side by side, and the lane's
+/// column in it.
+fn lane_in_panel(widths: &[usize], mut l: usize) -> (usize, usize) {
+    for (p, &w) in widths.iter().enumerate() {
+        if l < w {
+            return (p, l);
+        }
+        l -= w;
+    }
+    panic!("lane past the panels")
 }
 
 /// `[rows, Σ widths]` from panels of `[rows, widths[p]]`.

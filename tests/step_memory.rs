@@ -16,6 +16,9 @@
 //!   was captured from it).
 //! - inside a `RecycleScope`, a second identical step takes every buffer of
 //!   at least 64 KiB from the scope: none comes from the system allocator.
+//! - the DCGRU's three panel GEMMs (forward, `dPₖ` and `dW`) allocate
+//!   nothing of 4 KiB or more but their outputs: the tiles read their
+//!   operands where they lie, with no packed copy.
 //!
 //! CI runs this binary at `ST_NUM_THREADS=1` and `=3`: the recycler is
 //! per thread, and the intra-op pool moves kernel work off the test thread.
@@ -25,7 +28,7 @@ use pgt_i::core::engine::StepLoop;
 use pgt_i::graph::{diffusion_supports, generators::highway_corridor};
 use pgt_i::models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
 use pgt_i::tensor::storage::{RecycleScope, RECYCLE_FLOOR_BYTES};
-use pgt_i::tensor::{random, Tensor};
+use pgt_i::tensor::{ops, random, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -34,11 +37,15 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 struct Counting;
 
 /// Bytes allocated minus bytes freed on flagged threads since the last
-/// [`measure`] began, its high-water mark, and allocations of at least
-/// [`RECYCLE_FLOOR_BYTES`].
+/// [`measure`] began, its high-water mark, allocations of at least
+/// [`RECYCLE_FLOOR_BYTES`], and allocations of at least [`PAGE_BYTES`].
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 static PEAK: AtomicIsize = AtomicIsize::new(0);
 static LARGE: AtomicUsize = AtomicUsize::new(0);
+static PAGES: AtomicUsize = AtomicUsize::new(0);
+
+/// The smallest allocation [`PAGES`] counts: a page.
+const PAGE_BYTES: usize = 4096;
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
@@ -53,6 +60,9 @@ fn grew(bytes: usize) {
     PEAK.fetch_max(live, Ordering::Relaxed);
     if bytes >= RECYCLE_FLOOR_BYTES {
         LARGE.fetch_add(1, Ordering::Relaxed);
+    }
+    if bytes >= PAGE_BYTES {
+        PAGES.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -104,15 +114,23 @@ static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// allocated − bytes freed) while it ran, and how many allocations of at
 /// least 64 KiB it made.
 fn measure<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+    let (out, peak, large, _) = measure_all(f);
+    (out, peak, large)
+}
+
+/// [`measure`], and how many allocations of at least 4 KiB `f` made.
+fn measure_all<R>(f: impl FnOnce() -> R) -> (R, usize, usize, usize) {
     let _one = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     LIVE.store(0, Ordering::Relaxed);
     PEAK.store(0, Ordering::Relaxed);
     LARGE.store(0, Ordering::Relaxed);
+    PAGES.store(0, Ordering::Relaxed);
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
     let peak = PEAK.load(Ordering::Relaxed).max(0) as usize;
-    (out, peak, LARGE.load(Ordering::Relaxed))
+    let pages = PAGES.load(Ordering::Relaxed);
+    (out, peak, LARGE.load(Ordering::Relaxed), pages)
 }
 
 const BATCH: usize = 4;
@@ -239,5 +257,42 @@ fn a_second_step_in_a_recycle_scope_allocates_no_large_buffer() {
     assert!(
         RecycleScope::held_bytes() > 0,
         "the scope kept the step's buffers"
+    );
+}
+
+/// At `train_wide_w2`'s DCGRU shapes (batch 8, 128 nodes, hidden 32, three
+/// 34-wide panels), outside a `RecycleScope`, the forward `bmm_panels`, the
+/// `dPₖ` `bmm_split` and the `dW` `bmm_panels_dw` each make exactly as many
+/// allocations of at least 4 KiB as they return tensors. A packed copy of
+/// the weight (13 KiB), of `g` (128 KiB) or of an lhs block (4 KiB) would
+/// each add one.
+#[test]
+fn the_panel_gemms_allocate_nothing_but_their_outputs() {
+    let mut rng = random::rng_from_seed(29);
+    let panels: Vec<Tensor> = (0..3)
+        .map(|_| random::uniform([8, 128, 34], -1.0, 1.0, &mut rng))
+        .collect();
+    let refs: Vec<&Tensor> = panels.iter().collect();
+    let w = random::uniform([102, 32], -1.0, 1.0, &mut rng);
+    let wt = w.t().expect("rank 2").contiguous();
+    let g = random::uniform([8, 128, 32], -1.0, 1.0, &mut rng);
+    let (y, _, _, pages) = measure_all(|| ops::bmm_panels(&refs, &w).expect("shapes"));
+    assert_eq!(y.dims(), &[8, 128, 32]);
+    assert_eq!(
+        pages, 1,
+        "bmm_panels: {pages} allocations of >= 4 KiB for 1 output"
+    );
+    let (da, _, _, pages) = measure_all(|| ops::bmm_split(&g, &wt, &[34, 34, 34]).expect("shapes"));
+    assert_eq!(
+        pages,
+        da.len(),
+        "bmm_split: {pages} allocations of >= 4 KiB for {} outputs",
+        da.len()
+    );
+    let (dw, _, _, pages) = measure_all(|| ops::bmm_panels_dw(&refs, &g).expect("shapes"));
+    assert_eq!(dw.dims(), &[102, 32]);
+    assert_eq!(
+        pages, 1,
+        "bmm_panels_dw: {pages} allocations of >= 4 KiB for 1 output"
     );
 }
