@@ -126,43 +126,48 @@ impl StateDict {
         d
     }
 
-    /// Restore into a parameter list (strict: same count, names, shapes).
+    /// Restore into a parameter list (strict: same count, names, shapes;
+    /// see [`StateDict::check_fits`]).
     pub fn apply_to_params(&self, params: &[Param]) -> Result<(), CheckpointError> {
-        for (i, p) in params.iter().enumerate() {
-            let key = format!("{i}.{}", p.name());
-            let stored = self
-                .entries
-                .get(&key)
-                .ok_or_else(|| CheckpointError::MissingEntry(key.clone()))?;
-            if stored.dims() != p.value().dims() {
-                return Err(CheckpointError::ShapeMismatch {
-                    name: key,
-                    stored: stored.dims().to_vec(),
-                    expected: p.value().dims().to_vec(),
-                });
-            }
-        }
-        if self.entries.len() != params.len() {
-            let live: std::collections::BTreeSet<String> = params
-                .iter()
-                .enumerate()
-                .map(|(i, p)| format!("{i}.{}", p.name()))
-                .collect();
-            let extra = self
-                .entries
-                .keys()
-                .find(|k| !live.contains(*k))
-                .cloned()
-                .unwrap_or_default();
-            return Err(CheckpointError::MissingEntry(format!(
-                "checkpoint entry {extra} has no matching parameter"
-            )));
-        }
-        for (i, p) in params.iter().enumerate() {
-            let key = format!("{i}.{}", p.name());
-            p.set_value(self.entries[&key].clone());
+        let keys: Vec<String> = (params.iter().enumerate())
+            .map(|(i, p)| format!("{i}.{}", p.name()))
+            .collect();
+        let dims = params.iter().map(|p| p.value().dims().to_vec());
+        self.check_fits(keys.iter().cloned().zip(dims))?;
+        for (key, p) in keys.iter().zip(params) {
+            p.set_value(self.entries[key].clone());
         }
         Ok(())
+    }
+
+    /// Check that the entries are exactly `expected`'s `(name, dims)`
+    /// without touching any value: a missing name, a stored shape other
+    /// than its dims, then an entry no name matches, are each an error.
+    pub fn check_fits(
+        &self,
+        expected: impl IntoIterator<Item = (String, Vec<usize>)>,
+    ) -> Result<(), CheckpointError> {
+        let mut live = std::collections::BTreeSet::new();
+        for (name, dims) in expected {
+            let Some(stored) = self.entries.get(&name) else {
+                return Err(CheckpointError::MissingEntry(name));
+            };
+            if stored.dims() != dims {
+                let stored = stored.dims().to_vec();
+                return Err(CheckpointError::ShapeMismatch {
+                    name,
+                    stored,
+                    expected: dims,
+                });
+            }
+            live.insert(name);
+        }
+        match self.entries.keys().find(|k| !live.contains(*k)) {
+            Some(extra) => Err(CheckpointError::MissingEntry(format!(
+                "checkpoint entry {extra} has no matching parameter"
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Capture Adam state (`t` plus first/second moments per parameter).

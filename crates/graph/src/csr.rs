@@ -156,72 +156,31 @@ impl Csr {
         }
     }
 
-    /// Sparse × dense product: `Y[rows, n] = self[rows, cols] @ X[cols, n]`.
-    ///
-    /// Dispatches through the active [`st_tensor::backend::Kernels`]
-    /// backend and reports into the spmm kernel-time counter.
+    /// Sparse × dense product: `Y[rows, n] = self[rows, cols] @ X[cols, n]`,
+    /// through [`st_tensor::ops::spmm`] (the active backend's kernel, timed
+    /// into its spmm counter).
     pub fn spmm(&self, x: &Tensor) -> Result<Tensor> {
-        if x.rank() != 2 || x.dim(0) != self.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "spmm",
-                lhs: vec![self.rows, self.cols],
-                rhs: x.dims().to_vec(),
-            });
-        }
-        let n = x.dim(1);
-        let xc = x.contiguous();
-        let xs = xc.as_slice().expect("contiguous");
-        let mut out = vec![0.0f32; self.rows * n];
-        st_tensor::backend::timed(st_tensor::backend::KernelClass::Spmm, || {
-            st_tensor::backend::kernels().spmm(
-                &self.row_ptr,
-                &self.col_idx,
-                &self.values,
-                xs,
-                &mut out,
-                self.rows,
-                n,
-            )
-        });
-        Tensor::from_vec(out, [self.rows, n])
+        self.times("spmm", 2, x)
     }
 
-    /// Batched sparse × dense: applies `spmm` to each `X[b]` of a
-    /// `[B, cols, n]` tensor, producing `[B, rows, n]`.
-    ///
-    /// Writes every batch straight into one output buffer (the historical
-    /// path materialized a tensor per batch and stacked them).
+    /// Batched sparse × dense: `Y[b] = self @ X[b]` for each batch of a
+    /// `[B, cols, n]` tensor, producing `[B, rows, n]` in one output buffer,
+    /// through [`st_tensor::ops::spmm`].
     pub fn spmm_batched(&self, x: &Tensor) -> Result<Tensor> {
-        if x.rank() != 3 || x.dim(1) != self.cols {
+        self.times("spmm_batched", 3, x)
+    }
+
+    /// `self @ x` for an `x` of `rank` whose second-to-last axis has `cols`
+    /// entries; any other `x` is `op`'s shape mismatch.
+    fn times(&self, op: &'static str, rank: usize, x: &Tensor) -> Result<Tensor> {
+        if x.rank() != rank || x.dim(rank - 2) != self.cols {
             return Err(TensorError::ShapeMismatch {
-                op: "spmm_batched",
+                op,
                 lhs: vec![self.rows, self.cols],
                 rhs: x.dims().to_vec(),
             });
         }
-        let b = x.dim(0);
-        let n = x.dim(2);
-        let xc = x.contiguous();
-        let xs = xc.as_slice().expect("contiguous");
-        let mut out = Tensor::zeros([b, self.rows, n]);
-        if self.rows * n > 0 {
-            let slabs = out.make_mut_contiguous();
-            st_tensor::backend::timed(st_tensor::backend::KernelClass::Spmm, || {
-                let kernels = st_tensor::backend::kernels();
-                for (i, slab) in slabs.chunks_mut(self.rows * n).enumerate() {
-                    kernels.spmm(
-                        &self.row_ptr,
-                        &self.col_idx,
-                        &self.values,
-                        &xs[i * self.cols * n..(i + 1) * self.cols * n],
-                        slab,
-                        self.rows,
-                        n,
-                    );
-                }
-            });
-        }
-        Ok(out)
+        st_tensor::ops::spmm(&self.row_ptr, &self.col_idx, &self.values, self.shape(), x)
     }
 
     /// Sparse × sparse product `self @ other`, row by row: row `r` adds up

@@ -75,7 +75,8 @@ pub enum ServeError {
         horizon: usize,
     },
     /// A deploy or hot-swap snapshot's state dict does not fit its own
-    /// config: restoring a replica from it failed.
+    /// config, or the config describes no model; found before anything
+    /// is built from it.
     Snapshot(SnapshotError),
     /// A live-ingest tick was rejected.
     Ingest(IngestError),
@@ -127,7 +128,7 @@ impl std::fmt::Display for ServeError {
                 f,
                 "ring capacity {capacity} cannot hold a horizon-{horizon} window"
             ),
-            ServeError::Snapshot(e) => write!(f, "snapshot does not restore: {e}"),
+            ServeError::Snapshot(e) => write!(f, "snapshot does not fit its config: {e}"),
             ServeError::Ingest(e) => write!(f, "ingest: {e}"),
         }
     }

@@ -104,8 +104,8 @@ impl SnapshotRegistry {
     /// Fails (leaving the tenant untouched) if the snapshot does not fit
     /// the deployment: [`ServeError::GraphMismatch`],
     /// [`ServeError::FeatureMismatch`], [`ServeError::ScalerMismatch`],
-    /// [`ServeError::CapacityTooSmall`], or — its parameters do not fit
-    /// its own config — [`ServeError::Snapshot`].
+    /// [`ServeError::CapacityTooSmall`], or — it does not fit its own
+    /// config — [`ServeError::Snapshot`].
     pub fn swap_snapshot(
         &self,
         name: &str,

@@ -344,8 +344,9 @@ impl BatchedServer {
     /// constructed fresh from the new snapshot over the same history.
     /// The supports carry over too (the same `Arc`s) unless the snapshot
     /// changes K, which builds them fresh. One replica is restored up
-    /// front: a state dict that does not fit the snapshot's own config is
-    /// [`ServeError::Snapshot`]. The hot-reload building block behind
+    /// front. A state dict that does not fit the snapshot's own config, or
+    /// a config that describes no model, is [`ServeError::Snapshot`], found
+    /// before anything is built from it. The hot-reload building block behind
     /// [`crate::SnapshotRegistry::swap_snapshot`].
     pub fn with_snapshot(&self, snapshot: ModelSnapshot) -> Result<BatchedServer, ServeError> {
         if snapshot.config.num_nodes != self.adjacency.num_nodes() {
@@ -369,6 +370,7 @@ impl BatchedServer {
                 horizon: snapshot.config.horizon,
             });
         }
+        snapshot.check_params().map_err(ServeError::Snapshot)?;
         let supports = if snapshot.config.diffusion_steps == self.snapshot.config.diffusion_steps {
             self.supports.clone()
         } else {

@@ -37,8 +37,11 @@ pub enum SnapshotError {
         /// Checksum recomputed over the payload.
         actual: u64,
     },
-    /// The parameter state-dict failed to decode or apply.
+    /// The parameter state-dict failed to decode, or does not fit the
+    /// config.
     State(CheckpointError),
+    /// The config describes no model.
+    BadConfig(&'static str),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -52,6 +55,7 @@ impl std::fmt::Display for SnapshotError {
                 "snapshot corrupt: stored checksum {stored:#018x} != computed {actual:#018x}"
             ),
             SnapshotError::State(e) => write!(f, "snapshot state: {e}"),
+            SnapshotError::BadConfig(why) => write!(f, "snapshot config: {why}"),
         }
     }
 }
@@ -134,22 +138,47 @@ impl ModelSnapshot {
         }
     }
 
-    /// Restore the captured parameters into a live parameter list (strict
-    /// name/shape checking, like checkpoint restore).
-    pub fn restore_params(&self, params: &[Param]) -> Result<(), SnapshotError> {
-        self.params.apply_to_params(params)?;
-        Ok(())
+    /// Check, before anything is built from the config, that the state dict
+    /// holds exactly the entries [`PgtDcrnn::new`] gives it: per gate a
+    /// `[(2K − 1)·(in + hidden), hidden]` weight (one row block per
+    /// diffusion support) and a bias, then the output projection.
+    /// Allocates nothing config-sized. `diffusion_steps = 0` is
+    /// [`SnapshotError::BadConfig`].
+    pub(crate) fn check_params(&self) -> Result<(), SnapshotError> {
+        let c = &self.config;
+        if c.diffusion_steps == 0 {
+            return Err(SnapshotError::BadConfig("diffusion_steps is 0"));
+        }
+        // Saturating: an overflowing dimension matches no decoded tensor.
+        let supports = c.diffusion_steps.saturating_mul(2) - 1;
+        let rows = supports.saturating_mul(c.input_dim.saturating_add(c.hidden));
+        let gate = |g| {
+            [
+                (format!("cell.{g}.w"), vec![rows, c.hidden]),
+                (format!("cell.{g}.b"), vec![c.hidden]),
+            ]
+        };
+        let out = [
+            ("out.w".into(), vec![c.hidden, c.output_dim]),
+            ("out.b".into(), vec![c.output_dim]),
+        ];
+        let params = ["r", "u", "c"].into_iter().flat_map(gate).chain(out);
+        let expected = params
+            .enumerate()
+            .map(|(i, (name, dims))| (format!("{i}.pgt.{name}"), dims));
+        Ok(self.params.check_fits(expected)?)
     }
 
-    /// Rebuild a ready-to-serve PGT-DCRNN: construct the shell from the
-    /// stored config over `supports` (the graph's diffusion supports for
-    /// this config's K, built once by the caller and shared), then
-    /// overwrite every parameter with the trained values. The init seed is
-    /// irrelevant — all parameters are replaced — so restored replicas are
-    /// bit-identical across shards.
+    /// Rebuild a ready-to-serve PGT-DCRNN: check the parameters against
+    /// the stored config, construct the shell from it over `supports` (the
+    /// graph's diffusion supports for this config's K, built once by the
+    /// caller and shared), then overwrite every parameter with the trained
+    /// values. The init seed is irrelevant — all parameters are replaced —
+    /// so restored replicas are bit-identical across shards.
     pub fn build_pgt_dcrnn(&self, supports: &[Support]) -> Result<PgtDcrnn, SnapshotError> {
+        self.check_params()?;
         let model = PgtDcrnn::new(self.config.clone(), supports, 0);
-        self.restore_params(&model.params())?;
+        self.params.apply_to_params(&model.params())?;
         Ok(model)
     }
 
@@ -380,6 +409,42 @@ mod tests {
         {
             assert_eq!(pa.value().to_vec(), pb.value().to_vec());
             assert_eq!(pa.value().to_vec(), pt.value().to_vec());
+        }
+    }
+
+    /// `check_params` derives the parameter list without building a model:
+    /// it must accept every real model's parameters exactly, at K = 1
+    /// (one support) and above, and refuse them under another config.
+    #[test]
+    fn check_params_accepts_exactly_the_models_parameters() {
+        let net = st_graph::generators::highway_corridor(7, 1, 3);
+        for k in 1..=3 {
+            let supports = Support::wrap_all(diffusion_supports(&net.adjacency, k));
+            let cfg = ModelConfig {
+                diffusion_steps: k,
+                hidden: 3,
+                output_dim: 2,
+                ..ModelConfig::small(7, 2, 4)
+            };
+            let params = PgtDcrnn::new(cfg.clone(), &supports, 5).params();
+            let snap = ModelSnapshot::capture(cfg, StandardScaler::identity(), None, &params, 1);
+            assert_eq!(snap.check_params(), Ok(()), "K = {k}");
+            for tamper in [
+                |c: &mut ModelConfig| c.diffusion_steps += 1,
+                |c: &mut ModelConfig| c.hidden += 1,
+                |c: &mut ModelConfig| c.output_dim = 1,
+                |c: &mut ModelConfig| c.diffusion_steps = 0,
+            ] {
+                let mut bad = snap.clone();
+                tamper(&mut bad.config);
+                assert!(bad.check_params().is_err(), "K = {k}: {:?}", bad.config);
+            }
+            let mut extra = snap.clone();
+            extra.params.insert("8.stray", Tensor::zeros([1]));
+            assert!(matches!(
+                extra.check_params(),
+                Err(SnapshotError::State(CheckpointError::MissingEntry(_)))
+            ));
         }
     }
 

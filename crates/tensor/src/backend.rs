@@ -7,8 +7,10 @@
 //! Every dense hot loop in the workspace — trainer, the distributed step
 //! engine, `st-serve` inference, and the benches — bottoms out in the four
 //! kernel families dispatched here: GEMM (`matmul`), batched GEMM (`bmm`),
-//! sparse×dense (`spmm`, called back from `st-graph`'s CSR), and the fused
-//! elementwise kernels backing the DCRNN gate path.
+//! sparse×dense (`spmm`, behind `st-graph`'s CSR), and the fused
+//! elementwise kernels backing the DCRNN gate path. Every [`Kernels`]
+//! method writes all of its `out` and reads none of it, so the ops take
+//! outputs from `Storage::scratch` and zero-fill nothing.
 //!
 //! # Bitwise equality contract
 //!
@@ -32,11 +34,11 @@
 //!
 //! The active backend is a process-wide choice: [`set_backend`] /
 //! [`active_backend`], initialized once from the `ST_BACKEND` environment
-//! variable (`"tiled"` — the default — or `"reference"`). A global is the
-//! right scope because worker ranks, serve shards, and gradient bucketing
-//! all run the same model math on their own threads and must agree on the
-//! kernels; per-call structs ([`Reference`], [`Tiled`]) remain available
-//! for side-by-side comparison (benches, proptests).
+//! variable (`"tiled"` — the default — or `"reference"`), so ranks, serve
+//! shards and gradient bucketing on their own threads agree on the
+//! kernels. `st_tensor::ops` is the only code that dispatches to it and
+//! times a kernel; the structs ([`Reference`], [`Tiled`], [`kernels_for`])
+//! are public for side-by-side comparison (benches, proptests).
 
 use crate::math;
 use crate::par;
@@ -120,12 +122,6 @@ pub fn kernels_for(kind: BackendKind) -> &'static dyn Kernels {
     }
 }
 
-/// The active backend's kernels (shorthand for
-/// `kernels_for(active_backend())`).
-pub fn kernels() -> &'static dyn Kernels {
-    kernels_for(active_backend())
-}
-
 /// Elementwise activation selector for the fused bias+activation kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
@@ -168,10 +164,10 @@ impl Activation {
 
 /// Kernel families tracked by the per-thread time counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelClass {
-    /// Dense matrix multiplication (matmul / bmm / matvec).
+pub(crate) enum KernelClass {
+    /// Dense matrix multiplication (matmul / bmm and the panel GEMMs).
     Gemm,
-    /// Sparse×dense products (CSR spmm, reported by `st-graph`).
+    /// Sparse×dense products (`ops::spmm`, behind `st-graph`'s CSR).
     Spmm,
     /// Elementwise maps/zips and the fused gate kernels.
     Elementwise,
@@ -182,16 +178,6 @@ thread_local! {
         const { [Cell::new(0.0), Cell::new(0.0), Cell::new(0.0)] };
 }
 
-/// Add `secs` of wall-clock time to `class` on this thread's counters.
-/// Public so sibling crates owning a kernel family (`st-graph`'s spmm) can
-/// report into the same ledger.
-pub fn record_kernel_secs(class: KernelClass, secs: f64) {
-    KERNEL_SECS.with(|k| {
-        let c = &k[class as usize];
-        c.set(c.get() + secs);
-    });
-}
-
 /// Cumulative `[gemm, spmm, elementwise]` kernel seconds recorded on the
 /// calling thread since it started. Ops time themselves at their entry
 /// point, so work farmed out to the `par` pool is charged to the thread
@@ -200,11 +186,14 @@ pub fn kernel_secs() -> [f64; 3] {
     KERNEL_SECS.with(|k| [k[0].get(), k[1].get(), k[2].get()])
 }
 
-/// Time `f` and charge its wall-clock duration to `class`.
-pub fn timed<R>(class: KernelClass, f: impl FnOnce() -> R) -> R {
-    let start = Instant::now();
-    let out = f();
-    record_kernel_secs(class, start.elapsed().as_secs_f64());
+/// Run `f` on the active backend's kernels and charge its wall-clock time
+/// to `class` on this thread's counters: the one way `st_tensor::ops`
+/// calls a kernel.
+pub(crate) fn timed<R>(class: KernelClass, f: impl FnOnce(&dyn Kernels) -> R) -> R {
+    let (kernels, start) = (kernels_for(active_backend()), Instant::now());
+    let out = f(kernels);
+    let secs = start.elapsed().as_secs_f64();
+    KERNEL_SECS.with(|k| k[class as usize].set(k[class as usize].get() + secs));
     out
 }
 
@@ -216,16 +205,17 @@ pub fn timed<R>(class: KernelClass, f: impl FnOnce() -> R) -> R {
 ///
 /// Shape validation, contiguity, and tensor construction stay in
 /// `st_tensor::ops`; implementations only see flat buffers. Every method
-/// must honor the crate's bitwise-equality contract (see module docs).
+/// writes every element of its output, whatever the buffer held before,
+/// and honors the crate's bitwise-equality contract (see module docs).
 pub trait Kernels: Sync {
     /// Backend name for reports and bench labels.
     fn name(&self) -> &'static str;
 
-    /// `out[m,n] = a[m,k] @ b[k,n]`, `out` pre-zeroed.
+    /// `out[m,n] = a[m,k] @ b[k,n]`.
     fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
 
-    /// Batched `out[bs,m,n] = a[bs,m,k] @ b`, `out` pre-zeroed. `b` is
-    /// `[bs,k,n]`, or `[k,n]` shared across the batch when `shared_rhs`.
+    /// Batched `out[bs,m,n] = a[bs,m,k] @ b`. `b` is `[bs,k,n]`, or `[k,n]`
+    /// shared across the batch when `shared_rhs`.
     #[allow(clippy::too_many_arguments)]
     fn bmm(
         &self,
@@ -240,7 +230,7 @@ pub trait Kernels: Sync {
     );
 
     /// Shared-rhs batched GEMM over a lhs given as column panels:
-    /// `out[bs,m,n] = [P₀ | P₁ | …] @ b[k,n]`, `out` pre-zeroed. Panel `p`
+    /// `out[bs,m,n] = [P₀ | P₁ | …] @ b[k,n]`. Panel `p`
     /// is a `[bs,m,widths[p]]` buffer and `k = Σ widths`. Every output
     /// element accumulates its `k` lanes in ascending order from `+0.0`, so
     /// its bits equal concatenating the panels and calling [`Kernels::bmm`].
@@ -258,8 +248,8 @@ pub trait Kernels: Sync {
 
     /// Shared-rhs batched GEMM whose output is stored as column panels:
     /// `[O₀ | O₁ | …] = a[bs,m,k] @ b[k,n]` with `n = Σ widths`, panel `p`
-    /// the pre-zeroed `[bs,m,widths[p]]` buffer `outs[p]`. Only the store
-    /// is split, so every element's bits equal [`Kernels::bmm`]'s.
+    /// the `[bs,m,widths[p]]` buffer `outs[p]`. Only the store is split, so
+    /// every element's bits equal [`Kernels::bmm`]'s.
     #[allow(clippy::too_many_arguments)]
     fn bmm_split(
         &self,
@@ -280,7 +270,7 @@ pub trait Kernels: Sync {
     /// as its first operand and the running sum as its second (which NaN
     /// payload survives): the bits of stacking the panels' transposes,
     /// one batched GEMM and an in-order batch sum (which [`Reference`]
-    /// does). `out` is overwritten; with `bs = 0` it is left as it is.
+    /// does). With `bs = 0` the sum is empty and `out` is all `+0.0`.
     #[allow(clippy::too_many_arguments)]
     fn bmm_panels_dw(
         &self,
@@ -293,10 +283,10 @@ pub trait Kernels: Sync {
         n: usize,
     );
 
-    /// CSR sparse×dense: `out[rows,n] = S @ x[cols,n]`, `out` pre-zeroed.
-    /// Row `r`'s nonzeros are `col_idx/values[row_ptr[r]..row_ptr[r+1]]`,
-    /// and each output element adds them in storage order. A column index
-    /// past `x`'s rows, or an `x` shorter than the rows it names, panics.
+    /// CSR sparse×dense: `out[rows,n] = S @ x[cols,n]`. Row `r`'s nonzeros
+    /// are `col_idx/values[row_ptr[r]..row_ptr[r+1]]`, and each output
+    /// element adds them in storage order from `+0.0`. A column index past
+    /// `x`'s rows, or an `x` shorter than the rows it names, panics.
     #[allow(clippy::too_many_arguments)]
     fn spmm(
         &self,
@@ -324,10 +314,8 @@ pub trait Kernels: Sync {
 // ---------------------------------------------------------------------------
 
 /// The seed repo's naive kernels, kept as the ground truth the tiled
-/// backend is pinned against. (The historical `al == 0.0` skip is gone: it
-/// suppressed NaN/Inf propagation — `0 × NaN` never landed — and, because
-/// a `+0.0`-seeded accumulator can never become `-0.0` under addition,
-/// removing it changes no finite output bits.)
+/// backend is pinned against. Every output element's sum starts at `+0.0`
+/// (DESIGN.md §8 says why the old `a == 0.0` skip is gone).
 pub struct Reference;
 
 impl Kernels for Reference {
@@ -442,6 +430,7 @@ impl Kernels for Reference {
         // then the products summed in batch order into the first.
         let k: usize = widths.iter().sum();
         if bs == 0 || k == 0 || n == 0 {
+            out.fill(0.0);
             return;
         }
         let mut at = vec![0.0f32; bs * k * m];
@@ -539,10 +528,12 @@ fn spmm_rows(
     });
 }
 
-/// One CSR row of the naive SpMM: `out += Σ vals[p] · x[cols[p], ..]`, the
-/// nonzeros in storage order, each column's `acc += v * x` in place.
+/// One CSR row of the naive SpMM: `out = Σ vals[p] · x[cols[p], ..]`, the
+/// nonzeros in storage order, each column's `acc += v * x` in place from
+/// `+0.0`.
 fn naive_spmm_row(cols: &[usize], vals: &[f32], x: &[f32], out: &mut [f32]) {
     let n = out.len();
+    out.fill(0.0);
     for (&c, &v) in cols.iter().zip(vals) {
         let xrow = &x[c * n..(c + 1) * n];
         for (o, &xv) in out.iter_mut().zip(xrow) {
@@ -551,9 +542,11 @@ fn naive_spmm_row(cols: &[usize], vals: &[f32], x: &[f32], out: &mut [f32]) {
     }
 }
 
-/// One output row of the naive i-k-j GEMM: `row += a_row @ b`.
+/// One output row of the naive i-k-j GEMM: `row = a_row @ b`, each
+/// element's sum from `+0.0`.
 #[inline]
 fn naive_row_kernel(arow: &[f32], b: &[f32], row: &mut [f32], n: usize) {
+    row.fill(0.0);
     for (l, &al) in arow.iter().enumerate() {
         let brow = &b[l * n..(l + 1) * n];
         for (c, &bv) in row.iter_mut().zip(brow) {
@@ -839,6 +832,7 @@ impl Kernels for Tiled {
     ) {
         let k: usize = widths.iter().sum();
         if bs == 0 || k == 0 || n == 0 {
+            out.fill(0.0);
             return;
         }
         for (p, &w) in panels.iter().zip(widths) {
@@ -1006,25 +1000,26 @@ mod tests {
         assert_eq!(kernels_for(BackendKind::Reference).name(), "reference");
     }
 
+    fn nap() {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+
     #[test]
     fn kernel_time_counters_accumulate_per_class() {
         let before = kernel_secs();
-        timed(KernelClass::Gemm, || {
-            std::thread::sleep(std::time::Duration::from_millis(2))
-        });
-        record_kernel_secs(KernelClass::Spmm, 0.5);
+        timed(KernelClass::Gemm, |_| nap());
+        let mid = kernel_secs();
+        timed(KernelClass::Spmm, |_| nap());
         let after = kernel_secs();
-        assert!(after[0] > before[0], "gemm secs advanced");
-        assert!(
-            (after[1] - before[1] - 0.5).abs() < 1e-12,
-            "spmm secs exact"
-        );
+        assert!(mid[0] - before[0] >= 0.002, "gemm secs advanced");
+        assert_eq!(after[0], mid[0], "gemm untouched by spmm");
+        assert!(after[1] - mid[1] >= 0.002, "spmm secs advanced");
         assert_eq!(after[2], before[2], "elementwise untouched");
     }
 
     #[test]
     fn counters_are_thread_local() {
-        record_kernel_secs(KernelClass::Gemm, 1.0);
+        timed(KernelClass::Gemm, |_| nap());
         let other = std::thread::spawn(|| kernel_secs()[0]).join().unwrap();
         assert_eq!(other, 0.0, "fresh thread starts at zero");
     }

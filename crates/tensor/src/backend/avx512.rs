@@ -271,7 +271,7 @@ unsafe fn put(at: *mut f32, m: __mmask16, v: __m512, add_into: bool) {
     }
 }
 
-/// CSR row kernel: `out += Σ vals[p] · x[cols[p], ..]` (see [`spmm_row_avx512`]).
+/// CSR row kernel: `out = Σ vals[p] · x[cols[p], ..]` (see [`spmm_row_avx512`]).
 #[inline]
 pub(super) fn spmm_row(cols: &[usize], vals: &[f32], x: &[f32], out: &mut [f32]) {
     // SAFETY: this module is compiled only when `avx512f` is enabled for the
@@ -280,9 +280,10 @@ pub(super) fn spmm_row(cols: &[usize], vals: &[f32], x: &[f32], out: &mut [f32])
 }
 
 /// One CSR row over all `n = out.len()` columns, in passes of up to four
-/// 16-lane strips. Each pass seeds its accumulators from `out`, adds the
+/// 16-lane strips. Each pass seeds its accumulators from `+0.0`, adds the
 /// row's nonzeros in storage order (`mul` then `add`), and stores each strip
-/// once; the last strip of the row is masked to the remaining columns.
+/// once, never reading `out`; the last strip of the row is masked to the
+/// remaining columns.
 #[target_feature(enable = "avx512f")]
 fn spmm_row_avx512(cols: &[usize], vals: &[f32], x: &[f32], out: &mut [f32]) {
     let n = out.len();
@@ -316,10 +317,6 @@ fn strip_pass<const S: usize>(
     let w = out.len();
     let full = (S - 1) * L;
     let mut acc = [_mm512_setzero_ps(); S];
-    for (a, o) in acc.iter_mut().zip(out.chunks_exact(L)).take(S - 1) {
-        *a = load(o.try_into().expect("full strip"));
-    }
-    acc[S - 1] = load_tail(&out[full..]);
     for (&c, &v) in cols.iter().zip(vals) {
         let xr = &x[c * n + j0..c * n + j0 + w];
         let v = _mm512_set1_ps(v);

@@ -1,11 +1,11 @@
 //! Elementwise binary/unary kernels with NumPy-style broadcasting.
 
-use crate::backend::{self, KernelClass};
+use crate::backend::{timed, KernelClass};
 use crate::{Result, Storage, Tensor, TensorError};
 
 /// Apply `f` elementwise to broadcast-aligned `a` and `b`.
 pub fn zip_with(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
-    backend::timed(KernelClass::Elementwise, || {
+    timed(KernelClass::Elementwise, |_| {
         let out_shape = a.shape().broadcast_with(b.shape())?;
         let zip = |sa: &[f32], sb: &[f32]| {
             let values = sa.iter().zip(sb).map(|(&x, &y)| f(x, y));
@@ -33,7 +33,7 @@ pub fn add_assign(a: &mut Tensor, b: &Tensor) -> Result<()> {
     check_same_shape("add_assign", a, b)?;
     let bc = b.contiguous();
     let bs = bc.as_slice().expect("contiguous");
-    backend::timed(KernelClass::Elementwise, || {
+    timed(KernelClass::Elementwise, |_| {
         let av = a.make_mut_contiguous();
         for (x, &y) in av.iter_mut().zip(bs) {
             *x += y;
@@ -50,7 +50,7 @@ pub fn map(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
 /// Copy `t` into a contiguous buffer and transform it in place with `f`
 /// (the slice kernels of [`crate::math`]).
 pub(crate) fn map_slice(t: &Tensor, f: impl FnOnce(&mut [f32])) -> Tensor {
-    backend::timed(KernelClass::Elementwise, || {
+    timed(KernelClass::Elementwise, |_| {
         let mut data = t.to_storage();
         f(data.make_mut());
         Tensor::from_storage(data, t.shape().clone())

@@ -11,7 +11,7 @@
 //! place (`Tiled`) or its scalar port per element (`Reference`), and the
 //! unfused `ops::sigmoid`/`ops::tanh` maps run the same kernels.
 
-use crate::backend::{self, Activation, KernelClass};
+use crate::backend::{timed, Activation, KernelClass};
 use crate::ops::map;
 use crate::{Result, Storage, Tensor, TensorError};
 
@@ -30,8 +30,8 @@ pub fn bias_act(z: &Tensor, bias: &Tensor, act: Activation) -> Result<Tensor> {
     let zs = zc.as_slice().expect("contiguous");
     let bs = bc.as_slice().expect("contiguous");
     let mut out = Storage::scratch(zs.len());
-    backend::timed(KernelClass::Elementwise, || {
-        backend::kernels().bias_act(zs, bs, out.make_mut(), act)
+    timed(KernelClass::Elementwise, |kern| {
+        kern.bias_act(zs, bs, out.make_mut(), act)
     });
     Ok(Tensor::from_storage(out, z.shape().clone()))
 }
@@ -56,8 +56,8 @@ pub fn gru_blend(u: &Tensor, h: &Tensor, c: &Tensor) -> Result<Tensor> {
     let hs = hc.as_slice().expect("contiguous");
     let cs = cc.as_slice().expect("contiguous");
     let mut out = Storage::scratch(us.len());
-    backend::timed(KernelClass::Elementwise, || {
-        backend::kernels().gru_blend(us, hs, cs, out.make_mut())
+    timed(KernelClass::Elementwise, |kern| {
+        kern.gru_blend(us, hs, cs, out.make_mut())
     });
     Ok(Tensor::from_storage(out, u.shape().clone()))
 }

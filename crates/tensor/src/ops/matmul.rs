@@ -1,12 +1,12 @@
-//! Dense matrix multiplication entry points (2-D and batched 3-D).
+//! Matrix multiplication entry points: dense (2-D, batched 3-D and the
+//! diffusion convolution's panel GEMMs) and CSR sparse × dense.
 //!
-//! Shape validation and tensor plumbing live here; the raw loops are
-//! dispatched through the active [`crate::backend::Kernels`] backend —
-//! the naive i-k-j reference or the tiled default, bit-identical either
-//! way. Small products stay on the sequential path inside the kernels to
-//! avoid thread overhead.
+//! Shape validation and tensor plumbing live here; the raw loops are the
+//! active [`crate::backend::Kernels`] backend's, bit-identical on either,
+//! and timed into its per-thread counters. Each output comes from
+//! `Storage::scratch` unfilled: every kernel writes all of it.
 
-use crate::backend::{self, KernelClass};
+use crate::backend::{timed, KernelClass};
 use crate::{Result, Storage, Tensor, TensorError};
 
 /// `C[m,n] = A[m,k] @ B[k,n]`.
@@ -26,13 +26,11 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             rhs: b.dims().to_vec(),
         });
     }
-    let ac = a.contiguous();
-    let bc = b.contiguous();
-    let av = ac.as_slice().expect("contiguous");
-    let bv = bc.as_slice().expect("contiguous");
-    let mut out = Storage::zeros(m * n);
-    backend::timed(KernelClass::Gemm, || {
-        backend::kernels().matmul(av, bv, out.make_mut(), m, k, n)
+    let (ac, bc) = (a.contiguous(), b.contiguous());
+    let (av, bv) = (ac.as_slice()?, bc.as_slice()?);
+    let mut out = Storage::scratch(m * n);
+    timed(KernelClass::Gemm, |kern| {
+        kern.matmul(av, bv, out.make_mut(), m, k, n)
     });
     Ok(Tensor::from_storage(out, [m, n]))
 }
@@ -48,31 +46,23 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     }
     let (bs, m, k) = (a.dim(0), a.dim(1), a.dim(2));
     let shared_rhs = b.rank() == 2;
-    let (k2, n) = if shared_rhs {
-        (b.dim(0), b.dim(1))
-    } else if b.rank() == 3 && b.dim(0) == bs {
-        (b.dim(1), b.dim(2))
-    } else {
+    let rhs = match b.rank() {
+        2 => Some((b.dim(0), b.dim(1))),
+        3 if b.dim(0) == bs => Some((b.dim(1), b.dim(2))),
+        _ => None,
+    };
+    let Some((_, n)) = rhs.filter(|&(k2, _)| k2 == k) else {
         return Err(TensorError::ShapeMismatch {
             op: "bmm",
             lhs: a.dims().to_vec(),
             rhs: b.dims().to_vec(),
         });
     };
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "bmm",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let ac = a.contiguous();
-    let bc = b.contiguous();
-    let av = ac.as_slice().expect("contiguous");
-    let bv = bc.as_slice().expect("contiguous");
-    let mut out = Storage::zeros(bs * m * n);
-    backend::timed(KernelClass::Gemm, || {
-        backend::kernels().bmm(av, bv, out.make_mut(), bs, m, k, n, shared_rhs)
+    let (ac, bc) = (a.contiguous(), b.contiguous());
+    let (av, bv) = (ac.as_slice()?, bc.as_slice()?);
+    let mut out = Storage::scratch(bs * m * n);
+    timed(KernelClass::Gemm, |kern| {
+        kern.bmm(av, bv, out.make_mut(), bs, m, k, n, shared_rhs)
     });
     Ok(Tensor::from_storage(out, [bs, m, n]))
 }
@@ -107,16 +97,11 @@ pub fn bmm_panels(panels: &[&Tensor], w: &Tensor) -> Result<Tensor> {
     if widths.iter().sum::<usize>() != w.dim(0) {
         return Err(mismatch(first));
     }
-    let contiguous: Vec<Tensor> = panels.iter().map(|p| p.contiguous()).collect();
-    let slices: Vec<&[f32]> = contiguous
-        .iter()
-        .map(|p| p.as_slice().expect("contiguous"))
-        .collect();
-    let wc = w.contiguous();
-    let wv = wc.as_slice().expect("contiguous");
-    let mut out = Storage::zeros(bs * m * n);
-    backend::timed(KernelClass::Gemm, || {
-        backend::kernels().bmm_panels(&slices, &widths, wv, out.make_mut(), bs, m, n)
+    let (contiguous, wc) = (flat(panels), w.contiguous());
+    let (slices, wv) = (slices(&contiguous)?, wc.as_slice()?);
+    let mut out = Storage::scratch(bs * m * n);
+    timed(KernelClass::Gemm, |kern| {
+        kern.bmm_panels(&slices, &widths, wv, out.make_mut(), bs, m, n)
     });
     Ok(Tensor::from_storage(out, [bs, m, n]))
 }
@@ -138,14 +123,15 @@ pub fn bmm_split(a: &Tensor, w: &Tensor, widths: &[usize]) -> Result<Vec<Tensor>
         });
     }
     let (bs, m, k) = (a.dim(0), a.dim(1), a.dim(2));
-    let ac = a.contiguous();
-    let wc = w.contiguous();
-    let av = ac.as_slice().expect("contiguous");
-    let wv = wc.as_slice().expect("contiguous");
-    let mut bufs: Vec<Storage> = widths.iter().map(|&p| Storage::zeros(bs * m * p)).collect();
+    let (ac, wc) = (a.contiguous(), w.contiguous());
+    let (av, wv) = (ac.as_slice()?, wc.as_slice()?);
+    let mut bufs: Vec<Storage> = widths
+        .iter()
+        .map(|&p| Storage::scratch(bs * m * p))
+        .collect();
     let mut outs: Vec<&mut [f32]> = bufs.iter_mut().map(Storage::make_mut).collect();
-    backend::timed(KernelClass::Gemm, || {
-        backend::kernels().bmm_split(av, wv, &mut outs, widths, bs, m, k)
+    timed(KernelClass::Gemm, |kern| {
+        kern.bmm_split(av, wv, &mut outs, widths, bs, m, k)
     });
     Ok(bufs
         .into_iter()
@@ -177,30 +163,62 @@ pub fn bmm_panels_dw(panels: &[&Tensor], g: &Tensor) -> Result<Tensor> {
     }
     let widths: Vec<usize> = panels.iter().map(|p| p.dim(2)).collect();
     let k = widths.iter().sum::<usize>();
-    let contiguous: Vec<Tensor> = panels.iter().map(|p| p.contiguous()).collect();
-    let slices: Vec<&[f32]> = contiguous
-        .iter()
-        .map(|p| p.as_slice().expect("contiguous"))
-        .collect();
-    let gc = g.contiguous();
-    let gv = gc.as_slice().expect("contiguous");
-    let mut out = Storage::zeros(k * n);
-    backend::timed(KernelClass::Gemm, || {
-        backend::kernels().bmm_panels_dw(&slices, &widths, gv, out.make_mut(), bs, m, n)
+    let (contiguous, gc) = (flat(panels), g.contiguous());
+    let (slices, gv) = (slices(&contiguous)?, gc.as_slice()?);
+    let mut out = Storage::scratch(k * n);
+    timed(KernelClass::Gemm, |kern| {
+        kern.bmm_panels_dw(&slices, &widths, gv, out.make_mut(), bs, m, n)
     });
     Ok(Tensor::from_storage(out, [k, n]))
 }
 
-/// `y[m] = A[m,k] @ x[k]` — matrix–vector product.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    if a.rank() != 2 || x.rank() != 1 {
-        return Err(TensorError::Invalid {
-            op: "matvec",
-            msg: format!("need [m,k] @ [k], got {:?} @ {:?}", a.dims(), x.dims()),
+/// CSR sparse × dense: `Y[rows,n] = S[rows,cols] @ X[cols,n]`, or
+/// `Y[b] = S @ X[b]` for every batch of a rank-3 `X[B,cols,n]`. `S` has
+/// `shape = (rows, cols)`, and row `r`'s nonzeros are
+/// `col_idx`/`values[row_ptr[r]..row_ptr[r + 1]]`, each output element
+/// adding them in storage order. The CSR arrays are trusted (as a
+/// `st_graph::Csr` keeps them): a column index past `cols` panics.
+pub fn spmm(
+    row_ptr: &[usize],
+    col_idx: &[usize],
+    values: &[f32],
+    (rows, cols): (usize, usize),
+    x: &Tensor,
+) -> Result<Tensor> {
+    let r = x.rank();
+    if !(r == 2 || r == 3) || x.dim(r - 2) != cols || row_ptr.len() != rows + 1 {
+        return Err(TensorError::ShapeMismatch {
+            op: "spmm",
+            lhs: vec![rows, cols],
+            rhs: x.dims().to_vec(),
         });
     }
-    let out = matmul(a, &x.reshape([x.dim(0), 1])?)?;
-    out.reshape([a.dim(0)])
+    let mut dims = x.dims().to_vec();
+    dims[r - 2] = rows;
+    let n = dims[r - 1];
+    let xc = x.contiguous();
+    let xs = xc.as_slice()?;
+    let mut out = Storage::scratch(dims.iter().product());
+    if rows * n > 0 {
+        let slabs = out.make_mut().chunks_exact_mut(rows * n);
+        timed(KernelClass::Spmm, |kern| {
+            for (i, slab) in slabs.enumerate() {
+                let xb = &xs[i * cols * n..(i + 1) * cols * n];
+                kern.spmm(row_ptr, col_idx, values, xb, slab, rows, n);
+            }
+        });
+    }
+    Ok(Tensor::from_storage(out, dims))
+}
+
+/// `panels`, each made contiguous (a clone when it already is).
+fn flat(panels: &[&Tensor]) -> Vec<Tensor> {
+    panels.iter().map(|p| p.contiguous()).collect()
+}
+
+/// The flat buffers of contiguous tensors.
+fn slices(ts: &[Tensor]) -> Result<Vec<&[f32]>> {
+    ts.iter().map(Tensor::as_slice).collect()
 }
 
 #[cfg(test)]
@@ -316,6 +334,66 @@ mod tests {
         assert_eq!(bits(&r), bits(&t));
     }
 
+    /// Inside a `RecycleScope` a second call of each panel GEMM and of the
+    /// CSR product gets the first call's freed, non-zero output buffer,
+    /// and its bits equal the same call's made outside a scope.
+    #[test]
+    fn recycled_outputs_are_written_whole() {
+        use crate::storage::RecycleScope;
+        // Every output is at least the recycler's 64 KiB floor.
+        let (bs, m, w, n) = (2, 128, 64, 128);
+        let inputs = |seed: u64| {
+            let mut rng = crate::random::rng_from_seed(seed);
+            let mut draw = |dims: &[usize]| crate::random::uniform(dims, -1.0, 1.0, &mut rng);
+            [
+                draw(&[bs, m, w]),
+                draw(&[bs, m, w]),
+                draw(&[2 * w, n]),
+                draw(&[bs, m, n]),
+                draw(&[bs, m, w]),
+                draw(&[n, 2 * w]),
+            ]
+        };
+        // A tridiagonal `[m, m]` CSR.
+        let row_ptr: Vec<usize> = (0..=m)
+            .map(|r| (3 * r).saturating_sub(1).min(3 * m - 2))
+            .collect();
+        let col_idx: Vec<usize> = (0..m)
+            .flat_map(|r| r.saturating_sub(1)..(r + 2).min(m))
+            .collect();
+        let values: Vec<f32> = (0..col_idx.len())
+            .map(|i| 0.5 - (i % 5) as f32 * 0.25)
+            .collect();
+        let run = |[p0, p1, wt, g, x, ws]: &[Tensor; 6]| {
+            let mut outs = vec![
+                bmm_panels(&[p0, p1], wt).unwrap(),
+                bmm_panels_dw(&[p0, p1], g).unwrap(),
+                spmm(&row_ptr, &col_idx, &values, (m, m), x).unwrap(),
+            ];
+            outs.extend(bmm_split(g, ws, &[w, w]).unwrap());
+            outs
+        };
+        let buffers = |ts: &[Tensor]| {
+            let mut at: Vec<*const f32> =
+                ts.iter().map(|t| t.as_slice().unwrap().as_ptr()).collect();
+            at.sort();
+            at
+        };
+        let (first, second) = (inputs(1), inputs(2));
+        let want = run(&second);
+        let _scope = RecycleScope::open();
+        let used = run(&first);
+        let freed = buffers(&used);
+        assert!(used.iter().all(|t| t.to_vec().iter().any(|&v| v != 0.0)));
+        drop(used);
+        let got = run(&second);
+        assert_eq!(buffers(&got), freed, "every output is a recycled buffer");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w), "output {i}");
+        }
+    }
+
     #[test]
     fn bmm_with_shared_rhs() {
         let a = Tensor::ones([2, 3, 4]);
@@ -331,12 +409,5 @@ mod tests {
         let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], [2, 2, 2]).unwrap();
         let c = bmm(&a, &b).unwrap();
         assert_eq!(c.to_vec(), vec![1.0, 2.0, 3.0, 4.0, 10.0, 12.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]).unwrap();
-        let x = Tensor::from_slice(&[1.0, -1.0]);
-        assert_eq!(matvec(&a, &x).unwrap().to_vec(), vec![-1.0, -1.0]);
     }
 }

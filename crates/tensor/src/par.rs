@@ -45,37 +45,32 @@ use std::time::{Duration, Instant};
 /// What [`par_threshold`] returns: below this many scalar operations, run
 /// sequentially.
 ///
-/// Re-derived against the resident pool (2-core Xeon host, release,
-/// `target-cpu=native`) and kept at 2¹⁵. The inline times below were
-/// taken with the packed `8×16` GEMM tile, about 12 G scalar ops/s at
-/// these sizes; the in-place `12×32` tile runs them at about 30 G/s (a
-/// 32³ GEMM in 1.1 µs, 128×64×64 in 17.5 µs), so the inline break-even
-/// now lies about 2.5× higher and the constant is due a re-derivation:
+/// Kept at 2¹⁵ after a re-derivation with the in-place `12×32` GEMM tile
+/// (2-core Xeon host, release, `target-cpu=native`) on `train_wide_w1`,
+/// the one benchmark workload that reads it (world 1, width 2; the others
+/// run every rank and shard at width 1 there). Ten alternating 8 s pairs
+/// per candidate, items/s:
+///
+/// | Candidate | Pairs it won | Its median | 2¹⁵'s median | Median ratio |
+/// |---|---|---|---|---|
+/// | 2¹⁶ | 6 of 10 | 423.3 | 426.2 | 1.003 |
+/// | 2¹⁷ | 5 of 10 | 423.8 | 427.8 | 0.994 |
+///
+/// Neither won 9 of 10, the bar for a change. The costs behind it:
 ///
 /// - *Hot* dispatch — a worker is polling — costs the caller 0.3 µs when it
 ///   ends up running both chunks itself (`st_tensor.par_dispatch_us` on
-///   `train_wide_w1`; the scoped spawn this replaced: 65–188 µs) and
-///   0.7–0.9 µs when the worker takes its share. A split pays once half
-///   the inline time exceeds that, i.e. from about 2 µs inline ≈ 2·10⁴
-///   ops; 2¹⁵ (2.7 µs inline) is the next power of two.
+///   `train_wide_w1`) and 0.7–0.9 µs when the worker takes its share. The
+///   in-place tile runs a 32³ GEMM (2¹⁵ ops) in 0.9–1.1 µs inline.
 /// - *Parked* dispatch — the worker has to be woken — costs the caller
 ///   14 µs (p90 20 µs). It cannot set the threshold and need not: a worker
 ///   parks only after `SPIN` (1 ms) of idleness, so it is paid at most once
 ///   per millisecond, ≤ 2 % of the caller's time whatever the call size.
-/// - End to end on `train_wide_w1` (windows/s, 4 alternating 8 s runs
-///   each): 2¹⁶ 72.1–73.5, **2¹⁵ 76.8–78.5**, 2¹⁴ 77.0–80.8; inline
-///   (`ST_NUM_THREADS=1`) 67.5–69.0. `train_small_w2` and `serve_unique` run at
-///   width 1 on that host and do not see the constant.
 ///
-/// In isolation the picture is less kind to small calls: back-to-back
-/// 32³ GEMMs take 2.7 µs inline and 3.8–4.1 µs split (the output and the
-/// packed panel change cores), break-even is near 10⁵ ops (64×64×32: 9.0 →
-/// 8.5 µs) and 128×64×64 goes 30.7 → 21.0 µs. A train step has few calls
-/// between 2¹⁵ and 10⁵ ops (2 % on `train_wide_w1`), and there they keep
-/// the second core in step with the first between the large GEMMs — after
-/// 0.7 ms without vector work this host runs the next GEMM 2.6× slower,
-/// pool or no pool — so the end-to-end number, not the microbenchmark,
-/// decides.
+/// A one-call microbenchmark puts the break-even higher, but in a step the
+/// small pooled calls keep the second core warm between the large GEMMs
+/// (after 0.7 ms without vector work this host runs the next GEMM 2.6×
+/// slower), so the end-to-end number decides.
 pub const PAR_THRESHOLD: usize = 1 << 15;
 
 /// How long an idle worker, or a caller waiting for its last chunks, polls

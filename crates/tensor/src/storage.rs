@@ -13,9 +13,10 @@
 //! ones are trimmed and faulted in again on the next step. A
 //! [`RecycleScope`] keeps them instead: while one is open on a thread, every
 //! buffer of at least [`RECYCLE_FLOOR_BYTES`] that an op allocates there
-//! ([`Storage::zeros`], the crate's kernel outputs) is tagged with the
-//! scope, and when the last tensor holding it drops on that thread, the
-//! buffer goes into the scope's free lists instead of back to the system.
+//! (`Storage::scratch`, the path of every kernel output, which the kernel
+//! then writes in full) is tagged with the scope, and when the last tensor
+//! holding it drops on that thread, the buffer goes into the scope's free
+//! lists instead of back to the system.
 //! The next request of the same length takes it back. Only buffers the
 //! scope handed out return to it; a buffer dropped on another thread, or
 //! after its scope closed, is freed as usual. Closing the scope frees the
@@ -54,12 +55,6 @@ impl Drop for Buffer {
 }
 
 impl Storage {
-    /// Allocate a zero-filled buffer of `len` elements (a recycled one
-    /// inside a [`RecycleScope`]).
-    pub fn zeros(len: usize) -> Self {
-        Storage::full(len, 0.0)
-    }
-
     /// `len` copies of `value`.
     pub(crate) fn full(len: usize, value: f32) -> Self {
         Storage::alloc(len, |buf| match buf {
@@ -72,8 +67,8 @@ impl Storage {
     }
 
     /// A buffer of `len` elements whose contents are unspecified — zeros, or
-    /// a recycled buffer's old values. For kernel outputs that write every
-    /// element.
+    /// a recycled buffer's old values. The one allocation path of kernel
+    /// outputs: every `Kernels` method writes all of its output.
     pub(crate) fn scratch(len: usize) -> Self {
         Storage::alloc(len, |buf| buf.unwrap_or_else(|| vec![0.0; len]))
     }
@@ -280,7 +275,7 @@ mod tests {
 
     #[test]
     fn zeros_and_len() {
-        let s = Storage::zeros(5);
+        let s = Storage::full(5, 0.0);
         assert_eq!(s.len(), 5);
         assert!(s.as_slice().iter().all(|&x| x == 0.0));
     }
@@ -314,42 +309,42 @@ mod tests {
     #[test]
     fn scope_recycles_large_buffers_zeroed() {
         let _scope = RecycleScope::open();
-        let mut a = Storage::zeros(BIG);
+        let mut a = Storage::full(BIG, 0.0);
         a.make_mut().fill(7.0);
         let ptr = a.as_slice().as_ptr();
         drop(a);
         assert_eq!(RecycleScope::held_bytes(), RECYCLE_FLOOR_BYTES);
-        let b = Storage::zeros(BIG);
+        let b = Storage::full(BIG, 0.0);
         assert_eq!(b.as_slice().as_ptr(), ptr, "the freed buffer comes back");
         assert!(b.as_slice().iter().all(|&x| x == 0.0), "zeroed on reuse");
         assert_eq!(RecycleScope::held_bytes(), 0);
         // Another length never takes it.
         drop(b);
-        let c = Storage::zeros(BIG + 1);
+        let c = Storage::full(BIG + 1, 0.0);
         assert_ne!(c.as_slice().as_ptr(), ptr);
     }
 
     #[test]
     fn small_and_foreign_buffers_are_not_taken() {
         let _scope = RecycleScope::open();
-        drop(Storage::zeros(BIG - 1));
+        drop(Storage::full(BIG - 1, 0.0));
         drop(Storage::from_vec(vec![0.0; BIG]));
         assert_eq!(RecycleScope::held_bytes(), 0);
     }
 
     #[test]
     fn no_scope_no_recycling_and_nested_scopes_are_inert() {
-        drop(Storage::zeros(BIG));
+        drop(Storage::full(BIG, 0.0));
         assert_eq!(RecycleScope::held_bytes(), 0, "no scope, nothing held");
         let outer = RecycleScope::open();
         drop(RecycleScope::open());
-        drop(Storage::zeros(BIG));
+        drop(Storage::full(BIG, 0.0));
         assert_eq!(
             RecycleScope::held_bytes(),
             RECYCLE_FLOOR_BYTES,
             "the outer scope stays open"
         );
-        let a = Storage::zeros(BIG);
+        let a = Storage::full(BIG, 0.0);
         drop(outer);
         assert_eq!(RecycleScope::held_bytes(), 0);
         // Its scope closed: `a` is freed, and a new scope never sees it.
@@ -361,7 +356,7 @@ mod tests {
     #[test]
     fn buffers_dropped_on_another_thread_are_freed_there() {
         let _scope = RecycleScope::open();
-        let a = Storage::zeros(BIG);
+        let a = Storage::full(BIG, 0.0);
         std::thread::spawn(move || {
             let _theirs = RecycleScope::open();
             drop(a);
@@ -375,7 +370,7 @@ mod tests {
     #[test]
     fn copy_on_write_copies_into_a_recycled_buffer() {
         let _scope = RecycleScope::open();
-        let freed = Storage::zeros(BIG);
+        let freed = Storage::full(BIG, 0.0);
         let ptr = freed.as_slice().as_ptr();
         drop(freed);
         let a = Storage::from_vec(vec![3.0; BIG]);

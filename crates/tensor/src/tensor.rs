@@ -29,7 +29,7 @@ impl Tensor {
         let shape = shape.into();
         let strides = shape.contiguous_strides();
         Tensor {
-            storage: Storage::zeros(shape.numel()),
+            storage: Storage::full(shape.numel(), 0.0),
             shape,
             strides,
             offset: 0,

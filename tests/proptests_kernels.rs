@@ -5,9 +5,12 @@
 //! the reference backend. This
 //! is the invariant that lets the engine's golden tests keep pinning
 //! train-loss bits while the backend underneath is swapped freely
-//! (DESIGN.md §8). On an AVX-512 build the tiled GEMM and SpMM are the
-//! intrinsic register tiles; on any other target they are the portable
-//! ones, and the same properties pin both.
+//! (DESIGN.md §8). Each of these properties also draws what `out` holds
+//! before the call — zeros, NaNs of three payloads, ±∞ or finite garbage —
+//! and every kernel must end with the bits of the zeroed run: a kernel
+//! writes all of its output and reads none of it. On an AVX-512 build the
+//! tiled GEMM and SpMM are the intrinsic register tiles; on any other
+//! target they are the portable ones, and the same properties pin both.
 //!
 //! The backends are exercised as structs (not through the process-wide
 //! dispatch), so these tests are independent of `ST_BACKEND` and of any
@@ -66,14 +69,13 @@ proptest! {
         m in 0usize..70,
         k in 0usize..70,
         n in 0usize..70,
+        start in (0u8..6, any::<u32>()),
         seed in any::<u32>(),
     ) {
         let a = fill(m * k, seed);
         let b = fill(k * n, seed.wrapping_add(1));
-        let mut r = vec![0.0f32; m * n];
-        let mut t = vec![0.0f32; m * n];
-        reference().matmul(&a, &b, &mut r, m, k, n);
-        tiled().matmul(&a, &b, &mut t, m, k, n);
+        let r = written(m * n, start, |out| reference().matmul(&a, &b, out, m, k, n));
+        let t = written(m * n, start, |out| tiled().matmul(&a, &b, out, m, k, n));
         prop_assert_eq!(bits(&r), bits(&t), "({}, {}, {})", m, k, n);
     }
 
@@ -90,6 +92,7 @@ proptest! {
         shared in any::<bool>(),
         specials in proptest::collection::vec((any::<u32>(), 0u8..7, any::<bool>()), 0..6),
         meet in (any::<u32>(), 4u8..7),
+        start in (0u8..6, any::<u32>()),
         seed in any::<u32>(),
     ) {
         let mut a = fill(bs * m * k, seed);
@@ -101,10 +104,9 @@ proptest! {
             a[r * k + l] = x;
             b[if shared { 0 } else { r / m * k * n } + l * n + c] = y;
         }
-        let mut r = vec![0.0f32; bs * m * n];
-        let mut t = vec![0.0f32; bs * m * n];
-        reference().bmm(&a, &b, &mut r, bs, m, k, n, shared);
-        tiled().bmm(&a, &b, &mut t, bs, m, k, n, shared);
+        let len = bs * m * n;
+        let r = written(len, start, |out| reference().bmm(&a, &b, out, bs, m, k, n, shared));
+        let t = written(len, start, |out| tiled().bmm(&a, &b, out, bs, m, k, n, shared));
         prop_assert_eq!(bits(&r), bits(&t), "({}, {}, {}, {}) shared={}", bs, m, k, n, shared);
     }
 
@@ -122,6 +124,7 @@ proptest! {
         which in 0u8..3,
         specials in proptest::collection::vec((any::<u32>(), 0u8..7, any::<bool>()), 0..6),
         meet in (any::<u32>(), 4u8..7),
+        start in (0u8..6, any::<u32>()),
         seed in any::<u32>(),
     ) {
         let (k, n) = match which {
@@ -135,10 +138,9 @@ proptest! {
         let (r, l, c, x, y) = meeting(meet, bs * m, k, n);
         a[r * k + l] = x;
         b[l * n + c] = y;
-        let mut want = vec![0.0f32; bs * m * n];
-        let mut got = vec![0.0f32; bs * m * n];
-        reference().bmm(&a, &b, &mut want, bs, m, k, n, true);
-        tiled().bmm(&a, &b, &mut got, bs, m, k, n, true);
+        let len = bs * m * n;
+        let want = written(len, start, |out| reference().bmm(&a, &b, out, bs, m, k, n, true));
+        let got = written(len, start, |out| tiled().bmm(&a, &b, out, bs, m, k, n, true));
         prop_assert_eq!(bits(&want), bits(&got), "({}, {}, {}, {})", bs, m, k, n);
     }
 
@@ -153,6 +155,7 @@ proptest! {
         n in 0usize..70,
         cols in 1usize..12,
         specials in proptest::collection::vec((any::<u32>(), 0u8..4, any::<bool>()), 0..6),
+        start in (0u8..6, any::<u32>()),
         seed in any::<u32>(),
     ) {
         let rows = degrees.len();
@@ -176,10 +179,12 @@ proptest! {
                 target[i] = special(kind);
             }
         }
-        let mut r = vec![0.0f32; rows * n];
-        let mut t = vec![0.0f32; rows * n];
-        reference().spmm(&row_ptr, &col_idx, &values, &x, &mut r, rows, n);
-        tiled().spmm(&row_ptr, &col_idx, &values, &x, &mut t, rows, n);
+        let spmm = |kernels: &dyn Kernels| {
+            written(rows * n, start, |out| {
+                kernels.spmm(&row_ptr, &col_idx, &values, &x, out, rows, n)
+            })
+        };
+        let (r, t) = (spmm(reference()), spmm(tiled()));
         prop_assert_eq!(bits(&r), bits(&t), "{} rows, n {}, {} cols", rows, n, cols);
     }
 
@@ -190,6 +195,7 @@ proptest! {
         rows in 1usize..40,
         width in 1usize..33,
         which in 0u8..3,
+        start in (0u8..6, any::<u32>()),
         seed in any::<u32>(),
     ) {
         let act = match which {
@@ -199,10 +205,8 @@ proptest! {
         };
         let z = fill(rows * width, seed);
         let bias = fill(width, seed.wrapping_add(3));
-        let mut r = vec![0.0f32; z.len()];
-        let mut t = vec![0.0f32; z.len()];
-        reference().bias_act(&z, &bias, &mut r, act);
-        tiled().bias_act(&z, &bias, &mut t, act);
+        let r = written(z.len(), start, |out| reference().bias_act(&z, &bias, out, act));
+        let t = written(z.len(), start, |out| tiled().bias_act(&z, &bias, out, act));
         prop_assert_eq!(bits(&r), bits(&t), "{:?} {}x{}", act, rows, width);
     }
 
@@ -211,15 +215,14 @@ proptest! {
     #[test]
     fn fused_gru_blend_bitwise_equals_reference(
         len in 0usize..200,
+        start in (0u8..6, any::<u32>()),
         seed in any::<u32>(),
     ) {
         let u = fill(len, seed);
         let h = fill(len, seed.wrapping_add(4));
         let c = fill(len, seed.wrapping_add(5));
-        let mut r = vec![0.0f32; len];
-        let mut t = vec![0.0f32; len];
-        reference().gru_blend(&u, &h, &c, &mut r);
-        tiled().gru_blend(&u, &h, &c, &mut t);
+        let r = written(len, start, |out| reference().gru_blend(&u, &h, &c, out));
+        let t = written(len, start, |out| tiled().gru_blend(&u, &h, &c, out));
         prop_assert_eq!(bits(&r), bits(&t));
     }
 
@@ -232,16 +235,15 @@ proptest! {
         n in 1usize..12,
         poison_at in any::<u32>(),
         poison_inf in any::<bool>(),
+        start in (0u8..6, any::<u32>()),
         seed in any::<u32>(),
     ) {
         let a = fill(m * k, seed);
         let mut b = fill(k * n, seed.wrapping_add(6));
         let idx = poison_at as usize % b.len();
         b[idx] = if poison_inf { f32::INFINITY } else { f32::NAN };
-        let mut r = vec![0.0f32; m * n];
-        let mut t = vec![0.0f32; m * n];
-        reference().matmul(&a, &b, &mut r, m, k, n);
-        tiled().matmul(&a, &b, &mut t, m, k, n);
+        let r = written(m * n, start, |out| reference().matmul(&a, &b, out, m, k, n));
+        let t = written(m * n, start, |out| tiled().matmul(&a, &b, out, m, k, n));
         prop_assert_eq!(bits(&r), bits(&t));
         // The poisoned column's outputs must be non-finite in both.
         let col = idx % n;
@@ -264,6 +266,7 @@ proptest! {
         n in 1usize..71,
         specials in proptest::collection::vec((any::<u32>(), 0u8..7), 0..6),
         meet in (any::<u32>(), 4u8..7),
+        start in (0u8..6, any::<u32>()),
         seed in any::<u32>(),
     ) {
         let k: usize = widths.iter().sum();
@@ -287,16 +290,15 @@ proptest! {
         b[l * n + c] = y;
         let cat = concat_panels(&panels, &widths, bs * m);
         let refs: Vec<&[f32]> = panels.iter().map(Vec::as_slice).collect();
-        let mut want = vec![0.0f32; bs * m * n];
-        reference().bmm(&cat, &b, &mut want, bs, m, k, n, true);
+        let len = bs * m * n;
+        let want = written(len, start, |out| reference().bmm(&cat, &b, out, bs, m, k, n, true));
         // Sums seeded with +0.0 never become −0.0, whatever the inputs: the
         // diffusion convolution's identity pass-through relies on it.
         prop_assert!(want.iter().all(|v| v.to_bits() != (-0.0f32).to_bits()));
         for kernels in [reference(), tiled()] {
-            let mut concat_out = vec![0.0f32; bs * m * n];
-            kernels.bmm(&cat, &b, &mut concat_out, bs, m, k, n, true);
-            let mut panel_out = vec![0.0f32; bs * m * n];
-            kernels.bmm_panels(&refs, &widths, &b, &mut panel_out, bs, m, n);
+            let concat_out = written(len, start, |out| kernels.bmm(&cat, &b, out, bs, m, k, n, true));
+            let panel_out =
+                written(len, start, |out| kernels.bmm_panels(&refs, &widths, &b, out, bs, m, n));
             prop_assert_eq!(bits(&concat_out), bits(&want), "{} bmm", kernels.name());
             prop_assert_eq!(
                 bits(&panel_out), bits(&want),
@@ -317,6 +319,7 @@ proptest! {
         k in 1usize..40,
         specials in proptest::collection::vec((any::<u32>(), 0u8..7), 0..6),
         meet in (any::<u32>(), 4u8..7),
+        start in (0u8..6, any::<u32>()),
         seed in any::<u32>(),
     ) {
         let n: usize = widths.iter().sum();
@@ -340,9 +343,23 @@ proptest! {
             off += w;
         }
         for kernels in [reference(), tiled()] {
-            let mut bufs: Vec<Vec<f32>> = widths.iter().map(|&w| vec![0.0f32; bs * m * w]).collect();
-            let mut outs: Vec<&mut [f32]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-            kernels.bmm_split(&a, &b, &mut outs, &widths, bs, m, k);
+            // The panels laid end to end in one buffer.
+            let all = written(bs * m * n, start, |mut rest| {
+                let mut outs: Vec<&mut [f32]> = Vec::new();
+                for &w in &widths {
+                    let (panel, tail) = rest.split_at_mut(bs * m * w);
+                    outs.push(panel);
+                    rest = tail;
+                }
+                kernels.bmm_split(&a, &b, &mut outs, &widths, bs, m, k);
+            });
+            let mut bufs = Vec::new();
+            let mut rest = &all[..];
+            for &w in &widths {
+                let (panel, tail) = rest.split_at(bs * m * w);
+                bufs.push(panel);
+                rest = tail;
+            }
             for (p, (got, want)) in bufs.iter().zip(&want).enumerate() {
                 prop_assert_eq!(
                     bits(got), bits(want),
@@ -360,6 +377,7 @@ proptest! {
     /// `NC`, `bs = 1` is included, and NaNs of several payloads, ±∞ and
     /// −0.0 are planted in the panels and in `g`: with two NaNs in one batch
     /// sum, only the add's operand order decides which payload survives.
+    /// An empty batch sums nothing: its `dW` is all `+0.0`.
     #[test]
     fn panel_gemm_dw_bitwise_equals_transpose_concat_bmm_sum(
         widths in proptest::collection::vec(1usize..70, 1..5),
@@ -367,6 +385,7 @@ proptest! {
         m in 1usize..40,
         n in 1usize..40,
         specials in proptest::collection::vec((any::<u32>(), 0u8..7), 0..8),
+        start in (0u8..6, any::<u32>()),
         seed in any::<u32>(),
     ) {
         let k: usize = widths.iter().sum();
@@ -400,8 +419,9 @@ proptest! {
                 let slab = Tensor::from_vec(slab.to_vec(), [k, n]).expect("slab");
                 tensor_ops::add_assign(&mut want, &slab).expect("same shape");
             }
-            let mut got = vec![0.0f32; k * n];
-            kernels.bmm_panels_dw(&refs, &widths, &g, &mut got, bs, m, n);
+            let got = written(k * n, start, |out| {
+                kernels.bmm_panels_dw(&refs, &widths, &g, out, bs, m, n)
+            });
             let (got, want) = (bits(&got), bits(&want.to_vec()));
             let first = (0..k * n).find(|&i| got[i] != want[i]);
             prop_assert!(
@@ -410,6 +430,11 @@ proptest! {
                 kernels.name(), widths, bs, m, n, first,
                 first.map_or(0, |i| got[i]), first.map_or(0, |i| want[i])
             );
+            let empty: Vec<&[f32]> = widths.iter().map(|_| &[][..]).collect();
+            let none = written(k * n, start, |out| {
+                kernels.bmm_panels_dw(&empty, &widths, &[], out, 0, m, n)
+            });
+            prop_assert!(none.iter().all(|v| v.to_bits() == 0), "{} empty-batch dW", kernels.name());
         }
     }
 
@@ -475,6 +500,33 @@ proptest! {
             }
         }
     }
+}
+
+/// What a kernel's `out` holds before the call, by `kind`: 0 zeros, 1–3
+/// NaNs of three payloads, 4 alternating ±∞, 5 finite garbage.
+fn stale(len: usize, (kind, seed): (u8, u32)) -> Vec<f32> {
+    match kind {
+        0 => vec![0.0; len],
+        1..=3 => vec![payload_special(kind + 3); len],
+        4 => (0..len)
+            .map(|i| [f32::INFINITY, f32::NEG_INFINITY][i % 2])
+            .collect(),
+        _ => fill(len, seed).iter().map(|v| v * 1e30).collect(),
+    }
+}
+
+/// `run`'s output in an `out` of `len` zeros, after checking that an `out`
+/// that starts as [`stale`]`(start)` ends with the same bits.
+fn written(len: usize, start: (u8, u32), run: impl Fn(&mut [f32])) -> Vec<f32> {
+    let mut zeroed = vec![0.0f32; len];
+    run(&mut zeroed);
+    let mut dirty = stale(len, start);
+    run(&mut dirty);
+    assert!(
+        bits(&zeroed) == bits(&dirty),
+        "an out that started as {start:?} ends differently"
+    );
+    zeroed
 }
 
 /// Whether `f` panics.

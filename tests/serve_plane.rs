@@ -252,6 +252,42 @@ fn a_snapshot_whose_params_do_not_fit_its_config_never_swaps_in() {
     assert_bitwise_equal(&before, &after);
 }
 
+/// Configs that cannot be built from, crafted into snapshot bytes: K = 0
+/// (no diffusion supports exist; building them asserts) and a hidden width
+/// of 2⁴⁰ (the model shell's allocation aborts). Each is refused typed
+/// before anything is built from its config, under the registry's write
+/// lock, and the tenant keeps serving the model it had.
+#[test]
+fn a_snapshot_config_that_cannot_be_built_is_refused_before_building() {
+    let adj = corridor();
+    let registry = SnapshotRegistry::new();
+    let cfg = ServeConfig::new(2, 12);
+    registry
+        .register(
+            "city",
+            BatchedServer::with_history(snapshot(&adj, 7), adj.clone(), &history(20), cfg),
+        )
+        .unwrap();
+    let queries = workload(8, 18, 20);
+    let before = registry.serve("city", &queries).unwrap();
+    let held = registry.get("city").unwrap();
+    let crafted: [fn(&mut ModelConfig); 2] = [|c| c.diffusion_steps = 0, |c| c.hidden = 1 << 40];
+    for craft in crafted {
+        let mut snap = snapshot(&adj, 19);
+        craft(&mut snap.config);
+        let snap = ModelSnapshot::from_bytes(&snap.to_bytes()).expect("well-formed bytes");
+        let err = registry.swap_snapshot("city", snap).unwrap_err();
+        assert!(matches!(err, ServeError::Snapshot(_)), "{err}");
+        assert!(std::sync::Arc::ptr_eq(
+            &held,
+            &registry.get("city").unwrap()
+        ));
+        let after = registry.serve("city", &queries).unwrap();
+        assert!(after.rejections.is_empty());
+        assert_bitwise_equal(&before, &after);
+    }
+}
+
 #[test]
 fn evicted_windows_reject_typed_through_the_full_serve_path() {
     let adj = corridor();
