@@ -16,7 +16,6 @@ use st_device::CostModel;
 use st_dist::shuffle::{self, ShuffleStrategy};
 use st_dist::topology::ClusterTopology;
 use st_models::Seq2Seq;
-use std::borrow::Cow;
 
 /// Configuration of a distributed training run.
 #[derive(Debug, Clone)]
@@ -117,6 +116,17 @@ impl DistConfig {
         self.world * self.batch_per_worker
     }
 
+    /// Where a run on `signal` keeps its standardized copies: under a
+    /// chunked `storage` when the signal is in memory; anything else keeps
+    /// the signal's own backend (a chunked signal its own chunk geometry).
+    pub(crate) fn storage_for(&self, signal: &StaticGraphTemporalSignal) -> StorageSpec {
+        if self.storage.is_chunked() && !signal.is_chunked() {
+            self.storage
+        } else {
+            signal.storage.spec()
+        }
+    }
+
     /// The learning rate after optional large-batch scaling.
     pub fn effective_lr(&self) -> f32 {
         match self.lr_base_batch {
@@ -125,20 +135,6 @@ impl DistConfig {
             }
             None => self.lr,
         }
-    }
-}
-
-/// A run's `storage` knob applied to its input signal: an in-memory signal
-/// moves under a chunked spec; anything else trains as it came (a signal
-/// that is already chunked keeps its own chunk geometry).
-pub(crate) fn stored_as(
-    signal: &StaticGraphTemporalSignal,
-    spec: StorageSpec,
-) -> Cow<'_, StaticGraphTemporalSignal> {
-    if spec.is_chunked() && !signal.is_chunked() {
-        Cow::Owned(signal.rechunk(spec))
-    } else {
-        Cow::Borrowed(signal)
     }
 }
 
@@ -205,11 +201,12 @@ impl LocalCopyPlane {
         rank: usize,
         cm: &CostModel,
     ) -> Self {
-        let ds = IndexDataset::from_signal(
-            &stored_as(signal, cfg.storage),
+        let ds = IndexDataset::from_storage(
+            &signal.storage,
             cfg.horizon,
             SplitRatios::default(),
             cfg.time_period,
+            cfg.storage_for(signal),
         );
         LocalCopyPlane {
             ds,

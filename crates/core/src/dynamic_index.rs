@@ -76,7 +76,7 @@ impl DynamicIndexDataset {
             .map(|adj| Support::wrap_all(diffusion_supports(adj, diffusion_steps)))
             .collect();
         DynamicIndexDataset {
-            index: IndexDataset::from_storage(features, horizon, ratios, spec),
+            index: IndexDataset::from_storage(&features, horizon, ratios, None, spec),
             supports,
         }
     }

@@ -188,16 +188,13 @@ where
     // Standardize once (the paper's generalized mode preprocesses
     // distributedly; the single-copy standardization is the index-batching
     // part, and the DistributedArray below is the partitioning part).
-    let augmented;
-    let sig = match cfg.time_period {
-        Some(p) => {
-            augmented = signal.with_time_feature(p);
-            &augmented
-        }
-        None => signal,
-    };
-    let sig = crate::dist_index::stored_as(sig, cfg.storage);
-    let full = IndexDataset::from_signal(&sig, cfg.horizon, SplitRatios::default(), None);
+    let full = IndexDataset::from_storage(
+        &signal.storage,
+        cfg.horizon,
+        SplitRatios::default(),
+        cfg.time_period,
+        cfg.storage_for(signal),
+    );
     let (nodes, features) = (full.num_nodes(), full.num_features());
     let scaler = full.scaler().clone();
     let split = full.splits().clone();

@@ -14,6 +14,10 @@
 //! samples fed to the model are **identical** to standard batching — which
 //! is why accuracy is unchanged (Fig. 5); a test below asserts exactly that.
 //!
+//! Every constructor builds the copy through [`IndexDataset::from_storage`]:
+//! one streamed pass from the raw signal that computes the time-of-day
+//! column from the row index, so the build writes only the copy's bytes.
+//!
 //! The single copy sits behind [`SignalStorage`], and a window is one
 //! `start .. start + 2·horizon` row read split at `horizon` (x and y abut).
 //! In memory that read is a zero-copy view and a batch a straight memcpy
@@ -40,38 +44,33 @@ pub struct IndexDataset {
 }
 
 impl IndexDataset {
-    /// Build from a signal: optionally append the time-of-day feature
-    /// (traffic datasets), fit the scaler on the training prefix, and
-    /// standardize the single copy in place of the materializing pipeline.
-    ///
-    /// The dataset inherits the signal's storage backend: a chunked signal
-    /// is standardized chunk-by-chunk (the scaler is elementwise, so the
-    /// result is bit-identical to the dense path) and stays chunked; the
-    /// scaler *fit* streams the training prefix too.
+    /// Build from a signal: standardize one copy of it — with a time-of-day
+    /// feature appended when a period is given (traffic datasets) — on a
+    /// scaler fitted to the training prefix, in place of the materializing
+    /// pipeline. The copy stays on the signal's storage backend:
+    /// [`IndexDataset::from_storage`] under the signal's own spec.
     pub fn from_signal(
         signal: &StaticGraphTemporalSignal,
         horizon: usize,
         ratios: SplitRatios,
         time_feature_period: Option<usize>,
     ) -> Self {
-        let storage = match time_feature_period {
-            Some(p) => signal.with_time_feature(p).storage,
-            None => signal.storage.clone(),
-        };
-        let spec = storage.spec();
-        Self::from_storage(storage, horizon, ratios, spec)
+        let spec = signal.storage.spec();
+        Self::from_storage(&signal.storage, horizon, ratios, time_feature_period, spec)
     }
 
-    /// Index `[E, N, F]` rows `storage` by windows of `horizon`: fit the
-    /// scaler on the training prefix with [`StandardScaler::fit_rows`]
-    /// (the bits of [`StandardScaler::fit`] over the materialized prefix)
-    /// and standardize a copy under `spec`, block by block. An in-memory
-    /// `storage` kept in memory is standardized in place when nothing else
-    /// holds its buffer: the same bits without a second copy of the signal.
-    pub(crate) fn from_storage(
-        storage: SignalStorage,
+    /// The one build of the standardized copy: index raw `[E, N, F]` rows
+    /// by windows of `horizon` and write the copy under `spec` (`F + 1`
+    /// features with a `time_feature_period`). [`StandardScaler::fit_rows`]
+    /// streams the raw training prefix, then one
+    /// [`SignalStorage::rewrite_rows`] pass appends the time column and
+    /// standardizes ([`StandardScaler::standardize_rows`]): the bits of
+    /// `with_time_feature`, fit and transform, with no intermediate copy.
+    pub fn from_storage(
+        storage: &SignalStorage,
         horizon: usize,
         ratios: SplitRatios,
+        time_feature_period: Option<usize>,
         spec: StorageSpec,
     ) -> Self {
         let entries = storage.rows();
@@ -81,13 +80,11 @@ impl IndexDataset {
         // Fit on the entries the training snapshots can touch:
         // windows [0, train_end) cover entries [0, train_end + 2h - 1).
         let train_entries = (splits.train.end + 2 * horizon - 1).min(entries);
-        let scaler = StandardScaler::fit_rows(&storage, 0..train_entries);
-        let store = match storage {
-            SignalStorage::InMemory(data) if !spec.is_chunked() => {
-                SignalStorage::InMemory(scaler.transform_owned(data))
-            }
-            storage => storage.rewrite_rows(spec, |_, rows| scaler.transform(rows)),
-        };
+        let scaler = StandardScaler::fit_rows(storage, 0..train_entries, time_feature_period);
+        let store = storage.rewrite_rows(spec, |first, rows| match time_feature_period {
+            Some(p) => scaler.standardize_rows(first, rows, p),
+            None => scaler.transform(rows),
+        });
         IndexDataset {
             store,
             horizon,

@@ -25,13 +25,14 @@
 //! plane: the engine's epoch loop drives every partition concurrently, and
 //! validation runs once, after the last epoch, on owned nodes only.
 
-use crate::dist_index::{stored_as, DistConfig};
+use crate::dist_index::DistConfig;
 use crate::engine::{self, EngineOptions};
 use crate::index_batching::IndexDataset;
 use crate::trainer::{SourcePlane, Validation};
 use st_data::signal::StaticGraphTemporalSignal;
 use st_data::splits::SplitRatios;
-use st_graph::{diffusion_supports, Partitioning};
+use st_data::storage::StorageSpec;
+use st_graph::{diffusion_supports, Adjacency, Partitioning};
 use st_models::{ModelConfig, PgtDcrnn, Seq2Seq, Support};
 
 /// The partition models' diffusion steps K, and the halo depth in hops
@@ -80,7 +81,8 @@ pub struct PartitionedResult {
     pub whole_resident_bytes: u64,
 }
 
-/// Restrict a signal to a node subset (the per-partition feature copy).
+/// Restrict a signal to a node subset (the per-partition feature copy),
+/// written under `spec`.
 ///
 /// This *is* a copy — exactly the replication cost partitioned training
 /// pays for halo nodes, which [`PartitionedResult::replication_factor`]
@@ -89,6 +91,7 @@ pub fn node_subset_signal(
     signal: &StaticGraphTemporalSignal,
     nodes: &[usize],
     adjacency: st_graph::Adjacency,
+    spec: StorageSpec,
 ) -> StaticGraphTemporalSignal {
     let select = |block: &st_tensor::Tensor| {
         block
@@ -100,11 +103,9 @@ pub fn node_subset_signal(
             .expect("back to [E, n, F]")
             .contiguous()
     };
-    // A chunked signal streams chunk by chunk, so the per-partition copy
-    // never materializes the full signal.
-    let storage = signal
-        .storage
-        .rewrite_rows(signal.storage.spec(), |_, block| select(block));
+    // A chunked source or target streams chunk by chunk, so the
+    // per-partition copy never materializes the full signal.
+    let storage = signal.storage.rewrite_rows(spec, |_, block| select(block));
     StaticGraphTemporalSignal::with_storage(storage, adjacency)
 }
 
@@ -120,13 +121,16 @@ pub fn run_partitioned(
     hidden: usize,
     cfg: &DistConfig,
 ) -> PartitionedResult {
-    let signal = &*stored_as(signal, cfg.storage);
+    let spec = cfg.storage_for(signal);
     let subgraphs = partitioning.subgraphs(&signal.adjacency, K);
+    let index = |s: &StaticGraphTemporalSignal| {
+        let ratios = SplitRatios::default();
+        IndexDataset::from_storage(&s.storage, cfg.horizon, ratios, cfg.time_period, spec)
+    };
 
     // Whole-graph comparison quantities.
-    let whole_ds =
-        IndexDataset::from_signal(signal, cfg.horizon, SplitRatios::default(), cfg.time_period);
-    let whole_model = build_model(&whole_ds, signal, hidden, cfg);
+    let whole_ds = index(signal);
+    let whole_model = build_model(&whole_ds, &signal.adjacency, hidden, cfg);
     let whole_flops = whole_model.flops_per_forward(1);
     let whole_resident_bytes = whole_ds.resident_bytes(4);
 
@@ -137,20 +141,16 @@ pub fn run_partitioned(
         .filter(|&p| subgraphs[p].owned_count > 0)
         .collect();
 
-    // Per-partition signals and datasets, built once up front and borrowed
+    // Per-partition graphs and datasets, built once up front and borrowed
     // by the engine's per-rank planes.
-    let locals: Vec<(StaticGraphTemporalSignal, IndexDataset)> = active
+    let locals: Vec<(Adjacency, IndexDataset)> = active
         .iter()
         .map(|&p| {
             let sub = &subgraphs[p];
-            let local_sig = node_subset_signal(signal, &sub.global_ids, sub.adjacency.clone());
-            let ds = IndexDataset::from_signal(
-                &local_sig,
-                cfg.horizon,
-                SplitRatios::default(),
-                cfg.time_period,
-            );
-            (local_sig, ds)
+            let adjacency = sub.adjacency.clone();
+            let local_sig = node_subset_signal(signal, &sub.global_ids, adjacency, spec);
+            let ds = index(&local_sig);
+            (local_sig.adjacency, ds)
         })
         .collect();
     let dist_cfg = DistConfig {
@@ -171,8 +171,8 @@ pub fn run_partitioned(
             SourcePlane::new(&locals[rank].1, cfg, rank, cm, Validation::Last, owned)
         },
         |plane: &SourcePlane| {
-            let (sig, ds) = &locals[plane.rank];
-            let model = build_model(ds, sig, hidden, cfg);
+            let (adjacency, ds) = &locals[plane.rank];
+            let model = build_model(ds, adjacency, hidden, cfg);
             part_flops.lock().unwrap()[plane.rank] = model.flops_per_forward(1);
             Box::new(model) as Box<dyn Seq2Seq>
         },
@@ -240,11 +240,11 @@ pub fn run_partitioned(
 
 fn build_model(
     ds: &IndexDataset,
-    sig: &StaticGraphTemporalSignal,
+    adjacency: &Adjacency,
     hidden: usize,
     cfg: &DistConfig,
 ) -> PgtDcrnn {
-    let supports = Support::wrap_all(diffusion_supports(&sig.adjacency, K));
+    let supports = Support::wrap_all(diffusion_supports(adjacency, K));
     PgtDcrnn::new(
         ModelConfig {
             input_dim: ds.num_features(),
@@ -319,7 +319,7 @@ mod tests {
         let (_, sig) = signal();
         let nodes = vec![3usize, 0, 5];
         let adj = st_graph::partition::induced_subgraph(&sig.adjacency, &nodes);
-        let sub = node_subset_signal(&sig, &nodes, adj);
+        let sub = node_subset_signal(&sig, &nodes, adj, StorageSpec::InMemory);
         assert_eq!(sub.num_nodes(), 3);
         assert_eq!(sub.entries(), sig.entries());
         for (local, &global) in nodes.iter().enumerate() {
@@ -366,7 +366,7 @@ mod tests {
 
         // Whole-graph reference with identical settings and seed.
         let ds = IndexDataset::from_signal(&sig, cfg.horizon, SplitRatios::default(), None);
-        let model = build_model(&ds, &sig, 8, &cfg);
+        let model = build_model(&ds, &sig.adjacency, 8, &cfg);
         let trainer = Trainer {
             validate: false,
             ..Trainer::new(cfg.clone())

@@ -8,11 +8,21 @@
 //! The feature array sits behind [`SignalStorage`] and every rewrite here
 //! goes through its `rewrite_rows`: one whole-tensor pass in memory (the
 //! default), a chunk-at-a-time stream on the chunked backend, so resident
-//! bytes stay one chunk instead of `O(entries)`.
+//! bytes stay one chunk instead of `O(entries)`. Index-batching never calls
+//! [`StaticGraphTemporalSignal::with_time_feature`]: its build computes the
+//! column from [`time_of_day`] as it standardizes, so only Algorithm 1
+//! materializes a time-featured signal.
 
 use crate::storage::{RowStore, SignalStorage, StorageSpec};
 use st_graph::Adjacency;
 use st_tensor::Tensor;
+
+/// Entry `entry`'s time-of-day value, the feature
+/// [`StaticGraphTemporalSignal::with_time_feature`] appends: its phase in a
+/// cycle of `period` entries, in `[0, 1)`.
+pub fn time_of_day(entry: usize, period: usize) -> f32 {
+    (entry % period) as f32 / period as f32
+}
 
 /// A static graph whose node features evolve over time.
 #[derive(Debug, Clone)]
@@ -97,8 +107,7 @@ impl StaticGraphTemporalSignal {
                 let src = rows.as_slice().expect("a row range is contiguous");
                 let mut out = Vec::with_capacity(entries * n * (f + 1));
                 for (dt, entry) in src.chunks_exact(n * f).enumerate() {
-                    let t = first_entry + dt;
-                    let tod = (t % period) as f32 / period as f32;
+                    let tod = time_of_day(first_entry + dt, period);
                     for node_row in entry.chunks_exact(f) {
                         out.extend_from_slice(node_row);
                         out.push(tod);

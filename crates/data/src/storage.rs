@@ -428,20 +428,22 @@ impl SignalStorage {
     /// block at a time: `f(first_row, block)` gets a `[len, trailing...]`
     /// block starting at row `first_row` and returns its `len` rewritten
     /// rows, whose trailing shape may differ (every block must agree on
-    /// it). A block is the whole tensor for the in-memory backend and one
-    /// chunk for the chunked one, so a chunked source never holds more than
-    /// a chunk in RAM; any rewrite that treats rows independently — a scaler
-    /// transform, an appended feature column, a node subset — produces the
-    /// same bits whichever way the rows are blocked.
+    /// it). A block is the whole tensor when source and target are both in
+    /// memory, else one chunk of the chunked side (the source's when both
+    /// are), so a chunked source or target never has more than a chunk of
+    /// it in RAM; any rewrite that treats rows independently — a scaler
+    /// transform with an appended feature column, a node subset — produces
+    /// the same bits whichever way the rows are blocked.
     pub fn rewrite_rows(
         &self,
         spec: StorageSpec,
         mut f: impl FnMut(usize, &Tensor) -> Tensor,
     ) -> SignalStorage {
         let rows = self.rows();
-        let step = match self {
-            SignalStorage::InMemory(_) => rows.max(1),
-            SignalStorage::Chunked(s) => s.spec.chunk_entries,
+        let step = match (self, spec) {
+            (SignalStorage::Chunked(s), _) => s.spec.chunk_entries,
+            (SignalStorage::InMemory(_), StorageSpec::Chunked(cs)) => cs.chunk_entries.max(1),
+            (SignalStorage::InMemory(_), StorageSpec::InMemory) => rows.max(1),
         };
         // An empty store still yields one (empty) block, so the output's
         // trailing shape is always known.

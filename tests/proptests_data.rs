@@ -4,6 +4,10 @@
 //!   arbitrary shapes, chunk sizes and read patterns;
 //! - `IndexDataset` batches are storage-invariant bit for bit — arbitrary
 //!   id lists included — and quote the bytes of their merged runs;
+//! - the one-pass build of the standardized copy has the bits of the
+//!   two-step build it replaced (time feature, then fit and transform),
+//!   scaler statistics included, over every source backend and target
+//!   spec;
 //! - threads sharing one `ChunkedStore` read correct bits concurrently;
 //! - all five runners over the four engine data planes (local-copy,
 //!   data-service, halo-entry, and the `Trainer`'s plane under the
@@ -21,6 +25,8 @@ use pgt_i::core::EngineReport;
 use pgt_i::core::IndexDataset;
 use pgt_i::data::datasets::{DatasetKind, DatasetSpec};
 use pgt_i::data::dynamic::synthetic_dynamic_traffic;
+use pgt_i::data::preprocess::num_snapshots;
+use pgt_i::data::scaler::StandardScaler;
 use pgt_i::data::signal::StaticGraphTemporalSignal;
 use pgt_i::data::splits::SplitRatios;
 use pgt_i::data::storage::{ChunkedSpec, RowStore, SignalStorage, StorageSpec};
@@ -42,8 +48,93 @@ fn xorshift_vals(n: usize, seed: u32) -> Vec<f32> {
         .collect()
 }
 
+/// The build before it was one pass, kept as the oracle: append the
+/// time-of-day column (`with_time_feature`), fit the scaler on the augmented
+/// training prefix, then standardize the whole augmented copy.
+fn two_step_build(
+    sig: &StaticGraphTemporalSignal,
+    horizon: usize,
+    period: Option<usize>,
+) -> (StandardScaler, Tensor) {
+    let augmented = match period {
+        Some(p) => sig.with_time_feature(p),
+        None => sig.clone(),
+    };
+    let all = augmented.storage.to_tensor();
+    let entries = all.dim(0);
+    let splits = SplitRatios::default().split(num_snapshots(entries, horizon));
+    let train_entries = (splits.train.end + 2 * horizon - 1).min(entries);
+    let scaler = StandardScaler::fit(&all.narrow(0, 0, train_entries).unwrap());
+    let copy = scaler.transform(&all);
+    (scaler, copy)
+}
+
+/// Build through `IndexDataset::from_storage` from `sig` held under each
+/// source backend into each target spec, and require the oracle's bits.
+fn assert_one_pass_build_matches_two_step(
+    sig: &StaticGraphTemporalSignal,
+    horizon: usize,
+    period: Option<usize>,
+    chunk: usize,
+) {
+    let (scaler, copy) = two_step_build(sig, horizon, period);
+    let want: Vec<u32> = copy.to_vec().iter().map(|v| v.to_bits()).collect();
+    let stat_bits = |s: &StandardScaler| {
+        let stats = s.feature_stats().iter();
+        let pairs = stats.map(|(m, d)| (m.to_bits(), d.to_bits()));
+        (s.mean.to_bits(), s.std.to_bits(), pairs.collect::<Vec<_>>())
+    };
+    let chunked = StorageSpec::Chunked(ChunkedSpec::new(chunk));
+    // A target chunk that differs from the source's.
+    let target_chunked = StorageSpec::Chunked(ChunkedSpec::new(chunk + 2));
+    for source in [StorageSpec::InMemory, chunked] {
+        let src = sig.rechunk(source);
+        for target in [StorageSpec::InMemory, target_chunked] {
+            let what = format!("source {source:?}, target {target:?}, period {period:?}");
+            let ds = IndexDataset::from_storage(
+                &src.storage,
+                horizon,
+                SplitRatios::default(),
+                period,
+                target,
+            );
+            assert_eq!(ds.storage().spec(), target, "{what}");
+            assert_eq!(stat_bits(ds.scaler()), stat_bits(&scaler), "{what}");
+            let got = ds.storage().to_tensor();
+            assert_eq!(got.dims(), copy.dims(), "{what}");
+            let got: Vec<u32> = got.to_vec().iter().map(|v| v.to_bits()).collect();
+            assert!(got == want, "{what}: the copy's bits differ");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The one-pass build equals the two-step oracle bit for bit: F of 1
+    /// to 3, with no period, a period of 1, one shorter than the signal
+    /// and one longer; ragged chunks; wide rows whose 64 KiB fit blocks
+    /// are a few rows each, so the training prefix ends inside one.
+    #[test]
+    fn the_one_pass_build_has_the_bits_of_the_two_step_build(
+        entries in 12usize..60,
+        narrow_nodes in 1usize..5,
+        wide_nodes in 400usize..700,
+        wide in any::<bool>(),
+        features in 1usize..4,
+        horizon in 1usize..5,
+        chunk in 1usize..17,
+        period_pick in 0usize..4,
+        seed in any::<u32>(),
+    ) {
+        let nodes = if wide { wide_nodes } else { narrow_nodes };
+        let vals = xorshift_vals(entries * nodes * features, seed);
+        let adj = Adjacency::from_dense(nodes, vec![1.0; nodes * nodes]);
+        let data = Tensor::from_vec(vals, [entries, nodes, features]).unwrap();
+        let sig = StaticGraphTemporalSignal::new(data, adj);
+        let period = [None, Some(1), Some(entries / 3 + 1), Some(entries + 7)][period_pick];
+        assert_one_pass_build_matches_two_step(&sig, horizon, period, chunk);
+    }
 
     /// Lossless chunked reads reproduce the dense tensor bit for bit:
     /// contiguous ranges (including empty and chunk-straddling ones) and
@@ -175,6 +266,26 @@ proptest! {
         for (a, b) in ym.to_vec().iter().zip(yc.to_vec().iter()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+}
+
+/// One geometry that pins the two seams the property test reaches only by
+/// chance: the training prefix ends inside a rewrite chunk and inside a
+/// 64 KiB scaler-fit block, and spans several of each.
+#[test]
+fn a_training_prefix_ending_inside_a_chunk_and_a_fit_block_keeps_the_bits() {
+    let (entries, nodes, features, horizon, chunk) = (50usize, 700usize, 3usize, 2usize, 5usize);
+    let splits = SplitRatios::default().split(num_snapshots(entries, horizon));
+    let train_entries = splits.train.end + 2 * horizon - 1;
+    let fit_block_rows = (1 << 14) / (nodes * features);
+    assert!(train_entries > 2 * fit_block_rows && train_entries % fit_block_rows != 0);
+    assert!(train_entries > 2 * chunk && train_entries % chunk != 0);
+    let vals = xorshift_vals(entries * nodes * features, 99);
+    let adj = Adjacency::from_dense(nodes, vec![1.0; nodes * nodes]);
+    let data = Tensor::from_vec(vals, [entries, nodes, features]).unwrap();
+    let sig = StaticGraphTemporalSignal::new(data, adj);
+    for period in [Some(7), None] {
+        assert_one_pass_build_matches_two_step(&sig, horizon, period, chunk);
     }
 }
 
